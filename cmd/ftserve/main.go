@@ -554,22 +554,23 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	open := len(s.open)
 	s.mu.Unlock()
-	st := s.router.Stats()
 	resp := healthzResponse{Status: "ok", Nodes: s.router.Nodes(), Open: open}
-	for _, ps := range st.Planes {
-		if ps.Fabric.FaultyChannels > 0 || ps.Fabric.PendingRepairs > 0 || !ps.Healthy ||
-			ps.Fabric.Quarantined > 0 || ps.Breaker != "closed" || ps.Degraded {
+	// Router.Health, not Stats: a probe must not sort the planes' latency
+	// histograms or drain their release rings.
+	for _, ph := range s.router.Health() {
+		if ph.Fabric.FaultyChannels > 0 || ph.Fabric.PendingRepairs > 0 || !ph.Healthy ||
+			ph.Fabric.Quarantined > 0 || ph.Breaker != "closed" || ph.Degraded {
 			resp.Status = "degraded"
 		}
 		resp.Planes = append(resp.Planes, planeHealth{
-			Plane:            ps.Name,
-			Healthy:          ps.Healthy,
-			Health:           ps.Health,
-			Breaker:          ps.Breaker,
-			FaultyChannels:   ps.Fabric.FaultyChannels,
-			Quarantined:      ps.Fabric.Quarantined,
-			DegradedCapacity: ps.Fabric.DegradedCapacity,
-			PendingRepairs:   ps.Fabric.PendingRepairs,
+			Plane:            ph.Name,
+			Healthy:          ph.Healthy,
+			Health:           ph.Health,
+			Breaker:          ph.Breaker,
+			FaultyChannels:   ph.Fabric.FaultyChannels,
+			Quarantined:      ph.Fabric.Quarantined,
+			DegradedCapacity: ph.Fabric.DegradedCapacity,
+			PendingRepairs:   ph.Fabric.PendingRepairs,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

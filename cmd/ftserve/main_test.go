@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -219,6 +220,39 @@ func TestHealthz(t *testing.T) {
 		if !p.Healthy || p.FaultyChannels != 0 || p.PendingRepairs != 0 {
 			t.Errorf("plane health %+v", p)
 		}
+	}
+}
+
+// TestHealthzBodyGolden pins the /healthz body byte for byte — served
+// from Router.Health, it must stay what the Stats-derived body was: one
+// clean plane carrying a circuit, one with a failed link, one killed.
+func TestHealthzBodyGolden(t *testing.T) {
+	ts, _ := newTestServer(t, 3, 2, 4, 1)
+	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 0, Dst: 15}, nil); code != http.StatusOK {
+		t.Fatalf("connect status %d", code)
+	}
+	link := faultRequest{Plane: "plane1", FaultSet: faults.FaultSet{Links: []faults.LinkFault{{Level: 0, Switch: 0, Port: 0}}}}
+	if code := postJSON(t, ts.URL+"/fault", link, nil); code != http.StatusOK {
+		t.Fatalf("link fault status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/fault", faultRequest{Plane: "plane2", Kill: true}, nil); code != http.StatusOK {
+		t.Fatalf("kill status %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"status":"degraded","nodes":16,"open":1,"planes":[` +
+		`{"plane":"plane0","healthy":true,"health":1,"breaker":"closed","faulty_channels":0,"degraded_capacity":1,"pending_repairs":0},` +
+		`{"plane":"plane1","healthy":true,"health":1,"breaker":"closed","faulty_channels":2,"degraded_capacity":0.9375,"pending_repairs":0},` +
+		`{"plane":"plane2","healthy":false,"health":1,"breaker":"open","faulty_channels":32,"degraded_capacity":0,"pending_repairs":0}]}` + "\n"
+	if string(body) != want {
+		t.Errorf("healthz body\n got %s want %s", body, want)
 	}
 }
 

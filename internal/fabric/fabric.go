@@ -355,7 +355,8 @@ type delbatch struct {
 // ticket queued); a successful re-admission returns it to active on a
 // new route; exhausting Config.RepairRetries, manager shutdown, or the
 // owner's Release while repairing kills it. Transitions happen under
-// m.mu; the atomic makes the lock-free Release fast path's read safe.
+// m.mu; the atomic makes the lock-free reads (the Release fast path,
+// Err, Repairing) safe, and the store of handleDead publishes repairErr.
 const (
 	handleActive int32 = iota
 	handleRepairing
@@ -373,12 +374,22 @@ type Handle struct {
 	// state transitions only under m.mu; loads may be lock-free.
 	state atomic.Int32
 
+	// owner is the back-pointer a composing tier hangs on the connection
+	// (SetOwner); the fabric never reads it.
+	owner atomic.Value
+
 	// Guarded by m.mu: the repair loop rewrites the route and walks the
-	// state machine above.
+	// state machine above. idx is the handle's slot in m.conns (-1 once
+	// unregistered). inline backs ports for routes of up to four levels,
+	// so a grant is one allocation.
 	ports     []int
+	inline    [4]int
+	idx       int
 	attempts  int       // repair scheduling attempts so far
 	revokedAt time.Time // when the current repair began
-	repairErr error     // terminal cause once state == handleDead
+	// repairErr is the terminal cause, written once, before the store of
+	// handleDead that publishes it to lock-free readers.
+	repairErr error
 }
 
 // Src returns the source node.
@@ -399,12 +410,24 @@ func (h *Handle) Ports() []int {
 
 // Err reports why the connection died: ErrUnroutableDegraded after the
 // repair loop gave up, ErrClosed if the manager shut down mid-repair,
-// nil while the handle is alive (active or repairing).
+// nil while the handle is alive (active or repairing). It never takes
+// the scheduling lock: the cause is written before the state store that
+// announces the death.
 func (h *Handle) Err() error {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
+	if h.state.Load() != handleDead {
+		return nil
+	}
 	return h.repairErr
 }
+
+// SetOwner hangs the composing tier's back-pointer on the connection —
+// the federation router stores its own handle here so a plane's terminal
+// hook can find it without a shared index. Every call on one connection
+// must pass the same concrete, non-nil type.
+func (h *Handle) SetOwner(o any) { h.owner.Store(o) }
+
+// Owner returns what SetOwner stored, nil if nothing was.
+func (h *Handle) Owner() any { return h.owner.Load() }
 
 // Repairing reports whether the handle is currently revoked and waiting
 // on the repair loop.
@@ -502,7 +525,9 @@ type Manager struct {
 	lastEngine string // scheduler that ran the most recent epoch
 	// conns registers every live handle (active or repairing) so fault
 	// injection can find the connections a failed component strands.
-	conns map[*Handle]struct{}
+	// Each handle records its slot (Handle.idx), so unregistering is a
+	// swap with the last entry.
+	conns []*Handle
 	// failed is the current fault set at channel granularity. The
 	// linkstate fault mask is the union of failed and quar: a channel is
 	// scheduled around while either set holds it.
@@ -735,7 +760,6 @@ func New(cfg Config) (*Manager, error) {
 		closing:      make(chan struct{}),
 		done:         make(chan struct{}),
 		st:           newTrackedState(cfg.Tree),
-		conns:        make(map[*Handle]struct{}),
 		failed:       make(map[faults.Channel]struct{}),
 		flap:         make(map[faults.Channel]*flapScore),
 		quar:         make(map[faults.Channel]time.Time),
@@ -821,6 +845,12 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 		m.tryFlushInline()
 	}
 
+	if deadline == nil && ctx.Done() == nil {
+		// Nothing can end the wait but the verdict.
+		r := <-t.resp
+		m.putTicket(t)
+		return r.h, r.err
+	}
 	select {
 	case r := <-t.resp:
 		m.putTicket(t)
@@ -1106,7 +1136,7 @@ func (m *Manager) finishReleaseLocked(h *Handle) {
 	switch h.state.Load() {
 	case handleRepairing:
 		h.state.Store(handleDead)
-		delete(m.conns, h)
+		m.dropConnLocked(h)
 		m.pendingRepairs.Add(-1)
 		m.repairAborted.Add(1)
 		return
@@ -1127,12 +1157,24 @@ func (m *Manager) finishReleaseLocked(h *Handle) {
 			m.tornRoutes.Add(1)
 		}
 	}
-	delete(m.conns, h)
+	m.dropConnLocked(h)
 	if m.cfg.Trace != nil {
 		m.cfg.Trace(Event{Kind: EventRelease, Src: h.src, Dst: h.dst, Ports: ports, FailLevel: -1})
 	}
 	m.released.Add(1)
 	m.active.Add(-1)
+}
+
+// dropConnLocked unregisters a handle: the last registered handle takes
+// its slot. Caller holds m.mu.
+func (m *Manager) dropConnLocked(h *Handle) {
+	last := len(m.conns) - 1
+	moved := m.conns[last]
+	m.conns[h.idx] = moved
+	moved.idx = h.idx
+	m.conns[last] = nil
+	m.conns = m.conns[:last]
+	h.idx = -1
 }
 
 // applyDeparturesLocked tears down every staged departure outside a
@@ -1416,9 +1458,15 @@ func (m *Manager) flushLocked() *delbatch {
 		}
 		if o.Granted {
 			// The outcome's Ports alias the scheduler's reusable arena; the
-			// Handle owns its ports for the connection's lifetime, so copy.
-			h := &Handle{m: m, src: o.Src, dst: o.Dst, ports: append([]int(nil), o.Ports...)}
-			m.conns[h] = struct{}{}
+			// Handle owns its ports for the connection's lifetime, so copy
+			// — into the handle itself when the route fits.
+			h := &Handle{m: m, src: o.Src, dst: o.Dst, idx: len(m.conns)}
+			if len(o.Ports) <= len(h.inline) {
+				h.ports = h.inline[:copy(h.inline[:], o.Ports)]
+			} else {
+				h.ports = append([]int(nil), o.Ports...)
+			}
+			m.conns = append(m.conns, h)
 			m.granted.Add(1)
 			m.active.Add(1)
 			if m.cfg.Trace != nil {

@@ -70,7 +70,7 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 		failed++
 	}
 	if len(fresh) > 0 {
-		for h := range m.conns {
+		for _, h := range m.conns {
 			// A handle whose owner released it concurrently (parked in
 			// the ring after the drain above) is skipped: its channels
 			// are returned by the fault-aware releaseRouteLocked walk at
@@ -310,9 +310,9 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 // only here — every terminal repair verdict funnels through this
 // function, and owner-initiated releases never do.
 func (m *Manager) killRepairLocked(h *Handle, cause error, counter interface{ Add(uint64) uint64 }) {
+	h.repairErr = cause // before the state store that publishes it (Handle.Err)
 	h.state.Store(handleDead)
-	h.repairErr = cause
-	delete(m.conns, h)
+	m.dropConnLocked(h)
 	m.pendingRepairs.Add(-1)
 	counter.Add(1)
 	if m.cfg.OnConnTerminal != nil {

@@ -3,7 +3,9 @@ package fabric
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -384,4 +386,174 @@ func TestCloseAbortsRepairs(t *testing.T) {
 	if !errors.Is(h.Err(), ErrClosed) {
 		t.Fatalf("aborted handle Err = %v, want ErrClosed", h.Err())
 	}
+}
+
+// TestFailRevokesExactlyTheCrossingSet pins the revoke walk over the
+// slice registry against a map kept by the test: after a churn of grants
+// and out-of-order releases (every release a swap-remove), Fail must
+// revoke exactly the live handles whose routes cross the fault — none
+// skipped because a swap moved it, none visited twice — every slot must
+// still point back at its handle, and the revocations must resolve into
+// the accounting identity. The deep tree's routes outgrow the handle's
+// inline array, so both port storages are walked.
+func TestFailRevokesExactlyTheCrossingSet(t *testing.T) {
+	for _, tree := range []*topology.Tree{topology.MustNew(3, 4, 4), topology.MustNew(6, 2, 2)} {
+		t.Run(fmt.Sprintf("levels=%d", tree.Levels()), func(t *testing.T) {
+			type pair struct{ src, dst int }
+			var (
+				tmu     sync.Mutex
+				revoked = make(map[pair]int)
+			)
+			cfg := fastRepair(tree)
+			cfg.Trace = func(e Event) {
+				if e.Kind == EventRevoke {
+					tmu.Lock()
+					revoked[pair{e.Src, e.Dst}]++
+					tmu.Unlock()
+				}
+			}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close(context.Background())
+
+			rng := rand.New(rand.NewSource(1))
+			live := make(map[*Handle]struct{})
+			taken := make(map[pair]bool)
+			for i := 0; i < 400; i++ {
+				if len(live) > 0 && rng.Intn(3) == 0 {
+					for h := range live { // map order: an arbitrary slot
+						delete(live, h)
+						taken[pair{h.src, h.dst}] = false
+						if err := h.Release(); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+					continue
+				}
+				p := pair{rng.Intn(tree.Nodes()), rng.Intn(tree.Nodes())}
+				if taken[p] {
+					continue // one live circuit per pair, so a pair names a handle
+				}
+				h, err := m.Connect(context.Background(), p.src, p.dst)
+				if err != nil {
+					continue
+				}
+				live[h] = struct{}{}
+				taken[p] = true
+			}
+
+			fs := faults.Uniform(tree, 0.15, 7)
+			bad := make(map[faults.Channel]struct{})
+			for _, c := range fs.Channels(tree) {
+				bad[c] = struct{}{}
+			}
+			m.mu.Lock()
+			m.drainReleasesLocked()
+			want := make(map[pair]int)
+			for h := range live {
+				if m.routeCrossesLocked(h, bad) {
+					want[pair{h.src, h.dst}] = 1
+				}
+			}
+			if len(m.conns) != len(live) {
+				t.Errorf("registry holds %d handles, %d are live", len(m.conns), len(live))
+			}
+			for i, h := range m.conns {
+				if _, ok := live[h]; !ok || h.idx != i {
+					t.Errorf("registry slot %d: handle %d→%d idx %d, live %v", i, h.src, h.dst, h.idx, ok)
+				}
+			}
+			m.mu.Unlock()
+			if len(want) == 0 {
+				t.Fatal("fault set crosses no held route; the test exercises nothing")
+			}
+
+			_, n, err := m.Fail(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmu.Lock()
+			got := make(map[pair]int, len(revoked))
+			for p, c := range revoked {
+				got[p] = c
+			}
+			tmu.Unlock()
+			if n != len(want) || len(got) != len(want) {
+				t.Fatalf("Fail revoked %d (traced %d), want %d", n, len(got), len(want))
+			}
+			for p := range want {
+				if got[p] != 1 {
+					t.Errorf("circuit %d→%d crosses the fault and was revoked %d times, want once", p.src, p.dst, got[p])
+				}
+			}
+
+			for h := range live {
+				_ = h.Release() // dead handles report their terminal error; fine
+			}
+			waitFor(t, func() bool {
+				s := m.Stats()
+				return s.PendingRepairs == 0 && s.QueueDepth == 0
+			})
+			s := m.Stats()
+			if s.Revoked != uint64(n) || s.Revoked != s.Repaired+s.RepairFailed+s.RepairAborted {
+				t.Errorf("repair accounting: revoked %d (Fail said %d) != repaired %d + failed %d + aborted %d",
+					s.Revoked, n, s.Repaired, s.RepairFailed, s.RepairAborted)
+			}
+			m.mu.Lock()
+			left := len(m.conns)
+			m.mu.Unlock()
+			if left != 0 || s.Active != 0 {
+				t.Errorf("after the drain the registry holds %d handles, active %d", left, s.Active)
+			}
+		})
+	}
+}
+
+// TestErrPublishesCauseWithDeath watches handles die on the
+// retries-exhausted path through the lock-free Err: a reader that sees
+// the dead state must also see the cause — under -race this is what
+// proves killRepairLocked writes repairErr before the state store.
+func TestErrPublishesCauseWithDeath(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	cfg := fastRepair(tree)
+	cfg.RepairRetries = 1
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+
+	var hs []*Handle
+	for dst := 4; dst < 8; dst++ {
+		h, err := m.Connect(context.Background(), dst-4, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	var wg sync.WaitGroup
+	for _, h := range hs {
+		wg.Add(1)
+		go func(h *Handle) {
+			defer wg.Done()
+			deadline := time.Now().Add(5 * time.Second)
+			for h.state.Load() != handleDead {
+				if time.Now().After(deadline) {
+					t.Errorf("handle %d→%d never died", h.src, h.dst)
+					return
+				}
+				runtime.Gosched()
+			}
+			if err := h.Err(); !errors.Is(err, ErrUnroutableDegraded) {
+				t.Errorf("handle %d→%d dead with Err() = %v, want ErrUnroutableDegraded", h.src, h.dst, err)
+			}
+		}(h)
+	}
+	if revoked := isolate(t, m); revoked != len(hs) {
+		t.Errorf("isolating revoked %d, want %d", revoked, len(hs))
+	}
+	wg.Wait()
 }

@@ -57,6 +57,37 @@ func TestConnectEnqueueZeroAllocs(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is built in.
+var raceEnabled bool
+
+// TestGrantOneAlloc pins the whole grant round trip on a bare Manager:
+// Connect + Release at BatchSize 1 allocates exactly the Handle — the
+// route of a tree up to four levels deep lives inside it, the ticket is
+// pooled, and the slice registry only grows while it warms up.
+func TestGrantOneAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m, err := New(Config{Tree: topology.MustNew(3, 4, 4), BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		h, err := m.Connect(ctx, 0, 63)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Release(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Connect + Release allocates %.1f objects/op, want 1 (the Handle)", allocs)
+	}
+}
+
 // TestReleaseRingWraparoundFull drives the ring through several full
 // laps: a full ring must refuse the push (the caller degrades to the
 // synchronous release path) and the mask arithmetic must stay correct

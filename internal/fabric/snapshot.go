@@ -193,12 +193,52 @@ func (m *Manager) publishStatsLocked() {
 	m.snap.faulty.Store(int64(len(m.failed)))
 	m.snap.quar.Store(int64(len(m.quar)))
 	m.snap.util.Store(math.Float64bits(m.st.Utilization()))
-	capacity := 1.0
-	if total := m.st.ChannelCount(); total > 0 {
-		capacity = float64(total-m.st.FailedCount()) / float64(total)
-	}
-	m.snap.capacity.Store(math.Float64bits(capacity))
+	m.snap.capacity.Store(math.Float64bits(m.capacityLocked()))
 	m.snap.seq.Add(1)
+}
+
+// capacityLocked is the fraction of channels still in service (1.0 when
+// healthy). Caller holds m.mu.
+func (m *Manager) capacityLocked() float64 {
+	total := m.st.ChannelCount()
+	if total == 0 {
+		return 1
+	}
+	return float64(total-m.st.FailedCount()) / float64(total)
+}
+
+// lockedView is the slice of a snapshot that depends on m.mu-guarded
+// state — what publishStatsLocked publishes.
+type lockedView struct {
+	engine              string
+	faulty, quarantined int
+	util, capacity      float64
+}
+
+// readSnap returns the last published seqlock snapshot (StatsSnapshots
+// on), retrying while a publish is in flight, then nudges the flusher so
+// the next publish is imminent.
+func (m *Manager) readSnap() lockedView {
+	for {
+		s1 := m.snap.seq.Load()
+		if s1&1 == 0 {
+			eng := m.snap.engine.Load()
+			v := lockedView{
+				faulty:      int(m.snap.faulty.Load()),
+				quarantined: int(m.snap.quar.Load()),
+				util:        math.Float64frombits(m.snap.util.Load()),
+				capacity:    math.Float64frombits(m.snap.capacity.Load()),
+			}
+			if m.snap.seq.Load() == s1 {
+				if eng != nil {
+					v.engine = *eng
+				}
+				m.wake() // bound staleness: the flusher republishes on its next pass
+				return v
+			}
+		}
+		runtime.Gosched() // publish in flight; retry
+	}
 }
 
 // Stats returns a snapshot of the manager's counters, queue, epoch
@@ -216,43 +256,20 @@ func (m *Manager) publishStatsLocked() {
 // trailing live state by at most one epoch; the call nudges the flusher
 // so the next publish is imminent, and performs no settling of its own.
 func (m *Manager) Stats() Stats {
-	var util, capacity float64
-	var lastEngine string
-	var faulty, quarantined int
+	var v lockedView
 	if m.statsOn {
-		for {
-			s1 := m.snap.seq.Load()
-			if s1&1 == 0 {
-				eng := m.snap.engine.Load()
-				f := m.snap.faulty.Load()
-				q := m.snap.quar.Load()
-				u := m.snap.util.Load()
-				c := m.snap.capacity.Load()
-				if m.snap.seq.Load() == s1 {
-					if eng != nil {
-						lastEngine = *eng
-					}
-					faulty, quarantined = int(f), int(q)
-					util = math.Float64frombits(u)
-					capacity = math.Float64frombits(c)
-					break
-				}
-			}
-			runtime.Gosched() // publish in flight; retry
-		}
-		m.wake() // bound staleness: the flusher republishes on its next pass
+		v = m.readSnap()
 	} else {
 		m.mu.Lock()
 		m.drainReleasesLocked()
 		m.applyDeparturesLocked()
 		m.settleQuarantineLocked(time.Now())
-		util = m.st.Utilization()
-		lastEngine = m.lastEngine
-		faulty = len(m.failed)
-		quarantined = len(m.quar)
-		capacity = 1.0
-		if total := m.st.ChannelCount(); total > 0 {
-			capacity = float64(total-m.st.FailedCount()) / float64(total)
+		v = lockedView{
+			engine:      m.lastEngine,
+			faulty:      len(m.failed),
+			quarantined: len(m.quar),
+			util:        m.st.Utilization(),
+			capacity:    m.capacityLocked(),
 		}
 		m.mu.Unlock()
 	}
@@ -273,7 +290,7 @@ func (m *Manager) Stats() Stats {
 		Epochs:         m.epochs.Load(),
 		Active:         m.active.Load(),
 		QueueDepth:     depth,
-		Utilization:    util,
+		Utilization:    v.util,
 		Occupancy:      m.st.LiveOccupancy(),
 		ChannelAllocs:  m.st.TotalAllocs(),
 		EpochSize:      size,
@@ -284,15 +301,15 @@ func (m *Manager) Stats() Stats {
 		ParallelThreshold: m.parThreshold,
 		ParallelWorkers:   parWorkers(m.par),
 		ParallelMode:      parMode(m.par),
-		LastEpochEngine:   lastEngine,
+		LastEpochEngine:   v.engine,
 
 		Revoked:          m.revoked.Load(),
 		Repaired:         m.repaired.Load(),
 		RepairFailed:     m.repairFailed.Load(),
 		RepairAborted:    m.repairAborted.Load(),
 		PendingRepairs:   m.pendingRepairs.Load(),
-		FaultyChannels:   faulty,
-		DegradedCapacity: capacity,
+		FaultyChannels:   v.faulty,
+		DegradedCapacity: v.capacity,
 		RepairLatencyMS:  repLat,
 		RepairDepth:      repDepth,
 
@@ -300,7 +317,7 @@ func (m *Manager) Stats() Stats {
 		RepairBudgetExhausted: m.repairBudgetExhausted.Load(),
 		FlapEvents:            m.flapEvents.Load(),
 		QuarantineEvents:      m.quarantineEvents.Load(),
-		Quarantined:           quarantined,
+		Quarantined:           v.quarantined,
 		RepairedOnHeldTrunk:   m.repairedOnHeldTrunk.Load(),
 
 		Incremental:       m.inc != nil,
@@ -308,6 +325,40 @@ func (m *Manager) Stats() Stats {
 		TornRoutes:        m.tornRoutes.Load(),
 		EstablishedRoutes: m.establishedRoutes.Load(),
 		RouteChurn:        churn,
+	}
+}
+
+// Health is the liveness slice of Stats: what a probe needs to tell a
+// clean plane from a degraded one, with the same meanings as the Stats
+// fields of the same names.
+type Health struct {
+	FaultyChannels   int
+	Quarantined      int
+	DegradedCapacity float64
+	PendingRepairs   int64
+}
+
+// Health reports the plane's fault state without the rest of a Stats
+// snapshot: no histogram copies, no sorts, no release drain — a probe
+// costs the same on a busy fabric as on an idle one. The scheduling lock
+// is held only to count the fault sets (not at all with
+// Config.StatsSnapshots on, where the same trailing-by-one-epoch caveat
+// as Stats applies).
+func (m *Manager) Health() Health {
+	var v lockedView
+	if m.statsOn {
+		v = m.readSnap()
+	} else {
+		m.mu.Lock()
+		m.settleQuarantineLocked(time.Now())
+		v = lockedView{faulty: len(m.failed), quarantined: len(m.quar), capacity: m.capacityLocked()}
+		m.mu.Unlock()
+	}
+	return Health{
+		FaultyChannels:   v.faulty,
+		Quarantined:      v.quarantined,
+		DegradedCapacity: v.capacity,
+		PendingRepairs:   m.pendingRepairs.Load(),
 	}
 }
 

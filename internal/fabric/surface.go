@@ -34,6 +34,13 @@ type Conn interface {
 	// Repairing reports whether a fault revoked the circuit and the
 	// plane's repair loop is re-admitting it.
 	Repairing() bool
+	// SetOwner and Owner carry a back-pointer for the tier composing
+	// planes: the federation router stores its handle on the plane
+	// connection it wraps and reads it back in the plane's terminal hook.
+	// The pointer lives and dies with the connection, so no shared index
+	// is kept. Owner is nil until SetOwner is called.
+	SetOwner(owner any)
+	Owner() any
 }
 
 // Surface is one admission plane: the subset of *Manager the federation
@@ -49,6 +56,9 @@ type Surface interface {
 	Occupancy() int64
 	// Stats snapshots the plane's counters and distributions.
 	Stats() Stats
+	// Health is the fault-state slice of Stats, cheap enough for a
+	// liveness probe on a busy plane.
+	Health() Health
 
 	// Fault surface: inject, inspect, and heal (see the Manager methods).
 	Fail(fs *faults.FaultSet) (failed, revoked int, err error)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,26 @@ import (
 // cleanly or terminated with a documented terminal error that the
 // router's loss counter agrees with, and every plane drains to zero
 // active circuits and zero occupied channels. Run under -race in CI.
+//
+// The schedule is driven by events, not by the clock: the victim plane
+// dies once chaosKillAt circuits are held on it, the run stops once
+// chaosStopAt of them reached a migration verdict, and no worker tears a
+// circuit down while its verdict is still pending — so the migration
+// path is exercised on every run, however the goroutines interleave.
 func TestChaosPlaneKillAccounting(t *testing.T) {
+	const (
+		victim      = "plane1"
+		chaosKillAt = 16 // circuits held on the victim when it is killed
+		chaosStopAt = 8  // migration verdicts (readmitted + lost) that end the run
+		workers     = 8
+	)
+	var (
+		r        *Router
+		killOnce sync.Once
+		stopOnce sync.Once
+		killNow  = make(chan struct{})
+		stopNow  = make(chan struct{})
+	)
 	cfg := Config{Policy: PolicyRoundRobin}
 	for i := 0; i < 3; i++ {
 		cfg.Planes = append(cfg.Planes, PlaneConfig{
@@ -30,6 +50,13 @@ func TestChaosPlaneKillAccounting(t *testing.T) {
 				MaxWait:       100 * time.Microsecond,
 				RepairRetries: 2,
 				RepairBackoff: time.Millisecond,
+				// Chained after the router's own hook, so the migration of
+				// this connection has already reached its verdict.
+				OnConnTerminal: func(fabric.Conn, error) {
+					if r.readmitted.Load()+r.lost.Load() >= chaosStopAt {
+						stopOnce.Do(func() { close(stopNow) })
+					}
+				},
 			},
 		})
 	}
@@ -38,9 +65,9 @@ func TestChaosPlaneKillAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers = 8
 	var (
 		stop             atomic.Bool
+		heldOnVictim     atomic.Int64
 		grantTotal       atomic.Uint64
 		releasedOK       atomic.Uint64
 		releasedLost     atomic.Uint64
@@ -71,17 +98,42 @@ func TestChaosPlaneKillAccounting(t *testing.T) {
 			errMu.Unlock()
 		}
 	}
+	// release tears one circuit down, but not while its fate is open: a
+	// revoked circuit is left alone until the plane's repair loop and the
+	// router's migration have settled it (alive again, or ErrConnLost).
+	// Releasing earlier is legal — the drains above account for it — but
+	// would leave it to luck whether any circuit lives long enough to
+	// migrate. The wait is bounded; past the bound the release goes ahead
+	// and is accounted like any other.
+	release := func(h *Handle) {
+		for bound := time.Now().Add(5 * time.Second); time.Now().Before(bound); runtime.Gosched() {
+			if err := h.Err(); !h.Repairing() && (err == nil || errors.Is(err, ErrConnLost)) {
+				break
+			}
+		}
+		account(h.Release())
+	}
+	type held struct {
+		h        *Handle
+		onVictim bool // counted in heldOnVictim at grant time
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			g := lcg(seed)
-			var held []*Handle
+			var hold []held
+			drop := func(c held) {
+				if c.onVictim {
+					heldOnVictim.Add(-1)
+				}
+				release(c.h)
+			}
 			for !stop.Load() {
-				if len(held) >= 12 || (len(held) > 0 && g.next(4) == 0) {
-					h := held[0]
-					held = held[1:]
-					account(h.Release())
+				if len(hold) >= 12 || (len(hold) > 0 && g.next(4) == 0) {
+					c := hold[0]
+					hold = hold[1:]
+					drop(c)
 					continue
 				}
 				src, dst := g.next(nodes), g.next(nodes)
@@ -90,19 +142,33 @@ func TestChaosPlaneKillAccounting(t *testing.T) {
 					continue // denial; nothing held
 				}
 				grantTotal.Add(1)
-				held = append(held, h)
+				c := held{h: h, onVictim: h.Plane() == victim}
+				if c.onVictim && heldOnVictim.Add(1) >= chaosKillAt {
+					killOnce.Do(func() { close(killNow) })
+				}
+				hold = append(hold, c)
 			}
-			for _, h := range held {
-				account(h.Release())
+			for _, c := range hold {
+				drop(c)
 			}
 		}(uint64(w)*2654435761 + 1)
 	}
 
-	time.Sleep(60 * time.Millisecond)
-	if err := r.KillPlane("plane1"); err != nil {
+	timeout := time.After(30 * time.Second)
+	select {
+	case <-killNow:
+	case <-timeout:
+		t.Fatalf("never held %d circuits on %s (held %d)", chaosKillAt, victim, heldOnVictim.Load())
+	}
+	if err := r.KillPlane(victim); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(120 * time.Millisecond)
+	select {
+	case <-stopNow:
+	case <-timeout:
+		t.Errorf("only %d of %d migration verdicts after the kill",
+			r.readmitted.Load()+r.lost.Load(), chaosStopAt)
+	}
 	stop.Store(true)
 	wg.Wait()
 

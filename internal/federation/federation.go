@@ -9,6 +9,13 @@
 // ejection and re-admission probing, and cross-plane re-admission of
 // connections a plane's repair loop gives up on.
 //
+// The admit path takes no router-wide lock and allocates only the
+// federated Handle: candidate planes are ordered in an on-stack buffer
+// (policy.go), health is a compare-and-swap EWMA (health.go), and the
+// plane connection carries a back-pointer to its federated Handle
+// (fabric.Conn.SetOwner) where a router-global reverse index would
+// serialize every plane's grants and releases.
+//
 // A federated Handle wraps the granted plane's connection; Release
 // routes back to the owning plane, transparently following the
 // connection if a plane failure migrated it. A connection is lost only
@@ -22,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,7 +143,6 @@ type plane struct {
 	// injected DegradedPlane duty cycle; degraded holds that process.
 	failStreak atomic.Int32
 	health     atomic.Uint64
-	hmu        sync.Mutex
 	breaker    atomic.Int32
 	lastProbe  atomic.Int64 // UnixNano of the last probe election
 	admitSeq   atomic.Uint64
@@ -157,13 +164,6 @@ type Router struct {
 	closeMu sync.Once
 
 	rr atomic.Uint64 // round-robin admission counter
-
-	// mu guards byConn: the reverse index from a plane's live connection
-	// to its federated handle, which the terminal hook uses to find the
-	// handle to migrate. Lock order: Handle.mu before mu, never nested
-	// the other way.
-	mu     sync.Mutex
-	byConn map[fabric.Conn]*Handle
 
 	// fbudget is the failover token bucket (health.go); fbmu guards its
 	// refill arithmetic.
@@ -215,7 +215,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		byConn:  make(map[fabric.Conn]*Handle),
 		fbudget: newFBucket(cfg.FailoverBudget, time.Now()),
 	}
 	names := make(map[string]struct{}, len(cfg.Planes))
@@ -320,31 +319,48 @@ func (r *Router) planeByName(name string) *plane {
 // election moves an open breaker to half-open). With every plane open
 // and no probe due, all planes are candidates — a total outage degrades
 // to brute-force retry rather than refusing service on a fabric that
-// may have just healed.
-func (r *Router) candidates(src, dst int) []int {
-	healthy := make([]int, 0, len(r.planes))
-	var probes []int
+// may have just healed. The order is built in buf, the caller's on-stack
+// array, unless the federation has more than inlinePlanes planes.
+func (r *Router) candidates(buf *[inlinePlanes]int, src, dst int) []int {
+	n := len(r.planes)
+	order := inlineSlots(buf, n)
+	// One pass, one buffer: healthy planes fill from the front in index
+	// order, due probes from the back.
+	healthy, probes := 0, 0
 	for i, p := range r.planes {
 		if !p.ejectedNow() {
-			healthy = append(healthy, i)
+			order[healthy] = i
+			healthy++
 		} else if p.probeDue(r.cfg.ProbeInterval) {
-			probes = append(probes, i)
+			probes++
+			order[n-probes] = i
 		}
 	}
-	if len(healthy) == 0 && len(probes) == 0 {
-		for i := range r.planes {
-			healthy = append(healthy, i)
+	if healthy == 0 && probes == 0 {
+		for i := range order {
+			order[i] = i
 		}
+		healthy = n
 	}
-	r.orderPlanes(r.cfg.Policy, healthy, src, dst)
-	return append(healthy, probes...)
+	r.orderPlanes(r.cfg.Policy, order[:healthy], src, dst)
+	// The probes sit at the tail in reverse index order; restore it and
+	// close the gap the skipped planes left.
+	tail := order[n-probes:]
+	slices.Reverse(tail)
+	copy(order[healthy:], tail)
+	return order[:healthy+probes]
 }
 
 // failoverable reports whether a plane denial should move the admission
 // to the next candidate plane: scheduler denials (healthy or degraded)
 // and a closed/draining plane fail over; caller-scoped errors (context
-// cancellation, admission timeout) end the admission.
+// cancellation, admission timeout) end the admission. A plane's own
+// denial arrives as a bare *fabric.UnroutableError, so the type switch
+// answers nearly every call without walking an error chain.
 func failoverable(err error) bool {
+	if _, ok := err.(*fabric.UnroutableError); ok {
+		return true
+	}
 	return errors.Is(err, fabric.ErrUnroutable) ||
 		errors.Is(err, fabric.ErrUnroutableDegraded) ||
 		errors.Is(err, fabric.ErrClosed)
@@ -374,26 +390,18 @@ func (r *Router) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 	return fh, nil
 }
 
-// register indexes a live connection back to its federated handle, then
+// register points a live connection back at its federated handle, then
 // closes the grant/terminal race: a plane failure may have killed c
-// after the grant but before this registration, in which case the
-// terminal hook found no index entry and gave up — re-running it now
-// finds the entry and migrates. The fh.conn identity check inside
-// onTerminal makes the migration exactly-once even when both the hook
-// goroutine and this re-check fire.
+// after the grant but before the owner was set, in which case the
+// terminal hook found no owner and gave up — re-running it now finds
+// the owner and migrates. The fh.conn identity check inside onTerminal
+// makes the migration exactly-once even when both the hook goroutine
+// and this re-check fire. The pointer needs no removal: it dies with
+// the connection.
 func (r *Router) register(c fabric.Conn, pi int, fh *Handle) {
-	r.mu.Lock()
-	r.byConn[c] = fh
-	r.mu.Unlock()
+	c.SetOwner(fh)
 	if cause := c.Err(); cause != nil {
 		go r.onTerminal(pi, c, cause)
-	}
-	// The mirror race on the release side: a readmission graft may land
-	// after the owner's Release already swept the index, leaving a stale
-	// entry. Either this check or the Release's dropConn runs last;
-	// whichever does removes it.
-	if fh.released.Load() {
-		r.dropConn(c)
 	}
 }
 
@@ -402,7 +410,8 @@ func (r *Router) register(c fabric.Conn, pi int, fh *Handle) {
 // just lost the connection; -1 skips nothing). It returns the granted
 // connection and the granting plane's index.
 func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn, int, error) {
-	order := r.candidates(src, dst)
+	var buf [inlinePlanes]int
+	order := r.candidates(&buf, src, dst)
 	limit := r.cfg.FailoverLimit
 	if limit <= 0 || limit > len(order) {
 		limit = len(order)
@@ -429,8 +438,12 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		p := r.planes[pi]
 		// Injected slow-plane process: a duty-cycle fraction of this
 		// plane's admissions pay the configured latency up front, which
-		// the health score then observes like any organic slowness.
-		start := time.Now()
+		// the health score then observes like any organic slowness. The
+		// clock is read only when a latency budget scores it.
+		var start time.Time
+		if r.cfg.LatencyBudget > 0 {
+			start = time.Now()
+		}
 		if dp := p.degraded.Load(); dp != nil && dp.SlowAt(p.admitSeq.Add(1)-1) {
 			sleepInjected(ctx, time.Duration(dp.AdmitLatency))
 		}
@@ -461,13 +474,11 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 // onTerminal is each plane's OnConnTerminal hook: the plane's repair
 // loop just gave up on c for good. If a live federated handle still
 // owns c, migrate the connection to a surviving plane; otherwise the
-// owner already released it and there is nothing to save. Runs on the
-// hook's own goroutine.
+// owner already released it (or register has not run yet and will
+// re-check) and there is nothing to save. Runs on the hook's own
+// goroutine.
 func (r *Router) onTerminal(owner int, c fabric.Conn, cause error) {
-	r.mu.Lock()
-	fh := r.byConn[c]
-	delete(r.byConn, c)
-	r.mu.Unlock()
+	fh, _ := c.Owner().(*Handle)
 	if fh == nil {
 		return
 	}
@@ -512,13 +523,6 @@ func (r *Router) onTerminal(owner int, c fabric.Conn, cause error) {
 	fh.mu.Unlock()
 	r.readmitted.Add(1)
 	r.register(nc, pi, fh)
-}
-
-// dropConn removes a connection from the reverse index.
-func (r *Router) dropConn(c fabric.Conn) {
-	r.mu.Lock()
-	delete(r.byConn, c)
-	r.mu.Unlock()
 }
 
 // KillPlane takes a whole plane out of service: it is ejected from

@@ -81,8 +81,9 @@ func TestPolicyOrdering(t *testing.T) {
 	r := testRouter(t, 4, nil)
 
 	// Hash: deterministic per (src, dst), preserves ring order.
-	a := r.candidates(0, 3)
-	b := r.candidates(0, 3)
+	var bufA, bufB [inlinePlanes]int
+	a := r.candidates(&bufA, 0, 3)
+	b := r.candidates(&bufB, 0, 3)
 	if len(a) != 4 {
 		t.Fatalf("candidates = %v, want 4 planes", a)
 	}
@@ -101,7 +102,7 @@ func TestPolicyOrdering(t *testing.T) {
 	r.cfg.Policy = PolicyRoundRobin
 	starts := make(map[int]bool)
 	for i := 0; i < 4; i++ {
-		starts[r.candidates(0, 3)[0]] = true
+		starts[r.candidates(&bufA, 0, 3)[0]] = true
 	}
 	if len(starts) != 4 {
 		t.Errorf("round-robin visited %d distinct starting planes in 4 admissions, want 4", len(starts))
@@ -110,7 +111,7 @@ func TestPolicyOrdering(t *testing.T) {
 	// Random: stays a permutation.
 	r.cfg.Policy = PolicyRandom
 	seen := make(map[int]bool)
-	for _, pi := range r.candidates(1, 2) {
+	for _, pi := range r.candidates(&bufA, 1, 2) {
 		seen[pi] = true
 	}
 	if len(seen) != 4 {
@@ -126,7 +127,7 @@ func TestPolicyOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.candidates(0, 3); got[0] != 3 {
+	if got := r.candidates(&bufA, 0, 3); got[0] != 3 {
 		t.Errorf("least-loaded candidates %v, want plane 3 first", got)
 	}
 }

@@ -20,7 +20,7 @@ type Handle struct {
 	src, dst int
 	released atomic.Bool
 
-	// mu guards the migration state. Lock order: mu before r.mu.
+	// mu guards the migration state.
 	mu       sync.Mutex
 	conn     fabric.Conn // nil while migrating or after terminal/release
 	plane    int         // index of the owning plane
@@ -106,8 +106,14 @@ func (h *Handle) Release() error {
 	term := h.terminal
 	h.mu.Unlock()
 	if c != nil {
-		h.r.dropConn(c)
 		return c.Release()
 	}
 	return term
 }
+
+// SetOwner is a no-op: nothing federates federated handles, so a Handle
+// satisfies fabric.Conn without carrying an owner.
+func (h *Handle) SetOwner(any) {}
+
+// Owner returns nil (see SetOwner).
+func (h *Handle) Owner() any { return nil }

@@ -57,28 +57,36 @@ func (p *plane) healthNow() float64 {
 }
 
 // bumpHealth folds one outcome sample into the EWMA and returns the new
-// score. hmu serializes the read-modify-write; the atomic keeps
-// lock-free readers (stats, tests) safe.
+// score: a compare-and-swap loop, which skips the store when the score
+// does not move — a healthy plane sits at exactly 1 and its grants then
+// leave the shared cache line clean.
 func (p *plane) bumpHealth(alpha, sample float64) float64 {
-	p.hmu.Lock()
-	h := math.Float64frombits(p.health.Load())
-	h = (1-alpha)*h + alpha*sample
-	p.health.Store(math.Float64bits(h))
-	p.hmu.Unlock()
-	return h
+	for {
+		old := p.health.Load()
+		h := (1-alpha)*math.Float64frombits(old) + alpha*sample
+		if bits := math.Float64bits(h); bits == old || p.health.CompareAndSwap(old, bits) {
+			return h
+		}
+	}
 }
 
 // noteSuccess records a grant: the streak resets, the score pulls
 // toward 1 (or only 0.5 for a grant slower than the latency budget —
-// alive, but degraded), and any open or half-open breaker closes.
+// alive, but degraded), and any open or half-open breaker closes. The
+// streak and breaker are written only when they change, so back-to-back
+// grants on a healthy plane share its health words read-only.
 func (p *plane) noteSuccess(alpha float64, slow bool) {
-	p.failStreak.Store(0)
+	if p.failStreak.Load() != 0 {
+		p.failStreak.Store(0)
+	}
 	sample := 1.0
 	if slow {
 		sample = 0.5
 	}
 	p.bumpHealth(alpha, sample)
-	p.breaker.Store(bClosed)
+	if p.breaker.Load() != bClosed {
+		p.breaker.Store(bClosed)
+	}
 }
 
 // noteFailure records a failover-able denial: the score pulls toward 0,
@@ -168,8 +176,11 @@ func (r *Router) Degraded(name string) *faults.DegradedPlane {
 }
 
 // takeFailoverToken draws from the router's failover budget; unlimited
-// when no budget is configured.
+// (fixed at New, so read without the lock) when no budget is configured.
 func (r *Router) takeFailoverToken() bool {
+	if r.fbudget.unlimited {
+		return true
+	}
 	r.fbmu.Lock()
 	ok := r.fbudget.take(time.Now())
 	r.fbmu.Unlock()

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 )
 
 // Policy selects the order in which planes are tried for an admission.
@@ -73,6 +73,11 @@ func Policies() []string {
 	return []string{"hash", "round-robin", "random", "least-loaded"}
 }
 
+// inlinePlanes is the plane count up to which an admission orders its
+// candidates entirely on the stack; larger federations fall back to one
+// heap buffer per call.
+const inlinePlanes = 16
+
 // orderPlanes reorders the candidate plane indices in place according
 // to the policy. candidates index into r.planes.
 func (r *Router) orderPlanes(p Policy, candidates []int, src, dst int) {
@@ -82,69 +87,74 @@ func (r *Router) orderPlanes(p Policy, candidates []int, src, dst int) {
 	}
 	switch p {
 	case PolicyHash:
-		if r.weighted {
-			// Weighted rendezvous (highest-random-weight): each candidate
-			// scores -weight/ln(u) with u a per-(src,dst,plane) hash in
-			// (0,1]; ordering by score spreads pairs proportionally to
-			// plane weight, stays deterministic per pair, and degrades
-			// gracefully as candidates drop out.
-			r.orderByScore(candidates, func(i, pi int) float64 {
-				u := (float64(tripleHash(src, dst, pi)) + 1) / float64(1<<31)
-				return -r.planes[pi].weight / math.Log(u)
-			})
-		} else {
+		if !r.weighted {
 			rotate(candidates, pairHash(src, dst)%n)
+			return
 		}
+		// Weighted rendezvous (highest-random-weight): each candidate
+		// scores -weight/ln(u) with u a per-(src,dst,plane) hash in
+		// (0,1]; ordering by score spreads pairs proportionally to
+		// plane weight, stays deterministic per pair, and degrades
+		// gracefully as candidates drop out.
+		var buf [inlinePlanes]float64
+		score := inlineSlots(&buf, n)
+		for i, pi := range candidates {
+			u := (float64(tripleHash(src, dst, pi)) + 1) / float64(1<<31)
+			score[i] = -r.planes[pi].weight / math.Log(u)
+		}
+		sortByScore(candidates, score)
 	case PolicyRoundRobin:
 		rotate(candidates, int(r.rr.Add(1)-1)%n)
 	case PolicyRandom:
 		rotate(candidates, rand.IntN(n))
 	case PolicyLeastLoaded:
-		// Snapshot each gauge once so the sort comparator is consistent,
-		// then order emptiest-first by weight-normalized occupancy (a
-		// weight-2 plane counts as half as loaded), ties by plane index
-		// for determinism. Negated so orderByScore's descending sort
-		// yields emptiest-first.
-		occ := make([]int64, n)
+		// Snapshot each gauge once so the sort sees consistent keys, then
+		// order emptiest-first by weight-normalized occupancy (a weight-2
+		// plane counts as half as loaded), ties by plane index for
+		// determinism. Negated so the descending sort yields
+		// emptiest-first.
+		var buf [inlinePlanes]float64
+		score := inlineSlots(&buf, n)
 		for i, pi := range candidates {
-			occ[i] = r.planes[pi].surf.Occupancy()
+			score[i] = -float64(r.planes[pi].surf.Occupancy()) / r.planes[pi].weight
 		}
-		r.orderByScore(candidates, func(i, pi int) float64 {
-			return -float64(occ[i]) / r.planes[pi].weight
-		})
+		sortByScore(candidates, score)
 	}
 }
 
-// orderByScore reorders candidates by descending score(position, plane
-// index), stable so ties keep plane-index order.
-func (r *Router) orderByScore(candidates []int, score func(i, pi int) float64) {
-	n := len(candidates)
-	sc := make([]float64, n)
-	for i, pi := range candidates {
-		sc[i] = score(i, pi)
+// inlineSlots returns n slots: the caller's on-stack array when it is
+// large enough, a heap slice above inlinePlanes.
+func inlineSlots[T any](buf *[inlinePlanes]T, n int) []T {
+	if n > inlinePlanes {
+		return make([]T, n)
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sc[idx[a]] > sc[idx[b]] })
-	out := make([]int, n)
-	for i, j := range idx {
-		out[i] = candidates[j]
-	}
-	copy(candidates, out)
+	return buf[:n]
 }
 
-// rotate shifts s left by k, preserving ring order — the policy picks a
-// starting plane, and failover walks the rest in a stable cycle.
+// sortByScore reorders candidates by descending score, where score[i]
+// belongs to candidates[i] and moves with it. A stable insertion sort:
+// ties keep their input (plane-index) order, and a handful of planes
+// sort faster this way than through sort.SliceStable's reflection.
+func sortByScore(candidates []int, score []float64) {
+	for i := 1; i < len(candidates); i++ {
+		c, s := candidates[i], score[i]
+		j := i
+		for ; j > 0 && score[j-1] < s; j-- {
+			candidates[j], score[j] = candidates[j-1], score[j-1]
+		}
+		candidates[j], score[j] = c, s
+	}
+}
+
+// rotate shifts s left by k in place, preserving ring order — the policy
+// picks a starting plane, and failover walks the rest in a stable cycle.
 func rotate(s []int, k int) {
 	if k == 0 {
 		return
 	}
-	tmp := make([]int, 0, len(s))
-	tmp = append(tmp, s[k:]...)
-	tmp = append(tmp, s[:k]...)
-	copy(s, tmp)
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
 }
 
 // pairHash mixes (src, dst) into a non-negative starting offset — FNV-1a

@@ -102,3 +102,33 @@ func (r *Router) Stats() Stats {
 	}
 	return s
 }
+
+// PlaneHealth is one plane's entry in a Health report: the router's
+// admission-control view plus the plane's own fault state, each field
+// meaning what its namesake in PlaneStats (or PlaneStats.Fabric) means.
+type PlaneHealth struct {
+	Name     string
+	Healthy  bool
+	Health   float64
+	Breaker  string
+	Degraded bool
+	Fabric   fabric.Health
+}
+
+// Health reports every plane's liveness state — what a probe needs to
+// tell a clean federation from a degraded one — without the counters,
+// histograms, and release drains of a full Stats snapshot.
+func (r *Router) Health() []PlaneHealth {
+	hs := make([]PlaneHealth, len(r.planes))
+	for i, p := range r.planes {
+		hs[i] = PlaneHealth{
+			Name:     p.name,
+			Healthy:  !p.ejectedNow(),
+			Health:   p.healthNow(),
+			Breaker:  breakerName(p.breaker.Load()),
+			Degraded: p.degraded.Load() != nil,
+			Fabric:   p.surf.Health(),
+		}
+	}
+	return hs
+}

@@ -47,6 +47,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkRouteCursor' -benchtime 1x ./internal/topology
 go test -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
 go test -run '^$' -bench 'BenchmarkFederationThroughput' -benchtime 1x ./internal/federation
+go test -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./internal/federation
 
 # Scaling-study smoke: one shard-engine point of the multi-core sweep
 # (BENCH_scaling.json), so the -cpu matrix harness keeps compiling and
@@ -96,6 +97,12 @@ go run ./cmd/ftbench -admit -fabric-duration 200ms -admit-epochs 1,8 \
 # per request; -count=2 re-runs it against a warm ticket pool, which is
 # where a pool regression would hide.
 go test -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
+# Grant allocation guards: a bare Manager grant is one allocation (the
+# Handle, route inline), a federated Connect + Release two (both
+# handles), and ordering the candidate planes none. Run without -race:
+# the tests skip themselves under it.
+go test -run 'TestGrantOneAlloc' -count=2 ./internal/fabric
+go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 
 # Admission-pipeline race pass: the delivery worker, drain core, seqlock
 # stats readers, and the cancellation-vs-pooled-ticket chaos test all
