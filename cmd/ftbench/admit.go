@@ -119,20 +119,6 @@ func (lr *latRecorder) dist() admitDist {
 	}
 }
 
-// admitPipelineConfig bundles the admission-pipeline knobs every
-// fabric-constructing bench mode forwards into fabric.Config.
-type admitPipelineConfig struct {
-	DeliveryPipeline int  // fabric.Config.DeliveryPipeline (negative disables)
-	DrainWorker      bool // dedicated release-ring drain goroutine
-	StatsSnapshots   bool // lock-free seqlock Stats
-}
-
-func (p admitPipelineConfig) apply(c *fabric.Config) {
-	c.DeliveryPipeline = p.DeliveryPipeline
-	c.DrainWorker = p.DrainWorker
-	c.StatsSnapshots = p.StatsSnapshots
-}
-
 // admitBenchConfig parameterizes the admission-pipeline sweep.
 type admitBenchConfig struct {
 	Levels, Children, Parents int
@@ -143,7 +129,6 @@ type admitBenchConfig struct {
 	Duration                  time.Duration
 	Timeout                   time.Duration
 	Seed                      int64
-	Pipeline                  admitPipelineConfig
 	JSONPath                  string
 }
 
@@ -229,11 +214,9 @@ func admitBench(out io.Writer, cfg admitBenchConfig) error {
 // admitPoint measures one grid point: a fresh manager, a closed loop of
 // the given shape, and the malloc delta across the timed region.
 func admitPoint(tree *topology.Tree, cfg admitBenchConfig, epoch, clients int) (admitResult, error) {
-	fcfg := fabric.Config{
+	fab, err := fabric.New(fabric.Config{
 		Tree: tree, BatchSize: epoch, MaxWait: cfg.MaxWait, AdmitTimeout: cfg.Timeout,
-	}
-	cfg.Pipeline.apply(&fcfg)
-	fab, err := fabric.New(fcfg)
+	})
 	if err != nil {
 		return admitResult{}, err
 	}

@@ -107,14 +107,10 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) 
 	if err != nil {
 		return chaosResult{}, err
 	}
-	fcfg := fabric.Config{
+	fab, err := fabric.New(fabric.Config{
 		Tree: tree, SchedulerSpec: cfg.Scheduler, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
-		AdmitTimeout:      cfg.Timeout,
-		ParallelThreshold: cfg.Parallel, ParallelWorkers: cfg.Workers, ParallelRacy: cfg.Racy,
-		ParallelMode: cfg.Mode, ParallelSteal: cfg.Steal,
-	}
-	cfg.Pipeline.apply(&fcfg)
-	fab, err := fabric.New(fcfg)
+		AdmitTimeout: cfg.Timeout,
+	})
 	if err != nil {
 		return chaosResult{}, err
 	}

@@ -31,12 +31,6 @@ type fabricBenchConfig struct {
 	Timeout                   time.Duration // per-Connect admission timeout (0 = wait forever)
 	Seed                      int64
 	Scheduler                 string // admission engine spec ("" = fabric default)
-	Parallel                  int    // epoch size at which scheduling goes parallel (0 = off)
-	Workers                   int    // parallel engine workers (0 = GOMAXPROCS)
-	Racy                      bool   // lock-free racy mode instead of deterministic
-	Mode                      string // parallel arbitration mode ("" = deterministic/racy per Racy)
-	Steal                     bool   // shard mode: steal whole shards from busy workers
-	Pipeline                  admitPipelineConfig
 }
 
 func (cfg fabricBenchConfig) validate() error {
@@ -146,14 +140,10 @@ func fabricBench(out io.Writer, cfg fabricBenchConfig) error {
 	if err != nil {
 		return err
 	}
-	fcfg := fabric.Config{
+	fab, err := fabric.New(fabric.Config{
 		Tree: tree, SchedulerSpec: cfg.Scheduler, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
-		AdmitTimeout:      cfg.Timeout,
-		ParallelThreshold: cfg.Parallel, ParallelWorkers: cfg.Workers, ParallelRacy: cfg.Racy,
-		ParallelMode: cfg.Mode, ParallelSteal: cfg.Steal,
-	}
-	cfg.Pipeline.apply(&fcfg)
-	fab, err := fabric.New(fcfg)
+		AdmitTimeout: cfg.Timeout,
+	})
 	if err != nil {
 		return err
 	}
@@ -179,10 +169,7 @@ func fabricBench(out io.Writer, cfg fabricBenchConfig) error {
 		s.EpochLatencyMS.P50, s.EpochLatencyMS.P95, s.EpochLatencyMS.P99)
 	fmt.Fprintf(out, "  admit us p50=%.1f p95=%.1f p99=%.1f\n",
 		ad.AdmitP50us, ad.AdmitP95us, ad.AdmitP99us)
-	if cfg.Parallel > 0 {
-		fmt.Fprintf(out, "  engine %s threshold=%d  epochs sequential=%d parallel=%d\n",
-			s.ParallelMode+fmt.Sprintf("/w%d", s.ParallelWorkers), s.ParallelThreshold,
-			s.SequentialEpochs, s.ParallelEpochs)
-	}
+	fmt.Fprintf(out, "  engine %s  epochs sequential=%d parallel=%d\n",
+		s.LastEpochEngine, s.SequentialEpochs, s.ParallelEpochs)
 	return nil
 }

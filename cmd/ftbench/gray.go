@@ -214,17 +214,17 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	if err != nil {
 		return grayArm{}, err
 	}
-	fcfg := fabric.Config{
-		Tree: tree, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
+	spec := "level-wise,rollback,incremental"
+	if reuse > 0 {
+		spec += fmt.Sprintf(",reuse-cost=%d", reuse)
+	}
+	fab, err := fabric.New(fabric.Config{
+		Tree: tree, SchedulerSpec: spec, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
 		AdmitTimeout:        cfg.Timeout,
-		Incremental:         true,
-		ReuseCost:           reuse,
 		FlapThreshold:       cfg.Threshold(),
 		QuarantineProbation: cfg.Probation,
 		RepairBudget:        fabric.Budget{Rate: cfg.BudgetRate, Burst: cfg.BudgetBurst},
-	}
-	cfg.Pipeline.apply(&fcfg)
-	fab, err := fabric.New(fcfg)
+	})
 	if err != nil {
 		return grayArm{}, err
 	}

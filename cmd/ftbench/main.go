@@ -17,9 +17,8 @@
 // With -fabric, ftbench instead runs a closed-loop load generator against
 // the concurrent serving layer (internal/fabric) and reports
 // admissions/sec; the -fabric-* flags size the tree, the client pool, and
-// the epoch batching. -fabric-parallel enables the parallel epoch engine,
-// with -fabric-par-mode selecting deterministic, racy, or subtree-shard
-// arbitration (-fabric-steal adds work stealing to shard mode).
+// the epoch batching. -fabric-scheduler names the admission engine in
+// internal/sched's grammar (e.g. "parallel,mode=shard,workers=4,steal").
 //
 // With -chaos, the closed-loop generator additionally injects a seeded
 // fault/repair schedule mid-run and sweeps the -chaos-rates link failure
@@ -74,11 +73,6 @@ func main() {
 	fabricMaxWait := flag.Duration("fabric-maxwait", 500*time.Microsecond, "fabric bench: epoch flush timer")
 	fabricDuration := flag.Duration("fabric-duration", 2*time.Second, "fabric bench: run length")
 	fabricSched := flag.String("fabric-scheduler", "", "fabric bench: admission engine spec (internal/sched registry grammar; \"\" = fabric default)")
-	fabricParallel := flag.Int("fabric-parallel", 0, "fabric bench: epoch size at which scheduling goes parallel (0 = always sequential)")
-	fabricWorkers := flag.Int("fabric-workers", 0, "fabric bench: parallel engine workers (0 = GOMAXPROCS)")
-	fabricRacy := flag.Bool("fabric-racy", false, "fabric bench: lock-free racy engine mode instead of deterministic")
-	fabricParMode := flag.String("fabric-par-mode", "", "fabric bench: parallel arbitration mode (deterministic, racy, or shard; \"\" = deterministic unless -fabric-racy)")
-	fabricSteal := flag.Bool("fabric-steal", false, "fabric bench: shard mode only — steal whole shards from busy workers")
 	fabricTimeout := flag.Duration("fabric-timeout", 0, "fabric bench: per-Connect admission timeout; a wedged server fails the run (0 = wait forever)")
 	planesFlag := flag.String("planes", "", "run the federation sweep over these comma-separated plane counts (e.g. \"1,2,4\") with the -fabric-* shape/client flags")
 	planePolicies := flag.String("plane-policies", "round-robin", "federation sweep: comma-separated plane selection policies")
@@ -107,18 +101,9 @@ func main() {
 	admitEpochs := flag.String("admit-epochs", "1,8,64", "admit sweep: comma-separated epoch flush thresholds")
 	admitClients := flag.String("admit-clients", "1,16,64", "admit sweep: comma-separated closed-loop client counts")
 	admitJSON := flag.String("admit-json", "", "admit sweep: also write the results as JSON to this file")
-	fabricDelivery := flag.Int("fabric-delivery-pipeline", 0, "fabric: delivery-pipeline spare buffers (0 = default on, negative = synchronous delivery on the flusher)")
-	fabricDrainWorker := flag.Bool("fabric-drain-worker", false, "fabric: dedicated release-ring drain goroutine")
-	fabricStatsSnapshots := flag.Bool("fabric-stats-snapshots", false, "fabric: serve Stats from lock-free seqlock snapshots")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 	flag.Parse()
-
-	pipeline := admitPipelineConfig{
-		DeliveryPipeline: *fabricDelivery,
-		DrainWorker:      *fabricDrainWorker,
-		StatsSnapshots:   *fabricStatsSnapshots,
-	}
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -139,7 +124,6 @@ func main() {
 				Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
 				MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
 				Timeout: *fabricTimeout, Scheduler: *fabricSched,
-				Pipeline: pipeline,
 			},
 			ConfigPath: *planesConfig,
 			JSONPath:   *planesJSON,
@@ -180,8 +164,7 @@ func main() {
 					Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
 					Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
 					MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
-					Timeout:  *fabricTimeout,
-					Pipeline: pipeline,
+					Timeout: *fabricTimeout,
 				},
 				Rates: rates, Duty: *grayDuty, Step: *grayStep, Reuse: *grayReuse,
 				FlapThreshold: *grayThreshold, Probation: *grayProbation,
@@ -205,7 +188,7 @@ func main() {
 					EpochSizes: epochs, ClientCounts: clients,
 					Open: *fabricOpen, MaxWait: *fabricMaxWait,
 					Duration: *fabricDuration, Timeout: *fabricTimeout,
-					Seed: *seed, Pipeline: pipeline, JSONPath: *admitJSON,
+					Seed: *seed, JSONPath: *admitJSON,
 				})
 			}
 		}
@@ -223,9 +206,6 @@ func main() {
 			MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
 			Timeout:   *fabricTimeout,
 			Scheduler: *fabricSched,
-			Parallel:  *fabricParallel, Workers: *fabricWorkers, Racy: *fabricRacy,
-			Mode: *fabricParMode, Steal: *fabricSteal,
-			Pipeline: pipeline,
 		}
 		if *chaosMode {
 			var rates []float64

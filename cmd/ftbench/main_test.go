@@ -63,12 +63,15 @@ func TestFabricBenchParallel(t *testing.T) {
 		Levels: 3, Children: 4, Parents: 4,
 		Clients: 16, Batch: 16, Open: 2,
 		MaxWait: 200 * time.Microsecond, Duration: 100 * time.Millisecond, Seed: 1,
-		Parallel: 4, Workers: 4, Racy: true,
+		Scheduler: "parallel,mode=racy,workers=4,rollback",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "engine racy/w4 threshold=4") {
+	// The engine line names whatever ran the last epoch: the racy workers,
+	// or their sequential core when that epoch was a single request.
+	if got := out.String(); !strings.Contains(got, "engine parallel-level-wise/racy/w4") &&
+		!strings.Contains(got, "engine level-wise/rollback") {
 		t.Errorf("summary missing engine line:\n%s", out.String())
 	}
 }

@@ -96,14 +96,10 @@ func main() {
 	flag.Float64Var(&gray.failoverBudgetRate, "failover-budget", 0, "failover tokens per second (0 = unlimited)")
 	flag.IntVar(&gray.failoverBudgetBurst, "failover-budget-burst", 0, "failover token burst (0 = derived)")
 	grayStep := flag.Duration("gray-step", defaultGrayStep, "flaky fault process clock period")
-	var pipe pipelineFlags
-	flag.IntVar(&pipe.deliveryPipeline, "delivery-pipeline", 0, "verdict-delivery worker spare buffers (0 = default on, negative = synchronous delivery)")
-	flag.BoolVar(&pipe.drainWorker, "drain-worker", false, "dedicate a goroutine to release-ring retirement")
-	flag.BoolVar(&pipe.statsSnapshots, "stats-snapshots", false, "serve fabric Stats from the lock-free seqlock snapshot")
 	flag.Parse()
 
 	cfg, err := buildConfig(*configPath, *planes, *policy, *levels, *children, *parents,
-		*batch, *maxWait, *queue, *timeout, *schedSpec, gray, pipe)
+		*batch, *maxWait, *queue, *timeout, *schedSpec, gray)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
 		os.Exit(1)
@@ -163,20 +159,12 @@ type grayFlags struct {
 	failoverBudgetBurst int
 }
 
-// pipelineFlags bundles the admission-pipeline knobs of the shape-flag
-// path (a -config file carries its own per-plane values instead).
-type pipelineFlags struct {
-	deliveryPipeline int
-	drainWorker      bool
-	statsSnapshots   bool
-}
-
 // buildConfig resolves the federation config: a `fttopo gen` file when
 // -config is given, otherwise -planes identical planes from the shape
 // flags.
 func buildConfig(configPath string, planes int, policy string, levels, children, parents,
 	batch int, maxWait time.Duration, queue int, timeout time.Duration, schedSpec string,
-	gray grayFlags, pipe pipelineFlags) (federation.Config, error) {
+	gray grayFlags) (federation.Config, error) {
 	if configPath != "" {
 		fc, err := federation.LoadFile(configPath)
 		if err != nil {
@@ -219,9 +207,6 @@ func buildConfig(configPath string, planes int, policy string, levels, children,
 					Rate:  gray.repairBudgetRate,
 					Burst: gray.repairBudgetBurst,
 				},
-				DeliveryPipeline: pipe.deliveryPipeline,
-				DrainWorker:      pipe.drainWorker,
-				StatsSnapshots:   pipe.statsSnapshots,
 			},
 		})
 	}

@@ -374,17 +374,16 @@ func TestPprofGated(t *testing.T) {
 	}
 }
 
-// TestStatsReportsEngine drives a parallel-enabled plane through the
-// HTTP layer and checks the engine choice surfaces in the per-plane
-// fabric breakdown of GET /stats.
+// TestStatsReportsEngine drives a spec-named parallel plane through the
+// HTTP layer and checks what ran surfaces in the per-plane fabric
+// breakdown of GET /stats: a one-request epoch is the engine's
+// sequential fallback, named and counted as such.
 func TestStatsReportsEngine(t *testing.T) {
 	cfg := federation.Config{Planes: []federation.PlaneConfig{{
 		Fabric: fabric.Config{
-			Tree:              topology.MustNew(3, 4, 4),
-			BatchSize:         1,
-			ParallelThreshold: 1,
-			ParallelWorkers:   2,
-			ParallelRacy:      true,
+			Tree:          topology.MustNew(3, 4, 4),
+			SchedulerSpec: "parallel,mode=racy,workers=2,rollback",
+			BatchSize:     1,
 		},
 	}}}
 	router, err := federation.New(cfg)
@@ -407,14 +406,11 @@ func TestStatsReportsEngine(t *testing.T) {
 		t.Fatalf("stats planes = %v", raw["planes"])
 	}
 	fb, _ := planes[0].(map[string]any)["fabric"].(map[string]any)
-	if fb["parallel_mode"] != "racy" {
-		t.Errorf("parallel_mode = %v", fb["parallel_mode"])
+	if fb["last_epoch_engine"] != "level-wise/rollback" {
+		t.Errorf("last_epoch_engine = %v", fb["last_epoch_engine"])
 	}
-	if fb["parallel_threshold"] != float64(1) || fb["parallel_workers"] != float64(2) {
-		t.Errorf("parallel config echo: threshold=%v workers=%v", fb["parallel_threshold"], fb["parallel_workers"])
-	}
-	if pe, _ := fb["parallel_epochs"].(float64); pe < 1 {
-		t.Errorf("parallel_epochs = %v, want >= 1", fb["parallel_epochs"])
+	if fb["sequential_epochs"] != float64(1) || fb["parallel_epochs"] != float64(0) {
+		t.Errorf("epoch split: sequential=%v parallel=%v, want 1/0", fb["sequential_epochs"], fb["parallel_epochs"])
 	}
 }
 
@@ -607,7 +603,7 @@ func TestFaultEndpointValidation(t *testing.T) {
 // TestBuildConfig pins the flag-vs-file resolution buildConfig performs
 // for main.
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig("", 3, "least-loaded", 2, 4, 2, 8, time.Millisecond, 64, 0, "level-wise,rollback", grayFlags{}, pipelineFlags{})
+	cfg, err := buildConfig("", 3, "least-loaded", 2, 4, 2, 8, time.Millisecond, 64, 0, "level-wise,rollback", grayFlags{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,13 +616,13 @@ func TestBuildConfig(t *testing.T) {
 	if cfg.Planes[2].Fabric.BatchSize != 8 || cfg.Planes[2].Fabric.MaxWait != time.Millisecond {
 		t.Errorf("plane knobs %+v", cfg.Planes[2].Fabric)
 	}
-	if _, err := buildConfig("", 0, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}, pipelineFlags{}); err == nil {
+	if _, err := buildConfig("", 0, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
 		t.Error("0 planes accepted")
 	}
-	if _, err := buildConfig("", 1, "fastest", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}, pipelineFlags{}); err == nil {
+	if _, err := buildConfig("", 1, "fastest", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
 		t.Error("bad policy accepted")
 	}
-	if _, err := buildConfig("/does/not/exist.json", 1, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}, pipelineFlags{}); err == nil {
+	if _, err := buildConfig("/does/not/exist.json", 1, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
 		t.Error("missing config file accepted")
 	}
 }

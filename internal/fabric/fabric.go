@@ -12,19 +12,25 @@
 // concurrency-safe) linkstate.State is only ever mutated under the
 // manager's lock.
 //
-// Large epochs can optionally be scheduled by the parallel Level-wise
-// engine (internal/parsched): Config.ParallelThreshold routes any epoch
-// with at least that many live requests through worker goroutines that
-// claim channels with the lock-free atomic linkstate operations, while
-// smaller epochs keep the zero-allocation sequential path. Grant and
-// reject notifications are staged under the lock and delivered after it
-// is released, so client wakeups never extend the critical section.
+// The admission engine is whatever Config.SchedulerSpec names — the
+// sequential Level-wise scheduler by default, or e.g.
+// "parallel,mode=shard,workers=8" for the worker-goroutine engine of
+// internal/parsched — and every epoch runs through it; the engine itself
+// decides, from the batch it is handed, whether fanning out is worth it.
+// Grant and reject notifications are staged under the lock and delivered
+// after it is released by the goroutine that ran the epoch, so client
+// wakeups never extend the critical section.
 //
 // The client hot paths are decoupled from the scheduling lock: Connect
 // enqueues under a queue-only lock that no epoch ever holds, and
-// Release parks the handle in a lock-free MPSC ring (Config.ReleaseRing)
-// that the flusher drains at each epoch boundary, so both are a few
-// atomic operations regardless of how long a scheduling pass runs.
+// Release parks the handle in a lock-free MPSC ring that the next mu
+// holder drains (every epoch boundary does), so both are a few atomic
+// operations regardless of how long a scheduling pass runs.
+//
+// Locking: two mutexes, one owner each. mu owns scheduling — the link
+// state, the connection registry, the fault sets, the mutable handle
+// fields, and the consumer side of the release ring. qmu owns the
+// admission queue. The only nesting is mu before qmu.
 //
 // Robustness: the admission queue is bounded (Config.QueueLimit) and
 // exerts backpressure by blocking Connect until a slot frees; a queued
@@ -64,7 +70,11 @@ const (
 	DefaultQueueLimit    = 1024
 	DefaultRepairRetries = 8
 	DefaultRepairBackoff = 2 * time.Millisecond
-	DefaultReleaseRing   = 1024
+	// DefaultReleaseRing is the capacity of the lock-free release ring: a
+	// Release parks its handle there and the next mu holder retires it. A
+	// full ring never blocks — the overflowing Release takes the
+	// synchronous path.
+	DefaultReleaseRing = 1024
 )
 
 // Sentinel errors returned by Connect and Release. Scheduler denials are
@@ -110,8 +120,9 @@ type Config struct {
 	Tree *topology.Tree
 	// SchedulerSpec names the admission engine in internal/sched's
 	// registry grammar (e.g. "level-wise,rollback", "backtrack,depth=2",
-	// "parallel,mode=racy,workers=8"). Empty means the default
-	// "level-wise,rollback". Mutually exclusive with Scheduler.
+	// "parallel,mode=racy,workers=8",
+	// "level-wise,rollback,incremental,reuse-cost=4"). Empty means the
+	// default "level-wise,rollback". Mutually exclusive with Scheduler.
 	SchedulerSpec string
 	// Scheduler admits each epoch against the live link state, for
 	// callers that composed one programmatically; most should name an
@@ -140,28 +151,6 @@ type Config struct {
 	// Ports slice aliases live storage (for grants, the scheduler's reused
 	// ports arena) — treat it as read-only and copy it before retaining.
 	Trace func(Event)
-	// ParallelThreshold routes epochs of at least this many live requests
-	// through the parallel Level-wise engine (internal/parsched); smaller
-	// epochs keep the zero-allocation sequential path, whose fixed cost is
-	// lower. 0 disables parallel scheduling entirely. Requires the default
-	// scheduler (Config.Scheduler nil or a *core.LevelWise).
-	ParallelThreshold int
-	// ParallelWorkers sizes the parallel engine (default GOMAXPROCS).
-	ParallelWorkers int
-	// ParallelRacy selects the lock-free CAS engine mode: highest
-	// throughput, but the grant set of an epoch may differ run to run
-	// (always conflict-free). The default deterministic mode returns
-	// bit-identical results to sequential scheduling.
-	ParallelRacy bool
-	// ParallelMode names the parallel arbitration mode directly:
-	// "deterministic", "racy", or "shard" (subtree-sharded, zero
-	// coordination between shards). Empty defers to ParallelRacy, which
-	// remains as the boolean shorthand for "racy"; setting both to
-	// conflicting values is an error.
-	ParallelMode string
-	// ParallelSteal enables work stealing across shard queues
-	// (ParallelMode "shard" only).
-	ParallelSteal bool
 	// RepairRetries bounds how many scheduling attempts a revoked
 	// connection gets before the repair is abandoned with
 	// ErrUnroutableDegraded (default DefaultRepairRetries).
@@ -180,56 +169,6 @@ type Config struct {
 	// verdict. Federation uses this hook to re-admit the dead circuit on
 	// a surviving plane.
 	OnConnTerminal func(c Conn, cause error)
-	// Incremental switches the manager to delta epochs: granted routes
-	// stay allocated in the link state across epochs and each scheduling
-	// pass admits only the arrival delta, with releases, revocations, and
-	// repairs flowing through the same departure path
-	// (sched.Incremental.ScheduleDeltaInto). Requires an admission engine
-	// with the delta-epoch capability — the default engine qualifies, as
-	// does any SchedulerSpec sched.AsIncremental accepts. A SchedulerSpec
-	// carrying the "incremental" flag enables this mode by itself.
-	Incremental bool
-	// ReuseCost, when positive, scores candidate up-ports by their
-	// overlap with already-held circuits at the parent switches, capped
-	// at this value (core.Options.ReuseCost): admission prefers routes
-	// that disturb the least standing configuration. Requires Incremental
-	// and the default engine; put reuse-cost in the SchedulerSpec when
-	// naming an engine explicitly.
-	ReuseCost int
-	// ReleaseRing sizes the lock-free release ring (rounded up to a
-	// power of two). The Release fast path parks the handle there — two
-	// atomic loads and one CAS, never the manager lock — and the flusher
-	// retires it at the next epoch boundary, where the freed channels
-	// are visible to the next scheduling pass. 0 means
-	// DefaultReleaseRing; a negative value disables the ring, making
-	// every Release synchronous under the manager lock. A full ring is
-	// backpressure-free: the overflowing Release just takes the
-	// synchronous path.
-	ReleaseRing int
-	// DeliveryPipeline controls the dedicated delivery worker that sends
-	// epoch verdicts to their waiting Connect calls while the flusher
-	// moves straight on to the next epoch. 0 (the default) enables the
-	// worker with one spare staging buffer (double buffering); a positive
-	// value provisions that many spare buffers; a negative value disables
-	// the worker, making verdict delivery synchronous on the flusher
-	// goroutine (the pre-pipeline behavior). Either way a ticket's
-	// verdict is sent exactly once.
-	DeliveryPipeline int
-	// DrainWorker, when true, starts a dedicated goroutine that
-	// continuously retires release-ring entries into a pre-drained
-	// buffer, so the flusher's epoch-boundary drain becomes a buffer
-	// swap instead of an O(ring) walk under the scheduling lock.
-	// Requires the release ring (error when ReleaseRing is negative).
-	DrainWorker bool
-	// StatsSnapshots, when true, serves Stats from an epoch-versioned
-	// lock-free snapshot (seqlock) the flusher republishes after every
-	// epoch, so monitoring never takes the scheduling lock and never
-	// stalls a scheduling pass. A snapshot read does not force a settle:
-	// parked releases and staged departures are reflected no later than
-	// the next epoch (the read nudges the flusher). Default off: the
-	// locked Stats path settles the fabric before reading, a
-	// read-your-writes view some callers depend on.
-	StatsSnapshots bool
 	// RepairBudget globally rate-limits repair retries with a token
 	// bucket (see gray.go): every re-enqueue after a denied repair
 	// attempt draws one token, and an empty bucket defers the retry
@@ -341,11 +280,11 @@ type delivery struct {
 	r result
 }
 
-// delbatch carries one epoch's staged verdicts from the goroutine that
-// ran the epoch to whoever delivers them (the delivery worker, or the
-// epoch runner itself). Batches come from Manager.delPool and return
-// there once delivered, so epochs and deliveries can overlap without
-// sharing a buffer.
+// delbatch carries one epoch's staged verdicts out of the lock; the
+// goroutine that ran the epoch delivers them after unlocking. Batches
+// come from Manager.delPool and return there once delivered, so the next
+// epoch (run by another goroutine) can stage while this one is still
+// being delivered.
 type delbatch struct {
 	d []delivery
 }
@@ -442,21 +381,14 @@ func (h *Handle) Release() error { return h.m.Release(h) }
 // methods may be called from any goroutine.
 type Manager struct {
 	cfg Config
-	eng sched.Engine
-	// par, when non-nil, handles epochs of >= parThreshold live requests;
-	// smaller epochs take the zero-allocation sequential path through
-	// scratch. Both are used only by the flusher, under mu.
-	par          *parsched.Engine
-	parThreshold int
-	scratch      *core.Scratch
-	// inc, when non-nil, puts the manager in incremental (delta-epoch)
-	// mode: granted routes stay allocated across epochs, releases stage
-	// departures in depbuf, and each flush calls ScheduleDeltaInto.
-	// parInc is the parallel engine's delta entry point (it serves delta
-	// epochs through its sequential core, with the fallback documented in
-	// Result.Scheduler). reuseCost echoes the effective reuse-cost cap.
-	inc       sched.Incremental
-	parInc    sched.Incremental
+	// eng runs every epoch, through scratch, under mu. parName is the
+	// engine's own name when it is a parallel engine (empty otherwise): an
+	// epoch whose Result carries that name ran on the workers, anything
+	// else — including the engine's own sequential fallback — counts as a
+	// sequential epoch. reuseCost echoes the engine's reuse-cost cap.
+	eng       sched.Engine
+	parName   string
+	scratch   *core.Scratch
 	reuseCost int
 
 	// freeSlots is the queue-slot semaphore (backpressure), kept as an
@@ -483,38 +415,8 @@ type Manager struct {
 	// collector.
 	ticketPool sync.Pool
 
-	// Delivery pipeline (Config.DeliveryPipeline >= 0): whoever runs an
-	// epoch — the flusher, or a connecting goroutine on the inline-flush
-	// fast path — hands the staged verdicts to the delivery worker over
-	// delivCh and moves straight on. Both channels are nil when the
-	// pipeline is disabled. Each epoch's verdicts travel in a *delbatch
-	// owned by exactly one deliverer until it lands back in delPool, so
-	// an epoch can stage into a fresh batch while the previous one is
-	// still being delivered.
-	delivCh   chan *delbatch
-	delivDone chan struct{}
-	delPool   sync.Pool
-
-	// Dedicated drain core (Config.DrainWorker): drmu replaces mu as the
-	// release-ring consumer lock, the worker pops ring entries into
-	// predrained between epochs, and drainReleasesLocked swaps the buffer
-	// out instead of walking the ring under the scheduling lock.
-	// drainSpare ping-pongs with predrained's backing array; drainKick is
-	// the worker's coalescing wakeup. Lock order: mu before drmu; the
-	// worker takes only drmu.
-	drainOn    bool
-	drmu       sync.Mutex
-	predrained []*Handle // guarded by drmu
-	drainSpare []*Handle // guarded by mu
-	drainKick  chan struct{}
-	drainDone  chan struct{}
-
-	// snap is the lock-free Stats snapshot (Config.StatsSnapshots):
-	// sequence-versioned atomics mu holders republish via
-	// publishStatsLocked; readers retry on a version mismatch and never
-	// take mu. See snapshot.go.
-	statsOn bool
-	snap    statsSnap
+	// delPool recycles the per-epoch verdict batches (see delbatch).
+	delPool sync.Pool
 
 	// mu is the scheduling lock: it guards st, lastEngine, conns, failed,
 	// the mutable handle fields, and serializes the release-ring consumer
@@ -550,18 +452,11 @@ type Manager struct {
 	qdepth  atomic.Int64 // len(pending); written under qmu, read lock-free
 
 	// relRing parks fast-path releases until a mu holder drains them
-	// (epoch flush, Stats, Fail, or a synchronous Release). Nil when
-	// Config.ReleaseRing is negative.
+	// (epoch flush, Stats, Fail, or a synchronous Release).
 	relRing *releaseRing
 
-	// depbuf stages departures in incremental mode (guarded by mu): a
-	// released or revoked route parks here, ownership of its ports
-	// transferred from the handle, until the next delta epoch consumes it
-	// through ScheduleDeltaInto — or a settle point (Stats, Fail, Close,
-	// a synchronous Release) applies it directly. tornSinceEpoch
-	// accumulates routes torn down since the last scheduling epoch, in
-	// every mode, and feeds the per-epoch route-churn sample.
-	depbuf         []core.Departure
+	// tornSinceEpoch (guarded by mu) accumulates routes torn down since
+	// the last scheduling epoch and feeds the per-epoch route-churn sample.
 	tornSinceEpoch int
 
 	// Epoch scratch buffers (guarded by mu), reused across flushes so
@@ -600,11 +495,10 @@ type Manager struct {
 	quarantineEvents      atomic.Uint64
 	repairedOnHeldTrunk   atomic.Uint64
 
-	// Route-churn counters: tornRoutes counts routes torn down (release,
-	// revoke, or delta-epoch departure with held channels),
-	// establishedRoutes counts routes set up (grants and repairs with
-	// held channels). Their per-epoch sum is the reconfiguration-cost
-	// signal the incremental mode exists to shrink.
+	// Route-churn counters: tornRoutes counts routes torn down (release or
+	// revoke with held channels), establishedRoutes counts routes set up
+	// (grants and repairs with held channels). Their per-epoch sum is the
+	// reconfiguration-cost signal the reuse-cost port score shrinks.
 	tornRoutes        atomic.Uint64
 	establishedRoutes atomic.Uint64
 
@@ -619,7 +513,11 @@ type Manager struct {
 
 // New validates the config, applies defaults, and starts the manager's
 // flusher goroutine. Stop it with Close.
-func New(cfg Config) (*Manager, error) {
+func New(cfg Config) (*Manager, error) { return newManager(cfg, DefaultReleaseRing) }
+
+// newManager is New with the release-ring capacity exposed, for the
+// in-package test that needs a ring small enough to overflow.
+func newManager(cfg Config, ringSize int) (*Manager, error) {
 	if cfg.Tree == nil {
 		return nil, errors.New("fabric: nil tree")
 	}
@@ -640,9 +538,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.RepairBackoff <= 0 {
 		cfg.RepairBackoff = DefaultRepairBackoff
-	}
-	if cfg.ReuseCost < 0 {
-		return nil, fmt.Errorf("fabric: invalid ReuseCost %d (must be >= 0)", cfg.ReuseCost)
 	}
 	if cfg.FlapThreshold < 0 {
 		return nil, fmt.Errorf("fabric: negative FlapThreshold %v", cfg.FlapThreshold)
@@ -674,12 +569,6 @@ func New(cfg Config) (*Manager, error) {
 	case cfg.RepairBudget.Burst == 0:
 		cfg.RepairBudget.Burst = int(math.Ceil(cfg.RepairBudget.Rate))
 	}
-	if cfg.ReuseCost > 0 && !cfg.Incremental {
-		return nil, errors.New("fabric: ReuseCost requires Incremental (reuse scores held routes, which only persist across delta epochs)")
-	}
-	if cfg.ReuseCost > 0 && (cfg.SchedulerSpec != "" || cfg.Scheduler != nil) {
-		return nil, errors.New("fabric: ReuseCost applies to the default engine only; put reuse-cost in the SchedulerSpec instead")
-	}
 	var eng sched.Engine
 	switch {
 	case cfg.SchedulerSpec != "" && cfg.Scheduler != nil:
@@ -692,116 +581,35 @@ func New(cfg Config) (*Manager, error) {
 	case cfg.Scheduler != nil:
 		eng = sched.Wrap(cfg.Scheduler)
 	default:
-		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{
-			Rollback: true, Incremental: cfg.Incremental, ReuseCost: cfg.ReuseCost}})
-	}
-	// Delta-epoch mode: explicitly requested, or implied by a spec that
-	// carries the incremental flag. Either way the engine must actually
-	// have the capability.
-	incremental := cfg.Incremental
-	reuseCost := cfg.ReuseCost
-	if lw, ok := eng.Unwrap().(*core.LevelWise); ok {
-		if lw.Opts.Incremental {
-			incremental = true
-		}
-		if lw.Opts.ReuseCost > reuseCost {
-			reuseCost = lw.Opts.ReuseCost
-		}
-	}
-	var inc sched.Incremental
-	if incremental {
-		var ok bool
-		if inc, ok = sched.AsIncremental(eng); !ok {
-			return nil, fmt.Errorf("fabric: Incremental requires an engine with the delta-epoch capability (%s has none)", eng.Name())
-		}
-	}
-	var par *parsched.Engine
-	if cfg.ParallelThreshold > 0 {
-		lw, ok := eng.Unwrap().(*core.LevelWise)
-		if !ok {
-			return nil, errors.New("fabric: ParallelThreshold requires a level-wise admission engine")
-		}
-		mode := parsched.Deterministic
-		switch cfg.ParallelMode {
-		case "":
-			if cfg.ParallelRacy {
-				mode = parsched.Racy
-			}
-		case "deterministic":
-		case "racy":
-			mode = parsched.Racy
-		case "shard":
-			mode = parsched.Shard
-		default:
-			return nil, fmt.Errorf("fabric: unknown ParallelMode %q (deterministic, racy or shard)", cfg.ParallelMode)
-		}
-		if cfg.ParallelRacy && mode != parsched.Racy {
-			return nil, fmt.Errorf("fabric: ParallelRacy conflicts with ParallelMode %q", cfg.ParallelMode)
-		}
-		if cfg.ParallelSteal && mode != parsched.Shard {
-			return nil, errors.New(`fabric: ParallelSteal requires ParallelMode "shard"`)
-		}
-		par = parsched.New(parsched.Config{Workers: cfg.ParallelWorkers, Mode: mode,
-			Steal: cfg.ParallelSteal, Opts: lw.Opts})
-	}
-	if cfg.DrainWorker && cfg.ReleaseRing < 0 {
-		return nil, errors.New("fabric: DrainWorker requires the release ring (ReleaseRing >= 0)")
+		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}})
 	}
 	m := &Manager{
-		cfg:          cfg,
-		eng:          eng,
-		par:          par,
-		parThreshold: cfg.ParallelThreshold,
-		scratch:      core.NewScratch(),
-		inc:          inc,
-		reuseCost:    reuseCost,
-		slotsCh:      make(chan struct{}, 1),
-		kick:         make(chan struct{}, 1),
-		closing:      make(chan struct{}),
-		done:         make(chan struct{}),
-		st:           newTrackedState(cfg.Tree),
-		failed:       make(map[faults.Channel]struct{}),
-		flap:         make(map[faults.Channel]*flapScore),
-		quar:         make(map[faults.Channel]time.Time),
-		budget:       newBucket(cfg.RepairBudget, time.Now()),
-		epochSize:    newShardedRing(4096),
-		epochLat:     newShardedRing(4096),
-		repairLat:    newShardedRing(4096),
-		repairDepth:  newShardedRing(4096),
-		routeChurn:   newShardedRing(4096),
-		statsOn:      cfg.StatsSnapshots,
+		cfg:         cfg,
+		eng:         eng,
+		scratch:     core.NewScratch(),
+		slotsCh:     make(chan struct{}, 1),
+		kick:        make(chan struct{}, 1),
+		closing:     make(chan struct{}),
+		done:        make(chan struct{}),
+		st:          newTrackedState(cfg.Tree),
+		failed:      make(map[faults.Channel]struct{}),
+		flap:        make(map[faults.Channel]*flapScore),
+		quar:        make(map[faults.Channel]time.Time),
+		budget:      newBucket(cfg.RepairBudget, time.Now()),
+		relRing:     newReleaseRing(ringSize),
+		epochSize:   newShardedRing(4096),
+		epochLat:    newShardedRing(4096),
+		repairLat:   newShardedRing(4096),
+		repairDepth: newShardedRing(4096),
+		routeChurn:  newShardedRing(4096),
+	}
+	switch e := eng.Unwrap().(type) {
+	case *parsched.Engine:
+		m.parName = e.Name()
+	case *core.LevelWise:
+		m.reuseCost = e.Opts.ReuseCost
 	}
 	m.freeSlots.Store(int64(cfg.QueueLimit))
-	if inc != nil && par != nil {
-		m.parInc = par
-	}
-	ringSize := cfg.ReleaseRing
-	if ringSize == 0 {
-		ringSize = DefaultReleaseRing
-	}
-	if ringSize > 0 {
-		m.relRing = newReleaseRing(ringSize)
-	}
-	if cfg.DeliveryPipeline >= 0 {
-		spares := cfg.DeliveryPipeline
-		if spares == 0 {
-			spares = 1 // default: double-buffer the staged deliveries
-		}
-		m.delivCh = make(chan *delbatch, spares+1)
-		m.delivDone = make(chan struct{})
-		go m.deliveryWorker()
-	}
-	if cfg.DrainWorker {
-		m.drainOn = true
-		m.drainKick = make(chan struct{}, 1)
-		m.drainDone = make(chan struct{})
-		go m.drainWorker()
-	}
-	if m.statsOn {
-		m.mu.Lock()
-		m.publishStatsLocked()
-		m.mu.Unlock()
-	}
 	go m.flusher()
 	return m, nil
 }
@@ -991,14 +799,6 @@ func (m *Manager) enqueue(t *ticket) (ok, flush bool) {
 // lock: a concurrent flush may have already taken this goroutine's
 // ticket, and flushing a fresh sub-threshold batch early would erode
 // batching for no latency win.
-//
-// The inline path always delivers its own batch rather than staging it
-// on the delivery pipeline: the caller's verdict is in the batch, so a
-// hand-off would park this goroutine just to have the worker wake it
-// again — delivering directly fills the caller's buffered resp channel
-// with no switch at all, and the other waiters wake exactly as fast as
-// the worker would have woken them. The pipeline still overlaps
-// delivery for flusher-driven (MaxWait) epochs.
 func (m *Manager) tryFlushInline() {
 	if !m.mu.TryLock() {
 		m.wake()
@@ -1044,27 +844,18 @@ func (m *Manager) Release(h *Handle) error {
 	// Fast path: an active handle on a running manager parks in the ring
 	// — two atomic loads and one CAS. Everything else goes synchronous:
 	// repairing and dead handles need their verdict now, a closed
-	// manager may have no flusher left to drain for it, and a full or
-	// disabled ring degrades to the lock rather than blocking.
-	if m.relRing != nil && h.state.Load() == handleActive && !m.closed.Load() && m.relRing.push(h) {
-		if m.drainOn {
-			// Nudge the drain core; the buffered channel coalesces bursts.
-			select {
-			case m.drainKick <- struct{}{}:
-			default:
-			}
-		}
+	// manager may have no flusher left to drain for it, and a full
+	// ring degrades to the lock rather than blocking.
+	if h.state.Load() == handleActive && !m.closed.Load() && m.relRing.push(h) {
 		return nil
 	}
 	return m.releaseSlow(h)
 }
 
-// releaseSlow is the synchronous Release path. It drains the ring first
-// so releases retire in roughly the order their owners issued them, and
-// — in incremental mode — applies the staged departures before
-// returning: a synchronous Release promises its channels are back in
-// service (clients drain through this path after Close, when no flusher
-// is left to run a delta epoch for them).
+// releaseSlow is the synchronous Release path: its channels are back in
+// service when it returns (clients drain through this path after Close,
+// when no flusher is left). It drains the ring first so releases retire
+// in roughly the order their owners issued them.
 func (m *Manager) releaseSlow(h *Handle) error {
 	m.mu.Lock()
 	m.drainReleasesLocked()
@@ -1074,8 +865,6 @@ func (m *Manager) releaseSlow(h *Handle) error {
 	} else {
 		m.finishReleaseLocked(h)
 	}
-	m.applyDeparturesLocked()
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	return err
 }
@@ -1085,35 +874,6 @@ func (m *Manager) releaseSlow(h *Handle) error {
 // consumer. Epoch flushes drain before scheduling, so channels freed by
 // the fast path are available to the pass that follows.
 func (m *Manager) drainReleasesLocked() {
-	if m.relRing == nil {
-		return
-	}
-	if m.drainOn {
-		// Dedicated drain core: the worker already moved parked handles
-		// into predrained, so the flush-time cost is a buffer swap plus
-		// whatever residue the worker has not reached yet. drmu is held
-		// only for the swap and the residual pop — the bookkeeping below
-		// runs under mu alone, off the worker's lock.
-		m.drmu.Lock()
-		pre := m.predrained
-		m.predrained = m.drainSpare[:0]
-		for {
-			h := m.relRing.pop()
-			if h == nil {
-				break
-			}
-			pre = append(pre, h)
-		}
-		m.drmu.Unlock()
-		for _, h := range pre {
-			m.finishReleaseLocked(h)
-		}
-		for i := range pre {
-			pre[i] = nil
-		}
-		m.drainSpare = pre[:0]
-		return
-	}
 	for {
 		h := m.relRing.pop()
 		if h == nil {
@@ -1143,23 +903,14 @@ func (m *Manager) finishReleaseLocked(h *Handle) {
 	case handleDead:
 		return
 	}
-	ports := h.ports
-	if m.inc != nil {
-		// Delta mode: the route is not torn down here — it stages as a
-		// departure for the next scheduling pass (or settle point), with
-		// ownership of the ports slice transferring to the buffer.
-		m.depbuf = append(m.depbuf, core.Departure{Src: h.src, Dst: h.dst, Ports: h.ports})
-		h.ports = nil
-	} else {
-		m.releaseRouteLocked(h)
-		if len(h.ports) > 0 {
-			m.tornSinceEpoch++
-			m.tornRoutes.Add(1)
-		}
+	m.releaseRouteLocked(h)
+	if len(h.ports) > 0 {
+		m.tornSinceEpoch++
+		m.tornRoutes.Add(1)
 	}
 	m.dropConnLocked(h)
 	if m.cfg.Trace != nil {
-		m.cfg.Trace(Event{Kind: EventRelease, Src: h.src, Dst: h.dst, Ports: ports, FailLevel: -1})
+		m.cfg.Trace(Event{Kind: EventRelease, Src: h.src, Dst: h.dst, Ports: h.ports, FailLevel: -1})
 	}
 	m.released.Add(1)
 	m.active.Add(-1)
@@ -1175,37 +926,6 @@ func (m *Manager) dropConnLocked(h *Handle) {
 	m.conns[last] = nil
 	m.conns = m.conns[:last]
 	h.idx = -1
-}
-
-// applyDeparturesLocked tears down every staged departure outside a
-// scheduling pass. Delta epochs normally consume the buffer through
-// ScheduleDeltaInto; this is the settle point the other mu holders use
-// (Stats, Fail, Close, synchronous Release) so observers, the revoke
-// walk, and post-shutdown drains all see freed channels. The sweep is
-// fault-aware: channels the fault mask already forfeited are skipped.
-func (m *Manager) applyDeparturesLocked() {
-	if len(m.depbuf) == 0 {
-		return
-	}
-	for i := range m.depbuf {
-		d := &m.depbuf[i]
-		core.ReleaseSurviving(m.st, d.Src, d.Dst, d.Ports, nil)
-		if len(d.Ports) > 0 {
-			m.tornSinceEpoch++
-			m.tornRoutes.Add(1)
-		}
-	}
-	m.clearDeparturesLocked()
-}
-
-// clearDeparturesLocked resets the staged-departure buffer without
-// releasing anything — the caller (a delta epoch, or
-// applyDeparturesLocked) already returned the channels.
-func (m *Manager) clearDeparturesLocked() {
-	for i := range m.depbuf {
-		m.depbuf[i] = core.Departure{}
-	}
-	m.depbuf = m.depbuf[:0]
 }
 
 // releaseRouteLocked returns an active handle's channels to the fabric.
@@ -1241,23 +961,10 @@ func (m *Manager) Close(ctx context.Context) error {
 	case <-m.done:
 		// The flusher drained the release ring on exit, but a Release
 		// that read closed=false concurrently with shutdown may have
-		// parked a handle after that final drain; sweep those up (and, in
-		// incremental mode, apply the staged departures — no flusher is
-		// left to run a delta epoch) so the fabric is fully drained when
-		// Close returns. The drain worker must be gone first: waiting on
-		// drainDone means no handle can move ring→predrained after this
-		// final sweep, which would otherwise strand it.
-		if m.drainDone != nil {
-			select {
-			case <-m.drainDone:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
+		// parked a handle after that final drain; sweep those up so the
+		// fabric is fully drained when Close returns.
 		m.mu.Lock()
 		m.drainReleasesLocked()
-		m.applyDeparturesLocked()
-		m.publishStatsLocked()
 		m.mu.Unlock()
 		return nil
 	case <-ctx.Done():
@@ -1275,17 +982,7 @@ func (m *Manager) wake() {
 
 // flusher is the single goroutine that runs epochs against the state.
 func (m *Manager) flusher() {
-	defer func() {
-		// Stop the delivery worker before announcing exit: Close's drain
-		// guarantee ("queued requests answered") must cover verdicts still
-		// in the pipeline, so m.done only closes after the worker has
-		// flushed everything handed to it.
-		if m.delivCh != nil {
-			close(m.delivCh)
-			<-m.delivDone
-		}
-		close(m.done)
-	}()
+	defer close(m.done)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -1308,11 +1005,9 @@ func (m *Manager) flusher() {
 		closed := m.closed.Load()
 		m.qmu.Unlock()
 		if n > 0 && (closed || n >= m.cfg.BatchSize || time.Since(oldest) >= m.cfg.MaxWait) {
-			dels, handed := m.stageFlushLocked()
+			b := m.flushLocked()
 			m.mu.Unlock()
-			if !handed {
-				m.deliver(dels)
-			}
+			m.deliver(b)
 			continue
 		}
 		var wait time.Duration
@@ -1348,13 +1043,10 @@ func (m *Manager) flusher() {
 // flushLocked runs one epoch over every queued ticket and stages the
 // verdicts. Called with m.mu held; the scheduler pass happens under the
 // lock — that lock is the serialization point that makes the shared
-// linkstate.State safe. Epochs of at least Config.ParallelThreshold live
-// requests run on the parallel engine (its workers claim channels through
-// the atomic linkstate operations); smaller epochs take the
-// allocation-free sequential path through the manager's reusable Scratch.
-// The returned batch (from delPool; nil when the flush was empty) must
-// be delivered by the caller after unlocking — or handed to the
-// delivery worker, which is what stageFlushLocked does.
+// linkstate.State safe. The engine gets the manager's reusable Scratch,
+// so an engine with a zero-allocation path keeps it. The returned batch
+// (from delPool; nil when the flush was empty) must be delivered by the
+// caller after unlocking.
 func (m *Manager) flushLocked() *delbatch {
 	// Swap the queue out under qmu: Connect keeps enqueueing into the
 	// spare array while this epoch schedules under mu.
@@ -1397,13 +1089,10 @@ func (m *Manager) flushLocked() *delbatch {
 	m.qspare = batch[:0]
 	m.livebuf = live
 	if len(live) == 0 {
-		// Nothing to schedule — every ticket was cancelled. Staged
-		// departures still settle here, but the epoch histograms and the
-		// epoch counter must NOT record this flush: an empty (or
-		// departure-only) pass is not a scheduling epoch, and counting it
-		// would drag EpochSize/EpochLatencyMS toward zero.
-		m.applyDeparturesLocked()
-		m.publishStatsLocked()
+		// Nothing to schedule — every ticket was cancelled. The epoch
+		// histograms and the epoch counter must NOT record this flush: an
+		// empty pass is not a scheduling epoch, and counting it would drag
+		// EpochSize/EpochLatencyMS toward zero.
 		return nil
 	}
 	reqs := m.reqbuf[:0]
@@ -1412,31 +1101,11 @@ func (m *Manager) flushLocked() *delbatch {
 	}
 	m.reqbuf = reqs
 
-	var res *core.Result
-	switch {
-	case m.inc != nil:
-		// Delta epoch: staged departures are torn down (fault-aware,
-		// inside the engine) before the arrival sweep, and everything
-		// already granted stays allocated. Parallel modes serve delta
-		// epochs through their sequential core — Result.Scheduler carries
-		// the documented fallback name.
-		eng := m.inc
-		if m.parInc != nil && len(reqs) >= m.parThreshold {
-			eng = m.parInc
-		}
-		res = eng.ScheduleDeltaInto(m.st, reqs, m.depbuf, m.scratch)
-		m.clearDeparturesLocked()
-		m.tornSinceEpoch += res.Torn
-		m.tornRoutes.Add(uint64(res.Torn))
-		m.lastEngine = res.Scheduler
-		m.seqEpochs.Add(1)
-	case m.par != nil && len(reqs) >= m.parThreshold:
-		res = m.par.Schedule(m.st, reqs)
-		m.lastEngine = m.par.Name()
+	res := m.eng.ScheduleInto(m.st, reqs, m.scratch)
+	m.lastEngine = res.Scheduler
+	if m.parName != "" && res.Scheduler == m.parName {
 		m.parEpochs.Add(1)
-	default:
-		res = m.eng.ScheduleInto(m.st, reqs, m.scratch)
-		m.lastEngine = res.Scheduler
+	} else {
 		m.seqEpochs.Add(1)
 	}
 
@@ -1492,10 +1161,8 @@ func (m *Manager) flushLocked() *delbatch {
 	m.epochSize.add(float64(len(live)))
 	m.epochLat.add(latMS)
 	// One route-churn sample per scheduling epoch: routes torn down since
-	// the last one (releases, revocations, delta departures) plus routes
-	// established by this pass. This is the reconfiguration cost the
-	// incremental mode minimizes — batch mode records it too, so the two
-	// are directly comparable.
+	// the last one (releases, revocations) plus routes established by this
+	// pass — the reconfiguration cost a reuse-cost engine minimizes.
 	m.establishedRoutes.Add(uint64(established))
 	m.routeChurn.add(float64(m.tornSinceEpoch + established))
 	m.tornSinceEpoch = 0
@@ -1505,7 +1172,6 @@ func (m *Manager) flushLocked() *delbatch {
 		live[i] = nil
 	}
 	m.livebuf = live[:0]
-	m.publishStatsLocked()
 	return b
 }
 
@@ -1523,68 +1189,6 @@ func (m *Manager) deliver(b *delbatch) {
 	}
 	b.d = b.d[:0]
 	m.delPool.Put(b)
-}
-
-// stageFlushLocked runs one epoch and routes the staged verdicts.
-// Caller holds m.mu. With the delivery pipeline on, the batch is handed
-// to the delivery worker and the caller moves straight on — scheduling
-// of epoch N+1 overlaps verdict wakeups of epoch N. The hand-off is
-// nonblocking and strictly XOR with caller delivery: each pooled batch
-// is owned by exactly one deliverer from flush to delPool.Put, so every
-// verdict is still sent exactly once. A full pipeline falls back to
-// returning the batch for the caller to deliver after unlocking:
-// back-to-back epochs degrade to the synchronous behavior, never stall.
-// Returns (batch, false) when the caller must deliver, (nil, true) when
-// the worker took it.
-func (m *Manager) stageFlushLocked() (*delbatch, bool) {
-	b := m.flushLocked()
-	if m.delivCh == nil || b == nil || len(b.d) == 0 {
-		return b, false
-	}
-	select {
-	case m.delivCh <- b:
-		return nil, true
-	default:
-		return b, false
-	}
-}
-
-// deliveryWorker drains staged epochs off the pipeline and wakes their
-// waiting Connect calls. Spent batches return to delPool inside
-// deliver. Exits when the flusher closes delivCh at shutdown, after
-// delivering everything already staged.
-func (m *Manager) deliveryWorker() {
-	defer close(m.delivDone)
-	for b := range m.delivCh {
-		m.deliver(b)
-	}
-}
-
-// drainWorker continuously retires release-ring entries into the
-// pre-drained buffer so epoch flushes pay a pointer swap instead of a
-// ring walk. It is the ring's consumer while enabled — drmu, not m.mu,
-// is the consumer lock (flushes take drmu inside mu; the worker never
-// takes mu, so the mu→drmu order is deadlock-free). Exits on Close;
-// Close waits for drainDone before its final drain so no handle is
-// stranded in predrained.
-func (m *Manager) drainWorker() {
-	defer close(m.drainDone)
-	for {
-		select {
-		case <-m.drainKick:
-		case <-m.closing:
-			return
-		}
-		m.drmu.Lock()
-		for {
-			h := m.relRing.pop()
-			if h == nil {
-				break
-			}
-			m.predrained = append(m.predrained, h)
-		}
-		m.drmu.Unlock()
-	}
 }
 
 // newTrackedState builds the plane's link state with load tracking on:

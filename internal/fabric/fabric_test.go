@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,6 +78,7 @@ func TestConcurrentMixed(t *testing.T) {
 
 	const clients = 64
 	const iters = 40
+	var clientGrants atomic.Uint64 // verdicts are delivered exactly once
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -100,6 +102,7 @@ func TestConcurrentMixed(t *testing.T) {
 						t.Errorf("client %d: unexpected connect error: %v", id, err)
 					}
 				} else {
+					clientGrants.Add(1)
 					held = append(held, h)
 				}
 				// Mixed workload: shed circuits so links churn.
@@ -127,8 +130,8 @@ func TestConcurrentMixed(t *testing.T) {
 		t.Errorf("counter identity broken: offered %d != granted %d + rejected %d + cancelled %d",
 			s.Offered, s.Granted, s.Rejected, s.Cancelled)
 	}
-	if s.Granted != s.Released {
-		t.Errorf("granted %d != released %d after full drain", s.Granted, s.Released)
+	if s.Granted != s.Released || s.Granted != clientGrants.Load() {
+		t.Errorf("granted %d, released %d, clients saw %d grants after full drain", s.Granted, s.Released, clientGrants.Load())
 	}
 	if s.Active != 0 {
 		t.Errorf("active = %d after full drain", s.Active)

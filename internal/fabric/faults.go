@@ -38,11 +38,9 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 		return 0, 0, ErrClosed
 	}
 	// Retire parked releases before the revoke walk so an already-
-	// released connection is not revoked into a pointless repair, and
-	// settle staged departures while their channels are still healthy —
-	// those releases happened logically before this fault.
+	// released connection is not revoked into a pointless repair — those
+	// releases happened logically before this fault.
 	m.drainReleasesLocked()
-	m.applyDeparturesLocked()
 	now := time.Now()
 	damping := m.dampingLocked()
 	if damping {
@@ -81,7 +79,6 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 			}
 		}
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if revoked > 0 {
 		m.wake() // repair tickets are waiting for the next epoch
@@ -117,6 +114,7 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 	}
 	chans := fs.Channels(m.cfg.Tree)
 	m.mu.Lock()
+	m.drainReleasesLocked() // see RepairAll
 	m.settleQuarantineLocked(time.Now())
 	repaired := 0
 	for _, c := range chans {
@@ -130,7 +128,6 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
 		repaired++
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.wake()
@@ -144,6 +141,11 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 // overrides); they are not counted.
 func (m *Manager) RepairAll() int {
 	m.mu.Lock()
+	// Retire parked releases while the masks still stand: a handle whose
+	// owner released it as the fault landed was skipped by the revoke
+	// walk, so its route still names the failed channel, and its teardown
+	// must skip that channel as dead — not find it healed and free.
+	m.drainReleasesLocked()
 	m.settleQuarantineLocked(time.Now())
 	repaired := 0
 	for c := range m.failed {
@@ -154,7 +156,6 @@ func (m *Manager) RepairAll() int {
 		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
 		repaired++
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.wake()
@@ -227,21 +228,12 @@ func (m *Manager) revokeLocked(h *Handle) {
 	if m.cfg.Trace != nil {
 		m.cfg.Trace(Event{Kind: EventRevoke, Src: h.src, Dst: h.dst, Ports: h.ports, FailLevel: -1})
 	}
-	if m.inc != nil {
-		// Delta mode: the revoked route departs through the same staged
-		// path a Release takes, so the next delta epoch tears it down
-		// (fault-aware) right before it schedules the repair ticket.
-		// Ownership of the ports slice transfers to the buffer.
-		m.depbuf = append(m.depbuf, core.Departure{Src: h.src, Dst: h.dst, Ports: h.ports})
-		h.ports = nil
-	} else {
-		core.ReleaseSurviving(m.st, h.src, h.dst, h.ports, nil)
-		if len(h.ports) > 0 {
-			m.tornSinceEpoch++
-			m.tornRoutes.Add(1)
-		}
-		h.ports = h.ports[:0]
+	core.ReleaseSurviving(m.st, h.src, h.dst, h.ports, nil)
+	if len(h.ports) > 0 {
+		m.tornSinceEpoch++
+		m.tornRoutes.Add(1)
 	}
+	h.ports = h.ports[:0]
 	h.state.Store(handleRepairing)
 	h.attempts = 0
 	h.revokedAt = time.Now()

@@ -557,3 +557,33 @@ func TestErrPublishesCauseWithDeath(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRepairRetiresParkedReleasesFirst replays, step by step, a Release
+// that lands while Fail holds the lock: the owner's CAS is visible to the
+// revoke walk (which skips the handle) but the handle reaches the ring
+// only afterwards. If the fault is then healed before any epoch drains
+// the ring, the parked route names a channel that is free again, and its
+// teardown would release a channel it no longer holds.
+func TestRepairRetiresParkedReleasesFirst(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	m, err := New(Config{Tree: tree, BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Connect(context.Background(), 0, tree.Nodes()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.released.Store(true) // the owner's Release won its CAS …
+	if revoked, err := m.FailLink(0, 0, h.Ports()[0], faults.Up); err != nil || revoked != 0 {
+		t.Fatalf("FailLink = %d, %v; the released handle must be skipped", revoked, err)
+	}
+	if !m.relRing.push(h) { // … and parks only now
+		t.Fatal("ring refused the handle")
+	}
+	m.RepairAll()
+	if s := m.Stats(); s.Released != 1 || s.Occupancy != 0 || s.FaultyChannels != 0 {
+		t.Fatalf("after heal and drain: %+v", s)
+	}
+	m.Close(context.Background()) // not deferred: a teardown panic holds m.mu
+}

@@ -162,9 +162,6 @@ func (m *Manager) settleQuarantineLocked(now time.Time) int {
 func (m *Manager) settleQuarantine() {
 	m.mu.Lock()
 	released := m.settleQuarantineLocked(time.Now())
-	if released > 0 {
-		m.publishStatsLocked()
-	}
 	m.mu.Unlock()
 	if released > 0 {
 		m.wake() // freed capacity: let the next epoch use it
@@ -216,7 +213,6 @@ func (m *Manager) ClearQuarantine() int {
 	for c := range m.flap {
 		delete(m.flap, c)
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if released > 0 {
 		m.wake()

@@ -423,7 +423,6 @@ func TestGrayZeroFlapGolden(t *testing.T) {
 		s = m.Stats()
 		m.mu.Lock()
 		m.drainReleasesLocked()
-		m.applyDeparturesLocked()
 		st = m.st
 		m.mu.Unlock()
 		if err := m.Close(context.Background()); err != nil {

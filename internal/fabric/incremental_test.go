@@ -1,13 +1,12 @@
 package fabric
 
-// Delta-epoch (incremental) manager tests: config validation, the
-// arrivals-only equivalence with batch mode, churn accounting, fault
-// revocation through the staged-departure path, the epoch-histogram
-// exclusion of empty flushes, and the release-ring/Close race.
+// Manager tests for spec-named incremental engines: the arrivals-only
+// equivalence with the default engine, churn accounting under
+// reuse-cost, fault revocation and repair, the epoch-histogram exclusion
+// of empty flushes, and the release-ring/Close race.
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,69 +15,20 @@ import (
 	"repro/internal/topology"
 )
 
-func TestIncrementalConfigValidation(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	cases := []struct {
-		name    string
-		cfg     Config
-		wantSub string // empty means the config must be accepted
-	}{
-		{"negative reuse-cost", Config{Tree: tree, Incremental: true, ReuseCost: -1}, "invalid ReuseCost"},
-		{"reuse-cost without incremental", Config{Tree: tree, ReuseCost: 2}, "ReuseCost requires Incremental"},
-		{"reuse-cost with spec", Config{Tree: tree, Incremental: true, ReuseCost: 2, SchedulerSpec: "level-wise"},
-			"put reuse-cost in the SchedulerSpec"},
-		{"incremental without capability", Config{Tree: tree, Incremental: true, SchedulerSpec: "optimal"},
-			"delta-epoch capability"},
-		{"incremental default engine", Config{Tree: tree, Incremental: true}, ""},
-		{"incremental with reuse", Config{Tree: tree, Incremental: true, ReuseCost: 3}, ""},
-		{"incremental via spec flag", Config{Tree: tree, SchedulerSpec: "levelwise,incremental,reuse-cost=2"}, ""},
-		{"incremental spec plus config flag", Config{Tree: tree, Incremental: true, SchedulerSpec: "level-wise,rollback,incremental"}, ""},
-	}
-	for _, c := range cases {
-		m, err := New(c.cfg)
-		if c.wantSub != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
-				t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantSub)
-			}
-			if m != nil {
-				m.Close(context.Background())
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: unexpected error %v", c.name, err)
-			continue
-		}
-		if s := m.Stats(); !s.Incremental {
-			t.Errorf("%s: Stats.Incremental = false, want true", c.name)
-		}
-		m.Close(context.Background())
-	}
-	// The effective reuse-cost cap is echoed whichever way it was named.
-	m, err := New(Config{Tree: tree, SchedulerSpec: "levelwise,incremental,reuse-cost=2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := m.Stats(); s.ReuseCost != 2 {
-		t.Fatalf("spec-named reuse-cost not echoed: %+v", s.ReuseCost)
-	}
-	m.Close(context.Background())
-}
-
 // TestIncrementalMatchesBatchArrivalsOnly is the fabric-level half of
 // the arrivals-only bit-identity contract: with BatchSize 1 (one epoch
-// per request, so epoch composition is deterministic), an incremental
-// manager must grant exactly the routes a batch manager grants.
+// per request, so epoch composition is deterministic), a manager on the
+// incremental engine must grant exactly the routes the default grants.
 func TestIncrementalMatchesBatchArrivalsOnly(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	mk := func(incremental bool) *Manager {
-		m, err := New(Config{Tree: tree, BatchSize: 1, Incremental: incremental})
+	mk := func(spec string) *Manager {
+		m, err := New(Config{Tree: tree, BatchSize: 1, SchedulerSpec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	batch, inc := mk(false), mk(true)
+	batch, inc := mk(""), mk("level-wise,rollback,incremental")
 	defer batch.Close(context.Background())
 	defer inc.Close(context.Background())
 	n := tree.Nodes()
@@ -106,18 +56,15 @@ func TestIncrementalMatchesBatchArrivalsOnly(t *testing.T) {
 	if sb.Granted != si.Granted || sb.Rejected != si.Rejected || sb.Occupancy != si.Occupancy {
 		t.Fatalf("stats diverged: batch %+v vs incremental %+v", sb, si)
 	}
-	if sb.Incremental || !si.Incremental {
-		t.Fatalf("Incremental flags wrong: batch %v, incremental %v", sb.Incremental, si.Incremental)
-	}
 }
 
 // TestIncrementalChurnAccounting drives grant/release cycles and checks
 // the route-churn bookkeeping: established and torn routes balance, the
-// per-epoch churn distribution is populated, and a full drain returns
-// the fabric to zero occupancy even though no batch rebuild ever ran.
+// per-epoch churn distribution is populated, a full drain returns the
+// fabric to zero occupancy, and Stats echoes the engine's reuse-cost cap.
 func TestIncrementalChurnAccounting(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 1, Incremental: true})
+	m, err := New(Config{Tree: tree, BatchSize: 1, SchedulerSpec: "level-wise,rollback,incremental,reuse-cost=4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +87,9 @@ func TestIncrementalChurnAccounting(t *testing.T) {
 		}
 	}
 	s := m.Stats()
+	if s.ReuseCost != 4 {
+		t.Fatalf("spec-named reuse-cost not echoed: %d", s.ReuseCost)
+	}
 	if s.EstablishedRoutes != uint64(routed) {
 		t.Fatalf("EstablishedRoutes = %d, want %d", s.EstablishedRoutes, routed)
 	}
@@ -154,7 +104,7 @@ func TestIncrementalChurnAccounting(t *testing.T) {
 			t.Fatalf("release: %v", err)
 		}
 	}
-	s = m.Stats() // settles staged departures
+	s = m.Stats() // drains the parked releases
 	if s.TornRoutes != uint64(routed) {
 		t.Fatalf("TornRoutes = %d after full drain, want %d", s.TornRoutes, routed)
 	}
@@ -167,14 +117,13 @@ func TestIncrementalChurnAccounting(t *testing.T) {
 }
 
 // TestIncrementalRevokeFlowsThroughDeltaPath fails the link under a
-// granted route on an incremental manager: the revocation must stage a
-// departure (not rebuild state inline), the repair must land on a fresh
-// route via a delta epoch, and the final drain must reach zero
-// occupancy with the fault still masked.
+// granted route on an incremental-engine manager: the repair must land
+// on a fresh route, held grants must carry forward untouched, and the
+// final drain must reach zero occupancy with the fault still masked.
 func TestIncrementalRevokeFlowsThroughDeltaPath(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	cfg := fastRepair(tree)
-	cfg.Incremental = true
+	cfg.SchedulerSpec = "level-wise,rollback,incremental"
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +152,7 @@ func TestIncrementalRevokeFlowsThroughDeltaPath(t *testing.T) {
 		t.Fatalf("repair kept the dead port: old %v new %v", oldPorts, newPorts)
 	}
 	// The bystander's route must have survived the whole revoke/repair
-	// cycle untouched — held grants carry forward across delta epochs.
+	// cycle untouched — held grants carry forward across epochs.
 	if len(bystander.Ports()) != 1 {
 		t.Fatalf("bystander route disturbed: %v", bystander.Ports())
 	}
@@ -222,13 +171,13 @@ func TestIncrementalRevokeFlowsThroughDeltaPath(t *testing.T) {
 	}
 }
 
-// TestEpochHistogramExcludesEmptyFlushes pins the satellite fix: a
-// flush whose tickets were all cancelled — and, in incremental mode, a
-// departure-only flush — must not move Epochs, EpochSize, or
-// EpochLatencyMS. Only real scheduling passes are epochs.
+// TestEpochHistogramExcludesEmptyFlushes: a flush whose tickets were all
+// cancelled — including one that only retires parked releases — must
+// not move Epochs, EpochSize, or EpochLatencyMS. Only real scheduling
+// passes are epochs.
 func TestEpochHistogramExcludesEmptyFlushes(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 5 * time.Millisecond, Incremental: true})
+	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +203,8 @@ func TestEpochHistogramExcludesEmptyFlushes(t *testing.T) {
 		t.Fatalf("real epoch not recorded: %+v", s)
 	}
 
-	// Departure-only flush: the release parks in the ring, and the next
-	// flush (driven by another abandoned ticket) applies it without any
+	// Release-only flush: the release parks in the ring, and the next
+	// flush (driven by another abandoned ticket) retires it without any
 	// live request. Histograms must not move.
 	if err := h.Release(); err != nil {
 		t.Fatal(err)
@@ -270,28 +219,23 @@ func TestEpochHistogramExcludesEmptyFlushes(t *testing.T) {
 		return s.QueueDepth == 0 && s.Occupancy == 0
 	})
 	if s := m.Stats(); s.Epochs != 1 || s.EpochSize.N != 1 || s.EpochLatencyMS.N != 1 {
-		t.Fatalf("departure-only flush recorded as an epoch: %+v", s)
+		t.Fatalf("release-only flush recorded as an epoch: %+v", s)
 	}
 }
 
-// TestReleaseRingDrainRacesClose races fast-path releases against Close
-// in both modes: every parked handle must be retired exactly once — no
-// grant may be dropped between the ring and the final drain — leaving
-// Released == grants and zero occupancy. The ring is kept tiny so some
-// releases overflow to the synchronous path mid-shutdown.
+// TestReleaseRingDrainRacesClose races fast-path releases against Close:
+// every parked handle must be retired exactly once — no grant may be
+// dropped between the ring and the final drain — leaving Released ==
+// grants and zero occupancy. The ring is kept tiny (the one caller of
+// newManager's ring-size argument) so some releases overflow to the
+// synchronous path mid-shutdown.
 func TestReleaseRingDrainRacesClose(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{{"batch", false}, {"incremental", true}} {
+	for _, mode := range []struct{ name, spec string }{
+		{"batch", ""}, {"incremental", "level-wise,rollback,incremental"},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
 			tree := topology.MustNew(3, 4, 4)
-			m, err := New(Config{
-				Tree:        tree,
-				BatchSize:   1,
-				Incremental: mode.incremental,
-				ReleaseRing: 8,
-			})
+			m, err := newManager(Config{Tree: tree, BatchSize: 1, SchedulerSpec: mode.spec}, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,44 +281,5 @@ func TestReleaseRingDrainRacesClose(t *testing.T) {
 				t.Fatalf("grants dropped in the ring/Close race: %+v", s)
 			}
 		})
-	}
-}
-
-// TestIncrementalParallelFallbackName pins the documented behavior for
-// parallel-configured incremental managers: delta epochs always run the
-// sequential core, and LastEpochEngine says so.
-func TestIncrementalParallelFallbackName(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         4,
-		MaxWait:           time.Hour, // flush only on a full batch
-		Incremental:       true,
-		ParallelThreshold: 2,
-		ParallelWorkers:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close(context.Background())
-	var wg sync.WaitGroup
-	n := tree.Nodes()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if h, err := m.Connect(context.Background(), i, n-1-i); err == nil {
-				h.Release()
-			}
-		}(i)
-	}
-	wg.Wait()
-	s := m.Stats()
-	want := "level-wise/rollback/incremental/par-fallback=incremental-delta"
-	if s.LastEpochEngine != want {
-		t.Fatalf("LastEpochEngine = %q, want %q", s.LastEpochEngine, want)
-	}
-	if s.ParallelEpochs != 0 || s.SequentialEpochs != s.Epochs {
-		t.Fatalf("delta epochs must count as sequential: %+v", s)
 	}
 }

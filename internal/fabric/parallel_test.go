@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -37,26 +36,26 @@ func burst(t *testing.T, m *Manager, tree *topology.Tree, n int, seed int64) {
 	wg.Wait()
 }
 
-// TestParallelThresholdRouting checks that epochs at or above
-// ParallelThreshold run on the parallel engine, epochs below it stay
-// sequential, both are counted, and the journal replay proves link safety
-// across the mix.
+// TestParallelThresholdRouting checks the engine-chosen split under a
+// spec-named parallel engine: a full epoch fans out across the workers,
+// a lone request falls back to the engine's sequential core, each is
+// counted by what actually ran, and the journal replay proves link
+// safety across the mix.
 func TestParallelThresholdRouting(t *testing.T) {
 	tree := topology.MustNew(3, 8, 8)
 	var j journal
 	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         64,
-		MaxWait:           20 * time.Millisecond,
-		ParallelThreshold: 4,
-		ParallelWorkers:   4,
-		Trace:             j.record,
+		Tree:          tree,
+		SchedulerSpec: "parallel,rollback,workers=4",
+		BatchSize:     64,
+		MaxWait:       20 * time.Millisecond,
+		Trace:         j.record,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A 64-client burst fills whole epochs well past the threshold.
+	// A 64-client burst fills whole epochs well past the worker count.
 	burst(t, m, tree, 64, 1)
 	s := m.Stats()
 	if s.ParallelEpochs == 0 {
@@ -66,7 +65,7 @@ func TestParallelThresholdRouting(t *testing.T) {
 		t.Errorf("LastEpochEngine = %q", s.LastEpochEngine)
 	}
 
-	// A lone request is an epoch of one: below threshold, sequential.
+	// A lone request is an epoch of one: the engine runs it sequentially.
 	h, err := m.Connect(context.Background(), 0, tree.Nodes()-1)
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +83,6 @@ func TestParallelThresholdRouting(t *testing.T) {
 	if s.SequentialEpochs+s.ParallelEpochs != s.Epochs {
 		t.Errorf("epoch split %d+%d != %d", s.SequentialEpochs, s.ParallelEpochs, s.Epochs)
 	}
-	if s.ParallelThreshold != 4 || s.ParallelWorkers != 4 || s.ParallelMode != "deterministic" {
-		t.Errorf("config echo wrong: %+v", s)
-	}
 
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -97,136 +93,71 @@ func TestParallelThresholdRouting(t *testing.T) {
 	replay(t, tree, events)
 }
 
-// TestParallelRacyManager drives the lock-free engine through the manager
-// under load (and under -race in CI) and replays the journal.
+// loadAndReplay drives a spec-named parallel engine through the manager
+// under load (and under -race in CI), checks the epoch accounting, and
+// replays the journal.
+func loadAndReplay(t *testing.T, spec string) {
+	t.Helper()
+	tree := topology.MustNew(3, 4, 4)
+	var j journal
+	m, err := New(Config{
+		Tree:          tree,
+		SchedulerSpec: spec,
+		BatchSize:     32,
+		MaxWait:       10 * time.Millisecond,
+		Trace:         j.record,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		burst(t, m, tree, 48, int64(round)*100)
+	}
+	s := m.Stats()
+	if s.ParallelEpochs == 0 {
+		t.Fatalf("no epoch went parallel: %+v", s)
+	}
+	if s.SequentialEpochs+s.ParallelEpochs != s.Epochs {
+		t.Errorf("epoch split %d+%d != %d", s.SequentialEpochs, s.ParallelEpochs, s.Epochs)
+	}
+	if s.Active != 0 || s.Utilization != 0 {
+		t.Errorf("drained manager still holds links: %+v", s)
+	}
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	events := j.events
+	j.mu.Unlock()
+	replay(t, tree, events)
+}
+
 func TestParallelRacyManager(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	var j journal
-	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         32,
-		MaxWait:           10 * time.Millisecond,
-		ParallelThreshold: 2,
-		ParallelWorkers:   8,
-		ParallelRacy:      true,
-		Trace:             j.record,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		burst(t, m, tree, 48, int64(round)*100)
-	}
-	s := m.Stats()
-	if s.ParallelEpochs == 0 {
-		t.Fatalf("no epoch went parallel: %+v", s)
-	}
-	if s.ParallelMode != "racy" {
-		t.Errorf("ParallelMode = %q", s.ParallelMode)
-	}
-	if s.Active != 0 || s.Utilization != 0 {
-		t.Errorf("drained manager still holds links: %+v", s)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	events := j.events
-	j.mu.Unlock()
-	replay(t, tree, events)
+	loadAndReplay(t, "parallel,mode=racy,workers=8,rollback")
 }
 
-// TestParallelShardManager drives the subtree-sharded engine through the
-// manager under load (and under -race in CI) and replays the journal.
 func TestParallelShardManager(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	var j journal
-	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         32,
-		MaxWait:           10 * time.Millisecond,
-		ParallelThreshold: 2,
-		ParallelWorkers:   8,
-		ParallelMode:      "shard",
-		ParallelSteal:     true,
-		Trace:             j.record,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		burst(t, m, tree, 48, int64(round)*100)
-	}
-	s := m.Stats()
-	if s.ParallelEpochs == 0 {
-		t.Fatalf("no epoch went parallel: %+v", s)
-	}
-	if s.ParallelMode != "shard+steal" {
-		t.Errorf("ParallelMode = %q", s.ParallelMode)
-	}
-	if s.Active != 0 || s.Utilization != 0 {
-		t.Errorf("drained manager still holds links: %+v", s)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	events := j.events
-	j.mu.Unlock()
-	replay(t, tree, events)
+	loadAndReplay(t, "parallel,mode=shard,workers=8,steal,rollback")
 }
 
-// TestParallelModeConfigErrors pins the ParallelMode/ParallelSteal
-// validation in New.
+// TestParallelModeConfigErrors: the spec is the only place a parallel
+// mode is named, and New surfaces the registry's verdict on it.
 func TestParallelModeConfigErrors(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	for _, cfg := range []Config{
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "sharded"},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "shard", ParallelRacy: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "deterministic", ParallelRacy: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelSteal: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "racy", ParallelSteal: true},
+	for spec, ok := range map[string]bool{
+		"parallel,mode=sharded":    false,
+		"parallel,steal":           false,
+		"parallel,mode=racy,steal": false,
+		"parallel,mode=racy":       true,
+		"parallel,mode=shard":      true,
 	} {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("Config{ParallelMode:%q, ParallelRacy:%v, ParallelSteal:%v} accepted",
-				cfg.ParallelMode, cfg.ParallelRacy, cfg.ParallelSteal)
+		m, err := New(Config{Tree: tree, SchedulerSpec: spec})
+		if (err == nil) != ok {
+			t.Errorf("SchedulerSpec %q: err = %v, want ok = %v", spec, err, ok)
 		}
-	}
-	// The compatible spellings still construct: explicit racy both ways,
-	// and shard without steal.
-	for _, cfg := range []Config{
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "racy", ParallelRacy: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "shard"},
-	} {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatalf("Config{ParallelMode:%q}: %v", cfg.ParallelMode, err)
+		if m != nil {
+			m.Close(context.Background())
 		}
-		if err := m.Close(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestParallelRequiresDefaultScheduler: the parallel engine mirrors the
-// Level-wise options, so a custom scheduler plus a threshold is a config
-// error, while an explicit *core.LevelWise is accepted.
-func TestParallelRequiresDefaultScheduler(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	_, err := New(Config{Tree: tree, Scheduler: &core.BacktrackLevelWise{}, ParallelThreshold: 8})
-	if err == nil {
-		t.Fatal("backtracking scheduler with ParallelThreshold accepted")
-	}
-	m, err := New(Config{
-		Tree:              tree,
-		Scheduler:         &core.LevelWise{Opts: core.Options{Rollback: true}},
-		ParallelThreshold: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,12 +1,8 @@
 package fabric
 
 import (
-	"math"
-	"runtime"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/parsched"
 	"repro/internal/stats"
 )
 
@@ -102,17 +98,16 @@ type Stats struct {
 	// so it includes the batching wait.
 	EpochSize      Dist `json:"epoch_size"`
 	EpochLatencyMS Dist `json:"epoch_latency_ms"`
-	// Engine-choice observability: SequentialEpochs + ParallelEpochs ==
-	// Epochs; LastEpochEngine names the scheduler that ran the most recent
-	// epoch. ParallelThreshold/ParallelWorkers/ParallelMode echo the
-	// configuration (workers and mode are empty/zero when the parallel
-	// engine is disabled).
-	SequentialEpochs  uint64 `json:"sequential_epochs"`
-	ParallelEpochs    uint64 `json:"parallel_epochs"`
-	ParallelThreshold int    `json:"parallel_threshold"`
-	ParallelWorkers   int    `json:"parallel_workers,omitempty"`
-	ParallelMode      string `json:"parallel_mode,omitempty"`
-	LastEpochEngine   string `json:"last_epoch_engine,omitempty"`
+	// Engine observability, counted from what ran: SequentialEpochs +
+	// ParallelEpochs == Epochs, and an epoch counts as parallel only when
+	// a parallel engine (SchedulerSpec "parallel,…") actually fanned it
+	// out — its sequential fallback on a degenerate batch counts as
+	// sequential. LastEpochEngine names the scheduler that ran the most
+	// recent epoch, mode and worker count included (e.g.
+	// "parallel-level-wise/shard+steal/w4").
+	SequentialEpochs uint64 `json:"sequential_epochs"`
+	ParallelEpochs   uint64 `json:"parallel_epochs"`
+	LastEpochEngine  string `json:"last_epoch_engine,omitempty"`
 	// Fault and repair observability. Every revocation resolves into
 	// exactly one of Repaired, RepairFailed (retries exhausted →
 	// ErrUnroutableDegraded), or RepairAborted (shutdown or owner release
@@ -145,56 +140,16 @@ type Stats struct {
 	QuarantineEvents      uint64 `json:"quarantine_events,omitempty"`
 	Quarantined           int    `json:"quarantined,omitempty"`
 	RepairedOnHeldTrunk   uint64 `json:"repaired_on_held_trunk,omitempty"`
-	// Incremental-mode observability. Incremental reports whether the
-	// manager runs delta epochs (granted routes carried forward,
-	// departures swept instead of full rebuilds); ReuseCost echoes the
-	// reconfiguration-cost cap (0 = first-fit). TornRoutes counts routes
-	// torn down (releases, revocations, delta departures) and
-	// EstablishedRoutes routes set up (grants and repairs holding
-	// channels); RouteChurn summarizes their per-scheduling-epoch sum —
-	// the reconfiguration cost — over the last ≤4096 epochs. All three
-	// are recorded in batch mode too, so modes compare directly.
-	Incremental       bool   `json:"incremental,omitempty"`
+	// Reconfiguration-cost observability. ReuseCost echoes the engine's
+	// reuse-cost cap (0 = first-fit). TornRoutes counts routes torn down
+	// (releases, revocations) and EstablishedRoutes routes set up (grants
+	// and repairs holding channels); RouteChurn summarizes their
+	// per-scheduling-epoch sum — the reconfiguration cost — over the last
+	// ≤4096 epochs.
 	ReuseCost         int    `json:"reuse_cost,omitempty"`
 	TornRoutes        uint64 `json:"torn_routes"`
 	EstablishedRoutes uint64 `json:"established_routes"`
 	RouteChurn        Dist   `json:"route_churn"`
-}
-
-// statsSnap is the seqlock-published slice of Stats that depends on
-// m.mu-guarded state. The flusher (and every other mu holder that
-// changes these) stores fresh values between two seq increments; a
-// lock-free reader retries until it observes an even, unchanged seq.
-// Every field is an atomic so the torn-read window is race-detector
-// clean — the seq protocol is what makes the *set* coherent.
-type statsSnap struct {
-	seq      atomic.Uint64          // odd while a publish is in progress
-	engine   atomic.Pointer[string] // LastEpochEngine; repointed only on change
-	faulty   atomic.Int64           // len(m.failed)
-	quar     atomic.Int64           // len(m.quar)
-	util     atomic.Uint64          // math.Float64bits(utilization)
-	capacity atomic.Uint64          // math.Float64bits(degraded capacity)
-}
-
-// publishStatsLocked refreshes the seqlock snapshot. Caller holds m.mu.
-// No-op unless Config.StatsSnapshots is on, so the default path pays
-// nothing. The engine name is re-pointed only when it changes — at
-// steady state a publish is a handful of atomic stores plus the two
-// cheap popcount sweeps behind Utilization and FailedCount.
-func (m *Manager) publishStatsLocked() {
-	if !m.statsOn {
-		return
-	}
-	m.snap.seq.Add(1)
-	if cur := m.snap.engine.Load(); cur == nil || *cur != m.lastEngine {
-		name := m.lastEngine
-		m.snap.engine.Store(&name)
-	}
-	m.snap.faulty.Store(int64(len(m.failed)))
-	m.snap.quar.Store(int64(len(m.quar)))
-	m.snap.util.Store(math.Float64bits(m.st.Utilization()))
-	m.snap.capacity.Store(math.Float64bits(m.capacityLocked()))
-	m.snap.seq.Add(1)
 }
 
 // capacityLocked is the fraction of channels still in service (1.0 when
@@ -207,72 +162,23 @@ func (m *Manager) capacityLocked() float64 {
 	return float64(total-m.st.FailedCount()) / float64(total)
 }
 
-// lockedView is the slice of a snapshot that depends on m.mu-guarded
-// state — what publishStatsLocked publishes.
-type lockedView struct {
-	engine              string
-	faulty, quarantined int
-	util, capacity      float64
-}
-
-// readSnap returns the last published seqlock snapshot (StatsSnapshots
-// on), retrying while a publish is in flight, then nudges the flusher so
-// the next publish is imminent.
-func (m *Manager) readSnap() lockedView {
-	for {
-		s1 := m.snap.seq.Load()
-		if s1&1 == 0 {
-			eng := m.snap.engine.Load()
-			v := lockedView{
-				faulty:      int(m.snap.faulty.Load()),
-				quarantined: int(m.snap.quar.Load()),
-				util:        math.Float64frombits(m.snap.util.Load()),
-				capacity:    math.Float64frombits(m.snap.capacity.Load()),
-			}
-			if m.snap.seq.Load() == s1 {
-				if eng != nil {
-					v.engine = *eng
-				}
-				m.wake() // bound staleness: the flusher republishes on its next pass
-				return v
-			}
-		}
-		runtime.Gosched() // publish in flight; retry
-	}
-}
-
 // Stats returns a snapshot of the manager's counters, queue, epoch
 // distributions, and live link utilization. No lock is held across the
 // distribution summaries: histogram samples are copied stripe by stripe
 // and the sort/percentile pass runs outside, so a large snapshot never
 // stalls the flusher or a client.
 //
-// By default the call takes the scheduling lock and settles pending
-// work first — parked fast-path releases are drained and staged
-// departures applied, so the snapshot reflects every Release that
-// returned before the call. With Config.StatsSnapshots on, the
-// mu-dependent fields come from the seqlock snapshot instead: Stats
-// never blocks on (or blocks) the flusher, at the cost of those fields
-// trailing live state by at most one epoch; the call nudges the flusher
-// so the next publish is imminent, and performs no settling of its own.
+// The call takes the scheduling lock and settles pending work first —
+// parked fast-path releases are drained — so the snapshot reflects every
+// Release that returned before the call (read-your-writes).
 func (m *Manager) Stats() Stats {
-	var v lockedView
-	if m.statsOn {
-		v = m.readSnap()
-	} else {
-		m.mu.Lock()
-		m.drainReleasesLocked()
-		m.applyDeparturesLocked()
-		m.settleQuarantineLocked(time.Now())
-		v = lockedView{
-			engine:      m.lastEngine,
-			faulty:      len(m.failed),
-			quarantined: len(m.quar),
-			util:        m.st.Utilization(),
-			capacity:    m.capacityLocked(),
-		}
-		m.mu.Unlock()
-	}
+	m.mu.Lock()
+	m.drainReleasesLocked()
+	m.settleQuarantineLocked(time.Now())
+	engine := m.lastEngine
+	faulty, quarantined := len(m.failed), len(m.quar)
+	util, capacity := m.st.Utilization(), m.capacityLocked()
+	m.mu.Unlock()
 	depth := int(m.qdepth.Load())
 	size := distOf(m.epochSize.snapshot())
 	lat := distOf(m.epochLat.snapshot())
@@ -290,26 +196,23 @@ func (m *Manager) Stats() Stats {
 		Epochs:         m.epochs.Load(),
 		Active:         m.active.Load(),
 		QueueDepth:     depth,
-		Utilization:    v.util,
+		Utilization:    util,
 		Occupancy:      m.st.LiveOccupancy(),
 		ChannelAllocs:  m.st.TotalAllocs(),
 		EpochSize:      size,
 		EpochLatencyMS: lat,
 
-		SequentialEpochs:  m.seqEpochs.Load(),
-		ParallelEpochs:    m.parEpochs.Load(),
-		ParallelThreshold: m.parThreshold,
-		ParallelWorkers:   parWorkers(m.par),
-		ParallelMode:      parMode(m.par),
-		LastEpochEngine:   v.engine,
+		SequentialEpochs: m.seqEpochs.Load(),
+		ParallelEpochs:   m.parEpochs.Load(),
+		LastEpochEngine:  engine,
 
 		Revoked:          m.revoked.Load(),
 		Repaired:         m.repaired.Load(),
 		RepairFailed:     m.repairFailed.Load(),
 		RepairAborted:    m.repairAborted.Load(),
 		PendingRepairs:   m.pendingRepairs.Load(),
-		FaultyChannels:   v.faulty,
-		DegradedCapacity: v.capacity,
+		FaultyChannels:   faulty,
+		DegradedCapacity: capacity,
 		RepairLatencyMS:  repLat,
 		RepairDepth:      repDepth,
 
@@ -317,10 +220,9 @@ func (m *Manager) Stats() Stats {
 		RepairBudgetExhausted: m.repairBudgetExhausted.Load(),
 		FlapEvents:            m.flapEvents.Load(),
 		QuarantineEvents:      m.quarantineEvents.Load(),
-		Quarantined:           v.quarantined,
+		Quarantined:           quarantined,
 		RepairedOnHeldTrunk:   m.repairedOnHeldTrunk.Load(),
 
-		Incremental:       m.inc != nil,
 		ReuseCost:         m.reuseCost,
 		TornRoutes:        m.tornRoutes.Load(),
 		EstablishedRoutes: m.establishedRoutes.Load(),
@@ -341,40 +243,16 @@ type Health struct {
 // Health reports the plane's fault state without the rest of a Stats
 // snapshot: no histogram copies, no sorts, no release drain — a probe
 // costs the same on a busy fabric as on an idle one. The scheduling lock
-// is held only to count the fault sets (not at all with
-// Config.StatsSnapshots on, where the same trailing-by-one-epoch caveat
-// as Stats applies).
+// is held only to count the fault sets.
 func (m *Manager) Health() Health {
-	var v lockedView
-	if m.statsOn {
-		v = m.readSnap()
-	} else {
-		m.mu.Lock()
-		m.settleQuarantineLocked(time.Now())
-		v = lockedView{faulty: len(m.failed), quarantined: len(m.quar), capacity: m.capacityLocked()}
-		m.mu.Unlock()
-	}
-	return Health{
-		FaultyChannels:   v.faulty,
-		Quarantined:      v.quarantined,
-		DegradedCapacity: v.capacity,
+	m.mu.Lock()
+	m.settleQuarantineLocked(time.Now())
+	h := Health{
+		FaultyChannels:   len(m.failed),
+		Quarantined:      len(m.quar),
+		DegradedCapacity: m.capacityLocked(),
 		PendingRepairs:   m.pendingRepairs.Load(),
 	}
-}
-
-func parWorkers(e *parsched.Engine) int {
-	if e == nil {
-		return 0
-	}
-	return e.Workers()
-}
-
-func parMode(e *parsched.Engine) string {
-	if e == nil {
-		return ""
-	}
-	if e.Mode() == parsched.Shard && e.Steal() {
-		return "shard+steal"
-	}
-	return e.Mode().String()
+	m.mu.Unlock()
+	return h
 }

@@ -67,15 +67,14 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigWeightRoundTrip: per-plane weight and parallel-engine mode
-// fields survive gen → write → load → build and land on the runtime
-// PlaneConfig / fabric.Config.
+// TestConfigWeightRoundTrip: per-plane weight and a parallel-engine
+// scheduler spec survive gen → write → load → build and land on the
+// runtime PlaneConfig / fabric.Config.
 func TestConfigWeightRoundTrip(t *testing.T) {
+	const shard = "parallel,mode=shard,workers=2,steal,rollback"
 	fc := Generate(2, 2, 4, 2, "", "hash")
 	fc.Planes[0].Weight = 3
-	fc.Planes[1].ParallelThreshold = 4
-	fc.Planes[1].ParallelMode = "shard"
-	fc.Planes[1].ParallelSteal = true
+	fc.Planes[1].Scheduler = shard
 
 	var buf bytes.Buffer
 	if err := fc.Write(&buf); err != nil {
@@ -88,8 +87,8 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	if got.Planes[0].Weight != 3 || got.Planes[1].Weight != 0 {
 		t.Fatalf("weights mangled: %+v", got.Planes)
 	}
-	if got.Planes[1].ParallelMode != "shard" || !got.Planes[1].ParallelSteal {
-		t.Fatalf("parallel fields mangled: %+v", got.Planes[1])
+	if got.Planes[1].Scheduler != shard {
+		t.Fatalf("scheduler spec mangled: %+v", got.Planes[1])
 	}
 
 	cfg, err := got.Build()
@@ -99,9 +98,8 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	if cfg.Planes[0].Weight != 3 || cfg.Planes[1].Weight != 0 {
 		t.Errorf("built weights: %v, %v", cfg.Planes[0].Weight, cfg.Planes[1].Weight)
 	}
-	f := cfg.Planes[1].Fabric
-	if f.ParallelMode != "shard" || !f.ParallelSteal || f.ParallelThreshold != 4 {
-		t.Errorf("built fabric parallel knobs: %+v", f)
+	if f := cfg.Planes[1].Fabric; f.SchedulerSpec != shard {
+		t.Errorf("built fabric scheduler spec: %+v", f)
 	}
 
 	// The built config constructs a live router whose runtime weights
@@ -117,13 +115,13 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigIncrementalRoundTrip: the delta-epoch knobs survive
-// write → load → build, land on fabric.Config, and construct a live
-// incremental plane.
+// TestConfigIncrementalRoundTrip: an incremental, reuse-cost scheduler
+// spec survives write → load → build, lands on fabric.Config, and
+// constructs a live plane running that engine.
 func TestConfigIncrementalRoundTrip(t *testing.T) {
+	const reuse = "level-wise,rollback,incremental,reuse-cost=4"
 	fc := Generate(2, 2, 4, 2, "", "hash")
-	fc.Planes[0].Incremental = true
-	fc.Planes[0].ReuseCost = 4
+	fc.Planes[0].Scheduler = reuse
 	fc.Planes[1].Scheduler = "levelwise,incremental"
 
 	var buf bytes.Buffer
@@ -134,16 +132,15 @@ func TestConfigIncrementalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Planes[0].Incremental || got.Planes[0].ReuseCost != 4 {
-		t.Fatalf("incremental fields mangled: %+v", got.Planes[0])
+	if got.Planes[0].Scheduler != reuse {
+		t.Fatalf("scheduler spec mangled: %+v", got.Planes[0])
 	}
 	cfg, err := got.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := cfg.Planes[0].Fabric
-	if !f.Incremental || f.ReuseCost != 4 {
-		t.Fatalf("built fabric incremental knobs: %+v", f)
+	if f := cfg.Planes[0].Fabric; f.SchedulerSpec != reuse {
+		t.Fatalf("built fabric scheduler spec: %+v", f)
 	}
 	r, err := New(cfg)
 	if err != nil {
@@ -157,10 +154,8 @@ func TestConfigIncrementalRoundTrip(t *testing.T) {
 	if err := h.Release(); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range r.planes {
-		if s := p.surf.Stats(); !s.Incremental {
-			t.Errorf("plane %d not incremental: %+v", i, s)
-		}
+	if s := r.planes[0].surf.Stats(); s.ReuseCost != 4 {
+		t.Errorf("plane 0 reuse-cost echo = %d, want 4", s.ReuseCost)
 	}
 }
 
@@ -170,18 +165,18 @@ func TestConfigValidationErrors(t *testing.T) {
 	}{
 		{"bad policy", `{"policy":"fastest","planes":[{"levels":2,"arity":2,"width":1}]}`, "unknown policy"},
 		{"no planes", `{"planes":[]}`, "no planes"},
-		{"bad shape", `{"planes":[{"levels":0,"arity":2,"width":1}]}`, "plane 0"},
+		{"bad shape", `{"planes":[{"levels":0,"arity":2,"width":1}]}`, "plane0"},
 		{"bad scheduler", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"warp-drive"}]}`, "warp-drive"},
 		{"bad duration", `{"planes":[{"levels":2,"arity":2,"width":1,"max_wait":"fast"}]}`, "max_wait"},
 		{"node mismatch", `{"planes":[{"levels":2,"arity":2,"width":1},{"name":"b","levels":2,"arity":4,"width":1}]}`, "b serves"},
 		{"unknown field", `{"plains":[]}`, "unknown field"},
 		{"negative weight", `{"planes":[{"levels":2,"arity":2,"width":1,"weight":-1}]}`, "negative weight"},
-		{"bad parallel mode", `{"planes":[{"levels":2,"arity":2,"width":1,"parallel_mode":"sharded"}]}`, "parallel_mode"},
-		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"parallel_steal":true}]}`, "parallel_steal requires"},
-		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"incremental":true,"reuse_cost":-2}]}`, "negative reuse_cost"},
-		{"reuse_cost without incremental", `{"planes":[{"levels":2,"arity":2,"width":1,"reuse_cost":2}]}`, "reuse_cost requires incremental"},
-		{"reuse_cost with scheduler", `{"planes":[{"levels":2,"arity":2,"width":1,"incremental":true,"reuse_cost":2,"scheduler":"level-wise"}]}`, "put reuse-cost in the scheduler spec"},
-		{"incremental without capability", `{"planes":[{"levels":2,"arity":2,"width":1,"incremental":true,"scheduler":"optimal"}]}`, "delta-epoch capability"},
+		{"bad parallel mode", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=sharded"}]}`, "mode="},
+		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,steal"}]}`, "steal requires"},
+		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,incremental,reuse-cost=-2"}]}`, "reuse-cost=-2"},
+		{"reuse_cost without incremental", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,reuse-cost=2"}]}`, "reuse-cost requires the incremental flag"},
+		{"reuse_cost with scheduler", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"backtrack,reuse-cost=2"}]}`, "reuse-cost"},
+		{"incremental without capability", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"optimal,incremental"}]}`, "incremental"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,12 +189,80 @@ func TestConfigValidationErrors(t *testing.T) {
 			}
 		})
 	}
+	// The engine knobs that used to be PlaneSpec keys now live only in the
+	// scheduler spec; a file still carrying one is rejected by name, never
+	// silently ignored.
+	for _, key := range []string{"parallel_threshold", "parallel_workers", "parallel_racy", "parallel_mode",
+		"parallel_steal", "incremental", "reuse_cost", "release_ring", "delivery_pipeline", "drain_worker",
+		"stats_snapshots"} {
+		_, err := Load(strings.NewReader(`{"planes":[{"levels":2,"arity":2,"width":1,"` + key + `":1}]}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("removed key %q: err = %v, want an unknown-field error naming it", key, err)
+		}
+	}
 	if _, err := LoadFile("/does/not/exist.json"); err == nil {
 		t.Error("missing file accepted")
 	}
 	var empty FileConfig
 	if err := empty.Validate(); !errors.Is(err, ErrNoPlanes) {
 		t.Errorf("empty config: %v, want ErrNoPlanes", err)
+	}
+}
+
+// TestValidateMatchesNew pins Validate's promise — it rejects everything
+// Build → New would — over plane specs on both sides of each rule the
+// two layers share: whatever Validate accepts must start, and everything
+// here that cannot start must already fail Validate.
+func TestValidateMatchesNew(t *testing.T) {
+	plane := func(edit func(*PlaneSpec)) PlaneSpec {
+		ps := PlaneSpec{Levels: 2, Arity: 4, Width: 2}
+		edit(&ps)
+		return ps
+	}
+	for _, tc := range []struct {
+		name   string
+		planes []PlaneSpec
+		ok     bool
+	}{
+		{"defaults", []PlaneSpec{plane(func(*PlaneSpec) {})}, true},
+		{"parallel shard spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "parallel,mode=shard,steal,workers=2" })}, true},
+		{"incremental reuse spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "levelwise,incremental,reuse-cost=4" })}, true},
+		{"backtrack spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "backtrack,depth=2" })}, true},
+		{"racy steal spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "parallel,mode=racy,steal" })}, false},
+		{"gray knobs", []PlaneSpec{plane(func(p *PlaneSpec) {
+			p.FlapThreshold, p.FlapHalfLife, p.QuarantineProbation = 3, "1s", "100ms"
+			p.RepairBudgetRate, p.RepairBudgetBurst = 256, 1024
+		})}, true},
+		{"unlimited repair budget", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetRate = -1 })}, true},
+		{"burst with unlimited budget", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetRate, p.RepairBudgetBurst = -1, 8 })}, false},
+		{"burst without rate", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetBurst = 8 })}, false},
+		{"negative burst", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetRate, p.RepairBudgetBurst = 10, -1 })}, false},
+		{"negative flap threshold", []PlaneSpec{plane(func(p *PlaneSpec) { p.FlapThreshold = -1 })}, false},
+		{"negative probation", []PlaneSpec{plane(func(p *PlaneSpec) { p.QuarantineProbation = "-1s" })}, false},
+		{"two named planes", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "b" })}, true},
+		{"duplicate names", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "a" })}, false},
+		{"name shadows a default", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "plane1" }), plane(func(*PlaneSpec) {})}, false},
+		{"node mismatch", []PlaneSpec{plane(func(*PlaneSpec) {}), plane(func(p *PlaneSpec) { p.Arity = 2 })}, false},
+	} {
+		fc := &FileConfig{Planes: tc.planes}
+		vErr := fc.Validate()
+		if (vErr == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok = %v", tc.name, vErr, tc.ok)
+		}
+		if vErr != nil {
+			continue
+		}
+		cfg, err := fc.Build()
+		if err != nil {
+			t.Errorf("%s: Build() = %v after Validate passed", tc.name, err)
+			continue
+		}
+		r, err := New(cfg)
+		if err != nil {
+			t.Errorf("%s: passed Validate but failed to start: %v", tc.name, err)
+			continue
+		}
+		r.Close(context.Background())
 	}
 }
 

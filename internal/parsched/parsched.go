@@ -156,10 +156,6 @@ func (e *Engine) Workers() int { return e.workers }
 // Mode reports the configured arbitration mode.
 func (e *Engine) Mode() Mode { return e.mode }
 
-// Steal reports whether Shard mode steals whole shards across worker
-// queues.
-func (e *Engine) Steal() bool { return e.steal }
-
 // parallelizable reports whether the configured options can be honored by
 // the parallel sweeps (otherwise Schedule runs the sequential scheduler).
 func (e *Engine) parallelizable() bool {
@@ -195,9 +191,17 @@ func (e *Engine) parallelizable() bool {
 // Degenerate batches (0 or 1 requests, or more workers than requests)
 // run sequentially rather than spinning idle workers.
 func (e *Engine) Schedule(st *linkstate.State, reqs []core.Request) *core.Result {
+	return e.ScheduleInto(st, reqs, core.NewScratch())
+}
+
+// ScheduleInto is Schedule for a caller that owns a Scratch (the fabric
+// manager): a batch that runs sequentially goes through sc, so small
+// epochs stay allocation-free once sc is warm. Parallel sweeps build
+// their own working set and leave sc untouched.
+func (e *Engine) ScheduleInto(st *linkstate.State, reqs []core.Request, sc *core.Scratch) *core.Result {
 	workers := min(e.workers, len(reqs))
 	if workers <= 1 || !e.parallelizable() {
-		return e.seq.Schedule(st, reqs)
+		return e.seq.ScheduleInto(st, reqs, sc)
 	}
 	switch e.mode {
 	case Racy:

@@ -128,7 +128,7 @@ func TestGoldenArithmeticCursorBitIdentical(t *testing.T) {
 func TestGoldenScheduleInto(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
 	reqs := randomBatch(tree, rand.New(rand.NewSource(5)), 60)
-	for _, spec := range []string{"level-wise,rollback", "backtrack,depth=2", "optimal"} {
+	for _, spec := range []string{"level-wise,rollback", "backtrack,depth=2", "optimal", "parallel,rollback,workers=4"} {
 		stA, stB := linkstate.New(tree), linkstate.New(tree)
 		a := MustParse(spec).Schedule(stA, reqs)
 		b := MustParse(spec).ScheduleInto(stB, reqs, core.NewScratch())
@@ -136,5 +136,24 @@ func TestGoldenScheduleInto(t *testing.T) {
 		if !stA.Equal(stB) {
 			t.Fatalf("%s: ScheduleInto link state diverges from Schedule", spec)
 		}
+	}
+}
+
+// TestParallelSmallEpochZeroAllocs guards the path a fabric epoch of one
+// takes under a parallel engine: the engine picks its sequential core
+// for a degenerate batch and runs it through the caller's Scratch, so
+// the epoch allocates nothing once the scratch is warm.
+func TestParallelSmallEpochZeroAllocs(t *testing.T) {
+	tree := topology.MustNew(3, 8, 8)
+	eng := MustParse("parallel,rollback")
+	st, sc := linkstate.New(tree), core.NewScratch()
+	reqs := []core.Request{{Src: 0, Dst: tree.Nodes() - 1}}
+	eng.ScheduleInto(st, reqs, sc) // warm the scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		st.Reset()
+		eng.ScheduleInto(st, reqs, sc)
+	})
+	if allocs != 0 {
+		t.Fatalf("1-request epoch under parallel,rollback allocated %.1f times, want 0", allocs)
 	}
 }

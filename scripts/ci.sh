@@ -85,12 +85,10 @@ go run ./cmd/ftbench -gray -fabric-levels 2 -fabric-children 4 -fabric-parents 4
 	-fabric-clients 8 -fabric-open 2 -fabric-duration 300ms -gray-rates 0,0.2 -seed 1
 
 # Admission-pipeline smoke: one short -admit sweep point per epoch size
-# with the delivery pipeline, drain worker, and stats snapshots all on
-# (EXPERIMENTS.md E22), so the closed-loop latency harness and every
-# pipeline knob keep running end to end without bench-grade runtime.
+# (EXPERIMENTS.md E22), so the closed-loop latency harness keeps running
+# end to end without bench-grade runtime.
 go run ./cmd/ftbench -admit -fabric-duration 200ms -admit-epochs 1,8 \
-	-admit-clients 4 -fabric-delivery-pipeline 2 -fabric-drain-worker \
-	-fabric-stats-snapshots -seed 1
+	-admit-clients 4 -seed 1
 
 # Connect-enqueue allocation guard: the admission enqueue path (slot
 # acquire + pooled ticket + queue append) must stay at zero allocations
@@ -104,8 +102,12 @@ go test -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
 go test -run 'TestGrantOneAlloc' -count=2 ./internal/fabric
 go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 
-# Admission-pipeline race pass: the delivery worker, drain core, seqlock
-# stats readers, and the cancellation-vs-pooled-ticket chaos test all
-# prove exactly-once verdict delivery only under -race; -count=2 shakes
-# out hand-off interleavings a single run can miss.
-go test -race -count=2 -run 'TestDeliveryPipelineModes|TestDrainWorker|TestStatsSnapshots|TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing' ./internal/fabric
+# Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
+# test and the release-ring tests prove exactly-once verdict delivery
+# and exactly-once retirement only under -race; -count=2 shakes out
+# hand-off interleavings a single run can miss.
+go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing' ./internal/fabric
+
+# Benchmark-harness smoke: bench/ is its own module, so nothing above
+# builds it; compile it and run its tests against the current API.
+(cd bench && go test ./...)
