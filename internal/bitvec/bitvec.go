@@ -267,10 +267,21 @@ func (m *Matrix) Row(r int) Vector {
 	return Vector{width: m.width, words: m.words[r*m.wpr : (r+1)*m.wpr : (r+1)*m.wpr]}
 }
 
-// SetAll sets every bit of every row.
+// SetAll sets every bit of every row: one pass over the backing words,
+// all ones except each row's last word, which takes the width's mask so
+// that no bit beyond width is ever set.
 func (m *Matrix) SetAll() {
-	for r := 0; r < m.rows; r++ {
-		m.Row(r).SetAll()
+	last := ^uint64(0)
+	if r := m.width % wordBits; r != 0 {
+		last = 1<<uint(r) - 1
+	}
+	n := m.wpr - 1
+	for base := 0; base < len(m.words); base += m.wpr {
+		row := m.words[base : base+m.wpr]
+		for j := range row[:n] {
+			row[j] = ^uint64(0)
+		}
+		row[n] = last
 	}
 }
 

@@ -346,6 +346,28 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
+// TestMatrixSetAllStaysInWidth: SetAll fills the backing words directly,
+// so each row's last word must carry the width's mask — every bit below
+// width set, none beyond it, in every row, also over stale contents.
+func TestMatrixSetAllStaysInWidth(t *testing.T) {
+	for _, width := range []int{0, 1, 63, 64, 65, 128, 130} {
+		m := NewMatrix(3, width)
+		for i := range m.Words() {
+			m.Words()[i] = 0xA5A5A5A5A5A5A5A5 // stale bits, some beyond width
+		}
+		m.SetAll()
+		full := NewFull(width) // Equal compares whole words, bits beyond width included
+		for r := 0; r < m.Rows(); r++ {
+			if !m.Row(r).Equal(full) {
+				t.Fatalf("width %d row %d: SetAll left %s", width, r, m.Row(r))
+			}
+		}
+		if m.Count() != 3*width {
+			t.Fatalf("width %d: Count after SetAll = %d want %d", width, m.Count(), 3*width)
+		}
+	}
+}
+
 func TestMatrixRowOutOfRangePanics(t *testing.T) {
 	m := NewMatrix(2, 4)
 	for _, r := range []int{-1, 2} {

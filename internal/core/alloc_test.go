@@ -33,6 +33,9 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 		{"level-major", Options{}},
 		{"level-major/rollback", Options{Rollback: true}},
 		{"request-major", Options{Traversal: RequestMajor}},
+		// A non-natural order gathers the worklist through the Scratch's
+		// order buffer, which must be warm too.
+		{"shuffled", Options{Order: ShuffledOrder, Rollback: true, Rand: rand.New(rand.NewSource(3))}},
 		{"deepest-first", Options{Order: DeepestFirst, Rollback: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -84,6 +87,34 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 			t.Fatalf("ScheduleDeltaInto allocated %.1f times per grant+depart cycle, want 0", allocs)
 		}
 	})
+}
+
+// TestScratchNameFollowsScheduler: a Scratch handed from one scheduler to
+// another stamps each Result with the name of the scheduler that produced
+// it (the cached name is keyed on its owner, not on first use), and
+// re-deriving it costs nothing while the owner stays the same.
+func TestScratchNameFollowsScheduler(t *testing.T) {
+	tree := topology.MustNew(3, 4, 4)
+	reqs := permBatch(tree, 1)
+	st := linkstate.New(tree)
+	plain := NewLevelWise()
+	rollback := &LevelWise{Opts: Options{Rollback: true}}
+	sc := NewScratch()
+	for round := 0; round < 2; round++ {
+		for _, s := range []*LevelWise{plain, rollback} {
+			st.Reset()
+			if got := s.ScheduleInto(st, reqs, sc).Scheduler; got != s.Name() {
+				t.Fatalf("round %d: result of %q carries scheduler name %q", round, s.Name(), got)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		st.Reset()
+		rollback.ScheduleInto(st, reqs, sc)
+	})
+	if allocs != 0 {
+		t.Fatalf("ScheduleInto allocated %.1f times per batch with an unchanged owner, want 0", allocs)
+	}
 }
 
 // TestScheduleIntoMatchesSchedule pins ScheduleInto (scratch reuse) to

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/linkstate"
@@ -38,6 +39,13 @@ func FuzzScheduleLinkSafety(f *testing.F) {
 			if got, want := st.OccupiedCount(), HeldChannels(res); got != want {
 				t.Fatalf("%s: occupancy %d != held %d", s.Name(), got, want)
 			}
+		}
+		// Every fuzzed batch is also a differential case for the word
+		// kernel: bit-identical to the Vector path, carried epochs included.
+		for _, rollback := range []bool{false, true} {
+			opts := func() Options { return Options{Rollback: rollback} }
+			wordVsVector(t, fmt.Sprintf("rollback=%v", rollback), tree, opts, nil, false, reqs)
+			wordVsVector(t, fmt.Sprintf("rollback=%v carried", rollback), tree, opts, (*linkstate.State).TrackLoad, true, reqs)
 		}
 	})
 }

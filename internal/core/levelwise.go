@@ -43,7 +43,8 @@ func (s *LevelWise) Name() string {
 	return n
 }
 
-// request-in-flight bookkeeping for the level-major sweep.
+// request-in-flight bookkeeping for the Vector path's level-major sweep
+// (the word path streams SweepPos records instead).
 type lwState struct {
 	cur   RouteCursor // current (σ_h, δ_h) switch pair
 	alive bool        // still schedulable
@@ -68,13 +69,7 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	if rng == nil && (s.Opts.Policy == RandomFit || s.Opts.Order == ShuffledOrder) {
 		rng = rand.New(rand.NewSource(1))
 	}
-	if sc.name == "" {
-		sc.name = s.Name()
-	}
-	outs := sc.prepOutcomes(tree, reqs)
-	order := orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
-	avail := sc.prepAvail(tree)
-	var ops Counters
+	name := sc.nameFor(s)
 
 	// Word fast path: when every availability row is one machine word
 	// (w <= 64), the per-level step collapses to one AND and a
@@ -85,7 +80,14 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	// leave the fast path — delta epochs of arrivals sweep exactly like a
 	// batch.
 	fast := st.WordRows() && s.Opts.Policy == FirstFit && s.Opts.Trace == nil && s.Opts.ReuseCost == 0
+	if fast && s.Opts.Traversal == LevelMajor {
+		return s.scheduleWords(st, reqs, sc, name, rng)
+	}
 
+	outs := sc.prepOutcomes(tree, reqs)
+	order := orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
+	avail := sc.prepAvail(tree)
+	var ops Counters
 	if s.Opts.Traversal == RequestMajor {
 		if fast {
 			for _, i := range order {
@@ -96,11 +98,11 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 				s.scheduleOne(st, &outs[i], &ops, rng, avail)
 			}
 		}
-		return sc.finishInto(sc.name, outs, ops)
+		return sc.finishInto(name, outs, ops)
 	}
 
-	// Level-major: the paper's pseudo-code. All requests advance through
-	// level h before any touches level h+1.
+	// Level-major, Vector form: the paper's pseudo-code. All requests
+	// advance through level h before any touches level h+1.
 	states := sc.prepStates(len(reqs))
 	maxH := 0
 	for i := range outs {
@@ -112,39 +114,6 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 		} else if outs[i].H > maxH {
 			maxH = outs[i].H
 		}
-	}
-	if fast {
-		for h := 0; h < maxH; h++ {
-			for _, i := range order {
-				o, ls := &outs[i], &states[i]
-				if !ls.alive || h >= o.H {
-					continue
-				}
-				w := st.AvailBothWord(h, ls.cur.Sigma(), ls.cur.Delta())
-				ops.VectorReads += 2
-				ops.VectorANDs++
-				ops.Steps++
-				ops.PortPicks++
-				if w == 0 {
-					ls.alive = false
-					o.FailLevel = h
-					if s.Opts.Rollback {
-						s.rollback(st, o, &ops)
-					}
-					continue
-				}
-				p := bits.TrailingZeros64(w)
-				st.AllocateBoth(h, ls.cur.Sigma(), ls.cur.Delta(), p)
-				ops.Allocs += 2
-				o.Ports = append(o.Ports, p)
-				ls.cur.Advance(p)
-				if len(o.Ports) == o.H {
-					o.Granted = true
-					ls.alive = false
-				}
-			}
-		}
-		return sc.finishInto(sc.name, outs, ops)
 	}
 	for h := 0; h < maxH; h++ {
 		for _, i := range order {
@@ -163,7 +132,7 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 				if !ok {
 					port = -1
 				}
-				s.Opts.Trace(TraceEvent{Scheduler: sc.name, Src: o.Src, Dst: o.Dst, Level: h,
+				s.Opts.Trace(TraceEvent{Scheduler: name, Src: o.Src, Dst: o.Dst, Level: h,
 					Phase: "combined", Sigma: ls.cur.Sigma(), Delta: ls.cur.Delta(), Avail: avail.String(), Port: port})
 			}
 			if !ok {
@@ -185,7 +154,135 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 			}
 		}
 	}
-	return sc.finishInto(sc.name, outs, ops)
+	return sc.finishInto(name, outs, ops)
+}
+
+// SweepPos is one live request of the level-major word sweep: its index
+// in the batch, the switch pair (σ_h, δ_h) it occupies at the level being
+// swept, and its ancestor level H. 16 bytes, so a level's worklist streams
+// four requests to the cache line.
+type SweepPos struct {
+	I, Sigma, Delta, H int32
+}
+
+// set overwrites every field of o, one store per field. Assigning an
+// Outcome literal instead builds the 72-byte record on the stack and
+// copies it with 16-byte moves, which cannot forward from the 8-byte
+// stores that just filled it; that stall measured a third of the sweep.
+func (o *Outcome) set(r Request, h int, granted bool, ports []int, failLevel int) {
+	o.Request = r
+	o.H = h
+	o.Granted = granted
+	o.Ports = ports
+	o.FailLevel = failLevel
+	o.FailDown = false
+}
+
+// scheduleWords is ScheduleInto's level-major word path: one fused prep
+// pass that grants the H == 0 requests on the spot and lists the rest in
+// processing order, then SweepWords over that worklist.
+func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scratch, name string, rng *rand.Rand) *Result {
+	tree := st.Tree()
+	outs, arena, work := sc.prepWords(tree, reqs)
+	// NaturalOrder is the identity, so the worklist is filled straight from
+	// the batch with no index buffer to build and gather through.
+	var order []int
+	if s.Opts.Order != NaturalOrder {
+		order = orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
+	}
+	L := tree.LinkLevels()
+	granted := 0
+	for k := range reqs {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		sigma, delta, h := tree.RouteStartShift(reqs[i].Src, reqs[i].Dst)
+		if h < 0 {
+			sigma, delta, h = tree.RouteStart(reqs[i].Src, reqs[i].Dst)
+		}
+		if h == 0 {
+			outs[i].set(reqs[i], 0, true, arena[i*L:i*L:i*L], -1)
+			granted++
+			continue
+		}
+		work = append(work, SweepPos{I: int32(i), Sigma: int32(sigma), Delta: int32(delta), H: int32(h)})
+	}
+	var ops Counters
+	granted += SweepWords(st, reqs, outs, arena, work, s.Opts.Rollback, &ops)
+	sc.res = Result{Scheduler: name, Outcomes: outs, Granted: granted, Total: len(outs), Ops: ops}
+	return &sc.res
+}
+
+// SweepWords is the level-major first-fit sweep on single-word rows: the
+// paper's Figure 7 loop as a streaming kernel, and the one site of the
+// word-AND, trailing-zeros pick (internal/parsched runs its shards through
+// it too). work lists the live requests in arbitration order, each with
+// H > 0 and positioned at level 0. It is consumed: every level sweeps it
+// once and compacts the survivors in place, stably, so arbitration order
+// never changes. A level fetches its two link rows' words and its parent
+// table block once; a request's step is then one AND, one pick, two bit
+// clears and, below its last level, two parent reads.
+//
+// Request i's ports go to arena[i*L+h] (L link levels; arena holds
+// len(reqs)*L ints), and outs[i] is written exactly once, whole, when the
+// verdict falls: granted with all H ports, or denied at the first conflict
+// with FailLevel set and Ports holding the FailLevel ports the request
+// still occupies — none after a rollback, which releases them through
+// ReleaseRoute. SweepWords returns the number of grants and adds to ops
+// what the Vector path counts for the same sweep, step for step.
+func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int, work []SweepPos, rollback bool, ops *Counters) (granted int) {
+	tree := st.Tree()
+	L := tree.LinkLevels()
+	track := st.LoadTracking()
+	visits, picks := 0, 0
+	for h := 0; len(work) > 0; h++ {
+		uw, dw := st.LevelWords(h)
+		up, stride := tree.UpBlock(h)
+		visits += len(work)
+		live := 0
+		for _, pos := range work {
+			i, sigma, delta := int(pos.I), int(pos.Sigma), int(pos.Delta)
+			u, d := &uw[sigma], &dw[delta]
+			base := i * L
+			w := *u & *d
+			if w == 0 {
+				held := arena[base : base+h : base+int(pos.H)]
+				if rollback {
+					ReleaseRoute(st, reqs[i].Src, reqs[i].Dst, held, ops)
+					held = held[:0]
+				}
+				outs[i].set(reqs[i], int(pos.H), false, held, h)
+				continue
+			}
+			p := bits.TrailingZeros64(w)
+			linkstate.AllocateWords(u, d, uint64(1)<<uint(p))
+			if track {
+				st.NoteAllocBoth(h, sigma, delta, p)
+			}
+			picks++
+			arena[base+h] = p
+			if h+1 == int(pos.H) {
+				outs[i].set(reqs[i], h+1, true, arena[base:base+h+1:base+h+1], -1)
+				granted++
+				continue
+			}
+			if up != nil {
+				pos.Sigma, pos.Delta = up[sigma*stride+p], up[delta*stride+p]
+			} else { // the arithmetic view has no table
+				pos.Sigma, pos.Delta = int32(tree.UpParent(h, sigma, p)), int32(tree.UpParent(h, delta, p))
+			}
+			work[live] = pos
+			live++
+		}
+		work = work[:live]
+	}
+	ops.VectorReads += 2 * visits
+	ops.VectorANDs += visits
+	ops.Steps += visits
+	ops.PortPicks += visits
+	ops.Allocs += 2 * picks
+	return granted
 }
 
 // scheduleOneFast is scheduleOne on the word fast path: FirstFit, no

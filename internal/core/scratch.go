@@ -6,57 +6,88 @@ import (
 )
 
 // Scratch holds every buffer the Level-wise scheduler needs to route one
-// batch: the outcome records, the processing order, the per-request sweep
-// state, one availability vector, and a single ports arena sized Σ H_i
-// that is carved into per-outcome sub-slices. A caller that retains a
-// Scratch across batches (internal/fabric keeps one per manager) makes
-// LevelWise.ScheduleInto allocation-free per request: every buffer is
-// reused once it has grown to the workload's high-water mark.
+// batch: the outcome records, the ports arena, the processing order, one
+// availability vector, and the sweep's per-request working set — the word
+// path's compacted worklist of 16-byte SweepPos records, or the Vector
+// path's cursor states. A caller that retains a Scratch across batches
+// (internal/fabric keeps one per manager) makes LevelWise.ScheduleInto
+// allocation-free per request: every buffer is reused once it has grown
+// to the workload's high-water mark.
+//
+// The arena is fixed-stride: request i's ports live at arena[i*L+h] for
+// the tree's L link levels, so Outcome i's Ports is a sub-slice of that
+// row and no pass over the batch is needed to lay the arena out. The word
+// path writes each Outcome exactly once, whole, at its verdict; until
+// SweepWords returns, the records of requests still in flight hold
+// whatever the previous batch left there.
 //
 // The Result returned by ScheduleInto — including every Outcome.Ports
 // sub-slice — aliases the Scratch and is invalidated by the next
 // ScheduleInto call with the same Scratch; callers that keep grants
-// beyond the batch must copy the ports out first. A Scratch is not safe
-// for concurrent use and should stay with one scheduler (it caches the
-// scheduler's name).
+// beyond the batch must copy the ports out first. A denied outcome's
+// Ports hold the ports it still occupies below FailLevel: none under
+// Rollback, the first FailLevel picks otherwise. A Scratch is not safe
+// for concurrent use; it may move between schedulers (the cached name
+// follows the scheduler that last used it).
 type Scratch struct {
 	res      Result
 	outcomes []Outcome
-	states   []lwState
+	work     []SweepPos // word path
+	states   []lwState  // Vector path
 	order    []int
 	arena    []int // backing store for every outcome's Ports
 	avail    bitvec.Vector
+	owner    *LevelWise // whose Name() name caches
 	name     string
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// prepOutcomes fills the outcome records for reqs and carves the ports
-// arena into zero-length, capacity-H sub-slices so that the scheduler's
-// appends never allocate.
-func (sc *Scratch) prepOutcomes(tree *topology.Tree, reqs []Request) []Outcome {
-	if cap(sc.outcomes) < len(reqs) {
-		sc.outcomes = make([]Outcome, len(reqs))
+// nameFor returns s.Name(), derived once per owner rather than once per
+// batch (Name concatenates).
+func (sc *Scratch) nameFor(s *LevelWise) string {
+	if sc.owner != s {
+		sc.owner, sc.name = s, s.Name()
 	}
-	outs := sc.outcomes[:len(reqs)]
-	totalH := 0
+	return sc.name
+}
+
+// prepBatch sizes the outcome records and the fixed-stride ports arena
+// for n requests; neither is initialized.
+func (sc *Scratch) prepBatch(tree *topology.Tree, n int) (outs []Outcome, arena []int) {
+	if cap(sc.outcomes) < n {
+		sc.outcomes = make([]Outcome, n)
+	}
+	sc.outcomes = sc.outcomes[:n]
+	if cells := n * tree.LinkLevels(); cap(sc.arena) < cells {
+		sc.arena = make([]int, cells)
+	}
+	return sc.outcomes, sc.arena
+}
+
+// prepOutcomes fills the outcome records for reqs, each with a
+// zero-length, capacity-H window of its arena row as Ports so that the
+// scheduler's appends never allocate.
+func (sc *Scratch) prepOutcomes(tree *topology.Tree, reqs []Request) []Outcome {
+	outs, arena := sc.prepBatch(tree, len(reqs))
+	L := tree.LinkLevels()
 	for i, r := range reqs {
 		h := tree.AncestorLevel(r.Src, r.Dst)
-		outs[i] = Outcome{Request: r, H: h, FailLevel: -1}
-		totalH += h
+		outs[i] = Outcome{Request: r, H: h, Ports: arena[i*L : i*L : i*L+h], FailLevel: -1}
 	}
-	if cap(sc.arena) < totalH {
-		sc.arena = make([]int, totalH)
-	}
-	off := 0
-	for i := range outs {
-		h := outs[i].H
-		outs[i].Ports = sc.arena[off : off : off+h]
-		off += h
-	}
-	sc.outcomes = outs
 	return outs
+}
+
+// prepWords returns the word path's buffers for reqs: the outcome records
+// and arena of prepBatch, and an empty worklist with room for every
+// request.
+func (sc *Scratch) prepWords(tree *topology.Tree, reqs []Request) (outs []Outcome, arena []int, work []SweepPos) {
+	outs, arena = sc.prepBatch(tree, len(reqs))
+	if cap(sc.work) < len(reqs) {
+		sc.work = make([]SweepPos, len(reqs))
+	}
+	return outs, arena, sc.work[:0]
 }
 
 // prepStates returns the per-request sweep-state buffer sized for n

@@ -53,6 +53,7 @@ package linkstate
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -159,23 +160,47 @@ func (s *State) AvailBothWord(h, src, mir int) uint64 {
 // AvailBothWord); a non-free channel here is an invariant violation and
 // panics rather than corrupting occupancy.
 func (s *State) AllocateBoth(h, sigma, delta, port int) {
-	bit := uint64(1) << uint(port)
-	u := &s.uw[h][sigma]
-	d := &s.dw[h][delta]
-	if *u&bit == 0 || *d&bit == 0 {
-		allocateBothPanic(h, sigma, delta, port)
-	}
-	*u &^= bit
-	*d &^= bit
+	AllocateWords(&s.uw[h][sigma], &s.dw[h][delta], uint64(1)<<uint(port))
 	if s.trackLoad {
-		s.noteAlloc(Up, h, sigma, port)
-		s.noteAlloc(Down, h, delta, port)
+		s.NoteAllocBoth(h, sigma, delta, port)
 	}
 }
 
-// allocateBothPanic is outlined so AllocateBoth stays inlinable.
-func allocateBothPanic(h, sigma, delta, port int) {
-	panic(fmt.Sprintf("linkstate: AllocateBoth of non-free port %d at level %d (σ=%d, δ=%d)", port, h, sigma, delta))
+// LevelWords returns link level h's Ulink and Dlink rows as words
+// (WordRows states only): u[idx] IS Ulink(h, idx) and d[idx] IS
+// Dlink(h, idx), the storage AvailBothWord reads. A sweep that visits many
+// switches of one level fetches the two slices once, ANDs rows itself and
+// claims ports with AllocateWords; on a LoadTracking state it owes one
+// NoteAllocBoth per claim.
+func (s *State) LevelWords(h int) (u, d []uint64) { return s.uw[h], s.dw[h] }
+
+// AllocateWords is the allocation half of AllocateBoth on rows taken
+// from LevelWords: it clears bit (one port) in the Ulink row *u and the
+// Dlink row *d. The same contract holds — the port must be free on both
+// sides, and a non-free one panics before either row changes.
+func AllocateWords(u, d *uint64, bit uint64) {
+	if *u&*d&bit == 0 {
+		// A typed value, not a formatted string: the call that would
+		// format it here costs AllocateWords its inlining.
+		panic(nonFreePort{*u, *d, bit})
+	}
+	*u &^= bit
+	*d &^= bit
+}
+
+// nonFreePort is AllocateWords' panic value.
+type nonFreePort struct{ u, d, bit uint64 }
+
+func (e nonFreePort) Error() string {
+	return fmt.Sprintf("linkstate: allocation of non-free port %d (Ulink row %#x, Dlink row %#x)", bits.TrailingZeros64(e.bit), e.u, e.d)
+}
+
+// NoteAllocBoth is the load-tracking half of AllocateBoth: it records the
+// allocation events of the upward channel at (h, sigma, port) and the
+// downward channel at (h, delta, port). Callers guard with LoadTracking.
+func (s *State) NoteAllocBoth(h, sigma, delta, port int) {
+	s.noteAlloc(Up, h, sigma, port)
+	s.noteAlloc(Down, h, delta, port)
 }
 
 // Tree returns the topology this state belongs to.

@@ -100,6 +100,21 @@ func TestLoadCountersWordPath(t *testing.T) {
 		t.Errorf("AllocateBoth counters: up=%d down=%d, want 1/1",
 			s.ChannelLoad(Up, 0, 0, 1), s.ChannelLoad(Down, 0, 2, 1))
 	}
+	// The same allocation in the two halves a sweep with hoisted rows
+	// performs: AllocateWords on the level's words, then NoteAllocBoth.
+	u, d := s.LevelWords(0)
+	AllocateWords(&u[1], &d[3], 1<<2)
+	s.NoteAllocBoth(0, 1, 3, 2)
+	if s.Available(Up, 0, 1, 2) || s.Available(Down, 0, 3, 2) {
+		t.Error("AllocateWords on LevelWords rows left the channels available")
+	}
+	if got, want := s.LiveOccupancy(), int64(s.OccupiedCount()); got != 4 || want != 4 {
+		t.Errorf("LiveOccupancy = %d, OccupiedCount = %d, want 4", got, want)
+	}
+	if s.ChannelLoad(Up, 0, 1, 2) != 1 || s.ChannelLoad(Down, 0, 3, 2) != 1 {
+		t.Errorf("NoteAllocBoth counters: up=%d down=%d, want 1/1",
+			s.ChannelLoad(Up, 0, 1, 2), s.ChannelLoad(Down, 0, 3, 2))
+	}
 }
 
 // TestLoadGaugeMatchesOccupiedCount drives a mixed allocate/release/

@@ -49,6 +49,56 @@ func TestMisuseReleaseOfFree(t *testing.T) {
 	}
 }
 
+// TestMisuseWordAllocateOfNonFree: the word allocation the scheduler
+// kernel performs — AllocateWords on LevelWords rows, and AllocateBoth
+// which wraps it — panics when the port is taken on either side or failed,
+// and leaves both rows exactly as they were.
+func TestMisuseWordAllocateOfNonFree(t *testing.T) {
+	const h, sigma, delta, port = 1, 3, 5, 2
+	for _, tc := range []struct {
+		name string
+		take func(s *State)
+	}{
+		{"up side occupied", func(s *State) { s.Allocate(Up, h, sigma, port) }},
+		{"down side occupied", func(s *State) { s.Allocate(Down, h, delta, port) }},
+		{"both sides occupied", func(s *State) { s.AllocateBoth(h, sigma, delta, port) }},
+		{"up side failed", func(s *State) { s.FailLink(Up, h, sigma, port) }},
+	} {
+		for _, entry := range []struct {
+			name  string
+			alloc func(s *State)
+		}{
+			{"AllocateWords", func(s *State) {
+				u, d := s.LevelWords(h)
+				AllocateWords(&u[sigma], &d[delta], 1<<port)
+			}},
+			{"AllocateBoth", func(s *State) { s.AllocateBoth(h, sigma, delta, port) }},
+		} {
+			s := newState(t, 3, 4, 4)
+			s.TrackLoad()
+			tc.take(s)
+			before, gauge := s.Snapshot(), s.LiveOccupancy()
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s, %s: allocation of a non-free port did not panic", tc.name, entry.name)
+					}
+					if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "non-free port 2") {
+						t.Errorf("%s, %s: panic value %v lacks diagnosis", tc.name, entry.name, r)
+					}
+				}()
+				entry.alloc(s)
+			}()
+			after := New(s.Tree())
+			after.Restore(before)
+			if !s.Equal(after) || s.LiveOccupancy() != gauge {
+				t.Errorf("%s, %s: refused allocation changed the state", tc.name, entry.name)
+			}
+		}
+	}
+}
+
 // TestAllocatePathRollback pre-occupies one channel partway along a
 // routed path and checks AllocatePath fails atomically: every channel it
 // claimed before the conflict is returned, leaving only the pre-occupied

@@ -19,7 +19,6 @@ package parsched
 // XOR/shift LCA the sequential hot path uses.
 
 import (
-	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -31,12 +30,13 @@ import (
 	"repro/internal/topology"
 )
 
-// shardTask is one populated subtree's work queue: the request indices
-// confined to it, in batch processing order. claimed is the steal
-// arbitration: exactly one worker wins the CAS and schedules the whole
-// shard, so row ownership never migrates mid-shard.
+// shardTask is one populated subtree's work queue: the requests confined
+// to it, in batch processing order, as the level-0 sweep positions
+// core.SweepWords consumes. claimed is the steal arbitration: exactly one
+// worker wins the CAS and schedules the whole shard, so row ownership
+// never migrates mid-shard.
 type shardTask struct {
-	idxs    []int
+	work    []core.SweepPos
 	claimed atomic.Bool
 }
 
@@ -81,20 +81,15 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 	order := core.OrderIndices(tree, reqs, e.opts.Order, rng)
 	n := len(reqs)
 
-	// One ports arena carved per outcome up front, so shard workers
-	// (including thieves) append into pre-owned disjoint slices and the
-	// routing loops never allocate.
-	totalH := 0
-	for i := range outs {
-		totalH += outs[i].H
-	}
-	arena := make([]int, totalH)
-	off := 0
+	// One fixed-stride ports arena (request i owns arena[i*L:(i+1)*L], the
+	// layout core.SweepWords writes), windowed per outcome up front, so
+	// shard workers (including thieves) write pre-owned disjoint rows and
+	// the routing loops never allocate.
+	L := tree.LinkLevels()
+	arena := make([]int, n*L)
 	curs := make([]topology.RouteCursor, n)
 	for i := range outs {
-		h := outs[i].H
-		outs[i].Ports = arena[off : off : off+h]
-		off += h
+		outs[i].Ports = arena[i*L : i*L : i*L+outs[i].H]
 		curs[i].Start(tree, outs[i].Src, outs[i].Dst)
 	}
 
@@ -120,24 +115,24 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 		}
 	}
 
-	// Bucket shard-confined indices with a counting sort so each shard's
+	// Bucket shard-confined requests with a counting sort so each shard's
 	// queue preserves the batch processing order.
 	offs := make([]int, nshards+1)
 	for s, c := range counts {
 		offs[s+1] = offs[s] + c
 	}
-	bucketed := make([]int, offs[nshards])
+	bucketed := make([]core.SweepPos, offs[nshards])
 	fill := append([]int(nil), offs[:nshards]...)
 	for _, i := range order {
 		if s := sid[i]; s >= 0 {
-			bucketed[fill[s]] = i
+			bucketed[fill[s]] = core.SweepPos{I: int32(i), Sigma: int32(curs[i].Sigma()), Delta: int32(curs[i].Delta()), H: int32(outs[i].H)}
 			fill[s]++
 		}
 	}
 	tasks := make([]*shardTask, 0, nshards)
 	for s := 0; s < nshards; s++ {
 		if counts[s] > 0 {
-			tasks = append(tasks, &shardTask{idxs: bucketed[offs[s]:offs[s+1]]})
+			tasks = append(tasks, &shardTask{work: bucketed[offs[s]:offs[s+1]]})
 		}
 	}
 	if len(tasks) < 2 {
@@ -149,7 +144,7 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 
 	// Largest shards first, dealt round-robin across workers: an LPT-ish
 	// static assignment that stealing then repairs dynamically.
-	sort.SliceStable(tasks, func(a, b int) bool { return len(tasks[a].idxs) > len(tasks[b].idxs) })
+	sort.SliceStable(tasks, func(a, b int) bool { return len(tasks[a].work) > len(tasks[b].work) })
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -167,8 +162,17 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 			defer wg.Done()
 			avail := bitvec.New(tree.Parents())
 			run := func(t *shardTask) {
-				if t.claimed.CompareAndSwap(false, true) {
-					e.runShard(st, outs, t.idxs, curs, alive, avail, &workerOps[wk])
+				if !t.claimed.CompareAndSwap(false, true) {
+					return
+				}
+				// The same sweep core.LevelWise performs, on rows only this
+				// goroutine touches, so every operation is a plain load or
+				// store: core's word kernel on single-word rows, the Vector
+				// form below on wider ones.
+				if st.WordRows() {
+					core.SweepWords(st, reqs, outs, arena, t.work, e.opts.Rollback, &workerOps[wk])
+				} else {
+					e.runShardVector(st, outs, t.work, curs, alive, avail, &workerOps[wk])
 				}
 			}
 			for _, t := range queues[wk] {
@@ -207,20 +211,19 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 	return e.finish(outs, ops)
 }
 
-// runShard schedules one subtree's requests level-major with first-fit
-// arbitration — the same sweep core.LevelWise performs, on rows only
-// this goroutine touches, so every operation is a plain load or store.
-func (e *Engine) runShard(st *linkstate.State, outs []core.Outcome, idxs []int, curs []topology.RouteCursor, alive []bool, avail bitvec.Vector, ops *core.Counters) {
+// runShardVector schedules one subtree's requests level-major with
+// first-fit arbitration on rows wider than a word.
+func (e *Engine) runShardVector(st *linkstate.State, outs []core.Outcome, work []core.SweepPos, curs []topology.RouteCursor, alive []bool, avail bitvec.Vector, ops *core.Counters) {
 	maxH := 0
-	for _, i := range idxs {
-		alive[i] = true
-		if outs[i].H > maxH {
-			maxH = outs[i].H
+	for _, pos := range work {
+		alive[pos.I] = true
+		if h := int(pos.H); h > maxH {
+			maxH = h
 		}
 	}
-	fast := st.WordRows()
 	for h := 0; h < maxH; h++ {
-		for _, i := range idxs {
+		for _, pos := range work {
+			i := pos.I
 			if !alive[i] || h >= outs[i].H {
 				continue
 			}
@@ -229,18 +232,9 @@ func (e *Engine) runShard(st *linkstate.State, outs []core.Outcome, idxs []int, 
 			ops.VectorANDs++
 			ops.Steps++
 			ops.PortPicks++
-			p := -1
-			if fast {
-				if w := st.AvailBothWord(h, curs[i].Sigma(), curs[i].Delta()); w != 0 {
-					p = bits.TrailingZeros64(w)
-				}
-			} else {
-				st.AvailBothInto(avail, h, curs[i].Sigma(), curs[i].Delta())
-				if fp, ok := avail.FirstSet(); ok {
-					p = fp
-				}
-			}
-			if p < 0 {
+			st.AvailBothInto(avail, h, curs[i].Sigma(), curs[i].Delta())
+			p, ok := avail.FirstSet()
+			if !ok {
 				alive[i] = false
 				o.FailLevel = h
 				if e.opts.Rollback {
@@ -250,12 +244,8 @@ func (e *Engine) runShard(st *linkstate.State, outs []core.Outcome, idxs []int, 
 				}
 				continue
 			}
-			if fast {
-				st.AllocateBoth(h, curs[i].Sigma(), curs[i].Delta(), p)
-			} else {
-				mustAllocate(st, linkstate.Up, h, curs[i].Sigma(), p)
-				mustAllocate(st, linkstate.Down, h, curs[i].Delta(), p)
-			}
+			mustAllocate(st, linkstate.Up, h, curs[i].Sigma(), p)
+			mustAllocate(st, linkstate.Down, h, curs[i].Delta(), p)
 			ops.Allocs += 2
 			o.Ports = append(o.Ports, p)
 			curs[i].Advance(p)

@@ -1,5 +1,7 @@
 package topology
 
+import "math/bits"
+
 // RouteCursor tracks the switch pair a unicast connection occupies while
 // it climbs: σ_h on the source side and δ_h on the destination-side
 // mirror (Theorem 2: choosing upward port p at level h forces the
@@ -100,4 +102,41 @@ func (c *RouteCursor) Walk(ports []int, visit func(level, sigma, delta, port int
 		}
 		c.Advance(p)
 	}
+}
+
+// RouteStart is the fused start of a unicast walk: the endpoints' level-0
+// switches σ_0 and δ_0 and their ancestor level H — NodeSwitch of each
+// endpoint plus AncestorLevel, which own the out-of-range panic. A loop
+// that starts many walks tries RouteStartShift first.
+func (t *Tree) RouteStart(src, dst int) (sigma, delta, h int) {
+	sigma, _ = t.NodeSwitch(src)
+	delta, _ = t.NodeSwitch(dst)
+	return sigma, delta, t.AncestorLevel(src, dst)
+}
+
+// RouteStartShift is RouteStart where it is two shifts, one XOR and one
+// bit-length table read: power-of-two m, the table view, both endpoints
+// in range. Anywhere else it returns h < 0 and the caller takes
+// RouteStart. It calls nothing, so that it inlines into a scheduler's
+// per-request prep loop; a form with the fallback inside does not.
+func (t *Tree) RouteStartShift(src, dst int) (sigma, delta, h int) {
+	// lcaByLen is only set when m — hence the node count — is a power of
+	// two, so one compare of src|dst range-checks both endpoints.
+	if t.lcaByLen == nil || t.arith || uint(src|dst) >= uint(t.nodes) {
+		return 0, 0, -1
+	}
+	sigma, delta = src>>t.mShift, dst>>t.mShift
+	return sigma, delta, int(t.lcaByLen[bits.Len(uint(sigma^delta))])
+}
+
+// UpBlock returns link level h's block of the parent table, for sweeps
+// that visit many switches of one level and hoist the level lookup out of
+// their inner loop: block[idx*stride+p] is UpParent(h, idx, p). The
+// arithmetic view has no table to expose and returns nil; its callers
+// stay on UpParent.
+func (t *Tree) UpBlock(h int) (block []int32, stride int) {
+	if t.arith {
+		return nil, 0
+	}
+	return t.upFlat[t.upOff[h]:t.upOff[h+1]], t.spec.W
 }

@@ -96,3 +96,67 @@ func TestRouteCursorStartAt(t *testing.T) {
 			resumed.Sigma(), resumed.Delta(), resumed.Level(), full.Sigma(), full.Delta(), full.Level())
 	}
 }
+
+// TestRouteStartAndUpBlockMatchQueries pins the sweep helpers to the
+// queries they fuse — RouteStart to NodeSwitch ×2 + AncestorLevel,
+// RouteStartShift to RouteStart wherever it applies (power-of-two m on the
+// table view, nowhere else), UpBlock to UpParent — exhaustively on small
+// trees of every radix form, table and arithmetic views alike.
+func TestRouteStartAndUpBlockMatchQueries(t *testing.T) {
+	for _, dims := range [][3]int{{2, 4, 4}, {3, 4, 4}, {3, 4, 2}, {3, 4, 6}, {3, 3, 3}, {2, 6, 3}, {3, 6, 4}} {
+		table := MustNew(dims[0], dims[1], dims[2])
+		for _, tree := range []*Tree{table, table.WithArithmeticCursor()} {
+			shift := tree.mPow2 && !tree.arith
+			for src := 0; src < tree.Nodes(); src++ {
+				for dst := 0; dst < tree.Nodes(); dst++ {
+					ws, _ := tree.NodeSwitch(src)
+					wd, _ := tree.NodeSwitch(dst)
+					wh := tree.AncestorLevel(src, dst)
+					if s, d, h := tree.RouteStart(src, dst); s != ws || d != wd || h != wh {
+						t.Fatalf("FT%v arith=%v RouteStart(%d,%d) = (%d,%d,%d), want (%d,%d,%d)", dims, tree.arith, src, dst, s, d, h, ws, wd, wh)
+					}
+					s, d, h := tree.RouteStartShift(src, dst)
+					if shift != (h >= 0) {
+						t.Fatalf("FT%v arith=%v RouteStartShift(%d,%d) applies = %v, want %v", dims, tree.arith, src, dst, h >= 0, shift)
+					}
+					if h >= 0 && (s != ws || d != wd || h != wh) {
+						t.Fatalf("FT%v RouteStartShift(%d,%d) = (%d,%d,%d), want (%d,%d,%d)", dims, src, dst, s, d, h, ws, wd, wh)
+					}
+				}
+			}
+			n := tree.Nodes()
+			for _, bad := range [][2]int{{0, n}, {n, 0}, {-1, 0}, {0, -1}, {-1, -1}} {
+				if _, _, h := tree.RouteStartShift(bad[0], bad[1]); h >= 0 {
+					t.Fatalf("FT%v arith=%v RouteStartShift%v accepted an out-of-range endpoint", dims, tree.arith, bad)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("FT%v arith=%v RouteStart%v did not panic", dims, tree.arith, bad)
+						}
+					}()
+					tree.RouteStart(bad[0], bad[1])
+				}()
+			}
+			for h := 0; h < tree.LinkLevels(); h++ {
+				block, stride := tree.UpBlock(h)
+				if tree.arith {
+					if block != nil {
+						t.Fatalf("FT%v: the arithmetic view exposed a parent table", dims)
+					}
+					continue
+				}
+				if len(block) != tree.SwitchesAt(h)*tree.Parents() {
+					t.Fatalf("FT%v level %d: block of %d entries, want %d", dims, h, len(block), tree.SwitchesAt(h)*tree.Parents())
+				}
+				for idx := 0; idx < tree.SwitchesAt(h); idx++ {
+					for p := 0; p < tree.Parents(); p++ {
+						if got, want := int(block[idx*stride+p]), tree.UpParent(h, idx, p); got != want {
+							t.Fatalf("FT%v level %d switch %d port %d: block says %d, UpParent %d", dims, h, idx, p, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -40,11 +40,13 @@ go test -race -count=2 -run 'HighWorker' ./internal/parsched
 # zero-allocation benches) fails CI without costing bench-grade runtime.
 go test -run '^$' -bench . -benchtime 1x ./...
 
-# Hot-path smoke: the cursor-advance and fabric-release benches exercise
-# the table-driven topology kernel and the lock-free release ring end to
-# end (including the /arith oracle variants); run them explicitly so a
-# rename never silently drops them from the net above.
+# Hot-path smoke: the cursor-advance, Level-wise sweep and fabric-release
+# benches exercise the table-driven topology kernel, the word kernel and
+# the lock-free release ring end to end (including the /arith oracle
+# variants); run them explicitly so a rename never silently drops them
+# from the net above.
 go test -run '^$' -bench 'BenchmarkRouteCursor' -benchtime 1x ./internal/topology
+go test -run '^$' -bench 'BenchmarkLevelWise' -benchtime 1x ./internal/core
 go test -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
 go test -run '^$' -bench 'BenchmarkFederationThroughput' -benchtime 1x ./internal/federation
 go test -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./internal/federation
@@ -62,8 +64,10 @@ go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least
 # Allocation-regression guard: the scheduling hot path must stay at zero
 # allocations per request — including the incremental delta path, which
 # the same test pins; -count=2 re-runs it against warm scratch state,
-# which is where a regression would hide.
-go test -run 'TestScheduleIntoZeroAllocs' -count=2 ./internal/core
+# which is where a regression would hide. The word kernel's differential
+# oracle (word path vs Vector path over every option, tree form and
+# starting state) rides along, run twice for the same reason.
+go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -count=2 ./internal/core
 
 # Incremental-vs-batch golden smoke: over an arrivals-only workload the
 # delta path must stay bit-identical to batch replay, at both the core
