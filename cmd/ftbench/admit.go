@@ -6,7 +6,7 @@ package main
 // p50/p95/p99) and allocation rate (process-wide mallocs per admission),
 // the two signals the admission-pipeline work targets. Epoch size 1 is
 // the round-trip-dominated regime — every request pays the full
-// enqueue→flusher→verdict→wakeup cycle — while large epochs amortize
+// enqueue→epoch→verdict→wakeup cycle — while large epochs amortize
 // it; the sweep records both so BENCH_admission.json carries the
 // before/after of the control path, not the scheduler.
 

@@ -4,13 +4,16 @@
 // the centralized circuit-setup service the paper motivates.
 //
 // Connect calls do not schedule individually. They are coalesced into
-// scheduling *epochs*: an epoch flushes when Config.BatchSize requests
-// are queued or when the oldest queued request has waited Config.MaxWait,
-// whichever comes first. Each epoch is granted atomically by one
-// scheduler pass over the live link state, so per-request admission cost
-// amortizes to the paper's O(l·log_l N) hot path and the (not
-// concurrency-safe) linkstate.State is only ever mutated under the
-// manager's lock.
+// scheduling *epochs*: one scheduler pass over the live link state grants
+// a whole batch atomically, so per-request admission cost amortizes to
+// the paper's O(l·log_l N) hot path and the (not concurrency-safe)
+// linkstate.State is only ever mutated under the manager's lock. No
+// goroutine belongs to the manager: the Connect whose enqueue brings the
+// queue to Config.BatchSize — the batch's closer — runs the epoch itself,
+// its own ticket included; a batch that never fills is run once its
+// oldest request has waited Config.MaxWait, by a time.AfterFunc deadline
+// armed when a batch opens with none pending; Close runs the last epoch
+// on its caller.
 //
 // The admission engine is whatever Config.SchedulerSpec names — the
 // sequential Level-wise scheduler by default, or e.g.
@@ -21,22 +24,21 @@
 // after it is released by the goroutine that ran the epoch, so client
 // wakeups never extend the critical section.
 //
-// The client hot paths are decoupled from the scheduling lock: Connect
-// enqueues under a queue-only lock that no epoch ever holds, and
-// Release parks the handle in a lock-free MPSC ring that the next mu
-// holder drains (every epoch boundary does), so both are a few atomic
-// operations regardless of how long a scheduling pass runs.
-//
-// Locking: two mutexes, one owner each. mu owns scheduling — the link
-// state, the connection registry, the fault sets, the mutable handle
-// fields, and the consumer side of the release ring. qmu owns the
-// admission queue. The only nesting is mu before qmu.
+// Locking: two mutexes, one owner each. mu belongs to epochs (and the
+// rare Stats, Fail and Repair walks): it owns the link state, the
+// connection registry, the fault sets, the repair bookkeeping and the
+// consumer side of the release ring, and the only client that ever waits
+// on it is a closer. qmu owns the admission queue and who runs it next;
+// no epoch holds it while scheduling. The only nesting is mu before qmu.
+// The other client paths take neither: Release parks the handle in a
+// lock-free MPSC ring that the next epoch drains before it schedules,
+// and Handle.Ports is one atomic load of an immutable route.
 //
 // Robustness: the admission queue is bounded (Config.QueueLimit) and
 // exerts backpressure by blocking Connect until a slot frees; a queued
 // request leaves cleanly when its context is cancelled or the configured
-// admission timeout expires; Close stops intake, drains the queue through
-// a final epoch, and then stops the flusher.
+// admission timeout expires; Close stops intake and drains the queue
+// through a final epoch on the calling goroutine.
 //
 // Observability: atomic counters (offered / granted / rejected /
 // cancelled / released / overflow), epoch-size and epoch-latency
@@ -131,11 +133,13 @@ type Config struct {
 	// partial allocations are safe: the manager releases retained ports
 	// after every epoch, since a rejected connection holds nothing.
 	Scheduler core.Scheduler
-	// BatchSize is the epoch flush threshold (default DefaultBatchSize).
-	// 1 disables batching: every request is its own epoch.
+	// BatchSize is the epoch threshold (default DefaultBatchSize): the
+	// Connect that brings the queue to it runs the epoch. 1 disables
+	// batching: every request is its own epoch.
 	BatchSize int
 	// MaxWait bounds how long the oldest queued request waits before its
-	// epoch flushes regardless of size (default DefaultMaxWait).
+	// epoch runs regardless of size (default DefaultMaxWait): one timer
+	// per manager, armed while a partial batch is queued, runs that epoch.
 	MaxWait time.Duration
 	// QueueLimit bounds the admission queue; Connect blocks (backpressure)
 	// while the queue is full. Default DefaultQueueLimit, raised to
@@ -263,7 +267,7 @@ type ticket struct {
 	req   core.Request
 	enq   time.Time
 	state atomic.Int32
-	resp  chan result // buffered(1): the flusher's send never blocks
+	resp  chan result // buffered(1): the epoch's send never blocks
 	h     *Handle     // repair tickets only
 }
 
@@ -295,7 +299,7 @@ type delbatch struct {
 // new route; exhausting Config.RepairRetries, manager shutdown, or the
 // owner's Release while repairing kills it. Transitions happen under
 // m.mu; the atomic makes the lock-free reads (the Release fast path,
-// Err, Repairing) safe, and the store of handleDead publishes repairErr.
+// Err, Repairing) safe; the store of handleDead publishes repair.err.
 const (
 	handleActive int32 = iota
 	handleRepairing
@@ -317,18 +321,36 @@ type Handle struct {
 	// (SetOwner); the fabric never reads it.
 	owner atomic.Value
 
-	// Guarded by m.mu: the repair loop rewrites the route and walks the
-	// state machine above. idx is the handle's slot in m.conns (-1 once
-	// unregistered). inline backs ports for routes of up to four levels,
-	// so a grant is one allocation.
-	ports     []int
-	inline    [4]int
-	idx       int
-	attempts  int       // repair scheduling attempts so far
-	revokedAt time.Time // when the current repair began
-	// repairErr is the terminal cause, written once, before the store of
-	// handleDead that publishes it to lock-free readers.
-	repairErr error
+	// route is the one copy of the connection's route: an immutable
+	// snapshot, replaced under m.mu and never rewritten, read by Ports
+	// and the mu-side walks alike. The grant's is embedded (a grant stays
+	// one allocation); a revocation publishes noRoute, a repair a new one.
+	route   atomic.Pointer[route]
+	granted route
+
+	// Guarded by m.mu: the handle's slot in m.conns (-1 once unregistered)
+	// and the bookkeeping of its latest revocation (nil until one).
+	idx    int
+	repair *repairRecord
+}
+
+// route is one immutable upward-port snapshot. inline backs ports for
+// routes of up to four levels; a deeper route gets its own array.
+type route struct {
+	ports  []int
+	inline [4]int
+}
+
+// noRoute is what a repairing or dead handle holds.
+var noRoute route
+
+// set copies ports into r; call it before r is published.
+func (r *route) set(ports []int) {
+	if len(ports) <= len(r.inline) {
+		r.ports = r.inline[:copy(r.inline[:], ports)]
+	} else {
+		r.ports = append([]int(nil), ports...)
+	}
 }
 
 // Src returns the source node.
@@ -340,12 +362,13 @@ func (h *Handle) Dst() int { return h.dst }
 // Ports returns a copy of the upward port choices, one per level below
 // the common ancestor (empty when both endpoints share a level-0 switch).
 // The route changes when a fault revokes the connection and the repair
-// loop re-admits it; a repairing or dead handle has no route.
-func (h *Handle) Ports() []int {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	return append([]int(nil), h.ports...)
-}
+// loop re-admits it; a repairing or dead handle has no route. It takes
+// no lock: a caller racing a repair sees the old route, no route or the
+// new one, each whole.
+func (h *Handle) Ports() []int { return append([]int(nil), h.ports()...) }
+
+// ports is the current route itself, shared and read-only.
+func (h *Handle) ports() []int { return h.route.Load().ports }
 
 // Err reports why the connection died: ErrUnroutableDegraded after the
 // repair loop gave up, ErrClosed if the manager shut down mid-repair,
@@ -356,7 +379,7 @@ func (h *Handle) Err() error {
 	if h.state.Load() != handleDead {
 		return nil
 	}
-	return h.repairErr
+	return h.repair.err // only a repairing handle dies, so repair is set
 }
 
 // SetOwner hangs the composing tier's back-pointer on the connection —
@@ -400,17 +423,15 @@ type Manager struct {
 	// waiters without a per-slot send.
 	freeSlots atomic.Int64
 	slotsCh   chan struct{} // cap 1, coalescing
-	kick      chan struct{} // wakes the flusher (buffered 1, coalescing)
-	closing   chan struct{}
-	done      chan struct{} // flusher exited
+	closing   chan struct{} // closed by Close: wakes backpressured Connects
 	closeMu   sync.Once
 
 	// ticketPool recycles tickets (and their buffered resp channels)
 	// across Connect calls. Only a ticket whose verdict was received is
-	// recycled — the receive happens-after the flusher's send, and the
-	// flusher drops its references when it stages the send — so a pooled
+	// recycled — the receive happens-after the epoch's send, and the
+	// epoch drops its references when it stages the send — so a pooled
 	// ticket is never still referenced by an epoch. Cancelled tickets
-	// whose CAS beat the epoch are never pooled (the flusher may still
+	// whose CAS beat the epoch are never pooled (the epoch may still
 	// hold them in a drained batch); they retire to the garbage
 	// collector.
 	ticketPool sync.Pool
@@ -419,9 +440,9 @@ type Manager struct {
 	delPool sync.Pool
 
 	// mu is the scheduling lock: it guards st, lastEngine, conns, failed,
-	// the mutable handle fields, and serializes the release-ring consumer
-	// (drainReleasesLocked). The admission queue is NOT under mu — see
-	// qmu — so Connect never contends with an epoch's scheduling pass.
+	// the handles' registry slots and repair records, and serializes the
+	// release-ring consumer (drainReleasesLocked) and route replacement.
+	// Neither the admission queue (see qmu) nor route reads are under it.
 	mu         sync.Mutex
 	st         *linkstate.State
 	lastEngine string // scheduler that ran the most recent epoch
@@ -441,15 +462,25 @@ type Manager struct {
 	quar   map[faults.Channel]time.Time
 	budget bucket
 
-	// qmu guards the admission queue (pending, oldest) and orders writes
-	// of closed against enqueues, keeping Connect's critical section to
-	// an append — a few pointer writes — while the flusher schedules
-	// under mu. Lock order: mu before qmu, never the reverse.
+	// qmu guards the admission queue (pending, oldest), who runs it next
+	// (closerPending, deadline, armed) and orders writes of closed against
+	// enqueues, keeping Connect's critical section to an append — a few
+	// pointer writes — while an epoch schedules under mu. Lock order: mu
+	// before qmu, never the reverse.
 	qmu     sync.Mutex
 	pending []*ticket
 	oldest  time.Time    // enqueue time of pending[0]
 	closed  atomic.Bool  // set under qmu; loads may be lock-free
 	qdepth  atomic.Int64 // len(pending); written under qmu, read lock-free
+	// closerPending is set by the enqueue that fills the batch and cleared
+	// by the queue swap that takes it: one closer per fill, however far
+	// repair tickets push the depth past BatchSize.
+	closerPending bool
+	// deadline is the MaxWait timer (onDeadline), armed whether it is
+	// pending. It is armed for a batch that opens with none pending, so
+	// while armed it fires no later than oldest + MaxWait.
+	deadline *time.Timer
+	armed    bool
 
 	// relRing parks fast-path releases until a mu holder drains them
 	// (epoch flush, Stats, Fail, or a synchronous Release).
@@ -511,8 +542,8 @@ type Manager struct {
 	routeChurn  *shardedRing // routes torn + established, per scheduling epoch
 }
 
-// New validates the config, applies defaults, and starts the manager's
-// flusher goroutine. Stop it with Close.
+// New validates the config and applies defaults. It starts no goroutine
+// (epochs run on their closers and the MaxWait timer); end it with Close.
 func New(cfg Config) (*Manager, error) { return newManager(cfg, DefaultReleaseRing) }
 
 // newManager is New with the release-ring capacity exposed, for the
@@ -588,9 +619,7 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		eng:         eng,
 		scratch:     core.NewScratch(),
 		slotsCh:     make(chan struct{}, 1),
-		kick:        make(chan struct{}, 1),
 		closing:     make(chan struct{}),
-		done:        make(chan struct{}),
 		st:          newTrackedState(cfg.Tree),
 		failed:      make(map[faults.Channel]struct{}),
 		flap:        make(map[faults.Channel]*flapScore),
@@ -610,7 +639,8 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		m.reuseCost = e.Opts.ReuseCost
 	}
 	m.freeSlots.Store(int64(cfg.QueueLimit))
-	go m.flusher()
+	m.deadline = time.AfterFunc(time.Hour, m.onDeadline)
+	m.deadline.Stop() // created unarmed; enqueue and poke arm it
 	return m, nil
 }
 
@@ -638,7 +668,7 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 		return nil, err
 	}
 	t := m.getTicket(src, dst)
-	ok, flush := m.enqueue(t)
+	ok, closer := m.enqueue(t)
 	if !ok {
 		// Close won the race between the slot acquire and the enqueue:
 		// return the slot, recycle the ticket (no epoch ever saw it), and
@@ -649,8 +679,8 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 		m.putTicket(t)
 		return nil, ErrDraining
 	}
-	if flush {
-		m.tryFlushInline()
+	if closer {
+		m.closeBatch()
 	}
 
 	if deadline == nil && ctx.Done() == nil {
@@ -659,29 +689,25 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 		m.putTicket(t)
 		return r.h, r.err
 	}
+	var cause error
 	select {
 	case r := <-t.resp:
 		m.putTicket(t)
 		return r.h, r.err
 	case <-ctx.Done():
-		if t.state.CompareAndSwap(ticketWaiting, ticketCancelled) {
-			// The epoch will drop this ticket when it sees the CAS; it
-			// must NOT be pooled — the flusher may still hold it.
-			m.cancelled.Add(1)
-			return nil, ctx.Err()
-		}
-		r := <-t.resp // an epoch already claimed the ticket; honor its verdict
-		m.putTicket(t)
-		return r.h, r.err
+		cause = ctx.Err()
 	case <-deadline:
-		if t.state.CompareAndSwap(ticketWaiting, ticketCancelled) {
-			m.cancelled.Add(1)
-			return nil, ErrAdmitTimeout
-		}
-		r := <-t.resp
-		m.putTicket(t)
-		return r.h, r.err
+		cause = ErrAdmitTimeout
 	}
+	if t.state.CompareAndSwap(ticketWaiting, ticketCancelled) {
+		// The epoch will drop this ticket when it sees the CAS; it must
+		// NOT be pooled — a drained batch may still hold it.
+		m.cancelled.Add(1)
+		return nil, cause
+	}
+	r := <-t.resp // an epoch already claimed the ticket; honor its verdict
+	m.putTicket(t)
+	return r.h, r.err
 }
 
 // acquireSlot takes one queue slot, blocking (backpressure) while the
@@ -750,7 +776,7 @@ func (m *Manager) getTicket(src, dst int) *ticket {
 
 // putTicket recycles a ticket whose verdict was received (or that never
 // entered the queue). The caller must be past the resp receive — that
-// receive happens-after the flusher's send, which is the last epoch-side
+// receive happens-after the epoch's send, which is the last epoch-side
 // touch — so the pool never holds a ticket an epoch still references.
 func (m *Manager) putTicket(t *ticket) {
 	t.req = core.Request{}
@@ -758,20 +784,21 @@ func (m *Manager) putTicket(t *ticket) {
 }
 
 // enqueue appends the ticket to the admission queue, reporting ok=false
-// if the manager is draining and flush=true when the append reached the
-// epoch threshold (the caller then tries the inline flush). One
-// time.Now per batch: the first ticket of an epoch stamps m.oldest and
-// later tickets inherit it — the flush timer and the epoch-latency
-// sample both measure from the batch start, exactly as before, without
-// a clock read per request. A first ticket below the threshold wakes
-// the flusher to arm the MaxWait timer.
-func (m *Manager) enqueue(t *ticket) (ok, flush bool) {
+// if the manager is draining and closer=true when the append filled the
+// batch and no earlier one had: the caller then runs the epoch
+// (closeBatch). One time.Now per batch: the first ticket of an epoch
+// stamps m.oldest and later tickets inherit it, so the deadline and the
+// epoch-latency sample both measure from the batch start. A first ticket
+// below the threshold arms the MaxWait deadline unless an earlier
+// batch's is still pending — that one fires first.
+func (m *Manager) enqueue(t *ticket) (ok, closer bool) {
 	m.qmu.Lock()
 	if m.closed.Load() {
 		m.qmu.Unlock()
 		return false, false
 	}
-	if len(m.pending) == 0 {
+	opened := len(m.pending) == 0
+	if opened {
 		m.oldest = time.Now()
 	}
 	t.enq = m.oldest
@@ -779,39 +806,73 @@ func (m *Manager) enqueue(t *ticket) (ok, flush bool) {
 	n := len(m.pending)
 	m.qdepth.Store(int64(n))
 	m.offered.Add(1)
+	switch {
+	case n >= m.cfg.BatchSize:
+		closer = !m.closerPending
+		m.closerPending = true
+	case opened && !m.armed:
+		m.armed = true
+		m.deadline.Reset(m.cfg.MaxWait)
+	}
 	m.qmu.Unlock()
-	if n >= m.cfg.BatchSize {
-		return true, true
-	}
-	if n == 1 {
-		m.wake()
-	}
-	return true, false
+	return true, closer
 }
 
-// tryFlushInline is the epoch-completion fast path: the goroutine whose
-// enqueue filled the batch runs the flush itself when the epoch lock is
-// free, instead of waking the flusher and paying two goroutine switches
-// per round trip (the dominant cost at small epoch sizes). If the lock
-// is held — an epoch in flight, a fault walk, a Stats settle — the
-// flusher is woken as before; it re-checks the queue on every pass, so
-// the batch is never stranded. The queue depth is re-checked under the
-// lock: a concurrent flush may have already taken this goroutine's
-// ticket, and flushing a fresh sub-threshold batch early would erode
-// batching for no latency win.
-func (m *Manager) tryFlushInline() {
-	if !m.mu.TryLock() {
-		m.wake()
-		return
+// closeBatch runs the epoch of the batch its caller's enqueue filled. The
+// wait for mu is bounded by the pass in flight (an epoch, a Stats settle,
+// a fault walk). The depth is re-checked under the lock: the deadline or
+// Close may have taken the batch meanwhile, and running a fresh partial
+// one early would erode batching — it has its own deadline and closer.
+func (m *Manager) closeBatch() {
+	m.mu.Lock()
+	var b *delbatch
+	if int(m.qdepth.Load()) >= m.cfg.BatchSize {
+		b = m.flushLocked()
 	}
-	if int(m.qdepth.Load()) < m.cfg.BatchSize {
-		m.mu.Unlock()
-		return
-	}
-	m.drainReleasesLocked()
-	b := m.flushLocked()
 	m.mu.Unlock()
 	m.deliver(b)
+}
+
+// onDeadline is the MaxWait timer's continuation: it runs the epoch of a
+// batch that is full, aged out or being drained, re-arms for the rest of
+// a younger batch's wait, and otherwise lapses until a batch opens.
+func (m *Manager) onDeadline() {
+	m.mu.Lock()
+	m.qmu.Lock()
+	n := len(m.pending)
+	var left time.Duration
+	if n > 0 && n < m.cfg.BatchSize && !m.closed.Load() {
+		left = m.cfg.MaxWait - time.Since(m.oldest)
+	}
+	m.armed = left > 0
+	if m.armed {
+		m.deadline.Reset(left)
+	}
+	m.qmu.Unlock()
+	var b *delbatch
+	if n > 0 && left <= 0 {
+		b = m.flushLocked()
+	}
+	m.mu.Unlock()
+	m.deliver(b)
+}
+
+// poke covers a queue that changed behind Connect's back (repair tickets
+// appended, capacity returned): a full one nobody is closing gets the
+// deadline now — on the timer's goroutine, so Fail returns before the
+// epoch it provokes — and a partial one gets it armed.
+func (m *Manager) poke() {
+	m.qmu.Lock()
+	switch n := len(m.pending); {
+	case n == 0 || m.closerPending: // nothing to run, or its closer is on the way
+	case n >= m.cfg.BatchSize:
+		m.armed = true
+		m.deadline.Reset(0)
+	case !m.armed:
+		m.armed = true
+		m.deadline.Reset(m.cfg.MaxWait - time.Since(m.oldest))
+	}
+	m.qmu.Unlock()
 }
 
 // Release returns a granted connection's channels to the fabric. It is
@@ -820,11 +881,10 @@ func (m *Manager) tryFlushInline() {
 // after Close so clients can drain held circuits during shutdown.
 //
 // The common case never takes the manager lock: the handle parks in the
-// lock-free release ring and the flusher retires it at the next epoch
-// boundary, so its channels are back in service before the next
-// scheduling pass. Observable state (Stats, link utilization) reflects
-// a parked release no later than the next epoch or Stats call, whichever
-// drains first.
+// lock-free release ring and the next epoch retires it before it
+// schedules, so its channels are back in service for that very pass.
+// Observable state (Stats, link utilization) reflects a parked release
+// no later than the next epoch or Stats call, whichever drains first.
 //
 // Releasing a handle the repair loop is re-admitting cancels the repair
 // (its channels were already returned at revocation) and returns nil;
@@ -844,8 +904,8 @@ func (m *Manager) Release(h *Handle) error {
 	// Fast path: an active handle on a running manager parks in the ring
 	// — two atomic loads and one CAS. Everything else goes synchronous:
 	// repairing and dead handles need their verdict now, a closed
-	// manager may have no flusher left to drain for it, and a full
-	// ring degrades to the lock rather than blocking.
+	// manager has no epoch left to drain for it, and a full ring
+	// degrades to the lock rather than blocking.
 	if h.state.Load() == handleActive && !m.closed.Load() && m.relRing.push(h) {
 		return nil
 	}
@@ -854,45 +914,54 @@ func (m *Manager) Release(h *Handle) error {
 
 // releaseSlow is the synchronous Release path: its channels are back in
 // service when it returns (clients drain through this path after Close,
-// when no flusher is left). It drains the ring first so releases retire
+// when no epoch is left). It drains the ring first so releases retire
 // in roughly the order their owners issued them.
 func (m *Manager) releaseSlow(h *Handle) error {
 	m.mu.Lock()
 	m.drainReleasesLocked()
-	var err error
-	if h.state.Load() == handleDead {
-		err = h.repairErr // repair loop already retired it; report why
-	} else {
-		m.finishReleaseLocked(h)
-	}
+	var one releaseTally
+	m.finishReleaseLocked(h, &one)
+	m.publishReleasesLocked(one)
 	m.mu.Unlock()
-	return err
+	return h.Err() // non-nil if the repair loop had already retired it: why
+}
+
+// releaseTally counts what a pass of releases retired: the shared
+// counters take one atomic add per pass (under m.mu), not one per handle.
+type releaseTally struct{ released, torn int }
+
+func (m *Manager) publishReleasesLocked(n releaseTally) {
+	if n.released == 0 {
+		return // a torn route is a released one, so nothing was counted
+	}
+	m.released.Add(uint64(n.released))
+	m.active.Add(-int64(n.released))
+	m.tornRoutes.Add(uint64(n.torn))
+	m.tornSinceEpoch += n.torn
 }
 
 // drainReleasesLocked retires every handle parked in the release ring.
 // Caller holds m.mu — the mutex is what makes this the ring's single
-// consumer. Epoch flushes drain before scheduling, so channels freed by
-// the fast path are available to the pass that follows.
+// consumer. Epochs drain before scheduling, so channels freed by the
+// fast path are available to the pass that follows.
 func (m *Manager) drainReleasesLocked() {
-	for {
-		h := m.relRing.pop()
-		if h == nil {
-			return
-		}
-		m.finishReleaseLocked(h)
+	var n releaseTally
+	for h := m.relRing.pop(); h != nil; h = m.relRing.pop() {
+		m.finishReleaseLocked(h, &n)
 	}
+	m.publishReleasesLocked(n)
 }
 
 // finishReleaseLocked performs the bookkeeping half of a Release under
-// m.mu: return the route's channels, unregister the handle, trace,
-// count. The handle state is re-read here because a fault may have
-// revoked the connection between the owner's Release and this drain —
-// its channels were already returned at revocation, so the queued
+// m.mu: return the route's channels, unregister the handle, trace, and
+// count into n. The handle state is re-read here because a fault may
+// have revoked the connection between the owner's Release and this drain
+// — its channels were already returned at revocation, so the queued
 // repair is aborted instead (dropping the handle from conns starves the
 // repair ticket and any pending backoff timer, which is the
 // cancellation). A handle already dead was fully retired by the repair
 // loop and holds nothing.
-func (m *Manager) finishReleaseLocked(h *Handle) {
+func (m *Manager) finishReleaseLocked(h *Handle, n *releaseTally) {
 	switch h.state.Load() {
 	case handleRepairing:
 		h.state.Store(handleDead)
@@ -903,17 +972,16 @@ func (m *Manager) finishReleaseLocked(h *Handle) {
 	case handleDead:
 		return
 	}
-	m.releaseRouteLocked(h)
-	if len(h.ports) > 0 {
-		m.tornSinceEpoch++
-		m.tornRoutes.Add(1)
+	ports := h.ports()
+	m.releaseRouteLocked(h, ports)
+	if len(ports) > 0 {
+		n.torn++
 	}
 	m.dropConnLocked(h)
 	if m.cfg.Trace != nil {
-		m.cfg.Trace(Event{Kind: EventRelease, Src: h.src, Dst: h.dst, Ports: h.ports, FailLevel: -1})
+		m.cfg.Trace(Event{Kind: EventRelease, Src: h.src, Dst: h.dst, Ports: ports, FailLevel: -1})
 	}
-	m.released.Add(1)
-	m.active.Add(-1)
+	n.released++
 }
 
 // dropConnLocked unregisters a handle: the last registered handle takes
@@ -937,19 +1005,20 @@ func (m *Manager) dropConnLocked(h *Handle) {
 // raced the fault into the ring; the revoke walk skips released handles
 // and this walk finishes the teardown.) A failure here is an accounting
 // invariant violation, not a runtime condition.
-func (m *Manager) releaseRouteLocked(h *Handle) {
+func (m *Manager) releaseRouteLocked(h *Handle, ports []int) {
 	if len(m.failed) == 0 {
-		if err := m.st.ReleasePath(h.src, h.dst, h.ports); err != nil {
+		if err := m.st.ReleasePath(h.src, h.dst, ports); err != nil {
 			panic(fmt.Sprintf("fabric: release invariant violation: %v", err))
 		}
 		return
 	}
-	core.ReleaseSurviving(m.st, h.src, h.dst, h.ports, nil)
+	core.ReleaseSurviving(m.st, h.src, h.dst, ports, nil)
 }
 
-// Close stops admission, drains queued requests through a final epoch,
-// and waits (bounded by ctx) for the flusher to exit. Held handles stay
-// valid and releasable after Close. Close is idempotent.
+// Close stops admission and drains queued requests through a final epoch
+// on the calling goroutine; ctx is checked before that pass, and one in
+// flight is waited for, not interrupted. Held handles stay valid and
+// releasable after Close. Close is idempotent.
 func (m *Manager) Close(ctx context.Context) error {
 	m.closeMu.Do(func() {
 		m.qmu.Lock()
@@ -957,105 +1026,42 @@ func (m *Manager) Close(ctx context.Context) error {
 		m.qmu.Unlock()
 		close(m.closing)
 	})
-	select {
-	case <-m.done:
-		// The flusher drained the release ring on exit, but a Release
-		// that read closed=false concurrently with shutdown may have
-		// parked a handle after that final drain; sweep those up so the
-		// fabric is fully drained when Close returns.
-		m.mu.Lock()
-		m.drainReleasesLocked()
-		m.mu.Unlock()
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-}
-
-// wake nudges the flusher; the buffered channel coalesces bursts.
-func (m *Manager) wake() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
-
-// flusher is the single goroutine that runs epochs against the state.
-func (m *Manager) flusher() {
-	defer close(m.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		// Every wake drains the release ring first: epoch boundaries are
-		// where fast-path releases land, so freed channels are visible
-		// to both the flush decision and any scheduling pass that
-		// follows. The {n, closed} snapshot is taken under qmu (with mu
-		// held), making the exit decision atomic against both Connect's
-		// enqueue and Fail/requeue's repair-ticket appends.
-		m.mu.Lock()
-		m.drainReleasesLocked()
-		if len(m.quar) > 0 { // guard: skip the clock read on the common path
-			m.settleQuarantineLocked(time.Now())
-		}
-		m.qmu.Lock()
-		n := len(m.pending)
-		oldest := m.oldest
-		closed := m.closed.Load()
-		m.qmu.Unlock()
-		if n > 0 && (closed || n >= m.cfg.BatchSize || time.Since(oldest) >= m.cfg.MaxWait) {
-			b := m.flushLocked()
-			m.mu.Unlock()
-			m.deliver(b)
-			continue
-		}
-		var wait time.Duration
-		if n > 0 {
-			wait = m.cfg.MaxWait - time.Since(oldest)
-		}
-		m.mu.Unlock()
-		if n == 0 {
-			if closed {
-				return
-			}
-			select {
-			case <-m.kick:
-			case <-m.closing:
-			}
-			continue
-		}
-		timer.Reset(wait)
-		select {
-		case <-m.kick:
-		case <-timer.C:
-		case <-m.closing:
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
+	// One pass takes everything: Connect enqueues under qmu and repair
+	// tickets under mu, both only while closed is unset, so nothing can
+	// arrive behind it. An empty flush still drains the release ring.
+	m.mu.Lock()
+	b := m.flushLocked()
+	m.mu.Unlock()
+	m.deliver(b)
+	m.deadline.Stop()
+	return nil
 }
 
 // flushLocked runs one epoch over every queued ticket and stages the
 // verdicts. Called with m.mu held; the scheduler pass happens under the
 // lock — that lock is the serialization point that makes the shared
-// linkstate.State safe. The engine gets the manager's reusable Scratch,
-// so an engine with a zero-allocation path keeps it. The returned batch
-// (from delPool; nil when the flush was empty) must be delivered by the
-// caller after unlocking.
+// linkstate.State safe. Parked releases retire first, so the pass can
+// use the channels they free. The engine gets the manager's reusable
+// Scratch, so an engine with a zero-allocation path keeps it. The
+// returned batch (from delPool; nil when the flush was empty) must be
+// delivered by the caller after unlocking.
 func (m *Manager) flushLocked() *delbatch {
+	m.drainReleasesLocked()
+	if len(m.quar) > 0 { // guard: skip the clock read on the common path
+		m.settleQuarantineLocked(time.Now())
+	}
 	// Swap the queue out under qmu: Connect keeps enqueueing into the
 	// spare array while this epoch schedules under mu.
 	m.qmu.Lock()
 	batch := m.pending
 	m.pending = m.qspare[:0]
 	m.qdepth.Store(0)
+	m.closerPending = false // the next fill elects its own closer
 	m.qmu.Unlock()
-	live := m.livebuf[:0]
+	live, freed := m.livebuf[:0], 0
 	for _, t := range batch {
 		if t.h != nil {
 			// Repair ticket: live while its handle still wants repairing
@@ -1066,6 +1072,7 @@ func (m *Manager) flushLocked() *delbatch {
 			}
 			continue
 		}
+		freed++ // every departed client ticket frees its queue slot
 		if t.state.CompareAndSwap(ticketWaiting, ticketClaimed) {
 			live = append(live, t)
 		} else if m.cfg.Trace != nil {
@@ -1073,19 +1080,11 @@ func (m *Manager) flushLocked() *delbatch {
 			m.cfg.Trace(Event{Kind: EventCancel, Src: t.req.Src, Dst: t.req.Dst, FailLevel: -1})
 		}
 	}
-	freed := 0
-	for _, t := range batch {
-		if t.h == nil {
-			freed++ // every departed client ticket frees its queue slot
-		}
-	}
 	m.releaseSlots(freed) // one atomic add + one wakeup for the whole batch
 	// Ping-pong the backing arrays: the drained batch becomes the next
 	// flush's spare. Tickets travel on via live and the staged
 	// deliveries; clear the refs so the spare retains nothing.
-	for i := range batch {
-		batch[i] = nil
-	}
+	clear(batch)
 	m.qspare = batch[:0]
 	m.livebuf = live
 	if len(live) == 0 {
@@ -1110,7 +1109,8 @@ func (m *Manager) flushLocked() *delbatch {
 	}
 
 	epoch := m.epochs.Add(1)
-	established := 0
+	// Counted in locals and published once per pass, not once per verdict.
+	established, granted, rejected := 0, 0, 0
 	b, _ := m.delPool.Get().(*delbatch)
 	if b == nil {
 		b = &delbatch{}
@@ -1130,14 +1130,10 @@ func (m *Manager) flushLocked() *delbatch {
 			// Handle owns its ports for the connection's lifetime, so copy
 			// — into the handle itself when the route fits.
 			h := &Handle{m: m, src: o.Src, dst: o.Dst, idx: len(m.conns)}
-			if len(o.Ports) <= len(h.inline) {
-				h.ports = h.inline[:copy(h.inline[:], o.Ports)]
-			} else {
-				h.ports = append([]int(nil), o.Ports...)
-			}
+			h.granted.set(o.Ports)
+			h.route.Store(&h.granted)
 			m.conns = append(m.conns, h)
-			m.granted.Add(1)
-			m.active.Add(1)
+			granted++
 			if m.cfg.Trace != nil {
 				m.cfg.Trace(Event{Kind: EventGrant, Src: o.Src, Dst: o.Dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 			}
@@ -1150,13 +1146,16 @@ func (m *Manager) flushLocked() *delbatch {
 		if len(o.Ports) > 0 {
 			m.releaseRetainedLocked(o)
 		}
-		m.rejected.Add(1)
+		rejected++
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventReject, Src: o.Src, Dst: o.Dst, FailLevel: o.FailLevel, Epoch: epoch})
 		}
 		dels = append(dels, delivery{t: live[i], r: result{err: &UnroutableError{Src: o.Src, Dst: o.Dst, FailLevel: o.FailLevel}}})
 	}
 	b.d = dels
+	m.granted.Add(uint64(granted))
+	m.active.Add(int64(granted))
+	m.rejected.Add(uint64(rejected))
 	latMS := float64(time.Since(live[0].enq)) / float64(time.Millisecond)
 	m.epochSize.add(float64(len(live)))
 	m.epochLat.add(latMS)
@@ -1168,9 +1167,7 @@ func (m *Manager) flushLocked() *delbatch {
 	m.tornSinceEpoch = 0
 	// Drop ticket references from the reused buffer; the deliveries carry
 	// them the rest of the way.
-	for i := range live {
-		live[i] = nil
-	}
+	clear(live)
 	m.livebuf = live[:0]
 	return b
 }

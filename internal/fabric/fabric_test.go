@@ -227,7 +227,7 @@ func TestCancelWhileQueued(t *testing.T) {
 }
 
 // gatedScheduler blocks its first Schedule call until released, letting
-// tests hold the flusher (and the manager lock) mid-epoch.
+// tests hold an epoch (and the manager lock) mid-pass.
 type gatedScheduler struct {
 	inner    core.Scheduler
 	entered  chan struct{}
@@ -273,8 +273,8 @@ func TestAdmitTimeout(t *testing.T) {
 	}
 }
 
-// TestBackpressureOverflow fills the one-slot queue while the flusher is
-// stuck mid-epoch and checks a further request blocks in backpressure
+// TestBackpressureOverflow fills the one-slot queue while an epoch is
+// stuck mid-pass and checks a further request blocks in backpressure
 // until its context expires, counted as overflow (never offered).
 func TestBackpressureOverflow(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
@@ -294,7 +294,7 @@ func TestBackpressureOverflow(t *testing.T) {
 		errc <- err
 	}()
 	waitFor(t, func() bool { return m.freeSlots.Load() == 0 })
-	// C: no slot available and the flusher is stuck — backpressure until
+	// C: no slot available and the epoch is stuck — backpressure until
 	// the context deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()

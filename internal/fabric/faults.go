@@ -22,6 +22,17 @@ import (
 	"repro/internal/topology"
 )
 
+// repairRecord is the repair loop's bookkeeping for one revocation of a
+// handle, allocated by revokeLocked so a handle no fault ever touches
+// carries only the pointer.
+type repairRecord struct {
+	attempts  int       // scheduling attempts so far
+	revokedAt time.Time // when the repair began
+	// err is the terminal cause, written once, before the store of
+	// handleDead that publishes it to lock-free readers (Handle.Err).
+	err error
+}
+
 // Fail applies a fault set to the fabric: masks every named channel,
 // revokes the granted connections whose routes cross a newly failed
 // channel, and queues them for repair. It returns the number of
@@ -81,7 +92,7 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 	}
 	m.mu.Unlock()
 	if revoked > 0 {
-		m.wake() // repair tickets are waiting for the next epoch
+		m.poke() // repair tickets are waiting for the next epoch
 	}
 	return failed, revoked, nil
 }
@@ -130,7 +141,7 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 	}
 	m.mu.Unlock()
 	if repaired > 0 {
-		m.wake()
+		m.poke()
 	}
 	return repaired, nil
 }
@@ -158,7 +169,7 @@ func (m *Manager) RepairAll() int {
 	}
 	m.mu.Unlock()
 	if repaired > 0 {
-		m.wake()
+		m.poke()
 	}
 	return repaired
 }
@@ -209,7 +220,7 @@ func (m *Manager) routeCrossesLocked(h *Handle, bad map[faults.Channel]struct{})
 	var c topology.RouteCursor
 	c.Start(m.cfg.Tree, h.src, h.dst)
 	crosses := false
-	c.Walk(h.ports, func(level, sigma, delta, port int) {
+	c.Walk(h.ports(), func(level, sigma, delta, port int) {
 		if _, hit := bad[faults.Channel{Dir: linkstate.Up, Level: level, Switch: sigma, Port: port}]; hit {
 			crosses = true
 		}
@@ -225,22 +236,29 @@ func (m *Manager) routeCrossesLocked(h *Handle, bad map[faults.Channel]struct{})
 // mask and must not be resurrected), the handle enters the repair
 // state, and a repair ticket joins the epoch queue. Caller holds m.mu.
 func (m *Manager) revokeLocked(h *Handle) {
+	ports := h.ports()
 	if m.cfg.Trace != nil {
-		m.cfg.Trace(Event{Kind: EventRevoke, Src: h.src, Dst: h.dst, Ports: h.ports, FailLevel: -1})
+		m.cfg.Trace(Event{Kind: EventRevoke, Src: h.src, Dst: h.dst, Ports: ports, FailLevel: -1})
 	}
-	core.ReleaseSurviving(m.st, h.src, h.dst, h.ports, nil)
-	if len(h.ports) > 0 {
+	core.ReleaseSurviving(m.st, h.src, h.dst, ports, nil)
+	if len(ports) > 0 {
 		m.tornSinceEpoch++
 		m.tornRoutes.Add(1)
 	}
-	h.ports = h.ports[:0]
+	now := time.Now()
+	h.route.Store(&noRoute)
+	h.repair = &repairRecord{revokedAt: now}
 	h.state.Store(handleRepairing)
-	h.attempts = 0
-	h.revokedAt = time.Now()
 	m.revoked.Add(1)
 	m.active.Add(-1)
 	m.pendingRepairs.Add(1)
-	t := &ticket{req: core.Request{Src: h.src, Dst: h.dst}, enq: time.Now(), h: h}
+	m.queueRepairLocked(&ticket{req: core.Request{Src: h.src, Dst: h.dst}, enq: now, h: h})
+}
+
+// queueRepairLocked appends a repair ticket to the epoch queue. Caller
+// holds m.mu (repair tickets enqueue only under it, which is what lets
+// Close see the last of them) and pokes the deadline once it lets go.
+func (m *Manager) queueRepairLocked(t *ticket) {
 	m.qmu.Lock()
 	if len(m.pending) == 0 {
 		m.oldest = t.enq
@@ -257,13 +275,17 @@ func (m *Manager) revokeLocked(h *Handle) {
 // attempts are spent, or during shutdown — the handle dies. Caller
 // holds m.mu (flushLocked).
 func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) {
-	h := t.h
+	h, rep := t.h, t.h.repair
 	m.repairAttempts.Add(1)
 	if o.Granted {
-		h.ports = append(h.ports[:0], o.Ports...)
+		// A fresh snapshot, never a rewrite: a lock-free Ports may still
+		// be copying the route this handle held before the revocation.
+		r := new(route)
+		r.set(o.Ports)
+		h.route.Store(r)
 		h.state.Store(handleActive)
 		m.repaired.Add(1)
-		if m.repairOnHeldTrunkLocked(h.src, h.dst, h.ports) {
+		if m.repairOnHeldTrunkLocked(h.src, h.dst, r.ports) {
 			m.repairedOnHeldTrunk.Add(1)
 		}
 		m.active.Add(1)
@@ -271,27 +293,27 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventRepair, Src: h.src, Dst: h.dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 		}
-		m.repairLat.add(float64(time.Since(h.revokedAt)) / float64(time.Millisecond))
-		m.repairDepth.add(float64(h.attempts + 1))
+		m.repairLat.add(float64(time.Since(rep.revokedAt)) / float64(time.Millisecond))
+		m.repairDepth.add(float64(rep.attempts + 1))
 		return
 	}
 	if len(o.Ports) > 0 {
 		m.releaseRetainedLocked(o)
 	}
-	h.attempts++
+	rep.attempts++
 	if m.closed.Load() {
 		m.killRepairLocked(h, fmt.Errorf("fabric: repair aborted: %w", ErrClosed), &m.repairAborted)
 		return
 	}
-	if h.attempts >= m.cfg.RepairRetries {
+	if rep.attempts >= m.cfg.RepairRetries {
 		m.killRepairLocked(h, fmt.Errorf("%w: %d→%d after %d attempts (first conflict at level %d)",
-			ErrUnroutableDegraded, h.src, h.dst, h.attempts, o.FailLevel), &m.repairFailed)
+			ErrUnroutableDegraded, h.src, h.dst, rep.attempts, o.FailLevel), &m.repairFailed)
 		return
 	}
 	// Exponential backoff before the next attempt; the timer re-enqueues
 	// the same ticket. Shutdown and owner Release both invalidate the
 	// handle's repairing state, which the timer checks before queuing.
-	delay := m.cfg.RepairBackoff << (h.attempts - 1)
+	delay := m.cfg.RepairBackoff << (rep.attempts - 1)
 	time.AfterFunc(delay, func() { m.requeueRepair(t) })
 }
 
@@ -302,7 +324,7 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 // only here — every terminal repair verdict funnels through this
 // function, and owner-initiated releases never do.
 func (m *Manager) killRepairLocked(h *Handle, cause error, counter interface{ Add(uint64) uint64 }) {
-	h.repairErr = cause // before the state store that publishes it (Handle.Err)
+	h.repair.err = cause // before the state store that publishes it (Handle.Err)
 	h.state.Store(handleDead)
 	m.dropConnLocked(h)
 	m.pendingRepairs.Add(-1)
@@ -340,15 +362,9 @@ func (m *Manager) requeueRepair(t *ticket) {
 		return
 	}
 	t.enq = now
-	m.qmu.Lock()
-	if len(m.pending) == 0 {
-		m.oldest = t.enq
-	}
-	m.pending = append(m.pending, t)
-	m.qdepth.Store(int64(len(m.pending)))
-	m.qmu.Unlock()
+	m.queueRepairLocked(t)
 	m.mu.Unlock()
-	m.wake()
+	m.poke()
 }
 
 // FaultCount returns the number of currently failed channels.

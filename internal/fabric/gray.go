@@ -164,7 +164,7 @@ func (m *Manager) settleQuarantine() {
 	released := m.settleQuarantineLocked(time.Now())
 	m.mu.Unlock()
 	if released > 0 {
-		m.wake() // freed capacity: let the next epoch use it
+		m.poke() // freed capacity: let the next epoch use it
 	}
 }
 
@@ -215,7 +215,7 @@ func (m *Manager) ClearQuarantine() int {
 	}
 	m.mu.Unlock()
 	if released > 0 {
-		m.wake()
+		m.poke()
 	}
 	return released
 }

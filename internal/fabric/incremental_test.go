@@ -272,7 +272,7 @@ func TestReleaseRingDrainRacesClose(t *testing.T) {
 			wg.Wait()
 			// Close returned and every Release returned: all channels must
 			// be back, whether the handle drained through the ring, the
-			// flusher's exit drain, or the post-Close sweep.
+			// synchronous path, or Close's final pass.
 			s := m.Stats()
 			if s.Released != uint64(len(handles)) {
 				t.Fatalf("Released = %d, want %d", s.Released, len(handles))

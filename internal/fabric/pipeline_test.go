@@ -21,7 +21,7 @@ import (
 
 // TestConnectEnqueueZeroAllocs is the regression guard for the pooled
 // admission path: one acquire + pooled ticket + enqueue must not
-// allocate at steady state. The flusher is parked (huge BatchSize,
+// allocate at steady state. No epoch can run (huge BatchSize,
 // hour MaxWait), so the test plays the epoch's part by hand: swap the
 // queue out, claim the ticket, return the slot, recycle — exactly the
 // bookkeeping flushLocked and the Connect receive path perform, minus
@@ -175,7 +175,7 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 // TestCancelRacesPooledTickets stresses context cancellation against
 // epoch claims now that tickets are pooled: a ticket the epoch's CAS
 // claimed must have its verdict honored even if the context fired, and
-// a cancel-won ticket must never be recycled while the flusher might
+// a cancel-won ticket must never be recycled while an epoch might
 // still touch it. The counter identity and the race detector are the
 // assertions; ci runs this with -race -count=2.
 func TestCancelRacesPooledTickets(t *testing.T) {

@@ -2,8 +2,8 @@ package fabric
 
 // Lock-decoupled hot-path structures. The release ring keeps Release
 // off the manager mutex entirely: an owner parks its handle with one
-// CAS and the flusher retires it at the next epoch boundary, where the
-// freed channels are visible to the very next scheduling pass. The
+// CAS and the next epoch retires it before it schedules, so the freed
+// channels are visible to that very pass. The
 // sharded histogram rings keep stats recording and the Stats snapshot
 // from serializing against each other: recording locks one stripe, and
 // the expensive percentile pass runs outside every lock.
@@ -74,7 +74,7 @@ func (r *releaseRing) pop() *Handle {
 }
 
 // histShards is the stripe count of a shardedRing. Four stripes are
-// plenty: the writers are the flusher and the repair verdicts, and the
+// plenty: the writers are the epochs and their repair verdicts, and the
 // point is that a Stats snapshot never holds more than one stripe at a
 // time.
 const histShards = 4

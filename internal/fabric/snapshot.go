@@ -166,7 +166,7 @@ func (m *Manager) capacityLocked() float64 {
 // distributions, and live link utilization. No lock is held across the
 // distribution summaries: histogram samples are copied stripe by stripe
 // and the sort/percentile pass runs outside, so a large snapshot never
-// stalls the flusher or a client.
+// stalls an epoch or a client.
 //
 // The call takes the scheduling lock and settles pending work first —
 // parked fast-path releases are drained — so the snapshot reflects every

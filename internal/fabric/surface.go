@@ -71,7 +71,8 @@ type Surface interface {
 	Quarantined() []faults.Channel
 	ClearQuarantine() int
 
-	// Close stops admission and drains the plane (bounded by ctx).
+	// Close stops admission and drains the plane on the caller (ctx is
+	// checked before the final pass, which is not interrupted).
 	Close(ctx context.Context) error
 }
 

@@ -181,6 +181,46 @@ func TestDoubleTerminalMigratesOnce(t *testing.T) {
 	expectDrained(t, r)
 }
 
+// TestTerminalWindowReadsAsMigrating stages the window between a plane
+// retiring a circuit and the router's hook picking it up (fh.conn still
+// names the dead circuit). The router migrates every such circuit, so the
+// window is part of the migration: no error — the plane's verdict would
+// turn back into nil once the hook ran — repairing, and a Release that
+// catches it there reports nil and calls the migration off.
+func TestTerminalWindowReadsAsMigrating(t *testing.T) {
+	r, terminal := migrationRouter(t, fabric.Config{BatchSize: 1})
+	c, pi, err := r.admitConn(context.Background(), 0, 15, -1)
+	if err != nil || pi != 0 {
+		t.Fatalf("admitConn = plane %d, %v; want plane 0", pi, err)
+	}
+	if err := r.KillPlane("plane0"); err != nil {
+		t.Fatal(err)
+	}
+	<-terminal // the plane gave up; its hook ran ownerless and left
+	fh := &Handle{r: r, src: 0, dst: 15, conn: c, plane: pi}
+	c.SetOwner(fh)
+	if !errors.Is(c.Err(), fabric.ErrUnroutableDegraded) {
+		t.Fatalf("plane verdict = %v, want ErrUnroutableDegraded", c.Err())
+	}
+	if err := fh.Err(); err != nil {
+		t.Errorf("Err() = %v in the window, want nil", err)
+	}
+	if !fh.Repairing() {
+		t.Error("Repairing() = false in the window, want true")
+	}
+	if err := fh.Release(); err != nil {
+		t.Errorf("Release() = %v in the window, want nil", err)
+	}
+	r.onTerminal(pi, c, c.Err()) // the late hook finds the owner gone
+	if got := r.readmitted.Load() + r.lost.Load() + uint64(r.pendingReadmits.Load()); got != 0 {
+		t.Errorf("%d migration verdicts for a released circuit, want 0", got)
+	}
+	if fh.Repairing() {
+		t.Error("a released handle still reads as repairing")
+	}
+	expectDrained(t, r)
+}
+
 // TestReleaseDuringReadmission: the owner releases its handle while the
 // cross-plane readmission is still queued on the survivor. Release
 // reports nil, the migration hands the fresh circuit straight back

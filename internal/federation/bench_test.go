@@ -16,7 +16,7 @@ import (
 // BenchmarkFederationThroughput is the plane-scaling baseline recorded
 // in BENCH_federation.json: closed-loop connect/release churn at a
 // fixed client count (the offered load) against 1, 2, and 4 planes.
-// More planes means more independent flushers and link states behind
+// More planes means more independent epoch locks and link states behind
 // the same request stream, so aggregate grants/sec should rise with the
 // plane count until the router tier itself saturates.
 func BenchmarkFederationThroughput(b *testing.B) {

@@ -564,9 +564,9 @@ func (r *Router) RepairPlane(name string) error {
 	return nil
 }
 
-// Close stops admission and drains every plane concurrently, bounded by
-// ctx: slow planes drain in parallel, so the deadline applies to the
-// slowest plane rather than the sum. In-flight cross-plane readmissions
+// Close stops admission and drains every plane concurrently: slow planes
+// drain in parallel, so the wait is the slowest plane's final epoch
+// rather than the sum, and a plane whose turn finds ctx done reports it. In-flight cross-plane readmissions
 // fail fast once the planes refuse intake and are accounted as lost.
 // Close is idempotent; held handles stay releasable after it returns.
 func (r *Router) Close(ctx context.Context) error {

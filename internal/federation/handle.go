@@ -58,20 +58,15 @@ func (h *Handle) Ports() []int {
 }
 
 // Err reports why the circuit died: an error matching ErrConnLost once
-// cross-plane re-admission is exhausted, the owning plane's terminal
-// verdict if it retired the circuit itself, nil while the circuit is
-// alive or migrating.
+// cross-plane re-admission is exhausted, nil while the circuit is alive
+// or migrating. A plane's own terminal verdict is never the answer: the
+// router's hook migrates every circuit a plane retires, so between the
+// plane's verdict and the hook picking the circuit up it is migrating,
+// not dead — an error reported there would turn back into nil.
 func (h *Handle) Err() error {
 	h.mu.Lock()
-	c, term := h.conn, h.terminal
-	h.mu.Unlock()
-	if term != nil {
-		return term
-	}
-	if c != nil {
-		return c.Err()
-	}
-	return nil
+	defer h.mu.Unlock()
+	return h.terminal
 }
 
 // Repairing reports whether the circuit is currently without a route:
@@ -84,8 +79,8 @@ func (h *Handle) Repairing() bool {
 	if term != nil {
 		return false
 	}
-	if c == nil {
-		return !h.released.Load() // migrating between planes
+	if c == nil || c.Err() != nil { // migrating: between planes, or about to be
+		return !h.released.Load()
 	}
 	return c.Repairing()
 }
@@ -105,10 +100,17 @@ func (h *Handle) Release() error {
 	h.conn = nil
 	term := h.terminal
 	h.mu.Unlock()
-	if c != nil {
-		return c.Release()
+	if c == nil {
+		return term
 	}
-	return term
+	err := c.Release()
+	if err != nil && c.Err() != nil {
+		// The plane's terminal verdict on a circuit the router's hook had
+		// not picked up yet: the release caught it mid-migration, and its
+		// channels went back at revocation — nothing is lost.
+		return nil
+	}
+	return err
 }
 
 // SetOwner is a no-op: nothing federates federated handles, so a Handle

@@ -108,9 +108,12 @@ go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 
 # Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
 # test and the release-ring tests prove exactly-once verdict delivery
-# and exactly-once retirement only under -race; -count=2 shakes out
+# and exactly-once retirement only under -race, and so do the tests of
+# who runs an epoch and who reads a route (lock-free Ports against the
+# repair loop, size closing with repair tickets mid-fill, one deadline
+# over several batches, no manager goroutine); -count=2 shakes out
 # hand-off interleavings a single run can miss.
-go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing' ./internal/fabric
+go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API.
