@@ -147,6 +147,9 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) 
 	close(stop)
 	injWg.Wait()
 	s := fab.Stats()
+	if err := occupancyConsistent(s, tree); err != nil && loopErr == nil {
+		loopErr = err
+	}
 	if err := fab.Close(context.Background()); err != nil && loopErr == nil {
 		loopErr = err
 	}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,18 @@ func (c loopCounts) schedulability() float64 {
 		return 0
 	}
 	return float64(c.admitted) / float64(c.offered())
+}
+
+// occupancyConsistent is the accounting check every harness snapshot
+// passes: the occupancy gauge and the utilization of one Stats snapshot are
+// read under one lock, so the gauge is exactly the occupied-channel count
+// the utilization was computed from — whatever the injector is doing.
+func occupancyConsistent(s fabric.Stats, tree *topology.Tree) error {
+	channels := 2 * tree.TotalLinks()
+	if want := int64(math.Round(s.Utilization * float64(channels))); s.Occupancy != want {
+		return fmt.Errorf("occupancy gauge reads %d, utilization %.6f of %d channels is %d", s.Occupancy, s.Utilization, channels, want)
+	}
+	return nil
 }
 
 // closedLoop drives cfg.Clients concurrent FIFO-churn clients against

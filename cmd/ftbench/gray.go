@@ -281,6 +281,10 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	settle := time.Now().Add(15 * time.Second)
 	for {
 		s := fab.Stats()
+		if err := occupancyConsistent(s, tree); err != nil {
+			fab.Close(context.Background())
+			return grayArm{}, err
+		}
 		if s.PendingRepairs == 0 && s.QueueDepth == 0 {
 			break
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -411,6 +412,14 @@ func TestStatsReportsEngine(t *testing.T) {
 	}
 	if fb["sequential_epochs"] != float64(1) || fb["parallel_epochs"] != float64(0) {
 		t.Errorf("epoch split: sequential=%v parallel=%v, want 1/0", fb["sequential_epochs"], fb["parallel_epochs"])
+	}
+	// One held 0→63 circuit: two levels, four channels, and the gauge is
+	// the count the utilization was computed from.
+	channels := float64(2 * cfg.Planes[0].Fabric.Tree.TotalLinks())
+	util, _ := fb["utilization"].(float64)
+	if fb["occupancy"] != float64(4) || fb["occupancy"] != math.Round(util*channels) || fb["channel_allocs"] != float64(4) {
+		t.Errorf("occupancy=%v channel_allocs=%v utilization=%v of %v channels, want 4, 4 and 4/%v",
+			fb["occupancy"], fb["channel_allocs"], util, channels, channels)
 	}
 }
 

@@ -222,7 +222,10 @@ func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scrat
 // once and compacts the survivors in place, stably, so arbitration order
 // never changes. A level fetches its two link rows' words and its parent
 // table block once; a request's step is then one AND, one pick, two bit
-// clears and, below its last level, two parent reads.
+// clears and, below its last level, two parent reads. On a load-tracking
+// state a claim also counts on its two channels with plain adds — the
+// sweep owns the rows it is clearing — and the occupancy gauge moves once,
+// when the sweep is done (a rollback inside it settles its own route).
 //
 // Request i's ports go to arena[i*L+h] (L link levels; arena holds
 // len(reqs)*L ints), and outs[i] is written exactly once, whole, when the
@@ -276,6 +279,9 @@ func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int
 			live++
 		}
 		work = work[:live]
+	}
+	if track {
+		st.MoveOccupancy(2 * picks)
 	}
 	ops.VectorReads += 2 * visits
 	ops.VectorANDs += visits

@@ -135,13 +135,21 @@ func (s Spec) Index(level int, d Label) int {
 
 // LabelOf unpacks a dense index into a level-h label (inverse of Index).
 func (s Spec) LabelOf(level, idx int) Label {
+	return s.LabelInto(make(Label, s.L-1), level, idx)
+}
+
+// LabelInto is LabelOf writing into d, which must have length L-1, for
+// loops that unpack many indices and keep none of the labels.
+func (s Spec) LabelInto(d Label, level, idx int) Label {
 	s.checkLevel(level)
 	n := s.SwitchesAt(level)
 	if idx < 0 || idx >= n {
 		panic(fmt.Sprintf("digits: index %d out of range [0,%d) at level %d", idx, n, level))
 	}
-	d := make(Label, s.L-1)
-	for pos := 0; pos <= s.L-2; pos++ {
+	if len(d) != s.L-1 {
+		panic(fmt.Sprintf("digits: label length %d, want %d", len(d), s.L-1))
+	}
+	for pos := range d {
 		r := s.Radix(level, pos)
 		d[pos] = idx % r
 		idx /= r

@@ -22,12 +22,12 @@ import (
 	"repro/internal/topology"
 )
 
-// TestHandleSize pins the Handle to the 160-byte size class it had before
-// its route became an atomically published snapshot: fed_degraded holds
-// 1280 of them and its mem_mb is a gated metric.
+// TestHandleSize pins the Handle to the 128-byte size class: fed_degraded
+// holds 1280 of them, every pooled ticket keeps a spare one, and mem_mb is
+// a gated metric.
 func TestHandleSize(t *testing.T) {
-	if got := unsafe.Sizeof(Handle{}); got > 160 {
-		t.Errorf("unsafe.Sizeof(Handle{}) = %d, want <= 160", got)
+	if got := unsafe.Sizeof(Handle{}); got > 128 {
+		t.Errorf("unsafe.Sizeof(Handle{}) = %d, want <= 128", got)
 	}
 }
 

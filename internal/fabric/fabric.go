@@ -25,14 +25,27 @@
 // wakeups never extend the critical section.
 //
 // Locking: two mutexes, one owner each. mu belongs to epochs (and the
-// rare Stats, Fail and Repair walks): it owns the link state, the
+// rare Stats, Fail and Repair walks): it owns the link state — its load
+// counters included, which are plain and single-writer under it — the
 // connection registry, the fault sets, the repair bookkeeping and the
 // consumer side of the release ring, and the only client that ever waits
-// on it is a closer. qmu owns the admission queue and who runs it next;
-// no epoch holds it while scheduling. The only nesting is mu before qmu.
-// The other client paths take neither: Release parks the handle in a
-// lock-free MPSC ring that the next epoch drains before it schedules,
-// and Handle.Ports is one atomic load of an immutable route.
+// on it is a closer. What an epoch does under it is link-state mutation
+// and registry bookkeeping and nothing else: it allocates nothing for a
+// grant, publishes no pointer, and records its statistics once. qmu owns
+// the admission queue and who runs it next; no epoch holds it while
+// scheduling. The only nesting is mu before qmu. The other client paths
+// take neither: Release parks the handle in a lock-free MPSC ring that
+// the next epoch empties in one pass before it schedules, and
+// Handle.Ports is one atomic load of an immutable route.
+//
+// A Handle is allocated by the Connect that will own it, before it
+// queues: the pooled ticket carries a spare Handle (armTicket), whose
+// route pointer that goroutine publishes once, at allocation, aimed at the
+// route embedded in the Handle itself. The granting epoch fills in the
+// endpoints, the registry slot and that embedded route under mu and hands
+// the Handle over through the ticket's channel; a denial leaves the spare
+// on the ticket for its next use. After the grant only the repair loop
+// replaces the route, with a fresh snapshot, under mu.
 //
 // Robustness: the admission queue is bounded (Config.QueueLimit) and
 // exerts backpressure by blocking Connect until a slot frees; a queued
@@ -264,11 +277,19 @@ const (
 // the handle), and are claimed by handle state rather than the CAS
 // (Release of a repairing handle is their cancellation path).
 type ticket struct {
+	// What an epoch reads and writes under the scheduling lock comes first
+	// and together: its clients fill a ticket on another CPU, so every
+	// cache line of it the epoch touches is a miss paid under that lock.
 	req   core.Request
-	enq   time.Time
 	state atomic.Int32
+	h     *Handle // repair tickets only
+	// spare is the Handle a grant of this ticket becomes, allocated by the
+	// Connect that armed the ticket (armTicket) so that the epoch, under
+	// the scheduling lock, only fills it in. A grant consumes it; a denial
+	// leaves it for the ticket's next use. Client tickets only.
+	spare *Handle
 	resp  chan result // buffered(1): the epoch's send never blocks
-	h     *Handle     // repair tickets only
+	enq   time.Time
 }
 
 type result struct {
@@ -279,9 +300,12 @@ type result struct {
 // delivery is one verdict staged under the manager lock and sent to its
 // waiting Connect call after the lock is dropped, so channel sends (and
 // the goroutine wakeups they trigger) never extend the critical section.
+// A grant stages its handle; a denial stages only the level it failed at,
+// and its error is made by deliver, outside the lock.
 type delivery struct {
-	t *ticket
-	r result
+	t         *ticket
+	h         *Handle
+	failLevel int
 }
 
 // delbatch carries one epoch's staged verdicts out of the lock; the
@@ -324,7 +348,10 @@ type Handle struct {
 	// route is the one copy of the connection's route: an immutable
 	// snapshot, replaced under m.mu and never rewritten, read by Ports
 	// and the mu-side walks alike. The grant's is embedded (a grant stays
-	// one allocation); a revocation publishes noRoute, a repair a new one.
+	// one allocation): newHandle points route at granted before any epoch
+	// sees the handle, and the granting epoch fills granted in before the
+	// handle reaches its owner or the registry. A revocation publishes
+	// noRoute, a repair a new snapshot.
 	route   atomic.Pointer[route]
 	granted route
 
@@ -346,11 +373,14 @@ var noRoute route
 
 // set copies ports into r; call it before r is published.
 func (r *route) set(ports []int) {
-	if len(ports) <= len(r.inline) {
-		r.ports = r.inline[:copy(r.inline[:], ports)]
-	} else {
+	if len(ports) > len(r.inline) {
 		r.ports = append([]int(nil), ports...)
+		return
 	}
+	for i, p := range ports { // at most four: cheaper than the call copy makes
+		r.inline[i] = p
+	}
+	r.ports = r.inline[:len(ports)]
 }
 
 // Src returns the source node.
@@ -472,6 +502,11 @@ type Manager struct {
 	oldest  time.Time    // enqueue time of pending[0]
 	closed  atomic.Bool  // set under qmu; loads may be lock-free
 	qdepth  atomic.Int64 // len(pending); written under qmu, read lock-free
+	// offered counts enqueues, under qmu. It sits here, with what every
+	// enqueue already writes, and not beside the counters below: those are
+	// the epochs', and a line they share with this one would be pulled away
+	// from the lock holder by every arriving client.
+	offered atomic.Uint64
 	// closerPending is set by the enqueue that fills the batch and cleared
 	// by the queue swap that takes it: one closer per fill, however far
 	// repair tickets push the depth past BatchSize.
@@ -483,15 +518,18 @@ type Manager struct {
 	armed    bool
 
 	// relRing parks fast-path releases until a mu holder drains them
-	// (epoch flush, Stats, Fail, or a synchronous Release).
+	// (epoch flush, Stats, Fail, or a synchronous Release) through relbuf
+	// (guarded by mu).
 	relRing *releaseRing
+	relbuf  []*Handle
 
 	// tornSinceEpoch (guarded by mu) accumulates routes torn down since
 	// the last scheduling epoch and feeds the per-epoch route-churn sample.
 	tornSinceEpoch int
 
 	// Epoch scratch buffers (guarded by mu), reused across flushes so
-	// steady-state epochs allocate only the Handles they grant. qspare
+	// steady-state epochs allocate nothing (a grant's Handle is its
+	// ticket's spare, a denial's error is made at delivery). qspare
 	// ping-pongs with pending's backing array: each flush swaps the
 	// queue out under qmu and donates the drained batch back. Staged
 	// verdicts live in pooled delbatches (delPool), not here — they
@@ -500,11 +538,11 @@ type Manager struct {
 	reqbuf  []core.Request
 	qspare  []*ticket
 
-	offered, granted, rejected, cancelled atomic.Uint64
-	released, overflow, epochs            atomic.Uint64
-	drainRefused                          atomic.Uint64
-	seqEpochs, parEpochs                  atomic.Uint64
-	active                                atomic.Int64
+	granted, rejected, cancelled atomic.Uint64
+	released, overflow, epochs   atomic.Uint64
+	drainRefused                 atomic.Uint64
+	seqEpochs, parEpochs         atomic.Uint64
+	active                       atomic.Int64
 
 	// Repair-loop counters: every revocation ends in exactly one of
 	// repaired, repairFailed (retries exhausted), or repairAborted
@@ -534,13 +572,18 @@ type Manager struct {
 	establishedRoutes atomic.Uint64
 
 	// Histogram stripes: recording locks one stripe, Stats snapshots
-	// stripes one at a time and summarizes outside every lock.
-	epochSize   *shardedRing
-	epochLat    *shardedRing
-	repairLat   *shardedRing // revoke → successful re-admission, milliseconds
-	repairDepth *shardedRing // scheduling attempts per successful repair
-	routeChurn  *shardedRing // routes torn + established, per scheduling epoch
+	// stripes one at a time and summarizes outside every lock. An epoch
+	// records once: its size, latency and route churn are one sample.
+	epochHist   *shardedRing[epochSample]
+	repairLat   *shardedRing[float64] // revoke → successful re-admission, milliseconds
+	repairDepth *shardedRing[float64] // scheduling attempts per successful repair
 }
+
+// epochSample is what one scheduling epoch contributes to Stats' EpochSize,
+// EpochLatencyMS and RouteChurn distributions: the tickets it scheduled,
+// the wait of its oldest in milliseconds, and the routes torn down since
+// the previous epoch plus the routes this one established.
+type epochSample struct{ size, latMS, churn float64 }
 
 // New validates the config and applies defaults. It starts no goroutine
 // (epochs run on their closers and the MaxWait timer); end it with Close.
@@ -626,11 +669,9 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		quar:        make(map[faults.Channel]time.Time),
 		budget:      newBucket(cfg.RepairBudget, time.Now()),
 		relRing:     newReleaseRing(ringSize),
-		epochSize:   newShardedRing(4096),
-		epochLat:    newShardedRing(4096),
-		repairLat:   newShardedRing(4096),
-		repairDepth: newShardedRing(4096),
-		routeChurn:  newShardedRing(4096),
+		epochHist:   newShardedRing[epochSample](4096),
+		repairLat:   newShardedRing[float64](4096),
+		repairDepth: newShardedRing[float64](4096),
 	}
 	switch e := eng.Unwrap().(type) {
 	case *parsched.Engine:
@@ -762,22 +803,45 @@ func (m *Manager) signalSlots() {
 	}
 }
 
-// getTicket returns a pooled (or fresh) client ticket, reset to the
-// waiting state with its buffered resp channel ready.
+// getTicket returns a pooled (or fresh) client ticket, armed for src→dst
+// with its buffered resp channel ready.
 func (m *Manager) getTicket(src, dst int) *ticket {
 	t, _ := m.ticketPool.Get().(*ticket)
 	if t == nil {
 		t = &ticket{resp: make(chan result, 1)}
 	}
-	t.req = core.Request{Src: src, Dst: dst}
-	t.state.Store(ticketWaiting)
+	m.armTicket(t, src, dst)
 	return t
 }
 
+// armTicket readies a client ticket for one trip through the queue: the
+// request, the waiting state, and a spare Handle for the epoch to grant
+// into. This is where a grant's one allocation happens — on the client's
+// goroutine, before it queues — and only when the ticket's previous trip
+// consumed the last spare.
+func (m *Manager) armTicket(t *ticket, src, dst int) {
+	t.req = core.Request{Src: src, Dst: dst}
+	t.state.Store(ticketWaiting)
+	if t.spare == nil {
+		t.spare = m.newHandle()
+	}
+}
+
+// newHandle allocates the Handle of a grant yet to be decided. Its route
+// pointer is published here, once, by the goroutine that allocated it; the
+// granting epoch fills in the endpoints, the registry slot and the route
+// itself (Handle.granted) and stores nothing atomically.
+func (m *Manager) newHandle() *Handle {
+	h := &Handle{m: m}
+	h.route.Store(&h.granted)
+	return h
+}
+
 // putTicket recycles a ticket whose verdict was received (or that never
-// entered the queue). The caller must be past the resp receive — that
-// receive happens-after the epoch's send, which is the last epoch-side
-// touch — so the pool never holds a ticket an epoch still references.
+// entered the queue), with its spare Handle if the verdict left one. The
+// caller must be past the resp receive — that receive happens-after the
+// epoch's send, which is the last epoch-side touch — so the pool never
+// holds a ticket an epoch still references.
 func (m *Manager) putTicket(t *ticket) {
 	t.req = core.Request{}
 	m.ticketPool.Put(t)
@@ -936,8 +1000,10 @@ func (m *Manager) publishReleasesLocked(n releaseTally) {
 	}
 	m.released.Add(uint64(n.released))
 	m.active.Add(-int64(n.released))
-	m.tornRoutes.Add(uint64(n.torn))
-	m.tornSinceEpoch += n.torn
+	if n.torn > 0 {
+		m.tornRoutes.Add(uint64(n.torn))
+		m.tornSinceEpoch += n.torn
+	}
 }
 
 // drainReleasesLocked retires every handle parked in the release ring.
@@ -945,11 +1011,17 @@ func (m *Manager) publishReleasesLocked(n releaseTally) {
 // consumer. Epochs drain before scheduling, so channels freed by the
 // fast path are available to the pass that follows.
 func (m *Manager) drainReleasesLocked() {
+	parked := m.relRing.drain(m.relbuf[:0])
+	if len(parked) == 0 {
+		return
+	}
 	var n releaseTally
-	for h := m.relRing.pop(); h != nil; h = m.relRing.pop() {
+	for _, h := range parked {
 		m.finishReleaseLocked(h, &n)
 	}
 	m.publishReleasesLocked(n)
+	clear(parked) // the buffer is reused; it must not keep retired handles alive
+	m.relbuf = parked
 }
 
 // finishReleaseLocked performs the bookkeeping half of a Release under
@@ -1121,23 +1193,27 @@ func (m *Manager) flushLocked() *delbatch {
 		if o.Granted && len(o.Ports) > 0 {
 			established++ // new grants and repairs that hold channels
 		}
-		if t := live[i]; t.h != nil {
+		t := live[i]
+		if t.h != nil {
 			m.repairVerdictLocked(t, o, epoch)
 			continue
 		}
 		if o.Granted {
-			// The outcome's Ports alias the scheduler's reusable arena; the
-			// Handle owns its ports for the connection's lifetime, so copy
-			// — into the handle itself when the route fits.
-			h := &Handle{m: m, src: o.Src, dst: o.Dst, idx: len(m.conns)}
+			// The grant becomes the ticket's spare Handle (see armTicket):
+			// nothing is allocated here. The outcome's Ports alias the
+			// scheduler's reusable arena; the Handle owns its ports for the
+			// connection's lifetime, so copy — into the handle itself when
+			// the route fits.
+			h := t.spare
+			t.spare = nil
+			h.src, h.dst, h.idx = o.Src, o.Dst, len(m.conns)
 			h.granted.set(o.Ports)
-			h.route.Store(&h.granted)
 			m.conns = append(m.conns, h)
 			granted++
 			if m.cfg.Trace != nil {
 				m.cfg.Trace(Event{Kind: EventGrant, Src: o.Src, Dst: o.Dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 			}
-			dels = append(dels, delivery{t: live[i], r: result{h: h}})
+			dels = append(dels, delivery{t: t, h: h})
 			continue
 		}
 		// A scheduler without rollback retains a failed request's partial
@@ -1150,20 +1226,30 @@ func (m *Manager) flushLocked() *delbatch {
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventReject, Src: o.Src, Dst: o.Dst, FailLevel: o.FailLevel, Epoch: epoch})
 		}
-		dels = append(dels, delivery{t: live[i], r: result{err: &UnroutableError{Src: o.Src, Dst: o.Dst, FailLevel: o.FailLevel}}})
+		dels = append(dels, delivery{t: t, failLevel: o.FailLevel})
 	}
 	b.d = dels
-	m.granted.Add(uint64(granted))
-	m.active.Add(int64(granted))
-	m.rejected.Add(uint64(rejected))
-	latMS := float64(time.Since(live[0].enq)) / float64(time.Millisecond)
-	m.epochSize.add(float64(len(live)))
-	m.epochLat.add(latMS)
-	// One route-churn sample per scheduling epoch: routes torn down since
-	// the last one (releases, revocations) plus routes established by this
-	// pass — the reconfiguration cost a reuse-cost engine minimizes.
-	m.establishedRoutes.Add(uint64(established))
-	m.routeChurn.add(float64(m.tornSinceEpoch + established))
+	// A shared counter this pass did not move is not touched (an all-grant
+	// epoch skips rejected, an all-denial one the other three).
+	if granted > 0 {
+		m.granted.Add(uint64(granted))
+		m.active.Add(int64(granted))
+	}
+	if rejected > 0 {
+		m.rejected.Add(uint64(rejected))
+	}
+	if established > 0 {
+		m.establishedRoutes.Add(uint64(established))
+	}
+	// One histogram record per scheduling epoch. Its churn is the routes
+	// torn down since the last one (releases, revocations) plus the routes
+	// this pass established — the reconfiguration cost a reuse-cost engine
+	// minimizes.
+	m.epochHist.add(epochSample{
+		size:  float64(len(live)),
+		latMS: float64(time.Since(live[0].enq)) / float64(time.Millisecond),
+		churn: float64(m.tornSinceEpoch + established),
+	})
 	m.tornSinceEpoch = 0
 	// Drop ticket references from the reused buffer; the deliveries carry
 	// them the rest of the way.
@@ -1173,26 +1259,32 @@ func (m *Manager) flushLocked() *delbatch {
 }
 
 // deliver sends staged verdicts to their waiting Connect calls, outside
-// the manager lock; the buffered resp channels make every send
-// non-blocking. Entries are cleared so the pooled batch does not retain
-// tickets past the epoch, then the batch returns to delPool.
+// the manager lock, making a denial's error on the way (the ticket is
+// still the epoch's until the send); the buffered resp channels make every
+// send non-blocking. Entries are cleared so the pooled batch does not
+// retain tickets past the epoch, then the batch returns to delPool.
 func (m *Manager) deliver(b *delbatch) {
 	if b == nil {
 		return
 	}
 	for i := range b.d {
-		b.d[i].t.resp <- b.d[i].r
-		b.d[i] = delivery{}
+		d := &b.d[i]
+		r := result{h: d.h}
+		if d.h == nil {
+			r.err = &UnroutableError{Src: d.t.req.Src, Dst: d.t.req.Dst, FailLevel: d.failLevel}
+		}
+		d.t.resp <- r
+		*d = delivery{}
 	}
 	b.d = b.d[:0]
 	m.delPool.Put(b)
 }
 
 // newTrackedState builds the plane's link state with load tracking on:
-// the manager pays one predictable branch per channel operation to keep
-// the O(1) occupancy gauge and per-channel cumulative counters current —
-// the signals Occupancy, Stats, and federation's least-loaded policy
-// read without the scheduling lock.
+// epochs pay a plain add per channel claimed and one atomic add per pass
+// to keep the per-channel cumulative counters (read by Stats, under mu)
+// and the O(1) occupancy gauge (read by Occupancy and federation's
+// least-loaded policy with no lock at all) current.
 func newTrackedState(tree *topology.Tree) *linkstate.State {
 	st := linkstate.New(tree)
 	st.TrackLoad()

@@ -16,11 +16,12 @@ import (
 // releaseRing is a bounded multi-producer single-consumer queue of
 // released handles. Producers (the Release fast path) claim a slot with
 // one CAS on tail and publish the handle pointer into it; the single
-// consumer — whoever holds m.mu, inside drainReleasesLocked — pops until
-// it reaches an empty slot or one a producer has claimed but not yet
-// published (that slot is simply picked up by a later drain). A full ring fails the push and the caller falls back to
-// the synchronous release path, so the ring never blocks and never
-// drops a handle.
+// consumer — whoever holds m.mu, inside drainReleasesLocked — takes, in
+// one pass, everything up to the tail it read or to the first slot a
+// producer has claimed but not yet published (that slot is simply picked
+// up by a later drain). A full ring fails the push and the caller falls
+// back to the synchronous release path, so the ring never blocks and
+// never drops a handle.
 type releaseRing struct {
 	mask uint64
 	head atomic.Uint64 // consumer cursor; advanced only under the consumer lock
@@ -55,22 +56,27 @@ func (r *releaseRing) push(h *Handle) bool {
 	}
 }
 
-// pop returns the next published handle, or nil when the ring is empty
-// or the next slot is claimed but not yet published. Single consumer:
-// callers hold m.mu.
-func (r *releaseRing) pop() *Handle {
-	head := r.head.Load()
-	if head == r.tail.Load() {
-		return nil
+// drain appends every published handle to buf, oldest first, and returns
+// it: tail is read once, each slot is emptied with one swap, and head is
+// stored once for the whole pass, so what a drain costs the lock it runs
+// under is one atomic per handle plus two. It stops early at a slot whose
+// producer has claimed it but not yet published — swapping nil into an
+// empty slot changes nothing, and the next drain starts there. Single
+// consumer: callers hold m.mu.
+func (r *releaseRing) drain(buf []*Handle) []*Handle {
+	head, tail := r.head.Load(), r.tail.Load()
+	if head == tail {
+		return buf
 	}
-	s := &r.slot[head&r.mask]
-	h := s.Load()
-	if h == nil {
-		return nil // producer mid-publish; the next drain gets it
+	for ; head != tail; head++ {
+		h := r.slot[head&r.mask].Swap(nil)
+		if h == nil {
+			break // producer mid-publish; the next drain gets it
+		}
+		buf = append(buf, h)
 	}
-	s.Store(nil)
-	r.head.Store(head + 1)
-	return h
+	r.head.Store(head)
+	return buf
 }
 
 // histShards is the stripe count of a shardedRing. Four stripes are
@@ -84,26 +90,26 @@ const histShards = 4
 // snapshot copies stripes one at a time, so summarizing (sorting,
 // percentiles) in distOf happens outside every lock and recording is
 // never blocked behind a slow snapshot.
-type shardedRing struct {
+type shardedRing[T any] struct {
 	next  atomic.Uint64
 	shard [histShards]struct {
 		mu sync.Mutex
-		r  ring
+		r  ring[T]
 	}
 }
 
 // newShardedRing splits the capacity evenly across the stripes.
-func newShardedRing(capacity int) *shardedRing {
-	s := &shardedRing{}
+func newShardedRing[T any](capacity int) *shardedRing[T] {
+	s := &shardedRing[T]{}
 	per := (capacity + histShards - 1) / histShards
 	for i := range s.shard {
-		s.shard[i].r = newRing(per)
+		s.shard[i].r = newRing[T](per)
 	}
 	return s
 }
 
 // add records one observation in the next stripe.
-func (s *shardedRing) add(x float64) {
+func (s *shardedRing[T]) add(x T) {
 	sh := &s.shard[s.next.Add(1)%histShards]
 	sh.mu.Lock()
 	sh.r.add(x)
@@ -112,8 +118,8 @@ func (s *shardedRing) add(x float64) {
 
 // snapshot merges the retained samples of every stripe. The merged
 // order is not chronological; distOf sorts where order matters.
-func (s *shardedRing) snapshot() []float64 {
-	var out []float64
+func (s *shardedRing[T]) snapshot() []T {
+	var out []T
 	for i := range s.shard {
 		sh := &s.shard[i]
 		sh.mu.Lock()

@@ -8,15 +8,15 @@ import (
 
 // ring is a fixed-capacity sample buffer keeping the most recent
 // observations; distributions in Stats summarize its contents.
-type ring struct {
-	buf  []float64
+type ring[T any] struct {
+	buf  []T
 	n    int // valid samples
 	next int // write cursor
 }
 
-func newRing(capacity int) ring { return ring{buf: make([]float64, capacity)} }
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
 
-func (r *ring) add(x float64) {
+func (r *ring[T]) add(x T) {
 	r.buf[r.next] = x
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
@@ -25,8 +25,8 @@ func (r *ring) add(x float64) {
 }
 
 // samples returns the retained observations, oldest first.
-func (r *ring) samples() []float64 {
-	out := make([]float64, r.n)
+func (r *ring[T]) samples() []T {
+	out := make([]T, r.n)
 	if r.n < len(r.buf) {
 		copy(out, r.buf[:r.n])
 		return out
@@ -170,7 +170,9 @@ func (m *Manager) capacityLocked() float64 {
 //
 // The call takes the scheduling lock and settles pending work first —
 // parked fast-path releases are drained — so the snapshot reflects every
-// Release that returned before the call (read-your-writes).
+// Release that returned before the call (read-your-writes). Everything
+// read from the link state is read inside that one locked section, so
+// Occupancy is exactly Utilization × channels in every snapshot.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	m.drainReleasesLocked()
@@ -178,13 +180,18 @@ func (m *Manager) Stats() Stats {
 	engine := m.lastEngine
 	faulty, quarantined := len(m.failed), len(m.quar)
 	util, capacity := m.st.Utilization(), m.capacityLocked()
+	// The gauge and the per-channel counters belong to the epochs: read
+	// here, with Utilization, they describe the same instant.
+	occupancy, allocs := m.st.LiveOccupancy(), m.st.TotalAllocs()
 	m.mu.Unlock()
 	depth := int(m.qdepth.Load())
-	size := distOf(m.epochSize.snapshot())
-	lat := distOf(m.epochLat.snapshot())
+	epochs := m.epochHist.snapshot()
+	size, lat, churn := make([]float64, len(epochs)), make([]float64, len(epochs)), make([]float64, len(epochs))
+	for i, e := range epochs {
+		size[i], lat[i], churn[i] = e.size, e.latMS, e.churn
+	}
 	repLat := distOf(m.repairLat.snapshot())
 	repDepth := distOf(m.repairDepth.snapshot())
-	churn := distOf(m.routeChurn.snapshot())
 	return Stats{
 		Offered:        m.offered.Load(),
 		Granted:        m.granted.Load(),
@@ -197,10 +204,10 @@ func (m *Manager) Stats() Stats {
 		Active:         m.active.Load(),
 		QueueDepth:     depth,
 		Utilization:    util,
-		Occupancy:      m.st.LiveOccupancy(),
-		ChannelAllocs:  m.st.TotalAllocs(),
-		EpochSize:      size,
-		EpochLatencyMS: lat,
+		Occupancy:      occupancy,
+		ChannelAllocs:  allocs,
+		EpochSize:      distOf(size),
+		EpochLatencyMS: distOf(lat),
 
 		SequentialEpochs: m.seqEpochs.Load(),
 		ParallelEpochs:   m.parEpochs.Load(),
@@ -226,7 +233,7 @@ func (m *Manager) Stats() Stats {
 		ReuseCost:         m.reuseCost,
 		TornRoutes:        m.tornRoutes.Load(),
 		EstablishedRoutes: m.establishedRoutes.Load(),
-		RouteChurn:        churn,
+		RouteChurn:        distOf(churn),
 	}
 }
 

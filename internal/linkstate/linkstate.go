@@ -102,13 +102,19 @@ type State struct {
 	// the same storage and can never diverge. Nil when rows span words.
 	uw, dw [][]uint64
 
+	// nfailed counts the bits set in failedU/failedD.
+	nfailed int
+
 	// Load counters, enabled by TrackLoad: loadU/loadD count cumulative
 	// allocation events per channel (indexed [level][switch*w+port]) and
-	// occ is a live aggregate occupancy gauge (allocate +1, release -1)
-	// — the O(1) signal least-loaded plane selection reads instead of a
-	// popcount scan. All accesses are atomic so the lock-free scheduling
-	// paths (TryAllocate/AtomicRelease) may race freely; when tracking is
-	// off (the default) every hot path pays one predictable branch.
+	// occ is a live aggregate occupancy gauge — the O(1) signal
+	// least-loaded plane selection reads instead of a popcount scan. The
+	// counters are single-writer, like the availability rows they sit
+	// beside: whoever may mutate a row increments its counters with plain
+	// adds, and only TryAllocate counts atomically. The gauge is atomic
+	// and moves once per pass, not once per channel (see TrackLoad). When
+	// tracking is off (the default) every hot path pays one predictable
+	// branch.
 	trackLoad    bool
 	loadU, loadD [][]uint64
 	occ          atomic.Int64
@@ -163,6 +169,7 @@ func (s *State) AllocateBoth(h, sigma, delta, port int) {
 	AllocateWords(&s.uw[h][sigma], &s.dw[h][delta], uint64(1)<<uint(port))
 	if s.trackLoad {
 		s.NoteAllocBoth(h, sigma, delta, port)
+		s.occ.Add(2)
 	}
 }
 
@@ -171,7 +178,7 @@ func (s *State) AllocateBoth(h, sigma, delta, port int) {
 // Dlink(h, idx), the storage AvailBothWord reads. A sweep that visits many
 // switches of one level fetches the two slices once, ANDs rows itself and
 // claims ports with AllocateWords; on a LoadTracking state it owes one
-// NoteAllocBoth per claim.
+// NoteAllocBoth per claim and one MoveOccupancy for the pass.
 func (s *State) LevelWords(h int) (u, d []uint64) { return s.uw[h], s.dw[h] }
 
 // AllocateWords is the allocation half of AllocateBoth on rows taken
@@ -195,13 +202,23 @@ func (e nonFreePort) Error() string {
 	return fmt.Sprintf("linkstate: allocation of non-free port %d (Ulink row %#x, Dlink row %#x)", bits.TrailingZeros64(e.bit), e.u, e.d)
 }
 
-// NoteAllocBoth is the load-tracking half of AllocateBoth: it records the
-// allocation events of the upward channel at (h, sigma, port) and the
-// downward channel at (h, delta, port). Callers guard with LoadTracking.
+// NoteAllocBoth is the counting half of AllocateBoth on a LoadTracking
+// state (callers guard): it counts one allocation event on the upward
+// channel at (h, sigma, port) and one on the downward channel at
+// (h, delta, port). The two adds are plain — the caller is the goroutine
+// that just cleared those rows' bits, so it is the counters' only writer
+// — and the occupancy gauge is not touched: a sweep sums its claims and
+// settles them with one MoveOccupancy when it is done.
 func (s *State) NoteAllocBoth(h, sigma, delta, port int) {
-	s.noteAlloc(Up, h, sigma, port)
-	s.noteAlloc(Down, h, delta, port)
+	w := s.tree.Parents()
+	s.loadU[h][sigma*w+port]++
+	s.loadD[h][delta*w+port]++
 }
+
+// MoveOccupancy adds delta channels to the live occupancy gauge of a
+// LoadTracking state: the one atomic operation a pass over many channels
+// (a sweep that counted with NoteAllocBoth) owes for all of them.
+func (s *State) MoveOccupancy(delta int) { s.occ.Add(int64(delta)) }
 
 // Tree returns the topology this state belongs to.
 func (s *State) Tree() *topology.Tree { return s.tree }
@@ -209,9 +226,23 @@ func (s *State) Tree() *topology.Tree { return s.tree }
 // TrackLoad enables the per-link load counters and the live occupancy
 // gauge. Enable it before the first allocation (internal/fabric enables
 // it at manager construction); enabling is idempotent. Tracking costs
-// one branch on every allocate/release when enabled, nothing when off —
+// one branch on every allocate/release when off, and when on one plain
+// add per channel claimed plus one atomic add per pass —
 // TestScheduleIntoZeroAllocs pins that the scheduling hot path stays at
 // zero allocations either way.
+//
+// The counters follow the State's own concurrency contract. The
+// per-channel cumulative counters are single-writer: whoever is allowed
+// to mutate a row with the plain API (the fabric's epoch under its lock, a
+// parsched shard worker on its own subtree's rows) increments that row's
+// counters with plain adds, and TotalAllocs, LoadSnapshot and ChannelLoad
+// are plain reads that need the same serialization as any other read of
+// the State (the fabric's Stats reads them before it drops the lock).
+// Only TryAllocate counts with an atomic add, because its callers race
+// each other by design. The gauge is the one value read with no
+// serialization at all (LiveOccupancy), so it stays atomic — but a pass
+// settles it once: core.SweepWords for every port it claimed, a release
+// walk (ReleasePath, ReleaseHeld) for the route it freed.
 func (s *State) TrackLoad() {
 	if s.trackLoad {
 		return
@@ -229,54 +260,48 @@ func (s *State) TrackLoad() {
 // LoadTracking reports whether TrackLoad has been enabled.
 func (s *State) LoadTracking() bool { return s.trackLoad }
 
-// noteAlloc records one allocation event on a tracked state: the
-// channel's cumulative counter and the live occupancy gauge. Outlined
-// from the hot paths so their inlinability is preserved; callers guard
-// with s.trackLoad.
-func (s *State) noteAlloc(d Direction, h, idx, port int) {
+// load returns the cumulative counter of one channel of a tracked state.
+func (s *State) load(d Direction, h, idx, port int) *uint64 {
 	load := s.loadU
 	if d == Down {
 		load = s.loadD
 	}
-	atomic.AddUint64(&load[h][idx*s.tree.Parents()+port], 1)
-	s.occ.Add(1)
+	return &load[h][idx*s.tree.Parents()+port]
 }
 
 // LiveOccupancy returns the current number of allocated channels on a
-// tracked state, maintained as an O(1) atomic gauge (allocate +1,
-// release -1, forfeited allocations of failed channels excluded). It is
-// safe to read lock-free from any goroutine and always equals
-// OccupiedCount once mutations quiesce. Zero when tracking is off.
+// tracked state, maintained as an O(1) atomic gauge (forfeited
+// allocations of failed channels excluded). It is safe to read lock-free
+// from any goroutine. Between passes it equals OccupiedCount; while a
+// sweep is in flight it lags by the claims that sweep has yet to settle.
+// Zero when tracking is off.
 func (s *State) LiveOccupancy() int64 { return s.occ.Load() }
 
 // ChannelLoad returns the cumulative allocation count of one channel
 // since TrackLoad was enabled — allocation events, not live occupancy:
 // an allocation later released (or rolled back) still counts. Zero when
-// tracking is off.
+// tracking is off. A plain read: see TrackLoad for who may call it when.
 func (s *State) ChannelLoad(d Direction, h, idx, port int) uint64 {
 	if !s.trackLoad {
 		return 0
 	}
-	load := s.loadU
-	if d == Down {
-		load = s.loadD
-	}
-	return atomic.LoadUint64(&load[h][idx*s.tree.Parents()+port])
+	return *s.load(d, h, idx, port)
 }
 
 // TotalAllocs returns the cumulative allocation events across every
-// channel since TrackLoad was enabled (zero when tracking is off).
+// channel since TrackLoad was enabled (zero when tracking is off). Plain
+// reads: see TrackLoad for who may call it when.
 func (s *State) TotalAllocs() uint64 {
 	if !s.trackLoad {
 		return 0
 	}
 	var total uint64
 	for h := range s.loadU {
-		for i := range s.loadU[h] {
-			total += atomic.LoadUint64(&s.loadU[h][i])
+		for _, n := range s.loadU[h] {
+			total += n
 		}
-		for i := range s.loadD[h] {
-			total += atomic.LoadUint64(&s.loadD[h][i])
+		for _, n := range s.loadD[h] {
+			total += n
 		}
 	}
 	return total
@@ -284,7 +309,8 @@ func (s *State) TotalAllocs() uint64 {
 
 // LoadSnapshot returns a copy of the per-channel cumulative allocation
 // counters, one slice per link level indexed switch*w+port, split by
-// direction. Nil when tracking is off.
+// direction. Nil when tracking is off. Plain reads: see TrackLoad for who
+// may call it when.
 func (s *State) LoadSnapshot() (up, down [][]uint64) {
 	if !s.trackLoad {
 		return nil, nil
@@ -292,14 +318,8 @@ func (s *State) LoadSnapshot() (up, down [][]uint64) {
 	up = make([][]uint64, len(s.loadU))
 	down = make([][]uint64, len(s.loadD))
 	for h := range s.loadU {
-		up[h] = make([]uint64, len(s.loadU[h]))
-		for i := range s.loadU[h] {
-			up[h][i] = atomic.LoadUint64(&s.loadU[h][i])
-		}
-		down[h] = make([]uint64, len(s.loadD[h]))
-		for i := range s.loadD[h] {
-			down[h][i] = atomic.LoadUint64(&s.loadD[h][i])
-		}
+		up[h] = append([]uint64(nil), s.loadU[h]...)
+		down[h] = append([]uint64(nil), s.loadD[h]...)
 	}
 	return up, down
 }
@@ -346,6 +366,7 @@ func (s *State) FailLink(d Direction, h, idx, port int) bool {
 		return true
 	}
 	mask.Set(port)
+	s.nfailed++
 	wasFree := avail.Get(port)
 	avail.Clear(port)
 	if s.trackLoad && !wasFree {
@@ -371,6 +392,7 @@ func (s *State) RepairLink(d Direction, h, idx, port int) bool {
 		s.failedD[h].Row(idx).Clear(port)
 		s.dlink[h].Row(idx).Set(port)
 	}
+	s.nfailed--
 	return true
 }
 
@@ -386,16 +408,7 @@ func (s *State) Failed(d Direction, h, idx, port int) bool {
 }
 
 // FailedCount returns the number of channels removed from service.
-func (s *State) FailedCount() int {
-	if s.failedU == nil {
-		return 0
-	}
-	total := 0
-	for h := range s.failedU {
-		total += s.failedU[h].Count() + s.failedD[h].Count()
-	}
-	return total
-}
+func (s *State) FailedCount() int { return s.nfailed }
 
 // ULink returns the upward availability vector of the level-h switch idx.
 // The returned vector aliases internal storage: treat it as read-only and
@@ -466,7 +479,8 @@ func (s *State) Allocate(d Direction, h, idx, port int) error {
 	}
 	row.Clear(port)
 	if s.trackLoad {
-		s.noteAlloc(d, h, idx, port)
+		*s.load(d, h, idx, port)++
+		s.occ.Add(1)
 	}
 	return nil
 }
@@ -481,7 +495,8 @@ func (s *State) TryAllocate(d Direction, h, idx, port int) bool {
 		return false
 	}
 	if s.trackLoad {
-		s.noteAlloc(d, h, idx, port)
+		atomic.AddUint64(s.load(d, h, idx, port), 1)
+		s.occ.Add(1)
 	}
 	return true
 }
@@ -662,16 +677,64 @@ func (s *State) ReleasePath(src, dst int, ports []int) error {
 	if len(ports) != h {
 		return fmt.Errorf("linkstate: request (%d→%d) needs %d ports, got %d", src, dst, h, len(ports))
 	}
+	return s.ReleaseHeld(src, dst, ports)
+}
+
+// ReleaseHeld releases the channel pairs a climb from src toward dst holds
+// on its first len(ports) levels — a whole route, or the part of one a
+// denied request got to (a scheduler's rollback). Like ReleasePath it
+// releases what it can and returns the first error.
+//
+// On a WordRows state with no channel failed it is the release counterpart
+// of AllocateWords: a cursor walk that tests and sets the port's bit in the
+// two rows of each level, and on a LoadTracking state moves the gauge once
+// for the route. Anywhere else it walks the Vector API, whose Release
+// also refuses failed channels.
+func (s *State) ReleaseHeld(src, dst int, ports []int) error {
 	var cur topology.RouteCursor
 	cur.Start(s.tree, src, dst)
-	var firstErr error
-	cur.Walk(ports, func(lvl, sigma, delta, p int) {
-		if err := s.Release(Up, lvl, sigma, p); err != nil && firstErr == nil {
-			firstErr = err
+	if s.uw == nil || s.nfailed > 0 {
+		var firstErr error
+		cur.Walk(ports, func(lvl, sigma, delta, p int) {
+			if err := s.Release(Up, lvl, sigma, p); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			if err := s.Release(Down, lvl, delta, p); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		})
+		return firstErr
+	}
+	w := s.tree.Parents()
+	freed := 0
+	// The first channel found free, reported once the walk is done: the
+	// formatting stays off the path every healthy release takes.
+	bad, badDir, badIdx := -1, Up, 0
+	for lvl, p := range ports { // the climb starts at level 0: ports[lvl] crosses level lvl
+		if uint(p) >= uint(w) {
+			panic(fmt.Sprintf("linkstate: port %d out of range [0,%d)", p, w))
 		}
-		if err := s.Release(Down, lvl, delta, p); err != nil && firstErr == nil {
-			firstErr = err
+		sigma, delta := cur.Sigma(), cur.Delta()
+		u, d, bit := &s.uw[lvl][sigma], &s.dw[lvl][delta], uint64(1)<<uint(p)
+		if *u&bit == 0 {
+			*u |= bit
+			freed++
+		} else if bad < 0 {
+			bad, badDir, badIdx = lvl, Up, sigma
 		}
-	})
-	return firstErr
+		if *d&bit == 0 {
+			*d |= bit
+			freed++
+		} else if bad < 0 {
+			bad, badDir, badIdx = lvl, Down, delta
+		}
+		cur.Advance(p)
+	}
+	if s.trackLoad && freed > 0 {
+		s.occ.Add(-int64(freed))
+	}
+	if bad >= 0 {
+		return fmt.Errorf("linkstate: %s channel at level %d switch %d port %d not occupied", badDir, bad, badIdx, ports[bad])
+	}
+	return nil
 }

@@ -100,11 +100,16 @@ func TestLoadCountersWordPath(t *testing.T) {
 		t.Errorf("AllocateBoth counters: up=%d down=%d, want 1/1",
 			s.ChannelLoad(Up, 0, 0, 1), s.ChannelLoad(Down, 0, 2, 1))
 	}
-	// The same allocation in the two halves a sweep with hoisted rows
-	// performs: AllocateWords on the level's words, then NoteAllocBoth.
+	// The same allocation in the three parts a sweep with hoisted rows
+	// performs: AllocateWords on the level's words, NoteAllocBoth per
+	// claim, and one MoveOccupancy for the pass.
 	u, d := s.LevelWords(0)
 	AllocateWords(&u[1], &d[3], 1<<2)
 	s.NoteAllocBoth(0, 1, 3, 2)
+	if got := s.LiveOccupancy(); got != 2 {
+		t.Errorf("LiveOccupancy = %d after NoteAllocBoth alone, want 2: the gauge is the pass's to move", got)
+	}
+	s.MoveOccupancy(2)
 	if s.Available(Up, 0, 1, 2) || s.Available(Down, 0, 3, 2) {
 		t.Error("AllocateWords on LevelWords rows left the channels available")
 	}

@@ -237,3 +237,39 @@ func TestShardEngineIdentity(t *testing.T) {
 		t.Fatalf("Shard.String() = %q", Shard.String())
 	}
 }
+
+// TestShardHighWorkerTrackedState runs the shard engine on a load-tracking
+// state, as the fabric would: shard workers count their claims with plain
+// adds on the rows they own and settle the gauge once per sweep, the
+// root-crossing remainder counts channel by channel afterwards. Under
+// -race this proves the plain counters are never shared; the totals prove
+// nothing was lost — the gauge equals the popcount truth and the
+// cumulative counters equal the engine's own allocation count, over two
+// batches on one state.
+func TestShardHighWorkerTrackedState(t *testing.T) {
+	for _, shape := range [][3]int{{3, 4, 2}, {3, 4, 4}, {4, 3, 3}} {
+		tree := topology.MustNew(shape[0], shape[1], shape[2])
+		for _, steal := range []bool{false, true} {
+			for _, rollback := range []bool{false, true} {
+				label := fmt.Sprintf("FT(%d,%d,%d)/steal=%v/rollback=%v", shape[0], shape[1], shape[2], steal, rollback)
+				eng := New(Config{Workers: 16, Mode: Shard, Steal: steal, Opts: core.Options{Rollback: rollback}})
+				st := linkstate.New(tree)
+				st.TrackLoad()
+				picked := uint64(0)
+				for round := int64(0); round < 2; round++ {
+					res := eng.Schedule(st, localBatch(tree, 2*tree.Nodes(), 0.6, 21+round))
+					if res.Scheduler != eng.Name() {
+						t.Fatalf("%s: ran on %q, not the shard engine", label, res.Scheduler)
+					}
+					picked += uint64(res.Ops.Allocs)
+					if occ, want := st.LiveOccupancy(), int64(st.OccupiedCount()); occ != want {
+						t.Fatalf("%s round %d: gauge %d, OccupiedCount %d", label, round, occ, want)
+					}
+					if got := st.TotalAllocs(); got != picked {
+						t.Fatalf("%s round %d: TotalAllocs %d, the engine counted %d allocations", label, round, got, picked)
+					}
+				}
+			}
+		}
+	}
+}

@@ -103,6 +103,9 @@ func New(l, m, w int) (*Tree, error) {
 	}
 	t.upOff[spec.LinkLevels()] = int32(total)
 	t.upFlat = make([]int32, total)
+	// Two labels serve every table entry: lab is the switch being wired,
+	// work the copy each of its ports shifts in place.
+	lab, work := make(digits.Label, spec.L-1), make(digits.Label, spec.L-1)
 	for h := 0; h < spec.LinkLevels(); h++ {
 		nLow := spec.SwitchesAt(h)
 		nHigh := spec.SwitchesAt(h + 1)
@@ -114,11 +117,10 @@ func New(l, m, w int) (*Tree, error) {
 			t.down[h][i] = -1
 			t.downPort[h][i] = -1
 		}
-		lab := make(digits.Label, spec.L-1)
 		for idx := 0; idx < nLow; idx++ {
-			copy(lab, spec.LabelOf(h, idx))
+			spec.LabelInto(lab, h, idx)
 			for p := 0; p < w; p++ {
-				work := lab.Clone()
+				copy(work, lab)
 				child := spec.UpInPlace(h, work, p)
 				parent := spec.Index(h+1, work)
 				up[idx*w+p] = int32(parent)

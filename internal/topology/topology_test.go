@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -289,9 +290,38 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(0, 0, 0)
 }
 
-func BenchmarkNewFT3x16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		MustNew(3, 16, 16)
+// TestNewAllocatesPerLevelNotPerSwitch: New makes its tables and two work
+// labels, so its allocation count grows with the number of levels and not
+// with the number of switches or ports — FT(3,16,16) wires 8192 table
+// entries and FT(3,4,4) 128, in the same number of allocations.
+func TestNewAllocatesPerLevelNotPerSwitch(t *testing.T) {
+	count := func(l, m, w int) float64 {
+		return testing.AllocsPerRun(5, func() { MustNew(l, m, w) })
+	}
+	small, big := count(3, 4, 4), count(3, 16, 16)
+	if small != big {
+		t.Errorf("New allocates %.0f objects for FT(3,4,4) and %.0f for FT(3,16,16), want the same", small, big)
+	}
+	for _, l := range []int{2, 3, 4} {
+		if got, limit := count(l, 4, 4), float64(12+4*l); got > limit {
+			t.Errorf("New allocates %.0f objects for FT(%d,4,4), want at most %.0f", got, l, limit)
+		}
+	}
+}
+
+var sinkTree *Tree
+
+// BenchmarkTopologyNew is tree construction at the benchmark's two sizes:
+// batch_perm's FT(3,16,16) and the serving workloads' FT(3,8,8), where it
+// is part of setup_s and of every plane ftserve starts.
+func BenchmarkTopologyNew(b *testing.B) {
+	for _, sh := range [][3]int{{3, 16, 16}, {3, 8, 8}} {
+		b.Run(fmt.Sprintf("FT(%d,%d,%d)", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkTree = MustNew(sh[0], sh[1], sh[2])
+			}
+		})
 	}
 }
 

@@ -40,12 +40,12 @@ go test -race -count=2 -run 'HighWorker' ./internal/parsched
 # zero-allocation benches) fails CI without costing bench-grade runtime.
 go test -run '^$' -bench . -benchtime 1x ./...
 
-# Hot-path smoke: the cursor-advance, Level-wise sweep and fabric-release
-# benches exercise the table-driven topology kernel, the word kernel and
-# the lock-free release ring end to end (including the /arith oracle
-# variants); run them explicitly so a rename never silently drops them
-# from the net above.
-go test -run '^$' -bench 'BenchmarkRouteCursor' -benchtime 1x ./internal/topology
+# Hot-path smoke: the cursor-advance, tree-construction, Level-wise sweep
+# and fabric-release benches exercise the table-driven topology kernel,
+# the word kernel and the lock-free release ring end to end (including
+# the /arith oracle variants); run them explicitly so a rename never
+# silently drops them from the net above.
+go test -run '^$' -bench 'BenchmarkRouteCursor|BenchmarkTopologyNew' -benchtime 1x ./internal/topology
 go test -run '^$' -bench 'BenchmarkLevelWise' -benchtime 1x ./internal/core
 go test -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
 go test -run '^$' -bench 'BenchmarkFederationThroughput' -benchtime 1x ./internal/federation
@@ -68,6 +68,16 @@ go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least
 # oracle (word path vs Vector path over every option, tree form and
 # starting state) rides along, run twice for the same reason.
 go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -count=2 ./internal/core
+
+# Load-counter contracts: the word-form release walk against the
+# per-channel walk it replaced (every tree form, tracked and untracked,
+# double releases, a faulted state), and the property test that holds the
+# occupancy gauge to the popcount truth and the cumulative counters to two
+# per port picked after every kind of mutation; -count=2 for the same
+# reason as above. The shard engine's half of the single-writer contract
+# (TestShardHighWorkerTrackedState) rides the -race HighWorker line.
+go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge' -count=2 ./internal/linkstate
+go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
 # Incremental-vs-batch golden smoke: over an arrivals-only workload the
 # delta path must stay bit-identical to batch replay, at both the core
@@ -100,10 +110,12 @@ go run ./cmd/ftbench -admit -fabric-duration 200ms -admit-epochs 1,8 \
 # where a pool regression would hide.
 go test -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
 # Grant allocation guards: a bare Manager grant is one allocation (the
-# Handle, route inline), a federated Connect + Release two (both
-# handles), and ordering the candidate planes none. Run without -race:
-# the tests skip themselves under it.
-go test -run 'TestGrantOneAlloc' -count=2 ./internal/fabric
+# Handle, route inline) and none of it under the scheduling lock — a full
+# all-grant epoch with its tickets' spare Handles in place allocates
+# nothing — a federated Connect + Release two (both handles), and
+# ordering the candidate planes none. Run without -race: the tests skip
+# themselves under it.
+go test -run 'TestGrantOneAlloc|TestEpochAllocatesNothingUnderLock|TestHandleSize' -count=2 ./internal/fabric
 go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 
 # Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
@@ -111,9 +123,12 @@ go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 # and exactly-once retirement only under -race, and so do the tests of
 # who runs an epoch and who reads a route (lock-free Ports against the
 # repair loop, size closing with repair tickets mid-fill, one deadline
-# over several batches, no manager goroutine); -count=2 shakes out
-# hand-off interleavings a single run can miss.
-go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine' ./internal/fabric
+# over several batches, no manager goroutine) and of who allocates a
+# Handle and who reads the load counters (a spare surviving a denial and
+# dying with a cancelled ticket, Stats polling while epochs count
+# channels); -count=2 shakes out hand-off interleavings a single run can
+# miss.
+go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API.
