@@ -7,19 +7,14 @@ package repro
 // `go test -bench` output doubles as a miniature reproduction report.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fabric"
 	"repro/internal/parsched"
 )
 
@@ -273,56 +268,11 @@ func BenchmarkScheduleLevelWise4096(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricThroughput measures the serving layer's admission rate
-// on FT(3,8): 64 closed-loop clients mixing Connect/Release across epoch
-// flush thresholds. The admissions/s metric is the headline; epoch
-// batching must beat the epoch-size-1 configuration by ≥2× (baseline
-// recorded in BENCH_fabric.json).
-func BenchmarkFabricThroughput(b *testing.B) {
-	const clients = 64
-	tree, err := NewFatTree(3, 8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, epoch := range []int{1, 16, 64} {
-		b.Run(fmt.Sprintf("epoch%d/clients%d", epoch, clients), func(b *testing.B) {
-			fab, err := fabric.New(fabric.Config{Tree: tree, BatchSize: epoch, MaxWait: 500 * time.Microsecond})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(id) + 1))
-					for next.Add(1) <= int64(b.N) {
-						h, err := fab.Connect(context.Background(), rng.Intn(tree.Nodes()), rng.Intn(tree.Nodes()))
-						if err == nil {
-							if err := fab.Release(h); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "admissions/s")
-			if err := fab.Close(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkParallelLevelWise compares the sequential zero-allocation
 // scheduler against the parallel engine (internal/parsched) in both
 // modes across worker counts and batch sizes; the requests/s metric is
-// the headline (baseline recorded in BENCH_parallel.json). Speedup
+// the headline (the PR-2 baseline is historical, 1 CPU, see EXPERIMENTS
+// E16; bench/ reports the same engines as parsched.*_req_per_s). Speedup
 // requires real cores: on a GOMAXPROCS=1 host the parallel variants
 // measure pure coordination overhead.
 func BenchmarkParallelLevelWise(b *testing.B) {
@@ -394,7 +344,7 @@ func scalingBatch(tree *FatTree, n int, local bool, seed int64) []core.Request {
 // vs deterministic vs racy vs shard (± steal) with workers pinned to
 // GOMAXPROCS, so `go test -bench ScalingEngines -cpu 1,2,4,8` sweeps
 // core counts and each point uses exactly the cores the runtime gives
-// it (baseline and acceptance notes recorded in BENCH_scaling.json).
+// it (the recorded sweep is historical, 1 CPU, see EXPERIMENTS E19).
 // Uniform traffic mostly crosses the root and falls back to the
 // two-phase engine; local traffic is fully subtree-confined, the shard
 // engine's zero-coordination fast path.

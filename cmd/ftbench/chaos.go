@@ -1,10 +1,12 @@
 package main
 
 // The -chaos mode layers a seeded fault/repair schedule on top of the
-// -fabric closed-loop generator: while clients churn, an injector
-// alternates between failing a uniform random fraction p of links and
-// repairing everything, and the run reports the schedulability ratio
-// and repair latency as a function of p (EXPERIMENTS.md E17).
+// closed-loop runner: while clients churn, an injector alternates
+// between failing a uniform random fraction p of links and repairing
+// everything, and the run reports the schedulability ratio and the
+// fabric's own repair-latency histogram as a function of p
+// (EXPERIMENTS.md E17). Once the injector stops the run heals and
+// settles, and fails unless every revoked connection is accounted for.
 
 import (
 	"context"
@@ -27,15 +29,6 @@ type chaosBenchConfig struct {
 	fabricBenchConfig
 	Rates []float64     // link failure rates p to sweep
 	Cycle time.Duration // fault/repair alternation period
-}
-
-// chaosResult is the outcome of one rate point.
-type chaosResult struct {
-	Rate    float64
-	Counts  loopCounts
-	Elapsed time.Duration
-	Stats   fabric.Stats
-	Admit   admitDist // client-observed admission latency percentiles
 }
 
 // parseRates parses a comma-separated failure-rate list ("0,0.01,0.1").
@@ -81,38 +74,37 @@ func chaosBench(out io.Writer, cfg chaosBenchConfig) error {
 	}
 	fmt.Fprintf(out, "chaos %s  clients=%d open=%d duration=%s cycle=%s timeout=%s\n",
 		tree, cfg.Clients, cfg.Open, cfg.Duration, cfg.Cycle, cfg.Timeout)
-	fmt.Fprintf(out, "  %-6s %-6s %-9s %-22s %-20s %-18s %s\n",
-		"rate", "sched", "adm/s", "revoked/repaired/fail", "repair ms p50/p95", "admit us p50/p99", "timeouts")
+	fmt.Fprintf(out, "  %-6s %-6s %-22s %-7s %-20s %s\n",
+		"rate", "sched", "revoked/repaired/fail", "unacct", "repair ms p50/p95", "timeouts")
 	for i, p := range cfg.Rates {
-		res, err := chaosRun(cfg, p, cfg.Seed+int64(i)*7919)
+		counts, s, err := chaosRun(cfg, p, cfg.Seed+int64(i)*7919)
 		if err != nil {
 			return fmt.Errorf("chaos rate %g: %w", p, err)
 		}
-		s := res.Stats
-		fmt.Fprintf(out, "  %-6.3f %-6.3f %-9.0f %-22s %-20s %-18s %d\n",
-			p, res.Counts.schedulability(),
-			float64(res.Counts.offered())/res.Elapsed.Seconds(),
+		fmt.Fprintf(out, "  %-6.3f %-6.3f %-22s %-7d %-20s %d\n",
+			p, counts.schedulability(),
 			fmt.Sprintf("%d/%d/%d", s.Revoked, s.Repaired, s.RepairFailed+s.RepairAborted),
+			unaccounted(s),
 			fmt.Sprintf("%.2f/%.2f", s.RepairLatencyMS.P50, s.RepairLatencyMS.P95),
-			fmt.Sprintf("%.1f/%.1f", res.Admit.AdmitP50us, res.Admit.AdmitP99us),
-			res.Counts.timedOut)
+			counts.timedOut)
 	}
 	return nil
 }
 
 // chaosRun executes one rate point: closed-loop churn with a seeded
-// injector alternating Fail(Uniform(p)) and RepairAll every cfg.Cycle.
-func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) {
+// injector alternating Fail(Uniform(p)) and RepairAll every cfg.Cycle,
+// then the heal-and-settle accounting check.
+func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (loopCounts, fabric.Stats, error) {
 	tree, err := topology.New(cfg.Levels, cfg.Children, cfg.Parents)
 	if err != nil {
-		return chaosResult{}, err
+		return loopCounts{}, fabric.Stats{}, err
 	}
 	fab, err := fabric.New(fabric.Config{
 		Tree: tree, SchedulerSpec: cfg.Scheduler, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
 		AdmitTimeout: cfg.Timeout,
 	})
 	if err != nil {
-		return chaosResult{}, err
+		return loopCounts{}, fabric.Stats{}, err
 	}
 
 	stop := make(chan struct{})
@@ -142,19 +134,15 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) 
 		}()
 	}
 
-	rec := newLatRecorder(cfg.Clients)
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, rec)
+	counts, err := closedLoop(fab, tree, cfg.fabricBenchConfig)
 	close(stop)
 	injWg.Wait()
-	s := fab.Stats()
-	if err := occupancyConsistent(s, tree); err != nil && loopErr == nil {
-		loopErr = err
+	var s fabric.Stats
+	if err == nil {
+		s, err = settle(fab, tree)
 	}
-	if err := fab.Close(context.Background()); err != nil && loopErr == nil {
-		loopErr = err
+	if cerr := fab.Close(context.Background()); err == nil {
+		err = cerr
 	}
-	if loopErr != nil {
-		return chaosResult{}, loopErr
-	}
-	return chaosResult{Rate: p, Counts: counts, Elapsed: elapsed, Stats: s, Admit: rec.dist()}, nil
+	return counts, s, err
 }

@@ -14,20 +14,18 @@ package main
 //   incremental+reuse   delta epochs with the reconfiguration-cost-
 //                       aware port score (core.Options.ReuseCost)
 //
-// Reported per discipline: schedulability of fresh arrivals, scheduling
-// throughput (fresh grants per second of scheduler wall time), and
-// route churn per epoch — routes physically torn down plus routes
+// Reported per discipline: schedulability of fresh arrivals and route
+// churn per epoch — routes physically torn down plus routes
 // established. Replay is scored honestly: a survivor re-granted its
 // identical route counts as zero churn; only route moves, drops, and
-// real arrivals/departures count.
+// real arrivals/departures count. Nothing is timed, so the table is a
+// pure function of the seed; what an incremental epoch costs is
+// core.delta_ns_per_req in bench/.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/linkstate"
@@ -41,7 +39,6 @@ type churnBenchConfig struct {
 	Epochs                    int
 	Reuse                     int // reuse-cost cap K for the third discipline
 	Seed                      int64
-	JSONPath                  string // optional results file
 }
 
 type churnArrival struct {
@@ -49,32 +46,16 @@ type churnArrival struct {
 	life     int // lifetime in epochs if granted
 }
 
-// churnResult is one discipline's scorecard (also the JSON row).
+// churnResult is one discipline's scorecard.
 type churnResult struct {
-	Discipline         string  `json:"discipline"`
-	Scheduler          string  `json:"scheduler"`
-	Offered            int     `json:"offered"`
-	Granted            int     `json:"granted"`
-	Schedulability     float64 `json:"schedulability"`
-	SchedMS            float64 `json:"sched_ms"`
-	GrantsPerSec       float64 `json:"grants_per_sec"`
-	TornRoutes         int     `json:"torn_routes"`
-	EstablishedRoutes  int     `json:"established_routes"`
-	RouteChurnPerEpoch float64 `json:"route_churn_per_epoch"`
-	SurvivorsDropped   int     `json:"survivors_dropped"`
-	FinalHeld          int     `json:"final_held"`
-}
-
-type churnReport struct {
-	Levels   int           `json:"levels"`
-	Children int           `json:"children"`
-	Parents  int           `json:"parents"`
-	Rate     int           `json:"rate"`
-	Life     float64       `json:"life_epochs"`
-	Epochs   int           `json:"epochs"`
-	Reuse    int           `json:"reuse_cost"`
-	Seed     int64         `json:"seed"`
-	Results  []churnResult `json:"results"`
+	Discipline         string
+	Offered            int
+	Granted            int
+	Schedulability     float64
+	TornRoutes         int
+	EstablishedRoutes  int
+	RouteChurnPerEpoch float64
+	SurvivorsDropped   int
 }
 
 // churnSchedule precomputes the offered workload so every discipline
@@ -119,10 +100,9 @@ func runChurnReplay(tree *topology.Tree, sched [][]churnArrival) churnResult {
 	lw := &core.LevelWise{Opts: core.Options{Rollback: true}}
 	st := linkstate.New(tree)
 	sc := core.NewScratch()
-	res := churnResult{Discipline: "batch-replay", Scheduler: lw.Name()}
+	res := churnResult{Discipline: "batch-replay"}
 	var held []churnCircuit
 	var reqs []core.Request
-	var elapsed time.Duration
 	for epoch, arrivals := range sched {
 		// Departures leave; everything else is torn down for the rebuild.
 		survivors := held[:0]
@@ -148,9 +128,7 @@ func runChurnReplay(tree *topology.Tree, sched [][]churnArrival) churnResult {
 			reqs = append(reqs, core.Request{Src: a.src, Dst: a.dst})
 		}
 		res.Offered += len(arrivals)
-		start := time.Now()
 		out := lw.ScheduleInto(st, reqs, sc)
-		elapsed += time.Since(start)
 		// Survivors first (same order): moved or dropped routes are churn,
 		// identical re-grants are free.
 		next := held[:0]
@@ -189,8 +167,7 @@ func runChurnReplay(tree *topology.Tree, sched [][]churnArrival) churnResult {
 				ports: append([]int(nil), o.Ports...), expires: epoch + a.life})
 		}
 	}
-	res.FinalHeld = len(held)
-	finishChurn(&res, len(sched), elapsed)
+	finishChurn(&res, len(sched))
 	return res
 }
 
@@ -205,11 +182,10 @@ func runChurnIncremental(tree *topology.Tree, sched [][]churnArrival, reuseCost 
 	if reuseCost > 0 {
 		name = fmt.Sprintf("incremental+reuse-cost=%d", reuseCost)
 	}
-	res := churnResult{Discipline: name, Scheduler: lw.Name()}
+	res := churnResult{Discipline: name}
 	var held []churnCircuit
 	var reqs []core.Request
 	var deps []core.Departure
-	var elapsed time.Duration
 	for epoch, arrivals := range sched {
 		deps = deps[:0]
 		survivors := held[:0]
@@ -226,9 +202,7 @@ func runChurnIncremental(tree *topology.Tree, sched [][]churnArrival, reuseCost 
 			reqs = append(reqs, core.Request{Src: a.src, Dst: a.dst})
 		}
 		res.Offered += len(arrivals)
-		start := time.Now()
 		out := lw.ScheduleDeltaInto(st, reqs, deps, sc)
-		elapsed += time.Since(start)
 		res.TornRoutes += out.Torn
 		for i, a := range arrivals {
 			o := &out.Outcomes[i]
@@ -243,18 +217,13 @@ func runChurnIncremental(tree *topology.Tree, sched [][]churnArrival, reuseCost 
 				ports: append([]int(nil), o.Ports...), expires: epoch + a.life})
 		}
 	}
-	res.FinalHeld = len(held)
-	finishChurn(&res, len(sched), elapsed)
+	finishChurn(&res, len(sched))
 	return res
 }
 
-func finishChurn(r *churnResult, epochs int, elapsed time.Duration) {
-	r.SchedMS = float64(elapsed) / float64(time.Millisecond)
+func finishChurn(r *churnResult, epochs int) {
 	if r.Offered > 0 {
 		r.Schedulability = float64(r.Granted) / float64(r.Offered)
-	}
-	if elapsed > 0 {
-		r.GrantsPerSec = float64(r.Granted) / elapsed.Seconds()
 	}
 	if epochs > 0 {
 		r.RouteChurnPerEpoch = float64(r.TornRoutes+r.EstablishedRoutes) / float64(epochs)
@@ -262,7 +231,7 @@ func finishChurn(r *churnResult, epochs int, elapsed time.Duration) {
 }
 
 // churnBench runs the three disciplines over one shared schedule and
-// writes the comparison table (and the optional JSON report).
+// writes the comparison table.
 func churnBench(w io.Writer, cfg churnBenchConfig) error {
 	if cfg.Rate < 1 || cfg.Epochs < 1 || cfg.Life <= 0 {
 		return fmt.Errorf("churn: need rate >= 1, epochs >= 1, life > 0 (got rate=%d epochs=%d life=%v)",
@@ -276,43 +245,23 @@ func churnBench(w io.Writer, cfg churnBenchConfig) error {
 		return err
 	}
 	sched := churnSchedule(tree, cfg)
-	report := churnReport{
-		Levels: cfg.Levels, Children: cfg.Children, Parents: cfg.Parents,
-		Rate: cfg.Rate, Life: cfg.Life, Epochs: cfg.Epochs, Reuse: cfg.Reuse, Seed: cfg.Seed,
-	}
-	report.Results = append(report.Results, runChurnReplay(tree, sched))
-	report.Results = append(report.Results, runChurnIncremental(tree, sched, 0))
+	results := []churnResult{runChurnReplay(tree, sched), runChurnIncremental(tree, sched, 0)}
 	if cfg.Reuse > 0 {
-		report.Results = append(report.Results, runChurnIncremental(tree, sched, cfg.Reuse))
+		results = append(results, runChurnIncremental(tree, sched, cfg.Reuse))
 	}
 
 	fmt.Fprintf(w, "churn: FT(%d,%d,%d) rate=%d/epoch life=%.1f epochs=%d seed=%d\n\n",
 		cfg.Levels, cfg.Children, cfg.Parents, cfg.Rate, cfg.Life, cfg.Epochs, cfg.Seed)
-	fmt.Fprintf(w, "%-26s %9s %8s %12s %11s %11s %8s\n",
-		"discipline", "sched/ms", "admit%", "grants/sec", "churn/epoch", "torn+estab", "dropped")
-	for _, r := range report.Results {
-		fmt.Fprintf(w, "%-26s %9.2f %7.1f%% %12.0f %11.2f %5d+%-5d %8d\n",
-			r.Discipline, r.SchedMS, 100*r.Schedulability, r.GrantsPerSec,
+	fmt.Fprintf(w, "%-26s %8s %11s %11s %8s\n",
+		"discipline", "admit%", "churn/epoch", "torn+estab", "dropped")
+	for _, r := range results {
+		fmt.Fprintf(w, "%-26s %7.1f%% %11.2f %5d+%-5d %8d\n",
+			r.Discipline, 100*r.Schedulability,
 			r.RouteChurnPerEpoch, r.TornRoutes, r.EstablishedRoutes, r.SurvivorsDropped)
 	}
-	base, inc := report.Results[0], report.Results[1]
-	if inc.RouteChurnPerEpoch > 0 {
+	if base, inc := results[0], results[1]; inc.RouteChurnPerEpoch > 0 {
 		fmt.Fprintf(w, "\nroute-churn ratio (batch-replay / incremental): %.2fx\n",
 			base.RouteChurnPerEpoch/inc.RouteChurnPerEpoch)
-	}
-
-	if cfg.JSONPath != "" {
-		f, err := os.Create(cfg.JSONPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&report); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.JSONPath)
 	}
 	return nil
 }

@@ -1,16 +1,16 @@
 package main
 
-// The -fabric mode turns ftbench into a closed-loop load generator for
-// the serving layer: N concurrent clients drive Connect/Release against
-// an in-process fabric manager and the offered admission rate is
-// measured, the serving-path analogue of extension E4's churn model
-// (random endpoints, connections held across subsequent operations).
+// The closed-loop runner behind -chaos and -gray: N concurrent clients
+// drive Connect/Release against an in-process fabric manager while the
+// mode's injector breaks links, the serving-path analogue of extension
+// E4's churn model (random endpoints, connections held across subsequent
+// operations). It counts outcomes and times nothing: rates and latencies
+// are bench/'s job (`bash bench/run.sh --workload fabric_churn`).
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -21,7 +21,8 @@ import (
 	"repro/internal/topology"
 )
 
-// fabricBenchConfig parameterizes one closed-loop run.
+// fabricBenchConfig parameterizes one closed-loop run; the -fabric-*
+// flags fill it.
 type fabricBenchConfig struct {
 	Levels, Children, Parents int
 	Clients                   int           // concurrent closed-loop clients
@@ -72,16 +73,11 @@ func occupancyConsistent(s fabric.Stats, tree *topology.Tree) error {
 }
 
 // closedLoop drives cfg.Clients concurrent FIFO-churn clients against
-// fab until cfg.Duration elapses. In strict mode (chaotic=false) any
-// unexpected client error — including ErrAdmitTimeout when
-// cfg.Timeout is set — aborts the run and is returned, so a wedged
-// server fails the run instead of hanging. With chaotic=true (faults
-// being injected mid-run) timeouts are counted and revocation-related
-// release errors are tolerated, since both are expected degraded-mode
-// outcomes. A non-nil rec captures per-Connect wall time (the admission
-// round-trip each client observes) for tail-latency reporting; it must
-// have at least cfg.Clients lanes.
-func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig, chaotic bool, rec *latRecorder) (loopCounts, time.Duration, error) {
+// fab until cfg.Duration elapses. Faults are being injected mid-run, so
+// admission timeouts are counted and release errors (a revoked circuit)
+// are tolerated, both being expected degraded-mode outcomes; any other
+// client error aborts the run and is returned.
+func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig) (loopCounts, error) {
 	var admitted, denied, timedOut atomic.Uint64
 	deadline := time.Now().Add(cfg.Duration)
 	errs := make([]error, cfg.Clients)
@@ -94,37 +90,25 @@ func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig,
 			var held []*fabric.Handle
 			defer func() {
 				for _, h := range held {
-					if err := h.Release(); err != nil && !chaotic && errs[id] == nil {
-						errs[id] = fmt.Errorf("client %d final release: %w", id, err)
-					}
+					h.Release()
 				}
 			}()
 			for time.Now().Before(deadline) {
 				// Churn: keep Open long-lived circuits, retiring the
 				// oldest before each new admission.
 				for len(held) >= cfg.Open {
-					if err := held[0].Release(); err != nil && !chaotic {
-						errs[id] = fmt.Errorf("client %d release: %w", id, err)
-						return
-					}
+					held[0].Release()
 					held = held[1:]
 				}
 				src, dst := rng.Intn(tree.Nodes()), rng.Intn(tree.Nodes())
-				var began time.Time
-				if rec != nil {
-					began = time.Now()
-				}
 				h, err := fab.Connect(context.Background(), src, dst)
-				if rec != nil {
-					rec.record(id, time.Since(began))
-				}
 				switch {
 				case err == nil:
 					admitted.Add(1)
 					held = append(held, h)
 				case errors.Is(err, fabric.ErrUnroutable) || errors.Is(err, fabric.ErrUnroutableDegraded):
 					denied.Add(1)
-				case errors.Is(err, fabric.ErrAdmitTimeout) && chaotic:
+				case errors.Is(err, fabric.ErrAdmitTimeout):
 					timedOut.Add(1)
 				default:
 					errs[id] = fmt.Errorf("client %d: %w", id, err)
@@ -133,56 +117,52 @@ func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig,
 			}
 		}(c)
 	}
-	start := time.Now()
 	wg.Wait()
-	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return loopCounts{}, elapsed, err
+			return loopCounts{}, err
 		}
 	}
-	return loopCounts{admitted.Load(), denied.Load(), timedOut.Load()}, elapsed, nil
+	return loopCounts{admitted.Load(), denied.Load(), timedOut.Load()}, nil
 }
 
-// fabricBench runs the closed-loop load generator and prints a summary.
-func fabricBench(out io.Writer, cfg fabricBenchConfig) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	tree, err := topology.New(cfg.Levels, cfg.Children, cfg.Parents)
-	if err != nil {
-		return err
-	}
-	fab, err := fabric.New(fabric.Config{
-		Tree: tree, SchedulerSpec: cfg.Scheduler, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
-		AdmitTimeout: cfg.Timeout,
-	})
-	if err != nil {
-		return err
-	}
+// healer is what settle needs of a *fabric.Manager; a test substitutes a
+// fake whose Stats break the repair identity.
+type healer interface {
+	RepairAll() int
+	Stats() fabric.Stats
+}
 
-	rec := newLatRecorder(cfg.Clients)
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg, false, rec)
-	if err := fab.Close(context.Background()); err != nil && loopErr == nil {
-		loopErr = err
+// settle ends a fault run once its injector has stopped: repair every
+// link still down, wait until no repair ticket is pending and the epoch
+// queue is empty (budget deferrals included; 15 s at most), and return
+// the settled Stats. Every poll must pass occupancyConsistent, and the settled
+// snapshot must satisfy revoked = repaired + repair_failed +
+// repair_aborted — no connection may vanish, however the links failed.
+func settle(fab healer, tree *topology.Tree) (fabric.Stats, error) {
+	fab.RepairAll()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		s := fab.Stats()
+		if err := occupancyConsistent(s, tree); err != nil {
+			return s, err
+		}
+		if s.PendingRepairs == 0 && s.QueueDepth == 0 {
+			if n := unaccounted(s); n != 0 {
+				return s, fmt.Errorf("%d unaccounted connections (revoked %d, repaired %d, failed %d, aborted %d)",
+					n, s.Revoked, s.Repaired, s.RepairFailed, s.RepairAborted)
+			}
+			return s, nil
+		}
+		if time.Now().After(deadline) {
+			return s, fmt.Errorf("repairs failed to settle: %d pending", s.PendingRepairs)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if loopErr != nil {
-		return loopErr
-	}
+}
 
-	s := fab.Stats()
-	ad := rec.dist()
-	fmt.Fprintf(out, "fabric %s  clients=%d epoch=%d maxwait=%s open=%d duration=%s\n",
-		tree, cfg.Clients, cfg.Batch, cfg.MaxWait, cfg.Open, cfg.Duration)
-	fmt.Fprintf(out, "  admissions/sec %.0f  (offered %d, granted %d, rejected %d, blocking %.2f%%)\n",
-		float64(counts.offered())/elapsed.Seconds(), s.Offered, s.Granted, s.Rejected,
-		100*float64(s.Rejected)/float64(max(1, s.Offered)))
-	fmt.Fprintf(out, "  epochs %d  size mean=%.1f p95=%.0f  latency ms p50=%.3f p95=%.3f p99=%.3f\n",
-		s.Epochs, s.EpochSize.Mean, s.EpochSize.P95,
-		s.EpochLatencyMS.P50, s.EpochLatencyMS.P95, s.EpochLatencyMS.P99)
-	fmt.Fprintf(out, "  admit us p50=%.1f p95=%.1f p99=%.1f\n",
-		ad.AdmitP50us, ad.AdmitP95us, ad.AdmitP99us)
-	fmt.Fprintf(out, "  engine %s  epochs sequential=%d parallel=%d\n",
-		s.LastEpochEngine, s.SequentialEpochs, s.ParallelEpochs)
-	return nil
+// unaccounted is revoked − repaired − failed − aborted, which must be 0:
+// every revocation resolves.
+func unaccounted(s fabric.Stats) int64 {
+	return int64(s.Revoked) - int64(s.Repaired) - int64(s.RepairFailed) - int64(s.RepairAborted)
 }

@@ -15,7 +15,7 @@ package main
 //   - repair attempts vs the budget bound revoked + burst + rate·T;
 //   - the repaired-on-held-trunk fraction, which the reuse arm must
 //     raise (repairs steered toward standing configuration);
-//   - flap/quarantine event counts and route churn per epoch.
+//   - quarantine event counts and route churn per epoch.
 //
 // A final federated point injects a DegradedPlane (slow-but-alive)
 // process into a two-plane router and reports the EWMA health score,
@@ -23,10 +23,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -48,65 +46,38 @@ type grayBenchConfig struct {
 	BudgetRate    float64       // repair-retry tokens per second
 	BudgetBurst   int           // repair-retry token burst
 	LatencyBudget time.Duration // slow-grant threshold for the federated point
-	JSONPath      string        // also write the results as JSON here
 }
 
 // grayArm is one (rate, reuse-cost) cell of the sweep.
 type grayArm struct {
-	ReuseCost   int     `json:"reuse_cost"`
-	Sched       float64 `json:"schedulability"`
-	AdmitPerSec float64 `json:"admissions_per_sec"`
-	Granted     uint64  `json:"granted"`
-	Revoked     uint64  `json:"revoked"`
-	Repaired    uint64  `json:"repaired"`
+	Sched    float64
+	Revoked  uint64
+	Repaired uint64
 	// Lost is the terminal repair-failure count — connections the
 	// flapping actually cost, as opposed to ones merely re-routed.
-	Lost    uint64 `json:"lost"`
-	Aborted uint64 `json:"aborted"`
+	Lost uint64
 	// Unaccounted must be zero: every revocation resolves.
-	Unaccounted int64 `json:"unaccounted"`
+	Unaccounted int64
 	// Attempts vs the retry-budget bound revoked + burst + rate·T.
-	RepairAttempts  uint64  `json:"repair_attempts"`
-	AttemptBound    float64 `json:"attempt_bound"`
-	BudgetExhausted uint64  `json:"budget_exhausted"`
-	FlapEvents      uint64  `json:"flap_events"`
-	QuarantineEvts  uint64  `json:"quarantine_events"`
-	Quarantined     int     `json:"quarantined"`
-	// RepairedOnHeldTrunk / Repaired: the reuse-cost placement signal.
-	RepairedOnHeldTrunk uint64  `json:"repaired_on_held_trunk"`
-	HeldTrunkFraction   float64 `json:"held_trunk_fraction"`
-	ChurnPerEpoch       float64 `json:"churn_per_epoch"`
-	ElapsedSec          float64 `json:"elapsed_sec"`
-	admitDist
-}
-
-// grayPoint is one flaky rate with both arms.
-type grayPoint struct {
-	Rate  float64   `json:"rate"`
-	Flaky int       `json:"flaky_links"`
-	Arms  []grayArm `json:"arms"`
+	RepairAttempts uint64
+	AttemptBound   float64
+	QuarantineEvts uint64
+	Quarantined    int
+	// HeldTrunkFraction is repaired-on-held-trunk / repaired: the
+	// reuse-cost placement signal.
+	HeldTrunkFraction float64
+	ChurnPerEpoch     float64
 }
 
 // graySlowPlane is the federated degraded-plane point.
 type graySlowPlane struct {
-	Offered         uint64  `json:"offered"`
-	Granted         uint64  `json:"granted"`
-	Failovers       uint64  `json:"failovers"`
-	BudgetExhausted uint64  `json:"failover_budget_exhausted"`
-	DegradedHealth  float64 `json:"degraded_plane_health"`
-	DegradedBreaker string  `json:"degraded_plane_breaker"`
-	HealthyHealth   float64 `json:"healthy_plane_health"`
-}
-
-// grayReport is the JSON body (BENCH_grayfault.json).
-type grayReport struct {
-	Tree      string        `json:"tree"`
-	Duty      float64       `json:"duty_cycle"`
-	Step      string        `json:"step"`
-	Threshold float64       `json:"flap_threshold"`
-	Budget    fabric.Budget `json:"repair_budget"`
-	Points    []grayPoint   `json:"points"`
-	SlowPlane graySlowPlane `json:"slow_plane"`
+	Offered         uint64
+	Granted         uint64
+	Failovers       uint64
+	BudgetExhausted uint64
+	DegradedHealth  float64
+	DegradedBreaker string
+	HealthyHealth   float64
 }
 
 // grayBench sweeps the flaky rates, prints a row per (rate, arm), and
@@ -131,10 +102,6 @@ func grayBench(out io.Writer, cfg grayBenchConfig) error {
 	if err != nil {
 		return err
 	}
-	rep := grayReport{
-		Tree: tree.String(), Duty: cfg.Duty, Step: cfg.Step.String(),
-		Threshold: cfg.Threshold(), Budget: fabric.Budget{Rate: cfg.BudgetRate, Burst: cfg.BudgetBurst},
-	}
 	fmt.Fprintf(out, "gray %s  clients=%d open=%d duration=%s step=%s duty=%g threshold=%g budget=%g/%d\n",
 		tree, cfg.Clients, cfg.Open, cfg.Duration, cfg.Step, cfg.Duty,
 		cfg.Threshold(), cfg.BudgetRate, cfg.BudgetBurst)
@@ -146,15 +113,12 @@ func grayBench(out io.Writer, cfg grayBenchConfig) error {
 		arms = append(arms, cfg.Reuse)
 	}
 	for i, p := range cfg.Rates {
-		point := grayPoint{Rate: p}
 		seed := cfg.Seed + int64(i)*104729
-		point.Flaky = len(faults.FlakyLinks(tree, p, cfg.Duty, seed))
 		for _, reuse := range arms {
 			arm, err := grayRun(cfg, p, seed, reuse)
 			if err != nil {
 				return fmt.Errorf("gray rate %g reuse %d: %w", p, reuse, err)
 			}
-			point.Arms = append(point.Arms, arm)
 			fmt.Fprintf(out, "  %-6.3f %-6d %-6.3f %-22s %-7d %-16s %-9s %-10.3f %.2f\n",
 				p, reuse, arm.Sched,
 				fmt.Sprintf("%d/%d/%d", arm.Revoked, arm.Repaired, arm.Lost),
@@ -162,39 +126,20 @@ func grayBench(out io.Writer, cfg grayBenchConfig) error {
 				fmt.Sprintf("%d/%.0f", arm.RepairAttempts, arm.AttemptBound),
 				fmt.Sprintf("%d(%d)", arm.QuarantineEvts, arm.Quarantined),
 				arm.HeldTrunkFraction, arm.ChurnPerEpoch)
-			if arm.Unaccounted != 0 {
-				return fmt.Errorf("gray rate %g reuse %d: %d unaccounted connections", p, reuse, arm.Unaccounted)
-			}
 			if float64(arm.RepairAttempts) > arm.AttemptBound {
 				return fmt.Errorf("gray rate %g reuse %d: %d repair attempts exceed budget bound %.0f",
 					p, reuse, arm.RepairAttempts, arm.AttemptBound)
 			}
 		}
-		rep.Points = append(rep.Points, point)
 	}
 
 	slow, err := graySlowPlaneRun(cfg)
 	if err != nil {
 		return fmt.Errorf("gray slow-plane: %w", err)
 	}
-	rep.SlowPlane = slow
 	fmt.Fprintf(out, "  slow-plane: granted %d/%d, failovers %d (budget cut %d), degraded health %.3f (%s), healthy %.3f\n",
 		slow.Granted, slow.Offered, slow.Failovers, slow.BudgetExhausted,
 		slow.DegradedHealth, slow.DegradedBreaker, slow.HealthyHealth)
-
-	if cfg.JSONPath != "" {
-		f, err := os.Create(cfg.JSONPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n", cfg.JSONPath)
-	}
 	return nil
 }
 
@@ -260,66 +205,36 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 		}()
 	}
 
-	rec := newLatRecorder(cfg.Clients)
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, rec)
+	counts, err := closedLoop(fab, tree, cfg.fabricBenchConfig)
 	close(stop)
 	injWg.Wait()
-	if loopErr != nil {
-		fab.Close(context.Background())
-		return grayArm{}, loopErr
-	}
-
 	// Heal: repair whatever the processes still hold down, then drain
-	// every outstanding repair ticket (budget deferrals included).
-	if ds := fl.DownSet(); !ds.Empty() {
-		if _, err := fab.Repair(ds); err != nil {
-			fab.Close(context.Background())
-			return grayArm{}, err
-		}
+	// every outstanding repair ticket.
+	if ds := fl.DownSet(); err == nil && !ds.Empty() {
+		_, err = fab.Repair(ds)
 	}
-	fab.RepairAll()
-	settle := time.Now().Add(15 * time.Second)
-	for {
-		s := fab.Stats()
-		if err := occupancyConsistent(s, tree); err != nil {
-			fab.Close(context.Background())
-			return grayArm{}, err
-		}
-		if s.PendingRepairs == 0 && s.QueueDepth == 0 {
-			break
-		}
-		if time.Now().After(settle) {
-			fab.Close(context.Background())
-			return grayArm{}, fmt.Errorf("repairs failed to settle: %d pending", s.PendingRepairs)
-		}
-		time.Sleep(time.Millisecond)
+	var s fabric.Stats
+	if err == nil {
+		s, err = settle(fab, tree)
 	}
-
-	s := fab.Stats()
 	total := time.Since(start)
-	if err := fab.Close(context.Background()); err != nil {
+	if cerr := fab.Close(context.Background()); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return grayArm{}, err
 	}
 	arm := grayArm{
-		ReuseCost:           reuse,
-		Sched:               counts.schedulability(),
-		AdmitPerSec:         float64(counts.offered()) / elapsed.Seconds(),
-		Granted:             s.Granted,
-		Revoked:             s.Revoked,
-		Repaired:            s.Repaired,
-		Lost:                s.RepairFailed,
-		Aborted:             s.RepairAborted,
-		Unaccounted:         int64(s.Revoked) - int64(s.Repaired) - int64(s.RepairFailed) - int64(s.RepairAborted),
-		RepairAttempts:      s.RepairAttempts,
-		AttemptBound:        float64(s.Revoked) + float64(cfg.BudgetBurst) + cfg.BudgetRate*total.Seconds(),
-		BudgetExhausted:     s.RepairBudgetExhausted,
-		FlapEvents:          s.FlapEvents,
-		QuarantineEvts:      s.QuarantineEvents,
-		Quarantined:         s.Quarantined,
-		RepairedOnHeldTrunk: s.RepairedOnHeldTrunk,
-		ChurnPerEpoch:       float64(s.TornRoutes) / float64(max64(s.Epochs, 1)),
-		ElapsedSec:          total.Seconds(),
-		admitDist:           rec.dist(),
+		Sched:          counts.schedulability(),
+		Revoked:        s.Revoked,
+		Repaired:       s.Repaired,
+		Lost:           s.RepairFailed,
+		Unaccounted:    unaccounted(s),
+		RepairAttempts: s.RepairAttempts,
+		AttemptBound:   float64(s.Revoked) + float64(cfg.BudgetBurst) + cfg.BudgetRate*total.Seconds(),
+		QuarantineEvts: s.QuarantineEvents,
+		Quarantined:    s.Quarantined,
+		ChurnPerEpoch:  float64(s.TornRoutes) / float64(max(s.Epochs, 1)),
 	}
 	if s.Repaired > 0 {
 		arm.HeldTrunkFraction = float64(s.RepairedOnHeldTrunk) / float64(s.Repaired)
@@ -414,11 +329,4 @@ func graySlowPlaneRun(cfg grayBenchConfig) (graySlowPlane, error) {
 		}
 	}
 	return out, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

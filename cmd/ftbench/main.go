@@ -11,34 +11,40 @@
 //
 // With -cpuprofile / -memprofile, the run writes pprof profiles (CPU
 // sampled across the whole run, heap snapshotted at exit after a final
-// GC) for `go tool pprof`; they compose with every mode, so the fabric
-// closed-loop generator can be profiled the same way as the paper suite.
+// GC) for `go tool pprof`; they compose with every mode.
 //
-// With -fabric, ftbench instead runs a closed-loop load generator against
-// the concurrent serving layer (internal/fabric) and reports
-// admissions/sec; the -fabric-* flags size the tree, the client pool, and
-// the epoch batching. -fabric-scheduler names the admission engine in
-// internal/sched's grammar (e.g. "parallel,mode=shard,workers=4,steal").
+// ftbench reports no rate and no latency of its own: how fast the
+// serving stack runs is measured by bench/ (`bash bench/run.sh
+// --workload fabric_churn|fed_degraded|http_rt|batch_perm`, schema in
+// BENCHMARK.json). The three modes below are correctness harnesses whose
+// output is a verdict, all driven by one closed-loop client pool that
+// the -fabric-* flags size (tree, clients, epoch batching);
+// -fabric-scheduler names the admission engine in internal/sched's
+// grammar (e.g. "parallel,mode=shard,workers=4,steal").
 //
-// With -chaos, the closed-loop generator additionally injects a seeded
-// fault/repair schedule mid-run and sweeps the -chaos-rates link failure
-// rates, reporting the schedulability ratio and repair latency at each
-// rate (EXPERIMENTS.md E17).
+// With -chaos, closed-loop clients churn against internal/fabric while a
+// seeded fault/repair schedule fails and repairs links mid-run, swept
+// over the -chaos-rates link failure rates; each rate reports the
+// schedulability ratio and the fabric's repair-latency histogram
+// (EXPERIMENTS.md E17), and the run fails unless the occupancy gauge
+// equals utilization at every poll and revoked = repaired +
+// repair_failed + repair_aborted once the fabric has healed.
 //
 // With -gray, ftbench runs the gray-failure resilience sweep
 // (EXPERIMENTS.md E21): seeded *flaky* links flap up and down on a fixed
 // clock while closed-loop clients run, exercising flap damping, the
 // repair retry budget, and reuse-cost-aware repair placement; each
 // -gray-rates point runs with reuse-cost scoring off and on over
-// bit-identical churn, and a final two-plane point injects a
+// bit-identical churn, under the same accounting checks as -chaos plus
+// the retry-budget bound, and a final two-plane point injects a
 // slow-but-alive DegradedPlane process and reports the health score and
 // breaker state.
 //
 // With -churn, ftbench runs the arrival/departure churn comparison
 // (EXPERIMENTS.md E20): one seeded workload of circuit arrivals with
 // exponential lifetimes served by batch-replay, incremental, and
-// incremental+reuse-cost scheduling, reporting schedulability, grants
-// per second of scheduler time, and route churn per epoch.
+// incremental+reuse-cost scheduling, reporting schedulability and route
+// churn per epoch — a table that depends on the seed alone.
 package main
 
 import (
@@ -63,27 +69,21 @@ func main() {
 	only := flag.String("only", "", "run only suite components whose id contains this (e.g. e12, a1, fig9, table1)")
 	csvDir := flag.String("csv", "", "directory to additionally write CSV files into")
 	jsonDir := flag.String("json", "", "directory to additionally write JSON files into")
-	fabricMode := flag.Bool("fabric", false, "run the closed-loop fabric load generator instead of the paper suite")
-	fabricLevels := flag.Int("fabric-levels", 3, "fabric bench: switch levels l")
-	fabricChildren := flag.Int("fabric-children", 8, "fabric bench: children per switch m")
-	fabricParents := flag.Int("fabric-parents", 8, "fabric bench: parents per switch w")
-	fabricClients := flag.Int("fabric-clients", 64, "fabric bench: concurrent closed-loop clients")
-	fabricBatch := flag.Int("fabric-batch", fabric.DefaultBatchSize, "fabric bench: epoch flush threshold (1 disables batching)")
-	fabricOpen := flag.Int("fabric-open", 4, "fabric bench: circuits each client holds open")
-	fabricMaxWait := flag.Duration("fabric-maxwait", 500*time.Microsecond, "fabric bench: epoch flush timer")
-	fabricDuration := flag.Duration("fabric-duration", 2*time.Second, "fabric bench: run length")
-	fabricSched := flag.String("fabric-scheduler", "", "fabric bench: admission engine spec (internal/sched registry grammar; \"\" = fabric default)")
-	fabricTimeout := flag.Duration("fabric-timeout", 0, "fabric bench: per-Connect admission timeout; a wedged server fails the run (0 = wait forever)")
-	planesFlag := flag.String("planes", "", "run the federation sweep over these comma-separated plane counts (e.g. \"1,2,4\") with the -fabric-* shape/client flags")
-	planePolicies := flag.String("plane-policies", "round-robin", "federation sweep: comma-separated plane selection policies")
-	planesConfig := flag.String("planes-config", "", "federation sweep: run one point from this multi-plane JSON config (from `fttopo gen`) instead of the -planes grid")
-	planesJSON := flag.String("planes-json", "", "federation sweep: also write the results as JSON to this file")
+	fabricLevels := flag.Int("fabric-levels", 3, "chaos/gray/churn: switch levels l")
+	fabricChildren := flag.Int("fabric-children", 8, "chaos/gray/churn: children per switch m")
+	fabricParents := flag.Int("fabric-parents", 8, "chaos/gray/churn: parents per switch w")
+	fabricClients := flag.Int("fabric-clients", 64, "chaos/gray: concurrent closed-loop clients")
+	fabricBatch := flag.Int("fabric-batch", fabric.DefaultBatchSize, "chaos/gray: epoch flush threshold (1 disables batching)")
+	fabricOpen := flag.Int("fabric-open", 4, "chaos/gray: circuits each client holds open")
+	fabricMaxWait := flag.Duration("fabric-maxwait", 500*time.Microsecond, "chaos/gray: epoch flush timer")
+	fabricDuration := flag.Duration("fabric-duration", 2*time.Second, "chaos/gray: run length")
+	fabricSched := flag.String("fabric-scheduler", "", "chaos/gray: admission engine spec (internal/sched registry grammar; \"\" = fabric default)")
+	fabricTimeout := flag.Duration("fabric-timeout", 0, "chaos/gray: per-Connect admission timeout, counted in the timeouts column (0 = 100ms)")
 	churnMode := flag.Bool("churn", false, "run the arrival/departure churn comparison: batch-replay vs incremental (delta-epoch) scheduling on one seeded workload")
 	churnRate := flag.Int("churn-rate", 16, "churn: fresh arrivals per epoch")
 	churnLife := flag.Float64("churn-life", 8, "churn: mean circuit lifetime in epochs (exponential)")
 	churnEpochs := flag.Int("churn-epochs", 200, "churn: epochs to simulate")
 	churnReuse := flag.Int("churn-reuse", 4, "churn: reuse-cost cap K for the incremental+reuse discipline (0 skips it)")
-	churnJSON := flag.String("churn-json", "", "churn: also write the comparison as JSON to this file")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection sweep: fabric closed-loop clients plus a seeded mid-run fault/repair schedule")
 	chaosRates := flag.String("chaos-rates", "0,0.01,0.05,0.1", "chaos: comma-separated link failure rates p to sweep")
 	chaosCycle := flag.Duration("chaos-cycle", 20*time.Millisecond, "chaos: fault/repair alternation period")
@@ -96,11 +96,6 @@ func main() {
 	grayProbation := flag.Duration("gray-probation", 100*time.Millisecond, "gray: quarantine probation window")
 	grayBudget := flag.Float64("gray-budget", 200, "gray: repair retry budget tokens per second")
 	grayBurst := flag.Int("gray-burst", 64, "gray: repair retry budget burst")
-	grayJSON := flag.String("gray-json", "", "gray: also write the sweep results as JSON to this file")
-	admitMode := flag.Bool("admit", false, "run the admission-pipeline sweep: admission latency p50/p95/p99 and allocs/op over epoch sizes × client counts")
-	admitEpochs := flag.String("admit-epochs", "1,8,64", "admit sweep: comma-separated epoch flush thresholds")
-	admitClients := flag.String("admit-clients", "1,16,64", "admit sweep: comma-separated closed-loop client counts")
-	admitJSON := flag.String("admit-json", "", "admit sweep: also write the results as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 	flag.Parse()
@@ -117,111 +112,48 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *planesFlag != "" || *planesConfig != "" {
-		fcfg := fedBenchConfig{
-			fabricBenchConfig: fabricBenchConfig{
-				Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
-				Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
-				MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
-				Timeout: *fabricTimeout, Scheduler: *fabricSched,
-			},
-			ConfigPath: *planesConfig,
-			JSONPath:   *planesJSON,
-			Policies:   splitList(*planePolicies),
-		}
-		if *planesFlag != "" {
-			if fcfg.PlaneCounts, err = parsePlaneCounts(*planesFlag); err == nil {
-				err = federationBench(os.Stdout, fcfg)
-			}
-		} else {
-			err = federationBench(os.Stdout, fcfg)
-		}
+	// done ends a harness mode: report its error, if any, and exit.
+	done := func(err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 			exit(1)
 		}
 		exit(0)
 	}
-
-	if *churnMode {
-		err := churnBench(os.Stdout, churnBenchConfig{
+	// The one closed-loop client pool -chaos and -gray share (-gray names
+	// its own engines and ignores Scheduler).
+	loop := fabricBenchConfig{
+		Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
+		Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
+		MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
+		Timeout: *fabricTimeout, Scheduler: *fabricSched,
+	}
+	switch {
+	case *churnMode:
+		done(churnBench(os.Stdout, churnBenchConfig{
 			Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
 			Rate: *churnRate, Life: *churnLife, Epochs: *churnEpochs,
-			Reuse: *churnReuse, Seed: *seed, JSONPath: *churnJSON,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			exit(1)
-		}
-		exit(0)
-	}
-
-	if *grayMode {
-		var rates []float64
-		if rates, err = parseRates(*grayRates); err == nil {
+			Reuse: *churnReuse, Seed: *seed,
+		}))
+	case *grayMode:
+		rates, err := parseRates(*grayRates)
+		if err == nil {
 			err = grayBench(os.Stdout, grayBenchConfig{
-				fabricBenchConfig: fabricBenchConfig{
-					Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
-					Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
-					MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
-					Timeout: *fabricTimeout,
-				},
-				Rates: rates, Duty: *grayDuty, Step: *grayStep, Reuse: *grayReuse,
+				fabricBenchConfig: loop,
+				Rates:             rates, Duty: *grayDuty, Step: *grayStep, Reuse: *grayReuse,
 				FlapThreshold: *grayThreshold, Probation: *grayProbation,
 				BudgetRate: *grayBudget, BudgetBurst: *grayBurst,
-				JSONPath: *grayJSON,
 			})
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			exit(1)
+		done(err)
+	case *chaosMode:
+		rates, err := parseRates(*chaosRates)
+		if err == nil {
+			err = chaosBench(os.Stdout, chaosBenchConfig{
+				fabricBenchConfig: loop, Rates: rates, Cycle: *chaosCycle,
+			})
 		}
-		exit(0)
-	}
-
-	if *admitMode {
-		var epochs, clients []int
-		if epochs, err = parseIntList(*admitEpochs); err == nil {
-			if clients, err = parseIntList(*admitClients); err == nil {
-				err = admitBench(os.Stdout, admitBenchConfig{
-					Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
-					EpochSizes: epochs, ClientCounts: clients,
-					Open: *fabricOpen, MaxWait: *fabricMaxWait,
-					Duration: *fabricDuration, Timeout: *fabricTimeout,
-					Seed: *seed, JSONPath: *admitJSON,
-				})
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			exit(1)
-		}
-		exit(0)
-	}
-
-	if *fabricMode || *chaosMode {
-		cfg := fabricBenchConfig{
-			Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
-			Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
-			MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
-			Timeout:   *fabricTimeout,
-			Scheduler: *fabricSched,
-		}
-		if *chaosMode {
-			var rates []float64
-			if rates, err = parseRates(*chaosRates); err == nil {
-				err = chaosBench(os.Stdout, chaosBenchConfig{
-					fabricBenchConfig: cfg, Rates: rates, Cycle: *chaosCycle,
-				})
-			}
-		} else {
-			err = fabricBench(os.Stdout, cfg)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			exit(1)
-		}
-		exit(0)
+		done(err)
 	}
 
 	if *csvDir != "" {

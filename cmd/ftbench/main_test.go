@@ -1,16 +1,16 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/federation"
+	"repro/internal/topology"
 )
 
 func TestWriteFilesCSVAndJSON(t *testing.T) {
@@ -42,59 +42,6 @@ func TestWriteFilesBadDir(t *testing.T) {
 	}
 }
 
-func TestFabricBench(t *testing.T) {
-	var out strings.Builder
-	err := fabricBench(&out, fabricBenchConfig{
-		Levels: 3, Children: 4, Parents: 4,
-		Clients: 8, Batch: 8, Open: 2,
-		MaxWait: 200 * time.Microsecond, Duration: 100 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "admissions/sec") {
-		t.Errorf("summary missing admissions/sec:\n%s", out.String())
-	}
-}
-
-func TestFabricBenchParallel(t *testing.T) {
-	var out strings.Builder
-	err := fabricBench(&out, fabricBenchConfig{
-		Levels: 3, Children: 4, Parents: 4,
-		Clients: 16, Batch: 16, Open: 2,
-		MaxWait: 200 * time.Microsecond, Duration: 100 * time.Millisecond, Seed: 1,
-		Scheduler: "parallel,mode=racy,workers=4,rollback",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine line names whatever ran the last epoch: the racy workers,
-	// or their sequential core when that epoch was a single request.
-	if got := out.String(); !strings.Contains(got, "engine parallel-level-wise/racy/w4") &&
-		!strings.Contains(got, "engine level-wise/rollback") {
-		t.Errorf("summary missing engine line:\n%s", out.String())
-	}
-}
-
-func TestFabricBenchTimeoutFailsWedgedRun(t *testing.T) {
-	// A huge batch threshold with a long flush timer wedges admission:
-	// the lone request sits in the epoch queue past its AdmitTimeout.
-	// The run must fail with ErrAdmitTimeout instead of hanging.
-	var out strings.Builder
-	err := fabricBench(&out, fabricBenchConfig{
-		Levels: 2, Children: 4, Parents: 4,
-		Clients: 1, Batch: 1 << 20, Open: 1,
-		MaxWait: time.Hour, Duration: 200 * time.Millisecond, Seed: 1,
-		Timeout: 5 * time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("wedged run reported success")
-	}
-	if !errors.Is(err, fabric.ErrAdmitTimeout) {
-		t.Fatalf("err = %v, want ErrAdmitTimeout", err)
-	}
-}
-
 func TestChaosBench(t *testing.T) {
 	var out strings.Builder
 	err := chaosBench(&out, chaosBenchConfig{
@@ -110,118 +57,105 @@ func TestChaosBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"chaos FT(3,4,2)", "rate", "sched", "0.000", "0.080"} {
+	for _, want := range []string{"chaos FT(3,4,2)", "rate", "sched", "unacct", "0.000", "0.080"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("chaos summary missing %q:\n%s", want, got)
 		}
 	}
-}
-
-// TestFederationBenchSweep runs a short 1-vs-2-plane sweep end to end,
-// checking the per-plane grant report, the imbalance ratio, and the
-// JSON dump.
-func TestFederationBenchSweep(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	err := federationBench(&out, fedBenchConfig{
-		fabricBenchConfig: fabricBenchConfig{
-			Levels: 3, Children: 4, Parents: 4,
-			Clients: 8, Batch: 8, Open: 2,
-			MaxWait: 200 * time.Microsecond, Duration: 100 * time.Millisecond, Seed: 1,
-		},
-		PlaneCounts: []int{1, 2},
-		Policies:    []string{"round-robin", "least-loaded"},
-		JSONPath:    jsonPath,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Every rate row carries the settled repair identity in its fourth
+	// column: unaccounted 0.
+	lines := strings.Split(strings.TrimSpace(got), "\n")
+	if len(lines) != 4 || strings.Fields(lines[1])[3] != "unacct" {
+		t.Fatalf("chaos table shape:\n%s", got)
 	}
-	got := out.String()
-	for _, want := range []string{"planes=1", "planes=2", "policy=round-robin", "policy=least-loaded",
-		"per-plane grants", "imbalance", "grants/sec"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("sweep summary missing %q:\n%s", want, got)
-		}
-	}
-	var results []fedResult
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("JSON has %d points, want 4", len(results))
-	}
-	for _, res := range results {
-		if res.Granted == 0 || len(res.PerPlane) != res.Planes {
-			t.Errorf("sweep point %+v", res)
+	for _, row := range lines[2:] {
+		if f := strings.Fields(row); f[3] != "0" {
+			t.Errorf("row %q: unaccounted %s, want 0", row, f[3])
 		}
 	}
 }
 
-// TestFederationBenchFromConfig runs the single point an explicit
-// config file describes — the `fttopo gen | ftbench -planes-config`
-// pipeline.
-func TestFederationBenchFromConfig(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fabric.json")
-	fc := federation.Generate(2, 2, 4, 4, "", "least-loaded")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+// brokenFabric is a healer whose settled Stats lose a connection.
+type brokenFabric struct{ stats fabric.Stats }
 
+func (b brokenFabric) RepairAll() int      { return 0 }
+func (b brokenFabric) Stats() fabric.Stats { return b.stats }
+
+// TestSettleFailsOnRepairIdentity pins what makes -chaos and -gray exit
+// non-zero: a settled fabric whose revocations do not all resolve.
+func TestSettleFailsOnRepairIdentity(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	good := fabric.Stats{Revoked: 5, Repaired: 3, RepairFailed: 1, RepairAborted: 1}
+	if _, err := settle(brokenFabric{good}, tree); err != nil {
+		t.Fatalf("balanced stats rejected: %v", err)
+	}
+	bad := good
+	bad.Repaired = 2
+	if _, err := settle(brokenFabric{bad}, tree); err == nil || !strings.Contains(err.Error(), "1 unaccounted") {
+		t.Fatalf("err = %v, want 1 unaccounted", err)
+	}
+	gauge := good
+	gauge.Occupancy = 1 // utilization 0: the gauge disagrees
+	if _, err := settle(brokenFabric{gauge}, tree); err == nil {
+		t.Fatal("inconsistent occupancy gauge accepted")
+	}
+}
+
+// churnTable runs churnBench and returns its output and the churn/epoch
+// column by discipline.
+func churnTable(t *testing.T, cfg churnBenchConfig) (string, map[string]float64) {
+	t.Helper()
 	var out strings.Builder
-	err = federationBench(&out, fedBenchConfig{
-		fabricBenchConfig: fabricBenchConfig{
-			Clients: 4, Batch: 1, Open: 1,
-			MaxWait: 200 * time.Microsecond, Duration: 50 * time.Millisecond, Seed: 1,
-		},
-		ConfigPath: path,
-	})
-	if err != nil {
+	if err := churnBench(&out, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "planes=2 policy=least-loaded") {
-		t.Errorf("config-driven sweep summary:\n%s", out.String())
+	churn := map[string]float64{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] != "discipline" {
+			v, err := strconv.ParseFloat(f[2], 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			churn[f[0]] = v
+		}
+	}
+	return out.String(), churn
+}
+
+// TestChurnBenchDeterministic: the -churn table is a pure function of
+// the seed, and delta epochs move fewer routes than batch replay.
+func TestChurnBenchDeterministic(t *testing.T) {
+	cfg := churnBenchConfig{Levels: 3, Children: 4, Parents: 4,
+		Rate: 8, Life: 4, Epochs: 40, Reuse: 2, Seed: 1}
+	first, churn := churnTable(t, cfg)
+	if again, _ := churnTable(t, cfg); again != first {
+		t.Errorf("same seed, different output:\n%s\n---\n%s", first, again)
+	}
+	other := cfg
+	other.Seed = 2
+	if diff, _ := churnTable(t, other); diff == first {
+		t.Errorf("seeds 1 and 2 print the same table:\n%s", first)
+	}
+	if len(churn) != 3 {
+		t.Fatalf("want 3 disciplines, parsed %v from:\n%s", churn, first)
+	}
+	if inc, replay := churn["incremental"], churn["batch-replay"]; !(inc > 0 && inc < replay) {
+		t.Errorf("churn/epoch incremental %.2f, batch-replay %.2f: want 0 < incremental < replay", inc, replay)
 	}
 }
 
-func TestFederationBenchValidation(t *testing.T) {
-	base := fabricBenchConfig{Levels: 2, Children: 4, Parents: 4,
-		Clients: 1, Open: 1, Duration: time.Millisecond}
-	if err := federationBench(os.Stdout, fedBenchConfig{fabricBenchConfig: base, PlaneCounts: []int{0}}); err == nil {
-		t.Error("0-plane point accepted")
-	}
-	if err := federationBench(os.Stdout, fedBenchConfig{fabricBenchConfig: base, PlaneCounts: []int{1}, Policies: []string{"fastest"}}); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if err := federationBench(os.Stdout, fedBenchConfig{fabricBenchConfig: base, ConfigPath: "/does/not/exist.json"}); err == nil {
-		t.Error("missing config accepted")
-	}
-	if err := federationBench(os.Stdout, fedBenchConfig{PlaneCounts: []int{1}}); err == nil {
-		t.Error("zero clients accepted")
-	}
-}
-
-func TestParsePlaneCounts(t *testing.T) {
-	counts, err := parsePlaneCounts(" 1, 2,4 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 3 || counts[0] != 1 || counts[1] != 2 || counts[2] != 4 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if _, err := parsePlaneCounts("1,x"); err == nil {
-		t.Error("parsePlaneCounts(1,x) accepted")
-	}
-	if got := splitList(" a, ,b "); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("splitList = %v", got)
+func TestChurnBenchValidation(t *testing.T) {
+	base := churnBenchConfig{Levels: 2, Children: 4, Parents: 4, Rate: 4, Life: 2, Epochs: 4}
+	for name, mutate := range map[string]func(*churnBenchConfig){
+		"rate 0":         func(c *churnBenchConfig) { c.Rate = 0 },
+		"life 0":         func(c *churnBenchConfig) { c.Life = 0 },
+		"negative reuse": func(c *churnBenchConfig) { c.Reuse = -1 },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if err := churnBench(os.Stdout, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -252,13 +186,32 @@ func TestChaosBenchValidation(t *testing.T) {
 	if err := chaosBench(os.Stdout, chaosBenchConfig{Rates: []float64{0.1}, Cycle: time.Millisecond}); err == nil {
 		t.Error("zero clients accepted")
 	}
+	bad := base
+	bad.Levels = 0
+	if err := chaosBench(os.Stdout, chaosBenchConfig{fabricBenchConfig: bad, Rates: []float64{0.1}, Cycle: time.Millisecond}); err == nil {
+		t.Error("bad topology accepted")
+	}
 }
 
-func TestFabricBenchValidation(t *testing.T) {
-	if err := fabricBench(os.Stdout, fabricBenchConfig{Levels: 3, Children: 4, Parents: 4}); err == nil {
-		t.Error("zero clients accepted")
+// TestClosedLoopCountsTimeouts: a wedged manager (a batch that never
+// fills, a flush timer that never fires) must not hang the loop or abort
+// it — every attempt ends as a counted timeout.
+func TestClosedLoopCountsTimeouts(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	fab, err := fabric.New(fabric.Config{Tree: tree, BatchSize: 1 << 20, MaxWait: time.Hour,
+		AdmitTimeout: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := fabricBench(os.Stdout, fabricBenchConfig{Levels: 0, Clients: 1, Open: 1, Duration: time.Millisecond}); err == nil {
-		t.Error("bad topology accepted")
+	counts, err := closedLoop(fab, tree, fabricBenchConfig{Clients: 1, Open: 1,
+		Duration: 50 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts.timedOut == 0 || counts.admitted != 0 {
+		t.Errorf("counts = %+v, want only timeouts", counts)
+	}
+	if err := fab.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Command fttopo inspects fat-tree topologies: structural summary,
 // wiring validation (including the Ohring/Theorem-1 cross-check), path
 // enumeration between two nodes, and Graphviz export. The gen
-// subcommand emits multi-plane federation configs for ftserve/ftbench.
+// subcommand emits multi-plane federation configs for ftserve.
 //
 // Usage:
 //

@@ -9,7 +9,7 @@
 // This package is the single-threaded simulation of that scenario on
 // virtual time. Its serving-path counterpart is internal/fabric, which
 // admits the same churn workload from real concurrent clients (see
-// cmd/ftbench -fabric and examples/dynamic_connections); both retire
+// bench/'s fabric_churn workload and examples/dynamic_connections); both retire
 // held circuits oldest-first and treat a blocked circuit as lost.
 package dynamic
 

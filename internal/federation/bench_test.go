@@ -13,58 +13,6 @@ import (
 	"repro/internal/topology"
 )
 
-// BenchmarkFederationThroughput is the plane-scaling baseline recorded
-// in BENCH_federation.json: closed-loop connect/release churn at a
-// fixed client count (the offered load) against 1, 2, and 4 planes.
-// More planes means more independent epoch locks and link states behind
-// the same request stream, so aggregate grants/sec should rise with the
-// plane count until the router tier itself saturates.
-func BenchmarkFederationThroughput(b *testing.B) {
-	for _, planes := range []int{1, 2, 4} {
-		for _, policy := range []Policy{PolicyRoundRobin, PolicyLeastLoaded} {
-			b.Run(fmt.Sprintf("planes=%d/policy=%s", planes, policy), func(b *testing.B) {
-				cfg := Config{Policy: policy}
-				for i := 0; i < planes; i++ {
-					cfg.Planes = append(cfg.Planes, PlaneConfig{
-						Fabric: fabric.Config{
-							Tree:      topology.MustNew(3, 4, 4),
-							BatchSize: 16,
-							MaxWait:   100 * time.Microsecond,
-						},
-					})
-				}
-				r, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer r.Close(context.Background())
-				nodes := r.Nodes()
-				var grants atomic.Uint64
-				var seed atomic.Uint64
-				start := time.Now()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					g := lcg(seed.Add(2654435761))
-					ctx := context.Background()
-					for pb.Next() {
-						src, dst := g.next(nodes), g.next(nodes)
-						h, err := r.Connect(ctx, src, dst)
-						if err != nil {
-							continue
-						}
-						grants.Add(1)
-						h.Release()
-					}
-				})
-				b.StopTimer()
-				if el := time.Since(start).Seconds(); el > 0 {
-					b.ReportMetric(float64(grants.Load())/el, "grants/s")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFederationAdmit measures the router's own share of an
 // admission: closed-loop clients that each hold a window of circuits
 // (release the oldest, then Connect), so every operation pays candidate

@@ -1,7 +1,7 @@
 package federation
 
 // The on-disk multi-plane config grammar: what `fttopo gen` emits and
-// `ftserve -config` / `ftbench -planes-config` load. JSON with duration
+// `ftserve -config` loads. JSON with duration
 // fields as Go duration strings ("2ms"), validated against the
 // scheduler registry and the topology constructor before any plane is
 // built.

@@ -131,8 +131,9 @@ type plane struct {
 	weight float64 // selection bias, always > 0 (defaulted to 1)
 
 	// grants counts circuits the router placed here (initial admissions
-	// and cross-plane re-admissions) — the load-spread signal ftbench
-	// reports as per-plane grant counts and imbalance.
+	// and cross-plane re-admissions) — the load-spread signal Stats
+	// reports as per-plane grant counts and imbalance
+	// (federation.imbalance in bench/).
 	grants atomic.Uint64
 
 	// Health (health.go): failStreak counts consecutive failover-able

@@ -67,8 +67,7 @@ func ParsePolicy(name string) (Policy, error) {
 	}
 }
 
-// Policies lists the policy names the parser accepts, in registry order
-// — the sweep axis ftbench -planes iterates.
+// Policies lists the policy names the parser accepts, in registry order.
 func Policies() []string {
 	return []string{"hash", "round-robin", "random", "least-loaded"}
 }

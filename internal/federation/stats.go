@@ -1,8 +1,8 @@
 package federation
 
 // Federated observability: router-level counters plus a per-plane
-// breakdown, the shape ftserve's /stats serves and ftbench's -planes
-// sweeps summarize.
+// breakdown, the shape ftserve's /stats serves and bench/'s
+// fed_degraded workload summarizes.
 
 import "repro/internal/fabric"
 

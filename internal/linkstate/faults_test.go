@@ -133,7 +133,8 @@ func TestFailedStatesEqual(t *testing.T) {
 // on a state with an active fault mask; compare with
 // BenchmarkAvailBothIntoHealthy — the mask is folded into the
 // allocation bits at FailLink time, so both must cost the same (and
-// allocate nothing). Recorded in BENCH_faults.json.
+// allocate nothing; ~11 % apart when recorded — historical, 1 CPU, see
+// EXPERIMENTS E17).
 func BenchmarkAvailBothIntoFaulted(b *testing.B) {
 	s := newState(b, 2, 64, 64)
 	for p := 0; p < 64; p += 7 {

@@ -48,11 +48,10 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkRouteCursor|BenchmarkTopologyNew' -benchtime 1x ./internal/topology
 go test -run '^$' -bench 'BenchmarkLevelWise' -benchtime 1x ./internal/core
 go test -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
-go test -run '^$' -bench 'BenchmarkFederationThroughput' -benchtime 1x ./internal/federation
 go test -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./internal/federation
 
 # Scaling-study smoke: one shard-engine point of the multi-core sweep
-# (BENCH_scaling.json), so the -cpu matrix harness keeps compiling and
+# (EXPERIMENTS.md E19), so the -cpu matrix harness keeps compiling and
 # the shard fast path keeps running end to end.
 go test -run '^$' -bench 'BenchmarkScalingEngines/FT3x8x8/batch4096/local/shard$' -benchtime 1x -cpu 2 .
 
@@ -98,12 +97,6 @@ go run ./cmd/ftbench -churn -churn-rate 8 -churn-life 4 -churn-epochs 20 -churn-
 go run ./cmd/ftbench -gray -fabric-levels 2 -fabric-children 4 -fabric-parents 4 \
 	-fabric-clients 8 -fabric-open 2 -fabric-duration 300ms -gray-rates 0,0.2 -seed 1
 
-# Admission-pipeline smoke: one short -admit sweep point per epoch size
-# (EXPERIMENTS.md E22), so the closed-loop latency harness keeps running
-# end to end without bench-grade runtime.
-go run ./cmd/ftbench -admit -fabric-duration 200ms -admit-epochs 1,8 \
-	-admit-clients 4 -seed 1
-
 # Connect-enqueue allocation guard: the admission enqueue path (slot
 # acquire + pooled ticket + queue append) must stay at zero allocations
 # per request; -count=2 re-runs it against a warm ticket pool, which is
@@ -131,5 +124,8 @@ go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
-# builds it; compile it and run its tests against the current API.
+# builds it; compile it and run its tests against the current API. This
+# is where rates and latencies are exercised: the tests smoke-run all
+# four workloads (batch_perm, fabric_churn, fed_degraded, http_rt), and
+# nothing else in the repository reports a rate or a latency.
 (cd bench && go test ./...)
