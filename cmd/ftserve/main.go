@@ -540,7 +540,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	open := len(s.open)
 	s.mu.Unlock()
 	resp := healthzResponse{Status: "ok", Nodes: s.router.Nodes(), Open: open}
-	// Router.Health, not Stats: a probe must not sort the planes' latency
+	// Router.Health, not Stats: a probe must not copy the planes'
 	// histograms or drain their release rings.
 	for _, ph := range s.router.Health() {
 		if ph.Fabric.FaultyChannels > 0 || ph.Fabric.PendingRepairs > 0 || !ph.Healthy ||

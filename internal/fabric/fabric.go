@@ -39,13 +39,13 @@
 // Handle.Ports is one atomic load of an immutable route.
 //
 // A Handle is allocated by the Connect that will own it, before it
-// queues: the pooled ticket carries a spare Handle (armTicket), whose
-// route pointer that goroutine publishes once, at allocation, aimed at the
-// route embedded in the Handle itself. The granting epoch fills in the
-// endpoints, the registry slot and that embedded route under mu and hands
-// the Handle over through the ticket's channel; a denial leaves the spare
-// on the ticket for its next use. After the grant only the repair loop
-// replaces the route, with a fresh snapshot, under mu.
+// queues: the pooled ticket carries a spare Handle (armTicket). The
+// granting epoch fills in the endpoints, the registry slot and the route
+// embedded in the Handle under mu and hands the Handle over through the
+// ticket's channel; a denial leaves the spare on the ticket for its next
+// use. The route pointer stays nil — which means "the embedded route" —
+// until a fault revokes the connection; from then on only the repair loop
+// stores it, a fresh snapshot each time, under mu.
 //
 // Robustness: the admission queue is bounded (Config.QueueLimit) and
 // exerts backpressure by blocking Connect until a slot frees; a queued
@@ -75,6 +75,7 @@ import (
 	"repro/internal/linkstate"
 	"repro/internal/parsched"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -345,13 +346,13 @@ type Handle struct {
 	// (SetOwner); the fabric never reads it.
 	owner atomic.Value
 
-	// route is the one copy of the connection's route: an immutable
-	// snapshot, replaced under m.mu and never rewritten, read by Ports
-	// and the mu-side walks alike. The grant's is embedded (a grant stays
-	// one allocation): newHandle points route at granted before any epoch
-	// sees the handle, and the granting epoch fills granted in before the
-	// handle reaches its owner or the registry. A revocation publishes
-	// noRoute, a repair a new snapshot.
+	// route is the connection's current route: an immutable snapshot,
+	// replaced under m.mu and never rewritten, read by Ports and the
+	// mu-side walks alike (ports). Nil means granted, the grant's own route,
+	// embedded so that a grant stays one allocation and publishes no
+	// pointer: the granting epoch fills granted in before the handle
+	// reaches its owner or the registry, and nothing writes it again. A
+	// revocation publishes noRoute, a repair a new snapshot, never nil.
 	route   atomic.Pointer[route]
 	granted route
 
@@ -398,7 +399,12 @@ func (h *Handle) Dst() int { return h.dst }
 func (h *Handle) Ports() []int { return append([]int(nil), h.ports()...) }
 
 // ports is the current route itself, shared and read-only.
-func (h *Handle) ports() []int { return h.route.Load().ports }
+func (h *Handle) ports() []int {
+	if r := h.route.Load(); r != nil {
+		return r.ports
+	}
+	return h.granted.ports
+}
 
 // Err reports why the connection died: ErrUnroutableDegraded after the
 // repair loop gave up, ErrClosed if the manager shut down mid-repair,
@@ -571,19 +577,20 @@ type Manager struct {
 	tornRoutes        atomic.Uint64
 	establishedRoutes atomic.Uint64
 
-	// Histogram stripes: recording locks one stripe, Stats snapshots
-	// stripes one at a time and summarizes outside every lock. An epoch
-	// records once: its size, latency and route churn are one sample.
-	epochHist   *shardedRing[epochSample]
-	repairLat   *shardedRing[float64] // revoke → successful re-admission, milliseconds
-	repairDepth *shardedRing[float64] // scheduling attempts per successful repair
+	// hist (guarded by mu) is what Stats' distributions are made of. An
+	// epoch records into it with plain stores, once, before it lets go of mu.
+	hist histograms
 }
 
-// epochSample is what one scheduling epoch contributes to Stats' EpochSize,
-// EpochLatencyMS and RouteChurn distributions: the tickets it scheduled,
-// the wait of its oldest in milliseconds, and the routes torn down since
-// the previous epoch plus the routes this one established.
-type epochSample struct{ size, latMS, churn float64 }
+// histograms are the manager's five recent-sample histograms: per epoch the
+// tickets it scheduled, the wait of its oldest in milliseconds, and the
+// routes torn down since the previous epoch plus the routes this one
+// established; per successful repair the revoke-to-readmission time in
+// milliseconds and the scheduling attempts it took.
+type histograms struct {
+	epochSize, epochLatMS, routeChurn stats.Recent
+	repairLatMS, repairDepth          stats.Recent
+}
 
 // New validates the config and applies defaults. It starts no goroutine
 // (epochs run on their closers and the MaxWait timer); end it with Close.
@@ -658,20 +665,17 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}})
 	}
 	m := &Manager{
-		cfg:         cfg,
-		eng:         eng,
-		scratch:     core.NewScratch(),
-		slotsCh:     make(chan struct{}, 1),
-		closing:     make(chan struct{}),
-		st:          newTrackedState(cfg.Tree),
-		failed:      make(map[faults.Channel]struct{}),
-		flap:        make(map[faults.Channel]*flapScore),
-		quar:        make(map[faults.Channel]time.Time),
-		budget:      newBucket(cfg.RepairBudget, time.Now()),
-		relRing:     newReleaseRing(ringSize),
-		epochHist:   newShardedRing[epochSample](4096),
-		repairLat:   newShardedRing[float64](4096),
-		repairDepth: newShardedRing[float64](4096),
+		cfg:     cfg,
+		eng:     eng,
+		scratch: core.NewScratch(),
+		slotsCh: make(chan struct{}, 1),
+		closing: make(chan struct{}),
+		st:      newTrackedState(cfg.Tree),
+		failed:  make(map[faults.Channel]struct{}),
+		flap:    make(map[faults.Channel]*flapScore),
+		quar:    make(map[faults.Channel]time.Time),
+		budget:  newBucket(cfg.RepairBudget, time.Now()),
+		relRing: newReleaseRing(ringSize),
 	}
 	switch e := eng.Unwrap().(type) {
 	case *parsched.Engine:
@@ -823,18 +827,8 @@ func (m *Manager) armTicket(t *ticket, src, dst int) {
 	t.req = core.Request{Src: src, Dst: dst}
 	t.state.Store(ticketWaiting)
 	if t.spare == nil {
-		t.spare = m.newHandle()
+		t.spare = &Handle{m: m}
 	}
-}
-
-// newHandle allocates the Handle of a grant yet to be decided. Its route
-// pointer is published here, once, by the goroutine that allocated it; the
-// granting epoch fills in the endpoints, the registry slot and the route
-// itself (Handle.granted) and stores nothing atomically.
-func (m *Manager) newHandle() *Handle {
-	h := &Handle{m: m}
-	h.route.Store(&h.granted)
-	return h
 }
 
 // putTicket recycles a ticket whose verdict was received (or that never
@@ -1069,22 +1063,15 @@ func (m *Manager) dropConnLocked(h *Handle) {
 }
 
 // releaseRouteLocked returns an active handle's channels to the fabric.
-// On a healthy fabric the whole path releases in one call; with faults
-// present the Theorem 2 walk is replayed and failed channels skipped —
-// they are masked out of the availability state and must not be
-// resurrected. (An active route normally never crosses a failed channel
-// — Fail revokes such connections — except when the owner's Release
-// raced the fault into the ring; the revoke walk skips released handles
-// and this walk finishes the teardown.) A failure here is an accounting
-// invariant violation, not a runtime condition.
+// An active route never names a masked channel — Fail revokes every one
+// that crosses a channel it masks, and nothing is granted across a mask —
+// so the whole path releases in one call whatever the fault state. A
+// failure here is an accounting invariant violation, not a runtime
+// condition.
 func (m *Manager) releaseRouteLocked(h *Handle, ports []int) {
-	if len(m.failed) == 0 {
-		if err := m.st.ReleasePath(h.src, h.dst, ports); err != nil {
-			panic(fmt.Sprintf("fabric: release invariant violation: %v", err))
-		}
-		return
+	if err := m.st.ReleasePath(h.src, h.dst, ports); err != nil {
+		panic(fmt.Sprintf("fabric: release invariant violation: %v", err))
 	}
-	core.ReleaseSurviving(m.st, h.src, h.dst, ports, nil)
 }
 
 // Close stops admission and drains queued requests through a final epoch
@@ -1241,15 +1228,13 @@ func (m *Manager) flushLocked() *delbatch {
 	if established > 0 {
 		m.establishedRoutes.Add(uint64(established))
 	}
-	// One histogram record per scheduling epoch. Its churn is the routes
-	// torn down since the last one (releases, revocations) plus the routes
-	// this pass established — the reconfiguration cost a reuse-cost engine
+	// A scheduling epoch records once, here. Its churn is the routes torn
+	// down since the last one (releases, revocations) plus the routes this
+	// pass established — the reconfiguration cost a reuse-cost engine
 	// minimizes.
-	m.epochHist.add(epochSample{
-		size:  float64(len(live)),
-		latMS: float64(time.Since(live[0].enq)) / float64(time.Millisecond),
-		churn: float64(m.tornSinceEpoch + established),
-	})
+	m.hist.epochSize.Record(float64(len(live)))
+	m.hist.epochLatMS.Record(float64(time.Since(live[0].enq)) / float64(time.Millisecond))
+	m.hist.routeChurn.Record(float64(m.tornSinceEpoch + established))
 	m.tornSinceEpoch = 0
 	// Drop ticket references from the reused buffer; the deliveries carry
 	// them the rest of the way.

@@ -80,11 +80,11 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 	}
 	if len(fresh) > 0 {
 		for _, h := range m.conns {
-			// A handle whose owner released it concurrently (parked in
-			// the ring after the drain above) is skipped: its channels
-			// are returned by the fault-aware releaseRouteLocked walk at
-			// the next drain, not by a repair it no longer wants.
-			if h.state.Load() == handleActive && !h.released.Load() && m.routeCrossesLocked(h, fresh) {
+			// Every crossing active handle, one its owner is releasing
+			// right now included: a route is torn down once, here, so no
+			// active route ever names a masked channel. The owner's Release
+			// then finds the handle repairing and aborts the repair.
+			if h.state.Load() == handleActive && m.routeCrossesLocked(h, fresh) {
 				m.revokeLocked(h)
 				revoked++
 			}
@@ -125,7 +125,6 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 	}
 	chans := fs.Channels(m.cfg.Tree)
 	m.mu.Lock()
-	m.drainReleasesLocked() // see RepairAll
 	m.settleQuarantineLocked(time.Now())
 	repaired := 0
 	for _, c := range chans {
@@ -152,11 +151,6 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 // overrides); they are not counted.
 func (m *Manager) RepairAll() int {
 	m.mu.Lock()
-	// Retire parked releases while the masks still stand: a handle whose
-	// owner released it as the fault landed was skipped by the revoke
-	// walk, so its route still names the failed channel, and its teardown
-	// must skip that channel as dead — not find it healed and free.
-	m.drainReleasesLocked()
 	m.settleQuarantineLocked(time.Now())
 	repaired := 0
 	for c := range m.failed {
@@ -293,8 +287,8 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventRepair, Src: h.src, Dst: h.dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 		}
-		m.repairLat.add(float64(time.Since(rep.revokedAt)) / float64(time.Millisecond))
-		m.repairDepth.add(float64(rep.attempts + 1))
+		m.hist.repairLatMS.Record(float64(time.Since(rep.revokedAt)) / float64(time.Millisecond))
+		m.hist.repairDepth.Record(float64(rep.attempts + 1))
 		return
 	}
 	if len(o.Ports) > 0 {

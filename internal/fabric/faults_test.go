@@ -559,11 +559,14 @@ func TestErrPublishesCauseWithDeath(t *testing.T) {
 }
 
 // TestRepairRetiresParkedReleasesFirst replays, step by step, a Release
-// that lands while Fail holds the lock: the owner's CAS is visible to the
-// revoke walk (which skips the handle) but the handle reaches the ring
-// only afterwards. If the fault is then healed before any epoch drains
-// the ring, the parked route names a channel that is free again, and its
-// teardown would release a channel it no longer holds.
+// that lands while Fail holds the lock: the owner's CAS has happened, the
+// handle reaches the ring only after the fault is healed again. The revoke
+// walk must not trust the released flag — it tears the route down then and
+// there, once — or the parked route names a channel that is free again and
+// its teardown releases a channel it no longer holds. Whether the drain
+// then finds the handle repairing (and aborts the repair) or already
+// re-admitted by the deadline's epoch (and releases the new route), every
+// channel is back and the revocation is accounted for.
 func TestRepairRetiresParkedReleasesFirst(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	m, err := New(Config{Tree: tree, BatchSize: 1})
@@ -575,15 +578,22 @@ func TestRepairRetiresParkedReleasesFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.released.Store(true) // the owner's Release won its CAS …
-	if revoked, err := m.FailLink(0, 0, h.Ports()[0], faults.Up); err != nil || revoked != 0 {
-		t.Fatalf("FailLink = %d, %v; the released handle must be skipped", revoked, err)
+	if revoked, err := m.FailLink(0, 0, h.Ports()[0], faults.Up); err != nil || revoked != 1 {
+		t.Errorf("FailLink = %d, %v; a crossing active handle is revoked, released or not", revoked, err)
 	}
+	m.RepairAll()
 	if !m.relRing.push(h) { // … and parks only now
 		t.Fatal("ring refused the handle")
 	}
-	m.RepairAll()
-	if s := m.Stats(); s.Released != 1 || s.Occupancy != 0 || s.FaultyChannels != 0 {
-		t.Fatalf("after heal and drain: %+v", s)
+	s := m.Stats()
+	if s.Occupancy != 0 || s.FaultyChannels != 0 || s.Active != 0 || s.PendingRepairs != 0 {
+		t.Errorf("after heal and drain: %+v", s)
+	}
+	aborted := s.Revoked == 1 && s.RepairAborted == 1 && s.Repaired == 0 && s.Released == 0
+	readmitted := s.Revoked == 1 && s.RepairAborted == 0 && s.Repaired == 1 && s.Released == 1
+	if !aborted && !readmitted || s.RepairFailed != 0 {
+		t.Errorf("revoked %d = repaired %d + failed %d + aborted %d, released %d: neither an aborted repair nor a re-admission released",
+			s.Revoked, s.Repaired, s.RepairFailed, s.RepairAborted, s.Released)
 	}
 	m.Close(context.Background()) // not deferred: a teardown panic holds m.mu
 }

@@ -1,17 +1,10 @@
 package fabric
 
-// Lock-decoupled hot-path structures. The release ring keeps Release
-// off the manager mutex entirely: an owner parks its handle with one
-// CAS and the next epoch retires it before it schedules, so the freed
-// channels are visible to that very pass. The
-// sharded histogram rings keep stats recording and the Stats snapshot
-// from serializing against each other: recording locks one stripe, and
-// the expensive percentile pass runs outside every lock.
+// The release ring keeps Release off the manager mutex entirely: an owner
+// parks its handle with one CAS and the next epoch retires it before it
+// schedules, so the freed channels are visible to that very pass.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // releaseRing is a bounded multi-producer single-consumer queue of
 // released handles. Producers (the Release fast path) claim a slot with
@@ -77,54 +70,4 @@ func (r *releaseRing) drain(buf []*Handle) []*Handle {
 	}
 	r.head.Store(head)
 	return buf
-}
-
-// histShards is the stripe count of a shardedRing. Four stripes are
-// plenty: the writers are the epochs and their repair verdicts, and the
-// point is that a Stats snapshot never holds more than one stripe at a
-// time.
-const histShards = 4
-
-// shardedRing is a sample distribution striped across histShards
-// independently locked rings. add locks one stripe chosen round-robin;
-// snapshot copies stripes one at a time, so summarizing (sorting,
-// percentiles) in distOf happens outside every lock and recording is
-// never blocked behind a slow snapshot.
-type shardedRing[T any] struct {
-	next  atomic.Uint64
-	shard [histShards]struct {
-		mu sync.Mutex
-		r  ring[T]
-	}
-}
-
-// newShardedRing splits the capacity evenly across the stripes.
-func newShardedRing[T any](capacity int) *shardedRing[T] {
-	s := &shardedRing[T]{}
-	per := (capacity + histShards - 1) / histShards
-	for i := range s.shard {
-		s.shard[i].r = newRing[T](per)
-	}
-	return s
-}
-
-// add records one observation in the next stripe.
-func (s *shardedRing[T]) add(x T) {
-	sh := &s.shard[s.next.Add(1)%histShards]
-	sh.mu.Lock()
-	sh.r.add(x)
-	sh.mu.Unlock()
-}
-
-// snapshot merges the retained samples of every stripe. The merged
-// order is not chronological; distOf sorts where order matters.
-func (s *shardedRing[T]) snapshot() []T {
-	var out []T
-	for i := range s.shard {
-		sh := &s.shard[i]
-		sh.mu.Lock()
-		out = append(out, sh.r.samples()...)
-		sh.mu.Unlock()
-	}
-	return out
 }

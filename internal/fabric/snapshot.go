@@ -6,38 +6,14 @@ import (
 	"repro/internal/stats"
 )
 
-// ring is a fixed-capacity sample buffer keeping the most recent
-// observations; distributions in Stats summarize its contents.
-type ring[T any] struct {
-	buf  []T
-	n    int // valid samples
-	next int // write cursor
-}
-
-func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
-
-func (r *ring[T]) add(x T) {
-	r.buf[r.next] = x
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// samples returns the retained observations, oldest first.
-func (r *ring[T]) samples() []T {
-	out := make([]T, r.n)
-	if r.n < len(r.buf) {
-		copy(out, r.buf[:r.n])
-		return out
-	}
-	copy(out, r.buf[r.next:])
-	copy(out[len(r.buf)-r.next:], r.buf[:r.next])
-	return out
-}
-
-// Dist summarizes a sample distribution for Stats: the internal/stats
-// Summary plus percentiles and an 8-bin histogram over [Min, Max].
+// Dist summarizes one of the manager's recent-sample histograms
+// (stats.Recent) for Stats. "Recent" is the last 4096 to 8191 samples: the
+// histogram drops its older half every 4096. N, Mean, Min, Max and StdDev
+// are exact over those samples. P50, P95 and P99 are the lower edge of the
+// histogram bucket holding the nearest-rank sample, clamped to [Min, Max]:
+// exact for integers up to 32, powers of two and single-valued samples,
+// otherwise low by less than one bucket (under 6.25 %). Hist is that
+// histogram re-binned into 8 equal bins over [Min, Max].
 type Dist struct {
 	N      int     `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -50,18 +26,16 @@ type Dist struct {
 	Hist   []int   `json:"hist,omitempty"`
 }
 
-func distOf(xs []float64) Dist {
-	s := stats.Summarize(xs)
-	d := Dist{N: s.N, Mean: s.Mean, Min: s.Min, Max: s.Max, StdDev: s.StdDev}
-	if s.N > 0 {
-		d.P50 = stats.Percentile(xs, 50)
-		d.P95 = stats.Percentile(xs, 95)
-		d.P99 = stats.Percentile(xs, 99)
+// distOf summarizes a copy of a histogram; it sorts nothing and allocates
+// only Hist.
+func distOf(r *stats.Recent) Dist {
+	h := r.Hist()
+	s := h.Summary()
+	return Dist{
+		N: s.N, Mean: s.Mean, Min: s.Min, Max: s.Max, StdDev: s.StdDev,
+		P50: h.Percentile(50), P95: h.Percentile(95), P99: h.Percentile(99),
+		Hist: h.Bins(8),
 	}
-	if s.N > 1 && s.Max > s.Min {
-		d.Hist = stats.Histogram(xs, s.Min, s.Max, 8)
-	}
-	return d
 }
 
 // Stats is a consistent observability snapshot of a Manager. The counter
@@ -93,7 +67,8 @@ type Stats struct {
 	// is the cumulative number of channel allocations ever performed.
 	Occupancy     int64  `json:"occupancy"`
 	ChannelAllocs uint64 `json:"channel_allocs"`
-	// EpochSize and EpochLatencyMS summarize the last ≤4096 epochs; epoch
+	// EpochSize and EpochLatencyMS summarize the recent epochs (the last
+	// 4096–8191; see Dist for what "recent" and the percentiles mean); epoch
 	// latency is measured from the oldest member's enqueue to its verdict,
 	// so it includes the batching wait.
 	EpochSize      Dist `json:"epoch_size"`
@@ -121,8 +96,9 @@ type Stats struct {
 	PendingRepairs   int64   `json:"pending_repairs"`
 	FaultyChannels   int     `json:"faulty_channels"`
 	DegradedCapacity float64 `json:"degraded_capacity"`
-	// RepairLatencyMS and RepairDepth summarize the last ≤4096 successful
-	// repairs: revoke-to-readmission latency and scheduling attempts used.
+	// RepairLatencyMS and RepairDepth summarize the recent successful
+	// repairs (the last 4096–8191): revoke-to-readmission latency and
+	// scheduling attempts used.
 	RepairLatencyMS Dist `json:"repair_latency_ms"`
 	RepairDepth     Dist `json:"repair_depth"`
 	// Gray-failure observability (see gray.go). RepairAttempts counts
@@ -144,8 +120,8 @@ type Stats struct {
 	// reuse-cost cap (0 = first-fit). TornRoutes counts routes torn down
 	// (releases, revocations) and EstablishedRoutes routes set up (grants
 	// and repairs holding channels); RouteChurn summarizes their
-	// per-scheduling-epoch sum — the reconfiguration cost — over the last
-	// ≤4096 epochs.
+	// per-scheduling-epoch sum — the reconfiguration cost — over the recent
+	// epochs (the last 4096–8191).
 	ReuseCost         int    `json:"reuse_cost,omitempty"`
 	TornRoutes        uint64 `json:"torn_routes"`
 	EstablishedRoutes uint64 `json:"established_routes"`
@@ -163,10 +139,9 @@ func (m *Manager) capacityLocked() float64 {
 }
 
 // Stats returns a snapshot of the manager's counters, queue, epoch
-// distributions, and live link utilization. No lock is held across the
-// distribution summaries: histogram samples are copied stripe by stripe
-// and the sort/percentile pass runs outside, so a large snapshot never
-// stalls an epoch or a client.
+// distributions, and live link utilization. Its cost does not depend on how
+// many epochs have run: the five fixed-size histograms are copied under the
+// lock and summarized outside it, and nothing is sorted.
 //
 // The call takes the scheduling lock and settles pending work first —
 // parked fast-path releases are drained — so the snapshot reflects every
@@ -183,15 +158,9 @@ func (m *Manager) Stats() Stats {
 	// The gauge and the per-channel counters belong to the epochs: read
 	// here, with Utilization, they describe the same instant.
 	occupancy, allocs := m.st.LiveOccupancy(), m.st.TotalAllocs()
+	hist := m.hist // recorded under mu, so this copy is of one instant too
 	m.mu.Unlock()
 	depth := int(m.qdepth.Load())
-	epochs := m.epochHist.snapshot()
-	size, lat, churn := make([]float64, len(epochs)), make([]float64, len(epochs)), make([]float64, len(epochs))
-	for i, e := range epochs {
-		size[i], lat[i], churn[i] = e.size, e.latMS, e.churn
-	}
-	repLat := distOf(m.repairLat.snapshot())
-	repDepth := distOf(m.repairDepth.snapshot())
 	return Stats{
 		Offered:        m.offered.Load(),
 		Granted:        m.granted.Load(),
@@ -206,8 +175,8 @@ func (m *Manager) Stats() Stats {
 		Utilization:    util,
 		Occupancy:      occupancy,
 		ChannelAllocs:  allocs,
-		EpochSize:      distOf(size),
-		EpochLatencyMS: distOf(lat),
+		EpochSize:      distOf(&hist.epochSize),
+		EpochLatencyMS: distOf(&hist.epochLatMS),
 
 		SequentialEpochs: m.seqEpochs.Load(),
 		ParallelEpochs:   m.parEpochs.Load(),
@@ -220,8 +189,8 @@ func (m *Manager) Stats() Stats {
 		PendingRepairs:   m.pendingRepairs.Load(),
 		FaultyChannels:   faulty,
 		DegradedCapacity: capacity,
-		RepairLatencyMS:  repLat,
-		RepairDepth:      repDepth,
+		RepairLatencyMS:  distOf(&hist.repairLatMS),
+		RepairDepth:      distOf(&hist.repairDepth),
 
 		RepairAttempts:        m.repairAttempts.Load(),
 		RepairBudgetExhausted: m.repairBudgetExhausted.Load(),
@@ -233,7 +202,7 @@ func (m *Manager) Stats() Stats {
 		ReuseCost:         m.reuseCost,
 		TornRoutes:        m.tornRoutes.Load(),
 		EstablishedRoutes: m.establishedRoutes.Load(),
-		RouteChurn:        distOf(churn),
+		RouteChurn:        distOf(&hist.routeChurn),
 	}
 }
 
@@ -248,8 +217,8 @@ type Health struct {
 }
 
 // Health reports the plane's fault state without the rest of a Stats
-// snapshot: no histogram copies, no sorts, no release drain — a probe
-// costs the same on a busy fabric as on an idle one. The scheduling lock
+// snapshot: no histogram copies, no release drain, no pass over the load
+// counters. The scheduling lock
 // is held only to count the fault sets.
 func (m *Manager) Health() Health {
 	m.mu.Lock()

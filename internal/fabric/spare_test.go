@@ -63,7 +63,7 @@ func TestEpochAllocatesNothingUnderLock(t *testing.T) {
 	}
 	spares := make([]*Handle, (runs+2)*batch) // AllocsPerRun adds a warm-up run
 	for i := range spares {
-		spares[i] = m.newHandle()
+		spares[i] = &Handle{m: m}
 	}
 	half := tree.Nodes() / 2
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -185,7 +185,8 @@ func TestSpareSurvivesDenial(t *testing.T) {
 // TestStatsOccupancyMatchesUtilization: Stats reads the occupancy gauge in
 // the same locked section as Utilization, so every snapshot — taken here
 // while epochs and releases run — has Occupancy == Utilization × channels
-// exactly, and ChannelAllocs never runs backwards.
+// exactly, ChannelAllocs never runs backwards, and the epoch distributions
+// (recorded with plain stores under that lock) count the same epochs.
 func TestStatsOccupancyMatchesUtilization(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
 	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 50 * time.Microsecond})
@@ -231,6 +232,11 @@ func TestStatsOccupancyMatchesUtilization(t *testing.T) {
 			t.Fatalf("snapshot %d: channel_allocs fell from %d to %d", i, lastAllocs, s.ChannelAllocs)
 		}
 		lastAllocs = s.ChannelAllocs
+		// The histograms are copied in the same locked section: an epoch
+		// is in all three of its distributions or in none.
+		if n := s.EpochSize.N; n != s.EpochLatencyMS.N || n != s.RouteChurn.N || uint64(n) > s.Epochs {
+			t.Fatalf("snapshot %d: %d sizes, %d latencies, %d churns of %d epochs", i, n, s.EpochLatencyMS.N, s.RouteChurn.N, s.Epochs)
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -17,6 +17,12 @@ func releaseByChannel(s *State, src, dst int, ports []int) error {
 	if h := s.tree.AncestorLevel(src, dst); len(ports) != h {
 		return fmt.Errorf("linkstate: request (%d→%d) needs %d ports, got %d", src, dst, h, len(ports))
 	}
+	return releaseHeldByChannel(s, src, dst, ports)
+}
+
+// releaseHeldByChannel is the same reference for ReleaseHeld, which takes
+// any prefix of a route.
+func releaseHeldByChannel(s *State, src, dst int, ports []int) error {
 	var cur topology.RouteCursor
 	cur.Start(s.tree, src, dst)
 	var firstErr error
@@ -66,9 +72,21 @@ func randomRoutes(t *testing.T, rng *rand.Rand, n int, states ...*State) []heldR
 // bits, the gauge and the counters all agree.
 func sameRelease(t *testing.T, label string, word, ref *State, r heldRoute) error {
 	t.Helper()
-	got, want := word.ReleasePath(r.src, r.dst, r.ports), releaseByChannel(ref, r.src, r.dst, r.ports)
+	return sameVerdict(t, label, word, ref, r,
+		word.ReleasePath(r.src, r.dst, r.ports), releaseByChannel(ref, r.src, r.dst, r.ports))
+}
+
+// sameHeldRelease is sameRelease for ReleaseHeld over a prefix of a route.
+func sameHeldRelease(t *testing.T, label string, word, ref *State, r heldRoute) error {
+	t.Helper()
+	return sameVerdict(t, label, word, ref, r,
+		word.ReleaseHeld(r.src, r.dst, r.ports), releaseHeldByChannel(ref, r.src, r.dst, r.ports))
+}
+
+func sameVerdict(t *testing.T, label string, word, ref *State, r heldRoute, got, want error) error {
+	t.Helper()
 	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-		t.Fatalf("%s: ReleasePath(%+v) = %v, the per-channel walk says %v", label, r, got, want)
+		t.Fatalf("%s: release of %+v = %v, the per-channel walk says %v", label, r, got, want)
 	}
 	if !word.Equal(ref) {
 		t.Fatalf("%s: link state diverges from the per-channel walk after releasing %+v", label, r)
@@ -94,7 +112,10 @@ func sameRelease(t *testing.T, label string, word, ref *State, r heldRoute) erro
 // covers (core's wordVsVector), tracked and untracked: plain releases, a
 // second release of the same route, a route with one channel already free
 // (an error, and every other channel still returned), a wrong port count,
-// and a state with a failed channel, which must take the old walk.
+// and then the same word form on a state with failed channels in both
+// directions: clean routes, routes naming a failed channel (refused there
+// and nowhere else, the fault not resurrected), and the prefix releases a
+// denied request's rollback makes, clean and across a fault.
 func TestReleasePathWordFormMatchesChannelWalk(t *testing.T) {
 	type shape struct {
 		l, m, w int
@@ -170,33 +191,95 @@ func TestReleasePathWordFormMatchesChannelWalk(t *testing.T) {
 				}
 			}
 
-			// A failed channel sends the other half through the old walk: a
-			// route crossing the fault is refused there, the rest are not.
-			var victim heldRoute
+			// Two failed channels, one in each direction, and the other half
+			// released around them: a route naming one is refused at that
+			// channel and returns the rest, every other route is clean.
+			var victims []heldRoute
 			for i, r := range held {
 				if i%2 == 1 && len(r.ports) > 0 && !reflect.DeepEqual(r, partial) {
-					victim = r
-					break
+					if victims = append(victims, r); len(victims) == 2 {
+						break
+					}
 				}
 			}
-			cur.Start(tree, victim.src, victim.dst)
-			for _, s := range []*State{word, ref} {
-				s.FailLink(Up, 0, cur.Sigma(), victim.ports[0])
+			if len(victims) < 2 {
+				t.Fatalf("%s: no two routes left to fault", label)
 			}
-			sawFailed := false
+			cur.Start(tree, victims[0].src, victims[0].dst)
+			deadUp := [3]int{0, cur.Sigma(), victims[0].ports[0]}
+			cur.Start(tree, victims[1].src, victims[1].dst)
+			deadDown := [3]int{0, cur.Delta(), victims[1].ports[0]}
+			for _, s := range []*State{word, ref} {
+				s.FailLink(Up, deadUp[0], deadUp[1], deadUp[2])
+				s.FailLink(Down, deadDown[0], deadDown[1], deadDown[2])
+			}
+			sawFailed, sawClean := 0, 0
 			for i, r := range held {
 				if i%2 == 0 || reflect.DeepEqual(r, partial) {
 					continue
 				}
-				if err := sameRelease(t, label+" faulted", word, ref, r); err != nil {
-					if !strings.Contains(err.Error(), "is failed") {
-						t.Fatalf("%s: faulted release of %+v: %v", label, r, err)
-					}
-					sawFailed = true
+				err := sameRelease(t, label+" faulted", word, ref, r)
+				switch {
+				case err == nil:
+					sawClean++
+				case strings.Contains(err.Error(), "is failed"):
+					sawFailed++
+				default:
+					t.Fatalf("%s: faulted release of %+v: %v", label, r, err)
 				}
 			}
-			if !sawFailed {
-				t.Fatalf("%s: no release crossed the failed channel", label)
+			if sawFailed < 2 || sawClean == 0 {
+				t.Fatalf("%s: %d releases crossed a failed channel and %d were clean, want both kinds", label, sawFailed, sawClean)
+			}
+			if word.Available(Up, deadUp[0], deadUp[1], deadUp[2]) || word.Available(Down, deadDown[0], deadDown[1], deadDown[2]) {
+				t.Fatalf("%s: a release resurrected a failed channel", label)
+			}
+			if word.OccupiedCount() != 0 {
+				t.Fatalf("%s: %d channels still held after every route was released", label, word.OccupiedCount())
+			}
+
+			// A denied request's rollback releases the levels it got to. On
+			// the faulted state: a clean one-level prefix, then a prefix that
+			// names the failed upward channel (refused, the other side back).
+			top := tree.LinkLevels()
+			var deep heldRoute
+			for n := 0; n < tree.Nodes()*tree.Nodes() && deep.ports == nil; n++ {
+				src, dst := n/tree.Nodes(), n%tree.Nodes()
+				if tree.AncestorLevel(src, dst) != top {
+					continue
+				}
+				cur.Start(tree, src, dst)
+				if cur.Sigma() == deadUp[1] && cur.Delta() != deadDown[1] {
+					deep = heldRoute{src, dst, []int{(deadUp[2] + 1) % tree.Parents()}}
+				}
+			}
+			if deep.ports == nil {
+				t.Fatalf("%s: no full-height route from the switch with the failed upward channel", label)
+			}
+			cur.Start(tree, deep.src, deep.dst)
+			for _, s := range []*State{word, ref} {
+				if err := s.Allocate(Up, 0, cur.Sigma(), deep.ports[0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Allocate(Down, 0, cur.Delta(), deep.ports[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sameHeldRelease(t, label+" faulted prefix", word, ref, deep); err != nil {
+				t.Fatalf("%s: rollback of a clean one-level prefix: %v", label, err)
+			}
+			deep.ports = []int{deadUp[2]}
+			for _, s := range []*State{word, ref} {
+				if err := s.Allocate(Down, 0, cur.Delta(), deep.ports[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = sameHeldRelease(t, label+" faulted prefix over the fault", word, ref, deep)
+			if err == nil || !strings.Contains(err.Error(), "is failed") {
+				t.Fatalf("%s: rollback across the failed channel = %v, want an is-failed error", label, err)
+			}
+			if !word.Available(Down, 0, cur.Delta(), deep.ports[0]) || word.OccupiedCount() != 0 {
+				t.Fatalf("%s: the healthy side of the refused prefix was not returned", label)
 			}
 		}
 	}

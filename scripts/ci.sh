@@ -70,13 +70,20 @@ go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -cou
 
 # Load-counter contracts: the word-form release walk against the
 # per-channel walk it replaced (every tree form, tracked and untracked,
-# double releases, a faulted state), and the property test that holds the
+# double releases, and faulted states: clean routes, routes naming a
+# failed channel, rollback prefixes), and the property test that holds the
 # occupancy gauge to the popcount truth and the cumulative counters to two
 # per port picked after every kind of mutation; -count=2 for the same
 # reason as above. The shard engine's half of the single-writer contract
 # (TestShardHighWorkerTrackedState) rides the -race HighWorker line.
 go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge' -count=2 ./internal/linkstate
 go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
+
+# Histogram oracle: the fixed-size recent-sample histogram behind every
+# Stats distribution against stats.Summarize / Percentile / Histogram over
+# the samples it retains (bucket edges, one-bucket percentile error,
+# generation rotation, merge = record-all); -count=2 as above.
+go test -run 'TestHist|TestRecent' -count=2 ./internal/stats
 
 # Incremental-vs-batch golden smoke: over an arrivals-only workload the
 # delta path must stay bit-identical to batch replay, at both the core
@@ -106,9 +113,11 @@ go test -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
 # Handle, route inline) and none of it under the scheduling lock — a full
 # all-grant epoch with its tickets' spare Handles in place allocates
 # nothing — a federated Connect + Release two (both handles), and
-# ordering the candidate planes none. Run without -race: the tests skip
-# themselves under it.
-go test -run 'TestGrantOneAlloc|TestEpochAllocatesNothingUnderLock|TestHandleSize' -count=2 ./internal/fabric
+# ordering the candidate planes none; a Stats snapshot allocates its Hist
+# slices and nothing else, after ten epochs as after 10^5, and copies
+# under 24 KB of histograms. Run without -race: the tests skip themselves
+# under it.
+go test -run 'TestGrantOneAlloc|TestEpochAllocatesNothingUnderLock|TestHandleSize|TestStatsAllocatesO1' -count=2 ./internal/fabric
 go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 
 # Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
@@ -119,9 +128,19 @@ go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 # over several batches, no manager goroutine) and of who allocates a
 # Handle and who reads the load counters (a spare surviving a denial and
 # dying with a cancelled ticket, Stats polling while epochs count
-# channels); -count=2 shakes out hand-off interleavings a single run can
+# channels and record histograms with plain stores, the snapshot's JSON
+# keys) and of who tears a route down when a Release races Fail and then
+# Repair; -count=2 shakes out hand-off interleavings a single run can
 # miss.
-go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization' ./internal/fabric
+go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys|TestRepairRetiresParkedReleasesFirst' ./internal/fabric
+
+# Parked-Release-vs-Fail-vs-Repair stress: the chaos harness under CPU
+# oversubscription is what found the teardown race (a panic in 1 of
+# 50-150 runs); twenty runs must all pass.
+stress=$(mktemp -d)
+trap 'rm -rf "$stress"' EXIT
+go test -c -o "$stress/ftbench.test" ./cmd/ftbench
+(cd cmd/ftbench && GOMAXPROCS=8 "$stress/ftbench.test" -test.run 'TestChaosBench$' -test.count 20)
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API. This
