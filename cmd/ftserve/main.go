@@ -5,20 +5,22 @@
 //
 // Usage:
 //
-//	ftserve [-addr :8080] [-planes 1] [-policy hash]
-//	        [-levels 3] [-children 8] [-parents 8]
+//	ftserve [-addr :8080] [-validate] [-pprof] [-gray-step 5ms]
+//	        [-planes 1] [-policy hash] [-levels 3] [-children 8] [-parents 8]
+//	        [-scheduler level-wise,rollback]
 //	        [-batch 32] [-maxwait 2ms] [-queue 1024] [-timeout 0]
-//	        [-scheduler level-wise,rollback] [-config fabric.json]
-//	        [-validate] [-pprof]
+//	        | -config fabric.json
 //
-// -planes builds N identical planes from the shape flags; -config loads
-// a multi-plane JSON config emitted by `fttopo gen` instead ("-" reads
-// stdin) and overrides the shape flags. -policy picks the plane
-// selection policy (hash | round-robin | random | least-loaded).
-// -validate checks the configuration and exits without serving.
-// -scheduler names the admission engine in internal/sched's registry
-// grammar ("family,key=value,flag"). -pprof mounts the net/http/pprof
-// profiling handlers under /debug/pprof/.
+// The second row builds -planes identical planes behind the -policy plane
+// selection policy, the third names their admission engine in
+// internal/sched's registry grammar ("family,key=value,flag"), the fourth
+// is each plane's queue knobs. Those ten flags fill the same
+// federation.FileConfig that -config loads ("-" reads stdin), so naming
+// one next to -config is refused. The gray-failure knobs are file keys
+// only: fttopo gen -flap-threshold 3 -failover-budget 50 | ftserve -config -
+// -validate checks the configuration and exits without serving; -pprof
+// mounts net/http/pprof under /debug/pprof/; -gray-step is the clock
+// period of the flaky fault processes POST /fault starts.
 //
 // Endpoints (JSON over stdlib net/http):
 //
@@ -60,6 +62,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -68,61 +71,41 @@ import (
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/sched"
-	"repro/internal/topology"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	planes := flag.Int("planes", 1, "number of identical planes built from the shape flags")
-	policy := flag.String("policy", "hash", "plane selection policy (hash|round-robin|random|least-loaded)")
-	configPath := flag.String("config", "", "multi-plane JSON config (from `fttopo gen`; \"-\" reads stdin; overrides shape flags)")
-	validate := flag.Bool("validate", false, "validate the configuration and exit without serving")
-	levels := flag.Int("levels", 3, "switch levels l")
-	children := flag.Int("children", 8, "children per switch m")
-	parents := flag.Int("parents", 8, "parents per switch w")
-	batch := flag.Int("batch", fabric.DefaultBatchSize, "epoch flush threshold (1 disables batching)")
-	maxWait := flag.Duration("maxwait", fabric.DefaultMaxWait, "max batching delay before an epoch flushes")
-	queue := flag.Int("queue", fabric.DefaultQueueLimit, "admission queue bound (backpressure beyond)")
-	timeout := flag.Duration("timeout", 0, "admission timeout per request (0 = none)")
-	schedSpec := flag.String("scheduler", "level-wise,rollback", "admission engine spec (internal/sched registry grammar)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
-	var gray grayFlags
-	flag.Float64Var(&gray.flapThreshold, "flap-threshold", 0, "flap-damping score threshold (0 disables damping)")
-	flag.DurationVar(&gray.flapHalfLife, "flap-half-life", 0, "flap-score decay half-life (0 = fabric default)")
-	flag.DurationVar(&gray.probation, "probation", 0, "quarantine probation window (0 = fabric default)")
-	flag.Float64Var(&gray.repairBudgetRate, "repair-budget", 0, "repair-retry tokens per second (0 = fabric default, negative = unlimited)")
-	flag.IntVar(&gray.repairBudgetBurst, "repair-budget-burst", 0, "repair-retry token burst (0 = derived)")
-	flag.DurationVar(&gray.latencyBudget, "latency-budget", 0, "admission latency over which a grant counts as slow (0 disables)")
-	flag.Float64Var(&gray.failoverBudgetRate, "failover-budget", 0, "failover tokens per second (0 = unlimited)")
-	flag.IntVar(&gray.failoverBudgetBurst, "failover-budget-burst", 0, "failover token burst (0 = derived)")
-	grayStep := flag.Duration("gray-step", defaultGrayStep, "flaky fault process clock period")
-	flag.Parse()
-
-	cfg, err := buildConfig(*configPath, *planes, *policy, *levels, *children, *parents,
-		*batch, *maxWait, *queue, *timeout, *schedSpec, gray)
-	if err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
 		os.Exit(1)
 	}
-	if *validate {
+}
+
+func run(args []string) error {
+	opts, cfg, err := buildConfig(args)
+	if err != nil {
+		return err
+	}
+	if opts.validate {
+		if err := cfg.Check(); err != nil {
+			return err
+		}
 		fmt.Printf("ftserve: config ok: %d plane(s), policy %s, %d nodes\n",
 			len(cfg.Planes), cfg.Policy, cfg.Planes[0].Fabric.Tree.Nodes())
-		return
+		return nil
 	}
 	for _, info := range sched.List() {
 		log.Printf("ftserve: engine %-10s %s (example: %s)", info.Family, info.Summary, info.Example)
 	}
 	router, err := federation.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
 	sv := newServer(router)
-	sv.enablePprof = *pprofFlag
-	sv.gray.step = *grayStep
+	sv.enablePprof = opts.pprof
+	sv.gray.step = opts.grayStep
 	defer sv.stopGray()
-	srv := &http.Server{Addr: *addr, Handler: sv.routes()}
+	srv := &http.Server{Addr: opts.addr, Handler: sv.routes()}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -139,78 +122,76 @@ func main() {
 		}
 	}()
 	log.Printf("ftserve: serving %d plane(s) of %s on %s (policy %s, %d nodes)",
-		router.PlaneCount(), cfg.Planes[0].Fabric.Tree, *addr, cfg.Policy, router.Nodes())
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
-		os.Exit(1)
+		router.PlaneCount(), cfg.Planes[0].Fabric.Tree, opts.addr, cfg.Policy, router.Nodes())
+	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
+	return nil
 }
 
-// grayFlags bundles the gray-failure knobs of the shape-flag path (a
-// -config file carries its own per-plane values instead).
-type grayFlags struct {
-	flapThreshold       float64
-	flapHalfLife        time.Duration
-	probation           time.Duration
-	repairBudgetRate    float64
-	repairBudgetBurst   int
-	latencyBudget       time.Duration
-	failoverBudgetRate  float64
-	failoverBudgetBurst int
+// serveOpts are the flags that configure the daemon, not the fabric.
+type serveOpts struct {
+	addr     string
+	validate bool
+	pprof    bool
+	grayStep time.Duration
 }
 
-// buildConfig resolves the federation config: a `fttopo gen` file when
-// -config is given, otherwise -planes identical planes from the shape
-// flags.
-func buildConfig(configPath string, planes int, policy string, levels, children, parents,
-	batch int, maxWait time.Duration, queue int, timeout time.Duration, schedSpec string,
-	gray grayFlags) (federation.Config, error) {
-	if configPath != "" {
-		fc, err := federation.LoadFile(configPath)
-		if err != nil {
-			return federation.Config{}, err
+// buildConfig parses the command line. The shape and queue flags fill a
+// federation.FileConfig, the value -config loads, so both forms reach
+// federation.New through the one Build call below, under the same rules.
+func buildConfig(args []string) (serveOpts, federation.Config, error) {
+	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
+	var opts serveOpts
+	fs.StringVar(&opts.addr, "addr", ":8080", "listen address")
+	fs.BoolVar(&opts.validate, "validate", false, "validate the configuration and exit without serving")
+	fs.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
+	fs.DurationVar(&opts.grayStep, "gray-step", defaultGrayStep, "flaky fault process clock period")
+	configPath := fs.String("config", "", "multi-plane JSON config `file` from fttopo gen (\"-\" reads stdin); it carries the shape and queue knobs, so their flags may not accompany it")
+	planes := fs.Int("planes", 1, "number of identical planes built from the shape flags")
+	policy := fs.String("policy", "hash", "plane selection policy ("+strings.Join(federation.Policies(), "|")+")")
+	levels := fs.Int("levels", 3, "switch levels l")
+	children := fs.Int("children", 8, "children per switch m")
+	parents := fs.Int("parents", 8, "parents per switch w")
+	schedSpec := fs.String("scheduler", "level-wise,rollback", "admission engine spec (internal/sched registry grammar)")
+	batch := fs.Int("batch", fabric.DefaultBatchSize, "epoch flush threshold (1 disables batching)")
+	maxWait := fs.Duration("maxwait", fabric.DefaultMaxWait, "max batching delay before an epoch flushes")
+	queue := fs.Int("queue", fabric.DefaultQueueLimit, "admission queue bound (backpressure beyond)")
+	timeout := fs.Duration("timeout", 0, "admission timeout per request (0 = none)")
+	if err := fs.Parse(args); err != nil {
+		return opts, federation.Config{}, err
+	}
+
+	// A -config file carries the shape and queue knobs itself, so any of
+	// their flags set next to it is refused, not dropped.
+	var clash []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "addr", "validate", "pprof", "gray-step", "config":
+		default:
+			clash = append(clash, "-"+f.Name)
 		}
-		return fc.Build()
+	})
+	var fc *federation.FileConfig
+	var err error
+	switch {
+	case *configPath != "" && len(clash) > 0:
+		err = fmt.Errorf("%s set next to -config: the file carries those knobs (see `fttopo gen`)", strings.Join(clash, " "))
+	case *configPath != "":
+		fc, err = federation.LoadFile(*configPath)
+	default:
+		fc = federation.Generate(*planes, *levels, *children, *parents, *schedSpec, *policy)
+		for i := range fc.Planes {
+			ps := &fc.Planes[i]
+			ps.BatchSize, ps.QueueLimit = *batch, *queue
+			ps.MaxWait, ps.AdmitTimeout = maxWait.String(), timeout.String()
+		}
 	}
-	if planes < 1 {
-		return federation.Config{}, fmt.Errorf("need at least 1 plane, got %d", planes)
-	}
-	pol, err := federation.ParsePolicy(policy)
 	if err != nil {
-		return federation.Config{}, err
+		return opts, federation.Config{}, err
 	}
-	cfg := federation.Config{
-		Policy:        pol,
-		LatencyBudget: gray.latencyBudget,
-		FailoverBudget: fabric.Budget{
-			Rate:  gray.failoverBudgetRate,
-			Burst: gray.failoverBudgetBurst,
-		},
-	}
-	for i := 0; i < planes; i++ {
-		tree, err := topology.New(levels, children, parents)
-		if err != nil {
-			return federation.Config{}, err
-		}
-		cfg.Planes = append(cfg.Planes, federation.PlaneConfig{
-			Fabric: fabric.Config{
-				Tree:                tree,
-				SchedulerSpec:       schedSpec,
-				BatchSize:           batch,
-				MaxWait:             maxWait,
-				QueueLimit:          queue,
-				AdmitTimeout:        timeout,
-				FlapThreshold:       gray.flapThreshold,
-				FlapHalfLife:        gray.flapHalfLife,
-				QuarantineProbation: gray.probation,
-				RepairBudget: fabric.Budget{
-					Rate:  gray.repairBudgetRate,
-					Burst: gray.repairBudgetBurst,
-				},
-			},
-		})
-	}
-	return cfg, nil
+	cfg, err := fc.Build()
+	return opts, cfg, err
 }
 
 // server maps HTTP requests onto the federation router, translating

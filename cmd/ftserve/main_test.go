@@ -9,6 +9,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,8 +22,8 @@ import (
 	"repro/internal/topology"
 )
 
-// newTestRouter builds a federation of n identical planes the way
-// buildConfig does from shape flags.
+// newTestRouter builds a federation of n identical planes, as ftserve's
+// shape flags do.
 func newTestRouter(t *testing.T, planes, levels, children, batch int, policy federation.Policy) *federation.Router {
 	t.Helper()
 	cfg := federation.Config{Policy: policy}
@@ -612,9 +616,13 @@ func TestFaultEndpointValidation(t *testing.T) {
 // TestBuildConfig pins the flag-vs-file resolution buildConfig performs
 // for main.
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig("", 3, "least-loaded", 2, 4, 2, 8, time.Millisecond, 64, 0, "level-wise,rollback", grayFlags{})
+	opts, cfg, err := buildConfig([]string{"-addr", "127.0.0.1:0", "-planes", "3", "-policy", "least-loaded",
+		"-levels", "2", "-children", "4", "-parents", "2", "-batch", "8", "-maxwait", "1ms", "-queue", "64"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if opts.addr != "127.0.0.1:0" || opts.validate || opts.grayStep != defaultGrayStep {
+		t.Errorf("daemon options %+v", opts)
 	}
 	if len(cfg.Planes) != 3 || cfg.Policy != federation.PolicyLeastLoaded {
 		t.Fatalf("flag-built config %+v", cfg)
@@ -625,14 +633,106 @@ func TestBuildConfig(t *testing.T) {
 	if cfg.Planes[2].Fabric.BatchSize != 8 || cfg.Planes[2].Fabric.MaxWait != time.Millisecond {
 		t.Errorf("plane knobs %+v", cfg.Planes[2].Fabric)
 	}
-	if _, err := buildConfig("", 0, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
+	// No planes is the router's rule, so it is the shared check's refusal.
+	if _, cfg, err := buildConfig([]string{"-planes", "0"}); err == nil && cfg.Check() == nil {
 		t.Error("0 planes accepted")
 	}
-	if _, err := buildConfig("", 1, "fastest", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
+	if _, _, err := buildConfig([]string{"-policy", "fastest"}); err == nil {
 		t.Error("bad policy accepted")
 	}
-	if _, err := buildConfig("/does/not/exist.json", 1, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
+	if _, _, err := buildConfig([]string{"-config", "/does/not/exist.json"}); err == nil {
 		t.Error("missing config file accepted")
+	}
+
+	// A -config file carries the shape and queue knobs itself: naming one
+	// next to it is refused by name, never dropped; the daemon's own flags
+	// stay legal.
+	path := writeConfig(t, federation.Generate(2, 2, 4, 2, "", "random"))
+	opts, cfg, err = buildConfig([]string{"-config", path, "-addr", ":9", "-validate", "-pprof", "-gray-step", "1ms"})
+	if err != nil {
+		t.Fatalf("-config with daemon flags: %v", err)
+	}
+	if len(cfg.Planes) != 2 || cfg.Policy != federation.PolicyRandom || !opts.validate || !opts.pprof || opts.grayStep != time.Millisecond {
+		t.Errorf("file-built config %+v, options %+v", cfg, opts)
+	}
+	for _, shape := range [][]string{{"-planes", "2"}, {"-policy", "hash"}, {"-levels", "2"}, {"-children", "4"},
+		{"-parents", "2"}, {"-batch", "1"}, {"-maxwait", "1ms"}, {"-queue", "8"}, {"-timeout", "1s"},
+		{"-scheduler", "backtrack"}} {
+		_, _, err := buildConfig(append([]string{"-config", path}, shape...))
+		if err == nil || !strings.Contains(err.Error(), shape[0]) {
+			t.Errorf("-config with %s: err = %v, want a refusal naming the flag", shape[0], err)
+		}
+	}
+	_, _, err = buildConfig([]string{"-batch", "1", "-config", path, "-queue", "8"})
+	if err == nil || !strings.Contains(err.Error(), "-batch") || !strings.Contains(err.Error(), "-queue") {
+		t.Errorf("-config with two shape flags: err = %v, want both named", err)
+	}
+}
+
+// writeConfig writes fc where -config can load it and returns the path.
+func writeConfig(t *testing.T, fc *federation.FileConfig) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fc.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fabric.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFlagsAndFileAgree: there is one road from knobs to planes, so the
+// same knobs given as ftserve flags and as a generated -config file
+// build equal federation.Configs — and the strict reading of a negative
+// duration holds on the flag road as it does on the file road.
+func TestFlagsAndFileAgree(t *testing.T) {
+	fc := federation.Generate(3, 2, 4, 2, "backtrack,depth=2", "round-robin")
+	for i := range fc.Planes {
+		fc.Planes[i].BatchSize, fc.Planes[i].QueueLimit = 4, 128
+		fc.Planes[i].MaxWait, fc.Planes[i].AdmitTimeout = "3ms", "250ms"
+	}
+	_, fromFile, err := buildConfig([]string{"-config", writeConfig(t, fc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fromFlags, err := buildConfig([]string{"-planes", "3", "-levels", "2", "-children", "4", "-parents", "2",
+		"-scheduler", "backtrack,depth=2", "-policy", "round-robin",
+		"-batch", "4", "-queue", "128", "-maxwait", "3ms", "-timeout", "250ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trees are compared by shape: each road builds its own.
+	for _, cfg := range []*federation.Config{&fromFile, &fromFlags} {
+		for i := range cfg.Planes {
+			pf := &cfg.Planes[i].Fabric
+			if got, want := pf.Tree.Spec(), topology.MustNew(2, 4, 2).Spec(); got != want {
+				t.Fatalf("plane %d tree %v, want %v", i, got, want)
+			}
+			if pf.Trace != nil || pf.OnConnTerminal != nil || pf.Scheduler != nil {
+				t.Fatalf("plane %d carries a hook: %+v", i, pf)
+			}
+			pf.Tree = nil
+		}
+	}
+	if !reflect.DeepEqual(fromFile, fromFlags) {
+		t.Errorf("the two roads disagree:\nfile  %+v\nflags %+v", fromFile, fromFlags)
+	}
+
+	for _, args := range [][]string{{"-maxwait", "-1s"}, {"-timeout", "-1s"}} {
+		_, cfg, err := buildConfig(args)
+		if err != nil {
+			t.Errorf("%v: %v, want the shared check to be what refuses it", args, err)
+			continue
+		}
+		if err := cfg.Check(); err == nil {
+			t.Errorf("%v: -validate accepts a negative duration", args)
+		}
+		if r, err := federation.New(cfg); err == nil {
+			r.Close(context.Background())
+			t.Errorf("%v: a negative duration serves with the default", args)
+		}
 	}
 }
 

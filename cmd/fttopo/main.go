@@ -56,42 +56,34 @@ func runGen(args []string) error {
 	children := fs.Int("children", 4, "children per switch m")
 	parents := fs.Int("parents", 4, "parents per switch w")
 	scheduler := fs.String("scheduler", "", "per-plane admission engine spec (empty = fabric default)")
-	policy := fs.String("policy", "", "plane selection policy (hash|round-robin|random|least-loaded; empty = hash)")
+	policy := fs.String("policy", "", "plane selection policy ("+strings.Join(federation.Policies(), "|")+"; empty = hash)")
 	flapThreshold := fs.Float64("flap-threshold", 0, "per-plane flap-damping quarantine threshold (0 = damping off)")
-	flapHalfLife := fs.Duration("flap-half-life", 0, "per-plane flap score half-life (0 = fabric default)")
-	probation := fs.Duration("probation", 0, "per-plane quarantine probation window (0 = fabric default)")
+	flapHalfLife := fs.String("flap-half-life", "", "per-plane flap score half-life, a Go duration (empty = fabric default)")
+	probation := fs.String("probation", "", "per-plane quarantine probation window, a Go duration (empty = fabric default)")
 	repairBudget := fs.Float64("repair-budget", 0, "per-plane repair retry tokens/sec (0 = fabric default, negative = unlimited)")
 	repairBurst := fs.Int("repair-budget-burst", 0, "per-plane repair retry burst (0 = fabric default)")
 	healthAlpha := fs.Float64("health-alpha", 0, "EWMA health smoothing factor (0 = federation default)")
 	openBelow := fs.Float64("open-below", 0, "health score below which the breaker opens (0 = federation default)")
-	latencyBudget := fs.Duration("latency-budget", 0, "grant latency above this counts as degraded (0 = off)")
+	latencyBudget := fs.String("latency-budget", "", "grant latency above this Go duration counts as degraded (empty = off)")
 	failoverBudget := fs.Float64("failover-budget", 0, "failover tokens/sec across the federation (0 = unlimited)")
 	failoverBurst := fs.Int("failover-budget-burst", 0, "failover token burst (0 = rate ceiling)")
 	out := fs.String("out", "", "write the config to this file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *planes < 1 {
-		return fmt.Errorf("need at least 1 plane, got %d", *planes)
-	}
 	fc := federation.Generate(*planes, *levels, *children, *parents, *scheduler, *policy)
 	fc.HealthAlpha = *healthAlpha
 	fc.OpenBelow = *openBelow
-	if *latencyBudget > 0 {
-		fc.LatencyBudget = latencyBudget.String()
-	}
+	fc.LatencyBudget = *latencyBudget
 	fc.FailoverBudgetRate = *failoverBudget
 	fc.FailoverBudgetBurst = *failoverBurst
 	for i := range fc.Planes {
-		fc.Planes[i].FlapThreshold = *flapThreshold
-		if *flapHalfLife > 0 {
-			fc.Planes[i].FlapHalfLife = flapHalfLife.String()
-		}
-		if *probation > 0 {
-			fc.Planes[i].QuarantineProbation = probation.String()
-		}
-		fc.Planes[i].RepairBudgetRate = *repairBudget
-		fc.Planes[i].RepairBudgetBurst = *repairBurst
+		ps := &fc.Planes[i]
+		ps.FlapThreshold = *flapThreshold
+		ps.FlapHalfLife = *flapHalfLife
+		ps.QuarantineProbation = *probation
+		ps.RepairBudgetRate = *repairBudget
+		ps.RepairBudgetBurst = *repairBurst
 	}
 	if err := fc.Validate(); err != nil {
 		return err

@@ -130,7 +130,8 @@ func (e *UnroutableError) Error() string {
 // Is matches the ErrUnroutable sentinel.
 func (e *UnroutableError) Is(target error) bool { return target == ErrUnroutable }
 
-// Config parameterizes a Manager.
+// Config parameterizes a Manager. A zero knob takes its default; a
+// negative duration is refused.
 type Config struct {
 	// Tree is the fat tree being managed. Required.
 	Tree *topology.Tree
@@ -496,7 +497,7 @@ type Manager struct {
 	// their probation deadlines, budget the repair-retry token bucket.
 	flap   map[faults.Channel]*flapScore
 	quar   map[faults.Channel]time.Time
-	budget bucket
+	budget Bucket
 
 	// qmu guards the admission queue (pending, oldest), who runs it next
 	// (closerPending, deadline, armed) and orders writes of closed against
@@ -596,17 +597,42 @@ type histograms struct {
 // (epochs run on their closers and the MaxWait timer); end it with Close.
 func New(cfg Config) (*Manager, error) { return newManager(cfg, DefaultReleaseRing) }
 
-// newManager is New with the release-ring capacity exposed, for the
-// in-package test that needs a ring small enough to overflow.
-func newManager(cfg Config, ringSize int) (*Manager, error) {
+// Check reports the error New(cfg) would return, building nothing but the
+// engine: the dry run behind a config file's validation.
+func (cfg Config) Check() error {
+	_, err := cfg.resolve()
+	return err
+}
+
+// resolve is the one statement of Config's defaults and rules, run by New
+// and by Check: it fills each zero knob, refuses what no manager can run,
+// and builds the admission engine.
+func (cfg *Config) resolve() (sched.Engine, error) {
 	if cfg.Tree == nil {
 		return nil, errors.New("fabric: nil tree")
 	}
+	// dur states one duration knob: negative is refused, zero takes def.
+	var err error
+	dur := func(name string, d *time.Duration, def time.Duration) {
+		if *d < 0 && err == nil {
+			err = fmt.Errorf("fabric: negative %s %s", name, *d)
+		} else if *d == 0 {
+			*d = def
+		}
+	}
+	dur("MaxWait", &cfg.MaxWait, DefaultMaxWait)
+	dur("AdmitTimeout", &cfg.AdmitTimeout, 0)
+	dur("RepairBackoff", &cfg.RepairBackoff, DefaultRepairBackoff)
+	dur("FlapHalfLife", &cfg.FlapHalfLife, DefaultFlapHalfLife)
+	dur("QuarantineProbation", &cfg.QuarantineProbation, DefaultQuarantineProbation)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.FlapThreshold < 0 {
+		return nil, fmt.Errorf("fabric: negative FlapThreshold %v", cfg.FlapThreshold)
+	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = DefaultMaxWait
 	}
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = DefaultQueueLimit
@@ -616,24 +642,6 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 	}
 	if cfg.RepairRetries <= 0 {
 		cfg.RepairRetries = DefaultRepairRetries
-	}
-	if cfg.RepairBackoff <= 0 {
-		cfg.RepairBackoff = DefaultRepairBackoff
-	}
-	if cfg.FlapThreshold < 0 {
-		return nil, fmt.Errorf("fabric: negative FlapThreshold %v", cfg.FlapThreshold)
-	}
-	if cfg.FlapHalfLife < 0 {
-		return nil, fmt.Errorf("fabric: negative FlapHalfLife %s", cfg.FlapHalfLife)
-	}
-	if cfg.QuarantineProbation < 0 {
-		return nil, fmt.Errorf("fabric: negative QuarantineProbation %s", cfg.QuarantineProbation)
-	}
-	if cfg.FlapHalfLife == 0 {
-		cfg.FlapHalfLife = DefaultFlapHalfLife
-	}
-	if cfg.QuarantineProbation == 0 {
-		cfg.QuarantineProbation = DefaultQuarantineProbation
 	}
 	switch {
 	case cfg.RepairBudget.Rate < 0:
@@ -650,19 +658,24 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 	case cfg.RepairBudget.Burst == 0:
 		cfg.RepairBudget.Burst = int(math.Ceil(cfg.RepairBudget.Rate))
 	}
-	var eng sched.Engine
 	switch {
 	case cfg.SchedulerSpec != "" && cfg.Scheduler != nil:
 		return nil, errors.New("fabric: SchedulerSpec and Scheduler are mutually exclusive")
 	case cfg.SchedulerSpec != "":
-		var err error
-		if eng, err = sched.Parse(cfg.SchedulerSpec); err != nil {
-			return nil, err
-		}
+		return sched.Parse(cfg.SchedulerSpec)
 	case cfg.Scheduler != nil:
-		eng = sched.Wrap(cfg.Scheduler)
+		return sched.Wrap(cfg.Scheduler), nil
 	default:
-		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}})
+		return sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}}), nil
+	}
+}
+
+// newManager is New with the release-ring capacity exposed, for the
+// in-package test that needs a ring small enough to overflow.
+func newManager(cfg Config, ringSize int) (*Manager, error) {
+	eng, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
 	m := &Manager{
 		cfg:     cfg,
@@ -674,7 +687,7 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		failed:  make(map[faults.Channel]struct{}),
 		flap:    make(map[faults.Channel]*flapScore),
 		quar:    make(map[faults.Channel]time.Time),
-		budget:  newBucket(cfg.RepairBudget, time.Now()),
+		budget:  NewBucket(cfg.RepairBudget, time.Now()),
 		relRing: newReleaseRing(ringSize),
 	}
 	switch e := eng.Unwrap().(type) {

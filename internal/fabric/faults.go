@@ -348,8 +348,8 @@ func (m *Manager) requeueRepair(t *ticket) {
 		return
 	}
 	now := time.Now()
-	if !m.budget.take(now) {
-		wait := m.budget.wait()
+	if !m.budget.Take(now) {
+		wait := m.budget.Wait()
 		m.mu.Unlock()
 		m.repairBudgetExhausted.Add(1)
 		time.AfterFunc(wait, func() { m.requeueRepair(t) })

@@ -52,8 +52,9 @@ type Budget struct {
 	Burst int
 }
 
-// bucket is the runtime state of a Budget. Guarded by the owner's lock.
-type bucket struct {
+// Bucket is the runtime state of a Budget (here the repair-retry budget,
+// in federation the failover budget). Guarded by the owner's lock.
+type Bucket struct {
 	rate      float64
 	burst     float64
 	tokens    float64
@@ -61,15 +62,16 @@ type bucket struct {
 	unlimited bool
 }
 
-func newBucket(b Budget, now time.Time) bucket {
+// NewBucket starts a full bucket at now; a negative Rate is unlimited.
+func NewBucket(b Budget, now time.Time) Bucket {
 	if b.Rate < 0 {
-		return bucket{unlimited: true}
+		return Bucket{unlimited: true}
 	}
-	return bucket{rate: b.Rate, burst: float64(b.Burst), tokens: float64(b.Burst), last: now}
+	return Bucket{rate: b.Rate, burst: float64(b.Burst), tokens: float64(b.Burst), last: now}
 }
 
-// take consumes one token if available.
-func (b *bucket) take(now time.Time) bool {
+// Take consumes one token if available.
+func (b *Bucket) Take(now time.Time) bool {
 	if b.unlimited {
 		return true
 	}
@@ -84,9 +86,9 @@ func (b *bucket) take(now time.Time) bool {
 	return false
 }
 
-// wait returns how long until the next token accrues (call after a
-// failed take; rate is positive for any limited bucket New accepts).
-func (b *bucket) wait() time.Duration {
+// Wait returns how long until the next token accrues (call after a
+// failed Take; rate is positive for any limited bucket New accepts).
+func (b *Bucket) Wait() time.Duration {
 	if b.unlimited || b.rate <= 0 {
 		return 0
 	}

@@ -488,6 +488,9 @@ func TestGrayConfigValidation(t *testing.T) {
 		"negative threshold":        func(c *Config) { c.FlapThreshold = -1 },
 		"negative half life":        func(c *Config) { c.FlapHalfLife = -time.Second },
 		"negative probation":        func(c *Config) { c.QuarantineProbation = -time.Second },
+		"negative max wait":         func(c *Config) { c.MaxWait = -time.Second },
+		"negative admit timeout":    func(c *Config) { c.AdmitTimeout = -time.Second },
+		"negative repair backoff":   func(c *Config) { c.RepairBackoff = -time.Millisecond },
 		"burst with unlimited rate": func(c *Config) { c.RepairBudget = Budget{Rate: -1, Burst: 5} },
 		"burst without rate":        func(c *Config) { c.RepairBudget = Budget{Rate: 0, Burst: 5} },
 		"negative burst":            func(c *Config) { c.RepairBudget = Budget{Rate: 5, Burst: -1} },

@@ -1,10 +1,9 @@
 package federation
 
-// The on-disk multi-plane config grammar: what `fttopo gen` emits and
-// `ftserve -config` loads. JSON with duration
-// fields as Go duration strings ("2ms"), validated against the
-// scheduler registry and the topology constructor before any plane is
-// built.
+// The on-disk multi-plane config grammar: what `fttopo gen` emits,
+// `ftserve -config` loads and ftserve's own shape flags fill — the one
+// road from an operator's knobs to New. JSON with duration fields as Go
+// duration strings ("2ms"), validated by the checks New itself runs.
 
 import (
 	"encoding/json"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
@@ -61,8 +59,8 @@ type PlaneSpec struct {
 // FileConfig is a serialized federation: the router knobs plus one spec
 // per plane.
 type FileConfig struct {
-	// Policy is the plane-selection policy name
-	// (hash|round-robin|random|least-loaded); empty means hash.
+	// Policy is the plane-selection policy name (one of Policies());
+	// empty means hash.
 	Policy string `json:"policy,omitempty"`
 	// FailoverLimit/EjectAfter/ProbeInterval map to Config; zero means
 	// the federation default.
@@ -87,7 +85,7 @@ func Generate(n, l, m, w int, scheduler, policy string) *FileConfig {
 	fc := &FileConfig{Policy: policy}
 	for i := 0; i < n; i++ {
 		fc.Planes = append(fc.Planes, PlaneSpec{
-			Name:      fmt.Sprintf("plane%d", i),
+			Name:      planeName("", i),
 			Levels:    l,
 			Arity:     m,
 			Width:     w,
@@ -136,153 +134,71 @@ func (fc *FileConfig) Write(w io.Writer) error {
 	return enc.Encode(fc)
 }
 
-// Validate checks everything Build → New would reject, without building
-// anything: policy and scheduler specs resolve, durations parse, tree
-// shapes construct, plane names are distinct, and all planes serve one
-// node count. The engine rules are the scheduler registry's own
-// (sched.Parse); TestValidateMatchesNew pins the rest against New.
+// Validate reports what Build → New would refuse, building no plane. It
+// holds no rule of its own: the file's are Build's, New's are Config.Check's.
 func (fc *FileConfig) Validate() error {
-	if _, err := ParsePolicy(fc.Policy); err != nil {
+	cfg, err := fc.Build()
+	if err != nil {
 		return err
 	}
-	if _, err := parseDur("probe_interval", fc.ProbeInterval); err != nil {
-		return err
-	}
-	if _, err := parseDur("latency_budget", fc.LatencyBudget); err != nil {
-		return err
-	}
-	if fc.HealthAlpha < 0 || fc.HealthAlpha > 1 {
-		return fmt.Errorf("federation: health_alpha %v outside [0, 1]", fc.HealthAlpha)
-	}
-	if fc.OpenBelow < 0 || fc.OpenBelow >= 1 {
-		return fmt.Errorf("federation: open_below %v outside [0, 1)", fc.OpenBelow)
-	}
-	if fc.FailoverBudgetRate < 0 {
-		return fmt.Errorf("federation: negative failover_budget_rate %v", fc.FailoverBudgetRate)
-	}
-	if fc.FailoverBudgetBurst < 0 {
-		return fmt.Errorf("federation: negative failover_budget_burst %d", fc.FailoverBudgetBurst)
-	}
-	if fc.FailoverBudgetBurst > 0 && fc.FailoverBudgetRate == 0 {
-		return fmt.Errorf("federation: failover_budget_burst %d without failover_budget_rate", fc.FailoverBudgetBurst)
-	}
-	if len(fc.Planes) == 0 {
-		return ErrNoPlanes
-	}
-	nodes := -1
-	names := make(map[string]struct{}, len(fc.Planes))
-	for i, ps := range fc.Planes {
-		where := ps.Name
-		if where == "" {
-			where = fmt.Sprintf("plane%d", i) // the name New gives an unnamed plane
-		}
-		if _, dup := names[where]; dup {
-			return fmt.Errorf("federation: duplicate plane name %q", where)
-		}
-		names[where] = struct{}{}
-		tree, err := topology.New(ps.Levels, ps.Arity, ps.Width)
-		if err != nil {
-			return fmt.Errorf("federation: %s: %w", where, err)
-		}
-		if nodes == -1 {
-			nodes = tree.Nodes()
-		} else if tree.Nodes() != nodes {
-			return fmt.Errorf("federation: %s serves %d nodes, previous planes serve %d", where, tree.Nodes(), nodes)
-		}
-		if ps.Scheduler != "" {
-			if _, err := sched.Parse(ps.Scheduler); err != nil {
-				return fmt.Errorf("federation: %s: %w", where, err)
-			}
-		}
-		for _, d := range []struct{ name, val string }{
-			{"max_wait", ps.MaxWait},
-			{"admit_timeout", ps.AdmitTimeout},
-			{"repair_backoff", ps.RepairBackoff},
-			{"flap_half_life", ps.FlapHalfLife},
-			{"quarantine_probation", ps.QuarantineProbation},
-		} {
-			if _, err := parseDur(d.name, d.val); err != nil {
-				return fmt.Errorf("federation: %s: %w", where, err)
-			}
-		}
-		if ps.FlapThreshold < 0 {
-			return fmt.Errorf("federation: %s: negative flap_threshold %v", where, ps.FlapThreshold)
-		}
-		if ps.RepairBudgetRate >= 0 && ps.RepairBudgetBurst < 0 {
-			return fmt.Errorf("federation: %s: negative repair_budget_burst %d", where, ps.RepairBudgetBurst)
-		}
-		if ps.RepairBudgetRate < 0 && ps.RepairBudgetBurst != 0 {
-			return fmt.Errorf("federation: %s: repair_budget_burst %d with unlimited (negative) repair_budget_rate", where, ps.RepairBudgetBurst)
-		}
-		if ps.RepairBudgetRate == 0 && ps.RepairBudgetBurst > 0 {
-			return fmt.Errorf("federation: %s: repair_budget_burst %d without a repair_budget_rate", where, ps.RepairBudgetBurst)
-		}
-		if ps.Weight < 0 {
-			return fmt.Errorf("federation: %s: negative weight %v", where, ps.Weight)
-		}
-	}
-	return nil
+	return cfg.Check()
 }
 
-// Build validates the file and constructs the runtime Config, building
-// one topology per plane (planes never share a tree: they are
-// independent fabrics that merely agree on shape).
+// Build constructs the runtime Config: it resolves the policy name,
+// parses each duration and builds one topology per plane (planes never
+// share a tree: they are independent fabrics that merely agree on
+// shape). What the knobs may hold is New's to say (Config.Check).
 func (fc *FileConfig) Build() (Config, error) {
-	if err := fc.Validate(); err != nil {
+	policy, err := ParsePolicy(fc.Policy)
+	if err != nil {
 		return Config{}, err
 	}
-	policy, _ := ParsePolicy(fc.Policy)
-	probe, _ := parseDur("probe_interval", fc.ProbeInterval)
-	latBudget, _ := parseDur("latency_budget", fc.LatencyBudget)
+	// dur parses one optional duration key ("" means zero); the first
+	// failure is kept in err and returned with the assembled Config.
+	dur := func(where, key, s string) time.Duration {
+		if s == "" || err != nil {
+			return 0
+		}
+		d, perr := time.ParseDuration(s)
+		if perr != nil {
+			err = fmt.Errorf("federation: %s%s: %w", where, key, perr)
+		}
+		return d
+	}
 	cfg := Config{
 		Policy:         policy,
 		FailoverLimit:  fc.FailoverLimit,
 		EjectAfter:     fc.EjectAfter,
-		ProbeInterval:  probe,
+		ProbeInterval:  dur("", "probe_interval", fc.ProbeInterval),
 		HealthAlpha:    fc.HealthAlpha,
 		OpenBelow:      fc.OpenBelow,
-		LatencyBudget:  latBudget,
+		LatencyBudget:  dur("", "latency_budget", fc.LatencyBudget),
 		FailoverBudget: fabric.Budget{Rate: fc.FailoverBudgetRate, Burst: fc.FailoverBudgetBurst},
 	}
-	for _, ps := range fc.Planes {
-		maxWait, _ := parseDur("max_wait", ps.MaxWait)
-		admit, _ := parseDur("admit_timeout", ps.AdmitTimeout)
-		backoff, _ := parseDur("repair_backoff", ps.RepairBackoff)
-		halfLife, _ := parseDur("flap_half_life", ps.FlapHalfLife)
-		probation, _ := parseDur("quarantine_probation", ps.QuarantineProbation)
+	for i, ps := range fc.Planes {
+		where := planeName(ps.Name, i) + ": "
+		tree, terr := topology.New(ps.Levels, ps.Arity, ps.Width)
+		if terr != nil {
+			return Config{}, fmt.Errorf("federation: %s%w", where, terr)
+		}
 		cfg.Planes = append(cfg.Planes, PlaneConfig{
 			Name:   ps.Name,
 			Weight: ps.Weight,
 			Fabric: fabric.Config{
-				Tree:                topology.MustNew(ps.Levels, ps.Arity, ps.Width),
+				Tree:                tree,
 				SchedulerSpec:       ps.Scheduler,
 				BatchSize:           ps.BatchSize,
-				MaxWait:             maxWait,
+				MaxWait:             dur(where, "max_wait", ps.MaxWait),
 				QueueLimit:          ps.QueueLimit,
-				AdmitTimeout:        admit,
+				AdmitTimeout:        dur(where, "admit_timeout", ps.AdmitTimeout),
 				RepairRetries:       ps.RepairRetries,
-				RepairBackoff:       backoff,
+				RepairBackoff:       dur(where, "repair_backoff", ps.RepairBackoff),
 				FlapThreshold:       ps.FlapThreshold,
-				FlapHalfLife:        halfLife,
-				QuarantineProbation: probation,
+				FlapHalfLife:        dur(where, "flap_half_life", ps.FlapHalfLife),
+				QuarantineProbation: dur(where, "quarantine_probation", ps.QuarantineProbation),
 				RepairBudget:        fabric.Budget{Rate: ps.RepairBudgetRate, Burst: ps.RepairBudgetBurst},
 			},
 		})
 	}
-	return cfg, nil
-}
-
-// parseDur parses an optional Go duration string ("" means zero).
-func parseDur(field, s string) (time.Duration, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("federation: %s: %w", field, err)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("federation: %s: negative duration %s", field, s)
-	}
-	return d, nil
+	return cfg, err
 }

@@ -210,14 +210,37 @@ func TestConfigValidationErrors(t *testing.T) {
 }
 
 // TestValidateMatchesNew pins Validate's promise — it rejects everything
-// Build → New would — over plane specs on both sides of each rule the
-// two layers share: whatever Validate accepts must start, and everything
-// here that cannot start must already fail Validate.
+// Build → New would — on both sides of each rule. Validate is Build plus
+// the check New itself runs (Config.Check), so the promise holds by
+// construction; the rows keep it from being taken apart: whatever
+// Validate accepts must start, and whatever it refuses New must refuse
+// too, whenever the file gets as far as a Config.
 func TestValidateMatchesNew(t *testing.T) {
 	plane := func(edit func(*PlaneSpec)) PlaneSpec {
 		ps := PlaneSpec{Levels: 2, Arity: 4, Width: 2}
 		edit(&ps)
 		return ps
+	}
+	one := func(edit func(*PlaneSpec)) []PlaneSpec { return []PlaneSpec{plane(edit)} }
+	check := func(name string, fc *FileConfig, ok bool) {
+		vErr := fc.Validate()
+		if (vErr == nil) != ok {
+			t.Errorf("%s: Validate() = %v, want ok = %v", name, vErr, ok)
+		}
+		cfg, err := fc.Build()
+		if err != nil {
+			if vErr == nil {
+				t.Errorf("%s: Build() = %v after Validate passed", name, err)
+			}
+			return
+		}
+		r, err := New(cfg)
+		if (err == nil) != (vErr == nil) {
+			t.Errorf("%s: Validate() = %v but New() = %v", name, vErr, err)
+		}
+		if err == nil {
+			r.Close(context.Background())
+		}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -243,26 +266,37 @@ func TestValidateMatchesNew(t *testing.T) {
 		{"duplicate names", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "a" })}, false},
 		{"name shadows a default", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "plane1" }), plane(func(*PlaneSpec) {})}, false},
 		{"node mismatch", []PlaneSpec{plane(func(*PlaneSpec) {}), plane(func(p *PlaneSpec) { p.Arity = 2 })}, false},
+		{"negative weight", one(func(p *PlaneSpec) { p.Weight = -1 }), false},
+		{"negative max_wait", one(func(p *PlaneSpec) { p.MaxWait = "-1s" }), false},
+		{"negative admit_timeout", one(func(p *PlaneSpec) { p.AdmitTimeout = "-1s" }), false},
+		{"negative repair_backoff", one(func(p *PlaneSpec) { p.RepairBackoff = "-1ms" }), false},
+		{"negative flap_half_life", one(func(p *PlaneSpec) { p.FlapHalfLife = "-1s" }), false},
 	} {
-		fc := &FileConfig{Planes: tc.planes}
-		vErr := fc.Validate()
-		if (vErr == nil) != tc.ok {
-			t.Errorf("%s: Validate() = %v, want ok = %v", tc.name, vErr, tc.ok)
-		}
-		if vErr != nil {
-			continue
-		}
-		cfg, err := fc.Build()
-		if err != nil {
-			t.Errorf("%s: Build() = %v after Validate passed", tc.name, err)
-			continue
-		}
-		r, err := New(cfg)
-		if err != nil {
-			t.Errorf("%s: passed Validate but failed to start: %v", tc.name, err)
-			continue
-		}
-		r.Close(context.Background())
+		check(tc.name, &FileConfig{Planes: tc.planes}, tc.ok)
+	}
+	// The router-level rules, over one default plane.
+	for _, tc := range []struct {
+		name string
+		ok   bool
+		edit func(*FileConfig)
+	}{
+		{"router gray knobs", true, func(fc *FileConfig) {
+			fc.ProbeInterval, fc.HealthAlpha, fc.OpenBelow, fc.LatencyBudget = "75ms", 0.3, 0.1, "3ms"
+			fc.FailoverBudgetRate, fc.FailoverBudgetBurst = 50, 75
+		}},
+		{"health_alpha above 1", false, func(fc *FileConfig) { fc.HealthAlpha = 1.5 }},
+		{"negative health_alpha", false, func(fc *FileConfig) { fc.HealthAlpha = -0.1 }},
+		{"open_below at 1", false, func(fc *FileConfig) { fc.OpenBelow = 1 }},
+		{"negative open_below", false, func(fc *FileConfig) { fc.OpenBelow = -0.2 }},
+		{"failover burst without a rate", false, func(fc *FileConfig) { fc.FailoverBudgetBurst = 8 }},
+		{"negative failover burst", false, func(fc *FileConfig) { fc.FailoverBudgetRate, fc.FailoverBudgetBurst = 10, -1 }},
+		{"negative failover rate", false, func(fc *FileConfig) { fc.FailoverBudgetRate = -1 }},
+		{"negative latency_budget", false, func(fc *FileConfig) { fc.LatencyBudget = "-1ms" }},
+		{"negative probe_interval", false, func(fc *FileConfig) { fc.ProbeInterval = "-50ms" }},
+	} {
+		fc := &FileConfig{Planes: one(func(*PlaneSpec) {})}
+		tc.edit(fc)
+		check(tc.name, fc, tc.ok)
 	}
 }
 

@@ -78,12 +78,13 @@ type PlaneConfig struct {
 	// Weight biases plane selection toward this plane for the hash and
 	// least-loaded policies: a weight-2 plane attracts twice the traffic
 	// of a weight-1 plane under hash, and is considered half as loaded
-	// at equal occupancy under least-loaded. Zero or negative means 1;
-	// round-robin and random ignore weights.
+	// at equal occupancy under least-loaded. Zero means 1; round-robin
+	// and random ignore weights.
 	Weight float64
 }
 
-// Config parameterizes a Router.
+// Config parameterizes a Router. A zero knob takes its default; a
+// negative duration, weight or budget rate is refused.
 type Config struct {
 	// Planes are the scheduling planes, at least one.
 	Planes []PlaneConfig
@@ -167,9 +168,13 @@ type Router struct {
 	rr atomic.Uint64 // round-robin admission counter
 
 	// fbudget is the failover token bucket (health.go); fbmu guards its
-	// refill arithmetic.
+	// refill arithmetic. unlimited — no budget configured — is fixed at
+	// New, so the admit path reads it without the lock.
 	fbmu    sync.Mutex
-	fbudget fBucket
+	fbudget struct {
+		fabric.Bucket
+		unlimited bool
+	}
 
 	offered, granted, rejected atomic.Uint64
 	failovers                  atomic.Uint64
@@ -178,68 +183,110 @@ type Router struct {
 	failoverBudgetExhausted    atomic.Uint64
 }
 
-// New validates the config, builds every plane's manager, and returns
-// the router. Stop it with Close.
-func New(cfg Config) (*Router, error) {
+// Check reports the error New(cfg) would return, building no plane: the
+// dry run behind FileConfig.Validate and `ftserve -validate`.
+func (cfg Config) Check() error {
+	if err := cfg.resolve(); err != nil {
+		return err
+	}
+	for _, pc := range cfg.Planes {
+		if err := pc.Fabric.Check(); err != nil {
+			return fmt.Errorf("federation: plane %q: %w", pc.Name, err)
+		}
+	}
+	return nil
+}
+
+// resolve is the one statement of the router's defaults and rules, run
+// by New and by Check: it fills each zero knob and plane name and refuses
+// what no router can run. A plane's fabric.Config is fabric's to judge.
+func (cfg *Config) resolve() error {
 	if len(cfg.Planes) == 0 {
-		return nil, ErrNoPlanes
+		return ErrNoPlanes
 	}
 	if cfg.EjectAfter <= 0 {
 		cfg.EjectAfter = DefaultEjectAfter
 	}
-	if cfg.ProbeInterval <= 0 {
+	if cfg.ProbeInterval < 0 {
+		return fmt.Errorf("federation: negative ProbeInterval %s", cfg.ProbeInterval)
+	}
+	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
 	if cfg.HealthAlpha < 0 || cfg.HealthAlpha > 1 {
-		return nil, fmt.Errorf("federation: HealthAlpha %v outside [0, 1]", cfg.HealthAlpha)
+		return fmt.Errorf("federation: HealthAlpha %v outside [0, 1]", cfg.HealthAlpha)
 	}
 	if cfg.HealthAlpha == 0 {
 		cfg.HealthAlpha = DefaultHealthAlpha
 	}
 	if cfg.OpenBelow < 0 || cfg.OpenBelow >= 1 {
-		return nil, fmt.Errorf("federation: OpenBelow %v outside [0, 1)", cfg.OpenBelow)
+		return fmt.Errorf("federation: OpenBelow %v outside [0, 1)", cfg.OpenBelow)
 	}
 	if cfg.OpenBelow == 0 {
 		cfg.OpenBelow = DefaultOpenBelow
 	}
 	if cfg.LatencyBudget < 0 {
-		return nil, fmt.Errorf("federation: negative LatencyBudget %s", cfg.LatencyBudget)
+		return fmt.Errorf("federation: negative LatencyBudget %s", cfg.LatencyBudget)
 	}
-	switch {
-	case cfg.FailoverBudget.Rate <= 0 && cfg.FailoverBudget.Burst != 0:
-		return nil, fmt.Errorf("federation: FailoverBudget.Burst %d without a positive Rate (zero value means unlimited)",
-			cfg.FailoverBudget.Burst)
-	case cfg.FailoverBudget.Rate > 0 && cfg.FailoverBudget.Burst < 0:
-		return nil, fmt.Errorf("federation: negative FailoverBudget.Burst %d", cfg.FailoverBudget.Burst)
-	case cfg.FailoverBudget.Rate > 0 && cfg.FailoverBudget.Burst == 0:
-		cfg.FailoverBudget.Burst = int(math.Ceil(cfg.FailoverBudget.Rate))
+	switch b := &cfg.FailoverBudget; {
+	case b.Rate < 0:
+		return fmt.Errorf("federation: negative FailoverBudget.Rate %v (the zero value means unlimited)", b.Rate)
+	case b.Rate == 0 && b.Burst != 0:
+		return fmt.Errorf("federation: FailoverBudget.Burst %d without a Rate (the zero value means unlimited)", b.Burst)
+	case b.Burst < 0:
+		return fmt.Errorf("federation: negative FailoverBudget.Burst %d", b.Burst)
+	case b.Rate > 0 && b.Burst == 0:
+		b.Burst = int(math.Ceil(b.Rate))
 	}
-	r := &Router{
-		cfg:     cfg,
-		fbudget: newFBucket(cfg.FailoverBudget, time.Now()),
-	}
+	cfg.Planes = slices.Clone(cfg.Planes) // the names and weights filled in below stay off the caller's slice
 	names := make(map[string]struct{}, len(cfg.Planes))
-	for i, pc := range cfg.Planes {
-		name := pc.Name
-		if name == "" {
-			name = fmt.Sprintf("plane%d", i)
+	for i := range cfg.Planes {
+		pc := &cfg.Planes[i]
+		pc.Name = planeName(pc.Name, i)
+		if _, dup := names[pc.Name]; dup {
+			return fmt.Errorf("federation: duplicate plane name %q", pc.Name)
 		}
-		if _, dup := names[name]; dup {
-			r.closePlanes()
-			return nil, fmt.Errorf("federation: duplicate plane name %q", name)
-		}
-		names[name] = struct{}{}
+		names[pc.Name] = struct{}{}
 		if pc.Fabric.Tree == nil {
-			r.closePlanes()
-			return nil, fmt.Errorf("federation: plane %q has no tree", name)
+			return fmt.Errorf("federation: plane %q has no tree", pc.Name)
 		}
-		if i == 0 {
-			r.nodes = pc.Fabric.Tree.Nodes()
-		} else if n := pc.Fabric.Tree.Nodes(); n != r.nodes {
-			r.closePlanes()
-			return nil, fmt.Errorf("federation: plane %q has %d nodes, plane %q has %d — all planes must serve one address space",
-				name, n, r.planes[0].name, r.nodes)
+		if n, want := pc.Fabric.Tree.Nodes(), cfg.Planes[0].Fabric.Tree.Nodes(); n != want {
+			return fmt.Errorf("federation: %s serves %d nodes, previous planes serve %d — all planes must serve one address space",
+				pc.Name, n, want)
 		}
+		if pc.Weight < 0 {
+			return fmt.Errorf("federation: %s: negative weight %v", pc.Name, pc.Weight)
+		}
+		if pc.Weight == 0 {
+			pc.Weight = 1
+		}
+	}
+	return nil
+}
+
+// planeName is the name plane i goes by: its own, or "plane<i>".
+func planeName(name string, i int) string {
+	if name == "" {
+		return fmt.Sprintf("plane%d", i)
+	}
+	return name
+}
+
+// New validates the config, builds every plane's manager, and returns
+// the router. Stop it with Close.
+func New(cfg Config) (*Router, error) {
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
+	r := &Router{cfg: cfg, nodes: cfg.Planes[0].Fabric.Tree.Nodes()}
+	// A zero rate means unlimited here; the bucket spells that negative.
+	budget := cfg.FailoverBudget
+	if budget.Rate == 0 {
+		budget.Rate = -1
+	}
+	r.fbudget.unlimited = budget.Rate < 0
+	r.fbudget.Bucket = fabric.NewBucket(budget, time.Now())
+	for i, pc := range cfg.Planes {
 		fc := pc.Fabric
 		idx, user := i, fc.OnConnTerminal
 		fc.OnConnTerminal = func(c fabric.Conn, cause error) {
@@ -250,34 +297,20 @@ func New(cfg Config) (*Router, error) {
 		}
 		m, err := fabric.New(fc)
 		if err != nil {
-			r.closePlanes()
-			return nil, fmt.Errorf("federation: plane %q: %w", name, err)
+			for _, p := range r.planes { // tear down the planes built so far
+				p.surf.Close(context.Background())
+			}
+			return nil, fmt.Errorf("federation: plane %q: %w", pc.Name, err)
 		}
-		weight := pc.Weight
-		if weight <= 0 {
-			weight = 1
-		}
-		p := &plane{name: name, surf: m, weight: weight}
+		p := &plane{name: pc.Name, surf: m, weight: pc.Weight}
+		// With uniform weights the hash policy keeps its cheap
+		// rotate-by-pair-hash form; any spread switches it to weighted
+		// rendezvous scoring (policy.go).
+		r.weighted = r.weighted || pc.Weight != cfg.Planes[0].Weight
 		p.health.Store(math.Float64bits(1))
 		r.planes = append(r.planes, p)
 	}
-	// With uniform weights the hash policy keeps its cheap
-	// rotate-by-pair-hash form; any spread switches it to weighted
-	// rendezvous scoring (policy.go).
-	for _, p := range r.planes[1:] {
-		if p.weight != r.planes[0].weight {
-			r.weighted = true
-			break
-		}
-	}
 	return r, nil
-}
-
-// closePlanes tears down the planes built so far (New error paths).
-func (r *Router) closePlanes() {
-	for _, p := range r.planes {
-		p.surf.Close(context.Background())
-	}
 }
 
 // Nodes returns the federated address space size (every plane's tree

@@ -289,6 +289,9 @@ func TestGrayConfigValidationFederation(t *testing.T) {
 		"open below neg":  func(c *Config) { c.OpenBelow = -0.2 },
 		"latency budget":  func(c *Config) { c.LatencyBudget = -time.Second },
 		"failover budget": func(c *Config) { c.FailoverBudget = fabric.Budget{Rate: -1, Burst: 3} },
+		"failover rate":   func(c *Config) { c.FailoverBudget = fabric.Budget{Rate: -1} },
+		"probe interval":  func(c *Config) { c.ProbeInterval = -time.Millisecond },
+		"plane weight":    func(c *Config) { c.Planes[0].Weight = -1 },
 	} {
 		cfg := Config{Planes: []PlaneConfig{
 			{Fabric: fabric.Config{Tree: topology.MustNew(2, 2, 1), BatchSize: 1}},

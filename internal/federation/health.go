@@ -26,7 +26,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/faults"
 )
 
@@ -182,41 +181,9 @@ func (r *Router) takeFailoverToken() bool {
 		return true
 	}
 	r.fbmu.Lock()
-	ok := r.fbudget.take(time.Now())
+	ok := r.fbudget.Take(time.Now())
 	r.fbmu.Unlock()
 	return ok
-}
-
-// fBucket is the federation-side token bucket (mirrors fabric's; kept
-// local because fabric does not export its runtime bucket state).
-type fBucket struct {
-	rate      float64
-	burst     float64
-	tokens    float64
-	last      time.Time
-	unlimited bool
-}
-
-func newFBucket(b fabric.Budget, now time.Time) fBucket {
-	if b.Rate <= 0 {
-		return fBucket{unlimited: true}
-	}
-	return fBucket{rate: b.Rate, burst: float64(b.Burst), tokens: float64(b.Burst), last: now}
-}
-
-func (b *fBucket) take(now time.Time) bool {
-	if b.unlimited {
-		return true
-	}
-	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens = math.Min(b.burst, b.tokens+b.rate*dt.Seconds())
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
 }
 
 // sleepInjected waits out an injected admit latency, returning early if

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 )
 
 // Policy selects the order in which planes are tried for an admission.
@@ -34,42 +35,36 @@ const (
 	PolicyLeastLoaded
 )
 
+// policyNames is the config grammar's name for each Policy, in constant
+// order: the one place the names are spelled.
+var policyNames = [...]string{"hash", "round-robin", "random", "least-loaded"}
+
 // String names the policy in the config grammar.
 func (p Policy) String() string {
-	switch p {
-	case PolicyHash:
-		return "hash"
-	case PolicyRoundRobin:
-		return "round-robin"
-	case PolicyRandom:
-		return "random"
-	case PolicyLeastLoaded:
-		return "least-loaded"
-	default:
+	if p < 0 || int(p) >= len(policyNames) {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-}
-
-// ParsePolicy resolves a policy name from the config grammar
-// (hash | round-robin | random | least-loaded).
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "", "hash":
-		return PolicyHash, nil
-	case "round-robin", "rr":
-		return PolicyRoundRobin, nil
-	case "random", "rand":
-		return PolicyRandom, nil
-	case "least-loaded", "least", "ll":
-		return PolicyLeastLoaded, nil
-	default:
-		return 0, fmt.Errorf("federation: unknown policy %q (want hash|round-robin|random|least-loaded)", name)
-	}
+	return policyNames[p]
 }
 
 // Policies lists the policy names the parser accepts, in registry order.
-func Policies() []string {
-	return []string{"hash", "round-robin", "random", "least-loaded"}
+func Policies() []string { return slices.Clone(policyNames[:]) }
+
+// policyAliases are the short spellings ParsePolicy also accepts; an
+// empty name means the default.
+var policyAliases = map[string]Policy{"": PolicyHash, "rr": PolicyRoundRobin, "rand": PolicyRandom,
+	"least": PolicyLeastLoaded, "ll": PolicyLeastLoaded}
+
+// ParsePolicy resolves a policy name from the config grammar: one of
+// Policies() or policyAliases.
+func ParsePolicy(name string) (Policy, error) {
+	if i := slices.Index(policyNames[:], name); i >= 0 {
+		return Policy(i), nil
+	}
+	if p, ok := policyAliases[name]; ok {
+		return p, nil
+	}
+	return 0, fmt.Errorf("federation: unknown policy %q (want %s)", name, strings.Join(policyNames[:], "|"))
 }
 
 // inlinePlanes is the plane count up to which an admission orders its

@@ -56,9 +56,18 @@ go test -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./int
 go test -run '^$' -bench 'BenchmarkScalingEngines/FT3x8x8/batch4096/local/shard$' -benchtime 1x -cpu 2 .
 
 # Config round-trip smoke: the generator's output must load through the
-# server's own -config path (stdin form), end to end through both CLIs.
-go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least-loaded \
-	| go run ./cmd/ftserve -config - -validate
+# server's own -config path (stdin form), end to end through both CLIs,
+# every gray knob included — fttopo gen is the only place they are flags.
+gen() {
+	go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least-loaded \
+		-flap-threshold 3 -probation 250ms -repair-budget 128 -latency-budget 3ms -failover-budget 50
+}
+gen | go run ./cmd/ftserve -config - -validate
+# One road: a shape or queue flag next to -config is refused, not dropped.
+if gen | go run ./cmd/ftserve -config - -batch 1 -validate 2>/dev/null; then
+	echo "ftserve accepted -batch next to -config" >&2
+	exit 1
+fi
 
 # Allocation-regression guard: the scheduling hot path must stay at zero
 # allocations per request — including the incremental delta path, which
