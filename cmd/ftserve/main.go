@@ -25,7 +25,7 @@
 // Endpoints (JSON over stdlib net/http):
 //
 //	POST /connect  {"src":0,"dst":37}   → 200 {"id":1,"src":0,"dst":37,"ports":[2,0,1],"plane":"plane0"}
-//	                                      409 {"error":"unroutable","fail_level":1}
+//	                                      409 {"error":"unroutable","fail_level":1,"cause":"contention"|"faults"}
 //	POST /release  {"id":1}             → 200 {"id":1,"released":true}
 //	POST /fault    {"plane":"plane0","links":[{"level":0,"switch":1,"port":2}]}
 //	                                    → 200 {"kind":"link","failed":2,"revoked":1} (inject faults)
@@ -249,9 +249,14 @@ type connectResponse struct {
 	Plane string `json:"plane"`
 }
 
+// errorResponse is every non-200 body. A 409 for a scheduler denial adds
+// the level of the first conflict and its cause on the last plane tried:
+// "contention" (the plane is full; a release could cure it) or "faults"
+// (its failed or quarantined channels alone block the pair).
 type errorResponse struct {
 	Error     string `json:"error"`
 	FailLevel *int   `json:"fail_level,omitempty"`
+	Cause     string `json:"cause,omitempty"`
 }
 
 func (s *server) handleConnect(w http.ResponseWriter, r *http.Request) {
@@ -265,8 +270,11 @@ func (s *server) handleConnect(w http.ResponseWriter, r *http.Request) {
 		var ue *fabric.UnroutableError
 		switch {
 		case errors.As(err, &ue):
-			lvl := ue.FailLevel
-			writeJSON(w, http.StatusConflict, errorResponse{Error: "unroutable", FailLevel: &lvl})
+			lvl, cause := ue.FailLevel, "contention"
+			if ue.FaultBlocked {
+				cause = "faults"
+			}
+			writeJSON(w, http.StatusConflict, errorResponse{Error: "unroutable", FailLevel: &lvl, Cause: cause})
 		case errors.Is(err, fabric.ErrUnroutable):
 			// A federated denial without a single conflict level (every
 			// candidate plane refused).

@@ -115,8 +115,25 @@ func TestConnectUnroutable(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 2, Dst: 0}, &er); code != http.StatusConflict {
 		t.Fatalf("saturated connect status %d, want 409", code)
 	}
-	if er.Error != "unroutable" || er.FailLevel == nil || *er.FailLevel != 0 {
-		t.Errorf("unroutable body %+v", er)
+	if er.Error != "unroutable" || er.FailLevel == nil || *er.FailLevel != 0 || er.Cause != "contention" {
+		t.Errorf("unroutable body %+v, want fail level 0 and cause contention", er)
+	}
+
+	// On a fresh plane, fail both uplinks of level-0 switch 0 (nodes 0, 1):
+	// nothing is held, the failed links alone deny the pair.
+	ts, _ = newTestServer(t, 1, 2, 2, 1)
+	cut := faultRequest{FaultSet: faults.FaultSet{Links: []faults.LinkFault{
+		{Level: 0, Switch: 0, Port: 0}, {Level: 0, Switch: 0, Port: 1},
+	}}}
+	if code := postJSON(t, ts.URL+"/fault", cut, nil); code != http.StatusOK {
+		t.Fatalf("fault status %d", code)
+	}
+	er = errorResponse{}
+	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 1, Dst: 3}, &er); code != http.StatusConflict {
+		t.Fatalf("fault-blocked connect status %d, want 409", code)
+	}
+	if er.Error != "unroutable" || er.FailLevel == nil || *er.FailLevel != 0 || er.Cause != "faults" {
+		t.Errorf("unroutable body %+v, want fail level 0 and cause faults", er)
 	}
 }
 

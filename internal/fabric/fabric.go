@@ -117,14 +117,23 @@ var ErrUnroutableDegraded = errors.New("fabric: unroutable on degraded fabric")
 // UnroutableError reports a scheduler denial: no conflict-free path
 // existed for the request in its epoch. FailLevel is the level of the
 // first unresolvable conflict (the empty Ulink AND Dlink conjunction).
+// FaultBlocked gives the cause: true when the plane would deny the request
+// even with every circuit released — the failed and quarantined channels
+// alone block it (linkstate.State.BlockedByMask) — and false for a
+// contention denial, which a release could cure.
 type UnroutableError struct {
-	Src, Dst  int
-	FailLevel int
+	Src, Dst     int
+	FailLevel    int
+	FaultBlocked bool
 }
 
 // Error renders the denial.
 func (e *UnroutableError) Error() string {
-	return fmt.Sprintf("fabric: no route %d→%d (first conflict at level %d)", e.Src, e.Dst, e.FailLevel)
+	cause := ""
+	if e.FaultBlocked {
+		cause = ", blocked by faults"
+	}
+	return fmt.Sprintf("fabric: no route %d→%d (first conflict at level %d%s)", e.Src, e.Dst, e.FailLevel, cause)
 }
 
 // Is matches the ErrUnroutable sentinel.
@@ -302,12 +311,13 @@ type result struct {
 // delivery is one verdict staged under the manager lock and sent to its
 // waiting Connect call after the lock is dropped, so channel sends (and
 // the goroutine wakeups they trigger) never extend the critical section.
-// A grant stages its handle; a denial stages only the level it failed at,
-// and its error is made by deliver, outside the lock.
+// A grant stages its handle; a denial stages only the level it failed at
+// and its cause, and its error is made by deliver, outside the lock.
 type delivery struct {
-	t         *ticket
-	h         *Handle
-	failLevel int
+	t            *ticket
+	h            *Handle
+	failLevel    int
+	faultBlocked bool
 }
 
 // delbatch carries one epoch's staged verdicts out of the lock; the
@@ -1226,7 +1236,13 @@ func (m *Manager) flushLocked() *delbatch {
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventReject, Src: o.Src, Dst: o.Dst, FailLevel: o.FailLevel, Epoch: epoch})
 		}
-		dels = append(dels, delivery{t: t, failLevel: o.FailLevel})
+		// The cause is read off the mask, on denials only and only while
+		// something is masked: a fault-free plane pays one load here.
+		d := delivery{t: t, failLevel: o.FailLevel}
+		if m.st.FailedCount() > 0 {
+			d.faultBlocked = m.st.BlockedByMask(o.Src, o.Dst)
+		}
+		dels = append(dels, d)
 	}
 	b.d = dels
 	// A shared counter this pass did not move is not touched (an all-grant
@@ -1269,7 +1285,7 @@ func (m *Manager) deliver(b *delbatch) {
 		d := &b.d[i]
 		r := result{h: d.h}
 		if d.h == nil {
-			r.err = &UnroutableError{Src: d.t.req.Src, Dst: d.t.req.Dst, FailLevel: d.failLevel}
+			r.err = &UnroutableError{Src: d.t.req.Src, Dst: d.t.req.Dst, FailLevel: d.failLevel, FaultBlocked: d.faultBlocked}
 		}
 		d.t.resp <- r
 		*d = delivery{}
@@ -1281,8 +1297,8 @@ func (m *Manager) deliver(b *delbatch) {
 // newTrackedState builds the plane's link state with load tracking on:
 // epochs pay a plain add per channel claimed and one atomic add per pass
 // to keep the per-channel cumulative counters (read by Stats, under mu)
-// and the O(1) occupancy gauge (read by Occupancy and federation's
-// least-loaded policy with no lock at all) current.
+// and the O(1) occupancy gauge (read by Unavailable, and so by
+// federation's least-loaded policy, with no lock at all) current.
 func newTrackedState(tree *topology.Tree) *linkstate.State {
 	st := linkstate.New(tree)
 	st.TrackLoad()

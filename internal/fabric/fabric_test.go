@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
 )
@@ -193,6 +195,56 @@ func TestUnroutable(t *testing.T) {
 	if err := h3.Release(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDenialCause pins UnroutableError.FaultBlocked: a denial a release
+// could cure is contention — on a fault-free plane and on one whose faults
+// leave the pair a path — and one the failed channels alone force is
+// fault-blocked.
+func TestDenialCause(t *testing.T) {
+	m, err := New(Config{Tree: topology.MustNew(2, 2, 2), BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	ctx := context.Background()
+	deny := func(what string, wantBlocked bool) {
+		t.Helper()
+		var ue *UnroutableError
+		if _, err := m.Connect(ctx, 2, 0); !errors.As(err, &ue) {
+			t.Fatalf("%s: Connect(2, 0) = %v, want an *UnroutableError", what, err)
+		}
+		if ue.FaultBlocked != wantBlocked || strings.Contains(ue.Error(), "blocked by faults") != wantBlocked {
+			t.Fatalf("%s: %v with FaultBlocked %v, want %v", what, ue, ue.FaultBlocked, wantBlocked)
+		}
+	}
+	// Saturate level-0 switch 1's two uplinks (nodes 2 and 3).
+	var held []*Handle
+	for _, src := range []int{2, 3} {
+		h, err := m.Connect(ctx, src, src-2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, h)
+	}
+	deny("saturated, no faults", false)
+	// One of switch 0's two ports fails: the pair still has a path once
+	// the holders leave, so the denial is still contention.
+	if _, err := m.FailLink(0, 0, 0, faults.Both); err != nil {
+		t.Fatal(err)
+	}
+	deny("saturated, one port of the mirror failed", false)
+	for _, h := range held {
+		if err := h.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Its other port fails too: nothing of the plane's load is in the way
+	// any more, the mask alone denies.
+	if _, err := m.FailLink(0, 0, 1, faults.Both); err != nil {
+		t.Fatal(err)
+	}
+	deny("idle, every port of the mirror failed", true)
 }
 
 // TestCancelWhileQueued cancels a request parked in an unflushable epoch

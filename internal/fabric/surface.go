@@ -45,15 +45,20 @@ type Conn interface {
 
 // Surface is one admission plane: the subset of *Manager the federation
 // router needs to admit, observe, fault, and drain a plane without
-// knowing its concrete type.
+// knowing its concrete type. Admit's denials are *UnroutableError values
+// whose FaultBlocked field tells a plane that cannot serve the request
+// from one that is merely full; the router's breaker hears only the
+// former.
 type Surface interface {
 	// Admit requests a circuit; the plane-typed form of Connect.
 	Admit(ctx context.Context, src, dst int) (Conn, error)
 	// Tree is the fat tree this plane schedules against.
 	Tree() *topology.Tree
-	// Occupancy is the live count of occupied channels — the O(1)
-	// load signal least-loaded plane selection reads per admission.
-	Occupancy() int64
+	// Unavailable is the live count of channels no new request can use —
+	// occupied plus failed or quarantined — the O(1) signal least-loaded
+	// plane selection reads per admission, so a plane that lost capacity
+	// to faults ranks behind one that did not.
+	Unavailable() int64
 	// Stats snapshots the plane's counters and distributions.
 	Stats() Stats
 	// Health is the fault-state slice of Stats, cheap enough for a
@@ -95,7 +100,8 @@ func (m *Manager) Admit(ctx context.Context, src, dst int) (Conn, error) {
 // Tree returns the fat tree this manager schedules against.
 func (m *Manager) Tree() *topology.Tree { return m.cfg.Tree }
 
-// Occupancy returns the live number of occupied channels, from the link
-// state's O(1) atomic gauge — no lock, safe on any goroutine, and the
-// signal federation's least-loaded policy polls per admission.
-func (m *Manager) Occupancy() int64 { return m.st.LiveOccupancy() }
+// Unavailable returns the live number of channels no new request can use:
+// the link state's O(1) occupancy gauge plus its masked channels — no
+// lock, safe on any goroutine, and the signal federation's least-loaded
+// policy polls per admission.
+func (m *Manager) Unavailable() int64 { return m.st.Unavailable() }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
@@ -21,8 +22,8 @@ func TestSurfaceAdapter(t *testing.T) {
 	if s.Tree().Nodes() != 8 {
 		t.Fatalf("Tree().Nodes() = %d, want 8", s.Tree().Nodes())
 	}
-	if got := s.Occupancy(); got != 0 {
-		t.Fatalf("idle Occupancy = %d, want 0", got)
+	if got := s.Unavailable(); got != 0 {
+		t.Fatalf("idle Unavailable = %d, want 0", got)
 	}
 	c, err := s.Admit(context.Background(), 0, 7)
 	if err != nil {
@@ -32,8 +33,8 @@ func TestSurfaceAdapter(t *testing.T) {
 		t.Errorf("endpoints (%d, %d), want (0, 7)", c.Src(), c.Dst())
 	}
 	// 0 and 7 meet at the top of FT(3,2,2): 2 levels × up+down = 4 channels.
-	if got := s.Occupancy(); got != 4 {
-		t.Errorf("Occupancy = %d, want 4", got)
+	if got := s.Unavailable(); got != 4 {
+		t.Errorf("Unavailable = %d, want 4", got)
 	}
 	st := s.Stats()
 	if st.Occupancy != 4 || st.ChannelAllocs != 4 {
@@ -44,6 +45,14 @@ func TestSurfaceAdapter(t *testing.T) {
 	}
 	if st = s.Stats(); st.Occupancy != 0 {
 		t.Errorf("Occupancy after release = %d, want 0", st.Occupancy)
+	}
+	// A failed link is capacity lost, not occupied: Unavailable counts
+	// both of its channels while the occupancy stays 0.
+	if _, err := m.FailLink(0, 0, 0, faults.Both); err != nil {
+		t.Fatal(err)
+	}
+	if got, st := s.Unavailable(), s.Stats(); got != 2 || st.Occupancy != 0 {
+		t.Errorf("with one failed link: Unavailable = %d, Occupancy = %d, want 2 and 0", got, st.Occupancy)
 	}
 	// A denial must come back as a typed nil-free (nil, error) pair: a
 	// Conn interface holding a nil *Handle would defeat == nil checks.

@@ -4,10 +4,11 @@
 // locks and scale admission throughput horizontally, the way real
 // clusters scale past one fat-tree instance by running parallel planes
 // (Solnushkin, PAPERS.md). The Router owns plane selection (a pluggable
-// Policy over the live per-plane occupancy gauges), bounded cross-plane
-// failover when a plane denies or is degraded, per-plane health with
-// ejection and re-admission probing, and cross-plane re-admission of
-// connections a plane's repair loop gives up on.
+// Policy over the live per-plane unavailable-channel gauges), bounded
+// cross-plane failover when a plane denies or is degraded, per-plane
+// health with ejection and re-admission probing — fed by faults, not by
+// load — and cross-plane re-admission of connections a plane's repair
+// loop gives up on.
 //
 // The admit path takes no router-wide lock and allocates only the
 // federated Handle: candidate planes are ordered in an on-stack buffer
@@ -94,10 +95,14 @@ type Config struct {
 	// try after its first choice denies (0 or negative: all remaining
 	// candidates — failover is always bounded by the plane count).
 	FailoverLimit int
-	// EjectAfter is the consecutive-denial streak that ejects a plane
-	// from candidate selection (default DefaultEjectAfter). An ejected
-	// plane receives no traffic except single-flight re-admission
-	// probes; any successful grant re-admits it.
+	// EjectAfter is the streak of consecutive failures — fault-blocked
+	// denials (fabric.UnroutableError.FaultBlocked) and other
+	// failover-able errors, never contention denials — that ejects a
+	// plane from candidate selection (default DefaultEjectAfter). A plane
+	// that cannot serve, every cross-subtree denial fault-blocked, opens
+	// within EjectAfter of its own denials; a full one never does. An
+	// ejected plane receives no traffic except single-flight re-admission
+	// probes; a probe's grant or contention denial re-admits it.
 	EjectAfter int
 	// ProbeInterval is the minimum spacing between re-admission probes
 	// of an ejected plane (default DefaultProbeInterval).
@@ -105,7 +110,8 @@ type Config struct {
 	// HealthAlpha is the EWMA smoothing factor for the per-plane health
 	// score, in (0, 1]; larger reacts faster (default
 	// DefaultHealthAlpha). Grants sample 1 (0.5 when slower than
-	// LatencyBudget), failover-able denials sample 0.
+	// LatencyBudget), failures — the same ones EjectAfter counts — sample
+	// 0, and contention denials are not sampled.
 	HealthAlpha float64
 	// OpenBelow opens a plane's breaker when its health score sinks
 	// under it, in [0, 1) — the adaptive complement to the EjectAfter
@@ -137,15 +143,18 @@ type plane struct {
 	// (federation.imbalance in bench/).
 	grants atomic.Uint64
 
-	// Health (health.go): failStreak counts consecutive failover-able
-	// denials; health is the EWMA score (math.Float64bits, starts at 1);
-	// breaker is the circuit-breaker state; lastProbe gates single-flight
-	// probe election (a CAS on the timestamp elects exactly one prober
-	// per interval); admitSeq numbers this plane's admissions for the
-	// injected DegradedPlane duty cycle; degraded holds that process.
+	// Health (health.go): failStreak counts consecutive failures
+	// (fault-blocked denials and other failover-able errors; a contention
+	// denial is not one); health is the EWMA score (math.Float64bits,
+	// starts at 1); breaker is the circuit-breaker state and opens counts
+	// its transitions into open; lastProbe gates single-flight probe
+	// election (a CAS on the timestamp elects exactly one prober per
+	// interval); admitSeq numbers this plane's admissions for the injected
+	// DegradedPlane duty cycle; degraded holds that process.
 	failStreak atomic.Int32
 	health     atomic.Uint64
 	breaker    atomic.Int32
+	opens      atomic.Uint64
 	lastProbe  atomic.Int64 // UnixNano of the last probe election
 	admitSeq   atomic.Uint64
 	degraded   atomic.Pointer[faults.DegradedPlane]
@@ -400,6 +409,16 @@ func failoverable(err error) bool {
 		errors.Is(err, fabric.ErrClosed)
 }
 
+// contention reports whether a failover-able denial was the plane being
+// full rather than broken: a plane's own scheduler denial (a bare
+// *fabric.UnroutableError, as failoverable expects) that its faults alone
+// would not have forced. It is no health sample (health.go); anything else
+// failover-able is a failure.
+func contention(err error) bool {
+	ue, ok := err.(*fabric.UnroutableError)
+	return ok && !ue.FaultBlocked
+}
+
 // Connect admits a circuit on the first candidate plane that will take
 // it, in policy order with bounded failover. It returns a federated
 // Handle, the last plane's denial when every candidate refused, or the
@@ -464,9 +483,13 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		// Every candidate beyond the first draws from the failover
 		// budget; an empty bucket ends the admission at the verdict it
 		// has rather than fanning the failure out across more planes.
-		if tried > 0 && !r.takeFailoverToken() {
-			r.failoverBudgetExhausted.Add(1)
-			break
+		// A failover is counted here, where another plane is really tried.
+		if tried > 0 {
+			if !r.takeFailoverToken() {
+				r.failoverBudgetExhausted.Add(1)
+				break
+			}
+			r.failovers.Add(1)
 		}
 		tried++
 		p := r.planes[pi]
@@ -492,11 +515,12 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		if !failoverable(err) {
 			return nil, -1, err
 		}
-		p.noteFailure(r.cfg.HealthAlpha, int32(r.cfg.EjectAfter), r.cfg.OpenBelow)
-		lastErr = err
-		if tried < limit {
-			r.failovers.Add(1)
+		if contention(err) {
+			p.noteContention()
+		} else {
+			p.noteFailure(r.cfg.HealthAlpha, int32(r.cfg.EjectAfter), r.cfg.OpenBelow)
 		}
+		lastErr = err
 	}
 	if lastErr == nil {
 		// Every candidate was the skipped plane (1-plane federation).

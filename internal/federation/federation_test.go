@@ -189,6 +189,41 @@ func TestFailoverLimitBounds(t *testing.T) {
 	}
 }
 
+// TestReadmissionCountsFailoversTried: a re-admission skips the plane
+// that lost the circuit and counts one failover per plane it tries after
+// its first — not one per denial, so one that every other plane denies
+// counts one fewer than it tried.
+func TestReadmissionCountsFailoversTried(t *testing.T) {
+	r := testRouter(t, 3, func(c *Config) { c.Policy = PolicyRoundRobin })
+	var blockers []fabric.Conn
+	for _, name := range []string{"plane1", "plane2"} {
+		s, _ := r.Plane(name)
+		c, err := s.Admit(context.Background(), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blockers = append(blockers, c)
+	}
+	// Round-robin's first order is 0, 1, 2: skip 0, planes 1 and 2 deny.
+	if _, _, err := r.admitConn(context.Background(), 0, 2, 0); !errors.Is(err, fabric.ErrUnroutable) {
+		t.Fatalf("readmission with every other plane saturated: %v", err)
+	}
+	if got := r.Stats().Failovers; got != 1 {
+		t.Fatalf("Failovers = %d after trying 2 planes, want 1", got)
+	}
+	// The second order is 1, 2, 0: plane 1 denies, plane 2 grants.
+	blockers[1].Release()
+	c, pi, err := r.admitConn(context.Background(), 0, 2, 0)
+	if err != nil || pi != 2 {
+		t.Fatalf("readmission = plane %d, %v; want plane 2", pi, err)
+	}
+	defer c.Release()
+	defer blockers[0].Release()
+	if got := r.Stats().Failovers; got != 2 {
+		t.Fatalf("Failovers = %d after trying 2 more planes, want 2", got)
+	}
+}
+
 // TestEjectAndRepair proves a killed plane stops receiving traffic and
 // a repaired plane rejoins.
 func TestEjectAndRepair(t *testing.T) {
@@ -239,18 +274,17 @@ func TestEjectAndRepair(t *testing.T) {
 }
 
 // TestEjectionStreakAndProbe drives the organic health path: repeated
-// denials eject a plane without KillPlane, and a due probe routes one
-// admission back, whose success re-admits the plane.
+// fault-blocked denials eject a plane without KillPlane, and a due probe
+// routes one admission back, whose success re-admits the plane.
 func TestEjectionStreakAndProbe(t *testing.T) {
 	r := testRouter(t, 2, func(c *Config) {
 		c.Policy = PolicyRoundRobin
 		c.EjectAfter = 2
 		c.ProbeInterval = time.Hour
 	})
-	// Saturate (0,2)'s only route on plane 0 so it denies organically.
+	// Fail (0,2)'s only route on plane 0 so it denies organically.
 	p0, _ := r.Plane("plane0")
-	blocker, err := p0.Admit(context.Background(), 0, 2)
-	if err != nil {
+	if _, _, err := p0.Fail(cutLink); err != nil {
 		t.Fatal(err)
 	}
 	// Two round-robin admissions starting at plane 0 (rr starts at 0 and
@@ -266,8 +300,10 @@ func TestEjectionStreakAndProbe(t *testing.T) {
 		t.Fatal("plane 0 not ejected after denial streak")
 	}
 
-	// Unblock plane 0 and make plane 1 deny, so only a probe can succeed.
-	blocker.Release()
+	// Repair plane 0 and make plane 1 deny, so only a probe can succeed.
+	if _, err := p0.Repair(cutLink); err != nil {
+		t.Fatal(err)
+	}
 	p1, _ := r.Plane("plane1")
 	blocker1, err := p1.Admit(context.Background(), 0, 2)
 	if err != nil {

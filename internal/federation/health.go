@@ -2,23 +2,30 @@ package federation
 
 // Adaptive plane health: an EWMA score fed by admission outcomes and a
 // half-open circuit breaker, replacing the binary ejected bit of the
-// original router. The streak rule is preserved — EjectAfter
-// consecutive failover-able denials still opens the breaker — but the
-// score adds what a streak cannot see: a plane that interleaves slow or
-// failing admissions with occasional grants decays toward 0 and opens
-// once it sinks under Config.OpenBelow, and the score itself is
-// exported per plane for operators (/stats, /healthz).
+// original router. The breaker hears faults, not load. A health sample is
+// a grant (1, or 0.5 when slower than the latency budget) or a failure (0):
+// a fault-blocked denial — the plane would deny the request with every
+// circuit released (fabric.UnroutableError.FaultBlocked) — or any other
+// failover-able error, such as a closed plane. A contention denial is no
+// sample at all: a full plane is not a broken one, and at high load three
+// contention denials in a row are routine (EXPERIMENTS E27, E28). The
+// streak rule — EjectAfter consecutive failures opens the breaker — and
+// the score rule — a plane whose score sinks under Config.OpenBelow opens
+// — both count failures only, and the score is exported per plane for
+// operators (/stats, /healthz).
 //
-// Breaker state machine:
+// Breaker state machine ("failure" as above):
 //
-//	closed ──(streak ≥ EjectAfter, or health < OpenBelow)──▶ open
+//	closed ──(failure streak ≥ EjectAfter, or health < OpenBelow)──▶ open
 //	open ──(ProbeInterval elapsed; single-flight election)──▶ half-open
-//	half-open ──grant──▶ closed          half-open ──denial──▶ open
+//	half-open ──grant or contention denial──▶ closed
+//	half-open ──failure──▶ open
 //
 // While open or half-open the plane receives no traffic except the
 // elected probe admission (at most one per ProbeInterval, last in the
-// candidate order). Any grant closes the breaker; a failed probe
-// re-opens it and restarts the probe clock.
+// candidate order). Any grant closes the breaker, and so does a probe the
+// plane scheduled and found full; a failed probe re-opens it and restarts
+// the probe clock. Every transition into open is counted (PlaneStats.Opens).
 
 import (
 	"context"
@@ -88,10 +95,10 @@ func (p *plane) noteSuccess(alpha float64, slow bool) {
 	}
 }
 
-// noteFailure records a failover-able denial: the score pulls toward 0,
-// and the breaker opens when the streak or score rule trips — or
-// immediately when this was a half-open probe, restarting the probe
-// clock.
+// noteFailure records a failure — a fault-blocked denial or another
+// failover-able error: the score pulls toward 0, and the breaker opens
+// when the streak or score rule trips — or immediately when this was a
+// half-open probe, restarting the probe clock.
 func (p *plane) noteFailure(alpha float64, ejectAfter int32, openBelow float64) {
 	streak := p.failStreak.Add(1)
 	h := p.bumpHealth(alpha, 0)
@@ -105,9 +112,21 @@ func (p *plane) noteFailure(alpha float64, ejectAfter int32, openBelow float64) 
 	}
 }
 
-// eject opens the breaker and starts the probe clock: the first
-// re-admission probe is due one ProbeInterval later, not immediately.
+// noteContention records a contention denial, which is no health sample:
+// streak and score stay where they are. The one thing it settles is a
+// half-open probe — the plane scheduled the request and found it full,
+// not broken — which closes; one CAS, and only a probe ever wins it.
+func (p *plane) noteContention() {
+	if p.breaker.Load() == bHalfOpen {
+		p.breaker.CompareAndSwap(bHalfOpen, bClosed)
+	}
+}
+
+// eject opens the breaker, counts the opening and starts the probe clock:
+// the first re-admission probe is due one ProbeInterval later, not
+// immediately.
 func (p *plane) eject() {
+	p.opens.Add(1)
 	p.lastProbe.Store(time.Now().UnixNano())
 	p.breaker.Store(bOpen)
 }

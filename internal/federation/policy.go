@@ -6,7 +6,7 @@ package federation
 // policy axis mirrors the randomized/least-loaded spreading results for
 // parallel fat-tree resources (Wang et al., PAPERS.md): static spreading
 // (hash, round-robin), randomized spreading, and load-aware spreading
-// on the live per-plane occupancy gauge.
+// on the live per-plane unavailable-channel gauge (occupied plus failed).
 
 import (
 	"fmt"
@@ -30,8 +30,10 @@ const (
 	// PolicyRandom starts at a uniformly random plane — the classic
 	// randomized load-balancing baseline.
 	PolicyRandom
-	// PolicyLeastLoaded orders planes by live occupied-channel count,
-	// emptiest first, read from each plane's O(1) occupancy gauge.
+	// PolicyLeastLoaded orders planes by live unavailable-channel count —
+	// occupied plus failed or quarantined — emptiest first, read from each
+	// plane's O(1) gauge (fabric.Surface.Unavailable): a plane that lost
+	// capacity to faults ranks behind one that did not.
 	PolicyLeastLoaded
 )
 
@@ -103,14 +105,14 @@ func (r *Router) orderPlanes(p Policy, candidates []int, src, dst int) {
 		rotate(candidates, rand.IntN(n))
 	case PolicyLeastLoaded:
 		// Snapshot each gauge once so the sort sees consistent keys, then
-		// order emptiest-first by weight-normalized occupancy (a weight-2
-		// plane counts as half as loaded), ties by plane index for
+		// order emptiest-first by weight-normalized unavailable channels (a
+		// weight-2 plane counts as half as loaded), ties by plane index for
 		// determinism. Negated so the descending sort yields
 		// emptiest-first.
 		var buf [inlinePlanes]float64
 		score := inlineSlots(&buf, n)
 		for i, pi := range candidates {
-			score[i] = -float64(r.planes[pi].surf.Occupancy()) / r.planes[pi].weight
+			score[i] = -float64(r.planes[pi].surf.Unavailable()) / r.planes[pi].weight
 		}
 		sortByScore(candidates, score)
 	}

@@ -68,7 +68,7 @@ func oracleOrderPlanes(r *Router, p Policy, candidates []int, src, dst int, rr u
 	case PolicyLeastLoaded:
 		occ := make([]int64, n)
 		for i, pi := range candidates {
-			occ[i] = r.planes[pi].surf.Occupancy()
+			occ[i] = r.planes[pi].surf.Unavailable()
 		}
 		oracleOrderByScore(candidates, func(i, pi int) float64 {
 			return -float64(occ[i]) / r.planes[pi].weight
@@ -106,14 +106,14 @@ func oracleCandidates(r *Router, states []int, src, dst int, rr uint64) (order [
 	return append(order, probes...), healthy
 }
 
-// occSurface is a plane whose occupancy gauge the test sets; ordering
-// calls nothing else on a plane.
+// occSurface is a plane whose unavailable-channel gauge the test sets;
+// ordering calls nothing else on a plane.
 type occSurface struct {
 	fabric.Surface
 	occ int64
 }
 
-func (s *occSurface) Occupancy() int64 { return s.occ }
+func (s *occSurface) Unavailable() int64 { return s.occ }
 
 // TestOrderingMatchesOracle is the ordering-equivalence property: for
 // every policy, uniform and non-uniform weights, 1 to 20 planes (across
@@ -193,7 +193,7 @@ func TestOrderingMatchesOracle(t *testing.T) {
 func occupancies(r *Router) []int64 {
 	occ := make([]int64, len(r.planes))
 	for i, p := range r.planes {
-		occ[i] = p.surf.Occupancy()
+		occ[i] = p.surf.Unavailable()
 	}
 	return occ
 }

@@ -18,6 +18,9 @@ type PlaneStats struct {
 	Health   float64 `json:"health"`
 	Breaker  string  `json:"breaker"`
 	Degraded bool    `json:"degraded,omitempty"`
+	// Opens counts the breaker's transitions into open: a streak or score
+	// trip, a failed probe, a KillPlane.
+	Opens uint64 `json:"opens"`
 	// Grants counts circuits the router placed on this plane (initial
 	// admissions plus cross-plane re-admissions) — the load-spread
 	// signal behind the imbalance ratio.
@@ -35,8 +38,8 @@ type Stats struct {
 	Policy string `json:"policy"`
 	// Offered counts Connect calls that entered plane selection;
 	// Granted/Rejected their outcomes (rejected = every candidate plane
-	// denied). Failovers counts denials that moved an admission to
-	// another candidate plane.
+	// denied). Failovers counts the planes admissions (and cross-plane
+	// re-admissions) actually tried after their first.
 	Offered   uint64 `json:"offered"`
 	Granted   uint64 `json:"granted"`
 	Rejected  uint64 `json:"rejected"`
@@ -86,6 +89,7 @@ func (r *Router) Stats() Stats {
 			Health:    p.healthNow(),
 			Breaker:   breakerName(p.breaker.Load()),
 			Degraded:  p.degraded.Load() != nil,
+			Opens:     p.opens.Load(),
 			Grants:    g,
 			Occupancy: fb.Occupancy,
 			Fabric:    fb,

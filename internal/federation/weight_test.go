@@ -82,9 +82,9 @@ func TestUniformWeightsKeepLegacyHash(t *testing.T) {
 	}
 }
 
-// TestWeightedLeastLoaded: least-loaded normalizes occupancy by weight,
-// so at equal raw load the heavier plane sorts first; at zero load the
-// tie breaks by plane index.
+// TestWeightedLeastLoaded: least-loaded normalizes its load gauge by
+// weight, so at equal raw load the heavier plane sorts first; at zero load
+// the tie breaks by plane index.
 func TestWeightedLeastLoaded(t *testing.T) {
 	r := weightedRouter(t, 1, 2)
 	// Zero occupancy on both: scores tie, index order wins.
@@ -102,9 +102,9 @@ func TestWeightedLeastLoaded(t *testing.T) {
 		}
 		defer c.Release()
 	}
-	if r.planes[0].surf.Occupancy() != r.planes[1].surf.Occupancy() {
-		t.Fatalf("setup skew: occupancy %d vs %d",
-			r.planes[0].surf.Occupancy(), r.planes[1].surf.Occupancy())
+	if r.planes[0].surf.Unavailable() != r.planes[1].surf.Unavailable() {
+		t.Fatalf("setup skew: unavailable %d vs %d",
+			r.planes[0].surf.Unavailable(), r.planes[1].surf.Unavailable())
 	}
 	cand = []int{0, 1}
 	r.orderPlanes(PolicyLeastLoaded, cand, 0, 1)

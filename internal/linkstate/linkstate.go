@@ -42,6 +42,11 @@
 //   - OccupiedCount and Utilization count allocated channels only —
 //     "dead" (failed) is a distinct category reported by FailedCount.
 //
+// Because the mask is kept apart from the allocation bits, a denial can be
+// told apart by cause: BlockedByMask replays first-fit over the mask alone
+// and says whether the request would be denied with every circuit gone
+// (fault) or was denied only because channels are held (contention).
+//
 // A State is NOT safe for concurrent use of its plain methods.
 // Concurrent callers must either serialize externally — internal/fabric
 // runs every scheduling epoch and every release under one manager lock —
@@ -104,8 +109,10 @@ type State struct {
 	uw, dw   [][]uint64
 	fuw, fdw [][]uint64
 
-	// nfailed counts the bits set in failedU/failedD.
-	nfailed int
+	// nfailed counts the bits set in failedU/failedD. It is written under
+	// the State's serialization like the mask itself, and atomic only so
+	// that Unavailable may read it with none.
+	nfailed atomic.Int64
 
 	// Load counters, enabled by TrackLoad: loadU/loadD count cumulative
 	// allocation events per channel (indexed [level][switch*w+port]) and
@@ -279,6 +286,14 @@ func (s *State) load(d Direction, h, idx, port int) *uint64 {
 // Zero when tracking is off.
 func (s *State) LiveOccupancy() int64 { return s.occ.Load() }
 
+// Unavailable returns the channels no new request can use right now: the
+// live occupancy gauge plus the masked (failed) channels. On a tracked
+// state it equals OccupiedCount() + FailedCount() between passes. Like the
+// gauge it is safe to read lock-free from any goroutine — the capacity
+// signal federation's least-loaded policy ranks planes by, so that a plane
+// that lost channels to faults ranks behind one that did not.
+func (s *State) Unavailable() int64 { return s.occ.Load() + s.nfailed.Load() }
+
 // ChannelLoad returns the cumulative allocation count of one channel
 // since TrackLoad was enabled — allocation events, not live occupancy:
 // an allocation later released (or rolled back) still counts. Zero when
@@ -372,7 +387,7 @@ func (s *State) FailLink(d Direction, h, idx, port int) bool {
 		return true
 	}
 	mask.Set(port)
-	s.nfailed++
+	s.nfailed.Add(1)
 	wasFree := avail.Get(port)
 	avail.Clear(port)
 	if s.trackLoad && !wasFree {
@@ -398,7 +413,7 @@ func (s *State) RepairLink(d Direction, h, idx, port int) bool {
 		s.failedD[h].Row(idx).Clear(port)
 		s.dlink[h].Row(idx).Set(port)
 	}
-	s.nfailed--
+	s.nfailed.Add(-1)
 	return true
 }
 
@@ -414,7 +429,49 @@ func (s *State) Failed(d Direction, h, idx, port int) bool {
 }
 
 // FailedCount returns the number of channels removed from service.
-func (s *State) FailedCount() int { return s.nfailed }
+func (s *State) FailedCount() int { return int(s.nfailed.Load()) }
+
+// BlockedByMask reports whether the fault mask alone denies a request from
+// src to dst: Level-wise first-fit over the unmasked channels, which is the
+// verdict the same scheduler would give the request on this state with
+// every circuit released. A denied request for which it is false was
+// denied by contention — a masked channel was not what stood in its way.
+// It reads the mask only (never the availability rows), costs one walk of
+// at most l−1 levels, and is false on a state that never had a fault.
+func (s *State) BlockedByMask(src, dst int) bool {
+	if s.failedU == nil {
+		return false
+	}
+	var cur topology.RouteCursor
+	cur.Start(s.tree, src, dst)
+	for h, top := 0, s.tree.AncestorLevel(src, dst); h < top; h++ {
+		p, ok := firstUnmasked(s.failedU[h], cur.Sigma(), s.failedD[h], cur.Delta())
+		if !ok {
+			return true
+		}
+		cur.Advance(p)
+	}
+	return false
+}
+
+// firstUnmasked returns the lowest port whose upward channel at row sigma
+// of fu and downward channel at row delta of fd are both out of the mask.
+// One loop for single-word and multi-word rows: it runs on denials only.
+func firstUnmasked(fu *bitvec.Matrix, sigma int, fd *bitvec.Matrix, delta int) (int, bool) {
+	wpr, w := fu.WordsPerRow(), fu.Width()
+	u := fu.Words()[sigma*wpr : (sigma+1)*wpr]
+	d := fd.Words()[delta*wpr : (delta+1)*wpr]
+	for i := range u {
+		free := ^(u[i] | d[i])
+		if rest := w - 64*i; rest < 64 {
+			free &= 1<<uint(rest) - 1
+		}
+		if free != 0 {
+			return 64*i + bits.TrailingZeros64(free), true
+		}
+	}
+	return 0, false
+}
 
 // ULink returns the upward availability vector of the level-h switch idx.
 // The returned vector aliases internal storage: treat it as read-only and
@@ -713,7 +770,7 @@ func (s *State) ReleaseHeld(src, dst int, ports []int) error {
 		})
 		return firstErr
 	}
-	if s.nfailed > 0 {
+	if s.nfailed.Load() > 0 {
 		return s.releaseHeldFaulted(&cur, ports)
 	}
 	w := s.tree.Parents()

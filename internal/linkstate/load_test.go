@@ -124,7 +124,8 @@ func TestLoadCountersWordPath(t *testing.T) {
 
 // TestLoadGaugeMatchesOccupiedCount drives a mixed allocate/release/
 // fail/repair/reset history and pins the O(1) gauge to the popcount
-// truth at every step.
+// truth at every step, and the lock-free Unavailable to the gauge plus
+// the masked channels.
 func TestLoadGaugeMatchesOccupiedCount(t *testing.T) {
 	s := New(topology.MustNew(3, 4, 4))
 	s.TrackLoad()
@@ -132,6 +133,9 @@ func TestLoadGaugeMatchesOccupiedCount(t *testing.T) {
 		t.Helper()
 		if got, want := s.LiveOccupancy(), int64(s.OccupiedCount()); got != want {
 			t.Fatalf("%s: gauge %d != OccupiedCount %d", step, got, want)
+		}
+		if got, want := s.Unavailable(), int64(s.OccupiedCount()+s.FailedCount()); got != want {
+			t.Fatalf("%s: Unavailable %d != OccupiedCount + FailedCount %d", step, got, want)
 		}
 	}
 	// 0 and 63 meet at the top: two levels, four channels.
@@ -148,6 +152,18 @@ func TestLoadGaugeMatchesOccupiedCount(t *testing.T) {
 	// Fail a free channel: occupancy unchanged.
 	s.FailLink(Down, 0, 0, 3)
 	check("fail free")
+	// The route's surviving channels go back on a faulted state (the
+	// forfeited one is refused), and the word path claims around the mask.
+	if err := s.ReleasePath(0, 63, []int{1, 2}); err == nil {
+		t.Fatal("release across the failed channel succeeded")
+	}
+	check("release across a fault")
+	s.AllocateBoth(0, 1, 2, 0)
+	check("allocate both")
+	if err := s.ReleaseHeld(4, 8, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	check("release held")
 	s.RepairLink(Up, 0, 0, 1)
 	check("repair")
 	s.Reset()

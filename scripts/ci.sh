@@ -80,12 +80,15 @@ go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -cou
 # Load-counter contracts: the word-form release walk against the
 # per-channel walk it replaced (every tree form, tracked and untracked,
 # double releases, and faulted states: clean routes, routes naming a
-# failed channel, rollback prefixes), and the property test that holds the
-# occupancy gauge to the popcount truth and the cumulative counters to two
-# per port picked after every kind of mutation; -count=2 for the same
-# reason as above. The shard engine's half of the single-writer contract
+# failed channel, rollback prefixes), the property test that holds the
+# occupancy gauge to the popcount truth, Unavailable to it plus the failed
+# channels, and the cumulative counters to two per port picked after every
+# kind of mutation, and the denial-cause oracle (BlockedByMask against
+# Level-wise first-fit on a fresh state carrying only the mask, every pair
+# of four tree forms over seeded fault sets); -count=2 for the same reason
+# as above. The shard engine's half of the single-writer contract
 # (TestShardHighWorkerTrackedState) rides the -race HighWorker line.
-go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge' -count=2 ./internal/linkstate
+go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise' -count=2 ./internal/linkstate
 go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
 # Histogram oracle: the fixed-size recent-sample histogram behind every
