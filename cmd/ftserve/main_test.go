@@ -137,22 +137,20 @@ func TestConnectUnroutable(t *testing.T) {
 	}
 }
 
-// TestConnectFailsOverPlanes saturates plane0 directly and checks the
-// HTTP layer lands the admission on plane1, reporting which plane took
-// it.
+// TestConnectFailsOverPlanes drains plane0 directly and checks the HTTP
+// layer lands the admission on plane1, reporting which plane took it.
 func TestConnectFailsOverPlanes(t *testing.T) {
 	ts, router := newTestServer(t, 2, 2, 2, 1)
 
-	// Round-robin starts on plane0; saturate node 2's uplinks there
-	// out-of-band so the HTTP admission must fail over.
+	// Round-robin starts on plane0; close it out-of-band. Its published
+	// rows still say the pair routes, so the HTTP admission tries it, is
+	// refused, and must fail over.
 	surf, ok := router.Plane("plane0")
 	if !ok {
 		t.Fatal("plane0 missing")
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := surf.Admit(context.Background(), 2, 0); err != nil {
-			t.Fatal(err)
-		}
+	if err := surf.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	var conn connectResponse
 	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 2, Dst: 0}, &conn); code != http.StatusOK {
@@ -221,8 +219,8 @@ func TestConcurrentHTTPClients(t *testing.T) {
 		}
 	}
 	s := router.Stats()
-	if s.Offered != s.Granted+s.Rejected {
-		t.Errorf("counter identity broken: %+v", s)
+	if s.Offered != s.Granted+s.Rejected+s.Cancelled {
+		t.Errorf("counter identity offered = granted + rejected + cancelled broken: %+v", s)
 	}
 	for _, ps := range s.Planes {
 		if ps.Fabric.Active != 0 || ps.Occupancy != 0 {

@@ -591,6 +591,10 @@ type Manager struct {
 	// hist (guarded by mu) is what Stats' distributions are made of. An
 	// epoch records into it with plain stores, once, before it lets go of mu.
 	hist histograms
+
+	// view is the published copy of the link rows (view.go): nil until the
+	// first Routable call, stored once under mu, read lock-free.
+	view atomic.Pointer[view]
 }
 
 // histograms are the manager's five recent-sample histograms: per epoch the
@@ -1095,6 +1099,7 @@ func (m *Manager) releaseRouteLocked(h *Handle, ports []int) {
 	if err := m.st.ReleasePath(h.src, h.dst, ports); err != nil {
 		panic(fmt.Sprintf("fabric: release invariant violation: %v", err))
 	}
+	m.publishRouteLocked(h.src, h.dst, ports)
 }
 
 // Close stops admission and drains queued requests through a final epoch
@@ -1198,10 +1203,14 @@ func (m *Manager) flushLocked() *delbatch {
 		b = &delbatch{}
 	}
 	dels := b.d[:0]
+	v := m.view.Load()
 	for i := range res.Outcomes {
 		o := &res.Outcomes[i]
 		if o.Granted && len(o.Ports) > 0 {
 			established++ // new grants and repairs that hold channels
+			if v != nil {
+				v.route(m.st, o.Src, o.Dst, o.Ports)
+			}
 		}
 		t := live[i]
 		if t.h != nil {
@@ -1309,5 +1318,6 @@ func newTrackedState(tree *topology.Tree) *linkstate.State {
 // request (mirrors internal/dynamic's handling of no-rollback schedulers).
 func (m *Manager) releaseRetainedLocked(o *core.Outcome) {
 	core.ReleaseRoute(m.st, o.Src, o.Dst, o.Ports, nil)
+	m.publishRouteLocked(o.Src, o.Dst, o.Ports)
 	o.Ports = o.Ports[:0]
 }

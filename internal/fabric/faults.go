@@ -89,6 +89,7 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 				revoked++
 			}
 		}
+		m.publishAllLocked()
 	}
 	m.mu.Unlock()
 	if revoked > 0 {
@@ -138,6 +139,9 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
 		repaired++
 	}
+	if repaired > 0 {
+		m.publishAllLocked()
+	}
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.poke()
@@ -160,6 +164,9 @@ func (m *Manager) RepairAll() int {
 		}
 		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
 		repaired++
+	}
+	if repaired > 0 {
+		m.publishAllLocked()
 	}
 	m.mu.Unlock()
 	if repaired > 0 {

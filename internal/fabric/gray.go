@@ -157,6 +157,9 @@ func (m *Manager) settleQuarantineLocked(now time.Time) int {
 		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
 		released++
 	}
+	if released > 0 {
+		m.publishAllLocked()
+	}
 	return released
 }
 
@@ -214,6 +217,9 @@ func (m *Manager) ClearQuarantine() int {
 	}
 	for c := range m.flap {
 		delete(m.flap, c)
+	}
+	if released > 0 {
+		m.publishAllLocked()
 	}
 	m.mu.Unlock()
 	if released > 0 {

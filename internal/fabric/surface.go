@@ -48,10 +48,17 @@ type Conn interface {
 // knowing its concrete type. Admit's denials are *UnroutableError values
 // whose FaultBlocked field tells a plane that cannot serve the request
 // from one that is merely full; the router's breaker hears only the
-// former.
+// former. Routable answers before any of that: the router tries first the
+// planes whose published rows would route the pair, so a policy's
+// preference (the same pair, the same plane, under hash) holds among the
+// planes that can route it.
 type Surface interface {
 	// Admit requests a circuit; the plane-typed form of Connect.
 	Admit(ctx context.Context, src, dst int) (Conn, error)
+	// Routable predicts, lock-free, whether Admit would find a route for
+	// the pair on the plane's rows as last published (see Manager.Routable):
+	// a hint for the order planes are tried in, never a verdict.
+	Routable(src, dst int) bool
 	// Tree is the fat tree this plane schedules against.
 	Tree() *topology.Tree
 	// Unavailable is the live count of channels no new request can use —

@@ -19,9 +19,11 @@ import (
 // ordering, the plane round trip, registration, and the release — and,
 // on the two-faulted fabrics, denials and failovers, which the healthy
 // single-plane replay behind federation.connect_self_us never reaches.
-// Beside denied/op and failovers/op it reports opens/op, the breaker
-// openings per operation: contention denials open nothing, so it stays
-// 0 unless a plane is blocked by its faults.
+// Beside denied/op and failovers/op it reports misses/op, the contention
+// denials of planes whose published rows said the pair would route (how
+// stale the view ran), and opens/op, the breaker openings per operation:
+// contention denials open nothing, so it stays 0 unless a plane is
+// blocked by its faults.
 // Run with -cpu 1,2: the admit path takes no router-wide lock, so the
 // second CPU should not be spent waiting on the first.
 func BenchmarkFederationAdmit(b *testing.B) {
@@ -87,12 +89,14 @@ func BenchmarkFederationAdmit(b *testing.B) {
 						}
 					})
 					b.StopTimer()
-					var opens uint64
+					var opens, misses uint64
 					for _, p := range r.planes {
 						opens += p.opens.Load()
+						misses += p.hintMisses.Load()
 					}
 					b.ReportMetric(float64(denied.Load())/float64(b.N), "denied/op")
 					b.ReportMetric(float64(r.failovers.Load())/float64(b.N), "failovers/op")
+					b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 					b.ReportMetric(float64(opens)/float64(b.N), "opens/op")
 				})
 			}

@@ -97,14 +97,23 @@ func Generate(n, l, m, w int, scheduler, policy string) *FileConfig {
 
 // Load parses a FileConfig from r and validates it.
 func Load(r io.Reader) (*FileConfig, error) {
+	fc, err := decode(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := fc.Validate(); err != nil {
+		return nil, err
+	}
+	return fc, nil
+}
+
+// decode is Load's parse: one JSON object, unknown keys refused.
+func decode(r io.Reader) (*FileConfig, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var fc FileConfig
 	if err := dec.Decode(&fc); err != nil {
 		return nil, fmt.Errorf("federation: parsing config: %w", err)
-	}
-	if err := fc.Validate(); err != nil {
-		return nil, err
 	}
 	return &fc, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -209,39 +210,25 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 }
 
-// TestValidateMatchesNew pins Validate's promise — it rejects everything
-// Build → New would — on both sides of each rule. Validate is Build plus
-// the check New itself runs (Config.Check), so the promise holds by
-// construction; the rows keep it from being taken apart: whatever
-// Validate accepts must start, and whatever it refuses New must refuse
-// too, whenever the file gets as far as a Config.
-func TestValidateMatchesNew(t *testing.T) {
+// validateCase is one row of the Validate-vs-New table: a file and
+// whether Validate (hence New) must accept it.
+type validateCase struct {
+	name string
+	fc   *FileConfig
+	ok   bool
+}
+
+// validateCases is the table, both sides of each rule: the per-plane rules
+// over one or two planes, then the router-level rules over one default
+// plane. It also seeds FuzzValidateMatchesNew.
+func validateCases() []validateCase {
 	plane := func(edit func(*PlaneSpec)) PlaneSpec {
 		ps := PlaneSpec{Levels: 2, Arity: 4, Width: 2}
 		edit(&ps)
 		return ps
 	}
 	one := func(edit func(*PlaneSpec)) []PlaneSpec { return []PlaneSpec{plane(edit)} }
-	check := func(name string, fc *FileConfig, ok bool) {
-		vErr := fc.Validate()
-		if (vErr == nil) != ok {
-			t.Errorf("%s: Validate() = %v, want ok = %v", name, vErr, ok)
-		}
-		cfg, err := fc.Build()
-		if err != nil {
-			if vErr == nil {
-				t.Errorf("%s: Build() = %v after Validate passed", name, err)
-			}
-			return
-		}
-		r, err := New(cfg)
-		if (err == nil) != (vErr == nil) {
-			t.Errorf("%s: Validate() = %v but New() = %v", name, vErr, err)
-		}
-		if err == nil {
-			r.Close(context.Background())
-		}
-	}
+	var cases []validateCase
 	for _, tc := range []struct {
 		name   string
 		planes []PlaneSpec
@@ -272,9 +259,8 @@ func TestValidateMatchesNew(t *testing.T) {
 		{"negative repair_backoff", one(func(p *PlaneSpec) { p.RepairBackoff = "-1ms" }), false},
 		{"negative flap_half_life", one(func(p *PlaneSpec) { p.FlapHalfLife = "-1s" }), false},
 	} {
-		check(tc.name, &FileConfig{Planes: tc.planes}, tc.ok)
+		cases = append(cases, validateCase{tc.name, &FileConfig{Planes: tc.planes}, tc.ok})
 	}
-	// The router-level rules, over one default plane.
 	for _, tc := range []struct {
 		name string
 		ok   bool
@@ -296,8 +282,83 @@ func TestValidateMatchesNew(t *testing.T) {
 	} {
 		fc := &FileConfig{Planes: one(func(*PlaneSpec) {})}
 		tc.edit(fc)
-		check(tc.name, fc, tc.ok)
+		cases = append(cases, validateCase{tc.name, fc, tc.ok})
 	}
+	return cases
+}
+
+// validateMatchesNew runs Validate and Build → New on fc and describes
+// where they disagree ("" when they agree). Any router built is closed.
+func validateMatchesNew(fc *FileConfig) (valid bool, problem string) {
+	vErr := fc.Validate()
+	cfg, err := fc.Build()
+	if err != nil {
+		if vErr == nil {
+			return true, fmt.Sprintf("Build() = %v after Validate passed", err)
+		}
+		return false, ""
+	}
+	r, err := New(cfg)
+	if err == nil {
+		r.Close(context.Background())
+	}
+	if (err == nil) != (vErr == nil) {
+		return vErr == nil, fmt.Sprintf("Validate() = %v but New() = %v", vErr, err)
+	}
+	return vErr == nil, ""
+}
+
+// TestValidateMatchesNew pins Validate's promise — it rejects everything
+// Build → New would — on both sides of each rule. Validate is Build plus
+// the check New itself runs (Config.Check), so the promise holds by
+// construction; the rows keep it from being taken apart: whatever
+// Validate accepts must start, and whatever it refuses New must refuse
+// too, whenever the file gets as far as a Config.
+func TestValidateMatchesNew(t *testing.T) {
+	for _, tc := range validateCases() {
+		valid, problem := validateMatchesNew(tc.fc)
+		if problem != "" {
+			t.Errorf("%s: %s", tc.name, problem)
+		}
+		if valid != tc.ok {
+			t.Errorf("%s: Validate() accepts = %v, want %v", tc.name, valid, tc.ok)
+		}
+	}
+}
+
+// FuzzValidateMatchesNew holds the same promise over arbitrary files: for
+// every input Load's parser accepts whose planes stay small (at most four
+// planes of at most four levels, arity and width at most 16), Validate
+// passes exactly when Build and then New succeed. Seeded with fttopo gen
+// output and TestValidateMatchesNew's table, written as JSON.
+func FuzzValidateMatchesNew(f *testing.F) {
+	seed := func(fc *FileConfig) {
+		var b bytes.Buffer
+		if err := fc.Write(&b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	seed(Generate(4, 3, 4, 4, "", "least-loaded"))
+	seed(Generate(2, 2, 4, 2, "backtrack,depth=2", "hash"))
+	seed(Generate(1, 3, 2, 2, "parallel,mode=shard,workers=2", "round-robin"))
+	for _, tc := range validateCases() {
+		seed(tc.fc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc, err := decode(bytes.NewReader(data))
+		if err != nil || len(fc.Planes) > 4 {
+			return
+		}
+		for _, ps := range fc.Planes {
+			if ps.Levels > 4 || ps.Arity > 16 || ps.Width > 16 {
+				return
+			}
+		}
+		if _, problem := validateMatchesNew(fc); problem != "" {
+			t.Fatalf("%s\ninput: %s", problem, data)
+		}
+	})
 }
 
 func TestParsePolicyGrammar(t *testing.T) {

@@ -3,12 +3,20 @@
 // tree, link state, epoch queue, and release ring — so planes share no
 // locks and scale admission throughput horizontally, the way real
 // clusters scale past one fat-tree instance by running parallel planes
-// (Solnushkin, PAPERS.md). The Router owns plane selection (a pluggable
-// Policy over the live per-plane unavailable-channel gauges), bounded
+// (Solnushkin, PAPERS.md). The Router owns plane selection, bounded
 // cross-plane failover when a plane denies or is degraded, per-plane
 // health with ejection and re-admission probing — fed by faults, not by
 // load — and cross-plane re-admission of connections a plane's repair
 // loop gives up on.
+//
+// Plane selection has two parts. A pluggable Policy orders the planes
+// (over the live per-plane unavailable-channel gauges, for least-loaded);
+// each plane's published link rows (fabric.Surface.Routable: the paper's
+// Level-wise test, run lock-free before the request queues anywhere) then
+// decide which of them go first. The planes predicted to route the pair
+// are tried in policy order, and everything else follows in policy order,
+// so no plane the policy offers is skipped — the rows only spare a
+// request the round trip to a plane that would deny it.
 //
 // The admit path takes no router-wide lock and allocates only the
 // federated Handle: candidate planes are ordered in an on-stack buffer
@@ -92,8 +100,10 @@ type Config struct {
 	// Policy orders candidate planes per admission (default PolicyHash).
 	Policy Policy
 	// FailoverLimit bounds how many additional planes an admission may
-	// try after its first choice denies (0 or negative: all remaining
-	// candidates — failover is always bounded by the plane count).
+	// try after its first denies (0 or negative: all remaining candidates
+	// — failover is always bounded by the plane count). It counts along
+	// the admission's whole walk: the planes whose published rows would
+	// route the pair first, then the rest (see admitConn).
 	FailoverLimit int
 	// EjectAfter is the streak of consecutive failures — fault-blocked
 	// denials (fabric.UnroutableError.FaultBlocked) and other
@@ -142,6 +152,9 @@ type plane struct {
 	// reports as per-plane grant counts and imbalance
 	// (federation.imbalance in bench/).
 	grants atomic.Uint64
+	// hintMisses counts admissions this plane denied by contention after
+	// its published rows (fabric.Surface.Routable) said the pair would route.
+	hintMisses atomic.Uint64
 
 	// Health (health.go): failStreak counts consecutive failures
 	// (fault-blocked denials and other failover-able errors; a contention
@@ -186,6 +199,7 @@ type Router struct {
 	}
 
 	offered, granted, rejected atomic.Uint64
+	cancelled                  atomic.Uint64
 	failovers                  atomic.Uint64
 	readmitted, lost           atomic.Uint64
 	pendingReadmits            atomic.Int64
@@ -420,9 +434,12 @@ func contention(err error) bool {
 }
 
 // Connect admits a circuit on the first candidate plane that will take
-// it, in policy order with bounded failover. It returns a federated
-// Handle, the last plane's denial when every candidate refused, or the
-// caller-scoped error (ctx, admission timeout) that ended the attempt.
+// it, planes predicted to route it first, in policy order with bounded
+// failover. It returns a federated Handle, the last plane's denial when
+// every candidate refused, or the caller-scoped error (ctx, admission
+// timeout) that ended the attempt. Every offered admission ends counted
+// once: granted, rejected (the planes' denial) or cancelled (the caller's
+// error).
 func (r *Router) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
@@ -435,9 +452,12 @@ func (r *Router) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 	if err != nil {
 		if failoverable(err) {
 			r.rejected.Add(1)
+		} else {
+			r.cancelled.Add(1)
 		}
 		return nil, err
 	}
+	r.granted.Add(1)
 	fh := &Handle{r: r, src: src, dst: dst, conn: c, plane: pi}
 	r.register(c, pi, fh)
 	return fh, nil
@@ -462,8 +482,16 @@ func (r *Router) register(c fabric.Conn, pi int, fh *Handle) {
 // skipping the plane index in skip (a readmission avoids the plane that
 // just lost the connection; -1 skips nothing). It returns the granted
 // connection and the granting plane's index.
+//
+// The policy orders the planes; the planes' published rows decide which
+// of them go first. The walk takes the candidates in two passes: first the
+// breaker-closed planes whose Routable says yes, each asked as the walk
+// reaches it, then everything the first pass passed over — planes
+// predicted to deny, due probes, the all-open fallback — in the order they
+// had. Every candidate is still tried, and FailoverLimit and the failover
+// budget bound the combined walk. A one-candidate admission reads no view.
 func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn, int, error) {
-	var buf [inlinePlanes]int
+	var buf, spare [inlinePlanes]int
 	order := r.candidates(&buf, src, dst)
 	limit := r.cfg.FailoverLimit
 	if limit <= 0 || limit > len(order) {
@@ -471,11 +499,27 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 	} else {
 		limit++ // the first choice plus FailoverLimit failovers
 	}
+	hint := len(order) > 1
+	later := inlineSlots(&spare, len(order))[:0]
 	var lastErr error
 	tried := 0
-	for _, pi := range order {
-		if pi == skip {
-			continue
+	for i := 0; i < len(order)+len(later); i++ {
+		var pi int
+		predicted := false
+		if i < len(order) {
+			pi = order[i]
+			if pi == skip {
+				continue
+			}
+			if hint {
+				if p := r.planes[pi]; p.ejectedNow() || !p.surf.Routable(src, dst) {
+					later = append(later, pi)
+					continue
+				}
+				predicted = true
+			}
+		} else {
+			pi = later[i-len(order)]
 		}
 		if tried >= limit {
 			break
@@ -509,13 +553,15 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 			slow := r.cfg.LatencyBudget > 0 && time.Since(start) > r.cfg.LatencyBudget
 			p.noteSuccess(r.cfg.HealthAlpha, slow)
 			p.grants.Add(1)
-			r.granted.Add(1)
 			return c, pi, nil
 		}
 		if !failoverable(err) {
 			return nil, -1, err
 		}
 		if contention(err) {
+			if predicted {
+				p.hintMisses.Add(1) // its published rows said it would route
+			}
 			p.noteContention()
 		} else {
 			p.noteFailure(r.cfg.HealthAlpha, int32(r.cfg.EjectAfter), r.cfg.OpenBelow)

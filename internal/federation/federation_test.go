@@ -31,6 +31,23 @@ func testRouter(t *testing.T, n int, mod func(*Config)) *Router {
 	return r
 }
 
+// blindSurface is a plane whose published rows the router cannot read:
+// Routable says yes to every pair, so the router tries the plane where the
+// policy puts it and learns a denial only by admitting. Tests of failover
+// and of the breaker use it to build denials the view cannot foresee.
+type blindSurface struct{ fabric.Surface }
+
+func (blindSurface) Routable(int, int) bool { return true }
+
+// blind makes the named planes of r blind (blindSurface). Call it before
+// any admission runs.
+func blind(r *Router, names ...string) {
+	for _, name := range names {
+		p := r.planeByName(name)
+		p.surf = blindSurface{p.surf}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); !errors.Is(err, ErrNoPlanes) {
 		t.Errorf("empty config: %v, want ErrNoPlanes", err)
@@ -133,10 +150,12 @@ func TestPolicyOrdering(t *testing.T) {
 }
 
 // TestFailoverToNextPlane occupies the only route on the first-choice
-// plane and proves the admission lands on the next candidate, counted
-// as a failover.
+// plane, which is blind so that the router tries it, and proves the
+// admission lands on the next candidate, counted as a failover and, since
+// the plane's (blind) rows said yes, as the plane's hint miss.
 func TestFailoverToNextPlane(t *testing.T) {
 	r := testRouter(t, 2, func(c *Config) { c.Policy = PolicyRoundRobin })
+	blind(r, "plane0")
 	// FT(2,2,1): (0,2) has exactly one route. Occupy it on plane 0.
 	p0, _ := r.Plane("plane0")
 	blocker, err := p0.Admit(context.Background(), 0, 2)
@@ -163,14 +182,19 @@ func TestFailoverToNextPlane(t *testing.T) {
 	if s.Planes[1].Grants != 1 || s.Planes[0].Grants != 0 {
 		t.Errorf("per-plane grants = %d/%d, want 0/1", s.Planes[0].Grants, s.Planes[1].Grants)
 	}
+	if s.Planes[0].HintMisses != 1 || s.Planes[1].HintMisses != 0 {
+		t.Errorf("hint misses = %d/%d, want 1/0", s.Planes[0].HintMisses, s.Planes[1].HintMisses)
+	}
 }
 
-// TestFailoverLimitBounds proves FailoverLimit caps the planes tried.
+// TestFailoverLimitBounds proves FailoverLimit caps the planes tried. The
+// two saturated planes are blind, so the walk reaches them first.
 func TestFailoverLimitBounds(t *testing.T) {
 	r := testRouter(t, 3, func(c *Config) {
 		c.Policy = PolicyRoundRobin
 		c.FailoverLimit = 1
 	})
+	blind(r, "plane0", "plane1")
 	// Occupy (0,2)'s only route on planes 0 and 1; plane 2 stays free
 	// but is out of reach with FailoverLimit 1.
 	for _, name := range []string{"plane0", "plane1"} {
@@ -192,9 +216,11 @@ func TestFailoverLimitBounds(t *testing.T) {
 // TestReadmissionCountsFailoversTried: a re-admission skips the plane
 // that lost the circuit and counts one failover per plane it tries after
 // its first — not one per denial, so one that every other plane denies
-// counts one fewer than it tried.
+// counts one fewer than it tried. Plane 1 is blind, so the second
+// re-admission tries it before plane 2 whatever plane 2's rows say.
 func TestReadmissionCountsFailoversTried(t *testing.T) {
 	r := testRouter(t, 3, func(c *Config) { c.Policy = PolicyRoundRobin })
+	blind(r, "plane1")
 	var blockers []fabric.Conn
 	for _, name := range []string{"plane1", "plane2"} {
 		s, _ := r.Plane(name)
@@ -275,13 +301,15 @@ func TestEjectAndRepair(t *testing.T) {
 
 // TestEjectionStreakAndProbe drives the organic health path: repeated
 // fault-blocked denials eject a plane without KillPlane, and a due probe
-// routes one admission back, whose success re-admits the plane.
+// routes one admission back, whose success re-admits the plane. Plane 0
+// is blind: the router must learn its fault from its denials.
 func TestEjectionStreakAndProbe(t *testing.T) {
 	r := testRouter(t, 2, func(c *Config) {
 		c.Policy = PolicyRoundRobin
 		c.EjectAfter = 2
 		c.ProbeInterval = time.Hour
 	})
+	blind(r, "plane0")
 	// Fail (0,2)'s only route on plane 0 so it denies organically.
 	p0, _ := r.Plane("plane0")
 	if _, _, err := p0.Fail(cutLink); err != nil {

@@ -31,7 +31,8 @@ var cutLink = &faults.FaultSet{Links: []faults.LinkFault{{Level: 0, Switch: 0, P
 // closed → open on a streak of fault-blocked denials, a failed half-open
 // probe re-opens, a granted probe closes, and a probe the plane schedules
 // and finds full closes too, with no health sample. The streak rule
-// (EjectAfter) is exercised with the health rule parked out of the way.
+// (EjectAfter) is exercised with the health rule parked out of the way,
+// and plane 0 is blind, so its denials are what the router hears.
 func TestBreakerStateMachine(t *testing.T) {
 	r := testRouter(t, 2, func(c *Config) {
 		c.Policy = PolicyRoundRobin
@@ -39,6 +40,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		c.ProbeInterval = time.Hour
 		c.OpenBelow = 0.000001 // health rule effectively off
 	})
+	blind(r, "plane0")
 	if ps := planeStats(t, r, "plane0"); ps.Breaker != "closed" || ps.Health != 1 || ps.Opens != 0 {
 		t.Fatalf("fresh plane: breaker %q health %v opens %d, want closed/1/0", ps.Breaker, ps.Health, ps.Opens)
 	}
@@ -140,7 +142,8 @@ func TestBreakerStateMachine(t *testing.T) {
 
 // TestHealthScoreOpensBreaker pins the adaptive rule the streak cannot
 // express: with EjectAfter out of reach, enough score decay alone
-// (health < OpenBelow) from fault-blocked denials opens the breaker.
+// (health < OpenBelow) from fault-blocked denials of the blind plane 0
+// opens the breaker.
 func TestHealthScoreOpensBreaker(t *testing.T) {
 	r := testRouter(t, 2, func(c *Config) {
 		c.Policy = PolicyRoundRobin
@@ -149,6 +152,7 @@ func TestHealthScoreOpensBreaker(t *testing.T) {
 		c.HealthAlpha = 0.5
 		c.OpenBelow = 0.3 // 1 → 0.5 → 0.25 < 0.3 on the second denial
 	})
+	blind(r, "plane0")
 	p0, _ := r.Plane("plane0")
 	if _, _, err := p0.Fail(cutLink); err != nil {
 		t.Fatal(err)
@@ -215,7 +219,8 @@ func deadPlane(t *testing.T, r *Router, name string) {
 // TestFaultDeadPlaneRanksLastAndOpens: a plane whose top-level switches
 // all failed denies every cross-subtree request for a fault. Least-loaded
 // ranks it behind loaded planes that lost nothing, and under round-robin
-// its breaker opens on exactly its EjectAfter-th denial.
+// its breaker opens on exactly its EjectAfter-th denial (blind, so that the
+// router tries it where round-robin puts it).
 func TestFaultDeadPlaneRanksLastAndOpens(t *testing.T) {
 	planes := func(c *Config) {
 		for i := range c.Planes {
@@ -246,6 +251,7 @@ func TestFaultDeadPlaneRanksLastAndOpens(t *testing.T) {
 		c.EjectAfter = ejectAfter
 		c.ProbeInterval = time.Hour
 	})
+	blind(rr, "plane0")
 	deadPlane(t, rr, "plane0")
 	// Round-robin starts every other admission on plane 0, which denies
 	// and fails over to plane 1.
@@ -402,7 +408,8 @@ func TestRepairPlaneResetsGrayState(t *testing.T) {
 
 // TestFailoverBudgetExhaustion bounds cross-plane retries: with a
 // one-token budget the first failover succeeds and the second admission
-// stops at its first denial instead of fanning out.
+// stops at its first denial instead of fanning out. The saturated first
+// choice is blind, so both admissions try it first.
 func TestFailoverBudgetExhaustion(t *testing.T) {
 	r := testRouter(t, 2, func(c *Config) {
 		c.Policy = PolicyHash // fixed (src,dst) → fixed first-choice plane
@@ -417,6 +424,7 @@ func TestFailoverBudgetExhaustion(t *testing.T) {
 	}
 	first := probe.Plane()
 	probe.Release()
+	blind(r, first)
 	pf, _ := r.Plane(first)
 	blocker, err := pf.Admit(context.Background(), 0, 2)
 	if err != nil {

@@ -1,12 +1,16 @@
 package federation
 
 // Plane-selection policies. A policy orders the healthy candidate
-// planes for one admission; the router then walks the order, failing
-// over to the next candidate when a plane denies the circuit. The
+// planes for one admission, and the view decides which of them go first:
+// the router walks the planes whose published link rows would route the
+// pair (fabric.Surface.Routable) in policy order, then the rest in policy
+// order, failing over to the next when a plane denies the circuit. The
 // policy axis mirrors the randomized/least-loaded spreading results for
 // parallel fat-tree resources (Wang et al., PAPERS.md): static spreading
 // (hash, round-robin), randomized spreading, and load-aware spreading
-// on the live per-plane unavailable-channel gauge (occupied plus failed).
+// on the live per-plane unavailable-channel gauge (occupied plus failed);
+// the view adds the state-aware choice Rocher-Gonzalez et al. make per
+// packet, made here per circuit and per plane.
 
 import (
 	"fmt"
@@ -22,8 +26,8 @@ type Policy int
 // The plane-selection policies.
 const (
 	// PolicyHash starts at the plane named by a hash of (src, dst):
-	// deterministic, connection-affine spreading — the same pair always
-	// prefers the same plane.
+	// deterministic, connection-affine spreading — among the planes that
+	// can route it, the same pair always prefers the same plane.
 	PolicyHash Policy = iota
 	// PolicyRoundRobin rotates the starting plane per admission.
 	PolicyRoundRobin

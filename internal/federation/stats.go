@@ -25,6 +25,11 @@ type PlaneStats struct {
 	// admissions plus cross-plane re-admissions) — the load-spread
 	// signal behind the imbalance ratio.
 	Grants uint64 `json:"grants"`
+	// HintMisses counts admissions this plane denied by contention although
+	// its published rows (fabric.Surface.Routable) said the pair would
+	// route — how stale the view ran. Rejections with few misses are pairs
+	// the planes' rows already said no plane could route.
+	HintMisses uint64 `json:"hint_misses"`
 	// Occupancy is the plane's live occupied-channel gauge.
 	Occupancy int64 `json:"occupancy"`
 	// Fabric is the plane manager's full snapshot.
@@ -36,13 +41,17 @@ type PlaneStats struct {
 // be counted offered and not yet granted).
 type Stats struct {
 	Policy string `json:"policy"`
-	// Offered counts Connect calls that entered plane selection;
-	// Granted/Rejected their outcomes (rejected = every candidate plane
-	// denied). Failovers counts the planes admissions (and cross-plane
-	// re-admissions) actually tried after their first.
+	// Offered counts Connect calls that entered plane selection, and each
+	// ends in exactly one of Granted, Rejected (every candidate plane the
+	// walk reached denied) or Cancelled (the caller's context or the
+	// plane's admission timeout ended it): offered = granted + rejected +
+	// cancelled once no Connect is in flight. Failovers counts the planes
+	// admissions (and cross-plane re-admissions) actually tried after their
+	// first.
 	Offered   uint64 `json:"offered"`
 	Granted   uint64 `json:"granted"`
 	Rejected  uint64 `json:"rejected"`
+	Cancelled uint64 `json:"cancelled"`
 	Failovers uint64 `json:"failovers"`
 	// Cross-plane migration accounting: every plane-terminal connection
 	// with a live owner resolves into exactly one of Readmitted (moved
@@ -69,6 +78,7 @@ func (r *Router) Stats() Stats {
 		Offered:                 r.offered.Load(),
 		Granted:                 r.granted.Load(),
 		Rejected:                r.rejected.Load(),
+		Cancelled:               r.cancelled.Load(),
 		Failovers:               r.failovers.Load(),
 		Readmitted:              r.readmitted.Load(),
 		Lost:                    r.lost.Load(),
@@ -84,15 +94,16 @@ func (r *Router) Stats() Stats {
 		// Release that returned before this call.
 		fb := p.surf.Stats()
 		s.Planes[i] = PlaneStats{
-			Name:      p.name,
-			Healthy:   !p.ejectedNow(),
-			Health:    p.healthNow(),
-			Breaker:   breakerName(p.breaker.Load()),
-			Degraded:  p.degraded.Load() != nil,
-			Opens:     p.opens.Load(),
-			Grants:    g,
-			Occupancy: fb.Occupancy,
-			Fabric:    fb,
+			Name:       p.name,
+			Healthy:    !p.ejectedNow(),
+			Health:     p.healthNow(),
+			Breaker:    breakerName(p.breaker.Load()),
+			Degraded:   p.degraded.Load() != nil,
+			Opens:      p.opens.Load(),
+			Grants:     g,
+			HintMisses: p.hintMisses.Load(),
+			Occupancy:  fb.Occupancy,
+			Fabric:     fb,
 		}
 		if i == 0 || g < minG {
 			minG = g

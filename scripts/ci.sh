@@ -91,6 +91,18 @@ go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -cou
 go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise' -count=2 ./internal/linkstate
 go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
+# Published-view contract: the fabric's lock-free copy of its link rows
+# equals the rows after every kind of mutation (epochs with cancellations
+# and retained partial routes, releases, Fail/Repair/RepairAll, quarantine
+# entry and exit, ClearQuarantine, Close), Routable is Level-wise first-fit
+# on them for every pair, and readers racing 32 churning clients see no
+# torn row; under -race, -count=2 as above.
+go test -race -run 'TestViewMatchesRows|TestRoutableRacesChurn' -count=2 ./internal/fabric
+
+# Config fuzz: any file the config parser accepts, with small planes, is
+# accepted by Validate exactly when Build and New succeed.
+go test -run '^$' -fuzz FuzzValidateMatchesNew -fuzztime 10s ./internal/federation
+
 # Histogram oracle: the fixed-size recent-sample histogram behind every
 # Stats distribution against stats.Summarize / Percentile / Histogram over
 # the samples it retains (bucket edges, one-bucket percentile error,
