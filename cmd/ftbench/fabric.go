@@ -2,10 +2,12 @@ package main
 
 // The closed-loop runner behind -chaos and -gray: N concurrent clients
 // drive Connect/Release against an in-process fabric manager while the
-// mode's injector breaks links, the serving-path analogue of extension
-// E4's churn model (random endpoints, connections held across subsequent
-// operations). It counts outcomes and times nothing: rates and latencies
-// are bench/'s job (`bash bench/run.sh --workload fabric_churn`).
+// mode's injector breaks links: extension E4's churn (random endpoints,
+// connections held across subsequent operations), which E4 itself drives
+// through one fabric manager single-threaded on simulated time, here from
+// concurrent clients on the wall clock. It counts outcomes and times
+// nothing: rates and latencies are bench/'s job
+// (`bash bench/run.sh --workload fabric_churn`).
 
 import (
 	"context"

@@ -46,9 +46,11 @@
 //	                                      outstanding repair tickets, quarantined channels,
 //	                                      an open breaker, or an injected degraded process
 //
-// The "plane" field may be omitted on a single-plane federation.
-// SIGINT/SIGTERM drain in-flight requests, then drain every plane
-// concurrently under one deadline, and exit.
+// The "plane" field may be omitted on a single-plane federation. A POST
+// body is exactly one JSON value, names only its verb's fields and is at
+// most 64 KiB; anything else is a 400. SIGINT/SIGTERM drain in-flight
+// requests, then drain every plane concurrently under one deadline, and
+// exit.
 package main
 
 import (
@@ -57,6 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -261,8 +264,7 @@ type errorResponse struct {
 
 func (s *server) handleConnect(w http.ResponseWriter, r *http.Request) {
 	var req connectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	h, err := s.router.Connect(r.Context(), req.Src, req.Dst)
@@ -309,8 +311,7 @@ type releaseResponse struct {
 
 func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -384,8 +385,7 @@ func (s *server) targetPlane(name string) (string, fabric.Surface, error) {
 
 func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var req faultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	name, surf, err := s.targetPlane(req.Plane)
@@ -548,6 +548,27 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// maxBody caps a request body; every verb's fits in a small part of it.
+const maxBody = 64 << 10
+
+// decodeBody reads a request body that is exactly one JSON value naming
+// only v's fields, and answers 400 otherwise: a misspelled key must not
+// read as an omitted one (a /fault "link" typo would be a whole-plane
+// repair), and a second value must not be dropped unread.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("body holds more than one JSON value")
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

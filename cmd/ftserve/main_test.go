@@ -24,7 +24,7 @@ import (
 
 // newTestRouter builds a federation of n identical planes, as ftserve's
 // shape flags do.
-func newTestRouter(t *testing.T, planes, levels, children, batch int, policy federation.Policy) *federation.Router {
+func newTestRouter(t testing.TB, planes, levels, children, batch int, policy federation.Policy) *federation.Router {
 	t.Helper()
 	cfg := federation.Config{Policy: policy}
 	for i := 0; i < planes; i++ {
@@ -309,57 +309,58 @@ func TestHealthzDegradedOnPendingRepairs(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 0, Dst: 15}, &conn); code != http.StatusOK {
 		t.Fatalf("connect status %d", code)
 	}
-	// Fault the held circuit's only uplink, wait out the immediate
-	// (doomed) repair attempt, then heal the channels: the parked
-	// ticket is now the sole degradation signal. If the heal ever
-	// outraces the first repair attempt the circuit re-admits cleanly
-	// and the cycle simply repeats.
+	// Fault the held circuit's only uplink. The revocation queues an
+	// immediate repair attempt, doomed while the fault stands; once the
+	// plane has counted it, the ticket is parked behind an hour of backoff,
+	// and healing the channels leaves it the sole degradation signal.
 	fault := faultRequest{
 		Plane:    conn.Plane,
 		FaultSet: faults.FaultSet{Links: []faults.LinkFault{{Level: 0, Switch: 0, Port: conn.Ports[0]}}},
 	}
-	repair := faultRequest{Plane: conn.Plane, Repair: true, FaultSet: fault.FaultSet}
-	var hz healthzResponse
-	pending := false
-	for try := 0; try < 20 && !pending; try++ {
-		var fr faultResponse
-		if code := postJSON(t, ts.URL+"/fault", fault, &fr); code != http.StatusOK || fr.Revoked != 1 {
-			t.Fatalf("fault status %d resp %+v", code, fr)
+	var fr faultResponse
+	if code := postJSON(t, ts.URL+"/fault", fault, &fr); code != http.StatusOK || fr.Revoked != 1 {
+		t.Fatalf("fault status %d resp %+v", code, fr)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for attempted := false; !attempted; {
+		if time.Now().After(deadline) {
+			t.Fatal("the revoked circuit's first repair attempt never ran")
 		}
-		time.Sleep(10 * time.Millisecond)
-		if code := postJSON(t, ts.URL+"/fault", repair, &fr); code != http.StatusOK {
-			t.Fatalf("repair status %d", code)
-		}
-		getJSON(t, ts.URL+"/healthz", &hz)
-		for _, p := range hz.Planes {
-			if p.FaultyChannels != 0 {
-				t.Fatalf("plane %s still has %d faulty channels after heal", p.Plane, p.FaultyChannels)
-			}
-			if p.PendingRepairs > 0 {
-				pending = true
-			}
+		var st statsResponse
+		getJSON(t, ts.URL+"/stats", &st)
+		for _, p := range st.Planes {
+			attempted = attempted || p.Name == conn.Plane && p.Fabric.RepairAttempts >= 1
 		}
 	}
-	if !pending {
-		t.Fatal("never captured an outstanding repair ticket in 20 cycles")
+	repair := faultRequest{Plane: conn.Plane, Repair: true, FaultSet: fault.FaultSet}
+	if code := postJSON(t, ts.URL+"/fault", repair, &fr); code != http.StatusOK {
+		t.Fatalf("repair status %d", code)
+	}
+	var hz healthzResponse
+	getJSON(t, ts.URL+"/healthz", &hz)
+	for _, p := range hz.Planes {
+		if p.FaultyChannels != 0 {
+			t.Fatalf("plane %s still has %d faulty channels after heal", p.Plane, p.FaultyChannels)
+		}
+		want := int64(0)
+		if p.Plane == conn.Plane {
+			want = 1
+		}
+		if p.PendingRepairs != want {
+			t.Fatalf("plane %s has %d pending repairs, want %d", p.Plane, p.PendingRepairs, want)
+		}
 	}
 	if hz.Status != "degraded" {
 		t.Errorf("healthz %q with outstanding repair tickets, want degraded: %+v", hz.Status, hz)
 	}
-	// Releasing the owner retires the parked ticket; health recovers.
+	// Releasing the owner retires the parked ticket, and health recovers
+	// with the release's answer.
 	if code := postJSON(t, ts.URL+"/release", releaseRequest{ID: conn.ID}, nil); code != http.StatusOK {
 		t.Fatalf("release status %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		getJSON(t, ts.URL+"/healthz", &hz)
-		if hz.Status == "ok" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("healthz stuck degraded after release: %+v", hz)
-		}
-		time.Sleep(time.Millisecond)
+	getJSON(t, ts.URL+"/healthz", &hz)
+	if hz.Status != "ok" {
+		t.Fatalf("healthz degraded after release: %+v", hz)
 	}
 }
 
@@ -765,4 +766,108 @@ func getJSON(t *testing.T, url string, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// postRaw posts body verbatim and returns the status.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestStrictBodies: a body that misspells a key or carries a second value
+// is refused, not read as the zero request it decodes to.
+func TestStrictBodies(t *testing.T) {
+	t.Run("connect-unknown-fields", func(t *testing.T) {
+		ts, router := newTestServer(t, 1, 2, 4, 1)
+		if code := postRaw(t, ts.URL+"/connect", `{"source":3,"dest":9}`); code != http.StatusBadRequest {
+			t.Errorf("status %d, want 400", code)
+		}
+		if st := router.Stats(); st.Offered != 0 {
+			t.Errorf("a refused body reached the router: offered %d", st.Offered)
+		}
+	})
+	t.Run("connect-trailing-value", func(t *testing.T) {
+		ts, router := newTestServer(t, 1, 2, 4, 1)
+		if code := postRaw(t, ts.URL+"/connect", `{"src":1,"dst":2} {"src":5}`); code != http.StatusBadRequest {
+			t.Errorf("status %d, want 400", code)
+		}
+		if st := router.Stats(); st.Offered != 0 {
+			t.Errorf("a refused body reached the router: offered %d", st.Offered)
+		}
+	})
+	t.Run("fault-typo-keeps-other-faults", func(t *testing.T) {
+		ts, _ := newTestServer(t, 1, 2, 4, 1)
+		links := []faults.LinkFault{{Level: 0, Switch: 0, Port: 0}, {Level: 0, Switch: 1, Port: 0}}
+		if code := postJSON(t, ts.URL+"/fault", faultRequest{FaultSet: faults.FaultSet{Links: links}}, nil); code != http.StatusOK {
+			t.Fatalf("fault status %d", code)
+		}
+		// "link" for "links": read loosely, this is an empty targeted
+		// repair, which is the whole-plane repair verb.
+		if code := postRaw(t, ts.URL+"/fault", `{"repair":true,"link":[{"level":0,"switch":0,"port":0}]}`); code != http.StatusBadRequest {
+			t.Errorf("status %d, want 400", code)
+		}
+		var fl faultsResponse
+		getJSON(t, ts.URL+"/faults", &fl)
+		if got := fl.Planes[0]; got.FaultyChannels != 4 || !reflect.DeepEqual(got.Links, links) {
+			t.Errorf("plane faults after a refused repair: %+v, want %+v on 4 channels", got, links)
+		}
+	})
+}
+
+// FuzzConnectBody: POST /connect answers 400 unless a strict decoder —
+// unknown fields refused, exactly one value — accepts the body; it never
+// answers anything but 200, 400 or 409; and a 200 echoes the endpoints
+// that decoder read.
+func FuzzConnectBody(f *testing.F) {
+	for _, body := range []string{
+		`{"src":0,"dst":15}`, `{"dst":3,"src":9}`, " {\"src\":1,\"dst\":2}\n", `{"src":4}`, `{}`,
+		`{"src":-1,"dst":2}`, `{"src":16,"dst":0}`, `{"src":1.5,"dst":2}`, `null`, `{`, ``,
+		`{"source":3,"dest":9}`, `{"src":1,"dst":2} {"src":5}`, `{"src":1,"dst":2}x`,
+	} {
+		f.Add([]byte(body))
+	}
+	router := newTestRouter(f, 1, 2, 4, 1, federation.PolicyRoundRobin)
+	f.Cleanup(func() { router.Close(context.Background()) })
+	h := newServer(router).routes()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post("/connect", body)
+		var want connectRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		strict := dec.Decode(&want) == nil && dec.Decode(&struct{}{}) == io.EOF
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK, http.StatusConflict:
+			if !strict {
+				t.Fatalf("status %d for a body a strict decoder refuses: %q", rec.Code, body)
+			}
+		default:
+			t.Fatalf("status %d for %q", rec.Code, body)
+		}
+		if rec.Code == http.StatusConflict {
+			return
+		}
+		var got connectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Src != want.Src || got.Dst != want.Dst {
+			t.Fatalf("granted %d→%d for %q, which reads %d→%d", got.Src, got.Dst, body, want.Src, want.Dst)
+		}
+		// Hand the circuit back so the plane never fills up.
+		if rec := post("/release", []byte(fmt.Sprintf(`{"id":%d}`, got.ID))); rec.Code != http.StatusOK {
+			t.Fatalf("release status %d", rec.Code)
+		}
+	})
 }

@@ -1,10 +1,12 @@
 // Dynamic connections through the serving path: long-lived circuits
 // arriving and departing over time — the scenario the paper motivates
-// ("especially beneficial to setup long-lived connections") — driven
-// through the concurrent fabric API instead of the batch simulator.
-// Concurrent clients call Connect/Release against one epoch-batched
-// fabric manager; the sweep raises offered load (client count × held
-// circuits) and reports blocking probability and admission throughput.
+// ("especially beneficial to setup long-lived connections") — driven by
+// concurrent clients on the wall clock. Extension E4 admits the same
+// churn through the same fabric manager, one request per epoch on
+// simulated time; here concurrent clients call Connect/Release against
+// one epoch-batched manager, and the sweep raises offered load (client
+// count × held circuits) and reports blocking probability and admission
+// throughput.
 //
 //	go run ./examples/dynamic_connections
 package main

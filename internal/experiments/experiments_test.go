@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -277,13 +278,27 @@ func TestExtSlimDegradesWithW(t *testing.T) {
 	}
 }
 
+// extDynamicSeed1 is E4's seed-1 sweep at full precision. It pins the run
+// exactly: determinism, near-zero Global blocking at the lightest load, and
+// blocking and utilization that grow with load are all read off it.
+const extDynamicSeed1 = `[{Scheduler:Local ArrivalRate:0.5 Blocking:0.3704433497536946 MeanActive:29.685010555946516 Utilization:0.053351100677339905} ` +
+	`{Scheduler:Global ArrivalRate:0.5 Blocking:0 MeanActive:47.5629390278168 Utilization:0.08829494218003653} ` +
+	`{Scheduler:Local ArrivalRate:1 Blocking:0.4222047106207863 MeanActive:43.14683477804045 Utilization:0.07744668196195605} ` +
+	`{Scheduler:Global ArrivalRate:1 Blocking:0.0002639218791237794 MeanActive:75.89891792029559 Utilization:0.13967326608823788} ` +
+	`{Scheduler:Local ArrivalRate:2 Blocking:0.442905686991088 MeanActive:57.800987369365906 Utilization:0.10283534343543631} ` +
+	`{Scheduler:Global ArrivalRate:2 Blocking:0.0009664325752206688 MeanActive:104.1700277044005 Utilization:0.19118980937117452} ` +
+	`{Scheduler:Local ArrivalRate:4 Blocking:0.4543548478494928 MeanActive:64.31314104380348 Utilization:0.11344721083966114} ` +
+	`{Scheduler:Global ArrivalRate:4 Blocking:0.0015291385852636348 MeanActive:117.60644503596308 Utilization:0.21550146542447754} ` +
+	`{Scheduler:Local ArrivalRate:8 Blocking:0.4563187729243081 MeanActive:64.81265977548071 Utilization:0.11441438595851394} ` +
+	`{Scheduler:Global ArrivalRate:8 Blocking:0.002112049799911072 MeanActive:120.00305691418409 Utilization:0.21991669691737994}]`
+
 func TestExtDynamic(t *testing.T) {
 	cells, err := ExtDynamic(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 10 {
-		t.Fatalf("cells = %d", len(cells))
+	if got := fmt.Sprintf("%+v", cells); got != extDynamicSeed1 {
+		t.Fatalf("E4 cells moved:\n got %s\nwant %s", got, extDynamicSeed1)
 	}
 	// At the heaviest load, Global blocks no more than Local.
 	var lastLocal, lastGlobal float64

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dynamic"
+	"repro/internal/des"
+	"repro/internal/fabric"
 	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -152,28 +156,94 @@ func ExtDynamic(seed int64) ([]DynamicCell, error) {
 	}
 	for _, rate := range []float64{0.5, 1, 2, 4, 8} {
 		for _, spec := range specs {
-			st, err := dynamic.Run(dynamic.Config{
-				Tree:        tree,
-				Scheduler:   spec.Make(),
-				ArrivalRate: rate,
-				MeanHold:    120,
-				Duration:    20000,
-				WarmUp:      2000,
-				Seed:        seed,
-			})
+			c, err := churnCell(tree, spec, rate, seed)
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, DynamicCell{
-				Scheduler:   spec.Label,
-				ArrivalRate: rate,
-				Blocking:    st.BlockingProbability(),
-				MeanActive:  st.MeanActive,
-				Utilization: st.MeanUtilization,
-			})
+			cells = append(cells, c)
 		}
 	}
 	return cells, nil
+}
+
+// churnCell runs one offered-load point: Poisson arrivals at rate per
+// cycle between random endpoints, exponential holds, and a connection that
+// cannot be routed at arrival is lost. A des.Kernel drives a BatchSize-1
+// fabric.Manager on this goroutine, so each Connect is its own epoch (no
+// timer), and a departure's Release parks in the release ring until the
+// next epoch retires it before scheduling. Samples are taken at each
+// arrival after the warm-up, utilization from the occupancy gauge right
+// after Connect. The cell fails unless, once every connection has departed
+// and the manager is closed, the fabric accounts for every request and
+// holds nothing.
+func churnCell(tree *topology.Tree, spec SchedulerSpec, rate float64, seed int64) (DynamicCell, error) {
+	const meanHold, horizon, warmUp = 120, des.Time(20000), des.Time(2000)
+	m, err := fabric.New(fabric.Config{Tree: tree, SchedulerSpec: spec.Spec, BatchSize: 1})
+	if err != nil {
+		return DynamicCell{}, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	channels := float64(2 * tree.TotalLinks())
+	n := tree.Nodes()
+	var kernel des.Kernel
+	var failed error
+	active, offered, blocked := 0, 0, 0
+	var activeSum, utilSum float64
+
+	var arrive func()
+	arrive = func() {
+		now := kernel.Now()
+		if now >= horizon || failed != nil {
+			return
+		}
+		measured := now >= warmUp
+		src, dst := rng.Intn(n), rng.Intn(n)
+		h, err := m.Connect(context.Background(), src, dst)
+		if measured {
+			offered++
+			activeSum += float64(active)
+			utilSum += float64(m.Unavailable()) / channels
+		}
+		switch {
+		case err == nil:
+			active++
+			hold := des.Time(rng.ExpFloat64()*meanHold) + 1
+			kernel.After(hold, func() {
+				active--
+				if err := h.Release(); err != nil && failed == nil {
+					failed = err
+				}
+			})
+		case errors.Is(err, fabric.ErrUnroutable):
+			if measured {
+				blocked++
+			}
+		default:
+			failed = err
+			return
+		}
+		gap := des.Time(rng.ExpFloat64()/rate) + 1
+		kernel.After(gap, arrive)
+	}
+	kernel.At(0, arrive)
+	kernel.Run() // past the horizon only departures remain
+	if failed == nil {
+		failed = m.Close(context.Background())
+	}
+	if st := m.Stats(); failed == nil && (st.Offered != st.Granted+st.Rejected+st.Cancelled || st.Active != 0 || st.Occupancy != 0) {
+		failed = fmt.Errorf("fabric did not drain: offered %d, granted %d, rejected %d, cancelled %d, active %d, occupancy %d",
+			st.Offered, st.Granted, st.Rejected, st.Cancelled, st.Active, st.Occupancy)
+	}
+	if failed != nil {
+		return DynamicCell{}, fmt.Errorf("experiments: churn %s at %v/cycle: %w", spec.Label, rate, failed)
+	}
+	return DynamicCell{
+		Scheduler:   spec.Label,
+		ArrivalRate: rate,
+		Blocking:    float64(blocked) / float64(offered),
+		MeanActive:  activeSum / float64(offered),
+		Utilization: utilSum / float64(offered),
+	}, nil
 }
 
 // DynamicTable renders the churn study.

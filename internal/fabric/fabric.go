@@ -1315,7 +1315,8 @@ func newTrackedState(tree *topology.Tree) *linkstate.State {
 }
 
 // releaseRetainedLocked drops the partial allocations of a rejected
-// request (mirrors internal/dynamic's handling of no-rollback schedulers).
+// request, which a no-rollback scheduler leaves in its outcome: a rejected
+// connection holds nothing.
 func (m *Manager) releaseRetainedLocked(o *core.Outcome) {
 	core.ReleaseRoute(m.st, o.Src, o.Dst, o.Ports, nil)
 	m.publishRouteLocked(o.Src, o.Dst, o.Ports)

@@ -102,6 +102,10 @@ go test -race -run 'TestViewMatchesRows|TestRoutableRacesChurn' -count=2 ./inter
 # Config fuzz: any file the config parser accepts, with small planes, is
 # accepted by Validate exactly when Build and New succeed.
 go test -run '^$' -fuzz FuzzValidateMatchesNew -fuzztime 10s ./internal/federation
+# Request-body fuzz: POST /connect answers 200 or 409 only for a body a
+# strict decoder (unknown fields refused, one JSON value) accepts, and a
+# 200 echoes the endpoints that decoder read.
+go test -run '^$' -fuzz FuzzConnectBody -fuzztime 10s ./cmd/ftserve
 
 # Histogram oracle: the fixed-size recent-sample histogram behind every
 # Stats distribution against stats.Summarize / Percentile / Histogram over
