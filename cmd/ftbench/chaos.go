@@ -139,7 +139,7 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (loopCounts, fabric.S
 	injWg.Wait()
 	var s fabric.Stats
 	if err == nil {
-		s, err = settle(fab, tree)
+		s, err = settle(fab)
 	}
 	if cerr := fab.Close(context.Background()); err == nil {
 		err = cerr

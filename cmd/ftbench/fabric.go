@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -60,18 +59,6 @@ func (c loopCounts) schedulability() float64 {
 		return 0
 	}
 	return float64(c.admitted) / float64(c.offered())
-}
-
-// occupancyConsistent is the accounting check every harness snapshot
-// passes: the occupancy gauge and the utilization of one Stats snapshot are
-// read under one lock, so the gauge is exactly the occupied-channel count
-// the utilization was computed from — whatever the injector is doing.
-func occupancyConsistent(s fabric.Stats, tree *topology.Tree) error {
-	channels := 2 * tree.TotalLinks()
-	if want := int64(math.Round(s.Utilization * float64(channels))); s.Occupancy != want {
-		return fmt.Errorf("occupancy gauge reads %d, utilization %.6f of %d channels is %d", s.Occupancy, s.Utilization, channels, want)
-	}
-	return nil
 }
 
 // closedLoop drives cfg.Clients concurrent FIFO-churn clients against
@@ -129,32 +116,25 @@ func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig)
 }
 
 // healer is what settle needs of a *fabric.Manager; a test substitutes a
-// fake whose Stats break the repair identity.
+// fake whose invariants do not hold.
 type healer interface {
 	RepairAll() int
 	Stats() fabric.Stats
+	CheckInvariants() error
 }
 
-// settle ends a fault run once its injector has stopped: repair every
-// link still down, wait until no repair ticket is pending and the epoch
-// queue is empty (budget deferrals included; 15 s at most), and return
-// the settled Stats. Every poll must pass occupancyConsistent, and the settled
-// snapshot must satisfy revoked = repaired + repair_failed +
-// repair_aborted — no connection may vanish, however the links failed.
-func settle(fab healer, tree *topology.Tree) (fabric.Stats, error) {
+// settle ends a fault run once its injector and its clients have stopped:
+// repair every link still down, wait until no repair ticket is pending and
+// the epoch queue is empty (15 s at most), and return the settled Stats and
+// the quiescent manager's CheckInvariants verdict — no connection may
+// vanish and no channel leak, however the links failed.
+func settle(fab healer) (fabric.Stats, error) {
 	fab.RepairAll()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		s := fab.Stats()
-		if err := occupancyConsistent(s, tree); err != nil {
-			return s, err
-		}
 		if s.PendingRepairs == 0 && s.QueueDepth == 0 {
-			if n := unaccounted(s); n != 0 {
-				return s, fmt.Errorf("%d unaccounted connections (revoked %d, repaired %d, failed %d, aborted %d)",
-					n, s.Revoked, s.Repaired, s.RepairFailed, s.RepairAborted)
-			}
-			return s, nil
+			return s, fab.CheckInvariants()
 		}
 		if time.Now().After(deadline) {
 			return s, fmt.Errorf("repairs failed to settle: %d pending", s.PendingRepairs)
@@ -163,8 +143,9 @@ func settle(fab healer, tree *topology.Tree) (fabric.Stats, error) {
 	}
 }
 
-// unaccounted is revoked − repaired − failed − aborted, which must be 0:
-// every revocation resolves.
+// unaccounted is revoked − repaired − failed − aborted, the -chaos and
+// -gray tables' unacct column: 0 once settle has passed, since every
+// revocation resolves.
 func unaccounted(s fabric.Stats) int64 {
 	return int64(s.Revoked) - int64(s.Repaired) - int64(s.RepairFailed) - int64(s.RepairAborted)
 }

@@ -215,7 +215,7 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	}
 	var s fabric.Stats
 	if err == nil {
-		s, err = settle(fab, tree)
+		s, err = settle(fab)
 	}
 	total := time.Since(start)
 	if cerr := fab.Close(context.Background()); err == nil {

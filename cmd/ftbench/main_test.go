@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -75,29 +76,22 @@ func TestChaosBench(t *testing.T) {
 	}
 }
 
-// brokenFabric is a healer whose settled Stats lose a connection.
-type brokenFabric struct{ stats fabric.Stats }
+// brokenFabric is a settled healer whose invariants report err.
+type brokenFabric struct{ err error }
 
-func (b brokenFabric) RepairAll() int      { return 0 }
-func (b brokenFabric) Stats() fabric.Stats { return b.stats }
+func (b brokenFabric) RepairAll() int         { return 0 }
+func (b brokenFabric) Stats() fabric.Stats    { return fabric.Stats{} }
+func (b brokenFabric) CheckInvariants() error { return b.err }
 
 // TestSettleFailsOnRepairIdentity pins what makes -chaos and -gray exit
-// non-zero: a settled fabric whose revocations do not all resolve.
+// non-zero: a settled fabric that fails CheckInvariants — here, one whose
+// revocations do not all resolve.
 func TestSettleFailsOnRepairIdentity(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	good := fabric.Stats{Revoked: 5, Repaired: 3, RepairFailed: 1, RepairAborted: 1}
-	if _, err := settle(brokenFabric{good}, tree); err != nil {
-		t.Fatalf("balanced stats rejected: %v", err)
-	}
-	bad := good
-	bad.Repaired = 2
-	if _, err := settle(brokenFabric{bad}, tree); err == nil || !strings.Contains(err.Error(), "1 unaccounted") {
-		t.Fatalf("err = %v, want 1 unaccounted", err)
-	}
-	gauge := good
-	gauge.Occupancy = 1 // utilization 0: the gauge disagrees
-	if _, err := settle(brokenFabric{gauge}, tree); err == nil {
-		t.Fatal("inconsistent occupancy gauge accepted")
+	lost := errors.New("fabric: Revoked vs Repaired + RepairFailed + RepairAborted + PendingRepairs: 5 != 4")
+	if _, err := settle(brokenFabric{}); err != nil {
+		t.Fatalf("a consistent fabric rejected: %v", err)
+	} else if _, err := settle(brokenFabric{lost}); err != lost {
+		t.Fatalf("err = %v, want %v", err, lost)
 	}
 }
 

@@ -218,11 +218,10 @@ func TestConcurrentHTTPClients(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	s := router.Stats()
-	if s.Offered != s.Granted+s.Rejected+s.Cancelled {
-		t.Errorf("counter identity offered = granted + rejected + cancelled broken: %+v", s)
+	if err := router.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
-	for _, ps := range s.Planes {
+	for _, ps := range router.Stats().Planes {
 		if ps.Fabric.Active != 0 || ps.Occupancy != 0 {
 			t.Errorf("plane %s not drained after all releases: %+v", ps.Name, ps)
 		}

@@ -174,8 +174,8 @@ func ExtDynamic(seed int64) ([]DynamicCell, error) {
 // next epoch retires it before scheduling. Samples are taken at each
 // arrival after the warm-up, utilization from the occupancy gauge right
 // after Connect. The cell fails unless, once every connection has departed
-// and the manager is closed, the fabric accounts for every request and
-// holds nothing.
+// and the manager is closed, the fabric passes CheckInvariants and holds
+// nothing.
 func churnCell(tree *topology.Tree, spec SchedulerSpec, rate float64, seed int64) (DynamicCell, error) {
 	const meanHold, horizon, warmUp = 120, des.Time(20000), des.Time(2000)
 	m, err := fabric.New(fabric.Config{Tree: tree, SchedulerSpec: spec.Spec, BatchSize: 1})
@@ -230,9 +230,11 @@ func churnCell(tree *topology.Tree, spec SchedulerSpec, rate float64, seed int64
 	if failed == nil {
 		failed = m.Close(context.Background())
 	}
-	if st := m.Stats(); failed == nil && (st.Offered != st.Granted+st.Rejected+st.Cancelled || st.Active != 0 || st.Occupancy != 0) {
-		failed = fmt.Errorf("fabric did not drain: offered %d, granted %d, rejected %d, cancelled %d, active %d, occupancy %d",
-			st.Offered, st.Granted, st.Rejected, st.Cancelled, st.Active, st.Occupancy)
+	if failed == nil {
+		failed = m.CheckInvariants()
+	}
+	if st := m.Stats(); failed == nil && st.Active != 0 {
+		failed = fmt.Errorf("fabric did not drain: %d connections active", st.Active)
 	}
 	if failed != nil {
 		return DynamicCell{}, fmt.Errorf("experiments: churn %s at %v/cycle: %w", spec.Label, rate, failed)

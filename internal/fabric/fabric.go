@@ -57,8 +57,13 @@
 // cancelled / released / overflow), epoch-size and epoch-latency
 // distributions built on internal/stats, and a live utilization
 // snapshot, all through Stats. The optional Config.Trace hook observes
-// every state mutation in serialization order, which is how tests replay
-// the grant/release history against a fresh link state.
+// every state mutation in serialization order.
+//
+// Consistency: CheckInvariants is the one statement of what a consistent
+// plane is — the link rows are the replay of every active route over the
+// fault mask (no channel held twice, every down-path the mirror of its
+// up-path), the gauges and the published view agree with them, and every
+// counter identity holds. Callers quiesce first: no Connect in flight.
 package fabric
 
 import (

@@ -1,0 +1,599 @@
+package fabric
+
+// The operation generator: sequences of every operation that changes a
+// plane, run against a Manager and the reference fabric (oracle_test.go)
+// side by side. After every operation CheckInvariants holds and the link
+// states are equal. An epoch no repair ticket shares matches the
+// reference's verdicts (grant, fail level, cause, ports) bit for bit; the
+// reference adopts what a shared one grants. Every Fail revokes exactly the
+// held routes crossing the channels it newly masks, every fault verb
+// returns what the reference's model says, and Stats counts what the
+// generator did. A release is split in two steps — claim, the owner's
+// released CAS, and park, what Release does after it — that other
+// operations can separate. Epochs run only when the generator flushes and
+// every timer is an hour out, so each outcome is a function of the sequence.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/topology"
+)
+
+// gen is one generated sequence in progress.
+type gen struct {
+	m    *Manager
+	ref  *refFabric
+	tree *topology.Tree
+	// held: connections the generator owns, active or repairing; claimed:
+	// released by CAS, not parked yet; revoked: since the last flush, so
+	// each has a repair ticket queued.
+	held, claimed, revoked []*Handle
+	// marks leads a claimed handle to the interleaving that crashed the
+	// manager before Fail revoked every crossing handle (1: revoked while
+	// claimed, 2: then healed by RepairAll); healedParks counts its parks.
+	marks       map[*Handle]int
+	healedParks int
+	// What Stats must count.
+	offered, granted, rejected, cancelled, epochs int
+	closed                                        bool
+	last                                          string // the operation in progress
+}
+
+// newGen starts a sequence. retries 1 makes a denied repair terminal, 2
+// parks it in an hour-long backoff; a channel's damp-th down-transition
+// quarantines it (no decay to speak of), damp 0 turns damping off. A
+// backoff or a quarantine leaves a timer that keeps the manager reachable
+// for that hour, so the exhaustive mode, building thousands, has neither.
+func newGen(tree *topology.Tree, rollback bool, retries, damp int) (*gen, error) {
+	spec := "level-wise"
+	if rollback {
+		spec += ",rollback"
+	}
+	m, err := New(Config{Tree: tree, SchedulerSpec: spec, BatchSize: 1 << 20, MaxWait: time.Hour,
+		RepairRetries: retries, RepairBackoff: time.Hour,
+		FlapThreshold: max(float64(damp)-0.5, 0), FlapHalfLife: time.Hour, QuarantineProbation: time.Hour})
+	if err != nil {
+		return nil, err
+	}
+	m.Routable(0, tree.Nodes()-1) // switches the view on
+	return &gen{m: m, ref: newRefFabric(tree, spec, damp), tree: tree, marks: map[*Handle]int{}}, nil
+}
+
+// owned is every connection the generator has not finished releasing.
+func (g *gen) owned() []*Handle { return append(slices.Clone(g.held), g.claimed...) }
+
+// check is what must hold after every operation.
+func (g *gen) check() error {
+	if err := g.m.CheckInvariants(); err != nil {
+		return err
+	}
+	g.m.mu.Lock()
+	defer g.m.mu.Unlock()
+	if diff := rowsDiff(g.ref.st, g.m.st); diff != "" {
+		return fmt.Errorf("manager rows differ from the reference's: %s", diff)
+	}
+	return nil
+}
+
+// epoch queues one ticket per request as Connect does, cancels the marked
+// ones as a Connect whose context ended does, and runs one flush.
+func (g *gen) epoch(reqs []core.Request, cancel []bool) error {
+	g.last = fmt.Sprintf("epoch %v cancelling %v", reqs, cancel)
+	if g.closed {
+		for _, r := range reqs {
+			if _, err := g.m.Connect(context.Background(), r.Src, r.Dst); !errors.Is(err, ErrDraining) || !errors.Is(err, ErrClosed) {
+				return fmt.Errorf("Connect after Close = %v, want ErrDraining, an ErrClosed", err)
+			}
+		}
+		return nil
+	}
+	var live []core.Request
+	var tickets []*ticket
+	for i, r := range reqs {
+		if err := g.m.acquireSlot(context.Background(), nil); err != nil {
+			return err
+		}
+		tk := g.m.getTicket(r.Src, r.Dst)
+		if ok, _ := g.m.enqueue(tk); !ok {
+			return errors.New("enqueue refused on an open manager")
+		}
+		g.offered++
+		if cancel[i] && tk.state.CompareAndSwap(ticketWaiting, ticketCancelled) {
+			g.m.cancelled.Add(1) // Connect counts its own cancellation
+			g.cancelled++
+			continue
+		}
+		live, tickets = append(live, r), append(tickets, tk)
+	}
+	return g.flush(func() error {
+		g.m.mu.Lock()
+		b := g.m.flushLocked()
+		g.m.mu.Unlock()
+		g.m.deliver(b)
+		return nil
+	}, live, tickets)
+}
+
+// flush runs a pass (an epoch, or Close's last one) over the live client
+// tickets and the repair tickets queued, and checks its verdicts.
+func (g *gen) flush(run func() error, live []core.Request, tickets []*ticket) error {
+	shared := false
+	for _, h := range g.revoked {
+		shared = shared || h.Repairing()
+	}
+	if len(live) > 0 || shared {
+		g.epochs++
+	}
+	if err := run(); err != nil {
+		return err
+	}
+	grants, denials := make([]*Handle, len(tickets)), make([]*UnroutableError, len(tickets))
+	for i, tk := range tickets {
+		r := <-tk.resp
+		g.m.putTicket(tk)
+		switch {
+		case r.err == nil:
+			g.granted++
+			grants[i], g.held = r.h, append(g.held, r.h)
+		case errors.As(r.err, &denials[i]):
+			g.rejected++
+		default:
+			return fmt.Errorf("%v: %v", live[i], r.err)
+		}
+	}
+	if !shared && len(live) > 0 {
+		for i, w := range g.ref.epoch(live, grants) {
+			h, d := grants[i], denials[i]
+			switch {
+			case (h != nil) != w.Granted || h != nil && !slices.Equal(h.ports(), w.Ports):
+				return fmt.Errorf("%v: manager grants %v, reference %v %v", live[i], h != nil, w.Granted, w.Ports)
+			case h == nil && (d.FailLevel != w.FailLevel || d.FaultBlocked != g.ref.blocked(w.Src, w.Dst) ||
+				d.FaultBlocked != strings.Contains(d.Error(), "blocked by faults")):
+				return fmt.Errorf("%v: manager denies at level %d (fault-blocked %v), reference at %d",
+					live[i], d.FailLevel, d.FaultBlocked, w.FailLevel)
+			}
+		}
+	}
+	for _, h := range append(grants, g.revoked...) {
+		if shared && h != nil && h.state.Load() == handleActive { // granted or re-admitted beside repairs
+			if err := g.ref.hold(h); err != nil {
+				return err
+			}
+		}
+	}
+	g.revoked = g.revoked[:0]
+	return nil
+}
+
+// claim is a release's first step, the owner's released CAS.
+func (g *gen) claim(i int) error {
+	h := g.held[i]
+	g.held = slices.Delete(g.held, i, i+1)
+	g.last = fmt.Sprintf("claim %d→%d", h.src, h.dst)
+	if !h.released.CompareAndSwap(false, true) {
+		return errors.New("a held handle was already released")
+	}
+	g.claimed = append(g.claimed, h)
+	return nil
+}
+
+// park is a release's second step: what Release does after its CAS. A
+// dead handle's release reports why; any other's reports nothing.
+func (g *gen) park(i int) error {
+	h := g.claimed[i]
+	g.claimed = slices.Delete(g.claimed, i, i+1)
+	g.last = fmt.Sprintf("park %d→%d", h.src, h.dst)
+	if g.marks[h] == 2 {
+		g.healedParks++
+	}
+	delete(g.marks, h)
+	dead := h.state.Load() == handleDead
+	var err error
+	if !(h.state.Load() == handleActive && !g.m.closed.Load() && g.m.relRing.push(h)) {
+		err = g.m.releaseSlow(h)
+	}
+	if dead != (err != nil) {
+		return fmt.Errorf("release of a handle dead=%v = %v", dead, err)
+	}
+	return g.ref.release(h)
+}
+
+// release takes both steps at once.
+func (g *gen) release(i int) error {
+	if err := g.claim(i); err != nil {
+		return err
+	}
+	return g.park(len(g.claimed) - 1)
+}
+
+// fail fails fs and checks the revocations against the reference's.
+func (g *gen) fail(fs *faults.FaultSet) error {
+	g.last = fmt.Sprintf("fail %+v", fs.Links)
+	owned := g.owned()
+	active := make([]bool, len(owned))
+	for i, h := range owned {
+		active[i] = h.state.Load() == handleActive
+	}
+	fresh, dropped, err := g.ref.fail(fs.Channels(g.tree))
+	if err != nil {
+		return err
+	}
+	failed, revoked, err := g.m.Fail(fs)
+	switch {
+	case g.closed != errors.Is(err, ErrClosed) || !g.closed && err != nil:
+		return fmt.Errorf("Fail on a manager closed=%v = %v", g.closed, err)
+	case failed != fresh || revoked != len(dropped):
+		return fmt.Errorf("Fail = (%d failed, %d revoked), reference (%d, %d)", failed, revoked, fresh, len(dropped))
+	}
+	for i, h := range owned {
+		if got := active[i] && h.Repairing(); got != dropped[h] {
+			return fmt.Errorf("%d→%d revoked %v, crosses a newly masked channel %v", h.src, h.dst, got, dropped[h])
+		} else if got {
+			g.revoked = append(g.revoked, h)
+			if slices.Contains(g.claimed, h) {
+				g.marks[h] = 1
+			}
+		}
+	}
+	return nil
+}
+
+// repair repairs fs, or every fault when fs is nil (RepairAll).
+func (g *gen) repair(fs *faults.FaultSet) error {
+	var got, want int
+	var err error
+	if fs == nil {
+		g.last = "repair-all"
+		want, err = g.ref.repair(g.ref.failedChannels())
+		got = g.m.RepairAll()
+		for h := range g.marks {
+			g.marks[h] = 2
+		}
+	} else {
+		g.last = fmt.Sprintf("repair %+v", fs.Links)
+		want, err = g.ref.repair(fs.Channels(g.tree))
+		if err == nil {
+			got, err = g.m.Repair(fs)
+		}
+	}
+	if err == nil && got != want {
+		err = fmt.Errorf("the manager repaired %d channels, the reference %d", got, want)
+	}
+	return err
+}
+
+// flap takes a link down and up twice: under damping the second
+// down-transition quarantines its channels.
+func (g *gen) flap(fs *faults.FaultSet) error {
+	for _, op := range []func(*faults.FaultSet) error{g.fail, g.repair, g.fail, g.repair} {
+		if err := op(fs); err != nil {
+			return err
+		}
+		if err := g.check(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (g *gen) clearQuarantine() error {
+	g.last = "clear-quarantine"
+	want, err := g.ref.clearQuarantine()
+	if got := g.m.ClearQuarantine(); err == nil && got != want {
+		err = fmt.Errorf("ClearQuarantine = %d, reference lifts %d", got, want)
+	}
+	return err
+}
+
+// stats holds a snapshot to what the generator did and the reference holds.
+func (g *gen) stats() error {
+	g.last = "stats"
+	s := g.m.Stats()
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"Offered", int(s.Offered), g.offered},
+		{"Granted", int(s.Granted), g.granted},
+		{"Rejected", int(s.Rejected), g.rejected},
+		{"Cancelled", int(s.Cancelled), g.cancelled},
+		{"Epochs", int(s.Epochs), g.epochs},
+		{"EpochSize.N", s.EpochSize.N, g.epochs},
+		{"EpochLatencyMS.N", s.EpochLatencyMS.N, g.epochs},
+		{"RouteChurn.N", s.RouteChurn.N, g.epochs},
+		{"RepairDepth.N", s.RepairDepth.N, int(s.Repaired)},
+		{"RepairLatencyMS.N", s.RepairLatencyMS.N, int(s.Repaired)},
+		{"Active", int(s.Active), len(g.ref.conns)},
+		{"QueueDepth", s.QueueDepth, len(g.revoked)},
+		{"FaultyChannels", s.FaultyChannels, len(g.ref.failed)},
+		{"Quarantined", s.Quarantined, len(g.ref.quar)},
+		{"masked channels", int((1-s.DegradedCapacity)*float64(2*g.tree.TotalLinks()) + 0.5), g.ref.freshState().FailedCount()},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("Stats %s = %d, want %d", c.what, c.got, c.want)
+		}
+	}
+	return nil
+}
+
+// close closes the manager: its last pass runs the queued repair tickets.
+func (g *gen) close() error {
+	g.last = "close"
+	if g.closed {
+		return g.m.Close(context.Background())
+	}
+	g.closed, g.ref.closed = true, true
+	return g.flush(func() error { return g.m.Close(context.Background()) }, nil, nil)
+}
+
+// finish closes the manager, releases everything the generator still owns
+// and checks the plane is empty and Routable is Level-wise first-fit on it.
+func (g *gen) finish() error {
+	if err := g.close(); err != nil {
+		return err
+	}
+	for len(g.claimed) > 0 {
+		if err := g.park(0); err != nil {
+			return err
+		}
+	}
+	for len(g.held) > 0 {
+		if err := g.release(0); err != nil {
+			return err
+		}
+	}
+	if err := g.check(); err != nil {
+		return err
+	}
+	if s := g.m.Stats(); s.Active != 0 || s.PendingRepairs != 0 || len(g.ref.conns) != 0 {
+		return fmt.Errorf("after releasing everything: active %d, pending repairs %d, reference holds %d", s.Active, s.PendingRepairs, len(g.ref.conns))
+	}
+	return routableMismatch(g.m)
+}
+
+// errNoop is what an operation returns when the sequence so far leaves it
+// nothing to do.
+var errNoop = errors.New("nothing to do")
+
+// drive runs up to steps operations, each followed by check (and every
+// 100th by the Routable oracle), then finish. It stops early at an
+// operation with nothing to do and reports that step, -1 if none did.
+func (g *gen) drive(steps int, op func() error) (noop int, err error) {
+	noop = -1
+	for step := 0; step < steps && noop < 0; step++ {
+		err := op()
+		if errors.Is(err, errNoop) {
+			noop = step
+			continue
+		}
+		if err == nil {
+			err = g.check()
+		}
+		if err == nil && step%100 == 99 {
+			err = routableMismatch(g.m)
+		}
+		if err != nil {
+			return -1, fmt.Errorf("step %d (%s): %w", step, g.last, err)
+		}
+	}
+	if err := g.finish(); err != nil {
+		return -1, fmt.Errorf("finish (%s): %w", g.last, err)
+	}
+	return noop, nil
+}
+
+// routed is every active connection the generator owns that holds channels.
+func (g *gen) routed() []*Handle {
+	var out []*Handle
+	for _, h := range g.owned() {
+		if h.state.Load() == handleActive && len(h.ports()) > 0 {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// firstHop is the link h climbs out of its source's switch on, or, with
+// down, the one it descends into its destination's switch on.
+func (g *gen) firstHop(h *Handle, down bool) *faults.FaultSet {
+	end, dir := h.src, faults.Up
+	if down {
+		end, dir = h.dst, faults.Down
+	}
+	sw, _ := g.tree.NodeSwitch(end)
+	return &faults.FaultSet{Links: []faults.LinkFault{{Switch: sw, Port: h.ports()[0], Direction: dir}}}
+}
+
+// randomOp runs one operation drawn from rng.
+func (g *gen) randomOp(rng *rand.Rand) error {
+	n := g.tree.Nodes()
+	link := func() *faults.FaultSet {
+		h := rng.Intn(g.tree.LinkLevels())
+		return &faults.FaultSet{Links: []faults.LinkFault{{Level: h, Switch: rng.Intn(g.tree.SwitchesAt(h)),
+			Port: rng.Intn(g.tree.Parents()), Direction: faults.Direction(rng.Intn(3))}}}
+	}
+	switch k := rng.Intn(20); {
+	case k < 7 || k < 10 && len(g.held) == 0:
+		reqs, cancel := make([]core.Request, 1+rng.Intn(6)), make([]bool, 6)
+		for i := range reqs {
+			reqs[i] = core.Request{Src: rng.Intn(n), Dst: rng.Intn(n)}
+			cancel[i] = rng.Intn(4) == 0
+		}
+		return g.epoch(reqs, cancel)
+	case k < 9:
+		return g.release(rng.Intn(len(g.held)))
+	case k < 10:
+		return g.claim(rng.Intn(len(g.held)))
+	case k < 12 && len(g.claimed) > 0:
+		return g.park(rng.Intn(len(g.claimed)))
+	case k < 15: // two in three fail the first hop of a held route, up or down
+		routed := g.routed()
+		if k == 12 || len(routed) == 0 {
+			return g.fail(link())
+		}
+		return g.fail(g.firstHop(routed[rng.Intn(len(routed))], rng.Intn(2) == 0))
+	case k < 16: // repair one failed link, both its channels
+		failed := g.ref.failedChannels()
+		if len(failed) == 0 {
+			return g.repair(nil)
+		}
+		c := failed[rng.Intn(len(failed))]
+		return g.repair(&faults.FaultSet{Links: []faults.LinkFault{{Level: c.Level, Switch: c.Switch, Port: c.Port}}})
+	case k < 17:
+		return g.repair(nil)
+	case k < 18:
+		return g.flap(link())
+	case k < 19:
+		return g.clearQuarantine()
+	case rng.Intn(20) == 0:
+		return g.close()
+	default:
+		return g.stats()
+	}
+}
+
+// runRandom runs one seeded sequence of steps operations, a channel's
+// damp-th down-transition quarantining it. Odd seeds schedule with
+// rollback, even ones without; seeds 1 and 2 mod 4 make a denied repair
+// terminal, 3 and 0 park it in backoff.
+func runRandom(tree *topology.Tree, damp int, seed int64, steps int) (*gen, error) {
+	g, err := newGen(tree, seed%2 == 1, 1+int(seed/2)%2, damp)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	_, err = g.drive(steps, func() error { return g.randomOp(rng) })
+	return g, err
+}
+
+// TestGenerator is the random mode: 400 seeded operations on two- and
+// three-level trees with wide and narrow rows and on a six-level tree whose
+// routes outgrow a Handle's inline array, each with rollback (odd seeds)
+// and without (even seeds). A link's second flap quarantines it, except on
+// FT(3,4,2): there damping is on with a threshold no sequence reaches, and
+// the manager must match the reference's clean-fault model bit for bit.
+func TestGenerator(t *testing.T) {
+	for _, shape := range [][3]int{{2, 4, 4}, {3, 4, 4}, {3, 6, 3}, {3, 4, 2}, {6, 2, 2}} {
+		damp := 2
+		if shape == [3]int{3, 4, 2} {
+			damp = 1000
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("FT%v/seed=%d", shape, seed), func(t *testing.T) {
+				if _, err := runRandom(topology.MustNew(shape[0], shape[1], shape[2]), damp, seed, 400); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestGeneratorParkedReleaseSeed is the seed on which the random mode
+// reaches, unaided, the interleaving that crashed the manager before Fail
+// revoked every crossing handle: a release claimed, a Fail crossing its
+// route, RepairAll, the release parked, then a drain (steps 11, 25, 37 and
+// 86). Before the one teardown rule the parked route named a channel that
+// was free again and its teardown panicked with "release invariant
+// violation".
+func TestGeneratorParkedReleaseSeed(t *testing.T) {
+	g, err := runRandom(topology.MustNew(2, 4, 4), 2, 8, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.healedParks == 0 {
+		t.Fatal("the seed no longer parks a claimed release that a Fail revoked and RepairAll healed under")
+	}
+}
+
+// exhaustiveOps is the bounded-exhaustive mode's alphabet; exhaustiveOp
+// makes each a fixed function of the sequence so far.
+var exhaustiveOps = []string{"connect", "batch", "release", "claim", "park", "fail", "repair-all", "flap", "stats", "close"}
+
+func (g *gen) exhaustiveOp(op string) error {
+	n := g.tree.Nodes()
+	switch op {
+	case "connect":
+		pairs := []core.Request{{Src: 0, Dst: n - 1}, {Src: n - 1, Dst: 0}, {Src: 1, Dst: n - 1}, {Src: 0, Dst: 1}}
+		return g.epoch(pairs[g.offered%len(pairs):][:1], []bool{false})
+	case "batch":
+		return g.epoch([]core.Request{{Src: 0, Dst: n - 1}, {Src: 1, Dst: n - 2}, {Src: 1, Dst: n - 1}, {Src: n - 1, Dst: 0}},
+			[]bool{false, true, false, false})
+	case "release", "claim":
+		if len(g.held) == 0 {
+			return errNoop
+		} else if op == "release" {
+			return g.release(0)
+		}
+		return g.claim(len(g.held) - 1)
+	case "park":
+		if len(g.claimed) == 0 {
+			return errNoop
+		}
+		return g.park(0)
+	case "fail": // the first hop of the newest routed connection, or link 0
+		if routed := g.routed(); len(routed) > 0 {
+			return g.fail(g.firstHop(routed[len(routed)-1], false))
+		}
+		return g.fail(&faults.FaultSet{Links: []faults.LinkFault{{}}})
+	case "repair-all":
+		if len(g.ref.failed) == 0 {
+			return errNoop
+		}
+		return g.repair(nil)
+	case "flap":
+		return g.flap(&faults.FaultSet{Links: []faults.LinkFault{{Port: 1}}})
+	case "stats":
+		return g.stats()
+	}
+	if g.closed {
+		return errNoop
+	}
+	return g.close()
+}
+
+// exhaustiveDepth is k: every sequence of up to k operations runs. One
+// whose last operation has nothing to do stops there, and the sequences
+// extending it are skipped.
+const exhaustiveDepth = 4
+
+// TestGeneratorExhaustive is the bounded-exhaustive mode: every sequence of
+// up to exhaustiveDepth operations on FT(2,2,2) and FT(3,2,2), with and
+// without rollback. A denied repair is terminal and nothing is damped (see
+// newGen); the random mode covers backoff and quarantine.
+func TestGeneratorExhaustive(t *testing.T) {
+	for _, shape := range [][3]int{{2, 2, 2}, {3, 2, 2}} {
+		for _, rollback := range []bool{true, false} {
+			tree := topology.MustNew(shape[0], shape[1], shape[2])
+			t.Run(fmt.Sprintf("FT%v/rollback=%v", shape, rollback), func(t *testing.T) {
+				var extend func(prefix []string)
+				extend = func(prefix []string) {
+					for _, op := range exhaustiveOps {
+						seq := append(prefix[:len(prefix):len(prefix)], op)
+						g, err := newGen(tree, rollback, 1, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						step := -1
+						noop, err := g.drive(len(seq), func() error { step++; return g.exhaustiveOp(seq[step]) })
+						if err != nil {
+							t.Fatalf("sequence %v: %v", seq, err)
+						}
+						if noop < 0 && len(seq) < exhaustiveDepth {
+							extend(seq)
+						}
+					}
+				}
+				extend(nil)
+			})
+		}
+	}
+}

@@ -230,7 +230,7 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 // epoch claims now that tickets are pooled: a ticket the epoch's CAS
 // claimed must have its verdict honored even if the context fired, and
 // a cancel-won ticket must never be recycled while an epoch might
-// still touch it. The counter identity and the race detector are the
+// still touch it. CheckInvariants and the race detector are the
 // assertions; ci runs this with -race -count=2.
 func TestCancelRacesPooledTickets(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
@@ -276,12 +276,10 @@ func TestCancelRacesPooledTickets(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Stats()
-	if s.Offered != s.Granted+s.Rejected+s.Cancelled {
-		t.Errorf("counter identity violated: offered %d != granted %d + rejected %d + cancelled %d",
-			s.Offered, s.Granted, s.Rejected, s.Cancelled)
+	if err := m.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
-	if s.Active != 0 {
+	if s := m.Stats(); s.Active != 0 {
 		t.Errorf("active = %d after full release, want 0", s.Active)
 	}
 }

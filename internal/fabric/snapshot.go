@@ -40,7 +40,8 @@ func distOf(r *stats.Recent) Dist {
 
 // Stats is a consistent observability snapshot of a Manager. The counter
 // invariant is Offered == Granted + Rejected + Cancelled once the queue
-// is drained; Overflow counts requests turned away before ever entering
+// is drained — CheckInvariants states it and every other identity these
+// counters obey; Overflow counts requests turned away before ever entering
 // the queue by their own deadline (backpressure timeout or context
 // cancel while blocked), DrainRefused requests turned away because the
 // manager was draining — both are outside that identity.

@@ -210,6 +210,9 @@ func TestChaosPlaneKillAccounting(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 
 	if n := releasedOther.Load(); n != 0 {
 		t.Errorf("%d releases returned undocumented errors, first: %v", n, otherErr)

@@ -4,7 +4,11 @@ package federation
 // breakdown, the shape ftserve's /stats serves and bench/'s
 // fed_degraded workload summarizes.
 
-import "repro/internal/fabric"
+import (
+	"fmt"
+
+	"repro/internal/fabric"
+)
 
 // PlaneStats is one plane's view in a federated snapshot.
 type PlaneStats struct {
@@ -116,6 +120,26 @@ func (r *Router) Stats() Stats {
 		s.Imbalance = float64(maxG) / float64(minG)
 	}
 	return s
+}
+
+// CheckInvariants runs every plane's consistency check
+// (fabric.Manager.CheckInvariants) and then the router's own identity,
+// offered = granted + rejected + cancelled, returning the first violation.
+// Like the planes' check it holds only on a quiescent router: no Connect in
+// flight.
+func (r *Router) CheckInvariants() error {
+	for _, p := range r.planes {
+		if c, ok := p.surf.(interface{ CheckInvariants() error }); ok {
+			if err := c.CheckInvariants(); err != nil {
+				return fmt.Errorf("federation: plane %q: %w", p.name, err)
+			}
+		}
+	}
+	o, g, rj, c := r.offered.Load(), r.granted.Load(), r.rejected.Load(), r.cancelled.Load()
+	if o != g+rj+c {
+		return fmt.Errorf("federation: offered %d != granted %d + rejected %d + cancelled %d", o, g, rj, c)
+	}
+	return nil
 }
 
 // PlaneHealth is one plane's entry in a Health report: the router's

@@ -187,8 +187,10 @@ func TestCancelledConnectCounted(t *testing.T) {
 	if _, err := r.Connect(ctx, 0, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Connect = %v, want context.Canceled", err)
 	}
-	s := r.Stats()
-	if s.Offered != 1 || s.Cancelled != 1 || s.Offered != s.Granted+s.Rejected+s.Cancelled {
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Stats(); s.Offered != 1 || s.Cancelled != 1 {
 		t.Fatalf("offered/granted/rejected/cancelled = %d/%d/%d/%d, want 1/0/0/1",
 			s.Offered, s.Granted, s.Rejected, s.Cancelled)
 	}

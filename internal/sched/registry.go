@@ -125,7 +125,7 @@ var families = []family{
 			Aliases: []string{"local-greedy", "local-random"},
 			Summary: "the conventional adaptive baseline: climbs on local Ulink only, blind to Dlink",
 			Params: append([]ParamDoc{
-				{"retries", "extra randomized re-attempts after a failure (default 0)"},
+				{"retries", "extra randomized re-attempts after a failure (default 0, at most 64)"},
 			}, optionParams...),
 			Example: "local,policy=random,retries=2",
 		},
@@ -137,8 +137,10 @@ var families = []family{
 			if n, ok, err := p.intValue("retries"); err != nil {
 				return nil, err
 			} else if ok {
-				if n < 0 {
-					return nil, fmt.Errorf("invalid retries=%d (must be >= 0)", n)
+				// Every retry is a whole re-walk that each denied request
+				// pays, so an unbounded count is a batch that never ends.
+				if n < 0 || n > 64 {
+					return nil, fmt.Errorf("invalid retries=%d (must be 0..64)", n)
 				}
 				opts.Retries = n
 			}

@@ -61,6 +61,7 @@ func TestParseErrors(t *testing.T) {
 		{"backtrack,depth=x", "must be an integer"},
 		{"backtrack,depth=-1", "must be >= 0"},
 		{"stale,window=0", "must be >= 1"},
+		{"local,retries=1000000000", "must be 0..64"},
 		{"parallel,mode=chaotic", "invalid mode"},
 		{"parallel,workers=-2", "must be >= 0"},
 		{"parallel,steal", "steal requires mode=shard"},
@@ -80,14 +81,13 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseErrorTextExact(t *testing.T) {
-	// The CLI (-fabric-scheduler) and ftserve surface these verbatim, so
-	// the full text is contract, not just the substrings above.
+// parseErrorTexts are the rejections whose full text is contract: the CLI
+// (-fabric-scheduler) and ftserve surface them verbatim, so the whole
+// message is pinned, not just the substrings above. FuzzParse starts from
+// their specs.
+func parseErrorTexts() []struct{ spec, want string } {
 	registered := strings.Join(FamilyNames(), ", ")
-	cases := []struct {
-		spec string
-		want string
-	}{
+	return []struct{ spec, want string }{
 		{"", "sched: empty scheduler spec (try one of: " + registered + ")"},
 		{"   ", "sched: empty scheduler spec (try one of: " + registered + ")"},
 		{"optimol", `sched: unknown scheduler "optimol" (did you mean optimal?) — registered: ` + registered},
@@ -114,7 +114,10 @@ func TestParseErrorTextExact(t *testing.T) {
 		{"level-wise,incremental,reuse-cost=0", `sched: level-wise: invalid reuse-cost=0 (must be >= 1)`},
 		{"level-wise,incremental,reuse-cost=2,policy=random", `sched: level-wise: reuse-cost replaces the port policy (remove policy=random)`},
 	}
-	for _, c := range cases {
+}
+
+func TestParseErrorTextExact(t *testing.T) {
+	for _, c := range parseErrorTexts() {
 		_, err := Parse(c.spec)
 		if err == nil {
 			t.Errorf("Parse(%q): expected error, got nil", c.spec)

@@ -91,14 +91,21 @@ go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -cou
 go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise' -count=2 ./internal/linkstate
 go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
-# Published-view contract: the fabric's lock-free copy of its link rows
-# equals the rows after every kind of mutation (epochs with cancellations
-# and retained partial routes, releases, Fail/Repair/RepairAll, quarantine
-# entry and exit, ClearQuarantine, Close), Routable is Level-wise first-fit
-# on them for every pair, and readers racing 32 churning clients see no
-# torn row; under -race, -count=2 as above.
-go test -race -run 'TestViewMatchesRows|TestRoutableRacesChurn' -count=2 ./internal/fabric
+# The operation generator, both modes: seeded sequences on five trees and
+# every sequence of up to four operations on FT(2,2,2) and FT(3,2,2), with and
+# without rollback, run against the reference fabric — CheckInvariants and
+# the reference's link rows after every operation (epochs with
+# cancellations and retained partial routes, split releases, Fail with its
+# revocations, Repair, RepairAll, quarantine, ClearQuarantine, Stats,
+# Close), verdicts bit for bit, Routable Level-wise first-fit for every
+# pair; and readers racing 32 churning clients see no torn row of the
+# published view; under -race, -count=2 as above.
+go test -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn' -count=2 ./internal/fabric
 
+# Spec fuzz: no input makes sched.Parse panic, and an accepted spec's engine
+# schedules a seeded batch that core.Verify passes and whose routes release
+# back to a fresh state.
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sched
 # Config fuzz: any file the config parser accepts, with small planes, is
 # accepted by Validate exactly when Build and New succeed.
 go test -run '^$' -fuzz FuzzValidateMatchesNew -fuzztime 10s ./internal/federation
@@ -157,18 +164,15 @@ go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 # Handle and who reads the load counters (a spare surviving a denial and
 # dying with a cancelled ticket, Stats polling while epochs count
 # channels and record histograms with plain stores, the snapshot's JSON
-# keys) and of who tears a route down when a Release races Fail and then
-# Repair; -count=2 shakes out hand-off interleavings a single run can
+# keys); -count=2 shakes out hand-off interleavings a single run can
 # miss.
-go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys|TestRepairRetiresParkedReleasesFirst' ./internal/fabric
+go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys' ./internal/fabric
 
-# Parked-Release-vs-Fail-vs-Repair stress: the chaos harness under CPU
-# oversubscription is what found the teardown race (a panic in 1 of
-# 50-150 runs); twenty runs must all pass.
-stress=$(mktemp -d)
-trap 'rm -rf "$stress"' EXIT
-go test -c -o "$stress/ftbench.test" ./cmd/ftbench
-(cd cmd/ftbench && GOMAXPROCS=8 "$stress/ftbench.test" -test.run 'TestChaosBench$' -test.count 20)
+# Parked-Release-vs-Fail-vs-Repair: the generator seed that reaches, on
+# its own, a release claimed, a Fail crossing its route, RepairAll and the
+# release parked — the interleaving that once panicked the teardown (it
+# took the chaos harness 50-150 runs under CPU oversubscription to hit).
+go test -race -count=2 -run 'TestGeneratorParkedReleaseSeed$' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API. This
