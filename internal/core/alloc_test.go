@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/linkstate"
@@ -20,9 +21,13 @@ func permBatch(tree *topology.Tree, seed int64) []Request {
 	return reqs
 }
 
+// raceEnabled is set by race_test.go when the race detector is built in.
+var raceEnabled bool
+
 // TestScheduleIntoZeroAllocs is the arena regression guard: once the
-// Scratch has warmed up, the sequential Level-wise hot path must not
-// allocate at all — zero allocations per request, per level, per epoch.
+// Scratch has warmed up, the Level-wise hot path must not allocate at all
+// — zero allocations per request, per level, per epoch — on the
+// sequential sweep and on the level pipeline alike.
 func TestScheduleIntoZeroAllocs(t *testing.T) {
 	tree := topology.MustNew(3, 8, 8)
 	reqs := permBatch(tree, 1)
@@ -60,6 +65,57 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// A 4096-request permutation takes the level pipeline. AllocsPerRun
+	// pins GOMAXPROCS to 1, where the pipeline does not engage, so the
+	// mallocs are counted around the runs at GOMAXPROCS 2 or more; the
+	// first batch starts the helper and warms the Scratch, the next ones
+	// warm the hand-off.
+	t.Run("pipelined", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector allocates on its own")
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+		big := topology.MustNew(3, 16, 16)
+		reqs := permBatch(big, 1)
+		st := linkstate.New(big)
+		s := &LevelWise{Opts: Options{Rollback: true}}
+		sc := NewScratch()
+		s.ScheduleInto(st, reqs, sc)
+		wakeHelper()
+		for r := 0; r < 3; r++ {
+			st.Reset()
+			s.ScheduleInto(st, reqs, sc)
+		}
+		// Both stages on the caller: the pipeline's own buffers, counted
+		// exactly.
+		if allocs := testing.AllocsPerRun(10, func() {
+			st.Reset()
+			s.scheduleInto(st, reqs, sc, true)
+		}); allocs != 0 {
+			t.Fatalf("pipelined scheduleInto, helper absent, allocated %.1f times per %d-request batch, want 0", allocs, len(reqs))
+		}
+		// Stage B on the helper. A helper that parks allocates its channel
+		// waiter now and then, on its own goroutine, and the count is
+		// process-wide; an allocation of ScheduleInto's would show in every
+		// window, so one clean window passes.
+		const runs = 10
+		least := uint64(1 << 63)
+		for window := 0; window < 20 && least > 0; window++ {
+			wakeHelper()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < runs; r++ {
+				st.Reset()
+				s.ScheduleInto(st, reqs, sc)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if least != 0 {
+			t.Fatalf("pipelined ScheduleInto allocated %d times in %d %d-request batches, want 0", least, runs, len(reqs))
+		}
+	})
 
 	// The incremental delta path must hold the same bar: a full epoch of
 	// departures (every previously granted route torn down via the
@@ -145,20 +201,26 @@ func TestScheduleIntoMatchesSchedule(t *testing.T) {
 	}
 }
 
-// BenchmarkLevelWiseAllocs measures the sequential hot path with a
-// retained Scratch; run with -benchmem, allocs/op must stay 0 (the
-// TestScheduleIntoZeroAllocs guard enforces it).
+// BenchmarkLevelWiseAllocs measures the hot path with a retained Scratch
+// on one permutation per op; run with -benchmem, allocs/op must stay 0
+// (the TestScheduleIntoZeroAllocs guard enforces it). FT(3,8,8)'s 512
+// requests always take the sequential sweep; FT(3,16,16)'s 4096 take the
+// level pipeline when run with -cpu 2 or more.
 func BenchmarkLevelWiseAllocs(b *testing.B) {
-	tree := topology.MustNew(3, 8, 8)
-	reqs := permBatch(tree, 1)
-	st := linkstate.New(tree)
-	s := &LevelWise{Opts: Options{Rollback: true}}
-	sc := NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Reset()
-		s.ScheduleInto(st, reqs, sc)
+	for _, sh := range [][3]int{{3, 8, 8}, {3, 16, 16}} {
+		b.Run(fmt.Sprintf("FT%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			tree := topology.MustNew(sh[0], sh[1], sh[2])
+			reqs := permBatch(tree, 1)
+			st := linkstate.New(tree)
+			s := &LevelWise{Opts: Options{Rollback: true}}
+			sc := NewScratch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Reset()
+				s.ScheduleInto(st, reqs, sc)
+			}
+			b.ReportMetric(float64(b.N)*float64(len(reqs))/b.Elapsed().Seconds(), "requests/s")
+		})
 	}
-	b.ReportMetric(float64(b.N)*float64(len(reqs))/b.Elapsed().Seconds(), "requests/s")
 }

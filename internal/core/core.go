@@ -35,6 +35,25 @@
 // Other policies, tracing and rows wider than a word take the Vector loop
 // in ScheduleInto, which the differential test in word_test.go holds
 // bit-identical to the word sweep.
+//
+// # The level pipeline
+//
+// A large batch runs the same sweep on two CPUs, as the paper's P-block
+// chain runs it in hardware (internal/hardware): the caller preps each
+// request and resolves level 0, a process-wide helper goroutine reads the
+// caller's records in the same order and climbs levels 1…H−1. Level-major
+// order is what makes this bit-identical: a level-h step reads and writes
+// only level-h rows (Theorem 2), both stages keep the arbitration order,
+// and a rollback, which reaches below its level, runs in level-major only
+// once the levels below are fully swept, so running the rollbacks after
+// the batch changes no decision. The pipeline engages for batches of at
+// least pipelineMin (1024) requests on single-word rows, table view, two
+// or more link levels, with GOMAXPROCS ≥ 2 and the helper not serving
+// another caller; everything else — every fabric epoch among them — runs
+// SweepWords. The helper is started by the first batch that would engage
+// it, polls for 250 µs after each job and then parks; a batch that finds
+// it parked wakes it for the batches that follow and runs SweepWords
+// itself (EXPERIMENTS E31).
 package core
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/bitvec"
 	"repro/internal/linkstate"
@@ -59,8 +60,17 @@ func (s *LevelWise) Schedule(st *linkstate.State, reqs []Request) *Result {
 // ScheduleInto is Schedule with every working buffer taken from sc, so a
 // caller that reuses one Scratch across batches pays zero allocations per
 // request (see BenchmarkLevelWiseAllocs). The returned Result aliases sc
-// and is invalidated by sc's next use.
+// and is invalidated by sc's next use. A large word-path batch may run on
+// the level pipeline (pipeline.go), which returns the same Result as the
+// sequential sweep, bit for bit.
 func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratch) *Result {
+	return s.scheduleInto(st, reqs, sc, false)
+}
+
+// scheduleInto is ScheduleInto with a test seam: inline runs a batch the
+// level pipeline takes with both stages on the caller, as if the helper
+// were absent, whatever GOMAXPROCS is.
+func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratch, inline bool) *Result {
 	tree := st.Tree()
 	// The default fixed-seed source is only materialized when an option
 	// actually consumes randomness; creating it unconditionally would be
@@ -81,7 +91,7 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	// batch.
 	fast := st.WordRows() && s.Opts.Policy == FirstFit && s.Opts.Trace == nil && s.Opts.ReuseCost == 0
 	if fast && s.Opts.Traversal == LevelMajor {
-		return s.scheduleWords(st, reqs, sc, name, rng)
+		return s.scheduleWords(st, reqs, sc, name, rng, inline)
 	}
 
 	outs := sc.prepOutcomes(tree, reqs)
@@ -178,18 +188,25 @@ func (o *Outcome) set(r Request, h int, granted bool, ports []int, failLevel int
 	o.FailDown = false
 }
 
-// scheduleWords is ScheduleInto's level-major word path: one fused prep
-// pass that grants the H == 0 requests on the spot and lists the rest in
-// processing order, then SweepWords over that worklist.
-func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scratch, name string, rng *rand.Rand) *Result {
+// scheduleWords is ScheduleInto's level-major word path. A batch of at
+// least pipelineMin requests on a table-view tree with two or more link
+// levels takes the level pipeline (pipeline.go) when GOMAXPROCS is 2 or
+// more and the helper is free and awake — or, with the inline test seam,
+// with both stages on the caller. Any other is one fused prep pass that
+// grants the H == 0 requests on the spot and lists the rest in processing
+// order, then SweepWords over that worklist.
+func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scratch, name string, rng *rand.Rand, inline bool) *Result {
 	tree := st.Tree()
-	outs, arena, work := sc.prepWords(tree, reqs)
 	// NaturalOrder is the identity, so the worklist is filled straight from
 	// the batch with no index buffer to build and gather through.
 	var order []int
 	if s.Opts.Order != NaturalOrder {
 		order = orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
 	}
+	if pipelines(st, len(reqs)) && (inline || runtime.GOMAXPROCS(0) >= 2 && reserveHelper()) {
+		return s.schedulePipelined(st, reqs, sc, name, order, !inline)
+	}
+	outs, arena, work := sc.prepWords(tree, reqs)
 	L := tree.LinkLevels()
 	granted := 0
 	for k := range reqs {
@@ -234,6 +251,17 @@ func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scrat
 // still occupies — none after a rollback, which releases them through
 // ReleaseRoute. SweepWords returns the number of grants and adds to ops
 // what the Vector path counts for the same sweep, step for step.
+//
+// Level-major order is also what lets a batch run as the level pipeline
+// (pipeline.go), level 0 on the caller and the levels above on a helper at
+// the same time, with this Result bit for bit: a level-h step touches only
+// level-h rows, each level still takes the requests in arbitration order,
+// and a rollback here runs only after every level below its failure level
+// is swept, so deferring it to the batch's end changes no decision.
+// ScheduleInto takes the pipeline for batches of at least pipelineMin
+// requests with two or more link levels, table view, GOMAXPROCS ≥ 2 and
+// the helper free; every other batch, and every parsched shard, comes
+// here.
 func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int, work []SweepPos, rollback bool, ops *Counters) (granted int) {
 	tree := st.Tree()
 	L := tree.LinkLevels()
@@ -246,10 +274,9 @@ func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int
 		live := 0
 		for _, pos := range work {
 			i, sigma, delta := int(pos.I), int(pos.Sigma), int(pos.Delta)
-			u, d := &uw[sigma], &dw[delta]
 			base := i * L
-			w := *u & *d
-			if w == 0 {
+			p := claimPort(&uw[sigma], &dw[delta])
+			if p < 0 {
 				held := arena[base : base+h : base+int(pos.H)]
 				if rollback {
 					ReleaseRoute(st, reqs[i].Src, reqs[i].Dst, held, ops)
@@ -258,8 +285,6 @@ func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int
 				outs[i].set(reqs[i], int(pos.H), false, held, h)
 				continue
 			}
-			p := bits.TrailingZeros64(w)
-			linkstate.AllocateWords(u, d, uint64(1)<<uint(p))
 			if track {
 				st.NoteAllocBoth(h, sigma, delta, p)
 			}
@@ -289,6 +314,20 @@ func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int
 	ops.PortPicks += visits
 	ops.Allocs += 2 * picks
 	return granted
+}
+
+// claimPort is the word kernel's one decision, shared by SweepWords and
+// both stages of the level pipeline: AND the source-side Ulink word with
+// the mirror Dlink word, take the lowest port free in both and clear it on
+// both sides. It returns -1, changing nothing, when no port is free.
+func claimPort(u, d *uint64) int {
+	w := *u & *d
+	if w == 0 {
+		return -1
+	}
+	p := bits.TrailingZeros64(w)
+	linkstate.AllocateWords(u, d, uint64(1)<<uint(p))
+	return p
 }
 
 // scheduleOneFast is scheduleOne on the word fast path: FirstFit, no

@@ -21,6 +21,12 @@ import (
 // SweepWords returns, the records of requests still in flight hold
 // whatever the previous batch left there.
 //
+// The level pipeline (pipeline.go) runs out of the same buffers: its
+// handoff records, one SweepPos per request, fill work, and the Scratch
+// holds its job header, so a pipelined batch needs no extra buffer and
+// allocates nothing either. A Scratch is still one caller's at a time;
+// the helper touches it only while that caller waits in ScheduleInto.
+//
 // The Result returned by ScheduleInto — including every Outcome.Ports
 // sub-slice — aliases the Scratch and is invalidated by the next
 // ScheduleInto call with the same Scratch; callers that keep grants
@@ -39,6 +45,7 @@ type Scratch struct {
 	avail    bitvec.Vector
 	owner    *LevelWise // whose Name() name caches
 	name     string
+	pipe     pipeJob // the level pipeline's hand-off, over work
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.

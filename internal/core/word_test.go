@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/linkstate"
@@ -12,16 +14,20 @@ import (
 
 // wordVsVector is the word kernel's differential oracle: it schedules reqs
 // on two identically prepared states — once on the word path (SweepWords,
-// or scheduleOneFast under RequestMajor), once forced onto the Vector path
-// by a no-op Trace hook, which changes no scheduling decision — and fails
-// on any difference in outcomes, counters, grant count, final link state
-// or load counters. mkOpts is called once per path so that each gets its
-// own, identically seeded, Rand. With carry set the batch is scheduled the
-// way the fabric does: one Scratch, a first epoch, every other granted
-// route released, then the same batch again over what is still held.
-func wordVsVector(t testing.TB, label string, tree *topology.Tree, mkOpts func() Options, prep func(*linkstate.State), carry bool, reqs []Request) {
+// the level pipeline, or scheduleOneFast under RequestMajor), once forced
+// onto the Vector path by a no-op Trace hook, which changes no scheduling
+// decision — and fails on any difference in outcomes, counters, grant
+// count, final link state or load counters. mkOpts is called once per path
+// so that each gets its own, identically seeded, Rand. With carry set the
+// batch is scheduled the way the fabric does: one Scratch, a first epoch,
+// every other granted route released, then the same batch again over what
+// is still held. The word path runs once per way in ways (nil: as is).
+func wordVsVector(t testing.TB, label string, tree *topology.Tree, mkOpts func() Options, prep func(*linkstate.State), carry bool, reqs []Request, ways ...wordWay) {
 	t.Helper()
-	run := func(vector bool) (*Result, *linkstate.State) {
+	run := func(vector bool, way wordWay) (*Result, *linkstate.State) {
+		if way.procs > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(way.procs))
+		}
 		st := linkstate.New(tree)
 		if prep != nil {
 			prep(st)
@@ -31,11 +37,22 @@ func wordVsVector(t testing.TB, label string, tree *topology.Tree, mkOpts func()
 			opts.Trace = func(TraceEvent) {}
 		}
 		s := &LevelWise{Opts: opts}
-		if !carry {
-			return s.Schedule(st, reqs), st
-		}
 		sc := NewScratch()
-		first := s.ScheduleInto(st, reqs, sc)
+		schedule := func() *Result {
+			if way.warm {
+				wakeHelper()
+			}
+			sc.pipe.state.Store(0)
+			res := s.scheduleInto(st, reqs, sc, way.inline)
+			if sc.pipe.state.Load() == jobDone {
+				helperServed.Add(1)
+			}
+			return res
+		}
+		first := schedule()
+		if !carry {
+			return first, st
+		}
 		kept := false
 		for _, o := range first.Outcomes {
 			if o.Granted && o.H > 0 {
@@ -44,10 +61,45 @@ func wordVsVector(t testing.TB, label string, tree *topology.Tree, mkOpts func()
 				}
 			}
 		}
-		return s.ScheduleInto(st, reqs, sc), st
+		return schedule(), st
 	}
-	got, stWord := run(false)
-	want, stVec := run(true)
+	if len(ways) == 0 {
+		ways = []wordWay{{name: "as-is"}}
+	}
+	want, stVec := run(true, wordWay{})
+	for _, way := range ways {
+		got, stWord := run(false, way)
+		sameAsVector(t, label+" "+way.name, want, stVec, got, stWord)
+	}
+}
+
+// wordWay is one way to run the word path: GOMAXPROCS set to procs (0:
+// unchanged); with warm, the helper woken first, so that a batch the level
+// pipeline takes finds it awake; with inline, such a batch run with both
+// stages on the caller.
+type wordWay struct {
+	name   string
+	procs  int
+	warm   bool
+	inline bool
+}
+
+// helperServed counts the word-path batches whose stage B the helper ran.
+var helperServed atomic.Int64
+
+// pipelineWays are the three ways a batch the level pipeline takes can
+// run: stage B on the warm helper, both stages on the caller, and the
+// sequential SweepWords at GOMAXPROCS 1.
+var pipelineWays = []wordWay{
+	{name: "helper", procs: max(2, runtime.GOMAXPROCS(0)), warm: true},
+	{name: "no-helper", inline: true},
+	{name: "gomaxprocs=1", procs: 1},
+}
+
+// sameAsVector fails unless the word path's result and final state equal
+// the Vector path's.
+func sameAsVector(t testing.TB, label string, want *Result, stVec *linkstate.State, got *Result, stWord *linkstate.State) {
+	t.Helper()
 	if !stWord.WordRows() {
 		t.Fatalf("%s: expected single-word rows", label)
 	}
@@ -101,7 +153,11 @@ func failTenth(st *linkstate.State) {
 // serves (orders, rollback, both traversals), every tree form (power-of-two
 // and general m and w, two and three levels, the arithmetic view), every
 // kind of starting state (idle, load-tracked, fault-masked, carrying held
-// circuits) and the degenerate batch sizes.
+// circuits) and the degenerate batch sizes. Batches large enough for the
+// level pipeline — permutations and oversubscribed random batches on
+// three 4096-node trees, two and three link levels — run each of
+// pipelineWays: stage B on the helper, stage B on the caller, and the
+// sequential sweep at GOMAXPROCS 1.
 func TestWordFastPathMatchesVectorPath(t *testing.T) {
 	type shape struct {
 		l, m, w int
@@ -156,11 +212,39 @@ func TestWordFastPathMatchesVectorPath(t *testing.T) {
 			}
 		}
 	}
+
+	served := helperServed.Load()
+	for _, sh := range [][3]int{{3, 16, 16}, {4, 8, 8}, {3, 16, 8}} {
+		tree := topology.MustNew(sh[0], sh[1], sh[2])
+		rng := rand.New(rand.NewSource(37))
+		random := make([]Request, tree.Nodes())
+		for i := range random {
+			random[i] = Request{Src: rng.Intn(tree.Nodes()), Dst: rng.Intn(tree.Nodes())}
+		}
+		for _, b := range []struct {
+			name string
+			reqs []Request
+		}{{"perm", permBatch(tree, 11)}, {"random", random}} {
+			if !pipelines(linkstate.New(tree), len(b.reqs)) {
+				t.Fatalf("FT(%d,%d,%d) %s: %d requests do not take the level pipeline", sh[0], sh[1], sh[2], b.name, len(b.reqs))
+			}
+			for _, v := range variants {
+				for _, s := range states {
+					label := fmt.Sprintf("FT(%d,%d,%d) %s %s %s", sh[0], sh[1], sh[2], b.name, v.name, s.name)
+					wordVsVector(t, label, tree, v.opts, s.prep, s.carry, b.reqs, pipelineWays...)
+				}
+			}
+		}
+	}
+	if runtime.NumCPU() >= 2 && helperServed.Load() == served {
+		t.Errorf("the helper ran stage B of none of the pipelined batches")
+	}
 }
 
 // TestWordPathRejectsBadEndpointBeforeAllocating: an out-of-range endpoint
-// anywhere in the batch panics in the prep pass, before the sweep has
-// changed a single link-state bit — valid requests ahead of it included.
+// anywhere in the batch panics before the sweep — or the level pipeline's
+// stage A — has changed a single link-state bit, valid requests ahead of
+// it included.
 func TestWordPathRejectsBadEndpointBeforeAllocating(t *testing.T) {
 	for _, tree := range []*topology.Tree{
 		topology.MustNew(3, 4, 4),
@@ -169,17 +253,29 @@ func TestWordPathRejectsBadEndpointBeforeAllocating(t *testing.T) {
 	} {
 		n := tree.Nodes()
 		for _, bad := range []Request{{Src: 0, Dst: n}, {Src: n, Dst: 0}, {Src: -1, Dst: 1}, {Src: 1, Dst: -1}} {
-			st := linkstate.New(tree)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s: request %+v did not panic", tree, bad)
-					}
+			// Three requests take the sequential sweep; pipelineMin of them
+			// (on the table-view trees) the level pipeline.
+			for _, size := range []int{3, pipelineMin} {
+				reqs := make([]Request, size)
+				for i := range reqs[:size-1] {
+					reqs[i] = Request{Src: i % n, Dst: n - 1 - i%n}
+				}
+				reqs[size-1] = bad
+				st := linkstate.New(tree)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s: request %+v did not panic", tree, bad)
+						}
+					}()
+					NewLevelWise().Schedule(st, reqs)
 				}()
-				NewLevelWise().Schedule(st, []Request{{Src: 0, Dst: n - 1}, {Src: 1, Dst: n - 2}, bad})
-			}()
-			if !st.Equal(linkstate.New(tree)) {
-				t.Fatalf("%s: request %+v panicked after link state had changed", tree, bad)
+				if !st.Equal(linkstate.New(tree)) {
+					t.Fatalf("%s: request %+v in a batch of %d panicked after link state had changed", tree, bad, size)
+				}
+				if helper.busy.Load() {
+					t.Fatalf("%s: request %+v in a batch of %d left the helper held", tree, bad, size)
+				}
 			}
 		}
 	}

@@ -35,6 +35,14 @@ go test -race -count=2 ./internal/parsched ./internal/fabric ./internal/faults .
 # claim/steal interleavings a single run can miss.
 go test -race -count=2 -run 'HighWorker' ./internal/parsched
 
+# Level-pipeline race pass: the word kernel's differential oracle (which
+# runs batches the level pipeline takes on the warm helper, on the caller
+# alone and at GOMAXPROCS 1), callers racing for the one helper, the helper
+# starting only where the pipeline engages; the caller/helper hand-off is
+# only proven under -race, and -count=2 shakes out interleavings a single
+# run can miss.
+go test -race -count=2 -run 'TestWordFastPathMatchesVectorPath|TestLevelPipeline' ./internal/core
+
 # Bench smoke: compile and run every benchmark for exactly one iteration
 # so bit-rot in the bench harnesses (including the parallel-engine and
 # zero-allocation benches) fails CI without costing bench-grade runtime.
@@ -47,6 +55,9 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # silently drops them from the net above.
 go test -run '^$' -bench 'BenchmarkRouteCursor|BenchmarkTopologyNew' -benchtime 1x ./internal/topology
 go test -run '^$' -bench 'BenchmarkLevelWise' -benchtime 1x ./internal/core
+# The same sweep on one CPU and two: the FT(3,16,16) permutation row takes
+# the level pipeline at -cpu 2 (EXPERIMENTS.md E31).
+go test -run '^$' -bench 'BenchmarkLevelWiseAllocs/FT3x16x16' -benchtime 1x -cpu 1,2 ./internal/core
 go test -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
 go test -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./internal/federation
 
@@ -70,12 +81,13 @@ if gen | go run ./cmd/ftserve -config - -batch 1 -validate 2>/dev/null; then
 fi
 
 # Allocation-regression guard: the scheduling hot path must stay at zero
-# allocations per request — including the incremental delta path, which
-# the same test pins; -count=2 re-runs it against warm scratch state,
-# which is where a regression would hide. The word kernel's differential
-# oracle (word path vs Vector path over every option, tree form and
-# starting state) rides along, run twice for the same reason.
-go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath' -count=2 ./internal/core
+# allocations per request — including the incremental delta path and the
+# level pipeline, which the same test pins; -count=2 re-runs it against
+# warm scratch state, which is where a regression would hide. The word
+# kernel's differential oracle (word path vs Vector path over every
+# option, tree form and starting state) and the concurrent-callers test
+# of the level pipeline ride along, run twice for the same reason.
+go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath|TestLevelPipelineConcurrentCallers' -count=2 ./internal/core
 
 # Load-counter contracts: the word-form release walk against the
 # per-channel walk it replaced (every tree form, tracked and untracked,
