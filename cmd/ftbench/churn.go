@@ -9,17 +9,18 @@ package main
 //                       (what a non-incremental batch scheduler must do
 //                       to serve a churning population; survivors whose
 //                       re-admission fails are dropped)
-//   incremental         delta epochs: held grants carry forward in the
-//                       link state, only real departures are swept
-//   incremental+reuse   delta epochs with the reconfiguration-cost-
-//                       aware port score (core.Options.ReuseCost)
+//   incremental         held grants stay in the link state: each epoch
+//                       releases the real departures and sweeps only
+//                       the arrivals
+//   incremental+reuse   the same with the reconfiguration-cost-aware
+//                       port score (core.Options.ReuseCost)
 //
 // Reported per discipline: schedulability of fresh arrivals and route
 // churn per epoch — routes physically torn down plus routes
 // established. Replay is scored honestly: a survivor re-granted its
 // identical route counts as zero churn; only route moves, drops, and
 // real arrivals/departures count. Nothing is timed, so the table is a
-// pure function of the seed; what an incremental epoch costs is
+// pure function of the seed; what such an epoch costs is
 // core.delta_ns_per_req in bench/.
 
 import (
@@ -171,11 +172,12 @@ func runChurnReplay(tree *topology.Tree, sched [][]churnArrival) churnResult {
 	return res
 }
 
-// runChurnIncremental serves the schedule with delta epochs: held routes
-// stay allocated, departures and arrivals flow through
-// ScheduleDeltaInto, and reuseCost > 0 adds the cost-aware port score.
+// runChurnIncremental serves the schedule the way the fabric does: held
+// routes stay allocated, each departure returns its channels through
+// core.ReleaseSurviving, the arrivals go through ScheduleInto, and
+// reuseCost > 0 adds the cost-aware port score.
 func runChurnIncremental(tree *topology.Tree, sched [][]churnArrival, reuseCost int) churnResult {
-	lw := &core.LevelWise{Opts: core.Options{Rollback: true, Incremental: true, ReuseCost: reuseCost}}
+	lw := &core.LevelWise{Opts: core.Options{Rollback: true, ReuseCost: reuseCost}}
 	st := linkstate.New(tree)
 	sc := core.NewScratch()
 	name := "incremental"
@@ -185,13 +187,14 @@ func runChurnIncremental(tree *topology.Tree, sched [][]churnArrival, reuseCost 
 	res := churnResult{Discipline: name}
 	var held []churnCircuit
 	var reqs []core.Request
-	var deps []core.Departure
 	for epoch, arrivals := range sched {
-		deps = deps[:0]
 		survivors := held[:0]
 		for _, c := range held {
 			if c.expires <= epoch {
-				deps = append(deps, core.Departure{Src: c.src, Dst: c.dst, Ports: c.ports})
+				if len(c.ports) > 0 {
+					res.TornRoutes++
+				}
+				core.ReleaseSurviving(st, c.src, c.dst, c.ports, nil)
 				continue
 			}
 			survivors = append(survivors, c)
@@ -202,8 +205,7 @@ func runChurnIncremental(tree *topology.Tree, sched [][]churnArrival, reuseCost 
 			reqs = append(reqs, core.Request{Src: a.src, Dst: a.dst})
 		}
 		res.Offered += len(arrivals)
-		out := lw.ScheduleDeltaInto(st, reqs, deps, sc)
-		res.TornRoutes += out.Torn
+		out := lw.ScheduleInto(st, reqs, sc)
 		for i, a := range arrivals {
 			o := &out.Outcomes[i]
 			if !o.Granted {

@@ -6,8 +6,8 @@ package main
 // closed-loop clients churn, exercising flap damping, the repair retry
 // budget, and reuse-cost-aware repair placement together. Each flaky
 // rate runs two arms over bit-identical churn (the fault processes are
-// counter-mode hashes, so both arms replay the same transitions): delta
-// epochs with reuse-cost scoring off, and with it on. The headline
+// counter-mode hashes, so both arms replay the same transitions):
+// reuse-cost scoring off, and on. The headline
 // numbers per point:
 //
 //   - unaccounted: revoked − repaired − failed − aborted, which must be
@@ -159,7 +159,7 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	if err != nil {
 		return grayArm{}, err
 	}
-	spec := "level-wise,rollback,incremental"
+	spec := "level-wise,rollback"
 	if reuse > 0 {
 		spec += fmt.Sprintf(",reuse-cost=%d", reuse)
 	}

@@ -61,46 +61,103 @@ import (
 	"repro/internal/report"
 )
 
+// options holds every ftbench flag's value.
+type options struct {
+	perms          int
+	seed           int64
+	paperOnly      bool
+	workers        int
+	only           string
+	csvDir         string
+	jsonDir        string
+	fabricLevels   int
+	fabricChildren int
+	fabricParents  int
+	fabricClients  int
+	fabricBatch    int
+	fabricOpen     int
+	fabricMaxWait  time.Duration
+	fabricDuration time.Duration
+	fabricSched    string
+	fabricTimeout  time.Duration
+	churnMode      bool
+	churnRate      int
+	churnLife      float64
+	churnEpochs    int
+	churnReuse     int
+	chaosMode      bool
+	chaosRates     string
+	chaosCycle     time.Duration
+	grayMode       bool
+	grayRates      string
+	grayDuty       float64
+	grayStep       time.Duration
+	grayReuse      int
+	grayThreshold  float64
+	grayProbation  time.Duration
+	grayBudget     float64
+	grayBurst      int
+	cpuProfile     string
+	memProfile     string
+}
+
+// bindFlags registers ftbench's flags on fs and returns where their
+// values land once fs is parsed.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.perms, "perms", experiments.DefaultPermutations, "random permutations per test point (paper: 100)")
+	fs.Int64Var(&o.seed, "seed", 1, "root seed for all workloads")
+	fs.BoolVar(&o.paperOnly, "paper-only", false, "run only the paper's own evaluation (Figure 9, Table 1)")
+	fs.IntVar(&o.workers, "workers", 4, "parallel workers for the sweeps and extensions")
+	fs.StringVar(&o.only, "only", "", "run only suite components whose id contains this (e.g. e12, a1, fig9, table1)")
+	fs.StringVar(&o.csvDir, "csv", "", "directory to additionally write CSV files into")
+	fs.StringVar(&o.jsonDir, "json", "", "directory to additionally write JSON files into")
+	fs.IntVar(&o.fabricLevels, "fabric-levels", 3, "chaos/gray/churn: switch levels l")
+	fs.IntVar(&o.fabricChildren, "fabric-children", 8, "chaos/gray/churn: children per switch m")
+	fs.IntVar(&o.fabricParents, "fabric-parents", 8, "chaos/gray/churn: parents per switch w")
+	fs.IntVar(&o.fabricClients, "fabric-clients", 64, "chaos/gray: concurrent closed-loop clients")
+	fs.IntVar(&o.fabricBatch, "fabric-batch", fabric.DefaultBatchSize, "chaos/gray: epoch flush threshold (1 disables batching)")
+	fs.IntVar(&o.fabricOpen, "fabric-open", 4, "chaos/gray: circuits each client holds open")
+	fs.DurationVar(&o.fabricMaxWait, "fabric-maxwait", 500*time.Microsecond, "chaos/gray: epoch flush timer")
+	fs.DurationVar(&o.fabricDuration, "fabric-duration", 2*time.Second, "chaos/gray: run length")
+	fs.StringVar(&o.fabricSched, "fabric-scheduler", "", "chaos/gray: admission engine spec (internal/sched registry grammar; \"\" = fabric default)")
+	fs.DurationVar(&o.fabricTimeout, "fabric-timeout", 0, "chaos/gray: per-Connect admission timeout, counted in the timeouts column (0 = 100ms)")
+	fs.BoolVar(&o.churnMode, "churn", false, "run the arrival/departure churn comparison: batch-replay vs carried (incremental) scheduling on one seeded workload")
+	fs.IntVar(&o.churnRate, "churn-rate", 16, "churn: fresh arrivals per epoch")
+	fs.Float64Var(&o.churnLife, "churn-life", 8, "churn: mean circuit lifetime in epochs (exponential)")
+	fs.IntVar(&o.churnEpochs, "churn-epochs", 200, "churn: epochs to simulate")
+	fs.IntVar(&o.churnReuse, "churn-reuse", 4, "churn: reuse-cost cap K for the incremental+reuse discipline (0 skips it)")
+	fs.BoolVar(&o.chaosMode, "chaos", false, "run the fault-injection sweep: fabric closed-loop clients plus a seeded mid-run fault/repair schedule")
+	fs.StringVar(&o.chaosRates, "chaos-rates", "0,0.01,0.05,0.1", "chaos: comma-separated link failure rates p to sweep")
+	fs.DurationVar(&o.chaosCycle, "chaos-cycle", 20*time.Millisecond, "chaos: fault/repair alternation period")
+	fs.BoolVar(&o.grayMode, "gray", false, "run the gray-failure sweep: seeded flaky links flapping mid-run, with flap damping, retry budgets, and a degraded-plane federation point")
+	fs.StringVar(&o.grayRates, "gray-rates", "0,0.02,0.05,0.1", "gray: comma-separated flaky link selection rates p to sweep")
+	fs.Float64Var(&o.grayDuty, "gray-duty", 0.5, "gray: per-step down probability of each flaky link")
+	fs.DurationVar(&o.grayStep, "gray-step", 2*time.Millisecond, "gray: flaky process clock period")
+	fs.IntVar(&o.grayReuse, "gray-reuse", 4, "gray: reuse-cost cap K for the second arm (0 skips it)")
+	fs.Float64Var(&o.grayThreshold, "gray-threshold", 3, "gray: flap-damping quarantine threshold")
+	fs.DurationVar(&o.grayProbation, "gray-probation", 100*time.Millisecond, "gray: quarantine probation window")
+	fs.Float64Var(&o.grayBudget, "gray-budget", 200, "gray: repair retry budget tokens per second")
+	fs.IntVar(&o.grayBurst, "gray-burst", 64, "gray: repair retry budget burst")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
+	return o
+}
+
+// churn is the -churn mode's configuration.
+func (o *options) churn() churnBenchConfig {
+	return churnBenchConfig{
+		Levels: o.fabricLevels, Children: o.fabricChildren, Parents: o.fabricParents,
+		Rate: o.churnRate, Life: o.churnLife, Epochs: o.churnEpochs,
+		Reuse: o.churnReuse, Seed: o.seed,
+	}
+}
+
 func main() {
-	perms := flag.Int("perms", experiments.DefaultPermutations, "random permutations per test point (paper: 100)")
-	seed := flag.Int64("seed", 1, "root seed for all workloads")
-	paperOnly := flag.Bool("paper-only", false, "run only the paper's own evaluation (Figure 9, Table 1)")
-	workers := flag.Int("workers", 4, "parallel workers for the sweeps and extensions")
-	only := flag.String("only", "", "run only suite components whose id contains this (e.g. e12, a1, fig9, table1)")
-	csvDir := flag.String("csv", "", "directory to additionally write CSV files into")
-	jsonDir := flag.String("json", "", "directory to additionally write JSON files into")
-	fabricLevels := flag.Int("fabric-levels", 3, "chaos/gray/churn: switch levels l")
-	fabricChildren := flag.Int("fabric-children", 8, "chaos/gray/churn: children per switch m")
-	fabricParents := flag.Int("fabric-parents", 8, "chaos/gray/churn: parents per switch w")
-	fabricClients := flag.Int("fabric-clients", 64, "chaos/gray: concurrent closed-loop clients")
-	fabricBatch := flag.Int("fabric-batch", fabric.DefaultBatchSize, "chaos/gray: epoch flush threshold (1 disables batching)")
-	fabricOpen := flag.Int("fabric-open", 4, "chaos/gray: circuits each client holds open")
-	fabricMaxWait := flag.Duration("fabric-maxwait", 500*time.Microsecond, "chaos/gray: epoch flush timer")
-	fabricDuration := flag.Duration("fabric-duration", 2*time.Second, "chaos/gray: run length")
-	fabricSched := flag.String("fabric-scheduler", "", "chaos/gray: admission engine spec (internal/sched registry grammar; \"\" = fabric default)")
-	fabricTimeout := flag.Duration("fabric-timeout", 0, "chaos/gray: per-Connect admission timeout, counted in the timeouts column (0 = 100ms)")
-	churnMode := flag.Bool("churn", false, "run the arrival/departure churn comparison: batch-replay vs incremental (delta-epoch) scheduling on one seeded workload")
-	churnRate := flag.Int("churn-rate", 16, "churn: fresh arrivals per epoch")
-	churnLife := flag.Float64("churn-life", 8, "churn: mean circuit lifetime in epochs (exponential)")
-	churnEpochs := flag.Int("churn-epochs", 200, "churn: epochs to simulate")
-	churnReuse := flag.Int("churn-reuse", 4, "churn: reuse-cost cap K for the incremental+reuse discipline (0 skips it)")
-	chaosMode := flag.Bool("chaos", false, "run the fault-injection sweep: fabric closed-loop clients plus a seeded mid-run fault/repair schedule")
-	chaosRates := flag.String("chaos-rates", "0,0.01,0.05,0.1", "chaos: comma-separated link failure rates p to sweep")
-	chaosCycle := flag.Duration("chaos-cycle", 20*time.Millisecond, "chaos: fault/repair alternation period")
-	grayMode := flag.Bool("gray", false, "run the gray-failure sweep: seeded flaky links flapping mid-run, with flap damping, retry budgets, and a degraded-plane federation point")
-	grayRates := flag.String("gray-rates", "0,0.02,0.05,0.1", "gray: comma-separated flaky link selection rates p to sweep")
-	grayDuty := flag.Float64("gray-duty", 0.5, "gray: per-step down probability of each flaky link")
-	grayStep := flag.Duration("gray-step", 2*time.Millisecond, "gray: flaky process clock period")
-	grayReuse := flag.Int("gray-reuse", 4, "gray: reuse-cost cap K for the second arm (0 skips it)")
-	grayThreshold := flag.Float64("gray-threshold", 3, "gray: flap-damping quarantine threshold")
-	grayProbation := flag.Duration("gray-probation", 100*time.Millisecond, "gray: quarantine probation window")
-	grayBudget := flag.Float64("gray-budget", 200, "gray: repair retry budget tokens per second")
-	grayBurst := flag.Int("gray-burst", 64, "gray: repair retry budget burst")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 		os.Exit(1)
@@ -123,58 +180,54 @@ func main() {
 	// The one closed-loop client pool -chaos and -gray share (-gray names
 	// its own engines and ignores Scheduler).
 	loop := fabricBenchConfig{
-		Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
-		Clients: *fabricClients, Batch: *fabricBatch, Open: *fabricOpen,
-		MaxWait: *fabricMaxWait, Duration: *fabricDuration, Seed: *seed,
-		Timeout: *fabricTimeout, Scheduler: *fabricSched,
+		Levels: o.fabricLevels, Children: o.fabricChildren, Parents: o.fabricParents,
+		Clients: o.fabricClients, Batch: o.fabricBatch, Open: o.fabricOpen,
+		MaxWait: o.fabricMaxWait, Duration: o.fabricDuration, Seed: o.seed,
+		Timeout: o.fabricTimeout, Scheduler: o.fabricSched,
 	}
 	switch {
-	case *churnMode:
-		done(churnBench(os.Stdout, churnBenchConfig{
-			Levels: *fabricLevels, Children: *fabricChildren, Parents: *fabricParents,
-			Rate: *churnRate, Life: *churnLife, Epochs: *churnEpochs,
-			Reuse: *churnReuse, Seed: *seed,
-		}))
-	case *grayMode:
-		rates, err := parseRates(*grayRates)
+	case o.churnMode:
+		done(churnBench(os.Stdout, o.churn()))
+	case o.grayMode:
+		rates, err := parseRates(o.grayRates)
 		if err == nil {
 			err = grayBench(os.Stdout, grayBenchConfig{
 				fabricBenchConfig: loop,
-				Rates:             rates, Duty: *grayDuty, Step: *grayStep, Reuse: *grayReuse,
-				FlapThreshold: *grayThreshold, Probation: *grayProbation,
-				BudgetRate: *grayBudget, BudgetBurst: *grayBurst,
+				Rates:             rates, Duty: o.grayDuty, Step: o.grayStep, Reuse: o.grayReuse,
+				FlapThreshold: o.grayThreshold, Probation: o.grayProbation,
+				BudgetRate: o.grayBudget, BudgetBurst: o.grayBurst,
 			})
 		}
 		done(err)
-	case *chaosMode:
-		rates, err := parseRates(*chaosRates)
+	case o.chaosMode:
+		rates, err := parseRates(o.chaosRates)
 		if err == nil {
 			err = chaosBench(os.Stdout, chaosBenchConfig{
-				fabricBenchConfig: loop, Rates: rates, Cycle: *chaosCycle,
+				fabricBenchConfig: loop, Rates: rates, Cycle: o.chaosCycle,
 			})
 		}
 		done(err)
 	}
 
-	if *csvDir != "" {
-		if err := writeFiles(*csvDir, ".csv", *perms, *seed); err != nil {
+	if o.csvDir != "" {
+		if err := writeFiles(o.csvDir, ".csv", o.perms, o.seed); err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 			exit(1)
 		}
 	}
-	if *jsonDir != "" {
-		if err := writeFiles(*jsonDir, ".json", *perms, *seed); err != nil {
+	if o.jsonDir != "" {
+		if err := writeFiles(o.jsonDir, ".json", o.perms, o.seed); err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 			exit(1)
 		}
 	}
 
 	violations, err := experiments.RunSuite(os.Stdout, experiments.SuiteConfig{
-		Permutations:   *perms,
-		Seed:           *seed,
-		SkipExtensions: *paperOnly,
-		Workers:        *workers,
-		Only:           *only,
+		Permutations:   o.perms,
+		Seed:           o.seed,
+		SkipExtensions: o.paperOnly,
+		Workers:        o.workers,
+		Only:           o.only,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)

@@ -3,6 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -135,6 +138,72 @@ func TestChurnBenchDeterministic(t *testing.T) {
 	}
 	if inc, replay := churn["incremental"], churn["batch-replay"]; !(inc > 0 && inc < replay) {
 		t.Errorf("churn/epoch incremental %.2f, batch-replay %.2f: want 0 < incremental < replay", inc, replay)
+	}
+}
+
+// TestChurnE20Golden pins E20's table byte for byte: the -churn command
+// EXPERIMENTS.md quotes prints testdata/churn_e20_seed<S>.txt for seeds
+// 1, 2 and 7 (at seed 1, churn/epoch 120.97 / 30.69 / 30.68, ratio
+// 3.94x).
+func TestChurnE20Golden(t *testing.T) {
+	for _, seed := range []int{1, 2, 7} {
+		fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
+		o := bindFlags(fs)
+		args := strings.Fields(fmt.Sprintf("-churn -churn-rate 16 -churn-life 8 -churn-epochs 200 -churn-reuse 4 -seed %d", seed))
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := churnBench(&out, o.churn()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("churn_e20_seed%d.txt", seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("seed %d:\n got:\n%s\nwant:\n%s", seed, out.String(), want)
+		}
+	}
+}
+
+// TestExperimentsCommandsParse: every `go run ./cmd/ftbench …` command
+// EXPERIMENTS.md quotes — an indented block joined across its trailing
+// backslashes, or an inline span up to its closing backtick — parses
+// against ftbench's flag set with no argument left over.
+func TestExperimentsCommandsParse(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "go run ./cmd/ftbench"
+	text := strings.ReplaceAll(string(doc), "\\\n", " ")
+	n := 0
+	for rest := text; ; n++ {
+		i := strings.Index(rest, prefix)
+		if i < 0 {
+			break
+		}
+		rest = rest[i+len(prefix):]
+		cmd := rest
+		if j := strings.IndexAny(cmd, "`|>;"); j >= 0 {
+			cmd = cmd[:j]
+		}
+		if j := strings.Index(cmd, "\n\n"); j >= 0 {
+			cmd = cmd[:j]
+		}
+		fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		bindFlags(fs)
+		args := strings.Fields(cmd)
+		if err := fs.Parse(args); err != nil {
+			t.Errorf("%s %s: %v", prefix, strings.Join(args, " "), err)
+		} else if left := fs.Args(); len(left) > 0 {
+			t.Errorf("%s %s: arguments %q left over", prefix, strings.Join(args, " "), left)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("EXPERIMENTS.md quotes no %q command", prefix)
 	}
 }
 

@@ -117,7 +117,7 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 		}
 	})
 
-	// The incremental delta path must hold the same bar: a full epoch of
+	// The delta path must hold the same bar: a full epoch of
 	// departures (every previously granted route torn down via the
 	// fault-aware ReleaseSurviving walk) plus a fresh arrival sweep,
 	// against warm scratch, allocates nothing. The departures are
@@ -125,7 +125,7 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 	// re-granting the same batch re-creates exactly those routes.
 	t.Run("incremental-delta", func(t *testing.T) {
 		st := linkstate.New(tree)
-		s := &LevelWise{Opts: Options{Rollback: true, Incremental: true}}
+		s := &LevelWise{Opts: Options{Rollback: true}}
 		sc := NewScratch()
 		res := s.ScheduleDeltaInto(st, reqs, nil, sc)
 		var deps []Departure

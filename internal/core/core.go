@@ -89,11 +89,6 @@ type Result struct {
 	Granted   int
 	Total     int
 	Ops       Counters
-	// Torn is the number of departed routes whose channels this pass
-	// returned to the fabric before sweeping the arrivals (delta epochs
-	// only — see ScheduleDeltaInto; always 0 for plain batch scheduling).
-	// Departures that held no channels (H == 0 circuits) do not count.
-	Torn int
 }
 
 // Ratio returns the schedulability ratio granted/total (1 for an empty
@@ -236,22 +231,13 @@ type Options struct {
 	// taken (or that the request was denied). It explains outcomes —
 	// "why did this request fail" — and costs nothing when nil.
 	Trace func(TraceEvent)
-	// Incremental marks the scheduler as serving delta epochs: granted
-	// routes stay allocated in the link state across batches and callers
-	// feed departures plus arrivals to ScheduleDeltaInto instead of
-	// rebuilding state. The flag does not change how a single batch of
-	// arrivals is swept — arrivals-only delta runs are bit-identical to
-	// batch scheduling (pinned by TestIncrementalArrivalsOnlyGolden) —
-	// it declares the carry-forward contract for the layers above
-	// (internal/sched capability detection, internal/fabric epoch mode).
-	Incremental bool
 	// ReuseCost, when positive, replaces the port policy with the
 	// reconfiguration-cost-aware pick (Costly Circuits, PAPERS.md): among
 	// the available ports the one whose parent switches already carry the
 	// most held circuits wins, with the marginal value of overlap capped
 	// at ReuseCost (greedy submodular-style saturation). Ties break low,
-	// so ReuseCost behaves like first-fit on an idle fabric. Only
-	// meaningful with Incremental — reuse needs routes that persist.
+	// so ReuseCost behaves like first-fit on an idle fabric; it scores
+	// whatever circuits the link state holds when the batch is swept.
 	ReuseCost int
 }
 

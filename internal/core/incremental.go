@@ -4,24 +4,18 @@ import (
 	"repro/internal/linkstate"
 )
 
-// Incremental epoch scheduling: the carry-forward contract.
+// Held circuits live in the link state: nothing is rebuilt between
+// batches, granted routes simply stay allocated, and a departing circuit
+// returns its channels with ReleaseSurviving (fault-aware) before the next
+// ScheduleInto sweeps against whatever is left. The allocated bits ARE the
+// held set, which is also what the reuse-cost pick (pickPortReuse) scores
+// against.
 //
-// A batch scheduler treats the link state as scratch for one pass; an
-// incremental scheduler treats it as the durable record of every held
-// circuit. Between epochs nothing is rebuilt — granted routes simply
-// stay allocated — and each epoch hands the scheduler only the *delta*:
-// the departures whose channels should return to the fabric and the
-// arrivals to sweep against whatever is left. The held set never needs
-// an index of its own: the allocated bits in linkstate ARE the held set,
-// which is also what the reuse-cost pick (pickPortReuse) scores against.
-//
-// In a circuit fabric, tearing down and re-establishing a route has real
-// cost (Venkatakrishnan et al., Costly Circuits, Submodular Schedules —
-// PAPERS.md); the delta path makes that cost explicit: Result.Torn
-// counts exactly the routes this epoch tore, and an arrivals-only delta
-// epoch is bit-identical to batch scheduling on the same state (pinned
-// by the golden tests), so going incremental never changes what a single
-// sweep decides — only how much of the world it has to touch.
+// Departure and ScheduleDeltaInto wrap that loop in one call. They are
+// kept only because the benchmark's traced delta-epoch replay
+// (bench/layers.go) compiles against them through sched.AsIncremental;
+// they go when that replay times ReleaseSurviving followed by
+// ScheduleInto instead.
 
 // Departure names one held route leaving the fabric in a delta epoch:
 // the endpoints it connected and the upward port choices it held (one
@@ -62,32 +56,19 @@ func ReleaseSurviving(st *linkstate.State, src, dst int, ports []int, ops *Count
 	}
 }
 
-// ScheduleDeltaInto runs one incremental epoch: it tears down the
-// departures' routes (fault-aware, via ReleaseSurviving), then sweeps
-// the arrivals against the carried-forward link state exactly as
-// ScheduleInto would. Held grants from prior epochs are never touched —
-// the state they occupy is the point. The returned Result covers the
-// arrivals (Outcomes, Granted, Total) and additionally reports Torn, the
-// number of departures that actually held channels; teardown releases
-// are included in Ops.Releases. With nil departures this is ScheduleInto
-// verbatim, which is the arrivals-only bit-identity the golden tests
-// pin.
-//
-// Like ScheduleInto, the Result aliases sc and is invalidated by sc's
-// next use, and the call allocates nothing once sc is warm (the delta
-// guard in TestScheduleIntoZeroAllocs).
+// ScheduleDeltaInto tears down the departures' routes with
+// ReleaseSurviving, then sweeps the arrivals with ScheduleInto; teardown
+// releases are added to Ops.Releases. With nil departures it is
+// ScheduleInto verbatim. Like ScheduleInto, the Result aliases sc and the
+// call allocates nothing once sc is warm. Kept only for the benchmark's
+// delta-epoch replay (see above); new callers use the two calls.
 func (s *LevelWise) ScheduleDeltaInto(st *linkstate.State, arrivals []Request, departures []Departure, sc *Scratch) *Result {
 	var ops Counters
-	torn := 0
 	for i := range departures {
 		d := &departures[i]
 		ReleaseSurviving(st, d.Src, d.Dst, d.Ports, &ops)
-		if len(d.Ports) > 0 {
-			torn++
-		}
 	}
 	res := s.ScheduleInto(st, arrivals, sc)
-	res.Torn = torn
 	res.Ops.Releases += ops.Releases
 	return res
 }

@@ -22,26 +22,22 @@ func epochs(reqs []Request, size int) [][]Request {
 }
 
 // TestIncrementalArrivalsOnlyGolden pins the bit-identity contract: over
-// an arrivals-only workload (no departures), the incremental engine's
-// delta epochs must match plain batch-replay epoch for epoch — same
-// grants, same ports, same fail levels, same final link state. This is
-// what makes turning Config.Incremental on safe for any workload that
-// never releases.
+// an arrivals-only workload (no departures), delta epochs must match
+// plain ScheduleInto epoch for epoch — same grants, same ports, same fail
+// levels, same final link state.
 func TestIncrementalArrivalsOnlyGolden(t *testing.T) {
 	for _, shape := range []struct{ l, m, w int }{{3, 4, 4}, {2, 8, 8}, {3, 8, 8}} {
 		for _, rollback := range []bool{false, true} {
 			t.Run(fmt.Sprintf("FT%dx%dx%d/rollback=%v", shape.l, shape.m, shape.w, rollback), func(t *testing.T) {
 				tree := topology.MustNew(shape.l, shape.m, shape.w)
-				batch := &LevelWise{Opts: Options{Rollback: rollback}}
-				inc := &LevelWise{Opts: Options{Rollback: rollback, Incremental: true}}
+				s := &LevelWise{Opts: Options{Rollback: rollback}}
 				stA, stB := linkstate.New(tree), linkstate.New(tree)
 				scA, scB := NewScratch(), NewScratch()
 				for e, arrivals := range epochs(permBatch(tree, 7), 16) {
-					want := batch.ScheduleInto(stA, arrivals, scA)
-					got := inc.ScheduleDeltaInto(stB, arrivals, nil, scB)
-					if got.Granted != want.Granted || got.Torn != 0 {
-						t.Fatalf("epoch %d: granted %d torn %d, want granted %d torn 0",
-							e, got.Granted, got.Torn, want.Granted)
+					want := s.ScheduleInto(stA, arrivals, scA)
+					got := s.ScheduleDeltaInto(stB, arrivals, nil, scB)
+					if got.Granted != want.Granted {
+						t.Fatalf("epoch %d: granted %d, want %d", e, got.Granted, want.Granted)
 					}
 					for i := range want.Outcomes {
 						w, g := &want.Outcomes[i], &got.Outcomes[i]
@@ -60,31 +56,25 @@ func TestIncrementalArrivalsOnlyGolden(t *testing.T) {
 
 // TestScheduleDeltaReleasesToPristine grants a batch, then departs every
 // granted circuit in one delta epoch with no arrivals: the link state
-// must return exactly to pristine, and Torn must count the routes that
-// held channels.
+// must return exactly to pristine, with every teardown release counted.
 func TestScheduleDeltaReleasesToPristine(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	s := &LevelWise{Opts: Options{Rollback: true, Incremental: true}}
+	s := &LevelWise{Opts: Options{Rollback: true}}
 	st := linkstate.New(tree)
 	sc := NewScratch()
 	res := s.ScheduleDeltaInto(st, permBatch(tree, 3), nil, sc)
 	var deps []Departure
-	wantTorn := 0
+	wantReleases := 0
 	for _, o := range res.Outcomes {
 		if !o.Granted {
 			continue
 		}
 		deps = append(deps, Departure{Src: o.Src, Dst: o.Dst, Ports: append([]int(nil), o.Ports...)})
-		if len(o.Ports) > 0 {
-			wantTorn++
-		}
+		wantReleases += 2 * len(o.Ports)
 	}
 	out := s.ScheduleDeltaInto(st, nil, deps, sc)
-	if out.Torn != wantTorn {
-		t.Fatalf("Torn = %d, want %d", out.Torn, wantTorn)
-	}
-	if out.Ops.Releases == 0 {
-		t.Fatalf("teardown releases not counted in Ops.Releases")
+	if out.Ops.Releases != wantReleases {
+		t.Fatalf("Ops.Releases = %d, want %d (two per held port)", out.Ops.Releases, wantReleases)
 	}
 	if !st.Equal(linkstate.New(tree)) {
 		t.Fatalf("link state not pristine after departing every grant")
@@ -95,12 +85,12 @@ func TestScheduleDeltaReleasesToPristine(t *testing.T) {
 // churn sequence through the delta path and checks every epoch's grant
 // set is conflict-free (Verify replays the routes against a fresh state)
 // and that the fabric drains back to pristine at the end — for both the
-// plain incremental engine and the reuse-cost variant.
+// first-fit pick and the reuse-cost variant.
 func TestScheduleDeltaInterleavedVerifies(t *testing.T) {
 	for _, reuse := range []int{0, 4} {
 		t.Run(fmt.Sprintf("reuse-cost=%d", reuse), func(t *testing.T) {
 			tree := topology.MustNew(3, 4, 4)
-			s := &LevelWise{Opts: Options{Rollback: true, Incremental: true, ReuseCost: reuse}}
+			s := &LevelWise{Opts: Options{Rollback: true, ReuseCost: reuse}}
 			st := linkstate.New(tree)
 			sc := NewScratch()
 			rng := rand.New(rand.NewSource(11))
@@ -145,7 +135,7 @@ func TestScheduleDeltaInterleavedVerifies(t *testing.T) {
 // through RepairLink.
 func TestReleaseSurvivingSkipsFailed(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	s := &LevelWise{Opts: Options{Rollback: true, Incremental: true}}
+	s := &LevelWise{Opts: Options{Rollback: true}}
 	st := linkstate.New(tree)
 	sc := NewScratch()
 	// Route a seed batch and copy the grants out (the Result aliases the
@@ -220,14 +210,5 @@ func TestPickPortReuse(t *testing.T) {
 	// On an idle fabric every score is zero: first-fit again.
 	if got, ok := pickPortReuse(linkstate.New(tree), 0, 0, 0, avail, 8); !ok || got != 0 {
 		t.Fatalf("idle pick = %d, %v; want first-fit port 0", got, ok)
-	}
-}
-
-// TestIncrementalName pins the engine-name grammar the registry and the
-// fabric's LastEpochEngine surface.
-func TestIncrementalName(t *testing.T) {
-	s := &LevelWise{Opts: Options{Rollback: true, Incremental: true, ReuseCost: 3}}
-	if got, want := s.Name(), "level-wise/rollback/incremental/reuse-cost=3"; got != want {
-		t.Fatalf("Name() = %q, want %q", got, want)
 	}
 }

@@ -35,9 +35,6 @@ func (s *LevelWise) Name() string {
 	if s.Opts.Rollback {
 		n += "/rollback"
 	}
-	if s.Opts.Incremental {
-		n += "/incremental"
-	}
 	if s.Opts.ReuseCost > 0 {
 		n += fmt.Sprintf("/reuse-cost=%d", s.Opts.ReuseCost)
 	}
@@ -82,15 +79,13 @@ func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	name := sc.nameFor(s)
 
 	// Word fast path: when every availability row is one machine word
-	// (w <= 64), the per-level step collapses to one AND and a
+	// (w <= 64), the level-major step collapses to one AND and a
 	// trailing-zeros pick. FirstFit IS lowest-set-bit, so the fast path is
 	// bit-identical to the Vector path (the golden tests pin this); other
-	// policies, tracing, and the reuse-cost pick (which reads neighbor
-	// occupancy rows) need the Vector form. Incremental alone does not
-	// leave the fast path — delta epochs of arrivals sweep exactly like a
-	// batch.
-	fast := st.WordRows() && s.Opts.Policy == FirstFit && s.Opts.Trace == nil && s.Opts.ReuseCost == 0
-	if fast && s.Opts.Traversal == LevelMajor {
+	// policies, tracing, the reuse-cost pick (which reads neighbor
+	// occupancy rows) and request-major traversal take the Vector form.
+	if st.WordRows() && s.Opts.Policy == FirstFit && s.Opts.Trace == nil && s.Opts.ReuseCost == 0 &&
+		s.Opts.Traversal == LevelMajor {
 		return s.scheduleWords(st, reqs, sc, name, rng, inline)
 	}
 
@@ -99,14 +94,8 @@ func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	avail := sc.prepAvail(tree)
 	var ops Counters
 	if s.Opts.Traversal == RequestMajor {
-		if fast {
-			for _, i := range order {
-				s.scheduleOneFast(st, &outs[i], &ops)
-			}
-		} else {
-			for _, i := range order {
-				s.scheduleOne(st, &outs[i], &ops, rng, avail)
-			}
+		for _, i := range order {
+			s.scheduleOne(st, &outs[i], &ops, rng, avail)
 		}
 		return sc.finishInto(name, outs, ops)
 	}
@@ -328,38 +317,6 @@ func claimPort(u, d *uint64) int {
 	p := bits.TrailingZeros64(w)
 	linkstate.AllocateWords(u, d, uint64(1)<<uint(p))
 	return p
-}
-
-// scheduleOneFast is scheduleOne on the word fast path: FirstFit, no
-// trace, single-word rows. Counter accounting matches scheduleOne
-// step for step so Results stay identical across the two paths.
-func (s *LevelWise) scheduleOneFast(st *linkstate.State, o *Outcome, ops *Counters) {
-	if o.H == 0 {
-		o.Granted = true
-		return
-	}
-	var cur RouteCursor
-	cur.Start(st.Tree(), o.Src, o.Dst)
-	for h := 0; h < o.H; h++ {
-		w := st.AvailBothWord(h, cur.Sigma(), cur.Delta())
-		ops.VectorReads += 2
-		ops.VectorANDs++
-		ops.Steps++
-		ops.PortPicks++
-		if w == 0 {
-			o.FailLevel = h
-			if s.Opts.Rollback {
-				s.rollback(st, o, ops)
-			}
-			return
-		}
-		p := bits.TrailingZeros64(w)
-		st.AllocateBoth(h, cur.Sigma(), cur.Delta(), p)
-		ops.Allocs += 2
-		o.Ports = append(o.Ports, p)
-		cur.Advance(p)
-	}
-	o.Granted = true
 }
 
 // scheduleOne routes a single request through all its levels

@@ -32,7 +32,7 @@ func TestLoadTrackingHoldsUnderEveryMutation(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(17 + ti)))
 			st := linkstate.New(tree)
 			st.TrackLoad()
-			lw := &LevelWise{Opts: Options{Rollback: rollback, Incremental: true}}
+			lw := &LevelWise{Opts: Options{Rollback: rollback}}
 			sc := NewScratch()
 			var routes []held
 			var picked uint64

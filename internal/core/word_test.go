@@ -13,8 +13,8 @@ import (
 )
 
 // wordVsVector is the word kernel's differential oracle: it schedules reqs
-// on two identically prepared states — once on the word path (SweepWords,
-// the level pipeline, or scheduleOneFast under RequestMajor), once forced
+// on two identically prepared states — once on the word path (SweepWords
+// or the level pipeline), once forced
 // onto the Vector path by a no-op Trace hook, which changes no scheduling
 // decision — and fails on any difference in outcomes, counters, grant
 // count, final link state or load counters. mkOpts is called once per path
@@ -150,7 +150,7 @@ func failTenth(st *linkstate.State) {
 
 // TestWordFastPathMatchesVectorPath pins the single-word scheduling paths
 // bit-identical to the Vector path over every option the word kernel
-// serves (orders, rollback, both traversals), every tree form (power-of-two
+// serves (orders, rollback), every tree form (power-of-two
 // and general m and w, two and three levels, the arithmetic view), every
 // kind of starting state (idle, load-tracked, fault-masked, carrying held
 // circuits) and the degenerate batch sizes. Batches large enough for the
@@ -173,8 +173,6 @@ func TestWordFastPathMatchesVectorPath(t *testing.T) {
 	}{
 		{"level-major", func() Options { return Options{} }},
 		{"level-major/rollback", func() Options { return Options{Rollback: true} }},
-		{"request-major", func() Options { return Options{Traversal: RequestMajor} }},
-		{"request-major/rollback", func() Options { return Options{Traversal: RequestMajor, Rollback: true} }},
 		{"shuffled", func() Options { return Options{Order: ShuffledOrder, Rand: rand.New(rand.NewSource(5))} }},
 		{"shuffled/rollback", func() Options {
 			return Options{Order: ShuffledOrder, Rand: rand.New(rand.NewSource(5)), Rollback: true}

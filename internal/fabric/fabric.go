@@ -152,7 +152,7 @@ type Config struct {
 	// SchedulerSpec names the admission engine in internal/sched's
 	// registry grammar (e.g. "level-wise,rollback", "backtrack,depth=2",
 	// "parallel,mode=racy,workers=8",
-	// "level-wise,rollback,incremental,reuse-cost=4"). Empty means the
+	// "level-wise,rollback,reuse-cost=4"). Empty means the
 	// default "level-wise,rollback". Mutually exclusive with Scheduler.
 	SchedulerSpec string
 	// Scheduler admits each epoch against the live link state, for

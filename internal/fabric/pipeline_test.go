@@ -2,8 +2,8 @@ package fabric
 
 // Tests for the low-latency admission pipeline: the pooled-ticket
 // zero-allocation guarantee on the Connect enqueue path, release-ring
-// wraparound and exactly-once drain, and ticket cancellation racing the
-// pool.
+// wraparound, exactly-once drain and the drain racing Close, and ticket
+// cancellation racing the pool.
 // ci runs this package under -race -count=2, which is where the
 // concurrency assertions bite.
 
@@ -223,6 +223,68 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 	}
 	if len(seen) != producers*perProd {
 		t.Fatalf("drained %d distinct handles, want %d", len(seen), producers*perProd)
+	}
+}
+
+// TestReleaseRingDrainRacesClose races fast-path releases against Close:
+// every parked handle must be retired exactly once — no grant may be
+// dropped between the ring and the final drain — leaving Released ==
+// grants and zero occupancy, on the default engine's word path and on
+// the reuse-cost Vector path. The ring is kept tiny (the one caller of
+// newManager's ring-size argument) so some releases overflow to the
+// synchronous path mid-shutdown.
+func TestReleaseRingDrainRacesClose(t *testing.T) {
+	for _, mode := range []struct{ name, spec string }{
+		{"batch", ""}, {"reuse-cost", "level-wise,rollback,reuse-cost=4"},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			tree := topology.MustNew(3, 4, 4)
+			m, err := newManager(Config{Tree: tree, BatchSize: 1, SchedulerSpec: mode.spec}, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tree.Nodes()
+			var handles []*Handle
+			for i := 0; i < 48; i++ {
+				h, err := m.Connect(context.Background(), (i*5)%n, (i*3+1)%n)
+				if err != nil {
+					continue
+				}
+				handles = append(handles, h)
+			}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for _, h := range handles {
+				wg.Add(1)
+				go func(h *Handle) {
+					defer wg.Done()
+					<-start
+					if err := h.Release(); err != nil {
+						t.Errorf("release during close: %v", err)
+					}
+				}(h)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := m.Close(context.Background()); err != nil {
+					t.Errorf("close: %v", err)
+				}
+			}()
+			close(start)
+			wg.Wait()
+			// Close returned and every Release returned: all channels must
+			// be back, whether the handle drained through the ring, the
+			// synchronous path, or Close's final pass.
+			s := m.Stats()
+			if s.Released != uint64(len(handles)) {
+				t.Fatalf("Released = %d, want %d", s.Released, len(handles))
+			}
+			if s.Active != 0 || s.Occupancy != 0 {
+				t.Fatalf("grants dropped in the ring/Close race: %+v", s)
+			}
+		})
 	}
 }
 

@@ -28,7 +28,7 @@ type PlaneSpec struct {
 	// Scheduler is an internal/sched registry spec — the one place a
 	// plane's admission engine is chosen (e.g. "level-wise,rollback",
 	// "backtrack,depth=2", "parallel,mode=shard,workers=4,steal",
-	// "level-wise,rollback,incremental,reuse-cost=4"); empty means the
+	// "level-wise,rollback,reuse-cost=4"); empty means the
 	// fabric default.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Queue knobs; zero means the fabric default.

@@ -116,14 +116,15 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigIncrementalRoundTrip: an incremental, reuse-cost scheduler
-// spec survives write → load → build, lands on fabric.Config, and
-// constructs a live plane running that engine.
+// TestConfigIncrementalRoundTrip: a reuse-cost scheduler spec — the
+// carried-circuit port score E20's incremental discipline runs — survives
+// write → load → build, lands on fabric.Config, and constructs a live
+// plane running that engine.
 func TestConfigIncrementalRoundTrip(t *testing.T) {
-	const reuse = "level-wise,rollback,incremental,reuse-cost=4"
+	const reuse = "level-wise,rollback,reuse-cost=4"
 	fc := Generate(2, 2, 4, 2, "", "hash")
 	fc.Planes[0].Scheduler = reuse
-	fc.Planes[1].Scheduler = "levelwise,incremental"
+	fc.Planes[1].Scheduler = "levelwise,reuse-cost=2"
 
 	var buf bytes.Buffer
 	if err := fc.Write(&buf); err != nil {
@@ -174,8 +175,8 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"negative weight", `{"planes":[{"levels":2,"arity":2,"width":1,"weight":-1}]}`, "negative weight"},
 		{"bad parallel mode", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=sharded"}]}`, "mode="},
 		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,steal"}]}`, "steal requires"},
-		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,incremental,reuse-cost=-2"}]}`, "reuse-cost=-2"},
-		{"reuse_cost without incremental", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,reuse-cost=2"}]}`, "reuse-cost requires the incremental flag"},
+		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,reuse-cost=-2"}]}`, "reuse-cost=-2"},
+		{"removed incremental flag", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,incremental,reuse-cost=2"}]}`, "name reuse-cost=K alone"},
 		{"reuse_cost with scheduler", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"backtrack,reuse-cost=2"}]}`, "reuse-cost"},
 		{"incremental without capability", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"optimal,incremental"}]}`, "incremental"},
 	}
@@ -236,7 +237,8 @@ func validateCases() []validateCase {
 	}{
 		{"defaults", []PlaneSpec{plane(func(*PlaneSpec) {})}, true},
 		{"parallel shard spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "parallel,mode=shard,steal,workers=2" })}, true},
-		{"incremental reuse spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "levelwise,incremental,reuse-cost=4" })}, true},
+		{"reuse spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "levelwise,reuse-cost=4" })}, true},
+		{"removed incremental flag", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "levelwise,incremental" })}, false},
 		{"backtrack spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "backtrack,depth=2" })}, true},
 		{"racy steal spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "parallel,mode=racy,steal" })}, false},
 		{"gray knobs", []PlaneSpec{plane(func(p *PlaneSpec) {

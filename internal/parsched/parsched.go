@@ -213,20 +213,6 @@ func (e *Engine) ScheduleInto(st *linkstate.State, reqs []core.Request, sc *core
 	}
 }
 
-// ScheduleDeltaInto serves one incremental epoch (sched.Incremental).
-// Delta epochs always run on the sequential core: the departures'
-// teardown walks are inherently serial, and the arrivals then sweep on
-// the zero-allocation sequential word fast path — which for the small
-// arrival batches of a churning fabric beats spinning up workers. The
-// fallback is documented in Result.Scheduler so observability (fabric
-// LastEpochEngine) shows why a parallel-configured engine scheduled
-// sequentially.
-func (e *Engine) ScheduleDeltaInto(st *linkstate.State, arrivals []core.Request, departures []core.Departure, sc *core.Scratch) *core.Result {
-	res := e.seq.ScheduleDeltaInto(st, arrivals, departures, sc)
-	res.Scheduler = e.seq.Name() + "/par-fallback=incremental-delta"
-	return res
-}
-
 // finish assembles the batch result (mirrors core's accounting).
 func (e *Engine) finish(outs []core.Outcome, ops core.Counters) *core.Result {
 	res := &core.Result{Scheduler: e.name, Outcomes: outs, Total: len(outs), Ops: ops}

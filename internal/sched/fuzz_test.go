@@ -21,6 +21,7 @@ func FuzzParse(f *testing.F) {
 	for _, c := range parseErrorTexts() {
 		f.Add(c.spec)
 	}
+	f.Add("level-wise,rollback,reuse-cost=4")
 	tree := topology.MustNew(3, 4, 4)
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([]core.Request, 64)

@@ -1,14 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/linkstate"
-	"repro/internal/topology"
-)
+import "testing"
 
 func TestAsIncremental(t *testing.T) {
 	for _, c := range []struct {
@@ -16,9 +8,8 @@ func TestAsIncremental(t *testing.T) {
 		want bool
 	}{
 		{"level-wise", true}, // the capability is structural, not flag-gated
-		{"levelwise,incremental", true},
-		{"level-wise,rollback,incremental,reuse-cost=4", true},
-		{"parallel,workers=4", true}, // delegates to its sequential core
+		{"level-wise,rollback,reuse-cost=4", true},
+		{"parallel,workers=4", false},
 		{"optimal", false},
 		{"local", false},
 		{"backtrack,depth=2", false},
@@ -27,59 +18,5 @@ func TestAsIncremental(t *testing.T) {
 		if ok != c.want {
 			t.Errorf("AsIncremental(%q) = %v, want %v", c.spec, ok, c.want)
 		}
-	}
-}
-
-// TestIncrementalSpecGolden is the registry-level arrivals-only
-// bit-identity pin (ci.sh runs it as the incremental-vs-batch golden
-// smoke): the spec the issue grammar names, "levelwise,incremental",
-// must schedule an arrivals-only epoch stream exactly like the plain
-// batch-replay spec "level-wise" — same outcomes, same final state.
-func TestIncrementalSpecGolden(t *testing.T) {
-	tree := topology.MustNew(3, 8, 8)
-	batch := MustParse("level-wise,rollback")
-	inc, ok := AsIncremental(MustParse("levelwise,rollback,incremental"))
-	if !ok {
-		t.Fatal("levelwise,rollback,incremental lost the Incremental capability")
-	}
-	stA, stB := linkstate.New(tree), linkstate.New(tree)
-	scA, scB := core.NewScratch(), core.NewScratch()
-	rng := rand.New(rand.NewSource(21))
-	for epoch := 0; epoch < 32; epoch++ {
-		arrivals := make([]core.Request, 12)
-		for i := range arrivals {
-			arrivals[i] = core.Request{Src: rng.Intn(tree.Nodes()), Dst: rng.Intn(tree.Nodes())}
-		}
-		want := batch.ScheduleInto(stA, arrivals, scA)
-		got := inc.ScheduleDeltaInto(stB, arrivals, nil, scB)
-		if got.Granted != want.Granted || got.Torn != 0 {
-			t.Fatalf("epoch %d: granted %d torn %d, want granted %d torn 0",
-				epoch, got.Granted, got.Torn, want.Granted)
-		}
-		for i := range want.Outcomes {
-			w, g := &want.Outcomes[i], &got.Outcomes[i]
-			if w.Granted != g.Granted || w.FailLevel != g.FailLevel || fmt.Sprint(w.Ports) != fmt.Sprint(g.Ports) {
-				t.Fatalf("epoch %d request %d: got %+v, want %+v", epoch, i, g, w)
-			}
-		}
-		if !stA.Equal(stB) {
-			t.Fatalf("epoch %d: link states diverged", epoch)
-		}
-	}
-}
-
-// TestParallelDeltaFallbackName pins the documented fallback reason: a
-// parallel engine serving a delta epoch runs its sequential core and
-// says so in Result.Scheduler.
-func TestParallelDeltaFallbackName(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	inc, ok := AsIncremental(MustParse("parallel,mode=shard,workers=4"))
-	if !ok {
-		t.Fatal("parallel engine lost the Incremental capability")
-	}
-	st := linkstate.New(tree)
-	res := inc.ScheduleDeltaInto(st, []core.Request{{Src: 0, Dst: tree.Nodes() - 1}}, nil, core.NewScratch())
-	if want := "level-wise/par-fallback=incremental-delta"; res.Scheduler != want {
-		t.Fatalf("Result.Scheduler = %q, want %q", res.Scheduler, want)
 	}
 }

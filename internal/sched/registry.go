@@ -82,8 +82,7 @@ var families = []family{
 			Params: append([]ParamDoc{
 				{"traversal", "level-major (default, Figure 7) or request-major"},
 				{"rollback", "flag: release a failed request's partial path"},
-				{"incremental", "flag: delta epochs — held grants stay allocated across batches (ScheduleDeltaInto)"},
-				{"reuse-cost", "score up-ports by held-circuit overlap at the parents, capped at K (requires incremental; replaces policy)"},
+				{"reuse-cost", "score up-ports by held-circuit overlap at the parents, capped at K (replaces policy)"},
 			}, optionParams...),
 			Example: "level-wise,policy=random,order=shuffle,rollback",
 		},
@@ -101,13 +100,12 @@ var families = []family{
 				return nil, fmt.Errorf("invalid traversal=%q (level-major or request-major)", v)
 			}
 			opts.Rollback = p.flag("rollback")
-			opts.Incremental = p.flag("incremental")
+			if p.flag("incremental") {
+				return nil, fmt.Errorf("the incremental flag was removed: held circuits always stay in the link state, so name reuse-cost=K alone for the reuse-aware pick")
+			}
 			if n, ok, err := p.intValue("reuse-cost"); err != nil {
 				return nil, err
 			} else if ok {
-				if !opts.Incremental {
-					return nil, fmt.Errorf("reuse-cost requires the incremental flag (reuse scores held routes, which only persist across delta epochs)")
-				}
 				if n < 1 {
 					return nil, fmt.Errorf("invalid reuse-cost=%d (must be >= 1)", n)
 				}

@@ -27,10 +27,8 @@ func TestParseNames(t *testing.T) {
 		{"parallel,mode=racy,workers=8", "parallel-level-wise/racy/w8"},
 		{"parallel,workers=2", "parallel-level-wise/deterministic/w2"},
 		{" level-wise , rollback ", "level-wise/rollback"}, // whitespace tolerated
-		{"level-wise,incremental", "level-wise/incremental"},
-		{"levelwise,incremental", "level-wise/incremental"}, // issue-grammar alias
-		{"levelwise,incremental,reuse-cost=4", "level-wise/incremental/reuse-cost=4"},
-		{"level-wise,rollback,incremental,reuse-cost=2", "level-wise/rollback/incremental/reuse-cost=2"},
+		{"levelwise,reuse-cost=4", "level-wise/reuse-cost=4"},
+		{"level-wise,rollback,reuse-cost=4", "level-wise/rollback/reuse-cost=4"},
 	}
 	for _, c := range cases {
 		e, err := Parse(c.spec)
@@ -107,14 +105,19 @@ func parseErrorTexts() []struct{ spec, want string } {
 		// Valid-key lists are sorted so the message is deterministic and
 		// stable under registry reordering.
 		{"parallel,mode=shard,shards=4", `sched: parallel: unknown parameter "shards" (valid: mode, order, policy, rollback, seed, shard-level, steal, workers)`},
-		{"level-wise,window=3", `sched: level-wise: unknown parameter "window" (valid: incremental, order, policy, reuse-cost, rollback, seed, traversal)`},
-		// The incremental grammar: reuse-cost needs the incremental flag,
-		// must be positive, and replaces the policy axis.
-		{"level-wise,reuse-cost=4", `sched: level-wise: reuse-cost requires the incremental flag (reuse scores held routes, which only persist across delta epochs)`},
-		{"level-wise,incremental,reuse-cost=0", `sched: level-wise: invalid reuse-cost=0 (must be >= 1)`},
-		{"level-wise,incremental,reuse-cost=2,policy=random", `sched: level-wise: reuse-cost replaces the port policy (remove policy=random)`},
+		{"level-wise,window=3", `sched: level-wise: unknown parameter "window" (valid: order, policy, reuse-cost, rollback, seed, traversal)`},
+		// The reuse-cost grammar: it must be positive and replaces the
+		// policy axis. The removed incremental flag is refused by name,
+		// with or without reuse-cost, and the message points at reuse-cost.
+		{"level-wise,reuse-cost=0", `sched: level-wise: invalid reuse-cost=0 (must be >= 1)`},
+		{"level-wise,reuse-cost=2,policy=random", `sched: level-wise: reuse-cost replaces the port policy (remove policy=random)`},
+		{"level-wise,incremental", incrementalRemoved},
+		{"level-wise,rollback,incremental,reuse-cost=4", incrementalRemoved},
 	}
 }
+
+const incrementalRemoved = "sched: level-wise: the incremental flag was removed: held circuits always " +
+	"stay in the link state, so name reuse-cost=K alone for the reuse-aware pick"
 
 func TestParseErrorTextExact(t *testing.T) {
 	for _, c := range parseErrorTexts() {

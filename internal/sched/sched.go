@@ -48,20 +48,17 @@ type Engine interface {
 	Unwrap() core.Scheduler
 }
 
-// Incremental is the delta-epoch capability: an engine that carries
-// granted routes forward in the link state across epochs and schedules
-// only the delta — departures torn down (fault-aware), arrivals swept
-// against what remains. core.LevelWise implements it (and the parallel
-// engine delegates to its sequential core, with the fallback documented
-// in Result.Scheduler); detect it on a registry-built engine with
-// AsIncremental. Over an arrivals-only workload ScheduleDeltaInto is
-// bit-identical to ScheduleInto — the contract internal/fabric's
-// incremental mode is built on.
+// Incremental is the delta-epoch capability core.LevelWise still
+// implements: departures torn down with core.ReleaseSurviving, then
+// arrivals swept with ScheduleInto. Every caller in this module schedules
+// with ScheduleInto; Incremental and AsIncremental are kept only because
+// the benchmark's traced delta-epoch replay (bench/layers.go) compiles
+// against them, and go when that replay no longer does.
 type Incremental interface {
 	ScheduleDeltaInto(st *linkstate.State, arrivals []core.Request, departures []core.Departure, sc *core.Scratch) *core.Result
 }
 
-// AsIncremental reports whether the engine can serve delta epochs,
+// AsIncremental reports whether the engine implements Incremental,
 // unwrapping the registry adapter if needed.
 func AsIncremental(e Engine) (Incremental, bool) {
 	if inc, ok := e.(Incremental); ok {

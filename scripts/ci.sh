@@ -81,7 +81,7 @@ if gen | go run ./cmd/ftserve -config - -batch 1 -validate 2>/dev/null; then
 fi
 
 # Allocation-regression guard: the scheduling hot path must stay at zero
-# allocations per request — including the incremental delta path and the
+# allocations per request — including the delta path and the
 # level pipeline, which the same test pins; -count=2 re-runs it against
 # warm scratch state, which is where a regression would hide. The word
 # kernel's differential oracle (word path vs Vector path over every
@@ -132,11 +132,9 @@ go test -run '^$' -fuzz FuzzConnectBody -fuzztime 10s ./cmd/ftserve
 # generation rotation, merge = record-all); -count=2 as above.
 go test -run 'TestHist|TestRecent' -count=2 ./internal/stats
 
-# Incremental-vs-batch golden smoke: over an arrivals-only workload the
-# delta path must stay bit-identical to batch replay, at both the core
-# layer and through the registry spec the fabric uses.
+# Delta-vs-batch golden smoke: over an arrivals-only workload the delta
+# path must stay bit-identical to ScheduleInto.
 go test -run 'TestIncrementalArrivalsOnlyGolden' ./internal/core
-go test -run 'TestIncrementalSpecGolden' ./internal/sched
 
 # Churn-workload smoke: one small seeded run of the batch-replay vs
 # incremental comparison (EXPERIMENTS.md E20), so the -churn harness
