@@ -725,7 +725,7 @@ func TestFlagsAndFileAgree(t *testing.T) {
 			if got, want := pf.Tree.Spec(), topology.MustNew(2, 4, 2).Spec(); got != want {
 				t.Fatalf("plane %d tree %v, want %v", i, got, want)
 			}
-			if pf.Trace != nil || pf.OnConnTerminal != nil || pf.Scheduler != nil {
+			if pf.Trace != nil || pf.OnConnTerminal != nil {
 				t.Fatalf("plane %d carries a hook: %+v", i, pf)
 			}
 			pf.Tree = nil

@@ -89,12 +89,6 @@ func (k *Kernel) Spec() Spec { return k.spec }
 // Nodes returns the cached node count m^l.
 func (k *Kernel) Nodes() int { return k.nodes }
 
-// PowW returns W^e from the stride table (e in [0, L-1]).
-func (k *Kernel) PowW(e int) int { return k.wPow[e] }
-
-// PowM returns M^e from the stride table (e in [0, L-1]).
-func (k *Kernel) PowM(e int) int { return k.mPow[e] }
-
 // WPow2 reports whether W is a power of two (the shift/mask fast path).
 func (k *Kernel) WPow2() bool { return k.wPow2 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -38,25 +37,18 @@ func runVariants(perms int, seed int64, variants []SchedulerSpec) ([]AblationCel
 		if err != nil {
 			return nil, err
 		}
-		gen := traffic.NewGenerator(tree.Nodes(), seed+int64(g[0]*100+g[1]))
-		batches := gen.Permutations(perms)
+		batches := traffic.NewGenerator(tree.Nodes(), seed+int64(g[0]*100+g[1])).Permutations(perms)
 		for _, spec := range variants {
-			ratios := make([]float64, 0, perms)
-			st := linkstate.New(tree)
-			for _, b := range batches {
-				st.Reset()
-				r := spec.Make().Schedule(st, b)
-				if err := core.Verify(tree, r); err != nil {
-					return nil, fmt.Errorf("experiments: ablation %s: %v", spec.Label, err)
-				}
-				ratios = append(ratios, r.Ratio())
+			ratio, err := measure(tree, spec, batches, nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: ablation %s: %v", spec.Label, err)
 			}
 			cells = append(cells, AblationCell{
 				Variant: spec.Label,
 				Levels:  g[0],
 				Width:   g[1],
 				Nodes:   tree.Nodes(),
-				Ratio:   stats.Summarize(ratios),
+				Ratio:   ratio,
 			})
 		}
 	}
@@ -134,17 +126,15 @@ func ComplexityCounts(perms int, seed int64) ([]ComplexityCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen := traffic.NewGenerator(tree.Nodes(), seed)
-		batches := gen.Permutations(perms)
+		batches := traffic.NewGenerator(tree.Nodes(), seed).Permutations(perms)
 		for _, spec := range DefaultSchedulers() {
 			var ops core.Counters
 			total := 0
-			st := linkstate.New(tree)
-			for _, b := range batches {
-				st.Reset()
-				r := spec.Make().Schedule(st, b)
+			if _, err := measure(tree, spec, batches, nil, func(r *core.Result) {
 				ops.Add(r.Ops)
 				total += r.Total
+			}); err != nil {
+				return nil, fmt.Errorf("experiments: complexity %s: %v", spec.Label, err)
 			}
 			cells = append(cells, ComplexityCell{
 				Levels: g[0], Width: g[1], Nodes: tree.Nodes(),

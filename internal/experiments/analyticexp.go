@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analytic"
-	"repro/internal/core"
-	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -32,36 +30,24 @@ func ExtAnalytic(perms int, seed int64) ([]AnalyticCell, error) {
 	grid := []struct{ l, w int }{
 		{2, 16}, {2, 64}, {3, 8}, {3, 16}, {4, 5}, {4, 7},
 	}
+	models := [2]analytic.Scheduler{analytic.LocalRandom, analytic.LevelWise} // DefaultSchedulers' order
 	var cells []AnalyticCell
 	for _, g := range grid {
 		tree, err := topology.New(g.l, g.w, g.w)
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range []struct {
-			label string
-			model analytic.Scheduler
-			mk    SchedulerSpec
-		}{
-			{"Local", analytic.LocalRandom, SchedulerSpec{Label: "Local", Spec: "local-random"}},
-			{"Global", analytic.LevelWise, SchedulerSpec{Label: "Global", Spec: "level-wise"}},
-		} {
-			gen := traffic.NewGenerator(tree.Nodes(), seed+int64(g.w))
-			st := linkstate.New(tree)
-			ratios := make([]float64, 0, perms)
-			for trial := 0; trial < perms; trial++ {
-				st.Reset()
-				r := spec.mk.Make().Schedule(st, gen.MustBatch(traffic.RandomPermutation))
-				if err := core.Verify(tree, r); err != nil {
-					return nil, fmt.Errorf("experiments: analytic %s FT(%d,%d): %v", spec.label, g.l, g.w, err)
-				}
-				ratios = append(ratios, r.Ratio())
+		batches := traffic.NewGenerator(tree.Nodes(), seed+int64(g.w)).Permutations(perms)
+		for i, spec := range DefaultSchedulers() {
+			ratio, err := measure(tree, spec, batches, nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: analytic %s FT(%d,%d): %v", spec.Label, g.l, g.w, err)
 			}
 			cells = append(cells, AnalyticCell{
 				Levels: g.l, Width: g.w,
-				Scheduler: spec.label,
-				Predicted: analytic.Predict(spec.model, g.l, g.w, 0),
-				Measured:  stats.Summarize(ratios),
+				Scheduler: spec.Label,
+				Predicted: analytic.Predict(models[i], g.l, g.w, 0),
+				Measured:  ratio,
 			})
 		}
 	}

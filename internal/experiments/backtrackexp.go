@@ -24,14 +24,7 @@ func ExtBacktrack(perms int, seed int64) ([]AblationCell, error) {
 
 // BacktrackTable renders the sweep.
 func BacktrackTable(cells []AblationCell) *report.Table {
-	tb := report.NewTable("Extension E14: Level-wise with bounded backtracking",
-		"variant", "FT(l,w)", "nodes", "mean", "min", "max")
-	for _, c := range cells {
-		tb.AddRow(c.Variant,
-			fmt.Sprintf("FT(%d,%d)", c.Levels, c.Width),
-			fmt.Sprint(c.Nodes),
-			report.Percent(c.Ratio.Mean), report.Percent(c.Ratio.Min), report.Percent(c.Ratio.Max))
-	}
+	tb := AblationTable("Extension E14: Level-wise with bounded backtracking", cells)
 	tb.AddNote("each backtrack re-opens one level after a dead end; optimal is the rearrangeable ceiling")
 	return tb
 }

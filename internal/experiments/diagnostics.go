@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -38,6 +37,7 @@ func ExtFailureLoci(perms int, seed int64) ([]FailureLocus, error) {
 	if err != nil {
 		return nil, err
 	}
+	batches := traffic.NewGenerator(tree.Nodes(), seed).Permutations(perms)
 	var out []FailureLocus
 	for _, spec := range DefaultSchedulers() {
 		locus := FailureLocus{
@@ -47,14 +47,7 @@ func ExtFailureLoci(perms int, seed int64) ([]FailureLocus, error) {
 			UpFails:   make([]int, tree.LinkLevels()),
 			DownFails: make([]int, tree.LinkLevels()),
 		}
-		gen := traffic.NewGenerator(tree.Nodes(), seed)
-		st := linkstate.New(tree)
-		for trial := 0; trial < perms; trial++ {
-			st.Reset()
-			res := spec.Make().Schedule(st, gen.MustBatch(traffic.RandomPermutation))
-			if err := core.Verify(tree, res); err != nil {
-				return nil, err
-			}
+		if _, err := measure(tree, spec, batches, nil, func(res *core.Result) {
 			locus.Total += res.Total
 			locus.Granted += res.Granted
 			for _, o := range res.Outcomes {
@@ -67,6 +60,8 @@ func ExtFailureLoci(perms int, seed int64) ([]FailureLocus, error) {
 					locus.UpFails[o.FailLevel]++
 				}
 			}
+		}); err != nil {
+			return nil, err
 		}
 		out = append(out, locus)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/fabric"
-	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/switchsim"
@@ -51,23 +50,19 @@ func ExtTraffic(trials int, seed int64) ([]TrafficCell, error) {
 	}
 	var cells []TrafficCell
 	for _, p := range patterns {
-		for _, spec := range DefaultSchedulers() {
-			gen := traffic.NewGenerator(tree.Nodes(), seed+int64(p))
-			ratios := make([]float64, 0, trials)
-			st := linkstate.New(tree)
-			for trial := 0; trial < trials; trial++ {
-				batch, err := gen.Batch(p)
-				if err != nil {
-					return nil, err
-				}
-				st.Reset()
-				r := spec.Make().Schedule(st, batch)
-				if err := core.Verify(tree, r); err != nil {
-					return nil, fmt.Errorf("experiments: traffic %v: %v", p, err)
-				}
-				ratios = append(ratios, r.Ratio())
+		gen := traffic.NewGenerator(tree.Nodes(), seed+int64(p))
+		batches := make([][]core.Request, trials)
+		for i := range batches {
+			if batches[i], err = gen.Batch(p); err != nil {
+				return nil, err
 			}
-			cells = append(cells, TrafficCell{Pattern: p, Scheduler: spec.Label, Ratio: stats.Summarize(ratios)})
+		}
+		for _, spec := range DefaultSchedulers() {
+			ratio, err := measure(tree, spec, batches, nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: traffic %v: %v", p, err)
+			}
+			cells = append(cells, TrafficCell{Pattern: p, Scheduler: spec.Label, Ratio: ratio})
 		}
 	}
 	return cells, nil
@@ -103,20 +98,13 @@ func ExtSlim(perms int, seed int64) ([]SlimCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen := traffic.NewGenerator(tree.Nodes(), seed+int64(w))
-		batches := gen.Permutations(perms)
+		batches := traffic.NewGenerator(tree.Nodes(), seed+int64(w)).Permutations(perms)
 		for _, spec := range DefaultSchedulers() {
-			ratios := make([]float64, 0, perms)
-			st := linkstate.New(tree)
-			for _, b := range batches {
-				st.Reset()
-				r := spec.Make().Schedule(st, b)
-				if err := core.Verify(tree, r); err != nil {
-					return nil, fmt.Errorf("experiments: slim w=%d: %v", w, err)
-				}
-				ratios = append(ratios, r.Ratio())
+			ratio, err := measure(tree, spec, batches, nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: slim w=%d: %v", w, err)
 			}
-			cells = append(cells, SlimCell{W: w, Scheduler: spec.Label, Ratio: stats.Summarize(ratios)})
+			cells = append(cells, SlimCell{W: w, Scheduler: spec.Label, Ratio: ratio})
 		}
 	}
 	return cells, nil
@@ -281,29 +269,27 @@ func ExtSwitchSim(trials int, seed int64) ([]SwitchSimCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen := traffic.NewGenerator(tree.Nodes(), seed+int64(w))
-		seq := make([]float64, 0, trials)
+		batches := traffic.NewGenerator(tree.Nodes(), seed+int64(w)).Permutations(trials)
 		wave := make([]float64, 0, trials)
-		glob := make([]float64, 0, trials)
-		st := linkstate.New(tree)
-		for trial := 0; trial < trials; trial++ {
-			batch := gen.MustBatch(traffic.RandomPermutation)
-			st.Reset()
-			seq = append(seq, core.NewLocalRandom().Schedule(st, batch).Ratio())
+		for trial, batch := range batches {
 			m := &switchsim.Model{Policy: core.RandomFit, Seed: seed + int64(trial)}
 			resWave, _ := m.Run(tree, batch)
 			if err := core.Verify(tree, resWave); err != nil {
 				return nil, err
 			}
 			wave = append(wave, resWave.Ratio())
-			st.Reset()
-			glob = append(glob, core.NewLevelWise().Schedule(st, batch).Ratio())
+		}
+		var ratio [2]stats.Summary // Local, Global
+		for i, spec := range DefaultSchedulers() {
+			if ratio[i], err = measure(tree, spec, batches, nil, nil); err != nil {
+				return nil, err
+			}
 		}
 		cells = append(cells, SwitchSimCell{
 			Width: w, Nodes: tree.Nodes(),
-			Sequential: stats.Summarize(seq),
+			Sequential: ratio[0],
 			Wave:       stats.Summarize(wave),
-			Global:     stats.Summarize(glob),
+			Global:     ratio[1],
 		})
 	}
 	return cells, nil

@@ -37,18 +37,11 @@ func ExtTBWP(perms int, seed int64) ([]TBWPCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen := traffic.NewGenerator(tree.Nodes(), seed+int64(g[0]))
-		batches := gen.Permutations(perms)
-
-		local := make([]float64, 0, perms)
+		batches := traffic.NewGenerator(tree.Nodes(), seed+int64(g[0])).Permutations(perms)
 		tb := make([]float64, 0, perms)
-		global := make([]float64, 0, perms)
 		lateralSum, grantSum := 0.0, 0.0
 		st := linkstate.New(tree)
 		for k, batch := range batches {
-			st.Reset()
-			local = append(local, core.NewLocalRandom().Schedule(st, batch).Ratio())
-
 			st.Reset()
 			s := &tbwp.Scheduler{Policy: core.RandomFit, Seed: seed + int64(k)}
 			res := s.Schedule(st, batch)
@@ -58,18 +51,21 @@ func ExtTBWP(perms int, seed int64) ([]TBWPCell, error) {
 			tb = append(tb, res.Ratio())
 			lateralSum += float64(res.LateralsUsed)
 			grantSum += float64(res.Granted)
-
-			st.Reset()
-			global = append(global, core.NewLevelWise().Schedule(st, batch).Ratio())
+		}
+		var ratio [2]stats.Summary // Local, Global
+		for i, spec := range DefaultSchedulers() {
+			if ratio[i], err = measure(tree, spec, batches, nil, nil); err != nil {
+				return nil, fmt.Errorf("experiments: TBWP %s: %v", spec.Label, err)
+			}
 		}
 		lat := 0.0
 		if grantSum > 0 {
 			lat = lateralSum / grantSum
 		}
 		cells = append(cells,
-			TBWPCell{g[0], g[1], tree.Nodes(), "Local", stats.Summarize(local), 0},
+			TBWPCell{g[0], g[1], tree.Nodes(), "Local", ratio[0], 0},
 			TBWPCell{g[0], g[1], tree.Nodes(), "TBWP", stats.Summarize(tb), lat},
-			TBWPCell{g[0], g[1], tree.Nodes(), "Global", stats.Summarize(global), 0},
+			TBWPCell{g[0], g[1], tree.Nodes(), "Global", ratio[1], 0},
 		)
 	}
 	return cells, nil
@@ -109,10 +105,6 @@ func ExtRounds(perms int, seed int64) ([]RoundsCell, error) {
 	if perms == 0 {
 		perms = DefaultPermutations
 	}
-	specs := []SchedulerSpec{
-		{Label: "Local", Spec: "local-random"},
-		{Label: "Global", Spec: "level-wise"},
-	}
 	var cells []RoundsCell
 	for _, g := range ablationGrid {
 		tree, err := topology.New(g[0], g[1], g[1])
@@ -121,7 +113,7 @@ func ExtRounds(perms int, seed int64) ([]RoundsCell, error) {
 		}
 		gen := traffic.NewGenerator(tree.Nodes(), seed+int64(g[0]*10))
 		batches := gen.Permutations(perms)
-		for _, spec := range specs {
+		for _, spec := range DefaultSchedulers() {
 			rounds := make([]float64, 0, perms)
 			st := linkstate.New(tree)
 			for _, batch := range batches {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -33,24 +32,18 @@ func ExtFaults(perms int, seed int64) ([]FaultCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	batches := traffic.NewGenerator(tree.Nodes(), seed).Permutations(perms)
 	var cells []FaultCell
 	for _, frac := range []float64{0, 0.02, 0.05, 0.10, 0.20} {
+		prep := func(st *linkstate.State) { injectFailures(st, frac, seed) }
 		for _, spec := range DefaultSchedulers() {
-			gen := traffic.NewGenerator(tree.Nodes(), seed)
-			ratios := make([]float64, 0, perms)
-			st := linkstate.New(tree)
-			injectFailures(st, frac, seed)
-			for trial := 0; trial < perms; trial++ {
-				st.Reset() // failures persist across Reset
-				r := spec.Make().Schedule(st, gen.MustBatch(traffic.RandomPermutation))
-				// Verification replays on a fresh, fault-free state: it
-				// still proves no double allocation among grants.
-				if err := core.Verify(tree, r); err != nil {
-					return nil, fmt.Errorf("experiments: faults %.2f: %v", frac, err)
-				}
-				ratios = append(ratios, r.Ratio())
+			// Verification replays on a fresh, fault-free state: it still
+			// proves no double allocation among grants.
+			ratio, err := measure(tree, spec, batches, prep, nil)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: faults %.2f: %v", frac, err)
 			}
-			cells = append(cells, FaultCell{FailFraction: frac, Scheduler: spec.Label, Ratio: stats.Summarize(ratios)})
+			cells = append(cells, FaultCell{FailFraction: frac, Scheduler: spec.Label, Ratio: ratio})
 		}
 	}
 	return cells, nil

@@ -6,10 +6,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -106,6 +104,19 @@ type Fig9Config struct {
 // see identical workloads. Every result is passed through core.Verify.
 // Widths are evaluated in parallel when cfg.Workers > 1.
 func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
+	res, jobs, err := fig9Jobs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := runJobs(cfg.Workers, jobs); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// fig9Jobs validates cfg and returns the subplot with one job per width
+// that fills the width's points.
+func fig9Jobs(cfg Fig9Config) (*Fig9Result, []func() error, error) {
 	perms := cfg.Permutations
 	if perms == 0 {
 		perms = DefaultPermutations
@@ -115,90 +126,57 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 		specs = DefaultSchedulers()
 	}
 	if err := validateSpecs(specs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Fig9Result{
 		Name:   cfg.Name,
 		Levels: cfg.Levels,
 		Points: make([]Point, len(cfg.Widths)*len(specs)),
 	}
-
-	runWidth := func(wi int) error {
-		w := cfg.Widths[wi]
-		tree, err := topology.New(cfg.Levels, w, w)
-		if err != nil {
-			return err
-		}
-		gen := traffic.NewGenerator(tree.Nodes(), cfg.Seed+int64(w))
-		batches := gen.Permutations(perms)
-		for si, spec := range specs {
-			ratios := make([]float64, 0, perms)
-			st := linkstate.New(tree)
-			for _, batch := range batches {
-				st.Reset()
-				s := spec.Make()
-				r := s.Schedule(st, batch)
-				if err := core.Verify(tree, r); err != nil {
+	jobs := make([]func() error, len(cfg.Widths))
+	for wi, w := range cfg.Widths {
+		jobs[wi] = func() error {
+			tree, err := topology.New(cfg.Levels, w, w)
+			if err != nil {
+				return err
+			}
+			batches := traffic.NewGenerator(tree.Nodes(), cfg.Seed+int64(w)).Permutations(perms)
+			for si, spec := range specs {
+				ratio, err := measure(tree, spec, batches, nil, nil)
+				if err != nil {
 					return fmt.Errorf("experiments: %s FT(%d,%d) failed verification: %v", spec.Label, cfg.Levels, w, err)
 				}
-				ratios = append(ratios, r.Ratio())
+				res.Points[wi*len(specs)+si] = Point{
+					Levels:    cfg.Levels,
+					Width:     w,
+					Nodes:     tree.Nodes(),
+					Scheduler: spec.Label,
+					Ratio:     ratio,
+				}
 			}
-			res.Points[wi*len(specs)+si] = Point{
-				Levels:    cfg.Levels,
-				Width:     w,
-				Nodes:     tree.Nodes(),
-				Scheduler: spec.Label,
-				Ratio:     stats.Summarize(ratios),
-			}
+			return nil
 		}
-		return nil
 	}
+	return res, jobs, nil
+}
 
-	if cfg.Workers <= 1 {
-		for wi := range cfg.Widths {
-			if err := runWidth(wi); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
+// paperFig9 configures the paper's three subplots on its grids.
+func paperFig9(perms int, seed int64) [3]Fig9Config {
+	return [3]Fig9Config{
+		{Name: "Figure 9(a): two-level fat tree", Levels: 2, Widths: Fig9aWidths, Permutations: perms, Seed: seed},
+		{Name: "Figure 9(b): three-level fat tree", Levels: 3, Widths: Fig9bWidths, Permutations: perms, Seed: seed},
+		{Name: "Figure 9(c): four-level fat tree", Levels: 4, Widths: Fig9cWidths, Permutations: perms, Seed: seed},
 	}
-
-	sem := make(chan struct{}, cfg.Workers)
-	errs := make([]error, len(cfg.Widths))
-	var wg sync.WaitGroup
-	for wi := range cfg.Widths {
-		wi := wi
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[wi] = runWidth(wi)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
 // Fig9a runs the two-level subplot on the paper's grid.
-func Fig9a(perms int, seed int64) (*Fig9Result, error) {
-	return RunFig9(Fig9Config{Name: "Figure 9(a): two-level fat tree", Levels: 2, Widths: Fig9aWidths, Permutations: perms, Seed: seed})
-}
+func Fig9a(perms int, seed int64) (*Fig9Result, error) { return RunFig9(paperFig9(perms, seed)[0]) }
 
 // Fig9b runs the three-level subplot on the paper's grid.
-func Fig9b(perms int, seed int64) (*Fig9Result, error) {
-	return RunFig9(Fig9Config{Name: "Figure 9(b): three-level fat tree", Levels: 3, Widths: Fig9bWidths, Permutations: perms, Seed: seed})
-}
+func Fig9b(perms int, seed int64) (*Fig9Result, error) { return RunFig9(paperFig9(perms, seed)[1]) }
 
 // Fig9c runs the four-level subplot on the paper's grid.
-func Fig9c(perms int, seed int64) (*Fig9Result, error) {
-	return RunFig9(Fig9Config{Name: "Figure 9(c): four-level fat tree", Levels: 4, Widths: Fig9cWidths, Permutations: perms, Seed: seed})
-}
+func Fig9c(perms int, seed int64) (*Fig9Result, error) { return RunFig9(paperFig9(perms, seed)[2]) }
 
 // point returns the point for (width, scheduler), or nil.
 func (r *Fig9Result) point(width int, scheduler string) *Point {

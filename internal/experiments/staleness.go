@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/linkstate"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -33,20 +31,13 @@ func ExtStaleness(perms int, seed int64) ([]StalenessCell, error) {
 		return nil, err
 	}
 	n := tree.Nodes()
+	batches := traffic.NewGenerator(n, seed).Permutations(perms)
 	run := func(label, spec string) (StalenessCell, error) {
-		mk := SchedulerSpec{Label: label, Spec: spec}.Make
-		gen := traffic.NewGenerator(n, seed)
-		ratios := make([]float64, 0, perms)
-		st := linkstate.New(tree)
-		for trial := 0; trial < perms; trial++ {
-			st.Reset()
-			r := mk().Schedule(st, gen.MustBatch(traffic.RandomPermutation))
-			if err := core.Verify(tree, r); err != nil {
-				return StalenessCell{}, fmt.Errorf("experiments: staleness %s: %v", label, err)
-			}
-			ratios = append(ratios, r.Ratio())
+		ratio, err := measure(tree, SchedulerSpec{Label: label, Spec: spec}, batches, nil, nil)
+		if err != nil {
+			return StalenessCell{}, fmt.Errorf("experiments: staleness %s: %v", label, err)
 		}
-		return StalenessCell{Label: label, Ratio: stats.Summarize(ratios)}, nil
+		return StalenessCell{Label: label, Ratio: ratio}, nil
 	}
 
 	var cells []StalenessCell

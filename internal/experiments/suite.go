@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/report"
 )
@@ -18,9 +18,9 @@ type SuiteConfig struct {
 	// SkipExtensions restricts the run to the paper's own evaluation
 	// (Figure 9 and Table 1).
 	SkipExtensions bool
-	// Workers parallelizes the Figure 9 sweeps across system sizes and
-	// the ablations/extensions across each other; results and output
-	// order are identical to a sequential run.
+	// Workers bounds the pool that runs Figure 9's widths and the other
+	// components; results and output order are identical to a sequential
+	// run.
 	Workers int
 	// Only, when non-empty, runs just the suite components whose id
 	// contains it (case-insensitive), e.g. "e12", "a1", "fig9",
@@ -35,44 +35,117 @@ func (c SuiteConfig) wants(id string) bool {
 	return strings.Contains(strings.ToLower(id), strings.ToLower(c.Only))
 }
 
-// component is one named, independently runnable piece of the suite.
+// component is one named, independently runnable piece of the suite
+// after Figure 9: its id, its run and its table renderer.
 type component struct {
 	id  string
-	run func() (*report.Table, error)
+	run func(perms int, seed int64) (*report.Table, error)
 }
+
+// entry pairs an experiment with the renderer of its table.
+func entry[T any](id string, run func(perms int, seed int64) (T, error), render func(T) *report.Table) component {
+	return component{id, func(perms int, seed int64) (*report.Table, error) {
+		cells, err := run(perms, seed)
+		if err != nil {
+			return nil, err
+		}
+		return render(cells), nil
+	}}
+}
+
+// seedOnly adapts an experiment with a fixed sample size.
+func seedOnly[T any](run func(seed int64) (T, error)) func(int, int64) (T, error) {
+	return func(_ int, seed int64) (T, error) { return run(seed) }
+}
+
+// titled renders an ablation sweep under its title.
+func titled(title string) func([]AblationCell) *report.Table {
+	return func(cells []AblationCell) *report.Table { return AblationTable(title, cells) }
+}
+
+// paperComponents follow Figure 9 in every run; extensionComponents
+// follow them unless SkipExtensions is set.
+var (
+	paperComponents = []component{
+		entry("table1", seedOnly(Table1), Table1Table),
+		entry("complexity", func(_ int, seed int64) ([]ComplexityCell, error) { return ComplexityCounts(0, seed) }, ComplexityTable),
+	}
+	extensionComponents = []component{
+		entry("A1 port-policy", AblationPortPolicy, titled("Ablation A1: Level-wise port-selection policy")),
+		entry("A2 rollback", AblationRollback, titled("Ablation A2: rollback of failed requests")),
+		entry("A3 ordering", AblationOrdering, titled("Ablation A3: request processing order")),
+		entry("E1 optimal", ExtOptimal, titled("Extension E1: optimal (rearrangeable) reference")),
+		entry("E2 traffic", ExtTraffic, TrafficTable),
+		entry("E3 slim", ExtSlim, SlimTable),
+		entry("E4 dynamic", seedOnly(ExtDynamic), DynamicTable),
+		entry("E5 switchsim", func(perms int, seed int64) ([]SwitchSimCell, error) { return ExtSwitchSim(perms/2, seed) }, SwitchSimTable),
+		entry("E6 tbwp", ExtTBWP, TBWPTable),
+		entry("E7 rounds", ExtRounds, RoundsTable),
+		entry("E8 wormhole-load", seedOnly(ExtWormholeLoad), WormholeLoadTable),
+		entry("E9 bulk-transfer", seedOnly(ExtBulkTransfer), BulkTable),
+		entry("E10 faults", ExtFaults, FaultTable),
+		entry("E11 failure-loci", ExtFailureLoci, FailureLociTable),
+		entry("E12 staleness", ExtStaleness, StalenessTable),
+		entry("E13 multicast", ExtMulticast, MulticastTable),
+		entry("E14 backtrack", ExtBacktrack, BacktrackTable),
+		entry("E15 analytic", ExtAnalytic, AnalyticTable),
+	}
+)
 
 // RunSuite executes the evaluation — every figure and table of the paper
 // plus (unless skipped or filtered) the ablations and extensions —
-// rendering each as an ASCII table to out. It returns the Figure 9
-// claim-check violations (nil when the reproduction matches the paper's
-// shape, or when the claim check did not run due to filtering).
+// rendering each as an ASCII table to out. Figure 9's widths and the
+// components run as one job list on a pool of cfg.Workers; output order
+// does not depend on it. It returns the Figure 9 claim-check violations
+// (nil when the reproduction matches the paper's shape, or when the claim
+// check did not run due to filtering).
 func RunSuite(out io.Writer, cfg SuiteConfig) ([]string, error) {
-	var violations []string
+	var jobs []func() error
+	var subplots []*Fig9Result
 	if cfg.wants("fig9") {
-		a, err := RunFig9(Fig9Config{Name: "Figure 9(a): two-level fat tree", Levels: 2, Widths: Fig9aWidths,
-			Permutations: cfg.Permutations, Seed: cfg.Seed, Workers: cfg.Workers})
-		if err != nil {
-			return nil, err
+		for _, fc := range paperFig9(cfg.Permutations, cfg.Seed) {
+			r, js, err := fig9Jobs(fc)
+			if err != nil {
+				return nil, err
+			}
+			subplots = append(subplots, r)
+			jobs = append(jobs, js...)
 		}
-		b, err := RunFig9(Fig9Config{Name: "Figure 9(b): three-level fat tree", Levels: 3, Widths: Fig9bWidths,
-			Permutations: cfg.Permutations, Seed: cfg.Seed, Workers: cfg.Workers})
-		if err != nil {
-			return nil, err
+	}
+	components := paperComponents
+	if !cfg.SkipExtensions {
+		components = slices.Concat(paperComponents, extensionComponents)
+	}
+	var selected []component
+	for _, c := range components {
+		if cfg.wants(c.id) {
+			selected = append(selected, c)
 		}
-		c, err := RunFig9(Fig9Config{Name: "Figure 9(c): four-level fat tree", Levels: 4, Widths: Fig9cWidths,
-			Permutations: cfg.Permutations, Seed: cfg.Seed, Workers: cfg.Workers})
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range []*Fig9Result{a, b, c} {
+	}
+	tables := make([]*report.Table, len(selected))
+	for i, c := range selected {
+		jobs = append(jobs, func() (err error) {
+			if tables[i], err = c.run(cfg.Permutations, cfg.Seed); err != nil {
+				return fmt.Errorf("experiments: %s: %w", c.id, err)
+			}
+			return nil
+		})
+	}
+	if err := runJobs(cfg.Workers, jobs); err != nil {
+		return nil, err
+	}
+
+	var violations []string
+	if subplots != nil {
+		for _, r := range subplots {
 			if err := r.Table().Render(out); err != nil {
 				return nil, err
 			}
 		}
-		if err := Fig9dTable(Fig9d(a, b, c)).Render(out); err != nil {
+		if err := Fig9dTable(Fig9d(subplots...)).Render(out); err != nil {
 			return nil, err
 		}
-		violations = CheckPaperClaims(a, b, c)
+		violations = CheckPaperClaims(subplots...)
 		if len(violations) == 0 {
 			fmt.Fprintln(out, "Figure 9 claim check: all Section 5 claims hold.")
 		} else {
@@ -83,191 +156,8 @@ func RunSuite(out io.Writer, cfg SuiteConfig) ([]string, error) {
 		}
 		fmt.Fprintln(out)
 	}
-
-	if cfg.wants("table1") {
-		t1, err := Table1(cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := Table1Table(t1).Render(out); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.wants("complexity") {
-		cc, err := ComplexityCounts(0, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := ComplexityTable(cc).Render(out); err != nil {
-			return nil, err
-		}
-	}
-
-	if cfg.SkipExtensions {
-		return violations, nil
-	}
-
-	components := []component{
-		{"A1 port-policy", func() (*report.Table, error) {
-			cells, err := AblationPortPolicy(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("Ablation A1: Level-wise port-selection policy", cells), nil
-		}},
-		{"A2 rollback", func() (*report.Table, error) {
-			cells, err := AblationRollback(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("Ablation A2: rollback of failed requests", cells), nil
-		}},
-		{"A3 ordering", func() (*report.Table, error) {
-			cells, err := AblationOrdering(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("Ablation A3: request processing order", cells), nil
-		}},
-		{"E1 optimal", func() (*report.Table, error) {
-			cells, err := ExtOptimal(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("Extension E1: optimal (rearrangeable) reference", cells), nil
-		}},
-		{"E2 traffic", func() (*report.Table, error) {
-			cells, err := ExtTraffic(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return TrafficTable(cells), nil
-		}},
-		{"E3 slim", func() (*report.Table, error) {
-			cells, err := ExtSlim(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return SlimTable(cells), nil
-		}},
-		{"E4 dynamic", func() (*report.Table, error) {
-			cells, err := ExtDynamic(cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return DynamicTable(cells), nil
-		}},
-		{"E5 switchsim", func() (*report.Table, error) {
-			cells, err := ExtSwitchSim(cfg.Permutations/2, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return SwitchSimTable(cells), nil
-		}},
-		{"E6 tbwp", func() (*report.Table, error) {
-			cells, err := ExtTBWP(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return TBWPTable(cells), nil
-		}},
-		{"E7 rounds", func() (*report.Table, error) {
-			cells, err := ExtRounds(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return RoundsTable(cells), nil
-		}},
-		{"E8 wormhole-load", func() (*report.Table, error) {
-			cells, err := ExtWormholeLoad(cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return WormholeLoadTable(cells), nil
-		}},
-		{"E9 bulk-transfer", func() (*report.Table, error) {
-			cells, err := ExtBulkTransfer(cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return BulkTable(cells), nil
-		}},
-		{"E10 faults", func() (*report.Table, error) {
-			cells, err := ExtFaults(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return FaultTable(cells), nil
-		}},
-		{"E11 failure-loci", func() (*report.Table, error) {
-			loci, err := ExtFailureLoci(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return FailureLociTable(loci), nil
-		}},
-		{"E12 staleness", func() (*report.Table, error) {
-			cells, err := ExtStaleness(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return StalenessTable(cells), nil
-		}},
-		{"E13 multicast", func() (*report.Table, error) {
-			cells, err := ExtMulticast(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return MulticastTable(cells), nil
-		}},
-		{"E14 backtrack", func() (*report.Table, error) {
-			cells, err := ExtBacktrack(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return BacktrackTable(cells), nil
-		}},
-		{"E15 analytic", func() (*report.Table, error) {
-			cells, err := ExtAnalytic(cfg.Permutations, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return AnalyticTable(cells), nil
-		}},
-	}
-	var selected []component
-	for _, c := range components {
-		if cfg.wants(c.id) {
-			selected = append(selected, c)
-		}
-	}
-
-	// Components are independent; run them on a bounded pool and render
-	// in the original order.
-	tables := make([]*report.Table, len(selected))
-	errs := make([]error, len(selected))
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range selected {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			tables[i], errs[i] = selected[i].run()
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", selected[i].id, err)
-		}
-		if err := tables[i].Render(out); err != nil {
+	for _, t := range tables {
+		if err := t.Render(out); err != nil {
 			return nil, err
 		}
 	}

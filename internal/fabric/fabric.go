@@ -153,15 +153,11 @@ type Config struct {
 	// registry grammar (e.g. "level-wise,rollback", "backtrack,depth=2",
 	// "parallel,mode=racy,workers=8",
 	// "level-wise,rollback,reuse-cost=4"). Empty means the
-	// default "level-wise,rollback". Mutually exclusive with Scheduler.
+	// default "level-wise,rollback". Engines that retain a failed
+	// request's partial allocations are safe: the manager releases
+	// retained ports after every epoch, since a rejected connection holds
+	// nothing.
 	SchedulerSpec string
-	// Scheduler admits each epoch against the live link state, for
-	// callers that composed one programmatically; most should name an
-	// engine with SchedulerSpec instead. Defaults to the Level-wise
-	// scheduler with rollback. Schedulers that retain a failed request's
-	// partial allocations are safe: the manager releases retained ports
-	// after every epoch, since a rejected connection holds nothing.
-	Scheduler core.Scheduler
 	// BatchSize is the epoch threshold (default DefaultBatchSize): the
 	// Connect that brings the queue to it runs the epoch. 1 disables
 	// batching: every request is its own epoch.
@@ -677,16 +673,10 @@ func (cfg *Config) resolve() (sched.Engine, error) {
 	case cfg.RepairBudget.Burst == 0:
 		cfg.RepairBudget.Burst = int(math.Ceil(cfg.RepairBudget.Rate))
 	}
-	switch {
-	case cfg.SchedulerSpec != "" && cfg.Scheduler != nil:
-		return nil, errors.New("fabric: SchedulerSpec and Scheduler are mutually exclusive")
-	case cfg.SchedulerSpec != "":
+	if cfg.SchedulerSpec != "" {
 		return sched.Parse(cfg.SchedulerSpec)
-	case cfg.Scheduler != nil:
-		return sched.Wrap(cfg.Scheduler), nil
-	default:
-		return sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}}), nil
 	}
+	return sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}}), nil
 }
 
 // newManager is New with the release-ring capacity exposed, for the

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linkstate"
+	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
@@ -149,10 +150,11 @@ func TestAdmitTimeout(t *testing.T) {
 func TestBackpressureOverflow(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	gate := newGatedScheduler()
-	m, err := New(Config{Tree: tree, Scheduler: gate, BatchSize: 1, MaxWait: time.Hour, QueueLimit: 1})
+	m, err := New(Config{Tree: tree, BatchSize: 1, MaxWait: time.Hour, QueueLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.eng = sched.Wrap(gate) // before any Connect: no epoch has read it yet
 	errc := make(chan error, 2)
 	go func() { // A: claimed immediately (BatchSize 1), stuck at the gate
 		_, err := m.Connect(context.Background(), 0, 5)

@@ -158,9 +158,6 @@ func (t *Tree) Parents() int { return t.spec.W }
 // Nodes returns the number of processing nodes m^l.
 func (t *Tree) Nodes() int { return t.kern.Nodes() }
 
-// Kernel returns the tree's precomputed digit/stride tables.
-func (t *Tree) Kernel() *digits.Kernel { return t.kern }
-
 // WithArithmeticCursor returns a view of the tree whose hot-path queries
 // — UpParent, NodeSwitch, AncestorLevel, and every RouteCursor walk over
 // them — use the Theorem 1 digit arithmetic (div/mod per level) instead

@@ -7,6 +7,34 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# gotest is go test behind a guard: each alternative of a -run, -bench or
+# -fuzz pattern (its top-level name, before any '/') must name a test,
+# benchmark or fuzz target in one of the line's packages, by go test
+# -list. A pattern that matches nothing only prints "no tests to run" and
+# exits 0, so without the guard a renamed or deleted test would drop out
+# of its line unnoticed. The patterns '^$' and '.' are exempt.
+gotest() {
+	local args=("$@") pats=() pkgs=() alts=() i pat alt out
+	for ((i = 0; i < ${#args[@]}; i++)); do
+		case ${args[i]} in
+		-run | -bench | -fuzz) pats+=("${args[i + 1]}"); i=$((i + 1)) ;;
+		. | ./*) pkgs+=("${args[i]}") ;;
+		esac
+	done
+	for pat in ${pats[@]+"${pats[@]}"}; do
+		[[ $pat == '^$' || $pat == . ]] && continue
+		IFS='|' read -ra alts <<<"$pat"
+		for alt in "${alts[@]}"; do
+			out=$(go test -list "${alt%%/*}" "${pkgs[@]}")
+			if ! grep -qE '^(Test|Benchmark|Fuzz|Example)' <<<"$out"; then
+				echo "ci.sh: pattern '$alt' (of '$pat') names nothing in ${pkgs[*]}" >&2
+				exit 1
+			fi
+		done
+	done
+	go test "$@"
+}
+
 go build ./...
 go vet ./...
 
@@ -18,7 +46,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-go test -race ./...
+gotest -race ./...
 
 # Concurrency-focused pass: re-run the parallel engine, the fabric
 # manager (including the fault revoke/re-admit chaos tests and the
@@ -27,13 +55,13 @@ go test -race ./...
 # lost connections, plus the breaker/health gray tests) under -race
 # with a doubled count, shaking out interleavings a single full-suite
 # run can miss.
-go test -race -count=2 ./internal/parsched ./internal/fabric ./internal/faults ./internal/federation
+gotest -race -count=2 ./internal/parsched ./internal/fabric ./internal/faults ./internal/federation
 
 # Shard-engine stress: the high-worker-count shard tests (16 workers on
 # deliberately small trees, steal on and off) force maximal queue
 # contention and whole-shard steals; -count=2 under -race shakes out
 # claim/steal interleavings a single run can miss.
-go test -race -count=2 -run 'HighWorker' ./internal/parsched
+gotest -race -count=2 -run 'HighWorker' ./internal/parsched
 
 # Level-pipeline race pass: the word kernel's differential oracle (which
 # runs batches the level pipeline takes on the warm helper, on the caller
@@ -41,30 +69,30 @@ go test -race -count=2 -run 'HighWorker' ./internal/parsched
 # starting only where the pipeline engages; the caller/helper hand-off is
 # only proven under -race, and -count=2 shakes out interleavings a single
 # run can miss.
-go test -race -count=2 -run 'TestWordFastPathMatchesVectorPath|TestLevelPipeline' ./internal/core
+gotest -race -count=2 -run 'TestWordFastPathMatchesVectorPath|TestLevelPipeline' ./internal/core
 
 # Bench smoke: compile and run every benchmark for exactly one iteration
 # so bit-rot in the bench harnesses (including the parallel-engine and
 # zero-allocation benches) fails CI without costing bench-grade runtime.
-go test -run '^$' -bench . -benchtime 1x ./...
+gotest -run '^$' -bench . -benchtime 1x ./...
 
 # Hot-path smoke: the cursor-advance, tree-construction, Level-wise sweep
 # and fabric-release benches exercise the table-driven topology kernel,
 # the word kernel and the lock-free release ring end to end (including
 # the /arith oracle variants); run them explicitly so a rename never
 # silently drops them from the net above.
-go test -run '^$' -bench 'BenchmarkRouteCursor|BenchmarkTopologyNew' -benchtime 1x ./internal/topology
-go test -run '^$' -bench 'BenchmarkLevelWise' -benchtime 1x ./internal/core
+gotest -run '^$' -bench 'BenchmarkRouteCursor|BenchmarkTopologyNew' -benchtime 1x ./internal/topology
+gotest -run '^$' -bench 'BenchmarkLevelWise' -benchtime 1x ./internal/core
 # The same sweep on one CPU and two: the FT(3,16,16) permutation row takes
 # the level pipeline at -cpu 2 (EXPERIMENTS.md E31).
-go test -run '^$' -bench 'BenchmarkLevelWiseAllocs/FT3x16x16' -benchtime 1x -cpu 1,2 ./internal/core
-go test -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
-go test -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./internal/federation
+gotest -run '^$' -bench 'BenchmarkLevelWiseAllocs/FT3x16x16' -benchtime 1x -cpu 1,2 ./internal/core
+gotest -run '^$' -bench 'BenchmarkFabricRelease' -benchtime 1x ./internal/fabric
+gotest -run '^$' -bench 'BenchmarkFederationAdmit' -benchtime 1x -cpu 1,2 ./internal/federation
 
 # Scaling-study smoke: one shard-engine point of the multi-core sweep
 # (EXPERIMENTS.md E19), so the -cpu matrix harness keeps compiling and
 # the shard fast path keeps running end to end.
-go test -run '^$' -bench 'BenchmarkScalingEngines/FT3x8x8/batch4096/local/shard$' -benchtime 1x -cpu 2 .
+gotest -run '^$' -bench 'BenchmarkScalingEngines/FT3x8x8/batch4096/local/shard$' -benchtime 1x -cpu 2 .
 
 # Config round-trip smoke: the generator's output must load through the
 # server's own -config path (stdin form), end to end through both CLIs,
@@ -87,7 +115,7 @@ fi
 # kernel's differential oracle (word path vs Vector path over every
 # option, tree form and starting state) and the concurrent-callers test
 # of the level pipeline ride along, run twice for the same reason.
-go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath|TestLevelPipelineConcurrentCallers' -count=2 ./internal/core
+gotest -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath|TestLevelPipelineConcurrentCallers' -count=2 ./internal/core
 
 # Load-counter contracts: the word-form release walk against the
 # per-channel walk it replaced (every tree form, tracked and untracked,
@@ -100,8 +128,8 @@ go test -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath|TestL
 # of four tree forms over seeded fault sets); -count=2 for the same reason
 # as above. The shard engine's half of the single-writer contract
 # (TestShardHighWorkerTrackedState) rides the -race HighWorker line.
-go test -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise' -count=2 ./internal/linkstate
-go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
+gotest -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise' -count=2 ./internal/linkstate
+gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
 # The operation generator, both modes: seeded sequences on five trees and
 # every sequence of up to four operations on FT(2,2,2) and FT(3,2,2), with and
@@ -112,29 +140,29 @@ go test -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 # Close), verdicts bit for bit, Routable Level-wise first-fit for every
 # pair; and readers racing 32 churning clients see no torn row of the
 # published view; under -race, -count=2 as above.
-go test -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn' -count=2 ./internal/fabric
+gotest -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn' -count=2 ./internal/fabric
 
 # Spec fuzz: no input makes sched.Parse panic, and an accepted spec's engine
 # schedules a seeded batch that core.Verify passes and whose routes release
 # back to a fresh state.
-go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sched
+gotest -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sched
 # Config fuzz: any file the config parser accepts, with small planes, is
 # accepted by Validate exactly when Build and New succeed.
-go test -run '^$' -fuzz FuzzValidateMatchesNew -fuzztime 10s ./internal/federation
+gotest -run '^$' -fuzz FuzzValidateMatchesNew -fuzztime 10s ./internal/federation
 # Request-body fuzz: POST /connect answers 200 or 409 only for a body a
 # strict decoder (unknown fields refused, one JSON value) accepts, and a
 # 200 echoes the endpoints that decoder read.
-go test -run '^$' -fuzz FuzzConnectBody -fuzztime 10s ./cmd/ftserve
+gotest -run '^$' -fuzz FuzzConnectBody -fuzztime 10s ./cmd/ftserve
 
 # Histogram oracle: the fixed-size recent-sample histogram behind every
 # Stats distribution against stats.Summarize / Percentile / Histogram over
 # the samples it retains (bucket edges, one-bucket percentile error,
 # generation rotation, merge = record-all); -count=2 as above.
-go test -run 'TestHist|TestRecent' -count=2 ./internal/stats
+gotest -run 'TestHist|TestRecent' -count=2 ./internal/stats
 
 # Delta-vs-batch golden smoke: over an arrivals-only workload the delta
 # path must stay bit-identical to ScheduleInto.
-go test -run 'TestIncrementalArrivalsOnlyGolden' ./internal/core
+gotest -run 'TestIncrementalArrivalsOnlyGolden' ./internal/core
 
 # Churn-workload smoke: one small seeded run of the batch-replay vs
 # incremental comparison (EXPERIMENTS.md E20), so the -churn harness
@@ -153,7 +181,7 @@ go run ./cmd/ftbench -gray -fabric-levels 2 -fabric-children 4 -fabric-parents 4
 # acquire + pooled ticket + queue append) must stay at zero allocations
 # per request; -count=2 re-runs it against a warm ticket pool, which is
 # where a pool regression would hide.
-go test -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
+gotest -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
 # Grant allocation guards: a bare Manager grant is one allocation (the
 # Handle, route inline) and none of it under the scheduling lock — a full
 # all-grant epoch with its tickets' spare Handles in place allocates
@@ -162,8 +190,8 @@ go test -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
 # slices and nothing else, after ten epochs as after 10^5, and copies
 # under 24 KB of histograms. Run without -race: the tests skip themselves
 # under it.
-go test -run 'TestGrantOneAlloc|TestEpochAllocatesNothingUnderLock|TestHandleSize|TestStatsAllocatesO1' -count=2 ./internal/fabric
-go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
+gotest -run 'TestGrantOneAlloc|TestEpochAllocatesNothingUnderLock|TestHandleSize|TestStatsAllocatesO1' -count=2 ./internal/fabric
+gotest -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 
 # Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
 # test and the release-ring tests prove exactly-once verdict delivery
@@ -176,13 +204,13 @@ go test -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
 # channels and record histograms with plain stores, the snapshot's JSON
 # keys); -count=2 shakes out hand-off interleavings a single run can
 # miss.
-go test -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys' ./internal/fabric
+gotest -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys' ./internal/fabric
 
 # Parked-Release-vs-Fail-vs-Repair: the generator seed that reaches, on
 # its own, a release claimed, a Fail crossing its route, RepairAll and the
 # release parked — the interleaving that once panicked the teardown (it
 # took the chaos harness 50-150 runs under CPU oversubscription to hit).
-go test -race -count=2 -run 'TestGeneratorParkedReleaseSeed$' ./internal/fabric
+gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API. This
