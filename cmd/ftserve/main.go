@@ -25,6 +25,8 @@
 // Endpoints (JSON over stdlib net/http):
 //
 //	POST /connect  {"src":0,"dst":37}   → 200 {"id":1,"src":0,"dst":37,"ports":[2,0,1],"plane":"plane0"}
+//	               {"src":0,"dst":5}    → 200 {"id":2,"src":0,"dst":5,"ports":null,"plane":"plane0"}
+//	                                      (a circuit inside one level-0 switch holds no up-port)
 //	                                      409 {"error":"unroutable","fail_level":1,"cause":"contention"|"faults"}
 //	POST /release  {"id":1}             → 200 {"id":1,"released":true}
 //	POST /fault    {"plane":"plane0","links":[{"level":0,"switch":1,"port":2}]}
@@ -48,9 +50,11 @@
 //
 // The "plane" field may be omitted on a single-plane federation. A POST
 // body is exactly one JSON value, names only its verb's fields and is at
-// most 64 KiB; anything else is a 400. SIGINT/SIGTERM drain in-flight
-// requests, then drain every plane concurrently under one deadline, and
-// exit.
+// most 64 KiB; anything else is a 400. (A small /connect or /release
+// body of known length is read by a fixed-shape scanner, codec.go, which
+// accepts only what that rule reads the same way and hands the rest to
+// it.) SIGINT/SIGTERM drain in-flight requests, then drain every plane
+// concurrently under one deadline, and exit.
 package main
 
 import (
@@ -206,17 +210,26 @@ type server struct {
 	// gray holds the running intermittent fault processes (gray.go).
 	gray *grayState
 
+	// planes holds each plane name quoted as a JSON string, for the
+	// appended /connect answer; a router's planes are fixed at New.
+	planes map[string][]byte
+
 	mu     sync.Mutex
 	nextID uint64
 	open   map[uint64]*federation.Handle
 }
 
 func newServer(router *federation.Router) *server {
-	return &server{
+	s := &server{
 		router: router,
 		gray:   newGrayState(defaultGrayStep),
+		planes: make(map[string][]byte),
 		open:   make(map[uint64]*federation.Handle),
 	}
+	for _, name := range router.PlaneNames() {
+		s.planes[name] = quotePlane(name)
+	}
+	return s
 }
 
 func (s *server) routes() http.Handler {
@@ -244,6 +257,8 @@ type connectRequest struct {
 	Dst int `json:"dst"`
 }
 
+// connectResponse is the 200 /connect body. appendConnect writes it by
+// hand; this type is the shape it is held to byte for byte.
 type connectResponse struct {
 	ID    uint64 `json:"id"`
 	Src   int    `json:"src"`
@@ -263,11 +278,19 @@ type errorResponse struct {
 }
 
 func (s *server) handleConnect(w http.ResponseWriter, r *http.Request) {
-	var req connectRequest
-	if !decodeBody(w, r, &req) {
-		return
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	// v holds src and dst; the request struct, which decodeBody's
+	// reflection moves to the heap, exists only on the strict road.
+	var v [2]uint64
+	if !scanBody(r, *bp, connectFields, v[:]) {
+		var req connectRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		v = [2]uint64{uint64(req.Src), uint64(req.Dst)}
 	}
-	h, err := s.router.Connect(r.Context(), req.Src, req.Dst)
+	h, err := s.router.Connect(r.Context(), int(v[0]), int(v[1]))
 	if err != nil {
 		var ue *fabric.UnroutableError
 		switch {
@@ -292,41 +315,59 @@ func (s *server) handleConnect(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	if err := r.Context().Err(); err != nil {
+		// The client went away while its grant was decided: no one will
+		// learn the circuit's id, so hand it back. Release can only fail
+		// for a circuit a plane already took down, which holds nothing.
+		_ = h.Release()
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		return
+	}
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.open[id] = h
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, connectResponse{ID: id, Src: h.Src(), Dst: h.Dst(), Ports: h.Ports(), Plane: h.Plane()})
+	*bp = appendConnect((*bp)[:0], id, h.Src(), h.Dst(), h.Ports(), s.planes[h.Plane()])
+	writeOK(w, *bp)
 }
 
 type releaseRequest struct {
 	ID uint64 `json:"id"`
 }
 
+// releaseResponse is the 200 /release body, written by appendRelease.
 type releaseResponse struct {
 	ID       uint64 `json:"id"`
 	Released bool   `json:"released"`
 }
 
 func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
-	if !decodeBody(w, r, &req) {
-		return
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	var v [1]uint64
+	if !scanBody(r, *bp, releaseFields, v[:]) {
+		var req releaseRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		v[0] = req.ID
 	}
+	id := v[0]
 	s.mu.Lock()
-	h, ok := s.open[req.ID]
-	delete(s.open, req.ID)
+	h, ok := s.open[id]
+	delete(s.open, id)
 	s.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no open connection %d", req.ID)})
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no open connection %d", id)})
 		return
 	}
 	if err := h.Release(); err != nil {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, releaseResponse{ID: req.ID, Released: true})
+	*bp = appendRelease((*bp)[:0], id)
+	writeOK(w, *bp)
 }
 
 // faultRequest is the POST /fault body: a faults.FaultSet (links and

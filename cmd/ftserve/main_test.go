@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/fabric"
@@ -187,6 +188,36 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /connect status %d", resp.StatusCode)
+	}
+}
+
+// TestCancelledConnectReleasesGrant: a /connect whose client has gone
+// before the verdict still gets its grant (the plane finds the ticket
+// claimed and honours the verdict). No client will learn that circuit's
+// id, so it is released and the answer is 503, as for a cancellation the
+// plane itself reports.
+func TestCancelledConnectReleasesGrant(t *testing.T) {
+	router := newTestRouter(t, 1, 2, 4, 1, federation.PolicyRoundRobin)
+	defer router.Close(context.Background())
+	h := newServer(router).routes()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/connect", strings.NewReader(`{"src":0,"dst":15}`)).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("status %d %s, want 503", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Open != 0 || st.Planes[0].Fabric.Active != 0 {
+		t.Errorf("a cancelled connect left open %d, active %d; want 0 and 0", st.Open, st.Planes[0].Fabric.Active)
+	}
+	if err := router.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -818,55 +849,160 @@ func TestStrictBodies(t *testing.T) {
 	})
 }
 
-// FuzzConnectBody: POST /connect answers 400 unless a strict decoder —
-// unknown fields refused, exactly one value — accepts the body; it never
-// answers anything but 200, 400 or 409; and a 200 echoes the endpoints
-// that decoder read.
+// strictDecode is the oracle both body fuzzers hold the server to: the
+// body is exactly one JSON value naming only v's fields, as a reflective
+// decoder reads it.
+func strictDecode(body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v) == nil && dec.Decode(&struct{}{}) == io.EOF
+}
+
+// bodyRefused reports whether rec is decodeBody's 400.
+func bodyRefused(rec *httptest.ResponseRecorder) bool {
+	return rec.Code == http.StatusBadRequest && bytes.HasPrefix(rec.Body.Bytes(), []byte(`{"error":"bad request body: `))
+}
+
+// postBody serves body on path as sized, with its Content-Length (which
+// may take the fixed-shape scanner), or chunked, with none (which never
+// does).
+func postBody(h http.Handler, path string, body []byte, sized bool) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	if !sized {
+		req.ContentLength = -1
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// postShort serves body on path as a client that declared one byte more
+// and hung up: net/http's body reader then ends in io.ErrUnexpectedEOF,
+// which no road may read as a whole body.
+func postShort(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, io.MultiReader(bytes.NewReader(body), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	req.ContentLength = int64(len(body)) + 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// FuzzConnectBody: POST /connect answers decodeBody's 400 exactly when a
+// strict decoder — unknown fields refused, exactly one value — refuses
+// the body; it never answers anything but 200, 400 or 409; a 200 echoes
+// the endpoints that decoder read; and a body sent with its
+// Content-Length gets the status and body text it gets chunked, the
+// strict road, but for the circuit id.
 func FuzzConnectBody(f *testing.F) {
 	for _, body := range []string{
 		`{"src":0,"dst":15}`, `{"dst":3,"src":9}`, " {\"src\":1,\"dst\":2}\n", `{"src":4}`, `{}`,
 		`{"src":-1,"dst":2}`, `{"src":16,"dst":0}`, `{"src":1.5,"dst":2}`, `null`, `{`, ``,
 		`{"source":3,"dest":9}`, `{"src":1,"dst":2} {"src":5}`, `{"src":1,"dst":2}x`,
+		`{"src":-0,"dst":1}`, `{"SRC":1,"dst":2}`, `{"src":1,"src":2,"dst":3}`, `{"\u0073rc":1,"dst":2}`,
+		`{"src":1e1,"dst":2}`, `{"src":01,"dst":2}`, `{"src":1,"dst":2,}`, `{"src":9223372036854775807,"dst":0}`,
+		`{"src":9223372036854775808,"dst":0}`, `{"src":-9223372036854775808,"dst":0}`,
+		`{"src":18446744073709551616,"dst":0}`, "\t{\"src\" :\r\n1 , \"dst\": 2 }\r\n", "{\"src\":1,\"dst\":2}\v",
+		`{"src"=1,"dst":2}`, `{"src":1;"dst":2}`,
+		`{"src":1,"dst":2}` + strings.Repeat(" ", 120),
 	} {
 		f.Add([]byte(body))
 	}
 	router := newTestRouter(f, 1, 2, 4, 1, federation.PolicyRoundRobin)
 	f.Cleanup(func() { router.Close(context.Background()) })
 	h := newServer(router).routes()
-	post := func(path string, body []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		return rec
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := post("/connect", body)
 		var want connectRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		strict := dec.Decode(&want) == nil && dec.Decode(&struct{}{}) == io.EOF
-		switch rec.Code {
-		case http.StatusBadRequest:
-			return
-		case http.StatusOK, http.StatusConflict:
-			if !strict {
-				t.Fatalf("status %d for a body a strict decoder refuses: %q", rec.Code, body)
+		strict := strictDecode(body, &want)
+		var recs [2]*httptest.ResponseRecorder
+		var ids [2]uint64
+		for i, sized := range []bool{true, false} {
+			rec := postBody(h, "/connect", body, sized)
+			recs[i] = rec
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusConflict:
+			default:
+				t.Fatalf("status %d for %q", rec.Code, body)
 			}
-		default:
-			t.Fatalf("status %d for %q", rec.Code, body)
+			if bodyRefused(rec) == strict {
+				t.Fatalf("status %d %s for %q, which a strict decoder reads as %v", rec.Code, rec.Body, body, strict)
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			var got connectResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Src != want.Src || got.Dst != want.Dst {
+				t.Fatalf("granted %d→%d for %q, which reads %d→%d", got.Src, got.Dst, body, want.Src, want.Dst)
+			}
+			ids[i] = got.ID
+			// Hand the circuit back so the plane never fills up, and the
+			// chunked post meets the state the sized one did.
+			if rec := postBody(h, "/release", []byte(fmt.Sprintf(`{"id":%d}`, got.ID)), true); rec.Code != http.StatusOK {
+				t.Fatalf("release status %d", rec.Code)
+			}
 		}
-		if rec.Code == http.StatusConflict {
-			return
+		if rec := postShort(h, "/connect", body); !bodyRefused(rec) {
+			t.Fatalf("status %d %s for %q cut short", rec.Code, rec.Body, body)
 		}
-		var got connectResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-			t.Fatal(err)
+		sized := recs[0].Body.Bytes()
+		chunked := bytes.Replace(recs[1].Body.Bytes(), []byte(fmt.Sprintf(`{"id":%d,`, ids[1])), []byte(fmt.Sprintf(`{"id":%d,`, ids[0])), 1)
+		if recs[0].Code != recs[1].Code || !bytes.Equal(sized, chunked) {
+			t.Fatalf("%q: sized %d %s, chunked %d %s", body, recs[0].Code, sized, recs[1].Code, recs[1].Body)
 		}
-		if got.Src != want.Src || got.Dst != want.Dst {
-			t.Fatalf("granted %d→%d for %q, which reads %d→%d", got.Src, got.Dst, body, want.Src, want.Dst)
+	})
+}
+
+// FuzzReleaseBody: POST /release answers decodeBody's 400 exactly when a
+// strict decoder refuses the body, and otherwise 404 for an id that is
+// not open and 200 for one that is; a body sent with its Content-Length
+// gets the status and body text it gets chunked.
+func FuzzReleaseBody(f *testing.F) {
+	for _, body := range []string{
+		`{"id":1}`, ` {"id":0} `, `{"id":-0}`, `{"id":-1}`, `{"id":18446744073709551615}`, `{"id":18446744073709551616}`,
+		`{"id":1e3}`, `{"id":1.0}`, `{"ID":1}`, `{"id":1,"id":2}`, `{"\u0069d":1}`, `{"id":1} 2`, `{"id":1}{}`,
+		`{"id":null}`, `{"id":"1"}`, `{}`, `[]`, ``, `{"id":01}`, "\r\n{ \"id\"\t:\t7 }\n", "\f{\"id\":1}", `{"id":1` + strings.Repeat("\t", 130) + `}`,
+	} {
+		f.Add([]byte(body))
+	}
+	router := newTestRouter(f, 1, 2, 4, 1, federation.PolicyRoundRobin)
+	f.Cleanup(func() { router.Close(context.Background()) })
+	s := newServer(router)
+	h := s.routes()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want releaseRequest
+		strict := strictDecode(body, &want)
+		for _, open := range []bool{false, true} {
+			var recs [2]*httptest.ResponseRecorder
+			for i, sized := range []bool{true, false} {
+				if open && strict {
+					c, err := router.Connect(context.Background(), 0, 15)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.mu.Lock()
+					s.open[want.ID] = c
+					s.mu.Unlock()
+				}
+				rec := postBody(h, "/release", body, sized)
+				recs[i] = rec
+				wantCode := http.StatusBadRequest
+				if strict && open {
+					wantCode = http.StatusOK
+				} else if strict {
+					wantCode = http.StatusNotFound
+				}
+				if rec.Code != wantCode || bodyRefused(rec) == strict {
+					t.Fatalf("status %d %s for %q, want %d", rec.Code, rec.Body, body, wantCode)
+				}
+			}
+			if recs[0].Code != recs[1].Code || !bytes.Equal(recs[0].Body.Bytes(), recs[1].Body.Bytes()) {
+				t.Fatalf("%q: sized %d %s, chunked %d %s", body, recs[0].Code, recs[0].Body, recs[1].Code, recs[1].Body)
+			}
 		}
-		// Hand the circuit back so the plane never fills up.
-		if rec := post("/release", []byte(fmt.Sprintf(`{"id":%d}`, got.ID))); rec.Code != http.StatusOK {
-			t.Fatalf("release status %d", rec.Code)
+		if rec := postShort(h, "/release", body); !bodyRefused(rec) {
+			t.Fatalf("status %d %s for %q cut short", rec.Code, rec.Body, body)
 		}
 	})
 }

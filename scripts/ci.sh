@@ -149,10 +149,14 @@ gotest -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sched
 # Config fuzz: any file the config parser accepts, with small planes, is
 # accepted by Validate exactly when Build and New succeed.
 gotest -run '^$' -fuzz FuzzValidateMatchesNew -fuzztime 10s ./internal/federation
-# Request-body fuzz: POST /connect answers 200 or 409 only for a body a
-# strict decoder (unknown fields refused, one JSON value) accepts, and a
-# 200 echoes the endpoints that decoder read.
+# Request-body fuzz: POST /connect and /release answer decodeBody's 400
+# exactly when a strict decoder (unknown fields refused, one JSON value)
+# refuses the body; a body sent with its Content-Length, which may take
+# the fixed-shape scanner, gets the status and text it gets chunked, which
+# never does; a body cut short is a 400; and a 200 carries what the strict
+# decoder read.
 gotest -run '^$' -fuzz FuzzConnectBody -fuzztime 10s ./cmd/ftserve
+gotest -run '^$' -fuzz FuzzReleaseBody -fuzztime 10s ./cmd/ftserve
 
 # Histogram oracle: the fixed-size recent-sample histogram behind every
 # Stats distribution against stats.Summarize / Percentile / Histogram over
@@ -192,6 +196,9 @@ gotest -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
 # under it.
 gotest -run 'TestGrantOneAlloc|TestEpochAllocatesNothingUnderLock|TestHandleSize|TestStatsAllocatesO1' -count=2 ./internal/fabric
 gotest -run 'TestRouterConnectAllocs' -count=2 ./internal/federation
+# ftserve's hot verbs: a /connect + /release round trip allocates only the
+# two handles and the copied route, a /release nothing.
+gotest -run 'TestHotVerbAllocs' -count=2 ./cmd/ftserve
 
 # Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
 # test and the release-ring tests prove exactly-once verdict delivery
