@@ -1,7 +1,7 @@
 package fabric
 
 // The operation generator: sequences of every operation that changes a
-// plane, run against a Manager and the reference fabric (oracle_test.go)
+// plane, run against a Manager and the reference fabric (fabrictest.Ref)
 // side by side. After every operation CheckInvariants holds and the link
 // states are equal. An epoch no repair ticket shares matches the
 // reference's verdicts (grant, fail level, cause, ports) bit for bit; the
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
@@ -31,7 +32,7 @@ import (
 // gen is one generated sequence in progress.
 type gen struct {
 	m    *Manager
-	ref  *refFabric
+	ref  *fabrictest.Ref
 	tree *topology.Tree
 	// held: connections the generator owns, active or repairing; claimed:
 	// released by CAS, not parked yet; revoked: since the last flush, so
@@ -65,7 +66,7 @@ func newGen(tree *topology.Tree, rollback bool, retries, damp int) (*gen, error)
 		return nil, err
 	}
 	m.Routable(0, tree.Nodes()-1) // switches the view on
-	return &gen{m: m, ref: newRefFabric(tree, spec, damp), tree: tree, marks: map[*Handle]int{}}, nil
+	return &gen{m: m, ref: fabrictest.New(tree, spec, damp), tree: tree, marks: map[*Handle]int{}}, nil
 }
 
 // owned is every connection the generator has not finished releasing.
@@ -78,7 +79,7 @@ func (g *gen) check() error {
 	}
 	g.m.mu.Lock()
 	defer g.m.mu.Unlock()
-	if diff := rowsDiff(g.ref.st, g.m.st); diff != "" {
+	if diff := rowsDiff(g.ref.St, g.m.st); diff != "" {
 		return fmt.Errorf("manager rows differ from the reference's: %s", diff)
 	}
 	return nil
@@ -151,12 +152,18 @@ func (g *gen) flush(run func() error, live []core.Request, tickets []*ticket) er
 		}
 	}
 	if !shared && len(live) > 0 {
-		for i, w := range g.ref.epoch(live, grants) {
+		keys := make([]any, len(grants))
+		for i, h := range grants {
+			if h != nil {
+				keys[i] = h
+			}
+		}
+		for i, w := range g.ref.Epoch(live, keys) {
 			h, d := grants[i], denials[i]
 			switch {
 			case (h != nil) != w.Granted || h != nil && !slices.Equal(h.ports(), w.Ports):
 				return fmt.Errorf("%v: manager grants %v, reference %v %v", live[i], h != nil, w.Granted, w.Ports)
-			case h == nil && (d.FailLevel != w.FailLevel || d.FaultBlocked != g.ref.blocked(w.Src, w.Dst) ||
+			case h == nil && (d.FailLevel != w.FailLevel || d.FaultBlocked != g.ref.Blocked(w.Src, w.Dst) ||
 				d.FaultBlocked != strings.Contains(d.Error(), "blocked by faults")):
 				return fmt.Errorf("%v: manager denies at level %d (fault-blocked %v), reference at %d",
 					live[i], d.FailLevel, d.FaultBlocked, w.FailLevel)
@@ -165,7 +172,7 @@ func (g *gen) flush(run func() error, live []core.Request, tickets []*ticket) er
 	}
 	for _, h := range append(grants, g.revoked...) {
 		if shared && h != nil && h.state.Load() == handleActive { // granted or re-admitted beside repairs
-			if err := g.ref.hold(h); err != nil {
+			if err := g.ref.Hold(h, h.src, h.dst, h.Ports()); err != nil {
 				return err
 			}
 		}
@@ -204,7 +211,7 @@ func (g *gen) park(i int) error {
 	if dead != (err != nil) {
 		return fmt.Errorf("release of a handle dead=%v = %v", dead, err)
 	}
-	return g.ref.release(h)
+	return g.ref.Release(h)
 }
 
 // release takes both steps at once.
@@ -223,7 +230,7 @@ func (g *gen) fail(fs *faults.FaultSet) error {
 	for i, h := range owned {
 		active[i] = h.state.Load() == handleActive
 	}
-	fresh, dropped, err := g.ref.fail(fs.Channels(g.tree))
+	fresh, dropped, err := g.ref.Fail(fs.Channels(g.tree))
 	if err != nil {
 		return err
 	}
@@ -235,8 +242,9 @@ func (g *gen) fail(fs *faults.FaultSet) error {
 		return fmt.Errorf("Fail = (%d failed, %d revoked), reference (%d, %d)", failed, revoked, fresh, len(dropped))
 	}
 	for i, h := range owned {
-		if got := active[i] && h.Repairing(); got != dropped[h] {
-			return fmt.Errorf("%d→%d revoked %v, crosses a newly masked channel %v", h.src, h.dst, got, dropped[h])
+		_, crosses := dropped[h]
+		if got := active[i] && h.Repairing(); got != crosses {
+			return fmt.Errorf("%d→%d revoked %v, crosses a newly masked channel %v", h.src, h.dst, got, crosses)
 		} else if got {
 			g.revoked = append(g.revoked, h)
 			if slices.Contains(g.claimed, h) {
@@ -253,14 +261,14 @@ func (g *gen) repair(fs *faults.FaultSet) error {
 	var err error
 	if fs == nil {
 		g.last = "repair-all"
-		want, err = g.ref.repair(g.ref.failedChannels())
+		want, err = g.ref.Repair(g.ref.FailedChannels())
 		got = g.m.RepairAll()
 		for h := range g.marks {
 			g.marks[h] = 2
 		}
 	} else {
 		g.last = fmt.Sprintf("repair %+v", fs.Links)
-		want, err = g.ref.repair(fs.Channels(g.tree))
+		want, err = g.ref.Repair(fs.Channels(g.tree))
 		if err == nil {
 			got, err = g.m.Repair(fs)
 		}
@@ -287,7 +295,7 @@ func (g *gen) flap(fs *faults.FaultSet) error {
 
 func (g *gen) clearQuarantine() error {
 	g.last = "clear-quarantine"
-	want, err := g.ref.clearQuarantine()
+	want, err := g.ref.ClearQuarantine()
 	if got := g.m.ClearQuarantine(); err == nil && got != want {
 		err = fmt.Errorf("ClearQuarantine = %d, reference lifts %d", got, want)
 	}
@@ -312,11 +320,11 @@ func (g *gen) stats() error {
 		{"RouteChurn.N", s.RouteChurn.N, g.epochs},
 		{"RepairDepth.N", s.RepairDepth.N, int(s.Repaired)},
 		{"RepairLatencyMS.N", s.RepairLatencyMS.N, int(s.Repaired)},
-		{"Active", int(s.Active), len(g.ref.conns)},
+		{"Active", int(s.Active), len(g.ref.Conns)},
 		{"QueueDepth", s.QueueDepth, len(g.revoked)},
-		{"FaultyChannels", s.FaultyChannels, len(g.ref.failed)},
-		{"Quarantined", s.Quarantined, len(g.ref.quar)},
-		{"masked channels", int((1-s.DegradedCapacity)*float64(2*g.tree.TotalLinks()) + 0.5), g.ref.freshState().FailedCount()},
+		{"FaultyChannels", s.FaultyChannels, len(g.ref.Failed)},
+		{"Quarantined", s.Quarantined, len(g.ref.Quar)},
+		{"masked channels", int((1-s.DegradedCapacity)*float64(2*g.tree.TotalLinks()) + 0.5), g.ref.FreshState().FailedCount()},
 	} {
 		if c.got != c.want {
 			return fmt.Errorf("Stats %s = %d, want %d", c.what, c.got, c.want)
@@ -331,7 +339,7 @@ func (g *gen) close() error {
 	if g.closed {
 		return g.m.Close(context.Background())
 	}
-	g.closed, g.ref.closed = true, true
+	g.closed, g.ref.Closed = true, true
 	return g.flush(func() error { return g.m.Close(context.Background()) }, nil, nil)
 }
 
@@ -354,8 +362,8 @@ func (g *gen) finish() error {
 	if err := g.check(); err != nil {
 		return err
 	}
-	if s := g.m.Stats(); s.Active != 0 || s.PendingRepairs != 0 || len(g.ref.conns) != 0 {
-		return fmt.Errorf("after releasing everything: active %d, pending repairs %d, reference holds %d", s.Active, s.PendingRepairs, len(g.ref.conns))
+	if s := g.m.Stats(); s.Active != 0 || s.PendingRepairs != 0 || len(g.ref.Conns) != 0 {
+		return fmt.Errorf("after releasing everything: active %d, pending repairs %d, reference holds %d", s.Active, s.PendingRepairs, len(g.ref.Conns))
 	}
 	return routableMismatch(g.m)
 }
@@ -442,7 +450,7 @@ func (g *gen) randomOp(rng *rand.Rand) error {
 		}
 		return g.fail(g.firstHop(routed[rng.Intn(len(routed))], rng.Intn(2) == 0))
 	case k < 16: // repair one failed link, both its channels
-		failed := g.ref.failedChannels()
+		failed := g.ref.FailedChannels()
 		if len(failed) == 0 {
 			return g.repair(nil)
 		}
@@ -545,7 +553,7 @@ func (g *gen) exhaustiveOp(op string) error {
 		}
 		return g.fail(&faults.FaultSet{Links: []faults.LinkFault{{}}})
 	case "repair-all":
-		if len(g.ref.failed) == 0 {
+		if len(g.ref.Failed) == 0 {
 			return errNoop
 		}
 		return g.repair(nil)

@@ -29,8 +29,9 @@
 // routes back to the owning plane, transparently following the
 // connection if a plane failure migrated it. A connection is lost only
 // when every failover and re-admission avenue is exhausted, and then
-// its Release reports ErrConnLost — the documented terminal error the
-// chaos tests account against.
+// its Release reports ErrConnLost — the documented terminal error. The
+// tests hold the router to a reference router (oracle_test.go) over seeded
+// and exhaustive operation sequences, CheckInvariants after every one.
 package federation
 
 import (
@@ -634,7 +635,8 @@ func (r *Router) onTerminal(owner int, c fabric.Conn, cause error) {
 // fails, which masks every channel, revokes every routed connection,
 // and lets the plane-local repair loops conclude ErrUnroutableDegraded
 // — at which point the router's terminal hook migrates each connection
-// to a surviving plane. The chaos tests' plane-failure primitive.
+// to a surviving plane. Killing a plane whose breaker is already open
+// counts no second opening.
 func (r *Router) KillPlane(name string) error {
 	p := r.planeByName(name)
 	if p == nil {

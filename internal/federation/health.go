@@ -122,13 +122,16 @@ func (p *plane) noteContention() {
 	}
 }
 
-// eject opens the breaker, counts the opening and starts the probe clock:
-// the first re-admission probe is due one ProbeInterval later, not
-// immediately.
+// eject opens the breaker and starts the probe clock: the first
+// re-admission probe is due one ProbeInterval later, not immediately. Only a
+// transition into open counts as an opening — a KillPlane of an open plane,
+// or a second of two concurrent failures that each saw the breaker closed,
+// restarts the clock without counting one.
 func (p *plane) eject() {
-	p.opens.Add(1)
 	p.lastProbe.Store(time.Now().UnixNano())
-	p.breaker.Store(bOpen)
+	if p.breaker.Swap(bOpen) != bOpen {
+		p.opens.Add(1)
+	}
 }
 
 // ejectedNow reports whether the plane is out of normal candidate

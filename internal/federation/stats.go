@@ -23,7 +23,7 @@ type PlaneStats struct {
 	Breaker  string  `json:"breaker"`
 	Degraded bool    `json:"degraded,omitempty"`
 	// Opens counts the breaker's transitions into open: a streak or score
-	// trip, a failed probe, a KillPlane.
+	// trip, a failed probe, a KillPlane of a plane not already open.
 	Opens uint64 `json:"opens"`
 	// Grants counts circuits the router placed on this plane (initial
 	// admissions plus cross-plane re-admissions) — the load-spread

@@ -51,10 +51,10 @@ gotest -race ./...
 # Concurrency-focused pass: re-run the parallel engine, the fabric
 # manager (including the fault revoke/re-admit chaos tests and the
 # gray-failure flap-damping chaos test), the fault-injection package,
-# and the federation router (whose plane-kill chaos test proves zero
-# lost connections, plus the breaker/health gray tests) under -race
-# with a doubled count, shaking out interleavings a single full-suite
-# run can miss.
+# and the federation router (its generator kills planes and migrates
+# circuits on hook goroutines, plus the probe and latency tests) under
+# -race with a doubled count, shaking out interleavings a single
+# full-suite run can miss.
 gotest -race -count=2 ./internal/parsched ./internal/fabric ./internal/faults ./internal/federation
 
 # Shard-engine stress: the high-worker-count shard tests (16 workers on
@@ -133,7 +133,8 @@ gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
 # The operation generator, both modes: seeded sequences on five trees and
 # every sequence of up to four operations on FT(2,2,2) and FT(3,2,2), with and
-# without rollback, run against the reference fabric — CheckInvariants and
+# without rollback, run against the reference fabric (the test-support
+# package internal/fabric/fabrictest) — CheckInvariants and
 # the reference's link rows after every operation (epochs with
 # cancellations and retained partial routes, split releases, Fail with its
 # revocations, Repair, RepairAll, quarantine, ClearQuarantine, Stats,
@@ -141,6 +142,15 @@ gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 # pair; and readers racing 32 churning clients see no torn row of the
 # published view; under -race, -count=2 as above.
 gotest -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn' -count=2 ./internal/fabric
+# The router generator, both modes, and its two named seeds: seeded
+# sequences on six federations of one to four planes and every sequence of
+# up to three operations on two FT(2,2,2) planes, run against the reference
+# router (one reference fabric per plane) — Router.CheckInvariants, Stats,
+# breaker state, each plane's Routable and Admit calls and every handle's
+# fate after every operation (split Connects, releases, Fail, KillPlane,
+# Repair, RepairPlane, degraded planes, Close), each walk bit for bit while
+# it ran alone; under -race, -count=2 as above.
+gotest -race -run 'TestRouterGenerator$|TestRouterGeneratorExhaustive|TestRouterGeneratorTerminalWindowSeed|TestRouterGeneratorRegisterSeed' -count=2 ./internal/federation
 
 # Spec fuzz: no input makes sched.Parse panic, and an accepted spec's engine
 # schedules a seeded batch that core.Verify passes and whose routes release
