@@ -4,7 +4,7 @@ package main
 // E21): instead of the -chaos mode's clean fail/repair-all cycles, a
 // seeded set of *flaky* links flaps up and down every step while
 // closed-loop clients churn, exercising flap damping, the repair retry
-// budget, and reuse-cost-aware repair placement together. Each flaky
+// bound, and reuse-cost-aware repair placement together. Each flaky
 // rate runs two arms over bit-identical churn (the fault processes are
 // counter-mode hashes, so both arms replay the same transitions):
 // reuse-cost scoring off, and on. The headline
@@ -12,14 +12,15 @@ package main
 //
 //   - unaccounted: revoked − repaired − failed − aborted, which must be
 //     0 — no connection may vanish, no matter how the links flap;
-//   - repair attempts vs the budget bound revoked + burst + rate·T;
+//   - repair attempts vs the retry bound revoked × RepairRetries;
 //   - the repaired-on-held-trunk fraction, which the reuse arm must
 //     raise (repairs steered toward standing configuration);
 //   - quarantine event counts and route churn per epoch.
 //
 // A final federated point injects a DegradedPlane (slow-but-alive)
 // process into a two-plane router and reports the EWMA health score,
-// breaker state, and failover accounting under a latency budget.
+// breaker state, and failover accounting: slow grants are grants, so the
+// plane stays in service.
 
 import (
 	"context"
@@ -42,10 +43,6 @@ type grayBenchConfig struct {
 	Step          time.Duration // flapper clock period
 	Reuse         int           // reuse-cost cap K for the reuse arm (0 skips the arm)
 	FlapThreshold float64       // damping threshold (0 disables damping)
-	Probation     time.Duration // quarantine probation window
-	BudgetRate    float64       // repair-retry tokens per second
-	BudgetBurst   int           // repair-retry token burst
-	LatencyBudget time.Duration // slow-grant threshold for the federated point
 }
 
 // grayArm is one (rate, reuse-cost) cell of the sweep.
@@ -58,9 +55,9 @@ type grayArm struct {
 	Lost uint64
 	// Unaccounted must be zero: every revocation resolves.
 	Unaccounted int64
-	// Attempts vs the retry-budget bound revoked + burst + rate·T.
+	// Attempts vs the retry bound revoked × RepairRetries.
 	RepairAttempts uint64
-	AttemptBound   float64
+	AttemptBound   uint64
 	QuarantineEvts uint64
 	Quarantined    int
 	// HeldTrunkFraction is repaired-on-held-trunk / repaired: the
@@ -74,7 +71,6 @@ type graySlowPlane struct {
 	Offered         uint64
 	Granted         uint64
 	Failovers       uint64
-	BudgetExhausted uint64
 	DegradedHealth  float64
 	DegradedBreaker string
 	HealthyHealth   float64
@@ -102,9 +98,8 @@ func grayBench(out io.Writer, cfg grayBenchConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "gray %s  clients=%d open=%d duration=%s step=%s duty=%g threshold=%g budget=%g/%d\n",
-		tree, cfg.Clients, cfg.Open, cfg.Duration, cfg.Step, cfg.Duty,
-		cfg.Threshold(), cfg.BudgetRate, cfg.BudgetBurst)
+	fmt.Fprintf(out, "gray %s  clients=%d open=%d duration=%s step=%s duty=%g threshold=%g\n",
+		tree, cfg.Clients, cfg.Open, cfg.Duration, cfg.Step, cfg.Duty, cfg.Threshold())
 	fmt.Fprintf(out, "  %-6s %-6s %-6s %-22s %-7s %-16s %-9s %-10s %s\n",
 		"rate", "reuse", "sched", "revoked/repair/lost", "unacct", "attempts/bound", "quar", "heldfrac", "churn/epoch")
 
@@ -123,11 +118,11 @@ func grayBench(out io.Writer, cfg grayBenchConfig) error {
 				p, reuse, arm.Sched,
 				fmt.Sprintf("%d/%d/%d", arm.Revoked, arm.Repaired, arm.Lost),
 				arm.Unaccounted,
-				fmt.Sprintf("%d/%.0f", arm.RepairAttempts, arm.AttemptBound),
+				fmt.Sprintf("%d/%d", arm.RepairAttempts, arm.AttemptBound),
 				fmt.Sprintf("%d(%d)", arm.QuarantineEvts, arm.Quarantined),
 				arm.HeldTrunkFraction, arm.ChurnPerEpoch)
-			if float64(arm.RepairAttempts) > arm.AttemptBound {
-				return fmt.Errorf("gray rate %g reuse %d: %d repair attempts exceed budget bound %.0f",
+			if arm.RepairAttempts > arm.AttemptBound {
+				return fmt.Errorf("gray rate %g reuse %d: %d repair attempts exceed the retry bound %d",
 					p, reuse, arm.RepairAttempts, arm.AttemptBound)
 			}
 		}
@@ -137,8 +132,8 @@ func grayBench(out io.Writer, cfg grayBenchConfig) error {
 	if err != nil {
 		return fmt.Errorf("gray slow-plane: %w", err)
 	}
-	fmt.Fprintf(out, "  slow-plane: granted %d/%d, failovers %d (budget cut %d), degraded health %.3f (%s), healthy %.3f\n",
-		slow.Granted, slow.Offered, slow.Failovers, slow.BudgetExhausted,
+	fmt.Fprintf(out, "  slow-plane: granted %d/%d, failovers %d, degraded health %.3f (%s), healthy %.3f\n",
+		slow.Granted, slow.Offered, slow.Failovers,
 		slow.DegradedHealth, slow.DegradedBreaker, slow.HealthyHealth)
 	return nil
 }
@@ -165,16 +160,13 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	}
 	fab, err := fabric.New(fabric.Config{
 		Tree: tree, SchedulerSpec: spec, BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
-		AdmitTimeout:        cfg.Timeout,
-		FlapThreshold:       cfg.Threshold(),
-		QuarantineProbation: cfg.Probation,
-		RepairBudget:        fabric.Budget{Rate: cfg.BudgetRate, Burst: cfg.BudgetBurst},
+		AdmitTimeout:  cfg.Timeout,
+		FlapThreshold: cfg.Threshold(),
 	})
 	if err != nil {
 		return grayArm{}, err
 	}
 
-	start := time.Now()
 	fl := faults.NewFlapper(faults.FlakyLinks(tree, p, cfg.Duty, seed))
 	stop := make(chan struct{})
 	var injWg sync.WaitGroup
@@ -217,7 +209,6 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	if err == nil {
 		s, err = settle(fab)
 	}
-	total := time.Since(start)
 	if cerr := fab.Close(context.Background()); err == nil {
 		err = cerr
 	}
@@ -231,7 +222,7 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 		Lost:           s.RepairFailed,
 		Unaccounted:    unaccounted(s),
 		RepairAttempts: s.RepairAttempts,
-		AttemptBound:   float64(s.Revoked) + float64(cfg.BudgetBurst) + cfg.BudgetRate*total.Seconds(),
+		AttemptBound:   s.Revoked * fabric.DefaultRepairRetries,
 		QuarantineEvts: s.QuarantineEvents,
 		Quarantined:    s.Quarantined,
 		ChurnPerEpoch:  float64(s.TornRoutes) / float64(max(s.Epochs, 1)),
@@ -243,24 +234,13 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 }
 
 // graySlowPlaneRun drives a two-plane federation with one plane running
-// an injected DegradedPlane process under a latency budget, and reports
-// the health/breaker/failover view.
+// an injected DegradedPlane process, and reports the
+// health/breaker/failover view.
 func graySlowPlaneRun(cfg grayBenchConfig) (graySlowPlane, error) {
-	// The latency budget must sit clearly above the fabric's ordinary
-	// admit latency (dominated by the epoch flush timer), or every grant
-	// on *both* planes counts as slow and the health scores converge.
-	latBudget := cfg.LatencyBudget
-	if latBudget <= 0 {
-		latBudget = 4 * cfg.MaxWait
-		if latBudget < 2*time.Millisecond {
-			latBudget = 2 * time.Millisecond
-		}
-	}
-	fcfg := federation.Config{
-		Policy:        federation.PolicyRoundRobin,
-		LatencyBudget: latBudget,
-		HealthAlpha:   0.2,
-	}
+	// The injected latency sits clearly above the fabric's ordinary admit
+	// latency, which the epoch flush timer dominates.
+	slowBy := max(8*cfg.MaxWait, 4*time.Millisecond)
+	fcfg := federation.Config{Policy: federation.PolicyRoundRobin}
 	for i := 0; i < 2; i++ {
 		tree, err := topology.New(cfg.Levels, cfg.Children, cfg.Parents)
 		if err != nil {
@@ -279,7 +259,7 @@ func graySlowPlaneRun(cfg grayBenchConfig) (graySlowPlane, error) {
 	}
 	defer r.Close(context.Background())
 	if err := r.SetDegraded("plane0", faults.DegradedPlane{
-		AdmitLatency: faults.Duration(2 * latBudget),
+		AdmitLatency: faults.Duration(slowBy),
 		DutyCycle:    0.5,
 		Seed:         cfg.Seed,
 	}); err != nil {
@@ -287,9 +267,7 @@ func graySlowPlaneRun(cfg grayBenchConfig) (graySlowPlane, error) {
 	}
 
 	// Keep the offered load well inside both planes' capacity: the point
-	// is the latency-budget signal (slow grants on the degraded plane),
-	// not saturation denials, which would drag both health scores down
-	// together and mask it.
+	// is slow grants on the degraded plane, not saturation denials.
 	tree := fcfg.Planes[0].Fabric.Tree
 	cap := tree.Nodes() / 4
 	if cap < 2 {
@@ -315,10 +293,9 @@ func graySlowPlaneRun(cfg grayBenchConfig) (graySlowPlane, error) {
 
 	s := r.Stats()
 	out := graySlowPlane{
-		Offered:         s.Offered,
-		Granted:         s.Granted,
-		Failovers:       s.Failovers,
-		BudgetExhausted: s.FailoverBudgetExhausted,
+		Offered:   s.Offered,
+		Granted:   s.Granted,
+		Failovers: s.Failovers,
 	}
 	for _, ps := range s.Planes {
 		if ps.Name == "plane0" {

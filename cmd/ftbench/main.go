@@ -33,12 +33,11 @@
 // With -gray, ftbench runs the gray-failure resilience sweep
 // (EXPERIMENTS.md E21): seeded *flaky* links flap up and down on a fixed
 // clock while closed-loop clients run, exercising flap damping, the
-// repair retry budget, and reuse-cost-aware repair placement; each
+// repair retry bound, and reuse-cost-aware repair placement; each
 // -gray-rates point runs with reuse-cost scoring off and on over
 // bit-identical churn, under the same accounting checks as -chaos plus
-// the retry-budget bound, and a final two-plane point injects a
-// slow-but-alive DegradedPlane process and reports the health score and
-// breaker state.
+// the retry bound, and a final two-plane point injects a slow-but-alive
+// DegradedPlane process and reports the health score and breaker state.
 //
 // With -churn, ftbench runs the arrival/departure churn comparison
 // (EXPERIMENTS.md E20): one seeded workload of circuit arrivals with
@@ -94,9 +93,6 @@ type options struct {
 	grayStep       time.Duration
 	grayReuse      int
 	grayThreshold  float64
-	grayProbation  time.Duration
-	grayBudget     float64
-	grayBurst      int
 	cpuProfile     string
 	memProfile     string
 }
@@ -130,15 +126,12 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.chaosMode, "chaos", false, "run the fault-injection sweep: fabric closed-loop clients plus a seeded mid-run fault/repair schedule")
 	fs.StringVar(&o.chaosRates, "chaos-rates", "0,0.01,0.05,0.1", "chaos: comma-separated link failure rates p to sweep")
 	fs.DurationVar(&o.chaosCycle, "chaos-cycle", 20*time.Millisecond, "chaos: fault/repair alternation period")
-	fs.BoolVar(&o.grayMode, "gray", false, "run the gray-failure sweep: seeded flaky links flapping mid-run, with flap damping, retry budgets, and a degraded-plane federation point")
+	fs.BoolVar(&o.grayMode, "gray", false, "run the gray-failure sweep: seeded flaky links flapping mid-run, with flap damping, bounded repair retries, and a degraded-plane federation point")
 	fs.StringVar(&o.grayRates, "gray-rates", "0,0.02,0.05,0.1", "gray: comma-separated flaky link selection rates p to sweep")
 	fs.Float64Var(&o.grayDuty, "gray-duty", 0.5, "gray: per-step down probability of each flaky link")
 	fs.DurationVar(&o.grayStep, "gray-step", 2*time.Millisecond, "gray: flaky process clock period")
 	fs.IntVar(&o.grayReuse, "gray-reuse", 4, "gray: reuse-cost cap K for the second arm (0 skips it)")
 	fs.Float64Var(&o.grayThreshold, "gray-threshold", 3, "gray: flap-damping quarantine threshold")
-	fs.DurationVar(&o.grayProbation, "gray-probation", 100*time.Millisecond, "gray: quarantine probation window")
-	fs.Float64Var(&o.grayBudget, "gray-budget", 200, "gray: repair retry budget tokens per second")
-	fs.IntVar(&o.grayBurst, "gray-burst", 64, "gray: repair retry budget burst")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 	return o
@@ -194,8 +187,7 @@ func main() {
 			err = grayBench(os.Stdout, grayBenchConfig{
 				fabricBenchConfig: loop,
 				Rates:             rates, Duty: o.grayDuty, Step: o.grayStep, Reuse: o.grayReuse,
-				FlapThreshold: o.grayThreshold, Probation: o.grayProbation,
-				BudgetRate: o.grayBudget, BudgetBurst: o.grayBurst,
+				FlapThreshold: o.grayThreshold,
 			})
 		}
 		done(err)

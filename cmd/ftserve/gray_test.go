@@ -37,10 +37,9 @@ func TestGrayFaultVerbs(t *testing.T) {
 			BatchSize:     1,
 			MaxWait:       200 * time.Microsecond,
 			RepairBackoff: 500 * time.Microsecond,
-			// First flap quarantines, and the quarantine holds until the
-			// repair verb below lifts it.
-			FlapThreshold:       1,
-			QuarantineProbation: time.Hour,
+			// First flap quarantines, and the running flaky process keeps
+			// extending the quarantine until the repair verb below lifts it.
+			FlapThreshold: 1,
 		},
 	}}}
 	router, err := federation.New(cfg)

@@ -17,7 +17,7 @@
 // is each plane's queue knobs. Those ten flags fill the same
 // federation.FileConfig that -config loads ("-" reads stdin), so naming
 // one next to -config is refused. The gray-failure knobs are file keys
-// only: fttopo gen -flap-threshold 3 -failover-budget 50 | ftserve -config -
+// only: fttopo gen -flap-threshold 3 | ftserve -config -
 // -validate checks the configuration and exits without serving; -pprof
 // mounts net/http/pprof under /debug/pprof/; -gray-step is the clock
 // period of the flaky fault processes POST /fault starts.

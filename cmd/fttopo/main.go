@@ -9,10 +9,7 @@
 //	       [-path src,dst]
 //	fttopo gen [-planes 2] [-levels 3] [-children 4] [-parents 4]
 //	           [-scheduler spec] [-policy hash] [-out fabric.json]
-//	           [-flap-threshold 3] [-flap-half-life 1s] [-probation 100ms]
-//	           [-repair-budget 256] [-repair-budget-burst 1024]
-//	           [-health-alpha 0.2] [-open-below 0.15] [-latency-budget 2ms]
-//	           [-failover-budget 100] [-failover-budget-burst 200]
+//	           [-flap-threshold 3]
 package main
 
 import (
@@ -58,32 +55,13 @@ func runGen(args []string) error {
 	scheduler := fs.String("scheduler", "", "per-plane admission engine spec (empty = fabric default)")
 	policy := fs.String("policy", "", "plane selection policy ("+strings.Join(federation.Policies(), "|")+"; empty = hash)")
 	flapThreshold := fs.Float64("flap-threshold", 0, "per-plane flap-damping quarantine threshold (0 = damping off)")
-	flapHalfLife := fs.String("flap-half-life", "", "per-plane flap score half-life, a Go duration (empty = fabric default)")
-	probation := fs.String("probation", "", "per-plane quarantine probation window, a Go duration (empty = fabric default)")
-	repairBudget := fs.Float64("repair-budget", 0, "per-plane repair retry tokens/sec (0 = fabric default, negative = unlimited)")
-	repairBurst := fs.Int("repair-budget-burst", 0, "per-plane repair retry burst (0 = fabric default)")
-	healthAlpha := fs.Float64("health-alpha", 0, "EWMA health smoothing factor (0 = federation default)")
-	openBelow := fs.Float64("open-below", 0, "health score below which the breaker opens (0 = federation default)")
-	latencyBudget := fs.String("latency-budget", "", "grant latency above this Go duration counts as degraded (empty = off)")
-	failoverBudget := fs.Float64("failover-budget", 0, "failover tokens/sec across the federation (0 = unlimited)")
-	failoverBurst := fs.Int("failover-budget-burst", 0, "failover token burst (0 = rate ceiling)")
 	out := fs.String("out", "", "write the config to this file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	fc := federation.Generate(*planes, *levels, *children, *parents, *scheduler, *policy)
-	fc.HealthAlpha = *healthAlpha
-	fc.OpenBelow = *openBelow
-	fc.LatencyBudget = *latencyBudget
-	fc.FailoverBudgetRate = *failoverBudget
-	fc.FailoverBudgetBurst = *failoverBurst
 	for i := range fc.Planes {
-		ps := &fc.Planes[i]
-		ps.FlapThreshold = *flapThreshold
-		ps.FlapHalfLife = *flapHalfLife
-		ps.QuarantineProbation = *probation
-		ps.RepairBudgetRate = *repairBudget
-		ps.RepairBudgetBurst = *repairBurst
+		fc.Planes[i].FlapThreshold = *flapThreshold
 	}
 	if err := fc.Validate(); err != nil {
 		return err

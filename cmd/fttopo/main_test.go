@@ -77,17 +77,13 @@ func TestGenEmitsLoadableConfig(t *testing.T) {
 	}
 }
 
-// TestGenGrayKnobs pins the gray-failure flags into the emitted file:
-// the plane-level damping/budget knobs and the router-level health,
-// latency-budget, and failover-budget knobs all survive the round trip
-// through federation.LoadFile and Build.
+// TestGenGrayKnobs pins the one gray-failure flag, -flap-threshold, into
+// the emitted file through federation.LoadFile and Build, and checks that
+// the flags of the retired knobs are refused.
 func TestGenGrayKnobs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "gray.json")
 	err := runGen([]string{"-planes", "2", "-levels", "2", "-children", "4", "-parents", "2",
-		"-flap-threshold", "2.5", "-flap-half-life", "2s", "-probation", "250ms",
-		"-repair-budget", "128", "-repair-budget-burst", "256",
-		"-health-alpha", "0.3", "-open-below", "0.1", "-latency-budget", "3ms",
-		"-failover-budget", "50", "-failover-budget-burst", "75", "-out", out})
+		"-flap-threshold", "2.5", "-out", out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,22 +91,17 @@ func TestGenGrayKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.HealthAlpha != 0.3 || fc.OpenBelow != 0.1 || fc.LatencyBudget != "3ms" ||
-		fc.FailoverBudgetRate != 50 || fc.FailoverBudgetBurst != 75 {
-		t.Fatalf("router gray knobs lost: %+v", fc)
-	}
 	for i, ps := range fc.Planes {
-		if ps.FlapThreshold != 2.5 || ps.FlapHalfLife != "2s" || ps.QuarantineProbation != "250ms" ||
-			ps.RepairBudgetRate != 128 || ps.RepairBudgetBurst != 256 {
-			t.Errorf("plane %d gray knobs lost: %+v", i, ps)
+		if ps.FlapThreshold != 2.5 {
+			t.Errorf("plane %d gray knob lost: %+v", i, ps)
 		}
 	}
 	cfg, err := fc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Planes[0].Fabric.FlapThreshold != 2.5 || cfg.FailoverBudget.Rate != 50 {
-		t.Fatalf("built config dropped gray knobs: %+v", cfg)
+	if cfg.Planes[0].Fabric.FlapThreshold != 2.5 {
+		t.Fatalf("built config dropped the flap threshold: %+v", cfg)
 	}
 	// Damping off by default: a plain gen carries no gray fields.
 	plain := filepath.Join(t.TempDir(), "plain.json")
@@ -121,8 +112,14 @@ func TestGenGrayKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "flap") || strings.Contains(string(data), "budget") {
+	if strings.Contains(string(data), "flap") {
 		t.Fatalf("plain gen leaked gray fields:\n%s", data)
+	}
+	for _, flag := range []string{"-flap-half-life", "-probation", "-repair-budget", "-repair-budget-burst",
+		"-health-alpha", "-open-below", "-latency-budget", "-failover-budget", "-failover-budget-burst"} {
+		if err := runGen([]string{flag, "1", "-out", os.DevNull}); err == nil {
+			t.Errorf("retired flag %s accepted", flag)
+		}
 	}
 }
 

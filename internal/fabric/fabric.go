@@ -70,7 +70,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,31 +197,13 @@ type Config struct {
 	// verdict. Federation uses this hook to re-admit the dead circuit on
 	// a surviving plane.
 	OnConnTerminal func(c Conn, cause error)
-	// RepairBudget globally rate-limits repair retries with a token
-	// bucket (see gray.go): every re-enqueue after a denied repair
-	// attempt draws one token, and an empty bucket defers the retry
-	// until a token accrues (the retry is delayed, never dropped — and
-	// the deferral does not consume a RepairRetries attempt). The first
-	// attempt after a revocation is free. The zero value selects the
-	// defaults (DefaultRepairBudgetRate, DefaultRepairBudgetBurst); a
-	// negative Rate disables the limit. Stats.RepairBudgetExhausted
-	// counts deferrals.
-	RepairBudget Budget
 	// FlapThreshold enables flap damping when positive: each channel's
-	// down-transitions accumulate in a score that decays with half-life
-	// FlapHalfLife, and a channel whose score reaches the threshold is
-	// quarantined — masked like a failed channel — until
-	// QuarantineProbation passes without further flapping. 0 (the
-	// default) disables damping entirely; behavior is then bit-identical
-	// to the clean-fault model.
+	// down-transitions accumulate in a score that halves every second,
+	// and a channel whose score reaches the threshold is quarantined —
+	// masked like a failed channel — until 100ms pass without further
+	// flapping (gray.go). 0 (the default) disables damping entirely;
+	// behavior is then bit-identical to the clean-fault model.
 	FlapThreshold float64
-	// FlapHalfLife is the flap-score decay half-life (default
-	// DefaultFlapHalfLife; used only when FlapThreshold > 0).
-	FlapHalfLife time.Duration
-	// QuarantineProbation is how long a quarantined channel stays masked
-	// after its last flap (default DefaultQuarantineProbation; used only
-	// when FlapThreshold > 0).
-	QuarantineProbation time.Duration
 }
 
 // EventKind classifies a Trace event.
@@ -505,10 +486,11 @@ type Manager struct {
 	failed map[faults.Channel]struct{}
 	// Gray-failure state (guarded by mu; see gray.go). flap holds the
 	// decayed per-channel flap scores, quar the quarantined channels and
-	// their probation deadlines, budget the repair-retry token bucket.
-	flap   map[faults.Channel]*flapScore
-	quar   map[faults.Channel]time.Time
-	budget Bucket
+	// their probation deadlines; halfLife and probation are the damping
+	// clock (flapHalfLife, quarantineProbation).
+	flap                map[faults.Channel]*flapScore
+	quar                map[faults.Channel]time.Time
+	halfLife, probation time.Duration
 
 	// qmu guards the admission queue (pending, oldest), who runs it next
 	// (closerPending, deadline, armed) and orders writes of closed against
@@ -571,16 +553,14 @@ type Manager struct {
 	pendingRepairs              atomic.Int64
 
 	// Gray-failure counters: repairAttempts counts scheduling attempts
-	// the repair loop made (one per verdict), repairBudgetExhausted the
-	// retries deferred by an empty token bucket, flapEvents every
+	// the repair loop made (one per verdict), flapEvents every
 	// down-transition damping observed, quarantineEvents quarantine
 	// entries, repairedOnHeldTrunk successful repairs whose new route
 	// landed on a trunk already carrying held circuits.
-	repairAttempts        atomic.Uint64
-	repairBudgetExhausted atomic.Uint64
-	flapEvents            atomic.Uint64
-	quarantineEvents      atomic.Uint64
-	repairedOnHeldTrunk   atomic.Uint64
+	repairAttempts      atomic.Uint64
+	flapEvents          atomic.Uint64
+	quarantineEvents    atomic.Uint64
+	repairedOnHeldTrunk atomic.Uint64
 
 	// Route-churn counters: tornRoutes counts routes torn down (release or
 	// revoke with held channels), establishedRoutes counts routes set up
@@ -638,8 +618,6 @@ func (cfg *Config) resolve() (sched.Engine, error) {
 	dur("MaxWait", &cfg.MaxWait, DefaultMaxWait)
 	dur("AdmitTimeout", &cfg.AdmitTimeout, 0)
 	dur("RepairBackoff", &cfg.RepairBackoff, DefaultRepairBackoff)
-	dur("FlapHalfLife", &cfg.FlapHalfLife, DefaultFlapHalfLife)
-	dur("QuarantineProbation", &cfg.QuarantineProbation, DefaultQuarantineProbation)
 	if err != nil {
 		return nil, err
 	}
@@ -657,21 +635,6 @@ func (cfg *Config) resolve() (sched.Engine, error) {
 	}
 	if cfg.RepairRetries <= 0 {
 		cfg.RepairRetries = DefaultRepairRetries
-	}
-	switch {
-	case cfg.RepairBudget.Rate < 0:
-		// Unlimited; a Burst alongside it is meaningless.
-		if cfg.RepairBudget.Burst != 0 {
-			return nil, fmt.Errorf("fabric: RepairBudget.Burst %d with negative (unlimited) Rate", cfg.RepairBudget.Burst)
-		}
-	case cfg.RepairBudget.Rate == 0 && cfg.RepairBudget.Burst == 0:
-		cfg.RepairBudget = Budget{Rate: DefaultRepairBudgetRate, Burst: DefaultRepairBudgetBurst}
-	case cfg.RepairBudget.Rate == 0:
-		return nil, fmt.Errorf("fabric: RepairBudget.Burst %d without a Rate (set Rate > 0, or Rate < 0 for unlimited)", cfg.RepairBudget.Burst)
-	case cfg.RepairBudget.Burst < 0:
-		return nil, fmt.Errorf("fabric: negative RepairBudget.Burst %d", cfg.RepairBudget.Burst)
-	case cfg.RepairBudget.Burst == 0:
-		cfg.RepairBudget.Burst = int(math.Ceil(cfg.RepairBudget.Rate))
 	}
 	if cfg.SchedulerSpec != "" {
 		return sched.Parse(cfg.SchedulerSpec)
@@ -696,9 +659,9 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		failed:  make(map[faults.Channel]struct{}),
 		flap:    make(map[faults.Channel]*flapScore),
 		quar:    make(map[faults.Channel]time.Time),
-		budget:  NewBucket(cfg.RepairBudget, time.Now()),
 		relRing: newReleaseRing(ringSize),
 	}
+	m.halfLife, m.probation = flapHalfLife, quarantineProbation
 	switch e := eng.Unwrap().(type) {
 	case *parsched.Engine:
 		m.parName = e.Name()

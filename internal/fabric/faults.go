@@ -338,10 +338,7 @@ func (m *Manager) killRepairLocked(h *Handle, cause error, counter interface{ Ad
 // requeueRepair is the backoff timer's continuation: it puts the repair
 // ticket back in the epoch queue, unless the handle stopped repairing
 // (owner released it) or the manager is shutting down, in which case
-// the repair ends here. The re-enqueue draws one token from the global
-// retry budget; an empty bucket defers the retry until a token accrues
-// — delayed, never dropped, and the deferral does not consume one of
-// the handle's RepairRetries attempts.
+// the repair ends here.
 func (m *Manager) requeueRepair(t *ticket) {
 	m.mu.Lock()
 	h := t.h
@@ -354,15 +351,7 @@ func (m *Manager) requeueRepair(t *ticket) {
 		m.mu.Unlock()
 		return
 	}
-	now := time.Now()
-	if !m.budget.Take(now) {
-		wait := m.budget.Wait()
-		m.mu.Unlock()
-		m.repairBudgetExhausted.Add(1)
-		time.AfterFunc(wait, func() { m.requeueRepair(t) })
-		return
-	}
-	t.enq = now
+	t.enq = time.Now()
 	m.queueRepairLocked(t)
 	m.mu.Unlock()
 	m.poke()

@@ -61,10 +61,11 @@ func newGen(tree *topology.Tree, rollback bool, retries, damp int) (*gen, error)
 	}
 	m, err := New(Config{Tree: tree, SchedulerSpec: spec, BatchSize: 1 << 20, MaxWait: time.Hour,
 		RepairRetries: retries, RepairBackoff: time.Hour,
-		FlapThreshold: max(float64(damp)-0.5, 0), FlapHalfLife: time.Hour, QuarantineProbation: time.Hour})
+		FlapThreshold: max(float64(damp)-0.5, 0)})
 	if err != nil {
 		return nil, err
 	}
+	m.halfLife, m.probation = time.Hour, time.Hour
 	m.Routable(0, tree.Nodes()-1) // switches the view on
 	return &gen{m: m, ref: fabrictest.New(tree, spec, damp), tree: tree, marks: map[*Handle]int{}}, nil
 }

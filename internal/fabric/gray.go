@@ -1,29 +1,19 @@
 package fabric
 
 // Gray-failure hardening for the repair loop: flap damping with
-// quarantine, and the global repair-retry token budget. A link that
-// merely fails once is handled fine by faults.go — mask, revoke,
-// repair. A link that *flaps* re-runs that whole cycle on every
-// transition, and with enough flapping links the revoke/re-admit churn
-// and the retry traffic grow without bound. Two mechanisms bound them:
-//
-//   - Flap damping (BGP-style): each down-transition of a channel adds
-//     one to a per-channel score that decays exponentially with
-//     half-life Config.FlapHalfLife. A score crossing
-//     Config.FlapThreshold quarantines the channel — it stays masked
-//     (scheduled around, exactly like a failed channel) until a
-//     probation window of Config.QuarantineProbation passes with no
-//     further flap, so one noisy link stops generating churn after a
-//     bounded number of revocations. Opt-in: FlapThreshold 0 disables
-//     damping entirely and the manager behaves bit-identically to the
-//     clean-fault model.
-//
-//   - Retry budget: repair *retries* (every re-enqueue after a denial;
-//     the first attempt after a revocation rides free) draw from one
-//     global token bucket (Config.RepairBudget). An empty bucket defers
-//     the retry until a token accrues instead of dropping it, so
-//     correlated failures cannot start a retry storm — total scheduling
-//     attempts are bounded by revocations + burst + rate·time.
+// quarantine. A link that merely fails once is handled fine by faults.go —
+// mask, revoke, repair. A link that *flaps* re-runs that whole cycle on
+// every transition, and with enough flapping links the revoke/re-admit
+// churn grows without bound. Flap damping (BGP-style) bounds it: each
+// down-transition of a channel adds one to a per-channel score that decays
+// exponentially with half-life flapHalfLife. A score crossing
+// Config.FlapThreshold quarantines the channel — it stays masked
+// (scheduled around, exactly like a failed channel) until a probation
+// window of quarantineProbation passes with no further flap, so one noisy
+// link stops generating churn after a bounded number of revocations.
+// Opt-in: FlapThreshold 0 disables damping entirely and the manager
+// behaves bit-identically to the clean-fault model. Retries need no limit
+// of their own: Config.RepairRetries bounds the attempts per revocation.
 
 import (
 	"math"
@@ -35,69 +25,14 @@ import (
 	"repro/internal/topology"
 )
 
-// Gray-failure defaults used by New when the corresponding Config field
-// is zero (flap damping itself stays off unless FlapThreshold > 0).
+// The flap-damping clock: a flap score halves every flapHalfLife, and a
+// quarantined channel stays masked for quarantineProbation after its last
+// flap. The manager copies them into halfLife and probation, which
+// in-package tests stretch so that no outcome reads the wall clock.
 const (
-	DefaultFlapHalfLife        = time.Second
-	DefaultQuarantineProbation = 100 * time.Millisecond
-	DefaultRepairBudgetRate    = 256
-	DefaultRepairBudgetBurst   = 1024
+	flapHalfLife        = time.Second
+	quarantineProbation = 100 * time.Millisecond
 )
-
-// Budget parameterizes a token bucket: Rate tokens per second accrue up
-// to Burst. The zero value selects the documented default of the field
-// that carries it; a negative Rate disables the limit entirely.
-type Budget struct {
-	Rate  float64
-	Burst int
-}
-
-// Bucket is the runtime state of a Budget (here the repair-retry budget,
-// in federation the failover budget). Guarded by the owner's lock.
-type Bucket struct {
-	rate      float64
-	burst     float64
-	tokens    float64
-	last      time.Time
-	unlimited bool
-}
-
-// NewBucket starts a full bucket at now; a negative Rate is unlimited.
-func NewBucket(b Budget, now time.Time) Bucket {
-	if b.Rate < 0 {
-		return Bucket{unlimited: true}
-	}
-	return Bucket{rate: b.Rate, burst: float64(b.Burst), tokens: float64(b.Burst), last: now}
-}
-
-// Take consumes one token if available.
-func (b *Bucket) Take(now time.Time) bool {
-	if b.unlimited {
-		return true
-	}
-	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens = math.Min(b.burst, b.tokens+b.rate*dt.Seconds())
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
-// Wait returns how long until the next token accrues (call after a
-// failed Take; rate is positive for any limited bucket New accepts).
-func (b *Bucket) Wait() time.Duration {
-	if b.unlimited || b.rate <= 0 {
-		return 0
-	}
-	need := 1 - b.tokens
-	if need <= 0 {
-		return 0
-	}
-	return time.Duration(need / b.rate * float64(time.Second))
-}
 
 // flapScore is one channel's decayed flap counter.
 type flapScore struct {
@@ -116,20 +51,20 @@ func (m *Manager) noteFlapLocked(c faults.Channel, now time.Time) {
 		fs = &flapScore{}
 		m.flap[c] = fs
 	} else if dt := now.Sub(fs.last); dt > 0 {
-		fs.score *= math.Exp2(-float64(dt) / float64(m.cfg.FlapHalfLife))
+		fs.score *= math.Exp2(-float64(dt) / float64(m.halfLife))
 	}
 	fs.score++
 	fs.last = now
 	if fs.score < m.cfg.FlapThreshold {
 		return
 	}
-	until := now.Add(m.cfg.QuarantineProbation)
+	until := now.Add(m.probation)
 	if _, already := m.quar[c]; !already {
 		m.quarantineEvents.Add(1)
 		// Wake shortly after probation expires so the channel returns to
 		// service even on an otherwise idle manager (settle points —
 		// Stats, Fail, Repair, epoch flushes — also release on time).
-		time.AfterFunc(m.cfg.QuarantineProbation+time.Millisecond, m.settleQuarantine)
+		time.AfterFunc(m.probation+time.Millisecond, m.settleQuarantine)
 	}
 	m.quar[c] = until
 }

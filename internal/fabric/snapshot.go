@@ -103,20 +103,18 @@ type Stats struct {
 	RepairLatencyMS Dist `json:"repair_latency_ms"`
 	RepairDepth     Dist `json:"repair_depth"`
 	// Gray-failure observability (see gray.go). RepairAttempts counts
-	// repair scheduling attempts (one per verdict; bounded by Revoked
-	// plus the retry budget), RepairBudgetExhausted retries deferred by
-	// an empty token bucket. FlapEvents counts the down-transitions flap
+	// repair scheduling attempts (one per verdict; at most RepairRetries
+	// per revocation). FlapEvents counts the down-transitions flap
 	// damping observed, QuarantineEvents quarantine entries, Quarantined
 	// the channels currently held in quarantine (masked but no longer
 	// failed-listed once healed). RepairedOnHeldTrunk counts successful
 	// repairs whose new route landed beside already-held circuits at a
 	// parent switch — the reuse-cost repair-placement signal.
-	RepairAttempts        uint64 `json:"repair_attempts"`
-	RepairBudgetExhausted uint64 `json:"repair_budget_exhausted"`
-	FlapEvents            uint64 `json:"flap_events,omitempty"`
-	QuarantineEvents      uint64 `json:"quarantine_events,omitempty"`
-	Quarantined           int    `json:"quarantined,omitempty"`
-	RepairedOnHeldTrunk   uint64 `json:"repaired_on_held_trunk,omitempty"`
+	RepairAttempts      uint64 `json:"repair_attempts"`
+	FlapEvents          uint64 `json:"flap_events,omitempty"`
+	QuarantineEvents    uint64 `json:"quarantine_events,omitempty"`
+	Quarantined         int    `json:"quarantined,omitempty"`
+	RepairedOnHeldTrunk uint64 `json:"repaired_on_held_trunk,omitempty"`
 	// Reconfiguration-cost observability. ReuseCost echoes the engine's
 	// reuse-cost cap (0 = first-fit). TornRoutes counts routes torn down
 	// (releases, revocations) and EstablishedRoutes routes set up (grants
@@ -193,12 +191,11 @@ func (m *Manager) Stats() Stats {
 		RepairLatencyMS:  distOf(&hist.repairLatMS),
 		RepairDepth:      distOf(&hist.repairDepth),
 
-		RepairAttempts:        m.repairAttempts.Load(),
-		RepairBudgetExhausted: m.repairBudgetExhausted.Load(),
-		FlapEvents:            m.flapEvents.Load(),
-		QuarantineEvents:      m.quarantineEvents.Load(),
-		Quarantined:           quarantined,
-		RepairedOnHeldTrunk:   m.repairedOnHeldTrunk.Load(),
+		RepairAttempts:      m.repairAttempts.Load(),
+		FlapEvents:          m.flapEvents.Load(),
+		QuarantineEvents:    m.quarantineEvents.Load(),
+		Quarantined:         quarantined,
+		RepairedOnHeldTrunk: m.repairedOnHeldTrunk.Load(),
 
 		ReuseCost:         m.reuseCost,
 		TornRoutes:        m.tornRoutes.Load(),

@@ -94,7 +94,7 @@ func TestStatsJSONKeys(t *testing.T) {
 		"sequential_epochs", "parallel_epochs", "last_epoch_engine,omitempty",
 		"revoked", "repaired", "repair_failed", "repair_aborted", "pending_repairs",
 		"faulty_channels", "degraded_capacity", "repair_latency_ms", "repair_depth",
-		"repair_attempts", "repair_budget_exhausted", "flap_events,omitempty",
+		"repair_attempts", "flap_events,omitempty",
 		"quarantine_events,omitempty", "quarantined,omitempty",
 		"repaired_on_held_trunk,omitempty", "reuse_cost,omitempty",
 		"torn_routes", "established_routes", "route_churn",

@@ -92,8 +92,8 @@ func (f *FlakyLink) Validate(tree *topology.Tree) error {
 // plane: a DutyCycle fraction of admissions (decided per admission
 // sequence number, same hash construction as FlakyLink) incur
 // AdmitLatency before the plane answers. The plane grants normally —
-// the failure is purely latency, which is what the router's EWMA
-// health score and latency budget are meant to notice.
+// the failure is purely latency, which the router's breaker, hearing
+// faults only, does not act on.
 type DegradedPlane struct {
 	// Plane names the target plane (ftserve resolves it; a Router call
 	// carries the name explicitly, so the field may be empty there).

@@ -39,16 +39,9 @@ type PlaneSpec struct {
 	// Repair-loop knobs; zero means the fabric default.
 	RepairRetries int    `json:"repair_retries,omitempty"`
 	RepairBackoff string `json:"repair_backoff,omitempty"`
-	// Gray-failure knobs (fabric.Config). FlapThreshold > 0 enables flap
-	// damping with the given score threshold; the half-life and
-	// probation durations default when empty. RepairBudgetRate/Burst map
-	// to fabric.Config.RepairBudget (0/0 = the fabric default; a
-	// negative rate disables the retry limit).
-	FlapThreshold       float64 `json:"flap_threshold,omitempty"`
-	FlapHalfLife        string  `json:"flap_half_life,omitempty"`
-	QuarantineProbation string  `json:"quarantine_probation,omitempty"`
-	RepairBudgetRate    float64 `json:"repair_budget_rate,omitempty"`
-	RepairBudgetBurst   int     `json:"repair_budget_burst,omitempty"`
+	// FlapThreshold > 0 enables flap damping with the given score
+	// threshold (fabric.Config.FlapThreshold); zero leaves it off.
+	FlapThreshold float64 `json:"flap_threshold,omitempty"`
 	// Weight biases plane-selection toward this plane under the hash and
 	// least-loaded policies (a weight-2 plane draws roughly twice the
 	// traffic of a weight-1 plane). Zero or omitted means 1; round-robin
@@ -57,25 +50,17 @@ type PlaneSpec struct {
 }
 
 // FileConfig is a serialized federation: the router knobs plus one spec
-// per plane.
+// per plane. A key this grammar does not name — a misspelling, or one of
+// the knobs the grammar retired — fails Load, naming the key.
 type FileConfig struct {
 	// Policy is the plane-selection policy name (one of Policies());
 	// empty means hash.
 	Policy string `json:"policy,omitempty"`
-	// FailoverLimit/EjectAfter/ProbeInterval map to Config; zero means
-	// the federation default.
-	FailoverLimit int    `json:"failover_limit,omitempty"`
-	EjectAfter    int    `json:"eject_after,omitempty"`
-	ProbeInterval string `json:"probe_interval,omitempty"`
-	// Adaptive-health knobs (Config; health.go): the EWMA smoothing
-	// factor, the breaker-opening score, the latency budget that marks a
-	// grant degraded, and the failover token bucket (0/0 = unlimited).
-	HealthAlpha         float64     `json:"health_alpha,omitempty"`
-	OpenBelow           float64     `json:"open_below,omitempty"`
-	LatencyBudget       string      `json:"latency_budget,omitempty"`
-	FailoverBudgetRate  float64     `json:"failover_budget_rate,omitempty"`
-	FailoverBudgetBurst int         `json:"failover_budget_burst,omitempty"`
-	Planes              []PlaneSpec `json:"planes"`
+	// EjectAfter/ProbeInterval map to Config; zero means the federation
+	// default.
+	EjectAfter    int         `json:"eject_after,omitempty"`
+	ProbeInterval string      `json:"probe_interval,omitempty"`
+	Planes        []PlaneSpec `json:"planes"`
 }
 
 // Generate builds the FileConfig `fttopo gen` emits: n identical planes
@@ -175,14 +160,9 @@ func (fc *FileConfig) Build() (Config, error) {
 		return d
 	}
 	cfg := Config{
-		Policy:         policy,
-		FailoverLimit:  fc.FailoverLimit,
-		EjectAfter:     fc.EjectAfter,
-		ProbeInterval:  dur("", "probe_interval", fc.ProbeInterval),
-		HealthAlpha:    fc.HealthAlpha,
-		OpenBelow:      fc.OpenBelow,
-		LatencyBudget:  dur("", "latency_budget", fc.LatencyBudget),
-		FailoverBudget: fabric.Budget{Rate: fc.FailoverBudgetRate, Burst: fc.FailoverBudgetBurst},
+		Policy:        policy,
+		EjectAfter:    fc.EjectAfter,
+		ProbeInterval: dur("", "probe_interval", fc.ProbeInterval),
 	}
 	for i, ps := range fc.Planes {
 		where := planeName(ps.Name, i) + ": "
@@ -194,18 +174,15 @@ func (fc *FileConfig) Build() (Config, error) {
 			Name:   ps.Name,
 			Weight: ps.Weight,
 			Fabric: fabric.Config{
-				Tree:                tree,
-				SchedulerSpec:       ps.Scheduler,
-				BatchSize:           ps.BatchSize,
-				MaxWait:             dur(where, "max_wait", ps.MaxWait),
-				QueueLimit:          ps.QueueLimit,
-				AdmitTimeout:        dur(where, "admit_timeout", ps.AdmitTimeout),
-				RepairRetries:       ps.RepairRetries,
-				RepairBackoff:       dur(where, "repair_backoff", ps.RepairBackoff),
-				FlapThreshold:       ps.FlapThreshold,
-				FlapHalfLife:        dur(where, "flap_half_life", ps.FlapHalfLife),
-				QuarantineProbation: dur(where, "quarantine_probation", ps.QuarantineProbation),
-				RepairBudget:        fabric.Budget{Rate: ps.RepairBudgetRate, Burst: ps.RepairBudgetBurst},
+				Tree:          tree,
+				SchedulerSpec: ps.Scheduler,
+				BatchSize:     ps.BatchSize,
+				MaxWait:       dur(where, "max_wait", ps.MaxWait),
+				QueueLimit:    ps.QueueLimit,
+				AdmitTimeout:  dur(where, "admit_timeout", ps.AdmitTimeout),
+				RepairRetries: ps.RepairRetries,
+				RepairBackoff: dur(where, "repair_backoff", ps.RepairBackoff),
+				FlapThreshold: ps.FlapThreshold,
 			},
 		})
 	}

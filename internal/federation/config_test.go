@@ -14,7 +14,6 @@ import (
 // fttopo gen | ftserve -config smoke exercises.
 func TestConfigRoundTrip(t *testing.T) {
 	fc := Generate(3, 2, 4, 2, "backtrack,depth=2", "least-loaded")
-	fc.FailoverLimit = 2
 	fc.EjectAfter = 5
 	fc.ProbeInterval = "75ms"
 	fc.Planes[1].BatchSize = 4
@@ -37,7 +36,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Policy != PolicyLeastLoaded || cfg.FailoverLimit != 2 || cfg.EjectAfter != 5 {
+	if cfg.Policy != PolicyLeastLoaded || cfg.EjectAfter != 5 {
 		t.Errorf("built router knobs: %+v", cfg)
 	}
 	if cfg.ProbeInterval != 75*time.Millisecond {
@@ -211,6 +210,30 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 }
 
+// TestRetiredGrayKeysRefused: the fault-handling knobs the grammar retired
+// — the failover limit and budget, the latency budget, the score rule's
+// constants, the repair budget and the damping clock — fail Load by name
+// wherever a file still carries one, never silently dropped.
+func TestRetiredGrayKeysRefused(t *testing.T) {
+	for _, tc := range []struct{ key, json string }{
+		{"failover_limit", `{"failover_limit":2,"planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"failover_budget_rate", `{"failover_budget_rate":100,"planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"failover_budget_burst", `{"failover_budget_burst":200,"planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"health_alpha", `{"health_alpha":0.2,"planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"open_below", `{"open_below":0.15,"planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"latency_budget", `{"latency_budget":"2ms","planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"flap_half_life", `{"planes":[{"levels":2,"arity":2,"width":1,"flap_half_life":"1s"}]}`},
+		{"quarantine_probation", `{"planes":[{"levels":2,"arity":2,"width":1,"quarantine_probation":"100ms"}]}`},
+		{"repair_budget_rate", `{"planes":[{"levels":2,"arity":2,"width":1,"repair_budget_rate":256}]}`},
+		{"repair_budget_burst", `{"planes":[{"levels":2,"arity":2,"width":1,"repair_budget_burst":1024}]}`},
+	} {
+		_, err := Load(strings.NewReader(tc.json))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {
+			t.Errorf("retired key %q: err = %v, want an unknown-field error naming it", tc.key, err)
+		}
+	}
+}
+
 // validateCase is one row of the Validate-vs-New table: a file and
 // whether Validate (hence New) must accept it.
 type validateCase struct {
@@ -241,16 +264,8 @@ func validateCases() []validateCase {
 		{"removed incremental flag", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "levelwise,incremental" })}, false},
 		{"backtrack spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "backtrack,depth=2" })}, true},
 		{"racy steal spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "parallel,mode=racy,steal" })}, false},
-		{"gray knobs", []PlaneSpec{plane(func(p *PlaneSpec) {
-			p.FlapThreshold, p.FlapHalfLife, p.QuarantineProbation = 3, "1s", "100ms"
-			p.RepairBudgetRate, p.RepairBudgetBurst = 256, 1024
-		})}, true},
-		{"unlimited repair budget", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetRate = -1 })}, true},
-		{"burst with unlimited budget", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetRate, p.RepairBudgetBurst = -1, 8 })}, false},
-		{"burst without rate", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetBurst = 8 })}, false},
-		{"negative burst", []PlaneSpec{plane(func(p *PlaneSpec) { p.RepairBudgetRate, p.RepairBudgetBurst = 10, -1 })}, false},
+		{"gray knobs", []PlaneSpec{plane(func(p *PlaneSpec) { p.FlapThreshold, p.RepairRetries, p.RepairBackoff = 3, 4, "2ms" })}, true},
 		{"negative flap threshold", []PlaneSpec{plane(func(p *PlaneSpec) { p.FlapThreshold = -1 })}, false},
-		{"negative probation", []PlaneSpec{plane(func(p *PlaneSpec) { p.QuarantineProbation = "-1s" })}, false},
 		{"two named planes", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "b" })}, true},
 		{"duplicate names", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "a" })}, false},
 		{"name shadows a default", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "plane1" }), plane(func(*PlaneSpec) {})}, false},
@@ -259,7 +274,14 @@ func validateCases() []validateCase {
 		{"negative max_wait", one(func(p *PlaneSpec) { p.MaxWait = "-1s" }), false},
 		{"negative admit_timeout", one(func(p *PlaneSpec) { p.AdmitTimeout = "-1s" }), false},
 		{"negative repair_backoff", one(func(p *PlaneSpec) { p.RepairBackoff = "-1ms" }), false},
-		{"negative flap_half_life", one(func(p *PlaneSpec) { p.FlapHalfLife = "-1s" }), false},
+		{"bad admit_timeout", one(func(p *PlaneSpec) { p.AdmitTimeout = "soon" }), false},
+		{"bad repair_backoff", one(func(p *PlaneSpec) { p.RepairBackoff = "2" }), false},
+		{"negative batch_size defaults", one(func(p *PlaneSpec) { p.BatchSize = -4 }), true},
+		{"queue_limit below batch_size", one(func(p *PlaneSpec) { p.BatchSize, p.QueueLimit = 16, 4 }), true},
+		{"negative repair_retries defaults", one(func(p *PlaneSpec) { p.RepairRetries = -1 }), true},
+		{"fractional flap threshold", one(func(p *PlaneSpec) { p.FlapThreshold = 2.5 }), true},
+		{"zero levels", one(func(p *PlaneSpec) { p.Levels = 0 }), false},
+		{"weighted plane", one(func(p *PlaneSpec) { p.Weight = 2 }), true},
 	} {
 		cases = append(cases, validateCase{tc.name, &FileConfig{Planes: tc.planes}, tc.ok})
 	}
@@ -268,19 +290,14 @@ func validateCases() []validateCase {
 		ok   bool
 		edit func(*FileConfig)
 	}{
-		{"router gray knobs", true, func(fc *FileConfig) {
-			fc.ProbeInterval, fc.HealthAlpha, fc.OpenBelow, fc.LatencyBudget = "75ms", 0.3, 0.1, "3ms"
-			fc.FailoverBudgetRate, fc.FailoverBudgetBurst = 50, 75
-		}},
-		{"health_alpha above 1", false, func(fc *FileConfig) { fc.HealthAlpha = 1.5 }},
-		{"negative health_alpha", false, func(fc *FileConfig) { fc.HealthAlpha = -0.1 }},
-		{"open_below at 1", false, func(fc *FileConfig) { fc.OpenBelow = 1 }},
-		{"negative open_below", false, func(fc *FileConfig) { fc.OpenBelow = -0.2 }},
-		{"failover burst without a rate", false, func(fc *FileConfig) { fc.FailoverBudgetBurst = 8 }},
-		{"negative failover burst", false, func(fc *FileConfig) { fc.FailoverBudgetRate, fc.FailoverBudgetBurst = 10, -1 }},
-		{"negative failover rate", false, func(fc *FileConfig) { fc.FailoverBudgetRate = -1 }},
-		{"negative latency_budget", false, func(fc *FileConfig) { fc.LatencyBudget = "-1ms" }},
+		{"router breaker knobs", true, func(fc *FileConfig) { fc.EjectAfter, fc.ProbeInterval = 5, "75ms" }},
 		{"negative probe_interval", false, func(fc *FileConfig) { fc.ProbeInterval = "-50ms" }},
+		{"bad probe_interval", false, func(fc *FileConfig) { fc.ProbeInterval = "often" }},
+		{"negative eject_after defaults", true, func(fc *FileConfig) { fc.EjectAfter = -2 }},
+		{"policy alias", true, func(fc *FileConfig) { fc.Policy = "ll" }},
+		{"unknown policy", false, func(fc *FileConfig) { fc.Policy = "fastest" }},
+		{"round-robin policy", true, func(fc *FileConfig) { fc.Policy = "round-robin" }},
+		{"random policy", true, func(fc *FileConfig) { fc.Policy = "random" }},
 	} {
 		fc := &FileConfig{Planes: one(func(*PlaneSpec) {})}
 		tc.edit(fc)

@@ -52,11 +52,6 @@ import (
 const (
 	DefaultEjectAfter    = 3
 	DefaultProbeInterval = 50 * time.Millisecond
-	// DefaultHealthAlpha is the EWMA smoothing factor for the per-plane
-	// health score; DefaultOpenBelow the score under which the breaker
-	// opens regardless of streak (health.go).
-	DefaultHealthAlpha = 0.2
-	DefaultOpenBelow   = 0.15
 )
 
 // Sentinel errors. ErrReleased aliases the fabric sentinel so drain
@@ -94,18 +89,12 @@ type PlaneConfig struct {
 }
 
 // Config parameterizes a Router. A zero knob takes its default; a
-// negative duration, weight or budget rate is refused.
+// negative duration or weight is refused.
 type Config struct {
 	// Planes are the scheduling planes, at least one.
 	Planes []PlaneConfig
 	// Policy orders candidate planes per admission (default PolicyHash).
 	Policy Policy
-	// FailoverLimit bounds how many additional planes an admission may
-	// try after its first denies (0 or negative: all remaining candidates
-	// — failover is always bounded by the plane count). It counts along
-	// the admission's whole walk: the planes whose published rows would
-	// route the pair first, then the rest (see admitConn).
-	FailoverLimit int
 	// EjectAfter is the streak of consecutive failures — fault-blocked
 	// denials (fabric.UnroutableError.FaultBlocked) and other
 	// failover-able errors, never contention denials — that ejects a
@@ -118,28 +107,6 @@ type Config struct {
 	// ProbeInterval is the minimum spacing between re-admission probes
 	// of an ejected plane (default DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// HealthAlpha is the EWMA smoothing factor for the per-plane health
-	// score, in (0, 1]; larger reacts faster (default
-	// DefaultHealthAlpha). Grants sample 1 (0.5 when slower than
-	// LatencyBudget), failures — the same ones EjectAfter counts — sample
-	// 0, and contention denials are not sampled.
-	HealthAlpha float64
-	// OpenBelow opens a plane's breaker when its health score sinks
-	// under it, in [0, 1) — the adaptive complement to the EjectAfter
-	// streak rule (default DefaultOpenBelow).
-	OpenBelow float64
-	// LatencyBudget, when positive, scores admission latency: a grant
-	// slower than the budget counts as a degraded (0.5) health sample
-	// instead of a healthy (1.0) one. Zero disables latency scoring.
-	LatencyBudget time.Duration
-	// FailoverBudget rate-limits failovers with a token bucket: every
-	// candidate tried beyond an admission's first draws one token, and
-	// an empty bucket ends the admission at its current verdict instead
-	// of fanning out further — the cross-plane analogue of the fabric's
-	// repair retry budget, bounding failover storms under correlated
-	// plane failures. The zero value means unlimited (no budget);
-	// Stats.FailoverBudgetExhausted counts admissions cut short.
-	FailoverBudget fabric.Budget
 }
 
 // plane is one scheduling plane plus its router-side health state.
@@ -190,21 +157,11 @@ type Router struct {
 
 	rr atomic.Uint64 // round-robin admission counter
 
-	// fbudget is the failover token bucket (health.go); fbmu guards its
-	// refill arithmetic. unlimited — no budget configured — is fixed at
-	// New, so the admit path reads it without the lock.
-	fbmu    sync.Mutex
-	fbudget struct {
-		fabric.Bucket
-		unlimited bool
-	}
-
 	offered, granted, rejected atomic.Uint64
 	cancelled                  atomic.Uint64
 	failovers                  atomic.Uint64
 	readmitted, lost           atomic.Uint64
 	pendingReadmits            atomic.Int64
-	failoverBudgetExhausted    atomic.Uint64
 }
 
 // Check reports the error New(cfg) would return, building no plane: the
@@ -236,31 +193,6 @@ func (cfg *Config) resolve() error {
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.HealthAlpha < 0 || cfg.HealthAlpha > 1 {
-		return fmt.Errorf("federation: HealthAlpha %v outside [0, 1]", cfg.HealthAlpha)
-	}
-	if cfg.HealthAlpha == 0 {
-		cfg.HealthAlpha = DefaultHealthAlpha
-	}
-	if cfg.OpenBelow < 0 || cfg.OpenBelow >= 1 {
-		return fmt.Errorf("federation: OpenBelow %v outside [0, 1)", cfg.OpenBelow)
-	}
-	if cfg.OpenBelow == 0 {
-		cfg.OpenBelow = DefaultOpenBelow
-	}
-	if cfg.LatencyBudget < 0 {
-		return fmt.Errorf("federation: negative LatencyBudget %s", cfg.LatencyBudget)
-	}
-	switch b := &cfg.FailoverBudget; {
-	case b.Rate < 0:
-		return fmt.Errorf("federation: negative FailoverBudget.Rate %v (the zero value means unlimited)", b.Rate)
-	case b.Rate == 0 && b.Burst != 0:
-		return fmt.Errorf("federation: FailoverBudget.Burst %d without a Rate (the zero value means unlimited)", b.Burst)
-	case b.Burst < 0:
-		return fmt.Errorf("federation: negative FailoverBudget.Burst %d", b.Burst)
-	case b.Rate > 0 && b.Burst == 0:
-		b.Burst = int(math.Ceil(b.Rate))
 	}
 	cfg.Planes = slices.Clone(cfg.Planes) // the names and weights filled in below stay off the caller's slice
 	names := make(map[string]struct{}, len(cfg.Planes))
@@ -303,13 +235,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{cfg: cfg, nodes: cfg.Planes[0].Fabric.Tree.Nodes()}
-	// A zero rate means unlimited here; the bucket spells that negative.
-	budget := cfg.FailoverBudget
-	if budget.Rate == 0 {
-		budget.Rate = -1
-	}
-	r.fbudget.unlimited = budget.Rate < 0
-	r.fbudget.Bucket = fabric.NewBucket(budget, time.Now())
 	for i, pc := range cfg.Planes {
 		fc := pc.Fabric
 		idx, user := i, fc.OnConnTerminal
@@ -479,7 +404,7 @@ func (r *Router) register(c fabric.Conn, pi int, fh *Handle) {
 	}
 }
 
-// admitConn runs one policy-ordered, bounded-failover admission pass,
+// admitConn runs one policy-ordered failover admission pass,
 // skipping the plane index in skip (a readmission avoids the plane that
 // just lost the connection; -1 skips nothing). It returns the granted
 // connection and the granting plane's index.
@@ -489,17 +414,11 @@ func (r *Router) register(c fabric.Conn, pi int, fh *Handle) {
 // breaker-closed planes whose Routable says yes, each asked as the walk
 // reaches it, then everything the first pass passed over — planes
 // predicted to deny, due probes, the all-open fallback — in the order they
-// had. Every candidate is still tried, and FailoverLimit and the failover
-// budget bound the combined walk. A one-candidate admission reads no view.
+// had. Every candidate is still tried, so the plane count bounds the
+// combined walk. A one-candidate admission reads no view.
 func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn, int, error) {
 	var buf, spare [inlinePlanes]int
 	order := r.candidates(&buf, src, dst)
-	limit := r.cfg.FailoverLimit
-	if limit <= 0 || limit > len(order) {
-		limit = len(order)
-	} else {
-		limit++ // the first choice plus FailoverLimit failovers
-	}
 	hint := len(order) > 1
 	later := inlineSlots(&spare, len(order))[:0]
 	var lastErr error
@@ -522,37 +441,20 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		} else {
 			pi = later[i-len(order)]
 		}
-		if tried >= limit {
-			break
-		}
-		// Every candidate beyond the first draws from the failover
-		// budget; an empty bucket ends the admission at the verdict it
-		// has rather than fanning the failure out across more planes.
 		// A failover is counted here, where another plane is really tried.
 		if tried > 0 {
-			if !r.takeFailoverToken() {
-				r.failoverBudgetExhausted.Add(1)
-				break
-			}
 			r.failovers.Add(1)
 		}
 		tried++
 		p := r.planes[pi]
 		// Injected slow-plane process: a duty-cycle fraction of this
-		// plane's admissions pay the configured latency up front, which
-		// the health score then observes like any organic slowness. The
-		// clock is read only when a latency budget scores it.
-		var start time.Time
-		if r.cfg.LatencyBudget > 0 {
-			start = time.Now()
-		}
+		// plane's admissions pay the configured latency up front.
 		if dp := p.degraded.Load(); dp != nil && dp.SlowAt(p.admitSeq.Add(1)-1) {
 			sleepInjected(ctx, time.Duration(dp.AdmitLatency))
 		}
 		c, err := p.surf.Admit(ctx, src, dst)
 		if err == nil {
-			slow := r.cfg.LatencyBudget > 0 && time.Since(start) > r.cfg.LatencyBudget
-			p.noteSuccess(r.cfg.HealthAlpha, slow)
+			p.noteSuccess()
 			p.grants.Add(1)
 			return c, pi, nil
 		}
@@ -565,7 +467,7 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 			}
 			p.noteContention()
 		} else {
-			p.noteFailure(r.cfg.HealthAlpha, int32(r.cfg.EjectAfter), r.cfg.OpenBelow)
+			p.noteFailure(int32(r.cfg.EjectAfter))
 		}
 		lastErr = err
 	}

@@ -13,15 +13,14 @@ package federation
 //
 // No outcome reads the clock: every plane runs epochs of one request and
 // gives a revoked circuit one repair attempt, so a denied repair is
-// terminal; probes are an hour apart and no latency is scored. A fault's
-// repair epoch runs on the plane's timer and the router migrates what it
-// retires on hook goroutines, so the generator waits for those events —
+// terminal; probes are an hour apart. A fault's repair epoch runs on the
+// plane's timer and the router migrates what it retires on hook
+// goroutines, so the generator waits for those events —
 // repairs traced, hooks finished — before it looks. One circuit's migration
 // is predicted; several run side by side, so the reference adopts what they
 // granted and the counters and health their interleaving left.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -83,12 +82,13 @@ type planeSpec struct {
 
 // fedSpec is a generated federation.
 type fedSpec struct {
-	name         string
-	policy       Policy
-	planes       []planeSpec
-	limit, eject int
-	alpha, below float64
-	budget       int // failover tokens at a rate too small to refill one; 0: no budget
+	name   string
+	policy Policy
+	planes []planeSpec
+	eject  int
+	// faulted planes, the first ones, start with 10 % of their links
+	// failed, as fed_degraded's do.
+	faulted int
 }
 
 // pend is an admitted circuit whose Connect has not reached register.
@@ -128,11 +128,7 @@ type gen struct {
 // newGen builds a federation of fs and its reference.
 func newGen(fs fedSpec) (*gen, error) {
 	log := &journal{revoked: make([][]string, len(fs.planes)), settled: make([]int, len(fs.planes))}
-	cfg := Config{Policy: fs.policy, FailoverLimit: fs.limit, EjectAfter: fs.eject, ProbeInterval: time.Hour,
-		HealthAlpha: fs.alpha, OpenBelow: fs.below}
-	if fs.budget > 0 {
-		cfg.FailoverBudget = fabric.Budget{Rate: 1e-9, Burst: fs.budget}
-	}
+	cfg := Config{Policy: fs.policy, EjectAfter: fs.eject, ProbeInterval: time.Hour}
 	for i, ps := range fs.planes {
 		note := func(route string) {
 			log.mu.Lock()
@@ -159,13 +155,18 @@ func newGen(fs fedSpec) (*gen, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gen{r: r, ref: &refRouter{cfg: r.cfg, tokens: cmp.Or(fs.budget, -1)}, log: log, fates: map[*Handle]*fate{}}
+	g := &gen{r: r, ref: &refRouter{cfg: r.cfg}, log: log, fates: map[*Handle]*fate{}}
 	for i, ps := range fs.planes {
 		pr := &probe{Surface: r.planes[i].surf, blind: ps.blind}
 		r.planes[i].surf = pr
 		g.probes = append(g.probes, pr)
 		g.ref.planes = append(g.ref.planes, &refPlane{name: r.planes[i].name, weight: r.cfg.Planes[i].Weight,
 			blind: ps.blind || ps.shape[2] > 64, fab: fabrictest.New(pr.Tree(), ps.spec, 0), health: 1})
+	}
+	for i := 0; i < fs.faulted; i++ {
+		if err := g.fail(i, faults.Uniform(g.ref.planes[i].fab.Tree, 0.10, int64(i+1)), false); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
@@ -215,7 +216,7 @@ func (g *gen) check() error {
 	pairs := []pair{
 		{"Offered", s.Offered, o.offered}, {"Granted", s.Granted, o.granted}, {"Rejected", s.Rejected, o.rejected},
 		{"Cancelled", s.Cancelled, o.cancelled}, {"Failovers", s.Failovers, o.failovers}, {"Readmitted", s.Readmitted, o.readmitted},
-		{"Lost", s.Lost, o.lost}, {"FailoverBudgetExhausted", s.FailoverBudgetExhausted, o.exhausted},
+		{"Lost", s.Lost, o.lost},
 		{"PendingReadmits", uint64(s.PendingReadmits), 0}, {"round-robin counter", r.rr.Load(), o.rr},
 	}
 	minG, maxG := uint64(math.MaxUint64), uint64(0)
@@ -311,9 +312,6 @@ func (g *gen) matches(w *walk, got int, ports []int, denied error, m mark) error
 		if asked != 0 || tried != 0 {
 			return fmt.Errorf("plane %d asked Routable %+d and Admit %+d times more than the reference", i, int64(asked), int64(tried))
 		}
-	}
-	if cut := g.r.failoverBudgetExhausted.Load() - g.ref.exhausted; cut != b2u(w.cut) {
-		return fmt.Errorf("failover budget cut %d walks, reference %d", cut, b2u(w.cut))
 	}
 	return nil
 }
@@ -443,8 +441,7 @@ func (g *gen) migrated(fhs []*Handle, lost int, m mark) error {
 		return nil
 	}
 	r := g.r
-	o.tokens = max(o.tokens-int(r.failovers.Load()-o.failovers), min(o.tokens, 0))
-	o.rr, o.failovers, o.exhausted = r.rr.Load(), r.failovers.Load(), r.failoverBudgetExhausted.Load()
+	o.rr, o.failovers = r.rr.Load(), r.failovers.Load()
 	for i, p := range r.planes {
 		q := o.planes[i]
 		q.hintMisses, q.opens, q.streak = p.hintMisses.Load(), p.opens.Load(), int(p.failStreak.Load())
@@ -730,23 +727,28 @@ func (g *gen) finish() error {
 
 // federations are the random mode's: one to four planes, every policy,
 // uneven weights, mixed shapes over one node count, a plane too wide for a
-// view, blind planes, a failover limit and budget, the streak and score rules.
+// view, blind planes, the streak and score rules, and fed_degraded's shape —
+// four least-loaded planes, two of them with 10 % of their links failed,
+// every router knob at its default.
 var federations = []fedSpec{
 	{name: "1plane-hash", policy: PolicyHash, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback"}}},
-	{name: "2planes-hash", policy: PolicyHash, limit: 1, alpha: 0.5, below: 0.3,
+	{name: "2planes-hash", policy: PolicyHash,
 		planes: []planeSpec{{shape: [3]int{3, 2, 2}, spec: "level-wise,rollback"}, {shape: [3]int{3, 2, 2}, spec: "level-wise", blind: true}}},
-	{name: "2planes-rr", policy: PolicyRoundRobin, eject: 2, budget: 2,
+	{name: "2planes-rr", policy: PolicyRoundRobin, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise"}, {shape: [3]int{2, 4, 4}, spec: "level-wise,rollback", blind: true}}},
-	{name: "3planes-least-loaded", policy: PolicyLeastLoaded, limit: 1, alpha: 0.5, below: 0.3,
+	{name: "3planes-least-loaded", policy: PolicyLeastLoaded,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback", weight: 1},
 			{shape: [3]int{2, 4, 2}, spec: "level-wise,rollback", weight: 2}, {shape: [3]int{4, 2, 2}, spec: "level-wise", weight: 0.5, blind: true}}},
-	{name: "3planes-random", policy: PolicyRandom, budget: 3, eject: 2,
+	{name: "3planes-random", policy: PolicyRandom, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{2, 4, 2}, spec: "level-wise,rollback", blind: true},
 			{shape: [3]int{2, 4, 4}, spec: "level-wise"}}},
 	{name: "4planes-weighted-hash", policy: PolicyHash, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback", weight: 1}, {shape: [3]int{4, 2, 2}, spec: "backtrack,depth=2", weight: 1},
 			{shape: [3]int{2, 4, 65}, spec: "level-wise", weight: 3}, {shape: [3]int{4, 2, 1}, spec: "level-wise,rollback", weight: 1}}},
+	{name: "4planes-degraded", policy: PolicyLeastLoaded, faulted: 2,
+		planes: []planeSpec{{shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"},
+			{shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}}},
 }
 
 // randomOps weighs the random mode's operations; one draw in a thousand
@@ -821,6 +823,26 @@ func TestRouterGeneratorRegisterSeed(t *testing.T) {
 	}
 	if g.windowRegisters == 0 {
 		t.Fatal("the seed no longer registers a circuit its plane retired before the owner was set")
+	}
+}
+
+// TestRouterGeneratorScoreRuleSeed is a seed on which fed_degraded's shape,
+// every router knob at its default, reaches a breaker the score rule opens
+// before the streak rule would: an outage sinks a plane's health, a grant
+// closes its breaker, and two failures take the score under 0.15. With the
+// score rule gone the router keeps that breaker closed, and the generator
+// reports the divergence (EXPERIMENTS E35).
+func TestRouterGeneratorScoreRuleSeed(t *testing.T) {
+	g, err := runRandom("4planes-degraded", 23, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opens uint64
+	for _, q := range g.ref.planes {
+		opens += q.scoreOpens
+	}
+	if opens == 0 {
+		t.Fatal("the seed no longer opens a breaker by the score rule before the streak rule")
 	}
 }
 

@@ -3,20 +3,22 @@ package federation
 // Adaptive plane health: an EWMA score fed by admission outcomes and a
 // half-open circuit breaker, replacing the binary ejected bit of the
 // original router. The breaker hears faults, not load. A health sample is
-// a grant (1, or 0.5 when slower than the latency budget) or a failure (0):
+// a grant (1) or a failure (0):
 // a fault-blocked denial — the plane would deny the request with every
 // circuit released (fabric.UnroutableError.FaultBlocked) — or any other
 // failover-able error, such as a closed plane. A contention denial is no
 // sample at all: a full plane is not a broken one, and at high load three
 // contention denials in a row are routine (EXPERIMENTS E27, E28). The
 // streak rule — EjectAfter consecutive failures opens the breaker — and
-// the score rule — a plane whose score sinks under Config.OpenBelow opens
-// — both count failures only, and the score is exported per plane for
-// operators (/stats, /healthz).
+// the score rule — a plane whose score sinks under openBelow opens — both
+// count failures only, and the score is exported per plane for operators
+// (/stats, /healthz). From full health the streak rule always trips first
+// (0.8³ = 0.512); the score rule opens a breaker a failure early after an
+// outage has left the score low (EXPERIMENTS E35).
 //
 // Breaker state machine ("failure" as above):
 //
-//	closed ──(failure streak ≥ EjectAfter, or health < OpenBelow)──▶ open
+//	closed ──(failure streak ≥ EjectAfter, or health < openBelow)──▶ open
 //	open ──(ProbeInterval elapsed; single-flight election)──▶ half-open
 //	half-open ──grant or contention denial──▶ closed
 //	half-open ──failure──▶ open
@@ -34,6 +36,13 @@ import (
 	"time"
 
 	"repro/internal/faults"
+)
+
+// The score rule's constants: the EWMA smoothing factor and the score
+// under which a closed breaker opens whatever the streak.
+const (
+	healthAlpha = 0.2
+	openBelow   = 0.15
 )
 
 // Breaker states (plane.breaker).
@@ -66,10 +75,10 @@ func (p *plane) healthNow() float64 {
 // score: a compare-and-swap loop, which skips the store when the score
 // does not move — a healthy plane sits at exactly 1 and its grants then
 // leave the shared cache line clean.
-func (p *plane) bumpHealth(alpha, sample float64) float64 {
+func (p *plane) bumpHealth(sample float64) float64 {
 	for {
 		old := p.health.Load()
-		h := (1-alpha)*math.Float64frombits(old) + alpha*sample
+		h := (1-healthAlpha)*math.Float64frombits(old) + healthAlpha*sample
 		if bits := math.Float64bits(h); bits == old || p.health.CompareAndSwap(old, bits) {
 			return h
 		}
@@ -77,19 +86,14 @@ func (p *plane) bumpHealth(alpha, sample float64) float64 {
 }
 
 // noteSuccess records a grant: the streak resets, the score pulls
-// toward 1 (or only 0.5 for a grant slower than the latency budget —
-// alive, but degraded), and any open or half-open breaker closes. The
-// streak and breaker are written only when they change, so back-to-back
-// grants on a healthy plane share its health words read-only.
-func (p *plane) noteSuccess(alpha float64, slow bool) {
+// toward 1, and any open or half-open breaker closes. The streak and
+// breaker are written only when they change, so back-to-back grants on a
+// healthy plane share its health words read-only.
+func (p *plane) noteSuccess() {
 	if p.failStreak.Load() != 0 {
 		p.failStreak.Store(0)
 	}
-	sample := 1.0
-	if slow {
-		sample = 0.5
-	}
-	p.bumpHealth(alpha, sample)
+	p.bumpHealth(1)
 	if p.breaker.Load() != bClosed {
 		p.breaker.Store(bClosed)
 	}
@@ -99,9 +103,9 @@ func (p *plane) noteSuccess(alpha float64, slow bool) {
 // failover-able error: the score pulls toward 0, and the breaker opens
 // when the streak or score rule trips — or immediately when this was a
 // half-open probe, restarting the probe clock.
-func (p *plane) noteFailure(alpha float64, ejectAfter int32, openBelow float64) {
+func (p *plane) noteFailure(ejectAfter int32) {
 	streak := p.failStreak.Add(1)
-	h := p.bumpHealth(alpha, 0)
+	h := p.bumpHealth(0)
 	switch p.breaker.Load() {
 	case bHalfOpen:
 		p.eject() // the probe failed; wait out another interval
@@ -160,10 +164,9 @@ func (p *plane) resetHealth() {
 
 // SetDegraded installs (or replaces) a slow-but-alive process on the
 // named plane: a DutyCycle fraction of its admissions incur
-// AdmitLatency before reaching the plane. The injected latency is
-// observed by the EWMA score exactly like organic slowness — paired
-// with Config.LatencyBudget this is the gray-failure drill ftserve's
-// degrade verb and ftbench -gray run.
+// AdmitLatency before reaching the plane: slow but alive, so its
+// breaker stays closed — the gray-failure drill ftserve's degrade verb
+// and ftbench -gray run.
 func (r *Router) SetDegraded(name string, dp faults.DegradedPlane) error {
 	p := r.planeByName(name)
 	if p == nil {
@@ -194,18 +197,6 @@ func (r *Router) Degraded(name string) *faults.DegradedPlane {
 		return p.degraded.Load()
 	}
 	return nil
-}
-
-// takeFailoverToken draws from the router's failover budget; unlimited
-// (fixed at New, so read without the lock) when no budget is configured.
-func (r *Router) takeFailoverToken() bool {
-	if r.fbudget.unlimited {
-		return true
-	}
-	r.fbmu.Lock()
-	ok := r.fbudget.Take(time.Now())
-	r.fbmu.Unlock()
-	return ok
 }
 
 // sleepInjected waits out an injected admit latency, returning early if

@@ -3,8 +3,7 @@ package federation
 // The reference router: what a Router does, stated the plain way. One
 // reference fabric per plane (fabrictest.Ref); each policy's order by its
 // definition; the walk that asks first the planes whose rows would route the
-// pair, then the rest, bounded by FailoverLimit and a failover budget kept
-// as a token count; the breaker as a failure streak, an EWMA score and an
+// pair, then the rest; the breaker as a failure streak, an EWMA score and an
 // open bit; migration of a circuit a plane retires as one more walk that
 // skips that plane. No clock, no goroutine, no view: the generator
 // (generator_test.go) runs planes whose outcomes never read the time.
@@ -28,6 +27,7 @@ type refPlane struct {
 	blind  bool // its Routable says yes to every pair
 	// What the router counts and keeps per plane.
 	grants, hintMisses, opens uint64
+	scoreOpens                uint64 // openings the streak alone would not have made yet
 	streak                    int
 	health                    float64
 	open, degraded            bool
@@ -40,19 +40,20 @@ type refRouter struct {
 	cfg    Config // resolved
 	planes []*refPlane
 	rr     uint64
-	tokens int // failover tokens left; -1: no budget
 	// Router counters.
-	offered, granted, rejected, cancelled, failovers, readmitted, lost, exhausted uint64
+	offered, granted, rejected, cancelled, failovers, readmitted, lost uint64
 }
 
 // sample folds a health sample into the score: a grant's 1 ends the streak
 // and closes the breaker; a failure's 0 lengthens the streak, and opens a
-// closed breaker on a streak of EjectAfter or a score under OpenBelow.
+// closed breaker on a streak of EjectAfter or a score under 0.15, the EWMA
+// weighing each sample 0.2.
 func (p *refPlane) sample(cfg Config, s float64) {
-	p.health = (1-cfg.HealthAlpha)*p.health + cfg.HealthAlpha*s
+	p.health = 0.8*p.health + 0.2*s
 	if s == 1 {
 		p.streak, p.open = 0, false
-	} else if p.streak++; p.streak >= cfg.EjectAfter || p.health < cfg.OpenBelow {
+	} else if p.streak++; p.streak >= cfg.EjectAfter || p.health < 0.15 {
+		p.scoreOpens += b2u(!p.open && p.streak < cfg.EjectAfter)
 		p.eject()
 	}
 }
@@ -126,33 +127,16 @@ type walk struct {
 	order    []int
 	asked    []int // planes asked Routable
 	tries    []try
-	cut      bool // the failover budget ended it
 }
 
 // plan walks the planes of order for src→dst, skipping skip (-1: none):
 // the closed-breaker planes whose rows route the pair, as the walk reaches
-// them, then everything it passed over, in order. FailoverLimit counts the
-// planes tried after the first, every one of which takes a failover token;
-// the first grant ends the walk. With one candidate no rows are read.
+// them, then everything it passed over, in order; the first grant ends the
+// walk. With one candidate no rows are read.
 func (o *refRouter) plan(src, dst, skip int, order []int) *walk {
 	w := &walk{src: src, dst: dst, order: order}
-	limit := len(order)
-	if l := o.cfg.FailoverLimit; l > 0 && l < len(order) {
-		limit = l + 1
-	}
 	hint := len(order) > 1
-	tokens := o.tokens
 	ask := func(pi int, predicted bool) (stop bool) {
-		if len(w.tries) >= limit {
-			return true
-		}
-		if len(w.tries) > 0 {
-			if tokens == 0 {
-				w.cut = true
-				return true
-			}
-			tokens--
-		}
 		t := try{plane: pi, predicted: predicted}
 		if fab := o.planes[pi].fab; fab.Closed {
 			t.closed = true
@@ -220,12 +204,8 @@ func (o *refRouter) apply(w *walk, key any) error {
 	for _, pi := range w.asked {
 		o.planes[pi].routables++
 	}
-	o.exhausted += b2u(w.cut)
 	if n := len(w.tries); n > 1 {
 		o.failovers += uint64(n - 1)
-		if o.tokens > 0 {
-			o.tokens -= n - 1
-		}
 	}
 	for _, t := range w.tries {
 		p := o.planes[t.plane]

@@ -64,9 +64,6 @@ type Stats struct {
 	Readmitted      uint64 `json:"readmitted"`
 	Lost            uint64 `json:"lost"`
 	PendingReadmits int64  `json:"pending_readmits"`
-	// FailoverBudgetExhausted counts admissions the failover token
-	// bucket cut short (Config.FailoverBudget).
-	FailoverBudgetExhausted uint64 `json:"failover_budget_exhausted,omitempty"`
 	// Imbalance is the max/min ratio of per-plane grant counts, the
 	// load-spread regression signal: 1.0 is a perfect spread. It is 0
 	// (undefined) while any plane has zero grants, since the true ratio
@@ -78,17 +75,16 @@ type Stats struct {
 // Stats snapshots the router and every plane.
 func (r *Router) Stats() Stats {
 	s := Stats{
-		Policy:                  r.cfg.Policy.String(),
-		Offered:                 r.offered.Load(),
-		Granted:                 r.granted.Load(),
-		Rejected:                r.rejected.Load(),
-		Cancelled:               r.cancelled.Load(),
-		Failovers:               r.failovers.Load(),
-		Readmitted:              r.readmitted.Load(),
-		Lost:                    r.lost.Load(),
-		PendingReadmits:         r.pendingReadmits.Load(),
-		FailoverBudgetExhausted: r.failoverBudgetExhausted.Load(),
-		Planes:                  make([]PlaneStats, len(r.planes)),
+		Policy:          r.cfg.Policy.String(),
+		Offered:         r.offered.Load(),
+		Granted:         r.granted.Load(),
+		Rejected:        r.rejected.Load(),
+		Cancelled:       r.cancelled.Load(),
+		Failovers:       r.failovers.Load(),
+		Readmitted:      r.readmitted.Load(),
+		Lost:            r.lost.Load(),
+		PendingReadmits: r.pendingReadmits.Load(),
+		Planes:          make([]PlaneStats, len(r.planes)),
 	}
 	var minG, maxG uint64
 	for i, p := range r.planes {

@@ -52,8 +52,8 @@ gotest -race ./...
 # manager (including the fault revoke/re-admit chaos tests and the
 # gray-failure flap-damping chaos test), the fault-injection package,
 # and the federation router (its generator kills planes and migrates
-# circuits on hook goroutines, plus the probe and latency tests) under
-# -race with a doubled count, shaking out interleavings a single
+# circuits on hook goroutines, plus the probe and degraded-plane tests)
+# under -race with a doubled count, shaking out interleavings a single
 # full-suite run can miss.
 gotest -race -count=2 ./internal/parsched ./internal/fabric ./internal/faults ./internal/federation
 
@@ -98,10 +98,18 @@ gotest -run '^$' -bench 'BenchmarkScalingEngines/FT3x8x8/batch4096/local/shard$'
 # server's own -config path (stdin form), end to end through both CLIs,
 # every gray knob included — fttopo gen is the only place they are flags.
 gen() {
-	go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least-loaded \
-		-flap-threshold 3 -probation 250ms -repair-budget 128 -latency-budget 3ms -failover-budget 50
+	go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least-loaded -flap-threshold 3
 }
 gen | go run ./cmd/ftserve -config - -validate
+# A retired knob is refused by name, never silently dropped.
+if refused=$(gen | sed 's/"policy"/"open_below": 0.15, "policy"/' | go run ./cmd/ftserve -config - -validate 2>&1); then
+	echo "ftserve accepted the retired open_below key" >&2
+	exit 1
+fi
+case $refused in
+*'unknown field "open_below"'*) ;;
+*) echo "ftserve refused the retired open_below key without naming it: $refused" >&2; exit 1 ;;
+esac
 # One road: a shape or queue flag next to -config is refused, not dropped.
 if gen | go run ./cmd/ftserve -config - -batch 1 -validate 2>/dev/null; then
 	echo "ftserve accepted -batch next to -config" >&2
@@ -142,15 +150,16 @@ gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 # pair; and readers racing 32 churning clients see no torn row of the
 # published view; under -race, -count=2 as above.
 gotest -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn' -count=2 ./internal/fabric
-# The router generator, both modes, and its two named seeds: seeded
-# sequences on six federations of one to four planes and every sequence of
-# up to three operations on two FT(2,2,2) planes, run against the reference
+# The router generator, both modes, and its three named seeds: seeded
+# sequences on seven federations of one to four planes (fed_degraded's
+# shape among them) and every sequence of up to three operations on two
+# FT(2,2,2) planes, run against the reference
 # router (one reference fabric per plane) — Router.CheckInvariants, Stats,
 # breaker state, each plane's Routable and Admit calls and every handle's
 # fate after every operation (split Connects, releases, Fail, KillPlane,
 # Repair, RepairPlane, degraded planes, Close), each walk bit for bit while
 # it ran alone; under -race, -count=2 as above.
-gotest -race -run 'TestRouterGenerator$|TestRouterGeneratorExhaustive|TestRouterGeneratorTerminalWindowSeed|TestRouterGeneratorRegisterSeed' -count=2 ./internal/federation
+gotest -race -run 'TestRouterGenerator$|TestRouterGeneratorExhaustive|TestRouterGeneratorTerminalWindowSeed|TestRouterGeneratorRegisterSeed|TestRouterGeneratorScoreRuleSeed' -count=2 ./internal/federation
 
 # Spec fuzz: no input makes sched.Parse panic, and an accepted spec's engine
 # schedules a seeded batch that core.Verify passes and whose routes release
@@ -186,8 +195,7 @@ go run ./cmd/ftbench -churn -churn-rate 8 -churn-life 4 -churn-epochs 20 -churn-
 # Gray-failure smoke: one short flaky-link point plus the degraded-plane
 # federation point (EXPERIMENTS.md E21). The harness itself enforces the
 # invariants — zero unaccounted connections and repair attempts within
-# the retry-budget bound — so a regression fails the run, not just the
-# numbers.
+# the retry bound — so a regression fails the run, not just the numbers.
 go run ./cmd/ftbench -gray -fabric-levels 2 -fabric-children 4 -fabric-parents 4 \
 	-fabric-clients 8 -fabric-open 2 -fabric-duration 300ms -gray-rates 0,0.2 -seed 1
 
