@@ -18,23 +18,23 @@
 //
 // # The level-major word sweep
 //
-// When every availability row is one machine word and ports are picked
-// first-fit, LevelWise.ScheduleInto runs the paper's pipeline as it is
-// drawn: per level, a request is a few registers. One prep pass turns the
+// When every availability row is one machine word, LevelWise.ScheduleInto
+// runs the paper's pipeline as it is drawn: per level, a request is a few registers. One prep pass turns the
 // batch into a worklist of 16-byte SweepPos records {i, σ, δ, H} in
 // processing order (requests with H == 0 are granted there and never
 // listed). SweepWords then takes the levels in turn: it fetches the
 // level's Ulink/Dlink words and parent-table block once, streams the
-// worklist through one AND, one trailing-zeros pick and two bit clears per
-// request, writes the port to a fixed-stride arena (request i, level h at
+// worklist through one AND, one pick (a trailing-zeros under first-fit,
+// the Scorer under any other policy) and two bit clears per request, writes the port to a fixed-stride arena (request i, level h at
 // arena[i*L+h]), and compacts the survivors in place, in order. An Outcome
 // is written exactly once, whole, at its verdict — the grant, or the first
 // conflict — so the 72-byte records are never read back during the sweep,
 // and Counters and the grant count are summed in locals and folded in at
 // the end. internal/parsched runs each shard through the same SweepWords.
-// Other policies, tracing and rows wider than a word take the Vector loop
-// in ScheduleInto, which the differential test in word_test.go holds
-// bit-identical to the word sweep.
+// Tracing, request-major traversal and rows wider than a word take the
+// Vector loop in ScheduleInto, which picks through the same Scorer and
+// which the differential test in word_test.go holds bit-identical to the
+// word sweep.
 //
 // # The level pipeline
 //
@@ -47,10 +47,10 @@
 // and a rollback, which reaches below its level, runs in level-major only
 // once the levels below are fully swept, so running the rollbacks after
 // the batch changes no decision. The pipeline engages for batches of at
-// least pipelineMin (1024) requests on single-word rows, table view, two
-// or more link levels, with GOMAXPROCS ≥ 2 and the helper not serving
-// another caller; everything else — every fabric epoch among them — runs
-// SweepWords. The helper is started by the first batch that would engage
+// least pipelineMin (1024) first-fit requests on single-word rows, table
+// view, two or more link levels, with GOMAXPROCS ≥ 2 and the helper not
+// serving another caller; everything else — every fabric epoch among them
+// — runs SweepWords. The helper is started by the first batch that would engage
 // it, polls for 250 µs after each job and then parks; a batch that finds
 // it parked wakes it for the batches that follow and runs SweepWords
 // itself (EXPERIMENTS E31).
@@ -58,10 +58,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
-	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
 )
@@ -333,82 +333,71 @@ func finish(name string, outs []Outcome, ops Counters) *Result {
 	return res
 }
 
-// pickPort applies the policy to an availability vector (the paper's
-// priority selector, generalized). h and sigma locate the chooser for the
-// LeastLoaded one-level lookahead. It returns the selected port and true,
-// or false if no port is available.
-func pickPort(st *linkstate.State, policy PortPolicy, rng *rand.Rand, h, sigma int, avail bitvec.Vector) (int, bool) {
-	switch policy {
-	case RandomFit:
-		n := avail.Count()
-		if n == 0 {
-			return 0, false
-		}
-		p, _ := avail.NthSet(rng.Intn(n))
-		return p, true
-	case LeastLoaded:
-		tree := st.Tree()
-		if h+1 >= tree.LinkLevels() {
-			return avail.FirstSet()
-		}
-		best, bestFree := -1, -1
-		for p := 0; p < avail.Width(); p++ {
-			if !avail.Get(p) {
-				continue
-			}
-			parent := tree.UpParent(h, sigma, p)
-			free := st.ULink(h+1, parent).Count()
-			if free > bestFree {
-				best, bestFree = p, free
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		return best, true
-	default: // FirstFit
-		return avail.FirstSet()
-	}
+// Scorer is the one port-selection seam: the paper's priority selector,
+// generalized from first-fit to every policy. Every Level-wise, Local and
+// parsched racy pick goes through Pick; the word kernel's first-fit
+// (claimPort) is Pick's FirstFit case compiled to one trailing-zeros.
+//
+// ReuseCost, when positive, replaces Policy with the
+// reconfiguration-cost-aware score (Options.ReuseCost): a free port scores
+// the channels its two parent switches — the σ-side up-parent and the
+// δ-side mirror parent — already have allocated, capped at ReuseCost (the
+// submodular saturation: past that, more overlap buys nothing). Packing
+// new circuits onto switches that already carry held ones keeps the
+// working set of switches small, so future reconfigurations touch fewer
+// distinct resources. Failed channels are masked out of the availability
+// rows, so a faulted parent scores as if loaded — the conservative
+// choice: routes through it are the ones a repair would re-tear.
+// LeastLoaded scores a free port by the σ-side parent's free upward
+// channels (one-level lookahead). A scored pick takes the highest score,
+// ties low, and is first-fit at the top link level, which has no parent
+// rows, and on an idle fabric, where every reuse score is 0.
+type Scorer struct {
+	Policy    PortPolicy
+	ReuseCost int
+	Rand      *rand.Rand // drives RandomFit
 }
 
-// pickPortReuse is the reconfiguration-cost-aware port pick
-// (Options.ReuseCost): it scores every available port by how many
-// channels its two parent switches — the σ-side up-parent and the δ-side
-// mirror parent — already have allocated, caps the score at reuseCap
-// (the submodular saturation: past that, more overlap buys nothing), and
-// takes the highest-scoring port, ties low. Packing new circuits onto
-// switches that already carry held ones keeps the working set of
-// switches small, so future reconfigurations (departures, faults,
-// repacks) touch fewer distinct resources. At the top level there are no
-// parent rows to score, so the pick degrades to first-fit; it also does
-// on an idle fabric, where every score is 0.
-//
-// Failed channels are masked out of the availability rows, so a faulted
-// parent scores as if loaded — which is the conservative choice: routes
-// through it are the ones a repair would re-tear.
-func pickPortReuse(st *linkstate.State, h, sigma, delta int, avail bitvec.Vector, reuseCap int) (int, bool) {
+// firstFit reports whether k picks the lowest free port at every level.
+func (k Scorer) firstFit() bool { return k.Policy == FirstFit && k.ReuseCost == 0 }
+
+// Pick returns the port k selects from avail — the AND-ed availability of
+// the level-h switch pair (σ, δ) as words, port p at bit p%64 of
+// avail[p/64] — or -1 when no port is free. RandomFit makes one
+// Rand.Intn(popcount) draw, and none when avail is empty.
+func (k Scorer) Pick(st *linkstate.State, h, sigma, delta int, avail []uint64) int {
+	rank := 0 // the set bit to take, unless the pick is scored
+	if k.ReuseCost == 0 && k.Policy == RandomFit {
+		n := 0
+		for _, w := range avail {
+			n += bits.OnesCount64(w)
+		}
+		if n == 0 {
+			return -1
+		}
+		rank = k.Rand.Intn(n)
+	}
 	tree := st.Tree()
-	if h+1 >= tree.LinkLevels() {
-		return avail.FirstSet()
-	}
-	w := tree.Parents()
+	scored := (k.ReuseCost > 0 || k.Policy == LeastLoaded) && h+1 < tree.LinkLevels()
 	best, bestScore := -1, -1
-	for p := 0; p < avail.Width(); p++ {
-		if !avail.Get(p) {
-			continue
-		}
-		up := tree.UpParent(h, sigma, p)
-		down := tree.UpParent(h, delta, p)
-		score := (w - st.ULink(h+1, up).Count()) + (w - st.DLink(h+1, down).Count())
-		if score > reuseCap {
-			score = reuseCap
-		}
-		if score > bestScore {
-			best, bestScore = p, score
+	for i, w := range avail {
+		for ; w != 0; w &= w - 1 {
+			p := 64*i + bits.TrailingZeros64(w)
+			if !scored {
+				if rank == 0 {
+					return p
+				}
+				rank--
+				continue
+			}
+			score := st.ULink(h+1, tree.UpParent(h, sigma, p)).Count()
+			if k.ReuseCost > 0 {
+				score = min(k.ReuseCost, 2*tree.Parents()-score-st.DLink(h+1, tree.UpParent(h, delta, p)).Count())
+			}
+			if score > bestScore {
+				best, bestScore = p, score
+			}
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return best
 }

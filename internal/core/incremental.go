@@ -8,8 +8,7 @@ import (
 // batches, granted routes simply stay allocated, and a departing circuit
 // returns its channels with ReleaseSurviving (fault-aware) before the next
 // ScheduleInto sweeps against whatever is left. The allocated bits ARE the
-// held set, which is also what the reuse-cost pick (pickPortReuse) scores
-// against.
+// held set, which is also what the reuse-cost score (Scorer) reads.
 //
 // Departure and ScheduleDeltaInto wrap that loop in one call. They are
 // kept only because the benchmark's traced delta-epoch replay

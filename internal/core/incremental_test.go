@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
 )
@@ -178,37 +177,5 @@ func TestReleaseSurvivingSkipsFailed(t *testing.T) {
 	st.RepairLink(linkstate.Up, 0, sigma, port)
 	if !st.Equal(linkstate.New(tree)) {
 		t.Fatal("link state not pristine after drain + repair")
-	}
-}
-
-// TestPickPortReuse pins the reconfiguration-cost scorer: the port whose
-// parents carry the most held channels wins, the cap saturates the
-// score, and saturated ties break low (first-fit-like).
-func TestPickPortReuse(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	st := linkstate.New(tree)
-	avail := bitvec.NewFull(tree.Parents())
-	// Load port 2's σ-side parent with two held channels and port 1's
-	// with one; ports 0 and 3 lead to idle parents.
-	p2 := tree.UpParent(0, 0, 2)
-	p1 := tree.UpParent(0, 0, 1)
-	mustAllocate(st, linkstate.Up, 1, p2, 0)
-	mustAllocate(st, linkstate.Up, 1, p2, 1)
-	mustAllocate(st, linkstate.Up, 1, p1, 0)
-	if got, ok := pickPortReuse(st, 0, 0, 0, avail, 8); !ok || got != 2 {
-		t.Fatalf("uncapped pick = %d, %v; want port 2 (most loaded parent)", got, ok)
-	}
-	// Cap 1 saturates both loaded parents to the same score: tie breaks
-	// low, so port 1 wins.
-	if got, ok := pickPortReuse(st, 0, 0, 0, avail, 1); !ok || got != 1 {
-		t.Fatalf("capped pick = %d, %v; want port 1 (saturated tie breaks low)", got, ok)
-	}
-	// Top link level has no parent rows: degrade to first-fit.
-	if got, ok := pickPortReuse(st, tree.LinkLevels()-1, 0, 0, avail, 8); !ok || got != 0 {
-		t.Fatalf("top-level pick = %d, %v; want first-fit port 0", got, ok)
-	}
-	// On an idle fabric every score is zero: first-fit again.
-	if got, ok := pickPortReuse(linkstate.New(tree), 0, 0, 0, avail, 8); !ok || got != 0 {
-		t.Fatalf("idle pick = %d, %v; want first-fit port 0", got, ok)
 	}
 }

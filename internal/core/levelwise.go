@@ -76,26 +76,26 @@ func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	if rng == nil && (s.Opts.Policy == RandomFit || s.Opts.Order == ShuffledOrder) {
 		rng = rand.New(rand.NewSource(1))
 	}
+	k := Scorer{Policy: s.Opts.Policy, ReuseCost: s.Opts.ReuseCost, Rand: rng}
 	name := sc.nameFor(s)
 
 	// Word fast path: when every availability row is one machine word
-	// (w <= 64), the level-major step collapses to one AND and a
-	// trailing-zeros pick. FirstFit IS lowest-set-bit, so the fast path is
-	// bit-identical to the Vector path (the golden tests pin this); other
-	// policies, tracing, the reuse-cost pick (which reads neighbor
-	// occupancy rows) and request-major traversal take the Vector form.
-	if st.WordRows() && s.Opts.Policy == FirstFit && s.Opts.Trace == nil && s.Opts.ReuseCost == 0 &&
-		s.Opts.Traversal == LevelMajor {
-		return s.scheduleWords(st, reqs, sc, name, rng, inline)
+	// (w <= 64), the level-major step collapses to one AND and one pick on
+	// the word, under every policy. Tracing (which renders the availability
+	// as a Vector) and request-major traversal take the Vector form, which
+	// makes the same picks through the same Scorer (word_test.go holds the
+	// two bit-identical).
+	if st.WordRows() && s.Opts.Trace == nil && s.Opts.Traversal == LevelMajor {
+		return s.scheduleWords(st, reqs, sc, name, k, inline)
 	}
 
 	outs := sc.prepOutcomes(tree, reqs)
 	order := orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
-	avail := sc.prepAvail(tree)
+	avail, words := sc.prepAvail(tree)
 	var ops Counters
 	if s.Opts.Traversal == RequestMajor {
 		for _, i := range order {
-			s.scheduleOne(st, &outs[i], &ops, rng, avail)
+			s.scheduleOne(st, &outs[i], &ops, k, avail, words)
 		}
 		return sc.finishInto(name, outs, ops)
 	}
@@ -124,17 +124,13 @@ func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 			ops.VectorReads += 2
 			ops.VectorANDs++
 			ops.Steps++
-			p, ok := s.pick(st, rng, h, ls.cur.Sigma(), ls.cur.Delta(), avail)
+			p := k.Pick(st, h, ls.cur.Sigma(), ls.cur.Delta(), words)
 			ops.PortPicks++
 			if s.Opts.Trace != nil {
-				port := p
-				if !ok {
-					port = -1
-				}
 				s.Opts.Trace(TraceEvent{Scheduler: name, Src: o.Src, Dst: o.Dst, Level: h,
-					Phase: "combined", Sigma: ls.cur.Sigma(), Delta: ls.cur.Delta(), Avail: avail.String(), Port: port})
+					Phase: "combined", Sigma: ls.cur.Sigma(), Delta: ls.cur.Delta(), Avail: avail.String(), Port: p})
 			}
-			if !ok {
+			if p < 0 {
 				ls.alive = false
 				o.FailLevel = h
 				if s.Opts.Rollback {
@@ -177,22 +173,24 @@ func (o *Outcome) set(r Request, h int, granted bool, ports []int, failLevel int
 	o.FailDown = false
 }
 
-// scheduleWords is ScheduleInto's level-major word path. A batch of at
-// least pipelineMin requests on a table-view tree with two or more link
-// levels takes the level pipeline (pipeline.go) when GOMAXPROCS is 2 or
-// more and the helper is free and awake — or, with the inline test seam,
-// with both stages on the caller. Any other is one fused prep pass that
-// grants the H == 0 requests on the spot and lists the rest in processing
-// order, then SweepWords over that worklist.
-func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scratch, name string, rng *rand.Rand, inline bool) *Result {
+// scheduleWords is ScheduleInto's level-major word path. A first-fit batch
+// of at least pipelineMin requests on a table-view tree with two or more
+// link levels takes the level pipeline (pipeline.go) when GOMAXPROCS is 2
+// or more and the helper is free and awake — or, with the inline test
+// seam, with both stages on the caller. Any other is one fused prep pass
+// that grants the H == 0 requests on the spot and lists the rest in
+// processing order, then SweepWords over that worklist. The pipeline takes
+// first-fit only: a scored pick at level 0 would read the level-1 rows
+// stage B is writing, and a random one must draw in level-major order.
+func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scratch, name string, k Scorer, inline bool) *Result {
 	tree := st.Tree()
 	// NaturalOrder is the identity, so the worklist is filled straight from
 	// the batch with no index buffer to build and gather through.
 	var order []int
 	if s.Opts.Order != NaturalOrder {
-		order = orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
+		order = orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, k.Rand)
 	}
-	if pipelines(st, len(reqs)) && (inline || runtime.GOMAXPROCS(0) >= 2 && reserveHelper()) {
+	if k.firstFit() && pipelines(st, len(reqs)) && (inline || runtime.GOMAXPROCS(0) >= 2 && reserveHelper()) {
 		return s.schedulePipelined(st, reqs, sc, name, order, !inline)
 	}
 	outs, arena, work := sc.prepWords(tree, reqs)
@@ -215,20 +213,23 @@ func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scrat
 		work = append(work, SweepPos{I: int32(i), Sigma: int32(sigma), Delta: int32(delta), H: int32(h)})
 	}
 	var ops Counters
-	granted += SweepWords(st, reqs, outs, arena, work, s.Opts.Rollback, &ops)
+	granted += SweepWords(st, reqs, outs, arena, work, k, s.Opts.Rollback, &ops)
 	sc.res = Result{Scheduler: name, Outcomes: outs, Granted: granted, Total: len(outs), Ops: ops}
 	return &sc.res
 }
 
-// SweepWords is the level-major first-fit sweep on single-word rows: the
-// paper's Figure 7 loop as a streaming kernel, and the one site of the
-// word-AND, trailing-zeros pick (internal/parsched runs its shards through
-// it too). work lists the live requests in arbitration order, each with
-// H > 0 and positioned at level 0. It is consumed: every level sweeps it
-// once and compacts the survivors in place, stably, so arbitration order
-// never changes. A level fetches its two link rows' words and its parent
-// table block once; a request's step is then one AND, one pick, two bit
-// clears and, below its last level, two parent reads. On a load-tracking
+// SweepWords is the level-major sweep on single-word rows: the paper's
+// Figure 7 loop as a streaming kernel, and the one site of the word-AND
+// pick (internal/parsched runs its shards through it too). k picks the
+// ports: first-fit is claimPort's trailing-zeros, inline; any other policy
+// is k.Pick on the AND-ed word, whose scored picks read level h+1's rows,
+// which no level-h step writes. work lists the live requests in
+// arbitration order, each with H > 0 and positioned at level 0. It is
+// consumed: every level sweeps it once and compacts the survivors in
+// place, stably, so arbitration order never changes. A level fetches its
+// two link rows' words and its parent table block once; a request's step
+// is then one AND, one pick, two bit clears and, below its last level, two
+// parent reads. On a load-tracking
 // state a claim also counts on its two channels with plain adds — the
 // sweep owns the rows it is clearing — and the occupancy gauge moves once,
 // when the sweep is done (a rollback inside it settles its own route).
@@ -247,14 +248,15 @@ func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scrat
 // level-h rows, each level still takes the requests in arbitration order,
 // and a rollback here runs only after every level below its failure level
 // is swept, so deferring it to the batch's end changes no decision.
-// ScheduleInto takes the pipeline for batches of at least pipelineMin
-// requests with two or more link levels, table view, GOMAXPROCS ≥ 2 and
-// the helper free; every other batch, and every parsched shard, comes
-// here.
-func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int, work []SweepPos, rollback bool, ops *Counters) (granted int) {
+// ScheduleInto takes the pipeline for first-fit batches of at least
+// pipelineMin requests with two or more link levels, table view,
+// GOMAXPROCS ≥ 2 and the helper free; every other batch, and every
+// parsched shard, comes here.
+func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int, work []SweepPos, k Scorer, rollback bool, ops *Counters) (granted int) {
 	tree := st.Tree()
 	L := tree.LinkLevels()
 	track := st.LoadTracking()
+	first := k.firstFit()
 	visits, picks := 0, 0
 	for h := 0; len(work) > 0; h++ {
 		uw, dw := st.LevelWords(h)
@@ -264,7 +266,12 @@ func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int
 		for _, pos := range work {
 			i, sigma, delta := int(pos.I), int(pos.Sigma), int(pos.Delta)
 			base := i * L
-			p := claimPort(&uw[sigma], &dw[delta])
+			var p int
+			if first {
+				p = claimPort(&uw[sigma], &dw[delta])
+			} else if p = k.Pick(st, h, sigma, delta, []uint64{uw[sigma] & dw[delta]}); p >= 0 {
+				linkstate.AllocateWords(&uw[sigma], &dw[delta], uint64(1)<<uint(p))
+			}
 			if p < 0 {
 				held := arena[base : base+h : base+int(pos.H)]
 				if rollback {
@@ -321,8 +328,8 @@ func claimPort(u, d *uint64) int {
 
 // scheduleOne routes a single request through all its levels
 // (request-major traversal — the order the hardware pipeline realizes).
-// avail is the caller's scratch availability vector.
-func (s *LevelWise) scheduleOne(st *linkstate.State, o *Outcome, ops *Counters, rng *rand.Rand, avail bitvec.Vector) {
+// avail is the caller's scratch availability vector and words its storage.
+func (s *LevelWise) scheduleOne(st *linkstate.State, o *Outcome, ops *Counters, k Scorer, avail bitvec.Vector, words []uint64) {
 	tree := st.Tree()
 	if o.H == 0 {
 		o.Granted = true
@@ -335,17 +342,13 @@ func (s *LevelWise) scheduleOne(st *linkstate.State, o *Outcome, ops *Counters, 
 		ops.VectorReads += 2
 		ops.VectorANDs++
 		ops.Steps++
-		p, ok := s.pick(st, rng, h, cur.Sigma(), cur.Delta(), avail)
+		p := k.Pick(st, h, cur.Sigma(), cur.Delta(), words)
 		ops.PortPicks++
 		if s.Opts.Trace != nil {
-			port := p
-			if !ok {
-				port = -1
-			}
 			s.Opts.Trace(TraceEvent{Scheduler: s.Name(), Src: o.Src, Dst: o.Dst, Level: h,
-				Phase: "combined", Sigma: cur.Sigma(), Delta: cur.Delta(), Avail: avail.String(), Port: port})
+				Phase: "combined", Sigma: cur.Sigma(), Delta: cur.Delta(), Avail: avail.String(), Port: p})
 		}
-		if !ok {
+		if p < 0 {
 			o.FailLevel = h
 			if s.Opts.Rollback {
 				s.rollback(st, o, ops)
@@ -359,16 +362,6 @@ func (s *LevelWise) scheduleOne(st *linkstate.State, o *Outcome, ops *Counters, 
 		cur.Advance(p)
 	}
 	o.Granted = true
-}
-
-// pick selects a port from avail under the configured policy, routing
-// through the reuse-cost scorer when Options.ReuseCost is set (reuse
-// replaces the policy axis — the registry rejects combining them).
-func (s *LevelWise) pick(st *linkstate.State, rng *rand.Rand, h, sigma, delta int, avail bitvec.Vector) (int, bool) {
-	if s.Opts.ReuseCost > 0 {
-		return pickPortReuse(st, h, sigma, delta, avail, s.Opts.ReuseCost)
-	}
-	return pickPort(st, s.Opts.Policy, rng, h, sigma, avail)
 }
 
 // rollback releases the channels a failed request allocated at levels

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math/rand"
-
+	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 )
 
@@ -40,6 +39,7 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 	rng := s.Opts.rng()
 	outs := NewOutcomes(tree, reqs)
 	order := OrderIndices(tree, reqs, s.Opts.Order, rng)
+	avail := bitvec.NewMatrix(1, tree.Parents())
 	var ops Counters
 	for _, i := range order {
 		o := &outs[i]
@@ -47,9 +47,9 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 			o.Granted = true
 			continue
 		}
-		policy := s.Opts.Policy
+		k := Scorer{Policy: s.Opts.Policy, Rand: rng}
 		for attempt := 0; ; attempt++ {
-			if s.tryOne(st, o, policy, rng, &ops) {
+			if s.tryOne(st, o, k, avail, &ops) {
 				break
 			}
 			if attempt >= s.Opts.Retries {
@@ -57,7 +57,7 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 			}
 			// Deterministic retries would repeat the same failure, so
 			// further attempts explore randomly.
-			policy = RandomFit
+			k.Policy = RandomFit
 			o.Ports = o.Ports[:0]
 			o.FailLevel = -1
 			o.FailDown = false
@@ -66,11 +66,13 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 	return finish(s.Name(), outs, ops)
 }
 
-// tryOne makes one attempt to route o. On failure every channel the
-// attempt claimed is released (the connection is not established, so it
-// holds nothing) and false is returned.
-func (s *Local) tryOne(st *linkstate.State, o *Outcome, policy PortPolicy, rng *rand.Rand, ops *Counters) bool {
+// tryOne makes one attempt to route o, picking each upward port with k
+// from a copy of the local Ulink row in avail's one row. On failure every
+// channel the attempt claimed is released (the connection is not
+// established, so it holds nothing) and false is returned.
+func (s *Local) tryOne(st *linkstate.State, o *Outcome, k Scorer, avail *bitvec.Matrix, ops *Counters) bool {
 	tree := st.Tree()
+	row := avail.Row(0)
 
 	// Climb: choose from the locally visible upward links only. The
 	// cursor advances both sides in lockstep, so the mirror switch each
@@ -80,20 +82,16 @@ func (s *Local) tryOne(st *linkstate.State, o *Outcome, policy PortPolicy, rng *
 	cur.Start(tree, o.Src, o.Dst)
 	deltas := make([]int, o.H) // mirror switch at each level
 	for h := 0; h < o.H; h++ {
-		avail := st.ULink(h, cur.Sigma())
+		row.CopyFrom(st.ULink(h, cur.Sigma()))
 		ops.VectorReads++
 		ops.Steps++
-		p, ok := pickPort(st, policy, rng, h, cur.Sigma(), avail)
+		p := k.Pick(st, h, cur.Sigma(), cur.Delta(), avail.Words())
 		ops.PortPicks++
 		if s.Opts.Trace != nil {
-			port := p
-			if !ok {
-				port = -1
-			}
 			s.Opts.Trace(TraceEvent{Scheduler: s.Name(), Src: o.Src, Dst: o.Dst, Level: h,
-				Phase: "up", Sigma: cur.Sigma(), Delta: -1, Avail: avail.String(), Port: port})
+				Phase: "up", Sigma: cur.Sigma(), Delta: -1, Avail: row.String(), Port: p})
 		}
-		if !ok {
+		if p < 0 {
 			o.FailLevel = h
 			s.teardown(st, o, -1, ops)
 			return false

@@ -41,9 +41,9 @@ type Scratch struct {
 	work     []SweepPos // word path
 	states   []lwState  // Vector path
 	order    []int
-	arena    []int // backing store for every outcome's Ports
-	avail    bitvec.Vector
-	owner    *LevelWise // whose Name() name caches
+	arena    []int          // backing store for every outcome's Ports
+	avail    *bitvec.Matrix // one row: the Vector path's availability
+	owner    *LevelWise     // whose Name() name caches
 	name     string
 	pipe     pipeJob // the level pipeline's hand-off, over work
 }
@@ -117,12 +117,12 @@ func (sc *Scratch) prepOrder(n int) []int {
 }
 
 // prepAvail returns the availability scratch vector for the tree's port
-// width.
-func (sc *Scratch) prepAvail(tree *topology.Tree) bitvec.Vector {
-	if sc.avail.Width() != tree.Parents() {
-		sc.avail = bitvec.New(tree.Parents())
+// width, and its words, which the Scorer reads.
+func (sc *Scratch) prepAvail(tree *topology.Tree) (bitvec.Vector, []uint64) {
+	if sc.avail == nil || sc.avail.Width() != tree.Parents() {
+		sc.avail = bitvec.NewMatrix(1, tree.Parents())
 	}
-	return sc.avail
+	return sc.avail.Row(0), sc.avail.Words()
 }
 
 // finishInto assembles the batch Result in the Scratch (reusing its

@@ -148,9 +148,30 @@ func failTenth(st *linkstate.State) {
 	}
 }
 
+// wordShape is one tree form: FT(l, m, w), in the table or arithmetic view.
+type wordShape struct {
+	l, m, w int
+	arith   bool
+}
+
+// wordShapes are the tree forms the word-vs-Vector oracle sweeps:
+// power-of-two and general m and w, two and three levels, both views.
+var wordShapes = []wordShape{
+	{3, 8, 8, false}, {3, 4, 4, false}, {3, 4, 2, false}, {2, 6, 3, false},
+	{3, 6, 3, false}, {3, 4, 6, false}, {3, 4, 4, true}, {3, 6, 3, true},
+}
+
+// wordVariant is one set of scheduler options the oracle runs; opts is
+// called once per run, so that each gets its own, identically seeded, Rand.
+type wordVariant struct {
+	name string
+	opts func() Options
+}
+
 // TestWordFastPathMatchesVectorPath pins the single-word scheduling paths
 // bit-identical to the Vector path over every option the word kernel
-// serves (orders, rollback), every tree form (power-of-two
+// serves (orders, rollback, every port policy and the reuse-cost score),
+// every tree form (power-of-two
 // and general m and w, two and three levels, the arithmetic view), every
 // kind of starting state (idle, load-tracked, fault-masked, carrying held
 // circuits) and the degenerate batch sizes. Batches large enough for the
@@ -159,18 +180,7 @@ func failTenth(st *linkstate.State) {
 // pipelineWays: stage B on the helper, stage B on the caller, and the
 // sequential sweep at GOMAXPROCS 1.
 func TestWordFastPathMatchesVectorPath(t *testing.T) {
-	type shape struct {
-		l, m, w int
-		arith   bool
-	}
-	shapes := []shape{
-		{3, 8, 8, false}, {3, 4, 4, false}, {3, 4, 2, false}, {2, 6, 3, false},
-		{3, 6, 3, false}, {3, 4, 6, false}, {3, 4, 4, true}, {3, 6, 3, true},
-	}
-	variants := []struct {
-		name string
-		opts func() Options
-	}{
+	variants := append([]wordVariant{
 		{"level-major", func() Options { return Options{} }},
 		{"level-major/rollback", func() Options { return Options{Rollback: true} }},
 		{"shuffled", func() Options { return Options{Order: ShuffledOrder, Rand: rand.New(rand.NewSource(5))} }},
@@ -179,7 +189,7 @@ func TestWordFastPathMatchesVectorPath(t *testing.T) {
 		}},
 		{"deepest-first", func() Options { return Options{Order: DeepestFirst} }},
 		{"deepest-first/rollback", func() Options { return Options{Order: DeepestFirst, Rollback: true} }},
-	}
+	}, scorerVariants()...)
 	states := []struct {
 		name  string
 		prep  func(*linkstate.State)
@@ -190,7 +200,7 @@ func TestWordFastPathMatchesVectorPath(t *testing.T) {
 		{"faulted", failTenth, false},
 		{"carried", (*linkstate.State).TrackLoad, true},
 	}
-	for _, sh := range shapes {
+	for _, sh := range wordShapes {
 		tree := topology.MustNew(sh.l, sh.m, sh.w)
 		if sh.arith {
 			tree = tree.WithArithmeticCursor()

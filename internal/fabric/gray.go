@@ -167,7 +167,7 @@ func (m *Manager) ClearQuarantine() int {
 // landed on a held trunk: some level of its climb has, at the parent
 // switches the route's up-port selects, at least one *other* in-service
 // channel already carrying a held circuit. This is exactly the quantity
-// the ReuseCost score (core.pickPortReuse) rewards — (w − free) at the
+// the ReuseCost score (core.Scorer) rewards — (w − free) at the
 // two parent rows — so the repaired_on_held_trunk counter is the
 // observable proof that reuse-cost-aware repair placement steers
 // repairs toward standing configuration. The route's own channels at

@@ -434,7 +434,7 @@ func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers 
 				wrng = rand.New(rand.NewSource(seedBase + int64(wk)))
 			}
 			w := tree.Parents()
-			avail := bitvec.New(w)
+			avail := bitvec.NewMatrix(1, w)
 			tried := bitvec.New(w)
 			// Per-worker ports arena: one carve per outcome, so routing
 			// appends never allocate.
@@ -448,7 +448,7 @@ func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers 
 				h := outs[i].H
 				outs[i].Ports = arena[off : off : off+h]
 				off += h
-				e.routeRacy(st, tree, &outs[i], avail, tried, wrng, &workerOps[wk])
+				e.routeRacy(st, tree, &outs[i], avail, tried, core.Scorer{Policy: e.opts.Policy, Rand: wrng}, &workerOps[wk])
 			}
 		}(wk, order[lo:hi])
 	}
@@ -460,36 +460,29 @@ func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers 
 	return e.finish(outs, ops)
 }
 
-// routeRacy routes one request request-major with CAS claiming. The tried
-// mask guarantees termination: a port that lost its CAS (or whose forced
-// downward channel lost) is excluded from later retries at that level, so
-// each level performs at most w claim attempts.
-func (e *Engine) routeRacy(st *linkstate.State, tree *topology.Tree, o *core.Outcome, avail, tried bitvec.Vector, rng *rand.Rand, ops *core.Counters) {
+// routeRacy routes one request request-major with CAS claiming, picking
+// each port with k from avail's one row. The tried mask guarantees
+// termination: a port that lost its CAS (or whose forced downward channel
+// lost) is excluded from later retries at that level, so each level
+// performs at most w claim attempts.
+func (e *Engine) routeRacy(st *linkstate.State, tree *topology.Tree, o *core.Outcome, avail *bitvec.Matrix, tried bitvec.Vector, k core.Scorer, ops *core.Counters) {
 	if o.H == 0 {
 		o.Granted = true
 		return
 	}
+	row := avail.Row(0)
 	var cur topology.RouteCursor
 	cur.Start(tree, o.Src, o.Dst)
 	for h := 0; h < o.H; h++ {
 		tried.ClearAll()
 		ops.Steps++
 		for {
-			st.AvailBothAtomicInto(avail, h, cur.Sigma(), cur.Delta())
-			avail.AndNot(avail, tried)
+			st.AvailBothAtomicInto(row, h, cur.Sigma(), cur.Delta())
+			row.AndNot(row, tried)
 			ops.VectorReads += 2
 			ops.VectorANDs++
-			var p int
-			var ok bool
-			if rng != nil {
-				if n := avail.Count(); n > 0 {
-					p, _ = avail.NthSet(rng.Intn(n))
-					ok = true
-				}
-			} else {
-				p, ok = avail.FirstSet()
-			}
-			if !ok {
+			p := k.Pick(st, h, cur.Sigma(), cur.Delta(), avail.Words())
+			if p < 0 {
 				o.FailLevel = h
 				if e.opts.Rollback {
 					e.rollbackRacy(st, tree, o, ops)

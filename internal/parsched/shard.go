@@ -170,7 +170,7 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 				// store: core's word kernel on single-word rows, the Vector
 				// form below on wider ones.
 				if st.WordRows() {
-					core.SweepWords(st, reqs, outs, arena, t.work, e.opts.Rollback, &workerOps[wk])
+					core.SweepWords(st, reqs, outs, arena, t.work, core.Scorer{}, e.opts.Rollback, &workerOps[wk])
 				} else {
 					e.runShardVector(st, outs, t.work, curs, alive, avail, &workerOps[wk])
 				}

@@ -243,3 +243,14 @@ gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$' ./internal/fabric
 # four workloads (batch_perm, fabric_churn, fed_degraded, http_rt), and
 # nothing else in the repository reports a rate or a latency.
 (cd bench && go test ./...)
+
+# Pairs-tool self-test: HEAD against itself on two one-second pairs of one
+# workload runs both worktree builds, the alternation, -check and the
+# wins table; the same commit on both sides must read as no BREACH, and
+# the table must count both pairs.
+pairs=$(bash scripts/pairs.sh HEAD HEAD --workload fabric_churn --pairs 2 --seconds 1)
+echo "$pairs"
+if grep -q BREACH <<<"$pairs" || ! grep -qE '^req_per_s +[0-2]/2 ' <<<"$pairs"; then
+	echo "scripts/pairs.sh: HEAD against itself reported a BREACH or no wins table" >&2
+	exit 1
+fi
