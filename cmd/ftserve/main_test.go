@@ -545,13 +545,7 @@ func TestFaultEndpoints(t *testing.T) {
 	}
 
 	// The repair loop re-admits the revoked connection around the fault.
-	deadline := time.Now().Add(5 * time.Second)
-	for surf.Stats().Repaired < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("repair did not complete within 5s")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the repair", func() bool { return surf.Stats().Repaired >= 1 })
 	var st statsResponse
 	getJSON(t, ts.URL+"/stats", &st)
 	if fb := st.Planes[0].Fabric; fb.Revoked != 1 || fb.Repaired != 1 || fb.FaultyChannels != 2 {

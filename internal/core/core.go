@@ -19,22 +19,23 @@
 // # The level-major word sweep
 //
 // When every availability row is one machine word, LevelWise.ScheduleInto
-// runs the paper's pipeline as it is drawn: per level, a request is a few registers. One prep pass turns the
-// batch into a worklist of 16-byte SweepPos records {i, σ, δ, H} in
-// processing order (requests with H == 0 are granted there and never
-// listed). SweepWords then takes the levels in turn: it fetches the
-// level's Ulink/Dlink words and parent-table block once, streams the
-// worklist through one AND, one pick (a trailing-zeros under first-fit,
-// the Scorer under any other policy) and two bit clears per request, writes the port to a fixed-stride arena (request i, level h at
-// arena[i*L+h]), and compacts the survivors in place, in order. An Outcome
-// is written exactly once, whole, at its verdict — the grant, or the first
-// conflict — so the 72-byte records are never read back during the sweep,
-// and Counters and the grant count are summed in locals and folded in at
-// the end. internal/parsched runs each shard through the same SweepWords.
-// Tracing, request-major traversal and rows wider than a word take the
-// Vector loop in ScheduleInto, which picks through the same Scorer and
-// which the differential test in word_test.go holds bit-identical to the
-// word sweep.
+// runs the paper's pipeline as it is drawn: per level, a request is a few
+// registers. One prep pass turns the batch into a worklist of 16-byte
+// SweepPos records {i, σ, δ, H} in processing order (requests with H == 0
+// are granted there and never listed). SweepWords then takes the levels in
+// turn: it fetches the level's Ulink/Dlink words and parent-table block
+// once, streams the worklist through one AND, one pick (a trailing-zeros
+// under first-fit, the Scorer under any other policy) and two bit clears
+// per request, writes the port to a fixed-stride arena (request i, level h
+// at arena[i*L+h]), and compacts the survivors in place, in order. An
+// Outcome is written exactly once, whole, at its verdict — the grant, or
+// the first conflict — so the 72-byte records are never read back during
+// the sweep, and Counters and the grant count are summed in locals and
+// folded in at the end. internal/parsched runs each shard through the same
+// SweepWords. Tracing, request-major traversal and rows wider than a word
+// take the Vector loop in ScheduleInto, which picks through the same Scorer
+// and which the differential test in word_test.go holds bit-identical to
+// the word sweep.
 //
 // # The level pipeline
 //

@@ -7,6 +7,7 @@ package federation
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,11 +43,6 @@ type PlaneSpec struct {
 	// FlapThreshold > 0 enables flap damping with the given score
 	// threshold (fabric.Config.FlapThreshold); zero leaves it off.
 	FlapThreshold float64 `json:"flap_threshold,omitempty"`
-	// Weight biases plane-selection toward this plane under the hash and
-	// least-loaded policies (a weight-2 plane draws roughly twice the
-	// traffic of a weight-1 plane). Zero or omitted means 1; round-robin
-	// and random ignore weights.
-	Weight float64 `json:"weight,omitempty"`
 }
 
 // FileConfig is a serialized federation: the router knobs plus one spec
@@ -92,12 +88,17 @@ func Load(r io.Reader) (*FileConfig, error) {
 	return fc, nil
 }
 
-// decode is Load's parse: one JSON object, unknown keys refused.
+// decode is Load's parse: one JSON object, unknown keys refused, and
+// nothing but whitespace after it.
 func decode(r io.Reader) (*FileConfig, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var fc FileConfig
-	if err := dec.Decode(&fc); err != nil {
+	err := dec.Decode(&fc)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("data after the config object")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("federation: parsing config: %w", err)
 	}
 	return &fc, nil
@@ -171,8 +172,7 @@ func (fc *FileConfig) Build() (Config, error) {
 			return Config{}, fmt.Errorf("federation: %s%w", where, terr)
 		}
 		cfg.Planes = append(cfg.Planes, PlaneConfig{
-			Name:   ps.Name,
-			Weight: ps.Weight,
+			Name: ps.Name,
 			Fabric: fabric.Config{
 				Tree:          tree,
 				SchedulerSpec: ps.Scheduler,

@@ -80,16 +80,10 @@ type PlaneConfig struct {
 	// OnConnTerminal is reserved for the router's re-admission hook: a
 	// caller-set hook is chained after it.
 	Fabric fabric.Config
-	// Weight biases plane selection toward this plane for the hash and
-	// least-loaded policies: a weight-2 plane attracts twice the traffic
-	// of a weight-1 plane under hash, and is considered half as loaded
-	// at equal occupancy under least-loaded. Zero means 1; round-robin
-	// and random ignore weights.
-	Weight float64
 }
 
 // Config parameterizes a Router. A zero knob takes its default; a
-// negative duration or weight is refused.
+// negative duration is refused.
 type Config struct {
 	// Planes are the scheduling planes, at least one.
 	Planes []PlaneConfig
@@ -111,9 +105,8 @@ type Config struct {
 
 // plane is one scheduling plane plus its router-side health state.
 type plane struct {
-	name   string
-	surf   fabric.Surface
-	weight float64 // selection bias, always > 0 (defaulted to 1)
+	name string
+	surf fabric.Surface
 
 	// grants counts circuits the router placed here (initial admissions
 	// and cross-plane re-admissions) — the load-spread signal Stats
@@ -147,10 +140,6 @@ type Router struct {
 	cfg    Config
 	planes []*plane
 	nodes  int
-
-	// weighted is true when plane weights are non-uniform, switching
-	// the hash policy to weighted rendezvous ordering.
-	weighted bool
 
 	closed  atomic.Bool
 	closeMu sync.Once
@@ -194,7 +183,7 @@ func (cfg *Config) resolve() error {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
-	cfg.Planes = slices.Clone(cfg.Planes) // the names and weights filled in below stay off the caller's slice
+	cfg.Planes = slices.Clone(cfg.Planes) // the names filled in below stay off the caller's slice
 	names := make(map[string]struct{}, len(cfg.Planes))
 	for i := range cfg.Planes {
 		pc := &cfg.Planes[i]
@@ -209,12 +198,6 @@ func (cfg *Config) resolve() error {
 		if n, want := pc.Fabric.Tree.Nodes(), cfg.Planes[0].Fabric.Tree.Nodes(); n != want {
 			return fmt.Errorf("federation: %s serves %d nodes, previous planes serve %d — all planes must serve one address space",
 				pc.Name, n, want)
-		}
-		if pc.Weight < 0 {
-			return fmt.Errorf("federation: %s: negative weight %v", pc.Name, pc.Weight)
-		}
-		if pc.Weight == 0 {
-			pc.Weight = 1
 		}
 	}
 	return nil
@@ -251,11 +234,7 @@ func New(cfg Config) (*Router, error) {
 			}
 			return nil, fmt.Errorf("federation: plane %q: %w", pc.Name, err)
 		}
-		p := &plane{name: pc.Name, surf: m, weight: pc.Weight}
-		// With uniform weights the hash policy keeps its cheap
-		// rotate-by-pair-hash form; any spread switches it to weighted
-		// rendezvous scoring (policy.go).
-		r.weighted = r.weighted || pc.Weight != cfg.Planes[0].Weight
+		p := &plane{name: pc.Name, surf: m}
 		p.health.Store(math.Float64bits(1))
 		r.planes = append(r.planes, p)
 	}
@@ -573,10 +552,11 @@ func (r *Router) RepairPlane(name string) error {
 }
 
 // Close stops admission and drains every plane concurrently: slow planes
-// drain in parallel, so the wait is the slowest plane's final epoch
-// rather than the sum, and a plane whose turn finds ctx done reports it. In-flight cross-plane readmissions
-// fail fast once the planes refuse intake and are accounted as lost.
-// Close is idempotent; held handles stay releasable after it returns.
+// drain in parallel, so the wait is the slowest plane's final epoch rather
+// than the sum, and a plane whose turn finds ctx done reports it. In-flight
+// cross-plane readmissions fail fast once the planes refuse intake and are
+// accounted as lost. Close is idempotent; held handles stay releasable
+// after it returns.
 func (r *Router) Close(ctx context.Context) error {
 	r.closeMu.Do(func() { r.closed.Store(true) })
 	errs := make([]error, len(r.planes))

@@ -74,10 +74,9 @@ type journal struct {
 // planeSpec is one plane of a generated federation. A plane wider than 64
 // ports has no published view, so the reference takes it for blind.
 type planeSpec struct {
-	shape  [3]int
-	spec   string
-	weight float64
-	blind  bool
+	shape [3]int
+	spec  string
+	blind bool
 }
 
 // fedSpec is a generated federation.
@@ -139,7 +138,7 @@ func newGen(fs fedSpec) (*gen, error) {
 				log.settled[i]++
 			}
 		}
-		cfg.Planes = append(cfg.Planes, PlaneConfig{Weight: ps.weight, Fabric: fabric.Config{
+		cfg.Planes = append(cfg.Planes, PlaneConfig{Fabric: fabric.Config{
 			Tree: topology.MustNew(ps.shape[0], ps.shape[1], ps.shape[2]), SchedulerSpec: ps.spec, BatchSize: 1, RepairRetries: 1,
 			Trace: func(e fabric.Event) {
 				if e.Kind == fabric.EventRevoke {
@@ -160,7 +159,7 @@ func newGen(fs fedSpec) (*gen, error) {
 		pr := &probe{Surface: r.planes[i].surf, blind: ps.blind}
 		r.planes[i].surf = pr
 		g.probes = append(g.probes, pr)
-		g.ref.planes = append(g.ref.planes, &refPlane{name: r.planes[i].name, weight: r.cfg.Planes[i].Weight,
+		g.ref.planes = append(g.ref.planes, &refPlane{name: r.planes[i].name,
 			blind: ps.blind || ps.shape[2] > 64, fab: fabrictest.New(pr.Tree(), ps.spec, 0), health: 1})
 	}
 	for i := 0; i < fs.faulted; i++ {
@@ -726,8 +725,8 @@ func (g *gen) finish() error {
 }
 
 // federations are the random mode's: one to four planes, every policy,
-// uneven weights, mixed shapes over one node count, a plane too wide for a
-// view, blind planes, the streak and score rules, and fed_degraded's shape —
+// mixed shapes over one node count, a plane too wide for a view, blind
+// planes, the streak and score rules, and fed_degraded's shape —
 // four least-loaded planes, two of them with 10 % of their links failed,
 // every router knob at its default.
 var federations = []fedSpec{
@@ -738,14 +737,14 @@ var federations = []fedSpec{
 	{name: "2planes-rr", policy: PolicyRoundRobin, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise"}, {shape: [3]int{2, 4, 4}, spec: "level-wise,rollback", blind: true}}},
 	{name: "3planes-least-loaded", policy: PolicyLeastLoaded,
-		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback", weight: 1},
-			{shape: [3]int{2, 4, 2}, spec: "level-wise,rollback", weight: 2}, {shape: [3]int{4, 2, 2}, spec: "level-wise", weight: 0.5, blind: true}}},
+		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback"},
+			{shape: [3]int{2, 4, 2}, spec: "level-wise,rollback"}, {shape: [3]int{4, 2, 2}, spec: "level-wise", blind: true}}},
 	{name: "3planes-random", policy: PolicyRandom, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{2, 4, 2}, spec: "level-wise,rollback", blind: true},
 			{shape: [3]int{2, 4, 4}, spec: "level-wise"}}},
-	{name: "4planes-weighted-hash", policy: PolicyHash, eject: 2,
-		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback", weight: 1}, {shape: [3]int{4, 2, 2}, spec: "backtrack,depth=2", weight: 1},
-			{shape: [3]int{2, 4, 65}, spec: "level-wise", weight: 3}, {shape: [3]int{4, 2, 1}, spec: "level-wise,rollback", weight: 1}}},
+	{name: "4planes-mixed-hash", policy: PolicyHash, eject: 2,
+		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{4, 2, 2}, spec: "backtrack,depth=2"},
+			{shape: [3]int{2, 4, 65}, spec: "level-wise"}, {shape: [3]int{4, 2, 1}, spec: "level-wise,rollback"}}},
 	{name: "4planes-degraded", policy: PolicyLeastLoaded, faulted: 2,
 		planes: []planeSpec{{shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"},
 			{shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}}},

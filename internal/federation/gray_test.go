@@ -175,7 +175,6 @@ func TestDegradedPlaneStaysInService(t *testing.T) {
 func TestGrayConfigValidationFederation(t *testing.T) {
 	for name, mod := range map[string]func(*Config){
 		"probe interval": func(c *Config) { c.ProbeInterval = -time.Millisecond },
-		"plane weight":   func(c *Config) { c.Planes[0].Weight = -1 },
 	} {
 		cfg := Config{Planes: []PlaneConfig{
 			{Fabric: fabric.Config{Tree: topology.MustNew(2, 2, 1), BatchSize: 1}},

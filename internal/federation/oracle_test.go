@@ -10,7 +10,6 @@ package federation
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -21,10 +20,9 @@ import (
 
 // refPlane is one plane of the reference.
 type refPlane struct {
-	name   string
-	fab    *fabrictest.Ref
-	weight float64
-	blind  bool // its Routable says yes to every pair
+	name  string
+	fab   *fabrictest.Ref
+	blind bool // its Routable says yes to every pair
 	// What the router counts and keeps per plane.
 	grants, hintMisses, opens uint64
 	scoreOpens                uint64 // openings the streak alone would not have made yet
@@ -86,29 +84,13 @@ func (o *refRouter) candidates(src, dst, rot int) []int {
 		return cand
 	}
 	rotated := func(k int) []int { return slices.Concat(cand[k%n:], cand[:k%n]) }
-	key := func(less func(a, b int) bool) []int {
-		sort.SliceStable(cand, func(i, j int) bool { return less(cand[i], cand[j]) })
-		return cand
-	}
-	weighted := false
-	for _, p := range o.planes {
-		weighted = weighted || p.weight != o.planes[0].weight
-	}
 	switch o.cfg.Policy {
 	case PolicyHash:
-		if !weighted {
-			return rotated(pairHash(src, dst))
-		}
-		// Highest random weight first: weight / -ln(u), u the pair's draw
-		// for the plane.
-		score := func(pi int) float64 {
-			u := (float64(tripleHash(src, dst, pi)) + 1) / float64(1<<31)
-			return -o.planes[pi].weight / math.Log(u)
-		}
-		return key(func(a, b int) bool { return score(a) > score(b) })
+		return rotated(pairHash(src, dst))
 	case PolicyLeastLoaded:
-		load := func(pi int) float64 { return float64(o.planes[pi].fab.Unavailable()) / o.planes[pi].weight }
-		return key(func(a, b int) bool { return load(a) < load(b) })
+		load := func(pi int) int64 { return o.planes[pi].fab.Unavailable() }
+		sort.SliceStable(cand, func(i, j int) bool { return load(cand[i]) < load(cand[j]) })
+		return cand
 	}
 	return rotated(rot)
 }

@@ -14,7 +14,6 @@ package federation
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -87,62 +86,44 @@ func (r *Router) orderPlanes(p Policy, candidates []int, src, dst int) {
 	}
 	switch p {
 	case PolicyHash:
-		if !r.weighted {
-			rotate(candidates, pairHash(src, dst)%n)
-			return
-		}
-		// Weighted rendezvous (highest-random-weight): each candidate
-		// scores -weight/ln(u) with u a per-(src,dst,plane) hash in
-		// (0,1]; ordering by score spreads pairs proportionally to
-		// plane weight, stays deterministic per pair, and degrades
-		// gracefully as candidates drop out.
-		var buf [inlinePlanes]float64
-		score := inlineSlots(&buf, n)
-		for i, pi := range candidates {
-			u := (float64(tripleHash(src, dst, pi)) + 1) / float64(1<<31)
-			score[i] = -r.planes[pi].weight / math.Log(u)
-		}
-		sortByScore(candidates, score)
+		rotate(candidates, pairHash(src, dst)%n)
 	case PolicyRoundRobin:
 		rotate(candidates, int(r.rr.Add(1)-1)%n)
 	case PolicyRandom:
 		rotate(candidates, rand.IntN(n))
 	case PolicyLeastLoaded:
 		// Snapshot each gauge once so the sort sees consistent keys, then
-		// order emptiest-first by weight-normalized unavailable channels (a
-		// weight-2 plane counts as half as loaded), ties by plane index for
-		// determinism. Negated so the descending sort yields
-		// emptiest-first.
-		var buf [inlinePlanes]float64
-		score := inlineSlots(&buf, n)
+		// order emptiest-first, ties by plane index for determinism.
+		var buf [inlinePlanes]int
+		load := inlineSlots(&buf, n)
 		for i, pi := range candidates {
-			score[i] = -float64(r.planes[pi].surf.Unavailable()) / r.planes[pi].weight
+			load[i] = int(r.planes[pi].surf.Unavailable())
 		}
-		sortByScore(candidates, score)
+		sortByLoad(candidates, load)
 	}
 }
 
 // inlineSlots returns n slots: the caller's on-stack array when it is
 // large enough, a heap slice above inlinePlanes.
-func inlineSlots[T any](buf *[inlinePlanes]T, n int) []T {
+func inlineSlots(buf *[inlinePlanes]int, n int) []int {
 	if n > inlinePlanes {
-		return make([]T, n)
+		return make([]int, n)
 	}
 	return buf[:n]
 }
 
-// sortByScore reorders candidates by descending score, where score[i]
+// sortByLoad reorders candidates by ascending load, where load[i]
 // belongs to candidates[i] and moves with it. A stable insertion sort:
 // ties keep their input (plane-index) order, and a handful of planes
 // sort faster this way than through sort.SliceStable's reflection.
-func sortByScore(candidates []int, score []float64) {
+func sortByLoad(candidates, load []int) {
 	for i := 1; i < len(candidates); i++ {
-		c, s := candidates[i], score[i]
+		c, l := candidates[i], load[i]
 		j := i
-		for ; j > 0 && score[j-1] < s; j-- {
-			candidates[j], score[j] = candidates[j-1], score[j-1]
+		for ; j > 0 && load[j-1] > l; j-- {
+			candidates[j], load[j] = candidates[j-1], load[j-1]
 		}
-		candidates[j], score[j] = c, s
+		candidates[j], load[j] = c, l
 	}
 }
 
@@ -171,30 +152,5 @@ func pairHash(src, dst int) int {
 			h *= prime64
 		}
 	}
-	return int(h % (1 << 31))
-}
-
-// tripleHash mixes (src, dst, plane) into a non-negative value in
-// [0, 2^31) — the per-candidate draw for weighted rendezvous ordering.
-// Raw FNV-1a output correlates across adjacent plane indices (only the
-// final input byte differs), which would skew the rendezvous split, so
-// the state is run through a murmur3-style finalizer before truncation.
-func tripleHash(src, dst, plane int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range [3]uint64{uint64(src), uint64(dst), uint64(plane)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
 	return int(h % (1 << 31))
 }

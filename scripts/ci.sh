@@ -101,15 +101,20 @@ gen() {
 	go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least-loaded -flap-threshold 3
 }
 gen | go run ./cmd/ftserve -config - -validate
-# A retired knob is refused by name, never silently dropped.
-if refused=$(gen | sed 's/"policy"/"open_below": 0.15, "policy"/' | go run ./cmd/ftserve -config - -validate 2>&1); then
-	echo "ftserve accepted the retired open_below key" >&2
-	exit 1
-fi
-case $refused in
-*'unknown field "open_below"'*) ;;
-*) echo "ftserve refused the retired open_below key without naming it: $refused" >&2; exit 1 ;;
-esac
+# A retired knob is refused by name, never silently dropped: a router
+# key and a plane key. refuse KEY SED-EXPR injects KEY into gen's output.
+refuse() {
+	if refused=$(gen | sed "$2" | go run ./cmd/ftserve -config - -validate 2>&1); then
+		echo "ftserve accepted the retired $1 key" >&2
+		exit 1
+	fi
+	case $refused in
+	*"unknown field \"$1\""*) ;;
+	*) echo "ftserve refused the retired $1 key without naming it: $refused" >&2; exit 1 ;;
+	esac
+}
+refuse open_below 's/"policy"/"open_below": 0.15, "policy"/'
+refuse weight 's/"levels"/"weight": 2, "levels"/'
 # One road: a shape or queue flag next to -config is refused, not dropped.
 if gen | go run ./cmd/ftserve -config - -batch 1 -validate 2>/dev/null; then
 	echo "ftserve accepted -batch next to -config" >&2
