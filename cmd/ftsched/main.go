@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -48,7 +49,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	rollback := flag.Bool("rollback", false, "shorthand for appending ,rollback to the scheduler spec")
 	verbose := flag.Bool("v", false, "print per-request outcomes")
-	trace := flag.Bool("trace", false, "print every denial with the availability vector that caused it")
+	trace := flag.Bool("trace", false, "print every denied request with the level and side of its conflict")
 	jsonOut := flag.Bool("json", false, "emit the run summary as one JSON object")
 	flag.Parse()
 
@@ -140,23 +141,24 @@ func run(levels, children, parents int, schedSpec, patName string, trials int, s
 	if err != nil {
 		return err
 	}
+	// -trace reports every denial from the batch's Outcomes. phase names
+	// the step an up-side denial failed: the Level-wise AND, or the local
+	// schedulers' climb. byLevel lists a level-major Level-wise batch's
+	// denials level by level, as its sweep meets them.
+	var traceOut io.Writer
+	phase, byLevel := "", false
 	if trace {
-		traceOut := os.Stdout
-		if jsonOut {
-			traceOut = os.Stderr // keep stdout a single JSON object
-		}
-		onDenial := func(e core.TraceEvent) {
-			if e.Port == -1 {
-				fmt.Fprintf(traceOut, "  trace: %s\n", e)
-			}
-		}
 		switch s := eng.Unwrap().(type) {
 		case *core.LevelWise:
-			s.Opts.Trace = onDenial
+			phase, byLevel = "combined", s.Opts.Traversal == core.LevelMajor
 		case *core.Local:
-			s.Opts.Trace = onDenial
+			phase = "up"
 		default:
 			return fmt.Errorf("-trace is not supported by scheduler %q", schedSpec)
+		}
+		traceOut = os.Stdout
+		if jsonOut {
+			traceOut = os.Stderr // keep stdout a single JSON object
 		}
 	}
 	pattern, err := findPattern(patName)
@@ -181,6 +183,9 @@ func run(levels, children, parents int, schedSpec, patName string, trials int, s
 		res := eng.ScheduleInto(st, batch, sc)
 		if err := core.Verify(tree, res); err != nil {
 			return err
+		}
+		if traceOut != nil {
+			printDenials(traceOut, res, tree.Parents(), phase, byLevel)
 		}
 		ratios = append(ratios, res.Ratio())
 		last = res
@@ -239,4 +244,29 @@ func run(levels, children, parents int, schedSpec, patName string, trials int, s
 		}
 	}
 	return nil
+}
+
+// printDenials writes one line per denied request of res, in batch order,
+// or sorted by failure level first when byLevel is set. An up-side denial
+// — the Level-wise AND of Ulink(h, σ) and the mirror Dlink(h, δ), or a
+// local scheduler's Ulink(h, σ) alone — is named by phase; its row came up
+// empty, so its avail column is w zeros. A local down-side denial found
+// the forced Dlink channel taken; it has no column.
+func printDenials(w io.Writer, res *core.Result, width int, phase string, byLevel bool) {
+	var denied []core.Outcome
+	for _, o := range res.Outcomes {
+		if !o.Granted {
+			denied = append(denied, o)
+		}
+	}
+	if byLevel {
+		sort.SliceStable(denied, func(a, b int) bool { return denied[a].FailLevel < denied[b].FailLevel })
+	}
+	for _, o := range denied {
+		side, avail := phase, " avail="+strings.Repeat("0", width)
+		if o.FailDown {
+			side, avail = "down", ""
+		}
+		fmt.Fprintf(w, "  trace: %s %d→%d level %d %s%s: denied\n", res.Scheduler, o.Src, o.Dst, o.FailLevel, side, avail)
+	}
 }

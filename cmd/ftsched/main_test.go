@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -125,4 +126,63 @@ func TestRunTraceUnsupported(t *testing.T) {
 	if err := run(2, 4, 4, "local-random", "random-permutation", 1, 1, false, false, true, false); err != nil {
 		t.Errorf("trace on local failed: %v", err)
 	}
+}
+
+// TestTraceGolden pins the whole -trace report, denial lines included,
+// for the Level-wise traversals and the local baselines. The testdata
+// files are the command's stdout for the same arguments.
+func TestTraceGolden(t *testing.T) {
+	for _, c := range []struct {
+		file     string
+		levels   int
+		spec     string
+		trials   int
+		rollback bool
+	}{
+		{"trace_level-wise.txt", 3, "level-wise", 1, false},
+		{"trace_level-wise_rollback.txt", 3, "level-wise", 1, true},
+		{"trace_request-major.txt", 3, "level-wise,traversal=request-major", 1, false},
+		{"trace_request-major_rollback.txt", 3, "level-wise,traversal=request-major", 1, true},
+		{"trace_deep_level-wise.txt", 4, "level-wise", 2, false},
+		{"trace_deep_request-major_rollback.txt", 4, "level-wise,traversal=request-major,rollback", 2, false},
+		{"trace_local-greedy.txt", 3, "local-greedy", 1, false},
+		{"trace_local-random-retries.txt", 3, "local,policy=random,retries=2", 1, false},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := captureStdout(t, func() error {
+				return run(c.levels, 4, 4, c.spec, "random-permutation", c.trials, 1, c.rollback, false, true, false)
+			})
+			if got != string(want) {
+				t.Errorf("-trace output differs from testdata/%s:\ngot:\n%s\nwant:\n%s", c.file, got, want)
+			}
+		})
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := f()
+	w.Close()
+	os.Stdout = old
+	out := <-done
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
 }

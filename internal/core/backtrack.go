@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
-	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 )
 
@@ -32,7 +32,6 @@ func (s *BacktrackLevelWise) Name() string {
 func (s *BacktrackLevelWise) Schedule(st *linkstate.State, reqs []Request) *Result {
 	tree := st.Tree()
 	outs := NewOutcomes(tree, reqs)
-	avail := bitvec.New(tree.Parents())
 	var ops Counters
 	for i := range outs {
 		o := &outs[i]
@@ -40,17 +39,14 @@ func (s *BacktrackLevelWise) Schedule(st *linkstate.State, reqs []Request) *Resu
 			o.Granted = true
 			continue
 		}
-		s.search(st, o, &ops, avail)
+		s.search(st, o, &ops)
 	}
 	return finish(s.Name(), outs, ops)
 }
 
-// search runs the bounded DFS for one request. avail is the batch's
-// scratch availability vector (AvailBothInto keeps it valid across the
-// allocation probes below, unlike the State's shared AvailBoth buffer).
-func (s *BacktrackLevelWise) search(st *linkstate.State, o *Outcome, ops *Counters, avail bitvec.Vector) {
+// search runs the bounded DFS for one request.
+func (s *BacktrackLevelWise) search(st *linkstate.State, o *Outcome, ops *Counters) {
 	tree := st.Tree()
-	w := tree.Parents()
 	// The cursor tracks the switch pair entering the current level; a
 	// backtrack rewinds it by replaying the surviving port prefix.
 	// nextPort remembers where each level's port scan resumes.
@@ -69,18 +65,13 @@ func (s *BacktrackLevelWise) search(st *linkstate.State, o *Outcome, ops *Counte
 			o.Granted = true
 			return
 		}
-		st.AvailBothInto(avail, h, cur.Sigma(), cur.Delta())
+		// The ports from nextPort[h] up (a shift by 64 clears the word).
+		avail := st.AvailBothWord(h, cur.Sigma(), cur.Delta()) >> uint(nextPort[h]) << uint(nextPort[h])
 		ops.VectorReads += 2
 		ops.VectorANDs++
 		ops.Steps++
-		found := -1
-		for p := nextPort[h]; p < w; p++ {
-			if avail.Get(p) {
-				found = p
-				break
-			}
-		}
-		if found >= 0 {
+		if avail != 0 {
+			found := bits.TrailingZeros64(avail)
 			ops.PortPicks++
 			mustAllocate(st, linkstate.Up, h, cur.Sigma(), found)
 			mustAllocate(st, linkstate.Down, h, cur.Delta(), found)

@@ -16,26 +16,30 @@
 // upward ports from the local Ulink vector only and discover downward
 // conflicts after the fact, as adaptive distributed routing does.
 //
-// # The level-major word sweep
+// # The word sweep
 //
-// When every availability row is one machine word, LevelWise.ScheduleInto
-// runs the paper's pipeline as it is drawn: per level, a request is a few
-// registers. One prep pass turns the batch into a worklist of 16-byte
-// SweepPos records {i, σ, δ, H} in processing order (requests with H == 0
-// are granted there and never listed). SweepWords then takes the levels in
-// turn: it fetches the level's Ulink/Dlink words and parent-table block
-// once, streams the worklist through one AND, one pick (a trailing-zeros
-// under first-fit, the Scorer under any other policy) and two bit clears
-// per request, writes the port to a fixed-stride arena (request i, level h
-// at arena[i*L+h]), and compacts the survivors in place, in order. An
-// Outcome is written exactly once, whole, at its verdict — the grant, or
-// the first conflict — so the 72-byte records are never read back during
-// the sweep, and Counters and the grant count are summed in locals and
-// folded in at the end. internal/parsched runs each shard through the same
-// SweepWords. Tracing, request-major traversal and rows wider than a word
-// take the Vector loop in ScheduleInto, which picks through the same Scorer
-// and which the differential test in word_test.go holds bit-identical to
-// the word sweep.
+// Every availability row is one machine word: topology.New refuses a tree
+// with more than 64 parents per switch (topology.ErrWideSwitch), so
+// LevelWise.ScheduleInto runs the paper's pipeline as it is drawn: per
+// level, a request is a few registers. One prep pass turns the batch into
+// a worklist of 16-byte SweepPos records {i, σ, δ, H} in processing order
+// (requests with H == 0 are granted there and never listed). SweepWords
+// then takes the levels in turn: it fetches the level's Ulink/Dlink words
+// and parent-table block once, streams the worklist through one AND, one
+// pick (a trailing-zeros under first-fit, the Scorer under any other
+// policy) and two bit clears per request, writes the port to a
+// fixed-stride arena (request i, level h at arena[i*L+h]), and compacts
+// the survivors in place, in order. An Outcome is written exactly once,
+// whole, at its verdict — the grant, or the first conflict — so the
+// 72-byte records are never read back during the sweep, and Counters and
+// the grant count are summed in locals and folded in at the end.
+// Request-major traversal is the same SweepWords over a one-request
+// worklist, once per request in processing order — the order of the
+// paper's Section 6 P-blocks, which take one request at a time.
+// internal/parsched runs each shard through the same SweepWords. Local
+// picks from the Ulink word with the same Scorer. The differential test in
+// word_test.go holds SweepWords, the level pipeline and both traversals
+// to the plain []bool Level-wise of internal/core/coretest.
 //
 // # The level pipeline
 //
@@ -48,8 +52,8 @@
 // and a rollback, which reaches below its level, runs in level-major only
 // once the levels below are fully swept, so running the rollbacks after
 // the batch changes no decision. The pipeline engages for batches of at
-// least pipelineMin (1024) first-fit requests on single-word rows, table
-// view, two or more link levels, with GOMAXPROCS ≥ 2 and the helper not
+// least pipelineMin (1024) first-fit level-major requests, table view, two
+// or more link levels, with GOMAXPROCS ≥ 2 and the helper not
 // serving another caller; everything else — every fabric epoch among them
 // — runs SweepWords. The helper is started by the first batch that would engage
 // it, polls for 250 µs after each job and then parks; a batch that finds
@@ -212,7 +216,10 @@ func (tv Traversal) String() string {
 
 // Options tune a scheduler. The zero value reproduces the paper's
 // configuration: first-fit ports, natural order, level-major traversal,
-// no rollback, no retries.
+// no rollback, no retries. No option observes single decisions: a
+// request's Outcome — its ports, or FailLevel and FailDown — is the record
+// of what the scheduler did with it (ftsched -trace prints its denial
+// report from the Outcomes).
 type Options struct {
 	Policy    PortPolicy
 	Order     Order
@@ -227,11 +234,6 @@ type Options struct {
 	// Rand drives RandomFit, ShuffledOrder and retries. Nil means a
 	// fixed-seed source, keeping runs reproducible by default.
 	Rand *rand.Rand
-	// Trace, when non-nil, receives one event per scheduling decision:
-	// which vectors were consulted at which level and which port was
-	// taken (or that the request was denied). It explains outcomes —
-	// "why did this request fail" — and costs nothing when nil.
-	Trace func(TraceEvent)
 	// ReuseCost, when positive, replaces the port policy with the
 	// reconfiguration-cost-aware pick (Costly Circuits, PAPERS.md): among
 	// the available ports the one whose parent switches already carry the
@@ -240,34 +242,6 @@ type Options struct {
 	// so ReuseCost behaves like first-fit on an idle fabric; it scores
 	// whatever circuits the link state holds when the batch is swept.
 	ReuseCost int
-}
-
-// TraceEvent describes one scheduling decision.
-type TraceEvent struct {
-	Scheduler string
-	Src, Dst  int
-	Level     int
-	// Phase is "combined" for the Level-wise AND, "up" or "down" for the
-	// local scheduler's separate passes.
-	Phase string
-	// Sigma and Delta are the source-side and destination-side switch
-	// indices consulted; Delta is -1 when only the local Ulink was read.
-	Sigma, Delta int
-	// Avail renders the availability vector that drove the decision,
-	// most significant port first.
-	Avail string
-	// Port is the selected port, or -1 when the request was denied here.
-	Port int
-}
-
-// String renders the event for logs.
-func (e TraceEvent) String() string {
-	verdict := "denied"
-	if e.Port >= 0 {
-		verdict = fmt.Sprintf("port %d", e.Port)
-	}
-	return fmt.Sprintf("%s %d→%d level %d %s avail=%s: %s",
-		e.Scheduler, e.Src, e.Dst, e.Level, e.Phase, e.Avail, verdict)
 }
 
 func (o Options) rng() *rand.Rand {
@@ -336,8 +310,9 @@ func finish(name string, outs []Outcome, ops Counters) *Result {
 
 // Scorer is the one port-selection seam: the paper's priority selector,
 // generalized from first-fit to every policy. Every Level-wise, Local and
-// parsched racy pick goes through Pick; the word kernel's first-fit
-// (claimPort) is Pick's FirstFit case compiled to one trailing-zeros.
+// parsched racy pick goes through Pick, on one availability word; the word
+// kernel's first-fit (claimPort) is Pick's FirstFit case compiled to one
+// trailing-zeros.
 //
 // ReuseCost, when positive, replaces Policy with the
 // reconfiguration-cost-aware score (Options.ReuseCost): a free port scores
@@ -363,41 +338,32 @@ type Scorer struct {
 func (k Scorer) firstFit() bool { return k.Policy == FirstFit && k.ReuseCost == 0 }
 
 // Pick returns the port k selects from avail — the AND-ed availability of
-// the level-h switch pair (σ, δ) as words, port p at bit p%64 of
-// avail[p/64] — or -1 when no port is free. RandomFit makes one
-// Rand.Intn(popcount) draw, and none when avail is empty.
-func (k Scorer) Pick(st *linkstate.State, h, sigma, delta int, avail []uint64) int {
-	rank := 0 // the set bit to take, unless the pick is scored
+// the level-h switch pair (σ, δ), port p at bit p — or -1 when no port is
+// free. RandomFit makes one Rand.Intn(popcount) draw, and none when avail
+// is empty.
+func (k Scorer) Pick(st *linkstate.State, h, sigma, delta int, avail uint64) int {
+	if avail == 0 {
+		return -1
+	}
 	if k.ReuseCost == 0 && k.Policy == RandomFit {
-		n := 0
-		for _, w := range avail {
-			n += bits.OnesCount64(w)
+		for rank := k.Rand.Intn(bits.OnesCount64(avail)); rank > 0; rank-- {
+			avail &= avail - 1
 		}
-		if n == 0 {
-			return -1
-		}
-		rank = k.Rand.Intn(n)
+		return bits.TrailingZeros64(avail)
 	}
 	tree := st.Tree()
-	scored := (k.ReuseCost > 0 || k.Policy == LeastLoaded) && h+1 < tree.LinkLevels()
+	if k.ReuseCost == 0 && k.Policy != LeastLoaded || h+1 == tree.LinkLevels() {
+		return bits.TrailingZeros64(avail)
+	}
 	best, bestScore := -1, -1
-	for i, w := range avail {
-		for ; w != 0; w &= w - 1 {
-			p := 64*i + bits.TrailingZeros64(w)
-			if !scored {
-				if rank == 0 {
-					return p
-				}
-				rank--
-				continue
-			}
-			score := st.ULink(h+1, tree.UpParent(h, sigma, p)).Count()
-			if k.ReuseCost > 0 {
-				score = min(k.ReuseCost, 2*tree.Parents()-score-st.DLink(h+1, tree.UpParent(h, delta, p)).Count())
-			}
-			if score > bestScore {
-				best, bestScore = p, score
-			}
+	for ; avail != 0; avail &= avail - 1 {
+		p := bits.TrailingZeros64(avail)
+		score := st.ULink(h+1, tree.UpParent(h, sigma, p)).Count()
+		if k.ReuseCost > 0 {
+			score = min(k.ReuseCost, 2*tree.Parents()-score-st.DLink(h+1, tree.UpParent(h, delta, p)).Count())
+		}
+		if score > bestScore {
+			best, bestScore = p, score
 		}
 	}
 	return best

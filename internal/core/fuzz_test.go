@@ -41,11 +41,14 @@ func FuzzScheduleLinkSafety(f *testing.F) {
 			}
 		}
 		// Every fuzzed batch is also a differential case for the word
-		// kernel: bit-identical to the Vector path, carried epochs included.
-		for _, rollback := range []bool{false, true} {
-			opts := func() Options { return Options{Rollback: rollback} }
-			wordVsVector(t, fmt.Sprintf("rollback=%v", rollback), tree, opts, nil, false, reqs)
-			wordVsVector(t, fmt.Sprintf("rollback=%v carried", rollback), tree, opts, (*linkstate.State).TrackLoad, true, reqs)
+		// kernel: bit-identical to the reference Level-wise, both traversals,
+		// carried epochs included.
+		for _, tv := range []Traversal{LevelMajor, RequestMajor} {
+			for _, rollback := range []bool{false, true} {
+				opts := func() Options { return Options{Traversal: tv, Rollback: rollback} }
+				wordVsRef(t, fmt.Sprintf("%s rollback=%v", tv, rollback), tree, opts, nil, false, reqs)
+				wordVsRef(t, fmt.Sprintf("%s rollback=%v carried", tv, rollback), tree, opts, (*linkstate.State).TrackLoad, true, reqs)
+			}
 		}
 	})
 }

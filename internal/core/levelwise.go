@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 
-	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 )
 
@@ -41,13 +40,6 @@ func (s *LevelWise) Name() string {
 	return n
 }
 
-// request-in-flight bookkeeping for the Vector path's level-major sweep
-// (the word path streams SweepPos records instead).
-type lwState struct {
-	cur   RouteCursor // current (σ_h, δ_h) switch pair
-	alive bool        // still schedulable
-}
-
 // Schedule routes the batch, mutating st. Requests whose endpoints share a
 // level-0 switch (H == 0) are granted without consuming links.
 func (s *LevelWise) Schedule(st *linkstate.State, reqs []Request) *Result {
@@ -57,7 +49,7 @@ func (s *LevelWise) Schedule(st *linkstate.State, reqs []Request) *Result {
 // ScheduleInto is Schedule with every working buffer taken from sc, so a
 // caller that reuses one Scratch across batches pays zero allocations per
 // request (see BenchmarkLevelWiseAllocs). The returned Result aliases sc
-// and is invalidated by sc's next use. A large word-path batch may run on
+// and is invalidated by sc's next use. A large level-major batch may run on
 // the level pipeline (pipeline.go), which returns the same Result as the
 // sequential sweep, bit for bit.
 func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratch) *Result {
@@ -67,6 +59,17 @@ func (s *LevelWise) ScheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 // scheduleInto is ScheduleInto with a test seam: inline runs a batch the
 // level pipeline takes with both stages on the caller, as if the helper
 // were absent, whatever GOMAXPROCS is.
+//
+// Every batch runs on the word kernel. A first-fit level-major batch of at
+// least pipelineMin requests on a table-view tree with two or more link
+// levels takes the level pipeline (pipeline.go) when GOMAXPROCS is 2 or
+// more and the helper is free and awake — or, with inline, with both
+// stages on the caller. Any other is one fused prep pass that grants the
+// H == 0 requests on the spot and lists the rest in processing order, then
+// SweepWords: once over the whole worklist (level-major), or once per
+// entry, a one-request worklist, in order (request-major). The pipeline
+// takes first-fit only: a scored pick at level 0 would read the level-1
+// rows stage B is writing, and a random one must draw in level-major order.
 func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratch, inline bool) *Result {
 	tree := st.Tree()
 	// The default fixed-seed source is only materialized when an option
@@ -78,78 +81,45 @@ func (s *LevelWise) scheduleInto(st *linkstate.State, reqs []Request, sc *Scratc
 	}
 	k := Scorer{Policy: s.Opts.Policy, ReuseCost: s.Opts.ReuseCost, Rand: rng}
 	name := sc.nameFor(s)
-
-	// Word fast path: when every availability row is one machine word
-	// (w <= 64), the level-major step collapses to one AND and one pick on
-	// the word, under every policy. Tracing (which renders the availability
-	// as a Vector) and request-major traversal take the Vector form, which
-	// makes the same picks through the same Scorer (word_test.go holds the
-	// two bit-identical).
-	if st.WordRows() && s.Opts.Trace == nil && s.Opts.Traversal == LevelMajor {
-		return s.scheduleWords(st, reqs, sc, name, k, inline)
+	// NaturalOrder is the identity, so the worklist is filled straight from
+	// the batch with no index buffer to build and gather through.
+	var order []int
+	if s.Opts.Order != NaturalOrder {
+		order = orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
 	}
-
-	outs := sc.prepOutcomes(tree, reqs)
-	order := orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, rng)
-	avail, words := sc.prepAvail(tree)
+	levelMajor := s.Opts.Traversal == LevelMajor
+	if levelMajor && k.firstFit() && pipelines(st, len(reqs)) && (inline || runtime.GOMAXPROCS(0) >= 2 && reserveHelper()) {
+		return s.schedulePipelined(st, reqs, sc, name, order, !inline)
+	}
+	outs, arena, work := sc.prepWords(tree, reqs)
+	L := tree.LinkLevels()
+	granted := 0
+	for k := range reqs {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		sigma, delta, h := tree.RouteStartShift(reqs[i].Src, reqs[i].Dst)
+		if h < 0 {
+			sigma, delta, h = tree.RouteStart(reqs[i].Src, reqs[i].Dst)
+		}
+		if h == 0 {
+			outs[i].set(reqs[i], 0, true, arena[i*L:i*L:i*L], -1)
+			granted++
+			continue
+		}
+		work = append(work, SweepPos{I: int32(i), Sigma: int32(sigma), Delta: int32(delta), H: int32(h)})
+	}
 	var ops Counters
-	if s.Opts.Traversal == RequestMajor {
-		for _, i := range order {
-			s.scheduleOne(st, &outs[i], &ops, k, avail, words)
-		}
-		return sc.finishInto(name, outs, ops)
-	}
-
-	// Level-major, Vector form: the paper's pseudo-code. All requests
-	// advance through level h before any touches level h+1.
-	states := sc.prepStates(len(reqs))
-	maxH := 0
-	for i := range outs {
-		states[i].cur.Start(tree, outs[i].Src, outs[i].Dst)
-		states[i].alive = true
-		if outs[i].H == 0 {
-			outs[i].Granted = true
-			states[i].alive = false
-		} else if outs[i].H > maxH {
-			maxH = outs[i].H
+	if levelMajor {
+		granted += SweepWords(st, reqs, outs, arena, work, k, s.Opts.Rollback, &ops)
+	} else {
+		for j := range work {
+			granted += SweepWords(st, reqs, outs, arena, work[j:j+1], k, s.Opts.Rollback, &ops)
 		}
 	}
-	for h := 0; h < maxH; h++ {
-		for _, i := range order {
-			o, ls := &outs[i], &states[i]
-			if !ls.alive || h >= o.H {
-				continue
-			}
-			st.AvailBothInto(avail, h, ls.cur.Sigma(), ls.cur.Delta())
-			ops.VectorReads += 2
-			ops.VectorANDs++
-			ops.Steps++
-			p := k.Pick(st, h, ls.cur.Sigma(), ls.cur.Delta(), words)
-			ops.PortPicks++
-			if s.Opts.Trace != nil {
-				s.Opts.Trace(TraceEvent{Scheduler: name, Src: o.Src, Dst: o.Dst, Level: h,
-					Phase: "combined", Sigma: ls.cur.Sigma(), Delta: ls.cur.Delta(), Avail: avail.String(), Port: p})
-			}
-			if p < 0 {
-				ls.alive = false
-				o.FailLevel = h
-				if s.Opts.Rollback {
-					s.rollback(st, o, &ops)
-				}
-				continue
-			}
-			mustAllocate(st, linkstate.Up, h, ls.cur.Sigma(), p)
-			mustAllocate(st, linkstate.Down, h, ls.cur.Delta(), p)
-			ops.Allocs += 2
-			o.Ports = append(o.Ports, p)
-			ls.cur.Advance(p)
-			if len(o.Ports) == o.H {
-				o.Granted = true
-				ls.alive = false
-			}
-		}
-	}
-	return sc.finishInto(name, outs, ops)
+	sc.res = Result{Scheduler: name, Outcomes: outs, Granted: granted, Total: len(outs), Ops: ops}
+	return &sc.res
 }
 
 // SweepPos is one live request of the level-major word sweep: its index
@@ -173,54 +143,11 @@ func (o *Outcome) set(r Request, h int, granted bool, ports []int, failLevel int
 	o.FailDown = false
 }
 
-// scheduleWords is ScheduleInto's level-major word path. A first-fit batch
-// of at least pipelineMin requests on a table-view tree with two or more
-// link levels takes the level pipeline (pipeline.go) when GOMAXPROCS is 2
-// or more and the helper is free and awake — or, with the inline test
-// seam, with both stages on the caller. Any other is one fused prep pass
-// that grants the H == 0 requests on the spot and lists the rest in
-// processing order, then SweepWords over that worklist. The pipeline takes
-// first-fit only: a scored pick at level 0 would read the level-1 rows
-// stage B is writing, and a random one must draw in level-major order.
-func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scratch, name string, k Scorer, inline bool) *Result {
-	tree := st.Tree()
-	// NaturalOrder is the identity, so the worklist is filled straight from
-	// the batch with no index buffer to build and gather through.
-	var order []int
-	if s.Opts.Order != NaturalOrder {
-		order = orderIndicesInto(sc.prepOrder(len(reqs)), tree, reqs, s.Opts.Order, k.Rand)
-	}
-	if k.firstFit() && pipelines(st, len(reqs)) && (inline || runtime.GOMAXPROCS(0) >= 2 && reserveHelper()) {
-		return s.schedulePipelined(st, reqs, sc, name, order, !inline)
-	}
-	outs, arena, work := sc.prepWords(tree, reqs)
-	L := tree.LinkLevels()
-	granted := 0
-	for k := range reqs {
-		i := k
-		if order != nil {
-			i = order[k]
-		}
-		sigma, delta, h := tree.RouteStartShift(reqs[i].Src, reqs[i].Dst)
-		if h < 0 {
-			sigma, delta, h = tree.RouteStart(reqs[i].Src, reqs[i].Dst)
-		}
-		if h == 0 {
-			outs[i].set(reqs[i], 0, true, arena[i*L:i*L:i*L], -1)
-			granted++
-			continue
-		}
-		work = append(work, SweepPos{I: int32(i), Sigma: int32(sigma), Delta: int32(delta), H: int32(h)})
-	}
-	var ops Counters
-	granted += SweepWords(st, reqs, outs, arena, work, k, s.Opts.Rollback, &ops)
-	sc.res = Result{Scheduler: name, Outcomes: outs, Granted: granted, Total: len(outs), Ops: ops}
-	return &sc.res
-}
-
-// SweepWords is the level-major sweep on single-word rows: the paper's
-// Figure 7 loop as a streaming kernel, and the one site of the word-AND
-// pick (internal/parsched runs its shards through it too). k picks the
+// SweepWords is the Level-wise step on word rows: the paper's Figure 7
+// loop as a streaming kernel, and the one site of the word-AND pick.
+// ScheduleInto runs a level-major batch through it once and a
+// request-major batch once per request, on a one-request worklist;
+// internal/parsched runs its shards through it too. k picks the
 // ports: first-fit is claimPort's trailing-zeros, inline; any other policy
 // is k.Pick on the AND-ed word, whose scored picks read level h+1's rows,
 // which no level-h step writes. work lists the live requests in
@@ -239,8 +166,9 @@ func (s *LevelWise) scheduleWords(st *linkstate.State, reqs []Request, sc *Scrat
 // verdict falls: granted with all H ports, or denied at the first conflict
 // with FailLevel set and Ports holding the FailLevel ports the request
 // still occupies — none after a rollback, which releases them through
-// ReleaseRoute. SweepWords returns the number of grants and adds to ops
-// what the Vector path counts for the same sweep, step for step.
+// ReleaseRoute. SweepWords returns the number of grants and adds the
+// sweep's operations to ops: per step two row reads, one AND, one pick;
+// two allocations per claim; two releases per rolled-back port.
 //
 // Level-major order is also what lets a batch run as the level pipeline
 // (pipeline.go), level 0 on the caller and the levels above on a helper at
@@ -269,7 +197,7 @@ func SweepWords(st *linkstate.State, reqs []Request, outs []Outcome, arena []int
 			var p int
 			if first {
 				p = claimPort(&uw[sigma], &dw[delta])
-			} else if p = k.Pick(st, h, sigma, delta, []uint64{uw[sigma] & dw[delta]}); p >= 0 {
+			} else if p = k.Pick(st, h, sigma, delta, uw[sigma]&dw[delta]); p >= 0 {
 				linkstate.AllocateWords(&uw[sigma], &dw[delta], uint64(1)<<uint(p))
 			}
 			if p < 0 {
@@ -324,51 +252,6 @@ func claimPort(u, d *uint64) int {
 	p := bits.TrailingZeros64(w)
 	linkstate.AllocateWords(u, d, uint64(1)<<uint(p))
 	return p
-}
-
-// scheduleOne routes a single request through all its levels
-// (request-major traversal — the order the hardware pipeline realizes).
-// avail is the caller's scratch availability vector and words its storage.
-func (s *LevelWise) scheduleOne(st *linkstate.State, o *Outcome, ops *Counters, k Scorer, avail bitvec.Vector, words []uint64) {
-	tree := st.Tree()
-	if o.H == 0 {
-		o.Granted = true
-		return
-	}
-	var cur RouteCursor
-	cur.Start(tree, o.Src, o.Dst)
-	for h := 0; h < o.H; h++ {
-		st.AvailBothInto(avail, h, cur.Sigma(), cur.Delta())
-		ops.VectorReads += 2
-		ops.VectorANDs++
-		ops.Steps++
-		p := k.Pick(st, h, cur.Sigma(), cur.Delta(), words)
-		ops.PortPicks++
-		if s.Opts.Trace != nil {
-			s.Opts.Trace(TraceEvent{Scheduler: s.Name(), Src: o.Src, Dst: o.Dst, Level: h,
-				Phase: "combined", Sigma: cur.Sigma(), Delta: cur.Delta(), Avail: avail.String(), Port: p})
-		}
-		if p < 0 {
-			o.FailLevel = h
-			if s.Opts.Rollback {
-				s.rollback(st, o, ops)
-			}
-			return
-		}
-		mustAllocate(st, linkstate.Up, h, cur.Sigma(), p)
-		mustAllocate(st, linkstate.Down, h, cur.Delta(), p)
-		ops.Allocs += 2
-		o.Ports = append(o.Ports, p)
-		cur.Advance(p)
-	}
-	o.Granted = true
-}
-
-// rollback releases the channels a failed request allocated at levels
-// below its failure level.
-func (s *LevelWise) rollback(st *linkstate.State, o *Outcome, ops *Counters) {
-	ReleaseRoute(st, o.Src, o.Dst, o.Ports, ops)
-	o.Ports = o.Ports[:0]
 }
 
 // mustAllocate claims a channel whose availability was just verified; an

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/bitvec"
-	"repro/internal/linkstate"
-)
+import "repro/internal/linkstate"
 
 // Local is the conventional adaptive scheduler the paper compares against:
 // upward ports are chosen using only the local switch's Ulink vector, so a
@@ -39,7 +36,6 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 	rng := s.Opts.rng()
 	outs := NewOutcomes(tree, reqs)
 	order := OrderIndices(tree, reqs, s.Opts.Order, rng)
-	avail := bitvec.NewMatrix(1, tree.Parents())
 	var ops Counters
 	for _, i := range order {
 		o := &outs[i]
@@ -49,7 +45,7 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 		}
 		k := Scorer{Policy: s.Opts.Policy, Rand: rng}
 		for attempt := 0; ; attempt++ {
-			if s.tryOne(st, o, k, avail, &ops) {
+			if s.tryOne(st, o, k, &ops) {
 				break
 			}
 			if attempt >= s.Opts.Retries {
@@ -67,12 +63,12 @@ func (s *Local) Schedule(st *linkstate.State, reqs []Request) *Result {
 }
 
 // tryOne makes one attempt to route o, picking each upward port with k
-// from a copy of the local Ulink row in avail's one row. On failure every
-// channel the attempt claimed is released (the connection is not
-// established, so it holds nothing) and false is returned.
-func (s *Local) tryOne(st *linkstate.State, o *Outcome, k Scorer, avail *bitvec.Matrix, ops *Counters) bool {
+// from the local Ulink word alone and testing the forced Dlink bit on the
+// way down. On failure every channel the attempt claimed is released (the
+// connection is not established, so it holds nothing) and false is
+// returned.
+func (s *Local) tryOne(st *linkstate.State, o *Outcome, k Scorer, ops *Counters) bool {
 	tree := st.Tree()
-	row := avail.Row(0)
 
 	// Climb: choose from the locally visible upward links only. The
 	// cursor advances both sides in lockstep, so the mirror switch each
@@ -82,15 +78,11 @@ func (s *Local) tryOne(st *linkstate.State, o *Outcome, k Scorer, avail *bitvec.
 	cur.Start(tree, o.Src, o.Dst)
 	deltas := make([]int, o.H) // mirror switch at each level
 	for h := 0; h < o.H; h++ {
-		row.CopyFrom(st.ULink(h, cur.Sigma()))
+		uw, _ := st.LevelWords(h)
 		ops.VectorReads++
 		ops.Steps++
-		p := k.Pick(st, h, cur.Sigma(), cur.Delta(), avail.Words())
+		p := k.Pick(st, h, cur.Sigma(), cur.Delta(), uw[cur.Sigma()])
 		ops.PortPicks++
-		if s.Opts.Trace != nil {
-			s.Opts.Trace(TraceEvent{Scheduler: s.Name(), Src: o.Src, Dst: o.Dst, Level: h,
-				Phase: "up", Sigma: cur.Sigma(), Delta: -1, Avail: row.String(), Port: p})
-		}
 		if p < 0 {
 			o.FailLevel = h
 			s.teardown(st, o, -1, ops)
@@ -106,17 +98,10 @@ func (s *Local) tryOne(st *linkstate.State, o *Outcome, k Scorer, avail *bitvec.
 	// Descend: the path is forced (Theorem 2 — same port index at the
 	// mirror switches). Walk top-down, as the physical circuit would.
 	for h := o.H - 1; h >= 0; h-- {
+		_, dw := st.LevelWords(h)
 		ops.VectorReads++
 		ops.Steps++
-		if s.Opts.Trace != nil {
-			port := o.Ports[h]
-			if !st.Available(linkstate.Down, h, deltas[h], port) {
-				port = -1
-			}
-			s.Opts.Trace(TraceEvent{Scheduler: s.Name(), Src: o.Src, Dst: o.Dst, Level: h,
-				Phase: "down", Sigma: -1, Delta: deltas[h], Avail: st.DLink(h, deltas[h]).String(), Port: port})
-		}
-		if !st.Available(linkstate.Down, h, deltas[h], o.Ports[h]) {
+		if dw[deltas[h]]>>uint(o.Ports[h])&1 == 0 {
 			o.FailLevel = h
 			o.FailDown = true
 			s.teardown(st, o, h, ops)

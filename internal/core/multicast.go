@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
-	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
 )
@@ -129,7 +129,6 @@ func distinctMirrors(branches []mcBranch, h int) []int {
 func (s *MulticastLevelWise) Schedule(st *linkstate.State, reqs []MulticastRequest) *MulticastResult {
 	tree := st.Tree()
 	res := &MulticastResult{Scheduler: s.Name(), Total: len(reqs)}
-	avail := bitvec.New(tree.Parents())
 	for _, req := range reqs {
 		o := MulticastOutcome{MulticastRequest: req, FailLevel: -1}
 		branches, maxH := newBranches(tree, req)
@@ -140,16 +139,17 @@ func (s *MulticastLevelWise) Schedule(st *linkstate.State, reqs []MulticastReque
 		ok := true
 		for h := 0; h < maxH; h++ {
 			mirrors := distinctMirrors(branches, h)
-			avail.CopyFrom(st.ULink(h, spine.Sigma()))
+			uw, dw := st.LevelWords(h)
+			avail := uw[spine.Sigma()]
 			for _, d := range mirrors {
-				avail.AndWith(st.DLink(h, d))
+				avail &= dw[d]
 			}
-			p, found := avail.FirstSet()
-			if !found {
+			if avail == 0 {
 				ok = false
 				o.FailLevel = h
 				break
 			}
+			p := bits.TrailingZeros64(avail)
 			mustAllocate(st, linkstate.Up, h, spine.Sigma(), p)
 			claims = append(claims, mcClaim{linkstate.Up, h, spine.Sigma(), p})
 			for _, d := range mirrors {

@@ -52,7 +52,7 @@ const (
 	portShift = 8
 )
 
-// pipelines reports whether a word-path batch of n requests on st has the
+// pipelines reports whether a level-major batch of n requests on st has the
 // level pipeline's shape: a large batch, the table view (stage A looks up
 // σ₁/δ₁ in the parent table) and a level above level 0. The caller takes
 // it when it also has a second CPU and the helper is free.
@@ -182,7 +182,7 @@ func awaitPast(v *atomic.Int64, k int64) int64 {
 	}
 }
 
-// schedulePipelined is scheduleWords on the level pipeline; order is the
+// schedulePipelined is scheduleInto on the level pipeline; order is the
 // processing order (nil: natural). With post the caller holds the helper
 // (reserveHelper), posts it stage B and releases it on return, a rejected
 // batch included. A caller that finishes level 0 before the helper has

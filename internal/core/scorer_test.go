@@ -55,13 +55,12 @@ func refPick(st *linkstate.State, k Scorer, h, sigma, delta int, avail bitvec.Ve
 // TestScorerMatchesReference holds Scorer.Pick to refPick for every
 // policy — first-fit, seeded random, least-loaded and reuse-cost at three
 // caps — at every level and (σ, δ) switch pair of every tree form the
-// word-vs-Vector oracle covers, plus a w = 80 tree whose rows span two
-// words, on idle, faulted and load-tracked states carrying held circuits.
-// Each pick is made both from the availability's words and, where a row
-// is one word, from the AND-ed word alone as SweepWords passes it; a
-// random pick must leave its Rand where the reference leaves its own.
+// word kernel's reference test covers, on idle, faulted and load-tracked
+// states carrying held circuits. Each pick is made from the AND-ed word,
+// as SweepWords passes it; a random pick must leave its Rand where the
+// reference leaves its own.
 func TestScorerMatchesReference(t *testing.T) {
-	trees := []*topology.Tree{topology.MustNew(2, 80, 80)}
+	var trees []*topology.Tree
 	for _, sh := range wordShapes {
 		tree := topology.MustNew(sh.l, sh.m, sh.w)
 		if sh.arith {
@@ -111,32 +110,23 @@ func TestScorerMatchesReference(t *testing.T) {
 			if s.prep != nil {
 				s.prep(st)
 			}
-			avail := bitvec.NewMatrix(1, tree.Parents())
+			avail := bitvec.New(tree.Parents())
 			for _, sc := range scorers {
 				k, ref := sc.k, sc.k
 				k.Rand, ref.Rand = rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-				one := k // picks from the lone word, drawing from its own Rand
-				one.Rand = rand.New(rand.NewSource(9))
 				for h := 0; h < tree.LinkLevels(); h++ {
 					for sigma := 0; sigma < tree.SwitchesAt(h); sigma++ {
 						for delta := 0; delta < tree.SwitchesAt(h); delta++ {
-							st.AvailBothInto(avail.Row(0), h, sigma, delta)
-							want := refPick(st, ref, h, sigma, delta, avail.Row(0))
-							if got := k.Pick(st, h, sigma, delta, avail.Words()); got != want {
+							st.AvailBothInto(avail, h, sigma, delta)
+							want := refPick(st, ref, h, sigma, delta, avail)
+							if got := k.Pick(st, h, sigma, delta, st.AvailBothWord(h, sigma, delta)); got != want {
 								t.Fatalf("%s %s %s: h=%d σ=%d δ=%d avail=%s: Pick = %d, reference %d",
-									tree, s.name, sc.name, h, sigma, delta, avail.Row(0), got, want)
-							}
-							if st.WordRows() {
-								if got := one.Pick(st, h, sigma, delta, []uint64{st.AvailBothWord(h, sigma, delta)}); got != want {
-									t.Fatalf("%s %s %s: h=%d σ=%d δ=%d: Pick on the word = %d, reference %d",
-										tree, s.name, sc.name, h, sigma, delta, got, want)
-								}
+									tree, s.name, sc.name, h, sigma, delta, avail, got, want)
 							}
 						}
 					}
 				}
-				next := ref.Rand.Int63()
-				if k.Rand.Int63() != next || st.WordRows() && one.Rand.Int63() != next {
+				if k.Rand.Int63() != ref.Rand.Int63() {
 					t.Fatalf("%s %s %s: Pick drew a different number of times from the reference", tree, s.name, sc.name)
 				}
 			}
@@ -150,7 +140,7 @@ func TestScorerMatchesReference(t *testing.T) {
 func TestPickPortReuse(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
 	st := linkstate.New(tree)
-	avail := []uint64{1<<tree.Parents() - 1}
+	avail := uint64(1)<<tree.Parents() - 1
 	// Load port 2's σ-side parent with two held channels and port 1's
 	// with one; ports 0 and 3 lead to idle parents.
 	p2 := tree.UpParent(0, 0, 2)

@@ -1,25 +1,20 @@
 package core
 
-import (
-	"repro/internal/bitvec"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Scratch holds every buffer the Level-wise scheduler needs to route one
-// batch: the outcome records, the ports arena, the processing order, one
-// availability vector, and the sweep's per-request working set — the word
-// path's compacted worklist of 16-byte SweepPos records, or the Vector
-// path's cursor states. A caller that retains a Scratch across batches
-// (internal/fabric keeps one per manager) makes LevelWise.ScheduleInto
-// allocation-free per request: every buffer is reused once it has grown
-// to the workload's high-water mark.
+// batch: the outcome records, the ports arena, the processing order and
+// the sweep's worklist of 16-byte SweepPos records. A caller that retains
+// a Scratch across batches (internal/fabric keeps one per manager) makes
+// LevelWise.ScheduleInto allocation-free per request: every buffer is
+// reused once it has grown to the workload's high-water mark.
 //
 // The arena is fixed-stride: request i's ports live at arena[i*L+h] for
 // the tree's L link levels, so Outcome i's Ports is a sub-slice of that
-// row and no pass over the batch is needed to lay the arena out. The word
-// path writes each Outcome exactly once, whole, at its verdict; until
-// SweepWords returns, the records of requests still in flight hold
-// whatever the previous batch left there.
+// row and no pass over the batch is needed to lay the arena out. Each
+// Outcome is written exactly once, whole, at its verdict; until the sweep
+// reaches a request's verdict, its record holds whatever the previous
+// batch left there.
 //
 // The level pipeline (pipeline.go) runs out of the same buffers: its
 // handoff records, one SweepPos per request, fill work, and the Scratch
@@ -38,12 +33,10 @@ import (
 type Scratch struct {
 	res      Result
 	outcomes []Outcome
-	work     []SweepPos // word path
-	states   []lwState  // Vector path
+	work     []SweepPos
 	order    []int
-	arena    []int          // backing store for every outcome's Ports
-	avail    *bitvec.Matrix // one row: the Vector path's availability
-	owner    *LevelWise     // whose Name() name caches
+	arena    []int      // backing store for every outcome's Ports
+	owner    *LevelWise // whose Name() name caches
 	name     string
 	pipe     pipeJob // the level pipeline's hand-off, over work
 }
@@ -60,9 +53,11 @@ func (sc *Scratch) nameFor(s *LevelWise) string {
 	return sc.name
 }
 
-// prepBatch sizes the outcome records and the fixed-stride ports arena
-// for n requests; neither is initialized.
-func (sc *Scratch) prepBatch(tree *topology.Tree, n int) (outs []Outcome, arena []int) {
+// prepWords returns the sweep's buffers for reqs: the outcome records and
+// the fixed-stride ports arena, neither initialized, and an empty worklist
+// with room for every request.
+func (sc *Scratch) prepWords(tree *topology.Tree, reqs []Request) (outs []Outcome, arena []int, work []SweepPos) {
+	n := len(reqs)
 	if cap(sc.outcomes) < n {
 		sc.outcomes = make([]Outcome, n)
 	}
@@ -70,41 +65,10 @@ func (sc *Scratch) prepBatch(tree *topology.Tree, n int) (outs []Outcome, arena 
 	if cells := n * tree.LinkLevels(); cap(sc.arena) < cells {
 		sc.arena = make([]int, cells)
 	}
-	return sc.outcomes, sc.arena
-}
-
-// prepOutcomes fills the outcome records for reqs, each with a
-// zero-length, capacity-H window of its arena row as Ports so that the
-// scheduler's appends never allocate.
-func (sc *Scratch) prepOutcomes(tree *topology.Tree, reqs []Request) []Outcome {
-	outs, arena := sc.prepBatch(tree, len(reqs))
-	L := tree.LinkLevels()
-	for i, r := range reqs {
-		h := tree.AncestorLevel(r.Src, r.Dst)
-		outs[i] = Outcome{Request: r, H: h, Ports: arena[i*L : i*L : i*L+h], FailLevel: -1}
+	if cap(sc.work) < n {
+		sc.work = make([]SweepPos, n)
 	}
-	return outs
-}
-
-// prepWords returns the word path's buffers for reqs: the outcome records
-// and arena of prepBatch, and an empty worklist with room for every
-// request.
-func (sc *Scratch) prepWords(tree *topology.Tree, reqs []Request) (outs []Outcome, arena []int, work []SweepPos) {
-	outs, arena = sc.prepBatch(tree, len(reqs))
-	if cap(sc.work) < len(reqs) {
-		sc.work = make([]SweepPos, len(reqs))
-	}
-	return outs, arena, sc.work[:0]
-}
-
-// prepStates returns the per-request sweep-state buffer sized for n
-// requests.
-func (sc *Scratch) prepStates(n int) []lwState {
-	if cap(sc.states) < n {
-		sc.states = make([]lwState, n)
-	}
-	sc.states = sc.states[:n]
-	return sc.states
+	return sc.outcomes, sc.arena, sc.work[:0]
 }
 
 // prepOrder returns the order buffer sized for n requests.
@@ -114,25 +78,4 @@ func (sc *Scratch) prepOrder(n int) []int {
 	}
 	sc.order = sc.order[:n]
 	return sc.order
-}
-
-// prepAvail returns the availability scratch vector for the tree's port
-// width, and its words, which the Scorer reads.
-func (sc *Scratch) prepAvail(tree *topology.Tree) (bitvec.Vector, []uint64) {
-	if sc.avail == nil || sc.avail.Width() != tree.Parents() {
-		sc.avail = bitvec.NewMatrix(1, tree.Parents())
-	}
-	return sc.avail.Row(0), sc.avail.Words()
-}
-
-// finishInto assembles the batch Result in the Scratch (reusing its
-// Result header) exactly as finish does with a fresh one.
-func (sc *Scratch) finishInto(name string, outs []Outcome, ops Counters) *Result {
-	sc.res = Result{Scheduler: name, Outcomes: outs, Total: len(outs), Ops: ops}
-	for i := range outs {
-		if outs[i].Granted {
-			sc.res.Granted++
-		}
-	}
-	return &sc.res
 }

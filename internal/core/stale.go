@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/linkstate"
 )
@@ -76,17 +77,14 @@ func (s *StaleLevelWise) tryOne(st, view *linkstate.State, o *Outcome, ops *Coun
 	}
 	for h := 0; h < o.H; h++ {
 		// Decision: fresh local Ulink AND stale Dlink view.
-		availU := st.ULink(h, cur.Sigma())
-		availD := view.DLink(h, cur.Delta())
+		uw, _ := st.LevelWords(h)
+		_, vdw := view.LevelWords(h)
 		ops.VectorReads += 2
 		ops.VectorANDs++
 		ops.Steps++
 		p := -1
-		for b := 0; b < availU.Width(); b++ {
-			if availU.Get(b) && availD.Get(b) {
-				p = b
-				break
-			}
+		if avail := uw[cur.Sigma()] & vdw[cur.Delta()]; avail != 0 {
+			p = bits.TrailingZeros64(avail)
 		}
 		ops.PortPicks++
 		if p < 0 {

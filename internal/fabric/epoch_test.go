@@ -163,12 +163,19 @@ func TestSizeClosingNeverStrands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var verdicts atomic.Int64
+	var verdicts, closedReleases atomic.Int64
 	var wg sync.WaitGroup
 	// A circuit a fault caught may have exhausted its repairs by the time
-	// its owner lets go; that is a verdict too, not a stranded request.
+	// its owner lets go; that is a verdict too, not a stranded request. So
+	// is a repair that Close aborted — its ticket may still sit in a
+	// partial batch, MaxWait being an hour — but only for a circuit the
+	// books count under RepairAborted, which the end of the test checks.
 	release := func(h *Handle) {
-		if err := h.Release(); err != nil && !errors.Is(err, ErrUnroutableDegraded) {
+		switch err := h.Release(); {
+		case err == nil || errors.Is(err, ErrUnroutableDegraded):
+		case errors.Is(err, ErrClosed):
+			closedReleases.Add(1)
+		default:
 			t.Errorf("release %d→%d: %v", h.Src(), h.Dst(), err)
 		}
 	}
@@ -252,8 +259,16 @@ func TestSizeClosingNeverStrands(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if s := m.Stats(); s.Active != 0 || s.Occupancy != 0 {
+	s := m.Stats()
+	if s.Active != 0 || s.Occupancy != 0 {
 		t.Errorf("books do not close: %+v", s)
+	}
+	if n := closedReleases.Load(); n > int64(s.RepairAborted) {
+		t.Errorf("%d releases reported a closed manager, but only %d repairs were aborted", n, s.RepairAborted)
+	}
+	if s.Revoked != s.Repaired+s.RepairFailed+s.RepairAborted {
+		t.Errorf("revoked %d != repaired %d + repair_failed %d + repair_aborted %d",
+			s.Revoked, s.Repaired, s.RepairFailed, s.RepairAborted)
 	}
 }
 

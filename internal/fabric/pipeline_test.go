@@ -229,8 +229,8 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 // TestReleaseRingDrainRacesClose races fast-path releases against Close:
 // every parked handle must be retired exactly once — no grant may be
 // dropped between the ring and the final drain — leaving Released ==
-// grants and zero occupancy, on the default engine's word path and on
-// the reuse-cost Vector path. The ring is kept tiny (the one caller of
+// grants and zero occupancy, under the default engine's first-fit pick and
+// the reuse-cost score. The ring is kept tiny (the one caller of
 // newManager's ring-size argument) so some releases overflow to the
 // synchronous path mid-shutdown.
 func TestReleaseRingDrainRacesClose(t *testing.T) {

@@ -19,9 +19,8 @@ package fabric
 // scheduler's single-threaded state, and what a row's publication must be
 // ordered with — the release ring, the registry, the fault sets — is the
 // manager's. It exists only once someone asks: the first Routable call
-// switches it on, so a manager nobody asks publishes nothing. A tree with
-// rows wider than one word (w > 64) has no view, and Routable always says
-// yes there.
+// switches it on, so a manager nobody asks publishes nothing. Every row is
+// one word (topology.New refuses w > 64), so every tree has a view.
 
 import (
 	"math/bits"
@@ -31,7 +30,7 @@ import (
 	"repro/internal/topology"
 )
 
-// view is the published copy of a WordRows state's availability rows:
+// view is the published copy of a state's availability rows:
 // u[h][idx] mirrors Ulink(h, idx) and d[h][idx] mirrors Dlink(h, idx).
 type view struct {
 	tree *topology.Tree
@@ -94,15 +93,11 @@ func (v *view) routable(src, dst int) bool {
 // plane's rows as last published — a prediction, not a reservation: an
 // epoch running meanwhile may take or free what it read. It takes no lock
 // and allocates nothing once the view is on; the first call switches the
-// view on (one pass under mu copying every row). Always true on a tree
-// with rows wider than one word, which has no view. Endpoints must be in
+// view on (one pass under mu copying every row). Endpoints must be in
 // range.
 func (m *Manager) Routable(src, dst int) bool {
 	v := m.view.Load()
 	if v == nil {
-		if !m.st.WordRows() {
-			return true
-		}
 		v = m.openView()
 	}
 	return v.routable(src, dst)

@@ -144,28 +144,3 @@ func TestNoViewUnlessAsked(t *testing.T) {
 		t.Fatal("a manager nobody asked published a view")
 	}
 }
-
-// TestWideTreeHasNoView: rows wider than one word (w > 64) have no view,
-// and Routable says yes even for a pair the plane denies.
-func TestWideTreeHasNoView(t *testing.T) {
-	tree := topology.MustNew(2, 2, 65)
-	m, err := New(Config{Tree: tree, BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close(context.Background())
-	for i := 0; i < tree.Parents(); i++ { // every route 0→2 has
-		if _, err := m.Connect(context.Background(), 0, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.Connect(context.Background(), 0, 2); err == nil {
-		t.Fatal("a saturated pair was granted")
-	}
-	if !m.Routable(0, 2) {
-		t.Error("Routable said no on a tree with no view")
-	}
-	if m.view.Load() != nil {
-		t.Error("a w > 64 tree published a view")
-	}
-}

@@ -71,8 +71,7 @@ type journal struct {
 	settled []int
 }
 
-// planeSpec is one plane of a generated federation. A plane wider than 64
-// ports has no published view, so the reference takes it for blind.
+// planeSpec is one plane of a generated federation.
 type planeSpec struct {
 	shape [3]int
 	spec  string
@@ -160,7 +159,7 @@ func newGen(fs fedSpec) (*gen, error) {
 		r.planes[i].surf = pr
 		g.probes = append(g.probes, pr)
 		g.ref.planes = append(g.ref.planes, &refPlane{name: r.planes[i].name,
-			blind: ps.blind || ps.shape[2] > 64, fab: fabrictest.New(pr.Tree(), ps.spec, 0), health: 1})
+			blind: ps.blind, fab: fabrictest.New(pr.Tree(), ps.spec, 0), health: 1})
 	}
 	for i := 0; i < fs.faulted; i++ {
 		if err := g.fail(i, faults.Uniform(g.ref.planes[i].fab.Tree, 0.10, int64(i+1)), false); err != nil {
@@ -725,7 +724,7 @@ func (g *gen) finish() error {
 }
 
 // federations are the random mode's: one to four planes, every policy,
-// mixed shapes over one node count, a plane too wide for a view, blind
+// mixed shapes over one node count, a plane of full-word rows (w = 64), blind
 // planes, the streak and score rules, and fed_degraded's shape —
 // four least-loaded planes, two of them with 10 % of their links failed,
 // every router knob at its default.
@@ -744,7 +743,7 @@ var federations = []fedSpec{
 			{shape: [3]int{2, 4, 4}, spec: "level-wise"}}},
 	{name: "4planes-mixed-hash", policy: PolicyHash, eject: 2,
 		planes: []planeSpec{{shape: [3]int{2, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{4, 2, 2}, spec: "backtrack,depth=2"},
-			{shape: [3]int{2, 4, 65}, spec: "level-wise"}, {shape: [3]int{4, 2, 1}, spec: "level-wise,rollback"}}},
+			{shape: [3]int{2, 4, 64}, spec: "level-wise"}, {shape: [3]int{4, 2, 1}, spec: "level-wise,rollback"}}},
 	{name: "4planes-degraded", policy: PolicyLeastLoaded, faulted: 2,
 		planes: []planeSpec{{shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"},
 			{shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}, {shape: [3]int{3, 4, 4}, spec: "level-wise,rollback"}}},

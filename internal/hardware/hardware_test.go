@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -100,11 +101,14 @@ func TestAllRequestsUnder40Microseconds(t *testing.T) {
 }
 
 func TestMatchesSoftwareLevelWise(t *testing.T) {
-	// The pipeline must produce the same grant set as the software
-	// Level-wise scheduler (first-fit, no rollback). FT(3,16,16) is Table
-	// 1's 4096-node system, where a permutation is large enough for the
-	// software's own level pipeline (core's pipeline.go) to engage when
-	// GOMAXPROCS is 2 or more: the P-block model is checked against it.
+	// The pipeline must produce the same grant set, ports and failure
+	// levels as the software Level-wise scheduler (first-fit, no
+	// rollback) in both traversals: request-major, the order its P-blocks
+	// take requests in, and level-major, which without rollback decides
+	// the same. FT(3,16,16) is Table 1's 4096-node system, where a
+	// permutation is large enough for the software's own level pipeline
+	// (core's pipeline.go) to engage when GOMAXPROCS is 2 or more: the
+	// P-block model is checked against it.
 	shapes := [][3]int{{2, 4, 4}, {3, 4, 4}, {4, 3, 3}, {3, 8, 8}, {3, 16, 16}}
 	for _, sh := range shapes {
 		tree := topology.MustNew(sh[0], sh[1], sh[2])
@@ -113,25 +117,24 @@ func TestMatchesSoftwareLevelWise(t *testing.T) {
 			reqs := g.MustBatch(traffic.RandomPermutation)
 			p := New(tree)
 			hw, _ := p.Schedule(reqs)
-			sw := core.NewLevelWise().Schedule(linkstate.New(tree), reqs)
-			if hw.Granted != sw.Granted {
-				t.Fatalf("FT(%v): hardware %d vs software %d", sh, hw.Granted, sw.Granted)
-			}
-			for i := range hw.Outcomes {
-				ho, so := hw.Outcomes[i], sw.Outcomes[i]
-				if ho.Granted != so.Granted {
-					t.Fatalf("FT(%v) outcome %d: granted %v vs %v", sh, i, ho.Granted, so.Granted)
-				}
-				if ho.Granted {
-					for k := range ho.Ports {
-						if ho.Ports[k] != so.Ports[k] {
-							t.Fatalf("FT(%v) outcome %d: ports %v vs %v", sh, i, ho.Ports, so.Ports)
-						}
-					}
-				}
-			}
 			if err := core.Verify(tree, hw); err != nil {
 				t.Fatalf("FT(%v): %v", sh, err)
+			}
+			for _, tv := range []core.Traversal{core.LevelMajor, core.RequestMajor} {
+				sw := (&core.LevelWise{Opts: core.Options{Traversal: tv}}).Schedule(linkstate.New(tree), reqs)
+				if hw.Granted != sw.Granted {
+					t.Fatalf("FT(%v) %s: hardware %d vs software %d", sh, tv, hw.Granted, sw.Granted)
+				}
+				for i := range hw.Outcomes {
+					ho, so := hw.Outcomes[i], sw.Outcomes[i]
+					if ho.Granted != so.Granted || ho.FailLevel != so.FailLevel {
+						t.Fatalf("FT(%v) %s outcome %d: granted %v vs %v, fail level %d vs %d",
+							sh, tv, i, ho.Granted, so.Granted, ho.FailLevel, so.FailLevel)
+					}
+					if ho.Granted && !slices.Equal(ho.Ports, so.Ports) {
+						t.Fatalf("FT(%v) %s outcome %d: ports %v vs %v", sh, tv, i, ho.Ports, so.Ports)
+					}
+				}
 			}
 		}
 	}

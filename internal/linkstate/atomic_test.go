@@ -49,9 +49,8 @@ func TestTryAllocateExclusive(t *testing.T) {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			scratch := bitvec.New(w)
 			for idx := 0; idx < rows; idx++ {
-				s.AvailBothAtomicInto(scratch, 0, idx, idx)
+				s.AvailBothAtomicWord(0, idx, idx)
 				for p := 0; p < w; p++ {
 					if s.TryAllocate(Up, 0, idx, p) {
 						winCounts[wk]++

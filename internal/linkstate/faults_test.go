@@ -94,9 +94,8 @@ func TestFaultMaskMasksAvailability(t *testing.T) {
 	if dst.Count() != 2 {
 		t.Fatalf("AvailBothInto lost healthy channels: %s", dst)
 	}
-	s.AvailBothAtomicInto(dst, 0, 0, 3)
-	if dst.Get(1) || dst.Get(2) || dst.Count() != 2 {
-		t.Fatalf("AvailBothAtomicInto mask mismatch: %s", dst)
+	if got := s.AvailBothAtomicWord(0, 0, 3); got != dst.Word() {
+		t.Fatalf("AvailBothAtomicWord = %b, AvailBothInto %s", got, dst)
 	}
 }
 

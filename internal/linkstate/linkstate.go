@@ -51,7 +51,7 @@
 // Concurrent callers must either serialize externally — internal/fabric
 // runs every scheduling epoch and every release under one manager lock —
 // or restrict themselves to the atomic subset (TryAllocate,
-// AtomicRelease, AvailBothAtomicInto), which lock-free workers in
+// AtomicRelease, AvailBothAtomicWord), which lock-free workers in
 // internal/parsched may race freely against each other. Mixing the two
 // families concurrently is a data race.
 package linkstate
@@ -101,11 +101,11 @@ type State struct {
 	// first FailLink call, so fault-free states pay nothing.
 	failedU []*bitvec.Matrix
 	failedD []*bitvec.Matrix
-	// uw/dw alias the matrices' backing words when each row is a single
-	// machine word (w <= 64): uw[h][idx] IS Ulink(h, idx), so the word
-	// fast path (AvailBothWord, AllocateBoth) and the Vector API mutate
-	// the same storage and can never diverge. Nil when rows span words.
-	// fuw/fdw alias failedU/failedD the same way, once those exist.
+	// uw/dw alias the matrices' backing words: every row is one machine
+	// word (topology.New refuses w > 64), so uw[h][idx] IS Ulink(h, idx),
+	// and the word API (AvailBothWord, AllocateBoth, LevelWords) and the
+	// Vector API mutate the same storage and can never diverge. fuw/fdw
+	// alias failedU/failedD the same way, once those exist.
 	uw, dw   [][]uint64
 	fuw, fdw [][]uint64
 
@@ -142,28 +142,20 @@ func New(tree *topology.Tree) *State {
 		s.ulink[h] = bitvec.NewMatrix(rows, tree.Parents())
 		s.dlink[h] = bitvec.NewMatrix(rows, tree.Parents())
 	}
-	if tree.Parents() <= 64 && tree.LinkLevels() > 0 {
-		s.uw = make([][]uint64, tree.LinkLevels())
-		s.dw = make([][]uint64, tree.LinkLevels())
-		for h := range s.ulink {
-			s.uw[h] = s.ulink[h].Words()
-			s.dw[h] = s.dlink[h].Words()
-		}
+	s.uw = make([][]uint64, tree.LinkLevels())
+	s.dw = make([][]uint64, tree.LinkLevels())
+	for h := range s.ulink {
+		s.uw[h] = s.ulink[h].Words()
+		s.dw[h] = s.dlink[h].Words()
 	}
 	s.Reset()
 	return s
 }
 
-// WordRows reports whether every availability row fits a single machine
-// word (w <= 64), enabling the word fast path below.
-func (s *State) WordRows() bool { return s.uw != nil }
-
-// AvailBothWord is the word-form of AvailBothInto for WordRows states:
-// it returns Ulink(h,src) AND Dlink(h,mir) as one uint64. Bit order is
-// identical to the Vector form, so FirstFit (lowest set bit) picks the
-// same port either way — the golden tests pin the two paths
-// bit-identical. The fault mask is pre-folded into the availability
-// bits exactly as for AvailBothInto.
+// AvailBothWord is the word form of AvailBothInto: it returns
+// Ulink(h,src) AND Dlink(h,mir) as one uint64, port p at bit p, the bit
+// order of the Vector form. The fault mask is pre-folded into the
+// availability bits exactly as for AvailBothInto.
 func (s *State) AvailBothWord(h, src, mir int) uint64 {
 	return s.uw[h][src] & s.dw[h][mir]
 }
@@ -182,12 +174,12 @@ func (s *State) AllocateBoth(h, sigma, delta, port int) {
 	}
 }
 
-// LevelWords returns link level h's Ulink and Dlink rows as words
-// (WordRows states only): u[idx] IS Ulink(h, idx) and d[idx] IS
-// Dlink(h, idx), the storage AvailBothWord reads. A sweep that visits many
-// switches of one level fetches the two slices once, ANDs rows itself and
-// claims ports with AllocateWords; on a LoadTracking state it owes one
-// NoteAllocBoth per claim and one MoveOccupancy for the pass.
+// LevelWords returns link level h's Ulink and Dlink rows as words: u[idx]
+// IS Ulink(h, idx) and d[idx] IS Dlink(h, idx), the storage AvailBothWord
+// reads. A sweep that visits many switches of one level fetches the two
+// slices once, ANDs rows itself and claims ports with AllocateWords; on a
+// LoadTracking state it owes one NoteAllocBoth per claim and one
+// MoveOccupancy for the pass.
 func (s *State) LevelWords(h int) (u, d []uint64) { return s.uw[h], s.dw[h] }
 
 // AllocateWords is the allocation half of AllocateBoth on rows taken
@@ -373,10 +365,8 @@ func (s *State) FailLink(d Direction, h, idx, port int) bool {
 		for lvl := range s.ulink {
 			s.failedU[lvl] = bitvec.NewMatrix(s.ulink[lvl].Rows(), s.ulink[lvl].Width())
 			s.failedD[lvl] = bitvec.NewMatrix(s.dlink[lvl].Rows(), s.dlink[lvl].Width())
-			if s.uw != nil {
-				s.fuw = append(s.fuw, s.failedU[lvl].Words())
-				s.fdw = append(s.fdw, s.failedD[lvl].Words())
-			}
+			s.fuw = append(s.fuw, s.failedU[lvl].Words())
+			s.fdw = append(s.fdw, s.failedD[lvl].Words())
 		}
 	}
 	mask, avail := s.failedU[h].Row(idx), s.ulink[h].Row(idx)
@@ -444,33 +434,15 @@ func (s *State) BlockedByMask(src, dst int) bool {
 	}
 	var cur topology.RouteCursor
 	cur.Start(s.tree, src, dst)
+	ports := uint64(1)<<uint(s.tree.Parents()) - 1 // w = 64 wraps to all ones
 	for h, top := 0, s.tree.AncestorLevel(src, dst); h < top; h++ {
-		p, ok := firstUnmasked(s.failedU[h], cur.Sigma(), s.failedD[h], cur.Delta())
-		if !ok {
+		free := ^(s.fuw[h][cur.Sigma()] | s.fdw[h][cur.Delta()]) & ports
+		if free == 0 {
 			return true
 		}
-		cur.Advance(p)
+		cur.Advance(bits.TrailingZeros64(free))
 	}
 	return false
-}
-
-// firstUnmasked returns the lowest port whose upward channel at row sigma
-// of fu and downward channel at row delta of fd are both out of the mask.
-// One loop for single-word and multi-word rows: it runs on denials only.
-func firstUnmasked(fu *bitvec.Matrix, sigma int, fd *bitvec.Matrix, delta int) (int, bool) {
-	wpr, w := fu.WordsPerRow(), fu.Width()
-	u := fu.Words()[sigma*wpr : (sigma+1)*wpr]
-	d := fd.Words()[delta*wpr : (delta+1)*wpr]
-	for i := range u {
-		free := ^(u[i] | d[i])
-		if rest := w - 64*i; rest < 64 {
-			free &= 1<<uint(rest) - 1
-		}
-		if free != 0 {
-			return 64*i + bits.TrailingZeros64(free), true
-		}
-	}
-	return 0, false
 }
 
 // ULink returns the upward availability vector of the level-h switch idx.
@@ -508,13 +480,12 @@ func (s *State) AvailBoth(h, src, dst int) bitvec.Vector {
 	return s.scratch
 }
 
-// AvailBothAtomicInto is AvailBothInto with atomic word loads of the two
-// operand rows, for lock-free workers racing TryAllocate/AtomicRelease
-// calls. dst is caller-owned scratch; the availability view it receives
+// AvailBothAtomicWord is AvailBothWord with atomic loads of the two rows,
+// for lock-free workers racing TryAllocate/AtomicRelease calls. The view
 // may be stale by the time the worker acts on it, which is safe because
 // TryAllocate re-checks under CAS.
-func (s *State) AvailBothAtomicInto(dst bitvec.Vector, h, src, mir int) {
-	dst.AndAtomic(s.ulink[h].Row(src), s.dlink[h].Row(mir))
+func (s *State) AvailBothAtomicWord(h, src, mir int) uint64 {
+	return atomic.LoadUint64(&s.uw[h][src]) & atomic.LoadUint64(&s.dw[h][mir])
 }
 
 // Available reports whether the given channel is free.
@@ -550,7 +521,7 @@ func (s *State) Allocate(d Direction, h, idx, port int) error {
 
 // TryAllocate atomically claims the channel with a CAS loop, returning
 // whether this call claimed it. Unlike Allocate it is safe to race
-// against other TryAllocate/AtomicRelease/AvailBothAtomicInto calls on
+// against other TryAllocate/AtomicRelease/AvailBothAtomicWord calls on
 // the same State: of N concurrent claimants of one channel exactly one
 // wins. It must not race plain Allocate/Release/AvailBoth calls.
 func (s *State) TryAllocate(d Direction, h, idx, port int) bool {
@@ -749,27 +720,14 @@ func (s *State) ReleasePath(src, dst int, ports []int) error {
 // releases what it can and returns the first error: a channel that was not
 // occupied, or one that is failed, which no release resurrects.
 //
-// On a WordRows state it is the release counterpart of AllocateWords: a
-// cursor walk that tests and sets the port's bit in the two rows of each
-// level, and on a LoadTracking state moves the gauge once for the route.
-// While any channel is failed the walk is releaseHeldFaulted's, which
-// holds each bit against the failed rows too. Anywhere else it walks the
-// Vector API.
+// It is the release counterpart of AllocateWords: a cursor walk that tests
+// and sets the port's bit in the two rows of each level, and on a
+// LoadTracking state moves the gauge once for the route. While any channel
+// is failed the walk is releaseHeldFaulted's, which holds each bit against
+// the failed rows too.
 func (s *State) ReleaseHeld(src, dst int, ports []int) error {
 	var cur topology.RouteCursor
 	cur.Start(s.tree, src, dst)
-	if s.uw == nil {
-		var firstErr error
-		cur.Walk(ports, func(lvl, sigma, delta, p int) {
-			if err := s.Release(Up, lvl, sigma, p); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := s.Release(Down, lvl, delta, p); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-		return firstErr
-	}
 	if s.nfailed.Load() > 0 {
 		return s.releaseHeldFaulted(&cur, ports)
 	}

@@ -88,9 +88,6 @@ func TestLoadCountersTrackAllocateRelease(t *testing.T) {
 // scheduler hot loop uses.
 func TestLoadCountersWordPath(t *testing.T) {
 	s := New(topology.MustNew(2, 4, 4))
-	if !s.WordRows() {
-		t.Fatal("w=4 should take word rows")
-	}
 	s.TrackLoad()
 	s.AllocateBoth(0, 0, 2, 1)
 	if got := s.LiveOccupancy(); got != 2 {

@@ -15,7 +15,7 @@ import (
 
 // TestBlockedByMaskMatchesLevelWise holds BlockedByMask to its definition
 // for every pair of FT(2,4,4), FT(3,2,2), an m ≠ w tree FT(3,6,3) and a
-// multi-word-row tree FT(2,2,70), over seeded fault sets from sparse to
+// full-word-row tree FT(2,2,64), over seeded fault sets from sparse to
 // dense: a fresh State with the same mask applied, scheduled by
 // core.LevelWise first-fit, denies the pair exactly when BlockedByMask
 // says so. The state asked carries random held circuits as well, which
@@ -23,7 +23,7 @@ import (
 func TestBlockedByMaskMatchesLevelWise(t *testing.T) {
 	trees := []*topology.Tree{
 		topology.MustNew(2, 4, 4), topology.MustNew(3, 2, 2),
-		topology.MustNew(3, 6, 3), topology.MustNew(2, 2, 70),
+		topology.MustNew(3, 6, 3), topology.MustNew(2, 2, 64),
 	}
 	lw := core.NewLevelWise()
 	sc := core.NewScratch()

@@ -109,7 +109,7 @@ func sameVerdict(t *testing.T, label string, word, ref *State, r heldRoute, got,
 
 // TestReleasePathWordFormMatchesChannelWalk holds ReleasePath's word form
 // to the per-channel walk over the tree forms the word kernel's own oracle
-// covers (core's wordVsVector), tracked and untracked: plain releases, a
+// covers (core's wordVsRef), tracked and untracked: plain releases, a
 // second release of the same route, a route with one channel already free
 // (an error, and every other channel still returned), a wrong port count,
 // and then the same word form on a state with failed channels in both
@@ -133,9 +133,6 @@ func TestReleasePathWordFormMatchesChannelWalk(t *testing.T) {
 		for _, tracked := range []bool{false, true} {
 			label := fmt.Sprintf("FT(%d,%d,%d) arith=%v tracked=%v", sh.l, sh.m, sh.w, sh.arith, tracked)
 			word, ref := New(tree), New(tree)
-			if !word.WordRows() {
-				t.Fatalf("%s: expected single-word rows", label)
-			}
 			if tracked {
 				word.TrackLoad()
 				ref.TrackLoad()

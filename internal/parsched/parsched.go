@@ -38,9 +38,9 @@
 //     sequential scheduler: shard-confined requests are arbitrated
 //     before root-crossing ones.
 //
-// Options the parallel sweeps cannot honor (Trace hooks, non-first-fit
-// policies in Deterministic and Shard modes, LeastLoaded in Racy mode,
-// request-major traversal) make Schedule fall back to the sequential
+// Options the parallel sweeps cannot honor (non-first-fit policies in
+// Deterministic and Shard modes, LeastLoaded in Racy mode, the reuse-cost
+// score, request-major traversal) make Schedule fall back to the sequential
 // scheduler with the same options, so the engine is always safe to
 // install. So do degenerate batches: fewer than two requests, fewer
 // requests than would keep two workers busy, and (for Shard mode) trees
@@ -49,11 +49,11 @@ package parsched
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
 
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
@@ -159,7 +159,7 @@ func (e *Engine) Mode() Mode { return e.mode }
 // parallelizable reports whether the configured options can be honored by
 // the parallel sweeps (otherwise Schedule runs the sequential scheduler).
 func (e *Engine) parallelizable() bool {
-	if e.opts.Trace != nil || e.opts.Traversal != core.LevelMajor {
+	if e.opts.Traversal != core.LevelMajor {
 		return false
 	}
 	if e.opts.ReuseCost > 0 {
@@ -284,36 +284,35 @@ func (e *Engine) scheduleDeterministic(st *linkstate.State, reqs []core.Request,
 // batch) and by scheduleShard (over the root-crossing remainder after
 // the shard phase).
 type twoPhase struct {
-	e           *Engine
-	st          *linkstate.State
-	outs        []core.Outcome
-	curs        []topology.RouteCursor
-	alive       []bool
-	proposal    []int
-	scratch     []bitvec.Vector
-	commitAvail bitvec.Vector
-	active      []int
-	workers     int
+	e        *Engine
+	st       *linkstate.State
+	outs     []core.Outcome
+	curs     []topology.RouteCursor
+	alive    []bool
+	proposal []int
+	active   []int
+	workers  int
 }
 
 func newTwoPhase(e *Engine, st *linkstate.State, outs []core.Outcome, curs []topology.RouteCursor, alive []bool, workers int) *twoPhase {
-	w := st.Tree().Parents()
-	tp := &twoPhase{
-		e:           e,
-		st:          st,
-		outs:        outs,
-		curs:        curs,
-		alive:       alive,
-		proposal:    make([]int, len(outs)),
-		scratch:     make([]bitvec.Vector, workers),
-		commitAvail: bitvec.New(w),
-		active:      make([]int, 0, len(outs)),
-		workers:     workers,
+	return &twoPhase{
+		e:        e,
+		st:       st,
+		outs:     outs,
+		curs:     curs,
+		alive:    alive,
+		proposal: make([]int, len(outs)),
+		active:   make([]int, 0, len(outs)),
+		workers:  workers,
 	}
-	for wk := range tp.scratch {
-		tp.scratch[wk] = bitvec.New(w)
+}
+
+// firstFit is the lowest port free in avail, or -1.
+func firstFit(avail uint64) int {
+	if avail == 0 {
+		return -1
 	}
-	return tp
+	return bits.TrailingZeros64(avail)
 }
 
 // run sweeps levels 0..maxH-1 over the requests listed in order (a
@@ -344,17 +343,12 @@ func (tp *twoPhase) run(order []int, maxH int, ops *core.Counters) {
 			}
 			hi := min(lo+chunk, len(active))
 			wg.Add(1)
-			go func(avail bitvec.Vector, part []int) {
+			go func(part []int) {
 				defer wg.Done()
 				for _, i := range part {
-					st.AvailBothInto(avail, h, curs[i].Sigma(), curs[i].Delta())
-					if p, ok := avail.FirstSet(); ok {
-						tp.proposal[i] = p
-					} else {
-						tp.proposal[i] = -1
-					}
+					tp.proposal[i] = firstFit(st.AvailBothWord(h, curs[i].Sigma(), curs[i].Delta()))
 				}
-			}(tp.scratch[wk], active[lo:hi])
+			}(active[lo:hi])
 		}
 		wg.Wait()
 		ops.VectorReads += 2 * len(active)
@@ -366,19 +360,14 @@ func (tp *twoPhase) run(order []int, maxH int, ops *core.Counters) {
 			o := &outs[i]
 			ops.Steps++
 			p := tp.proposal[i]
-			if p >= 0 && !(st.ULink(h, curs[i].Sigma()).Get(p) && st.DLink(h, curs[i].Delta()).Get(p)) {
+			if avail := st.AvailBothWord(h, curs[i].Sigma(), curs[i].Delta()); p >= 0 && avail>>uint(p)&1 == 0 {
 				// An earlier commit took the proposed port: re-arbitrate
 				// against the committed state, exactly as the sequential
 				// scheduler would at this request's turn.
-				st.AvailBothInto(tp.commitAvail, h, curs[i].Sigma(), curs[i].Delta())
 				ops.VectorReads += 2
 				ops.VectorANDs++
 				ops.PortPicks++
-				if np, ok := tp.commitAvail.FirstSet(); ok {
-					p = np
-				} else {
-					p = -1
-				}
+				p = firstFit(avail)
 			}
 			if p < 0 {
 				alive[i] = false
@@ -403,8 +392,7 @@ func (tp *twoPhase) run(order []int, maxH int, ops *core.Counters) {
 
 // scheduleRacy fans the batch out to workers that claim channels with
 // lock-free CAS. Each worker owns a contiguous chunk of the processing
-// order, a scratch availability vector, a tried-ports mask, a ports
-// arena, and (for RandomFit) its own RNG.
+// order, a ports arena, and (for RandomFit) its own RNG.
 func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers int) *core.Result {
 	tree := st.Tree()
 	rng := e.opts.Rand
@@ -433,9 +421,6 @@ func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers 
 			if e.opts.Policy == core.RandomFit {
 				wrng = rand.New(rand.NewSource(seedBase + int64(wk)))
 			}
-			w := tree.Parents()
-			avail := bitvec.NewMatrix(1, w)
-			tried := bitvec.New(w)
 			// Per-worker ports arena: one carve per outcome, so routing
 			// appends never allocate.
 			totalH := 0
@@ -448,7 +433,7 @@ func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers 
 				h := outs[i].H
 				outs[i].Ports = arena[off : off : off+h]
 				off += h
-				e.routeRacy(st, tree, &outs[i], avail, tried, core.Scorer{Policy: e.opts.Policy, Rand: wrng}, &workerOps[wk])
+				e.routeRacy(st, tree, &outs[i], core.Scorer{Policy: e.opts.Policy, Rand: wrng}, &workerOps[wk])
 			}
 		}(wk, order[lo:hi])
 	}
@@ -461,27 +446,25 @@ func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers 
 }
 
 // routeRacy routes one request request-major with CAS claiming, picking
-// each port with k from avail's one row. The tried mask guarantees
-// termination: a port that lost its CAS (or whose forced downward channel
-// lost) is excluded from later retries at that level, so each level
-// performs at most w claim attempts.
-func (e *Engine) routeRacy(st *linkstate.State, tree *topology.Tree, o *core.Outcome, avail *bitvec.Matrix, tried bitvec.Vector, k core.Scorer, ops *core.Counters) {
+// each port with k from an atomic snapshot of the AND-ed word. The tried
+// mask guarantees termination: a port that lost its CAS (or whose forced
+// downward channel lost) is excluded from later retries at that level, so
+// each level performs at most w claim attempts.
+func (e *Engine) routeRacy(st *linkstate.State, tree *topology.Tree, o *core.Outcome, k core.Scorer, ops *core.Counters) {
 	if o.H == 0 {
 		o.Granted = true
 		return
 	}
-	row := avail.Row(0)
 	var cur topology.RouteCursor
 	cur.Start(tree, o.Src, o.Dst)
 	for h := 0; h < o.H; h++ {
-		tried.ClearAll()
+		var tried uint64
 		ops.Steps++
 		for {
-			st.AvailBothAtomicInto(row, h, cur.Sigma(), cur.Delta())
-			row.AndNot(row, tried)
+			avail := st.AvailBothAtomicWord(h, cur.Sigma(), cur.Delta()) &^ tried
 			ops.VectorReads += 2
 			ops.VectorANDs++
-			p := k.Pick(st, h, cur.Sigma(), cur.Delta(), avail.Words())
+			p := k.Pick(st, h, cur.Sigma(), cur.Delta(), avail)
 			if p < 0 {
 				o.FailLevel = h
 				if e.opts.Rollback {
@@ -491,12 +474,12 @@ func (e *Engine) routeRacy(st *linkstate.State, tree *topology.Tree, o *core.Out
 			}
 			ops.PortPicks++
 			if !st.TryAllocate(linkstate.Up, h, cur.Sigma(), p) {
-				tried.Set(p)
+				tried |= 1 << uint(p)
 				continue
 			}
 			if !st.TryAllocate(linkstate.Down, h, cur.Delta(), p) {
 				st.AtomicRelease(linkstate.Up, h, cur.Sigma(), p)
-				tried.Set(p)
+				tried |= 1 << uint(p)
 				continue
 			}
 			ops.Allocs += 2

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
@@ -160,20 +159,14 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			avail := bitvec.New(tree.Parents())
 			run := func(t *shardTask) {
 				if !t.claimed.CompareAndSwap(false, true) {
 					return
 				}
 				// The same sweep core.LevelWise performs, on rows only this
 				// goroutine touches, so every operation is a plain load or
-				// store: core's word kernel on single-word rows, the Vector
-				// form below on wider ones.
-				if st.WordRows() {
-					core.SweepWords(st, reqs, outs, arena, t.work, core.Scorer{}, e.opts.Rollback, &workerOps[wk])
-				} else {
-					e.runShardVector(st, outs, t.work, curs, alive, avail, &workerOps[wk])
-				}
+				// store.
+				core.SweepWords(st, reqs, outs, arena, t.work, core.Scorer{}, e.opts.Rollback, &workerOps[wk])
 			}
 			for _, t := range queues[wk] {
 				run(t)
@@ -209,50 +202,4 @@ func (e *Engine) scheduleShard(st *linkstate.State, reqs []core.Request, workers
 		tp.run(cross, maxH, &ops)
 	}
 	return e.finish(outs, ops)
-}
-
-// runShardVector schedules one subtree's requests level-major with
-// first-fit arbitration on rows wider than a word.
-func (e *Engine) runShardVector(st *linkstate.State, outs []core.Outcome, work []core.SweepPos, curs []topology.RouteCursor, alive []bool, avail bitvec.Vector, ops *core.Counters) {
-	maxH := 0
-	for _, pos := range work {
-		alive[pos.I] = true
-		if h := int(pos.H); h > maxH {
-			maxH = h
-		}
-	}
-	for h := 0; h < maxH; h++ {
-		for _, pos := range work {
-			i := pos.I
-			if !alive[i] || h >= outs[i].H {
-				continue
-			}
-			o := &outs[i]
-			ops.VectorReads += 2
-			ops.VectorANDs++
-			ops.Steps++
-			ops.PortPicks++
-			st.AvailBothInto(avail, h, curs[i].Sigma(), curs[i].Delta())
-			p, ok := avail.FirstSet()
-			if !ok {
-				alive[i] = false
-				o.FailLevel = h
-				if e.opts.Rollback {
-					// Plain releases: the partial path lies inside this
-					// shard's rows.
-					rollback(st, o, ops)
-				}
-				continue
-			}
-			mustAllocate(st, linkstate.Up, h, curs[i].Sigma(), p)
-			mustAllocate(st, linkstate.Down, h, curs[i].Delta(), p)
-			ops.Allocs += 2
-			o.Ports = append(o.Ports, p)
-			curs[i].Advance(p)
-			if len(o.Ports) == o.H {
-				o.Granted = true
-				alive[i] = false
-			}
-		}
-	}
 }

@@ -12,6 +12,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -68,13 +69,22 @@ type Tree struct {
 	arith bool
 }
 
-// New constructs FT(l, m, w). It returns an error for invalid parameters
-// or if the network would exceed maxNodes (a guard against accidentally
-// huge allocations).
+// ErrWideSwitch is New's refusal of a switch with more than 64 parents
+// (w > 64). Every Ulink and Dlink row of a tree New builds is one machine
+// word, which the schedulers' word kernel takes as given; w = m = 64, a
+// radix-128 switch, is the widest tree.
+var ErrWideSwitch = errors.New("topology: wide switch: more than 64 parents (w > 64)")
+
+// New constructs FT(l, m, w). It returns an error for invalid parameters,
+// ErrWideSwitch (wrapped) for w > 64, or an error if the network would
+// exceed maxNodes (a guard against accidentally huge allocations).
 func New(l, m, w int) (*Tree, error) {
 	spec := digits.Spec{L: l, M: m, W: w}
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if w > 64 {
+		return nil, fmt.Errorf("%w: FT(%d,%d,%d)", ErrWideSwitch, l, m, w)
 	}
 	const maxNodes = 1 << 24
 	if n := spec.Nodes(); n > maxNodes {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -18,6 +19,21 @@ func TestNewRejectsBadParams(t *testing.T) {
 	}
 	if _, err := New(30, 2, 2); err == nil {
 		t.Error("New(30,2,2) should exceed the node limit")
+	}
+}
+
+// TestNewRefusesWideSwitch: w > 64 is refused with ErrWideSwitch, naming
+// the shape, and w = 64 — one full machine word per row — builds.
+func TestNewRefusesWideSwitch(t *testing.T) {
+	for _, w := range []int{65, 80, 128} {
+		_, err := New(2, 4, w)
+		if !errors.Is(err, ErrWideSwitch) || !strings.Contains(err.Error(), fmt.Sprintf("FT(2,4,%d)", w)) {
+			t.Errorf("New(2, 4, %d) = %v, want ErrWideSwitch naming the shape", w, err)
+		}
+	}
+	tree, err := New(2, 4, 64)
+	if err != nil || tree.Parents() != 64 {
+		t.Fatalf("New(2, 4, 64) = %v, %v", tree, err)
 	}
 }
 

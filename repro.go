@@ -58,7 +58,7 @@ func NewLevelWise() Scheduler { return sched.MustParse("level-wise") }
 
 // NewLevelWiseWith returns a Level-wise scheduler with custom options
 // (for Options values specs cannot express, such as a caller-owned
-// random source or a trace hook).
+// random source).
 func NewLevelWiseWith(opts Options) Scheduler { return sched.Wrap(&core.LevelWise{Opts: opts}) }
 
 // NewLocalRandom returns the conventional adaptive baseline: upward ports

@@ -69,7 +69,7 @@ gotest -race -count=2 -run 'HighWorker' ./internal/parsched
 # starting only where the pipeline engages; the caller/helper hand-off is
 # only proven under -race, and -count=2 shakes out interleavings a single
 # run can miss.
-gotest -race -count=2 -run 'TestWordFastPathMatchesVectorPath|TestLevelPipeline' ./internal/core
+gotest -race -count=2 -run 'TestWordKernelMatchesReference|TestLevelPipeline' ./internal/core
 
 # Bench smoke: compile and run every benchmark for exactly one iteration
 # so bit-rot in the bench harnesses (including the parallel-engine and
@@ -101,20 +101,31 @@ gen() {
 	go run ./cmd/fttopo gen -planes 4 -levels 3 -children 4 -parents 4 -policy least-loaded -flap-threshold 3
 }
 gen | go run ./cmd/ftserve -config - -validate
-# A retired knob is refused by name, never silently dropped: a router
-# key and a plane key. refuse KEY SED-EXPR injects KEY into gen's output.
+# refuse WHAT WANT CMD... runs CMD, which must fail and name what it
+# refused: WANT must appear in its output.
 refuse() {
-	if refused=$(gen | sed "$2" | go run ./cmd/ftserve -config - -validate 2>&1); then
-		echo "ftserve accepted the retired $1 key" >&2
+	local what=$1 want=$2 out
+	shift 2
+	if out=$("$@" 2>&1); then
+		echo "accepted $what" >&2
 		exit 1
 	fi
-	case $refused in
-	*"unknown field \"$1\""*) ;;
-	*) echo "ftserve refused the retired $1 key without naming it: $refused" >&2; exit 1 ;;
+	case $out in
+	*"$want"*) ;;
+	*) echo "refused $what without naming it: $out" >&2; exit 1 ;;
 	esac
 }
-refuse open_below 's/"policy"/"open_below": 0.15, "policy"/'
-refuse weight 's/"levels"/"weight": 2, "levels"/'
+# validate SED-EXPR loads gen's output, edited by SED-EXPR, in ftserve.
+validate() {
+	gen | sed "$1" | go run ./cmd/ftserve -config - -validate
+}
+# A retired knob is refused by name, never silently dropped: a router key
+# and a plane key.
+refuse "the retired open_below key" 'unknown field "open_below"' validate 's/"policy"/"open_below": 0.15, "policy"/'
+refuse "the retired weight key" 'unknown field "weight"' validate 's/"levels"/"weight": 2, "levels"/'
+# A switch wider than a machine word is refused by name: every Ulink and
+# Dlink row is one word (topology.ErrWideSwitch).
+refuse "a switch with 65 parents" "wide switch: more than 64 parents" go run ./cmd/ftsched -levels 2 -children 4 -parents 65
 # One road: a shape or queue flag next to -config is refused, not dropped.
 if gen | go run ./cmd/ftserve -config - -batch 1 -validate 2>/dev/null; then
 	echo "ftserve accepted -batch next to -config" >&2
@@ -125,10 +136,12 @@ fi
 # allocations per request — including the delta path and the
 # level pipeline, which the same test pins; -count=2 re-runs it against
 # warm scratch state, which is where a regression would hide. The word
-# kernel's differential oracle (word path vs Vector path over every
-# option, tree form and starting state) and the concurrent-callers test
-# of the level pipeline ride along, run twice for the same reason.
-gotest -run 'TestScheduleIntoZeroAllocs|TestWordFastPathMatchesVectorPath|TestLevelPipelineConcurrentCallers' -count=2 ./internal/core
+# kernel's differential oracle (the kernel, the pipeline and both
+# traversals against the []bool reference Level-wise of
+# internal/core/coretest, over every option, tree form and starting state)
+# and the concurrent-callers test of the level pipeline ride along, run
+# twice for the same reason.
+gotest -run 'TestScheduleIntoZeroAllocs|TestWordKernelMatchesReference|TestLevelPipelineConcurrentCallers' -count=2 ./internal/core
 
 # Load-counter contracts: the word-form release walk against the
 # per-channel walk it replaced (every tree form, tracked and untracked,
@@ -249,13 +262,29 @@ gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$' ./internal/fabric
 # nothing else in the repository reports a rate or a latency.
 (cd bench && go test ./...)
 
-# Pairs-tool self-test: HEAD against itself on two one-second pairs of one
-# workload runs both worktree builds, the alternation, -check and the
-# wins table; the same commit on both sides must read as no BREACH, and
-# the table must count both pairs.
+# Pairs-tool analysis: scripts/testdata/pairs holds three alternating
+# pairs of fabric_churn runs recorded from one commit on both sides. Their
+# analysis (medians, spreads, verdicts, wins, gaps, ratios) must match the
+# recorded report byte for byte and, one commit against itself, read no
+# BREACH. The assertion lives here, on recorded runs, because it is about
+# the tool: live one-second runs spread 25-140 % on a shared host, so a
+# live BREACH would be about the host.
+report=$(bash scripts/pairs-report.sh fabric_churn scripts/testdata/pairs/parent.jsonl scripts/testdata/pairs/change.jsonl)
+if [ "$report" != "$(cat scripts/testdata/pairs/report.txt)" ]; then
+	diff <(echo "$report") scripts/testdata/pairs/report.txt >&2 || true
+	echo "scripts/pairs-report.sh: the recorded runs no longer give the recorded report" >&2
+	exit 1
+fi
+if grep -q BREACH <<<"$report"; then
+	echo "scripts/pairs-report.sh: one commit against itself reported a BREACH" >&2
+	exit 1
+fi
+# Pairs-tool live smoke: HEAD against itself on two one-second pairs of one
+# workload runs both worktree builds and the alternation; the table must
+# count both pairs. Its verdicts are the host's, so they are not asserted.
 pairs=$(bash scripts/pairs.sh HEAD HEAD --workload fabric_churn --pairs 2 --seconds 1)
 echo "$pairs"
-if grep -q BREACH <<<"$pairs" || ! grep -qE '^req_per_s +[0-2]/2 ' <<<"$pairs"; then
-	echo "scripts/pairs.sh: HEAD against itself reported a BREACH or no wins table" >&2
+if ! grep -qE '^req_per_s +[0-2]/2 ' <<<"$pairs"; then
+	echo "scripts/pairs.sh: HEAD against itself printed no wins table for both pairs" >&2
 	exit 1
 fi
