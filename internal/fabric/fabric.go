@@ -32,29 +32,31 @@
 // on it is a closer. What an epoch does under it is link-state mutation
 // and registry bookkeeping and nothing else: it allocates nothing for a
 // grant, publishes no pointer, and records its statistics once. qmu owns
-// the admission queue and who runs it next; no epoch holds it while
-// scheduling. The only nesting is mu before qmu. The other client paths
-// take neither: Release parks the handle in a lock-free MPSC ring that
-// the next epoch empties in one pass before it schedules, and
-// Handle.Ports is one atomic load of an immutable route.
+// the admission queue, its plain counts (the client tickets it holds
+// against QueueLimit, offered, overflow, drain refusals) and who runs it
+// next; no epoch holds it while scheduling. The only nesting is mu before
+// qmu. The other client paths take neither: Release parks the handle in a
+// lock-free MPSC ring that the next epoch empties in one pass before it
+// schedules, and Handle.Ports is one atomic load of an immutable route.
 //
 // A Handle is allocated by the Connect that will own it, before it
 // queues: the pooled ticket carries a spare Handle (armTicket). The
 // granting epoch fills in the endpoints, the registry slot and the route
-// embedded in the Handle under mu and hands the Handle over through the
-// ticket's channel; a denial leaves the spare on the ticket for its next
-// use. The route pointer stays nil — which means "the embedded route" —
-// until a fault revokes the connection; from then on only the repair loop
-// stores it, a fresh snapshot each time, under mu.
+// embedded in the Handle under mu, stores the Handle on the ticket as its
+// verdict and, after unlocking, sends it through the ticket's channel; a
+// denial leaves the spare on the ticket for its next use. The route
+// pointer stays nil — which means "the embedded route" — until a fault
+// revokes the connection; from then on only the repair loop stores it, a
+// fresh snapshot each time, under mu.
 //
 // Robustness: the admission queue is bounded (Config.QueueLimit) and
-// exerts backpressure by blocking Connect until a slot frees; a queued
-// request leaves cleanly when its context is cancelled or the configured
-// admission timeout expires; Close stops intake and drains the queue
-// through a final epoch on the calling goroutine.
+// exerts backpressure by blocking Connect until the next epoch takes the
+// queue; a queued request leaves cleanly when its context is cancelled or
+// the configured admission timeout expires; Close stops intake and drains
+// the queue through a final epoch on the calling goroutine.
 //
-// Observability: atomic counters (offered / granted / rejected /
-// cancelled / released / overflow), epoch-size and epoch-latency
+// Observability: counters (offered and overflow under qmu; granted,
+// rejected, cancelled and released atomic), epoch-size and epoch-latency
 // distributions built on internal/stats, and a live utilization
 // snapshot, all through Stats. The optional Config.Trace hook observes
 // every state mutation in serialization order.
@@ -170,7 +172,8 @@ type Config struct {
 	// BatchSize if smaller so one full epoch always fits.
 	QueueLimit int
 	// AdmitTimeout, when positive, caps the total time a Connect call may
-	// spend waiting — for a queue slot and then for its epoch's verdict.
+	// spend waiting — for room in the queue and then for its epoch's
+	// verdict.
 	// Zero means wait indefinitely (until ctx cancels).
 	AdmitTimeout time.Duration
 	// Trace, when non-nil, receives one Event per link-state mutation
@@ -265,7 +268,7 @@ const (
 
 // ticket is one queued Connect call — or, when h is non-nil, one repair
 // attempt for a revoked connection. Repair tickets ride the same epoch
-// queue but hold no queue slot (they never displace client admissions),
+// queue but hold no queue place (they never displace client admissions),
 // have no resp channel (nobody is blocked on them; the verdict mutates
 // the handle), and are claimed by handle state rather than the CAS
 // (Release of a repairing handle is their cancellation path).
@@ -273,42 +276,32 @@ type ticket struct {
 	// What an epoch reads and writes under the scheduling lock comes first
 	// and together: its clients fill a ticket on another CPU, so every
 	// cache line of it the epoch touches is a miss paid under that lock.
-	req   core.Request
-	state atomic.Int32
-	h     *Handle // repair tickets only
+	req          core.Request
+	state        atomic.Int32
+	faultBlocked bool    // verdict: a denial's cause
+	h            *Handle // repair tickets only
 	// spare is the Handle a grant of this ticket becomes, allocated by the
 	// Connect that armed the ticket (armTicket) so that the epoch, under
 	// the scheduling lock, only fills it in. A grant consumes it; a denial
 	// leaves it for the ticket's next use. Client tickets only.
 	spare *Handle
-	resp  chan result // buffered(1): the epoch's send never blocks
-	enq   time.Time
+	// The verdict an epoch stores under the scheduling lock and deliver
+	// sends after it, so channel sends (and the goroutine wakeups they
+	// trigger) never extend the critical section: the granted Handle, or
+	// the level a denial failed at and its cause (faultBlocked) — the
+	// denial's error is made by deliver, outside the lock. next links the
+	// epoch's claimed client tickets, in batch order, into the list
+	// deliver walks.
+	next      *ticket
+	grant     *Handle
+	failLevel int
+	resp      chan result // buffered(1): the epoch's send never blocks
+	enq       time.Time
 }
 
 type result struct {
 	h   *Handle
 	err error
-}
-
-// delivery is one verdict staged under the manager lock and sent to its
-// waiting Connect call after the lock is dropped, so channel sends (and
-// the goroutine wakeups they trigger) never extend the critical section.
-// A grant stages its handle; a denial stages only the level it failed at
-// and its cause, and its error is made by deliver, outside the lock.
-type delivery struct {
-	t            *ticket
-	h            *Handle
-	failLevel    int
-	faultBlocked bool
-}
-
-// delbatch carries one epoch's staged verdicts out of the lock; the
-// goroutine that ran the epoch delivers them after unlocking. Batches
-// come from Manager.delPool and return there once delivered, so the next
-// epoch (run by another goroutine) can stage while this one is still
-// being delivered.
-type delbatch struct {
-	d []delivery
 }
 
 // Handle lifecycle states. A handle is born active; a fault crossing
@@ -443,30 +436,15 @@ type Manager struct {
 	scratch   *core.Scratch
 	reuseCost int
 
-	// freeSlots is the queue-slot semaphore (backpressure), kept as an
-	// atomic so the uncontended Connect fast path is one CAS instead of a
-	// channel round-trip. slotsCh is the coalescing wakeup for Connect
-	// calls blocked on a full queue: releaseSlots posts one token after
-	// adding slots, and a woken waiter re-signals while spare slots
-	// remain (the cascade), so one channel op wakes any number of
-	// waiters without a per-slot send.
-	freeSlots atomic.Int64
-	slotsCh   chan struct{} // cap 1, coalescing
-	closing   chan struct{} // closed by Close: wakes backpressured Connects
-	closeMu   sync.Once
-
 	// ticketPool recycles tickets (and their buffered resp channels)
 	// across Connect calls. Only a ticket whose verdict was received is
-	// recycled — the receive happens-after the epoch's send, and the
-	// epoch drops its references when it stages the send — so a pooled
+	// recycled — the receive happens-after the epoch's send, and deliver
+	// clears the ticket's link and verdict before that send — so a pooled
 	// ticket is never still referenced by an epoch. Cancelled tickets
 	// whose CAS beat the epoch are never pooled (the epoch may still
 	// hold them in a drained batch); they retire to the garbage
 	// collector.
 	ticketPool sync.Pool
-
-	// delPool recycles the per-epoch verdict batches (see delbatch).
-	delPool sync.Pool
 
 	// mu is the scheduling lock: it guards st, lastEngine, conns, failed,
 	// the handles' registry slots and repair records, and serializes the
@@ -492,21 +470,30 @@ type Manager struct {
 	quar                map[faults.Channel]time.Time
 	halfLife, probation time.Duration
 
-	// qmu guards the admission queue (pending, oldest), who runs it next
-	// (closerPending, deadline, armed) and orders writes of closed against
-	// enqueues, keeping Connect's critical section to an append — a few
-	// pointer writes — while an epoch schedules under mu. Lock order: mu
-	// before qmu, never the reverse.
+	// qmu guards the admission queue (pending, oldest), its counts, the
+	// backpressure wakeup (room), who runs it next (closerPending,
+	// deadline, armed) and orders writes of closed against enqueues,
+	// keeping Connect's critical section to an append — a few plain writes
+	// — while an epoch schedules under mu. Lock order: mu before qmu,
+	// never the reverse.
 	qmu     sync.Mutex
 	pending []*ticket
-	oldest  time.Time    // enqueue time of pending[0]
-	closed  atomic.Bool  // set under qmu; loads may be lock-free
-	qdepth  atomic.Int64 // len(pending); written under qmu, read lock-free
-	// offered counts enqueues, under qmu. It sits here, with what every
-	// enqueue already writes, and not beside the counters below: those are
-	// the epochs', and a line they share with this one would be pulled away
-	// from the lock holder by every arriving client.
-	offered atomic.Uint64
+	oldest  time.Time   // enqueue time of pending[0]
+	closed  atomic.Bool // set under qmu; loads may be lock-free
+	// clients counts the client tickets in pending, cancelled ones
+	// included, against QueueLimit; repair tickets hold no place. The
+	// queue swap resets it. room is what a Connect refused by a full queue
+	// waits on: the swap (or Close) closes it, waking every waiter to
+	// retry, and the next waiter makes a fresh one.
+	clients int
+	room    chan struct{}
+	// offered counts enqueues, overflow the Connects whose wait for room
+	// ended first, drainRefused the Connects Close refused. They sit here,
+	// under qmu, with what every enqueue already writes, and not beside the
+	// counters below: those are the epochs', and a line they share with
+	// these would be pulled away from the lock holder by every arriving
+	// client.
+	offered, overflow, drainRefused uint64
 	// closerPending is set by the enqueue that fills the batch and cleared
 	// by the queue swap that takes it: one closer per fill, however far
 	// repair tickets push the depth past BatchSize.
@@ -531,16 +518,15 @@ type Manager struct {
 	// steady-state epochs allocate nothing (a grant's Handle is its
 	// ticket's spare, a denial's error is made at delivery). qspare
 	// ping-pongs with pending's backing array: each flush swaps the
-	// queue out under qmu and donates the drained batch back. Staged
-	// verdicts live in pooled delbatches (delPool), not here — they
-	// outlive the lock.
+	// queue out under qmu and donates the drained batch back. Verdicts
+	// ride their tickets (ticket.next), not a buffer here — they outlive
+	// the lock.
 	livebuf []*ticket
 	reqbuf  []core.Request
 	qspare  []*ticket
 
 	granted, rejected, cancelled atomic.Uint64
-	released, overflow, epochs   atomic.Uint64
-	drainRefused                 atomic.Uint64
+	released, epochs             atomic.Uint64
 	seqEpochs, parEpochs         atomic.Uint64
 	active                       atomic.Int64
 
@@ -653,8 +639,6 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		cfg:     cfg,
 		eng:     eng,
 		scratch: core.NewScratch(),
-		slotsCh: make(chan struct{}, 1),
-		closing: make(chan struct{}),
 		st:      newTrackedState(cfg.Tree),
 		failed:  make(map[faults.Channel]struct{}),
 		flap:    make(map[faults.Channel]*flapScore),
@@ -668,7 +652,6 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 	case *core.LevelWise:
 		m.reuseCost = e.Opts.ReuseCost
 	}
-	m.freeSlots.Store(int64(cfg.QueueLimit))
 	m.deadline = time.AfterFunc(time.Hour, m.onDeadline)
 	m.deadline.Stop() // created unarmed; enqueue and poke arm it
 	return m, nil
@@ -681,8 +664,9 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 // when Config.AdmitTimeout expires first, or ErrClosed after Close.
 //
 // The enqueue half is allocation-free at steady state: the ticket and
-// its resp channel come from the pool, the slot semaphore is one CAS,
-// and the batch timestamp is taken once per epoch, not per request.
+// its resp channel come from the pool, the queue place is a plain count
+// under qmu, and the batch timestamp is taken once per epoch, not per
+// request.
 func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 	n := m.cfg.Tree.Nodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
@@ -694,20 +678,11 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 		defer timer.Stop()
 		deadline = timer.C
 	}
-	if err := m.acquireSlot(ctx, deadline); err != nil {
-		return nil, err
-	}
 	t := m.getTicket(src, dst)
-	ok, closer := m.enqueue(t)
-	if !ok {
-		// Close won the race between the slot acquire and the enqueue:
-		// return the slot, recycle the ticket (no epoch ever saw it), and
-		// refuse as a drain — this is shutdown, not backpressure, so it
-		// counts under DrainRefused rather than Overflow.
-		m.releaseSlots(1)
-		m.drainRefused.Add(1)
-		m.putTicket(t)
-		return nil, ErrDraining
+	closer, err := m.enqueue(ctx, deadline, t)
+	if err != nil {
+		m.putTicket(t) // refused: no epoch ever saw it
+		return nil, err
 	}
 	if closer {
 		m.closeBatch()
@@ -738,58 +713,6 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 	r := <-t.resp // an epoch already claimed the ticket; honor its verdict
 	m.putTicket(t)
 	return r.h, r.err
-}
-
-// acquireSlot takes one queue slot, blocking (backpressure) while the
-// queue is full. A draining manager refuses with ErrDraining so callers
-// can tell shutdown from a momentarily full queue. The uncontended path
-// is one CAS; waiters park on the coalescing slotsCh token.
-func (m *Manager) acquireSlot(ctx context.Context, deadline <-chan time.Time) error {
-	for {
-		if n := m.freeSlots.Load(); n > 0 {
-			if m.freeSlots.CompareAndSwap(n, n-1) {
-				return nil
-			}
-			continue // raced another acquirer; retry
-		}
-		select {
-		case <-m.slotsCh:
-			// Cascade: if the release that woke us freed more than the
-			// slot we are about to claim, pass the token on so every
-			// waiter the batch can serve wakes in turn.
-			if m.freeSlots.Load() > 1 {
-				m.signalSlots()
-			}
-		case <-ctx.Done():
-			m.overflow.Add(1)
-			return ctx.Err()
-		case <-deadline:
-			m.overflow.Add(1)
-			return ErrAdmitTimeout
-		case <-m.closing:
-			m.drainRefused.Add(1)
-			return ErrDraining
-		}
-	}
-}
-
-// releaseSlots returns n queue slots and posts one wakeup token; woken
-// waiters cascade the token while spare slots remain, so a whole epoch's
-// worth of slots comes back with a single channel operation.
-func (m *Manager) releaseSlots(n int) {
-	if n <= 0 {
-		return
-	}
-	m.freeSlots.Add(int64(n))
-	m.signalSlots()
-}
-
-// signalSlots posts the (coalescing) slot-wakeup token.
-func (m *Manager) signalSlots() {
-	select {
-	case m.slotsCh <- struct{}{}:
-	default:
-	}
 }
 
 // getTicket returns a pooled (or fresh) client ticket, armed for src→dst
@@ -826,19 +749,45 @@ func (m *Manager) putTicket(t *ticket) {
 	m.ticketPool.Put(t)
 }
 
-// enqueue appends the ticket to the admission queue, reporting ok=false
-// if the manager is draining and closer=true when the append filled the
-// batch and no earlier one had: the caller then runs the epoch
-// (closeBatch). One time.Now per batch: the first ticket of an epoch
-// stamps m.oldest and later tickets inherit it, so the deadline and the
-// epoch-latency sample both measure from the batch start. A first ticket
-// below the threshold arms the MaxWait deadline unless an earlier
-// batch's is still pending — that one fires first.
-func (m *Manager) enqueue(t *ticket) (ok, closer bool) {
+// enqueue appends the ticket to the admission queue, reporting
+// closer=true when the append filled the batch and no earlier one had:
+// the caller then runs the epoch (closeBatch). A queue holding QueueLimit
+// client tickets exerts backpressure: the call waits on room until the
+// next queue swap, counting an Overflow and returning ctx.Err() or
+// ErrAdmitTimeout if ctx or deadline ends the wait first. A closing
+// manager refuses with ErrDraining, counted under DrainRefused, so
+// callers can tell shutdown from a momentarily full queue. A refused
+// ticket never entered the queue. One time.Now per batch: the first
+// ticket of an epoch stamps m.oldest and later tickets inherit it, so the
+// deadline and the epoch-latency sample both measure from the batch
+// start. A first ticket below the threshold arms the MaxWait deadline
+// unless an earlier batch's is still pending — that one fires first.
+func (m *Manager) enqueue(ctx context.Context, deadline <-chan time.Time, t *ticket) (closer bool, err error) {
 	m.qmu.Lock()
-	if m.closed.Load() {
+	for m.clients >= m.cfg.QueueLimit && !m.closed.Load() {
+		if m.room == nil {
+			m.room = make(chan struct{})
+		}
+		room := m.room
 		m.qmu.Unlock()
-		return false, false
+		select {
+		case <-room:
+			m.qmu.Lock()
+			continue
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-deadline:
+			err = ErrAdmitTimeout
+		}
+		m.qmu.Lock()
+		m.overflow++
+		m.qmu.Unlock()
+		return false, err
+	}
+	if m.closed.Load() {
+		m.drainRefused++
+		m.qmu.Unlock()
+		return false, ErrDraining
 	}
 	opened := len(m.pending) == 0
 	if opened {
@@ -846,11 +795,10 @@ func (m *Manager) enqueue(t *ticket) (ok, closer bool) {
 	}
 	t.enq = m.oldest
 	m.pending = append(m.pending, t)
-	n := len(m.pending)
-	m.qdepth.Store(int64(n))
-	m.offered.Add(1)
+	m.clients++
+	m.offered++
 	switch {
-	case n >= m.cfg.BatchSize:
+	case len(m.pending) >= m.cfg.BatchSize:
 		closer = !m.closerPending
 		m.closerPending = true
 	case opened && !m.armed:
@@ -858,7 +806,15 @@ func (m *Manager) enqueue(t *ticket) (ok, closer bool) {
 		m.deadline.Reset(m.cfg.MaxWait)
 	}
 	m.qmu.Unlock()
-	return true, closer
+	return closer, nil
+}
+
+// wakeLocked wakes every Connect waiting for room. Caller holds m.qmu.
+func (m *Manager) wakeLocked() {
+	if m.room != nil {
+		close(m.room)
+		m.room = nil
+	}
 }
 
 // closeBatch runs the epoch of the batch its caller's enqueue filled. The
@@ -868,12 +824,15 @@ func (m *Manager) enqueue(t *ticket) (ok, closer bool) {
 // one early would erode batching — it has its own deadline and closer.
 func (m *Manager) closeBatch() {
 	m.mu.Lock()
-	var b *delbatch
-	if int(m.qdepth.Load()) >= m.cfg.BatchSize {
-		b = m.flushLocked()
+	m.qmu.Lock()
+	full := len(m.pending) >= m.cfg.BatchSize
+	m.qmu.Unlock()
+	var verdicts *ticket
+	if full {
+		verdicts = m.flushLocked()
 	}
 	m.mu.Unlock()
-	m.deliver(b)
+	deliver(verdicts)
 }
 
 // onDeadline is the MaxWait timer's continuation: it runs the epoch of a
@@ -892,12 +851,12 @@ func (m *Manager) onDeadline() {
 		m.deadline.Reset(left)
 	}
 	m.qmu.Unlock()
-	var b *delbatch
+	var verdicts *ticket
 	if n > 0 && left <= 0 {
-		b = m.flushLocked()
+		verdicts = m.flushLocked()
 	}
 	m.mu.Unlock()
-	m.deliver(b)
+	deliver(verdicts)
 }
 
 // poke covers a queue that changed behind Connect's back (repair tickets
@@ -1065,12 +1024,10 @@ func (m *Manager) releaseRouteLocked(h *Handle, ports []int) {
 // flight is waited for, not interrupted. Held handles stay valid and
 // releasable after Close. Close is idempotent.
 func (m *Manager) Close(ctx context.Context) error {
-	m.closeMu.Do(func() {
-		m.qmu.Lock()
-		m.closed.Store(true)
-		m.qmu.Unlock()
-		close(m.closing)
-	})
+	m.qmu.Lock()
+	m.closed.Store(true)
+	m.wakeLocked() // waiters for room retry and find the manager closed
+	m.qmu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -1078,46 +1035,47 @@ func (m *Manager) Close(ctx context.Context) error {
 	// tickets under mu, both only while closed is unset, so nothing can
 	// arrive behind it. An empty flush still drains the release ring.
 	m.mu.Lock()
-	b := m.flushLocked()
+	verdicts := m.flushLocked()
 	m.mu.Unlock()
-	m.deliver(b)
+	deliver(verdicts)
 	m.deadline.Stop()
 	return nil
 }
 
-// flushLocked runs one epoch over every queued ticket and stages the
-// verdicts. Called with m.mu held; the scheduler pass happens under the
-// lock — that lock is the serialization point that makes the shared
-// linkstate.State safe. Parked releases retire first, so the pass can
-// use the channels they free. The engine gets the manager's reusable
-// Scratch, so an engine with a zero-allocation path keeps it. The
-// returned batch (from delPool; nil when the flush was empty) must be
-// delivered by the caller after unlocking.
-func (m *Manager) flushLocked() *delbatch {
+// flushLocked runs one epoch over every queued ticket and stores each
+// client ticket's verdict on it. Called with m.mu held; the scheduler pass
+// happens under the lock — that lock is the serialization point that
+// makes the shared linkstate.State safe. Parked releases retire first, so
+// the pass can use the channels they free. The engine gets the manager's
+// reusable Scratch, so an engine with a zero-allocation path keeps it. The
+// returned list of verdicts (nil when no client ticket was claimed) must
+// be delivered by the caller after unlocking.
+func (m *Manager) flushLocked() *ticket {
 	m.drainReleasesLocked()
 	if len(m.quar) > 0 { // guard: skip the clock read on the common path
 		m.settleQuarantineLocked(time.Now())
 	}
 	// Swap the queue out under qmu: Connect keeps enqueueing into the
-	// spare array while this epoch schedules under mu.
+	// spare array while this epoch schedules under mu. Every client ticket
+	// leaves with the swap, so the queue has room for QueueLimit again.
 	m.qmu.Lock()
 	batch := m.pending
 	m.pending = m.qspare[:0]
-	m.qdepth.Store(0)
+	m.clients = 0
 	m.closerPending = false // the next fill elects its own closer
+	m.wakeLocked()
 	m.qmu.Unlock()
-	live, freed := m.livebuf[:0], 0
+	live := m.livebuf[:0]
 	for _, t := range batch {
 		if t.h != nil {
 			// Repair ticket: live while its handle still wants repairing
 			// (Release of the handle is the cancellation path). It holds no
-			// queue slot and nobody is waiting on a resp channel.
+			// queue place and nobody is waiting on a resp channel.
 			if t.h.state.Load() == handleRepairing {
 				live = append(live, t)
 			}
 			continue
 		}
-		freed++ // every departed client ticket frees its queue slot
 		if t.state.CompareAndSwap(ticketWaiting, ticketClaimed) {
 			live = append(live, t)
 		} else if m.cfg.Trace != nil {
@@ -1125,10 +1083,9 @@ func (m *Manager) flushLocked() *delbatch {
 			m.cfg.Trace(Event{Kind: EventCancel, Src: t.req.Src, Dst: t.req.Dst, FailLevel: -1})
 		}
 	}
-	m.releaseSlots(freed) // one atomic add + one wakeup for the whole batch
 	// Ping-pong the backing arrays: the drained batch becomes the next
-	// flush's spare. Tickets travel on via live and the staged
-	// deliveries; clear the refs so the spare retains nothing.
+	// flush's spare. Tickets travel on via live and the verdict list;
+	// clear the refs so the spare retains nothing.
 	clear(batch)
 	m.qspare = batch[:0]
 	m.livebuf = live
@@ -1156,11 +1113,10 @@ func (m *Manager) flushLocked() *delbatch {
 	epoch := m.epochs.Add(1)
 	// Counted in locals and published once per pass, not once per verdict.
 	established, granted, rejected := 0, 0, 0
-	b, _ := m.delPool.Get().(*delbatch)
-	if b == nil {
-		b = &delbatch{}
-	}
-	dels := b.d[:0]
+	// verdicts heads the list of claimed client tickets, linked in batch
+	// order through ticket.next; link is where the next one goes.
+	var verdicts *ticket
+	link := &verdicts
 	v := m.view.Load()
 	for i := range res.Outcomes {
 		o := &res.Outcomes[i]
@@ -1190,7 +1146,8 @@ func (m *Manager) flushLocked() *delbatch {
 			if m.cfg.Trace != nil {
 				m.cfg.Trace(Event{Kind: EventGrant, Src: o.Src, Dst: o.Dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 			}
-			dels = append(dels, delivery{t: t, h: h})
+			t.grant = h
+			*link, link = t, &t.next
 			continue
 		}
 		// A scheduler without rollback retains a failed request's partial
@@ -1205,13 +1162,10 @@ func (m *Manager) flushLocked() *delbatch {
 		}
 		// The cause is read off the mask, on denials only and only while
 		// something is masked: a fault-free plane pays one load here.
-		d := delivery{t: t, failLevel: o.FailLevel}
-		if m.st.FailedCount() > 0 {
-			d.faultBlocked = m.st.BlockedByMask(o.Src, o.Dst)
-		}
-		dels = append(dels, d)
+		t.failLevel = o.FailLevel
+		t.faultBlocked = m.st.FailedCount() > 0 && m.st.BlockedByMask(o.Src, o.Dst)
+		*link, link = t, &t.next
 	}
-	b.d = dels
 	// A shared counter this pass did not move is not touched (an all-grant
 	// epoch skips rejected, an all-denial one the other three).
 	if granted > 0 {
@@ -1232,33 +1186,29 @@ func (m *Manager) flushLocked() *delbatch {
 	m.hist.epochLatMS.Record(float64(time.Since(live[0].enq)) / float64(time.Millisecond))
 	m.hist.routeChurn.Record(float64(m.tornSinceEpoch + established))
 	m.tornSinceEpoch = 0
-	// Drop ticket references from the reused buffer; the deliveries carry
-	// them the rest of the way.
+	// Drop ticket references from the reused buffer; the verdict list
+	// carries them the rest of the way.
 	clear(live)
 	m.livebuf = live[:0]
-	return b
+	return verdicts
 }
 
-// deliver sends staged verdicts to their waiting Connect calls, outside
-// the manager lock, making a denial's error on the way (the ticket is
-// still the epoch's until the send); the buffered resp channels make every
-// send non-blocking. Entries are cleared so the pooled batch does not
-// retain tickets past the epoch, then the batch returns to delPool.
-func (m *Manager) deliver(b *delbatch) {
-	if b == nil {
-		return
-	}
-	for i := range b.d {
-		d := &b.d[i]
-		r := result{h: d.h}
-		if d.h == nil {
-			r.err = &UnroutableError{Src: d.t.req.Src, Dst: d.t.req.Dst, FailLevel: d.failLevel, FaultBlocked: d.faultBlocked}
+// deliver sends an epoch's verdicts, the list flushLocked returned, to
+// their waiting Connect calls in batch order, outside the manager lock,
+// making a denial's error on the way; the buffered resp channels make
+// every send non-blocking. Each ticket's link is read and its verdict
+// cleared before its send: the receiver recycles the ticket as soon as it
+// has the verdict.
+func deliver(t *ticket) {
+	for t != nil {
+		next, r := t.next, result{h: t.grant}
+		if r.h == nil {
+			r.err = &UnroutableError{Src: t.req.Src, Dst: t.req.Dst, FailLevel: t.failLevel, FaultBlocked: t.faultBlocked}
 		}
-		d.t.resp <- r
-		*d = delivery{}
+		t.next, t.grant = nil, nil
+		t.resp <- r
+		t = next
 	}
-	b.d = b.d[:0]
-	m.delPool.Put(b)
 }
 
 // newTrackedState builds the plane's link state with load tracking on:

@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,11 +163,11 @@ func TestBackpressureOverflow(t *testing.T) {
 		errc <- err
 	}()
 	<-gate.entered
-	go func() { // B: takes the freed queue slot, blocks on the epoch lock
+	go func() { // B: takes the queue's one place, blocks on the epoch lock
 		_, err := m.Connect(context.Background(), 1, 6)
 		errc <- err
 	}()
-	waitFor(t, func() bool { return m.freeSlots.Load() == 0 })
+	waitFor(t, func() bool { return queueDepth(m) == 1 })
 	// C: no slot available and the epoch is stuck — backpressure until
 	// the context deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
@@ -188,6 +190,129 @@ func TestBackpressureOverflow(t *testing.T) {
 	}
 	if s.Offered != 2 || s.Granted != 2 {
 		t.Errorf("counters: %+v", s)
+	}
+}
+
+// TestBackpressureWakesAll holds an epoch at the gate with a queue of
+// QueueLimit k full behind it and k more Connects waiting for room, then
+// checks the three ways a wait ends: every waiter gets in once the gate
+// opens, Close refuses every waiter with ErrDraining, counted under
+// DrainRefused, and a waiter whose context ends counts one Overflow.
+func TestBackpressureWakesAll(t *testing.T) {
+	const k = 4
+	tree := topology.MustNew(2, 4, 4)
+	// jam starts 3k Connects: k run the epoch stuck at the gate, k fill
+	// the queue and k wait for room. Connect i goes from leaf switch i/k to
+	// the next one, so no two groups share a channel and all 3k are
+	// granted whatever epochs they land in.
+	jam := func(t *testing.T) (*Manager, *gatedScheduler, chan error) {
+		gate := newGatedScheduler()
+		m, err := New(Config{Tree: tree, BatchSize: k, QueueLimit: k, MaxWait: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.eng = sched.Wrap(gate) // before any Connect: no epoch has read it yet
+		errc := make(chan error, 3*k)
+		for i := 0; i < 3*k; i++ {
+			switch i {
+			case k:
+				<-gate.entered
+			case 2 * k:
+				waitFor(t, func() bool { return queueDepth(m) == k })
+			}
+			go func() {
+				_, err := m.Connect(context.Background(), i, i+k)
+				errc <- err
+			}()
+		}
+		waitFor(t, func() bool { return waitingForRoom() == k })
+		return m, gate, errc
+	}
+	// next is the next Connect's verdict; a wake-up that never comes fails
+	// here rather than hanging the suite.
+	next := func(t *testing.T, errc chan error) error {
+		t.Helper()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("no Connect returned within 5s")
+			return nil
+		}
+	}
+	admitted := func(t *testing.T, errc chan error, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := next(t, errc); err != nil {
+				t.Fatalf("connect: %v", err)
+			}
+		}
+	}
+	counts := func(t *testing.T, m *Manager, granted, overflow, refused uint64) {
+		t.Helper()
+		if err := m.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		s := m.Stats()
+		if s.Offered != granted || s.Granted != granted || s.Overflow != overflow || s.DrainRefused != refused {
+			t.Fatalf("offered %d granted %d overflow %d drain_refused %d, want %d, %d, %d, %d",
+				s.Offered, s.Granted, s.Overflow, s.DrainRefused, granted, granted, overflow, refused)
+		}
+	}
+
+	t.Run("gate-opens", func(t *testing.T) {
+		m, gate, errc := jam(t)
+		close(gate.released)
+		admitted(t, errc, 3*k)
+		counts(t, m, 3*k, 0, 0)
+	})
+	t.Run("close", func(t *testing.T) {
+		m, gate, errc := jam(t)
+		closed := make(chan error, 1)
+		go func() { closed <- m.Close(context.Background()) }()
+		for i := 0; i < k; i++ { // only the waiters can answer before the gate opens
+			if err := next(t, errc); !errors.Is(err, ErrDraining) {
+				t.Fatalf("waiter at Close: %v, want ErrDraining", err)
+			}
+		}
+		close(gate.released)
+		admitted(t, errc, 2*k)
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		counts(t, m, 2*k, 0, k)
+	})
+	t.Run("ctx", func(t *testing.T) {
+		m, gate, errc := jam(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			_, err := m.Connect(ctx, 0, 15)
+			errc <- err
+		}()
+		waitFor(t, func() bool { return waitingForRoom() == k+1 })
+		cancel()
+		if err := next(t, errc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter: %v, want context.Canceled", err)
+		}
+		close(gate.released)
+		admitted(t, errc, 3*k)
+		counts(t, m, 3*k, 1, 0)
+	})
+}
+
+// waitingForRoom counts the goroutines inside enqueue: while the queue is
+// full, each of them is waiting for room or about to.
+func waitingForRoom() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("fabric.(*Manager).enqueue("))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
@@ -281,6 +406,13 @@ func TestNewValidation(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Errorf("second close: %v", err)
 	}
+}
+
+// queueDepth reads the admission queue's length under qmu.
+func queueDepth(m *Manager) int {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	return len(m.pending)
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -265,7 +265,6 @@ func (m *Manager) queueRepairLocked(t *ticket) {
 		m.oldest = t.enq
 	}
 	m.pending = append(m.pending, t)
-	m.qdepth.Store(int64(len(m.pending)))
 	m.qmu.Unlock()
 }
 

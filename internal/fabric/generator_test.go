@@ -101,12 +101,9 @@ func (g *gen) epoch(reqs []core.Request, cancel []bool) error {
 	var live []core.Request
 	var tickets []*ticket
 	for i, r := range reqs {
-		if err := g.m.acquireSlot(context.Background(), nil); err != nil {
-			return err
-		}
 		tk := g.m.getTicket(r.Src, r.Dst)
-		if ok, _ := g.m.enqueue(tk); !ok {
-			return errors.New("enqueue refused on an open manager")
+		if _, err := g.m.enqueue(context.Background(), nil, tk); err != nil {
+			return err
 		}
 		g.offered++
 		if cancel[i] && tk.state.CompareAndSwap(ticketWaiting, ticketCancelled) {
@@ -118,9 +115,9 @@ func (g *gen) epoch(reqs []core.Request, cancel []bool) error {
 	}
 	return g.flush(func() error {
 		g.m.mu.Lock()
-		b := g.m.flushLocked()
+		verdicts := g.m.flushLocked()
 		g.m.mu.Unlock()
-		g.m.deliver(b)
+		deliver(verdicts)
 		return nil
 	}, live, tickets)
 }

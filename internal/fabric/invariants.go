@@ -33,7 +33,7 @@ import (
 //     Released − Revoked; PendingRepairs = repairing handles; Revoked =
 //     Repaired + RepairFailed + RepairAborted + PendingRepairs; Offered =
 //     Granted + Rejected + Cancelled + client tickets still queued; the
-//     queue's free slots and queued client tickets sum to QueueLimit;
+//     queue's count of client tickets equals the client tickets in it;
 //     Epochs = SequentialEpochs + ParallelEpochs; EstablishedRoutes −
 //     TornRoutes = active handles holding channels.
 func (m *Manager) CheckInvariants() error {
@@ -110,7 +110,7 @@ func (m *Manager) CheckInvariants() error {
 			}
 		}
 	}
-	depth := len(m.pending)
+	counted, offered := m.clients, m.offered
 	m.qmu.Unlock()
 
 	granted, released := m.granted.Load(), m.released.Load()
@@ -124,10 +124,9 @@ func (m *Manager) CheckInvariants() error {
 		{"PendingRepairs vs repairing handles", m.pendingRepairs.Load(), repairing},
 		{"Revoked vs Repaired + RepairFailed + RepairAborted + PendingRepairs", int64(revoked),
 			int64(repaired+m.repairFailed.Load()+m.repairAborted.Load()) + repairing},
-		{"Offered vs Granted + Rejected + Cancelled + queued", int64(m.offered.Load()),
+		{"Offered vs Granted + Rejected + Cancelled + queued", int64(offered),
 			int64(granted+m.rejected.Load()+m.cancelled.Load()) + int64(queued)},
-		{"queue depth vs queued tickets", m.qdepth.Load(), int64(depth)},
-		{"free slots + queued client tickets vs QueueLimit", m.freeSlots.Load() + int64(clients), int64(m.cfg.QueueLimit)},
+		{"counted clients vs queued client tickets", int64(counted), int64(clients)},
 		{"Epochs vs SequentialEpochs + ParallelEpochs", int64(m.epochs.Load()), int64(m.seqEpochs.Load() + m.parEpochs.Load())},
 		{"EstablishedRoutes − TornRoutes vs routed active handles", int64(m.establishedRoutes.Load() - m.tornRoutes.Load()), routed},
 	} {

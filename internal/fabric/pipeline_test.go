@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,12 +21,12 @@ import (
 )
 
 // TestConnectEnqueueZeroAllocs is the regression guard for the pooled
-// admission path: one acquire + pooled ticket + enqueue must not
-// allocate at steady state. No epoch can run (huge BatchSize,
-// hour MaxWait), so the test plays the epoch's part by hand: swap the
-// queue out, claim the ticket, return the slot, recycle — exactly the
-// bookkeeping flushLocked and the Connect receive path perform, minus
-// scheduling (which allocates the Handle and is not the enqueue path).
+// admission path: a pooled ticket + enqueue must not allocate at steady
+// state. No epoch can run (huge BatchSize, hour MaxWait), so the test
+// plays the epoch's part by hand: swap the queue out, claim the ticket,
+// recycle — exactly the bookkeeping flushLocked and the Connect receive
+// path perform, minus scheduling (which allocates the Handle and is not
+// the enqueue path).
 func TestConnectEnqueueZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		// Under the detector sync.Pool drops a quarter of its Puts, and a
@@ -41,18 +42,14 @@ func TestConnectEnqueueZeroAllocs(t *testing.T) {
 	defer m.Close(context.Background())
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := m.acquireSlot(ctx, nil); err != nil {
-			t.Fatal(err)
-		}
 		tk := m.getTicket(0, 5)
-		if ok, _ := m.enqueue(tk); !ok {
-			t.Fatal("enqueue refused on an open manager")
+		if _, err := m.enqueue(ctx, nil, tk); err != nil {
+			t.Fatal(err)
 		}
 		m.qmu.Lock()
 		m.pending = m.pending[:0]
-		m.qdepth.Store(0)
+		m.clients = 0
 		m.qmu.Unlock()
-		m.releaseSlots(1)
 		if !tk.state.CompareAndSwap(ticketWaiting, ticketClaimed) {
 			t.Fatal("ticket not in waiting state")
 		}
@@ -186,7 +183,7 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 			for i := 0; i < perProd; i++ {
 				h := &Handle{src: p, dst: i}
 				for !r.push(h) {
-					time.Sleep(time.Microsecond) // full: wait for the consumer
+					runtime.Gosched() // full: let the consumer run
 				}
 			}
 		}(p)
@@ -200,7 +197,7 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 		buf = r.drain(buf[:0])
 		cmu.Unlock()
 		if len(buf) == 0 {
-			time.Sleep(time.Microsecond)
+			runtime.Gosched()
 			continue
 		}
 		for _, h := range buf {

@@ -159,15 +159,17 @@ func (m *Manager) Stats() Stats {
 	occupancy, allocs := m.st.LiveOccupancy(), m.st.TotalAllocs()
 	hist := m.hist // recorded under mu, so this copy is of one instant too
 	m.mu.Unlock()
-	depth := int(m.qdepth.Load())
+	m.qmu.Lock()
+	depth, offered, overflow, drainRefused := len(m.pending), m.offered, m.overflow, m.drainRefused
+	m.qmu.Unlock()
 	return Stats{
-		Offered:        m.offered.Load(),
+		Offered:        offered,
 		Granted:        m.granted.Load(),
 		Rejected:       m.rejected.Load(),
 		Cancelled:      m.cancelled.Load(),
 		Released:       m.released.Load(),
-		Overflow:       m.overflow.Load(),
-		DrainRefused:   m.drainRefused.Load(),
+		Overflow:       overflow,
+		DrainRefused:   drainRefused,
 		Epochs:         m.epochs.Load(),
 		Active:         m.active.Load(),
 		QueueDepth:     depth,

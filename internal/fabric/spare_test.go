@@ -32,17 +32,14 @@ func manualManager(t *testing.T, tree *topology.Tree) *Manager {
 func runEpoch(t *testing.T, m *Manager, tickets ...*ticket) {
 	t.Helper()
 	for _, tk := range tickets {
-		if err := m.acquireSlot(context.Background(), nil); err != nil {
+		if _, err := m.enqueue(context.Background(), nil, tk); err != nil {
 			t.Fatal(err)
-		}
-		if ok, _ := m.enqueue(tk); !ok {
-			t.Fatal("enqueue refused on an open manager")
 		}
 	}
 	m.mu.Lock()
-	b := m.flushLocked()
+	verdicts := m.flushLocked()
 	m.mu.Unlock()
-	m.deliver(b)
+	deliver(verdicts)
 }
 
 // TestEpochAllocatesNothingUnderLock: with each ticket's spare Handle in
@@ -152,7 +149,7 @@ func TestSpareSurvivesDenial(t *testing.T) {
 		_, err := m.Connect(ctx, 0, 2)
 		errc <- err
 	}()
-	waitFor(t, func() bool { return m.qdepth.Load() == 1 })
+	waitFor(t, func() bool { return queueDepth(m) == 1 })
 	m.qmu.Lock()
 	dead := m.pending[0]
 	m.qmu.Unlock()

@@ -217,8 +217,8 @@ go run ./cmd/ftbench -churn -churn-rate 8 -churn-life 4 -churn-epochs 20 -churn-
 go run ./cmd/ftbench -gray -fabric-levels 2 -fabric-children 4 -fabric-parents 4 \
 	-fabric-clients 8 -fabric-open 2 -fabric-duration 300ms -gray-rates 0,0.2 -seed 1
 
-# Connect-enqueue allocation guard: the admission enqueue path (slot
-# acquire + pooled ticket + queue append) must stay at zero allocations
+# Connect-enqueue allocation guard: the admission enqueue path (pooled
+# ticket + queue append and count under qmu) must stay at zero allocations
 # per request; -count=2 re-runs it against a warm ticket pool, which is
 # where a pool regression would hide.
 gotest -run 'TestConnectEnqueueZeroAllocs' -count=2 ./internal/fabric
@@ -238,16 +238,17 @@ gotest -run 'TestHotVerbAllocs' -count=2 ./cmd/ftserve
 
 # Admission-pipeline race pass: the cancellation-vs-pooled-ticket chaos
 # test and the release-ring tests prove exactly-once verdict delivery
-# and exactly-once retirement only under -race, and so do the tests of
-# who runs an epoch and who reads a route (lock-free Ports against the
-# repair loop, size closing with repair tickets mid-fill, one deadline
-# over several batches, no manager goroutine) and of who allocates a
-# Handle and who reads the load counters (a spare surviving a denial and
-# dying with a cancelled ticket, Stats polling while epochs count
-# channels and record histograms with plain stores, the snapshot's JSON
-# keys); -count=2 shakes out hand-off interleavings a single run can
-# miss.
-gotest -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys' ./internal/fabric
+# and exactly-once retirement only under -race; so do the backpressure
+# tests (a full queue's waiters all woken by the next queue swap or by
+# Close, each counted once) and the tests of who runs an epoch and who
+# reads a route (lock-free Ports against the repair loop, size closing
+# with repair tickets mid-fill, one deadline over several batches, no
+# manager goroutine) and of who allocates a Handle and who reads the load
+# counters (a spare surviving a denial and dying with a cancelled ticket,
+# Stats polling while epochs count channels and record histograms with
+# plain stores, the snapshot's JSON keys); -count=2 shakes out hand-off
+# interleavings a single run can miss.
+gotest -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestBackpressure|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys' ./internal/fabric
 
 # Parked-Release-vs-Fail-vs-Repair: the generator seed that reaches, on
 # its own, a release claimed, a Fail crossing its route, RepairAll and the
