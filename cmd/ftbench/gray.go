@@ -222,7 +222,7 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 		Lost:           s.RepairFailed,
 		Unaccounted:    unaccounted(s),
 		RepairAttempts: s.RepairAttempts,
-		AttemptBound:   s.Revoked * fabric.DefaultRepairRetries,
+		AttemptBound:   s.Revoked * fabric.RepairRetries,
 		QuarantineEvts: s.QuarantineEvents,
 		Quarantined:    s.Quarantined,
 		ChurnPerEpoch:  float64(s.TornRoutes) / float64(max(s.Epochs, 1)),

@@ -4,16 +4,18 @@ package main
 // fault processes. Clean faults (POST /fault with links/switches) flip
 // state once and are done; flaky links have to be *driven* — something
 // must advance the fabric clock and apply each step's up/down diff.
-// That something is the stepper goroutine below: one per server,
-// started lazily on the first flaky injection, stepping every plane's
-// Flapper at a fixed cadence and feeding the diffs through the plane's
-// ordinary Fail/Repair surface, where flap damping then sees them.
+// That something is the stepper below: one timer per server on the
+// router's clock, armed on the first flaky injection and re-armed by each
+// step, stepping every plane's Flapper at a fixed cadence and feeding the
+// diffs through the plane's ordinary Fail/Repair surface, where flap
+// damping then sees them.
 
 import (
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 )
@@ -24,26 +26,22 @@ import (
 const defaultGrayStep = 5 * time.Millisecond
 
 // grayState is the server's registry of running intermittent fault
-// processes, one Flapper per plane, driven by a single stepper.
+// processes, one Flapper per plane, driven by a single stepper: timer,
+// nil until the first flaky injection arms it. Once stopped, it is never
+// armed again.
 type grayState struct {
 	mu       sync.Mutex
 	flappers map[string]*faults.Flapper
 	step     time.Duration
-	started  bool
-	stop     chan struct{}
-	done     chan struct{}
+	timer    clock.Timer
+	stopped  bool
 }
 
 func newGrayState(step time.Duration) *grayState {
 	if step <= 0 {
 		step = defaultGrayStep
 	}
-	return &grayState{
-		flappers: make(map[string]*faults.Flapper),
-		step:     step,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	return &grayState{flappers: make(map[string]*faults.Flapper), step: step}
 }
 
 // addFlaky validates and registers flaky-link processes on a plane and
@@ -65,9 +63,8 @@ func (s *server) addFlaky(name string, surf fabric.Surface, procs []faults.Flaky
 	} else {
 		fl.Add(procs)
 	}
-	if !s.gray.started {
-		s.gray.started = true
-		go s.stepGray()
+	if s.gray.timer == nil && !s.gray.stopped {
+		s.gray.timer = s.router.Clock().AfterFunc(s.gray.step, s.stepGray)
 	}
 	return len(fl.Procs()), nil
 }
@@ -114,54 +111,42 @@ func (s *server) flakyStatuses(name string) []flakyStatus {
 	return out
 }
 
-// stepGray is the stepper goroutine: every gray-step it advances each
-// plane's Flapper one step and applies the transition diff through the
-// plane's Fail/Repair surface. Injection errors cannot happen (every
-// process validated against its tree on the way in); a closed plane
-// simply rejects the injection, which is fine — the processes die with
-// the fabric.
+// stepGray is the stepper timer's callback: it advances each plane's
+// Flapper one step, applies the transition diff through the plane's
+// Fail/Repair surface and re-arms itself one gray-step out. Injection
+// errors cannot happen (every process validated against its tree on the
+// way in); a closed plane simply rejects the injection, which is fine —
+// the processes die with the fabric.
 func (s *server) stepGray() {
-	defer close(s.gray.done)
-	t := time.NewTicker(s.gray.step)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.gray.stop:
-			return
-		case <-t.C:
-		}
-		s.gray.mu.Lock()
-		for name, fl := range s.gray.flappers {
-			surf, ok := s.router.Plane(name)
-			if !ok {
-				continue
-			}
-			fail, repair := fl.Step()
-			if fail != nil {
-				surf.Fail(fail) // nolint:errcheck
-			}
-			if repair != nil {
-				surf.Repair(repair) // nolint:errcheck
-			}
-		}
-		s.gray.mu.Unlock()
+	s.gray.mu.Lock()
+	defer s.gray.mu.Unlock()
+	if s.gray.stopped {
+		return
 	}
+	for name, fl := range s.gray.flappers {
+		surf, ok := s.router.Plane(name)
+		if !ok {
+			continue
+		}
+		fail, repair := fl.Step()
+		if fail != nil {
+			surf.Fail(fail) // nolint:errcheck
+		}
+		if repair != nil {
+			surf.Repair(repair) // nolint:errcheck
+		}
+	}
+	s.gray.timer.Reset(s.gray.step)
 }
 
-// stopGray halts the stepper (tests and shutdown; idempotent).
+// stopGray halts the stepper (tests and shutdown; idempotent): once it
+// returns, no step runs.
 func (s *server) stopGray() {
 	s.gray.mu.Lock()
-	started := s.gray.started
-	select {
-	case <-s.gray.stop:
-		s.gray.mu.Unlock()
-		return
-	default:
-	}
-	close(s.gray.stop)
-	s.gray.mu.Unlock()
-	if started {
-		<-s.gray.done
+	defer s.gray.mu.Unlock()
+	s.gray.stopped = true
+	if s.gray.timer != nil {
+		s.gray.timer.Stop()
 	}
 }
 

@@ -7,21 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/topology"
 )
 
-// waitUntil polls cond until it holds or the deadline passes.
-func waitUntil(t *testing.T, what string, cond func() bool) {
+// waitUntil advances clk a millisecond at a time until cond holds, and
+// fails the test after a simulated second.
+func waitUntil(t *testing.T, clk *clock.Fake, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+	for ms := 0; !cond(); ms++ {
+		if ms == 1000 {
+			t.Fatalf("no %s within a second of the clock", what)
 		}
-		time.Sleep(time.Millisecond)
+		clk.Advance(time.Millisecond)
 	}
 }
 
@@ -29,14 +30,15 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // HTTP: flaky injection starts the stepper and shows up with duty-cycle
 // state in /faults, damping quarantines the flapping channel, degrade
 // installs a slow-plane process, and the whole-plane repair verb clears
-// every gray artifact at once.
+// every gray artifact at once. The router runs on a fake clock, which the
+// test advances to step the flaky process.
 func TestGrayFaultVerbs(t *testing.T) {
-	cfg := federation.Config{Planes: []federation.PlaneConfig{{
+	clk := clock.NewFake()
+	cfg := federation.Config{Clock: clk, Planes: []federation.PlaneConfig{{
 		Fabric: fabric.Config{
-			Tree:          topology.MustNew(2, 4, 4),
-			BatchSize:     1,
-			MaxWait:       200 * time.Microsecond,
-			RepairBackoff: 500 * time.Microsecond,
+			Tree:      topology.MustNew(2, 4, 4),
+			BatchSize: 1,
+			MaxWait:   200 * time.Microsecond,
 			// First flap quarantines, and the running flaky process keeps
 			// extending the quarantine until the repair verb below lifts it.
 			FlapThreshold: 1,
@@ -67,7 +69,7 @@ func TestGrayFaultVerbs(t *testing.T) {
 		t.Fatalf("flaky install: code %d, %+v", code, fr)
 	}
 	var fl faultsResponse
-	waitUntil(t, "flaky process state in /faults", func() bool {
+	waitUntil(t, clk, "flaky process state in /faults", func() bool {
 		fl = faultsResponse{}
 		getJSON(t, ts.URL+"/faults", &fl)
 		return len(fl.Planes) == 1 && len(fl.Planes[0].Flaky) == 1 && fl.Planes[0].Flaky[0].Step > 0
@@ -75,7 +77,7 @@ func TestGrayFaultVerbs(t *testing.T) {
 	if p := fl.Planes[0].Flaky[0]; p.DutyCycle != 0.5 || p.Seed != 7 {
 		t.Fatalf("flaky status lost the process parameters: %+v", p)
 	}
-	waitUntil(t, "quarantine", func() bool {
+	waitUntil(t, clk, "quarantine", func() bool {
 		fl = faultsResponse{}
 		getJSON(t, ts.URL+"/faults", &fl)
 		return len(fl.Planes[0].Quarantined) > 0
@@ -116,7 +118,7 @@ func TestGrayFaultVerbs(t *testing.T) {
 	if len(fl.Planes[0].Flaky) != 0 || len(fl.Planes[0].Quarantined) != 0 || fl.Planes[0].Degraded != nil {
 		t.Fatalf("plane repair left gray state: %+v", fl.Planes[0])
 	}
-	waitUntil(t, "healthz ok after plane repair", func() bool {
+	waitUntil(t, clk, "healthz ok after plane repair", func() bool {
 		hz = healthzResponse{}
 		getJSON(t, ts.URL+"/healthz", &hz)
 		return hz.Status == "ok"

@@ -17,6 +17,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/federation"
@@ -310,19 +311,15 @@ func TestHealthzBodyGolden(t *testing.T) {
 // contract: /healthz reports "degraded" while any plane holds
 // outstanding repair tickets, even after its channels are healed. A
 // width-1 tree gives the held circuit exactly one route, so the repair
-// attempt deterministically fails while the fault stands, and an
-// hour-long RepairBackoff parks the ticket where healthz can see it.
+// attempt deterministically fails while the fault stands, and on a fake
+// clock nobody advances its backoff parks the ticket where healthz can see
+// it.
 func TestHealthzDegradedOnPendingRepairs(t *testing.T) {
-	cfg := federation.Config{}
+	clk := clock.NewFake()
+	cfg := federation.Config{Clock: clk}
 	for i := 0; i < 2; i++ {
 		cfg.Planes = append(cfg.Planes, federation.PlaneConfig{
-			Fabric: fabric.Config{
-				Tree:          topology.MustNew(2, 4, 1),
-				BatchSize:     1,
-				MaxWait:       200 * time.Microsecond,
-				RepairBackoff: time.Hour,
-				RepairRetries: 8,
-			},
+			Fabric: fabric.Config{Tree: topology.MustNew(2, 4, 1), BatchSize: 1, MaxWait: 200 * time.Microsecond},
 		})
 	}
 	router, err := federation.New(cfg)
@@ -340,8 +337,8 @@ func TestHealthzDegradedOnPendingRepairs(t *testing.T) {
 		t.Fatalf("connect status %d", code)
 	}
 	// Fault the held circuit's only uplink. The revocation queues an
-	// immediate repair attempt, doomed while the fault stands; once the
-	// plane has counted it, the ticket is parked behind an hour of backoff,
+	// immediate repair attempt, doomed while the fault stands, which the
+	// clock's next step runs; the ticket is then parked behind its backoff,
 	// and healing the channels leaves it the sole degradation signal.
 	fault := faultRequest{
 		Plane:    conn.Plane,
@@ -351,15 +348,12 @@ func TestHealthzDegradedOnPendingRepairs(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/fault", fault, &fr); code != http.StatusOK || fr.Revoked != 1 {
 		t.Fatalf("fault status %d resp %+v", code, fr)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for attempted := false; !attempted; {
-		if time.Now().After(deadline) {
-			t.Fatal("the revoked circuit's first repair attempt never ran")
-		}
-		var st statsResponse
-		getJSON(t, ts.URL+"/stats", &st)
-		for _, p := range st.Planes {
-			attempted = attempted || p.Name == conn.Plane && p.Fabric.RepairAttempts >= 1
+	clk.Advance(0)
+	var st statsResponse
+	getJSON(t, ts.URL+"/stats", &st)
+	for _, p := range st.Planes {
+		if p.Name == conn.Plane && p.Fabric.RepairAttempts != 1 {
+			t.Fatalf("plane %s made %d repair attempts, want 1", p.Name, p.Fabric.RepairAttempts)
 		}
 	}
 	repair := faultRequest{Plane: conn.Plane, Repair: true, FaultSet: fault.FaultSet}
@@ -494,13 +488,9 @@ func postJSON0(url string, body any, out any) int {
 // HTTP, watch a held connection get revoked and repaired, read the
 // degraded health, then heal and confirm recovery.
 func TestFaultEndpoints(t *testing.T) {
-	cfg := federation.Config{Planes: []federation.PlaneConfig{{
-		Fabric: fabric.Config{
-			Tree:          topology.MustNew(2, 4, 4),
-			BatchSize:     1,
-			MaxWait:       200 * time.Microsecond,
-			RepairBackoff: 500 * time.Microsecond,
-		},
+	clk := clock.NewFake()
+	cfg := federation.Config{Clock: clk, Planes: []federation.PlaneConfig{{
+		Fabric: fabric.Config{Tree: topology.MustNew(2, 4, 4), BatchSize: 1, MaxWait: 200 * time.Microsecond},
 	}}}
 	router, err := federation.New(cfg)
 	if err != nil {
@@ -544,8 +534,12 @@ func TestFaultEndpoints(t *testing.T) {
 		t.Fatalf("faults body %+v", fl)
 	}
 
-	// The repair loop re-admits the revoked connection around the fault.
-	waitUntil(t, "the repair", func() bool { return surf.Stats().Repaired >= 1 })
+	// The repair loop re-admits the revoked connection around the fault,
+	// in the epoch the clock's next step runs.
+	clk.Advance(0)
+	if n := surf.Stats().Repaired; n != 1 {
+		t.Fatalf("%d repairs after the repair epoch, want 1", n)
+	}
 	var st statsResponse
 	getJSON(t, ts.URL+"/stats", &st)
 	if fb := st.Planes[0].Fabric; fb.Revoked != 1 || fb.Repaired != 1 || fb.FaultyChannels != 2 {

@@ -481,3 +481,40 @@ func BenchmarkLocalGreedyPermutation(b *testing.B) {
 		s.Schedule(st, reqs)
 	}
 }
+
+// TestFirstFitDenialNotMonotone pins a witness that a first-fit Level-wise
+// denial is not monotone in the held set on a tree of three levels: on
+// FT(3,3,3) holding 11→22 on ports [0 0], 13→18 on [0 2] and 8→17 on
+// [0 1], 2→26 is denied at level 1; 2→10 is then granted on [0 0], and
+// after that 2→26 is granted on [1 0]. First fit takes level-0 port 0 for
+// 2→26 and finds no free port above it; once 2→10 holds that port, first
+// fit takes port 1, whose parent still has one. So "denied on a state,
+// denied on every state that freed nothing since" does not hold: a repair
+// parked until a release could wait through a grant that made it routable.
+func TestFirstFitDenialNotMonotone(t *testing.T) {
+	tree := topology.MustNew(3, 3, 3)
+	st := linkstate.New(tree)
+	for _, held := range []struct {
+		src, dst int
+		ports    []int
+	}{{11, 22, []int{0, 0}}, {13, 18, []int{0, 2}}, {8, 17, []int{0, 1}}} {
+		if err := st.AllocatePath(held.src, held.dst, held.ports); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lw := &LevelWise{Opts: Options{Rollback: true}}
+	one := func(src, dst int) Outcome {
+		o := lw.Schedule(st, []Request{{Src: src, Dst: dst}}).Outcomes[0]
+		o.Ports = append([]int(nil), o.Ports...)
+		return o
+	}
+	if o := one(2, 26); o.Granted {
+		t.Fatalf("2→26 granted on %v on the held set; the witness needs a denial", o.Ports)
+	}
+	if o := one(2, 10); !o.Granted {
+		t.Fatalf("2→10 denied at level %d; the witness needs a grant", o.FailLevel)
+	}
+	if o := one(2, 26); !o.Granted {
+		t.Fatalf("2→26 denied at level %d after 2→10 took channels; first fit is monotone here after all", o.FailLevel)
+	}
+}

@@ -50,6 +50,15 @@ func (k *Kernel) Now() Time { return k.now }
 // Pending returns the number of queued events.
 func (k *Kernel) Pending() int { return k.pq.Len() }
 
+// Next reports the time of the earliest queued event, false when none is
+// queued.
+func (k *Kernel) Next() (Time, bool) {
+	if k.pq.Len() == 0 {
+		return 0, false
+	}
+	return k.pq[0].at, true
+}
+
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.runs }
 

@@ -165,3 +165,19 @@ func BenchmarkSchedule(b *testing.B) {
 		k.Step()
 	}
 }
+
+func TestNext(t *testing.T) {
+	var k Kernel
+	if _, ok := k.Next(); ok {
+		t.Fatal("Next on an empty kernel reported an event")
+	}
+	k.At(20, func() {})
+	k.At(10, func() {})
+	if at, ok := k.Next(); !ok || at != 10 {
+		t.Fatalf("Next = %d, %v; want 10, true", at, ok)
+	}
+	k.Step()
+	if at, ok := k.Next(); !ok || at != 20 || k.Now() != 10 {
+		t.Fatalf("after one step: Next = %d, %v at %d; want 20, true at 10", at, ok, k.Now())
+	}
+}

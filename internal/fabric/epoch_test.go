@@ -67,7 +67,7 @@ func TestPortsDoesNotTakeSchedulingLock(t *testing.T) {
 // -race a route rewritten in place is also a reported data race.
 func TestPortsRacesRepair(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	cfg := fastRepair(tree)
+	cfg, clk := fastRepair(tree)
 	var jmu sync.Mutex
 	published := make(map[string]bool) // "src→dst:ports" of every grant and repair
 	key := func(src, dst int, ports []int) string { return fmt.Sprintf("%d→%d:%v", src, dst, ports) }
@@ -122,8 +122,8 @@ func TestPortsRacesRepair(t *testing.T) {
 		}(h, seen[i])
 	}
 	// Each cycle fails the link under one circuit's first hop — so the
-	// repair must pick another port — waits for the repair loop to settle
-	// and heals the fabric again.
+	// repair must pick another port — runs the repair epoch and heals the
+	// fabric again.
 	for cycle := 0; cycle < 40; cycle++ {
 		h := held[cycle%circuits]
 		ports := h.Ports()
@@ -133,7 +133,10 @@ func TestPortsRacesRepair(t *testing.T) {
 		if _, err := m.FailLink(0, h.Src()/tree.Children(), ports[0], faults.Both); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, func() bool { return m.Stats().PendingRepairs == 0 })
+		clk.Advance(0)
+		if n := m.Stats().PendingRepairs; n != 0 {
+			t.Fatalf("cycle %d: %d repairs pending after the repair epoch", cycle, n)
+		}
 		m.RepairAll()
 	}
 	stop.Store(true)
@@ -158,8 +161,7 @@ func TestPortsRacesRepair(t *testing.T) {
 func TestSizeClosingNeverStrands(t *testing.T) {
 	const batch = 4
 	tree := topology.MustNew(3, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: batch, MaxWait: time.Hour,
-		RepairBackoff: 500 * time.Microsecond, RepairRetries: 4})
+	m, err := New(Config{Tree: tree, BatchSize: batch, MaxWait: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

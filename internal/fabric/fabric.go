@@ -11,9 +11,9 @@
 // goroutine belongs to the manager: the Connect whose enqueue brings the
 // queue to Config.BatchSize — the batch's closer — runs the epoch itself,
 // its own ticket included; a batch that never fills is run once its
-// oldest request has waited Config.MaxWait, by a time.AfterFunc deadline
-// armed when a batch opens with none pending; Close runs the last epoch
-// on its caller.
+// oldest request has waited Config.MaxWait, by a deadline timer armed
+// when a batch opens with none pending; Close runs the last epoch on its
+// caller.
 //
 // The admission engine is whatever Config.SchedulerSpec names — the
 // sequential Level-wise scheduler by default, or e.g.
@@ -55,6 +55,11 @@
 // the configured admission timeout expires; Close stops intake and drains
 // the queue through a final epoch on the calling goroutine.
 //
+// Time: every time read and every timer — the MaxWait deadline, the admit
+// timeout, repair backoff, flap decay and quarantine probation, the epoch
+// and repair latency samples — goes through Config.Clock, the wall clock
+// unless a test injects internal/clock's Fake and advances it by hand.
+//
 // Observability: counters (offered and overflow under qmu; granted,
 // rejected, cancelled and released atomic), epoch-size and epoch-latency
 // distributions built on internal/stats, and a live utilization
@@ -76,6 +81,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/linkstate"
@@ -87,16 +93,24 @@ import (
 
 // Defaults used by New when the corresponding Config field is zero.
 const (
-	DefaultBatchSize     = 32
-	DefaultMaxWait       = 2 * time.Millisecond
-	DefaultQueueLimit    = 1024
-	DefaultRepairRetries = 8
-	DefaultRepairBackoff = 2 * time.Millisecond
+	DefaultBatchSize  = 32
+	DefaultMaxWait    = 2 * time.Millisecond
+	DefaultQueueLimit = 1024
 	// DefaultReleaseRing is the capacity of the lock-free release ring: a
 	// Release parks its handle there and the next mu holder retires it. A
 	// full ring never blocks — the overflowing Release takes the
 	// synchronous path.
 	DefaultReleaseRing = 1024
+)
+
+// The repair loop's bound and pace: a revoked connection gets RepairRetries
+// scheduling attempts, the first in the next epoch and attempt k+1 (k ≥ 1)
+// repairBackoff << (k-1) after attempt k is denied — 2, 4, … 128 ms, the
+// last attempt 254 ms after the first — before it dies with
+// ErrUnroutableDegraded.
+const (
+	RepairRetries = 8
+	repairBackoff = 2 * time.Millisecond
 )
 
 // Sentinel errors returned by Connect and Release. Scheduler denials are
@@ -116,7 +130,7 @@ var ErrDraining = fmt.Errorf("fabric: draining (shutting down, not backpressure)
 
 // ErrUnroutableDegraded is the terminal verdict of the repair loop: a
 // revoked connection could not be re-admitted on the degraded fabric
-// within Config.RepairRetries attempts. Handle.Err reports it and a
+// within RepairRetries attempts. Handle.Err reports it and a
 // Release of the dead handle returns it.
 var ErrUnroutableDegraded = errors.New("fabric: unroutable on degraded fabric")
 
@@ -176,21 +190,15 @@ type Config struct {
 	// verdict.
 	// Zero means wait indefinitely (until ctx cancels).
 	AdmitTimeout time.Duration
+	// Clock is what every time read and timer of the manager goes
+	// through; nil means the wall clock (clock.Wall).
+	Clock clock.Clock
 	// Trace, when non-nil, receives one Event per link-state mutation
 	// (grant, release) and per queue drop (reject, cancel), invoked in
 	// exact serialization order under the manager lock. Keep it fast; the
 	// Ports slice aliases live storage (for grants, the scheduler's reused
 	// ports arena) — treat it as read-only and copy it before retaining.
 	Trace func(Event)
-	// RepairRetries bounds how many scheduling attempts a revoked
-	// connection gets before the repair is abandoned with
-	// ErrUnroutableDegraded (default DefaultRepairRetries).
-	RepairRetries int
-	// RepairBackoff is the base delay between repair attempts; attempt k
-	// (0-based) waits RepairBackoff << k before re-entering the epoch
-	// queue (default DefaultRepairBackoff). The first attempt is
-	// immediate: a revoked connection joins the very next epoch.
-	RepairBackoff time.Duration
 	// OnConnTerminal, when non-nil, is invoked (on its own goroutine,
 	// no manager lock held) each time the repair loop retires a revoked
 	// connection with a terminal error — retries exhausted
@@ -307,7 +315,7 @@ type result struct {
 // Handle lifecycle states. A handle is born active; a fault crossing
 // its route revokes it to repairing (its channels returned, a repair
 // ticket queued); a successful re-admission returns it to active on a
-// new route; exhausting Config.RepairRetries, manager shutdown, or the
+// new route; exhausting RepairRetries, manager shutdown, or the
 // owner's Release while repairing kills it. Transitions happen under
 // m.mu; the atomic makes the lock-free reads (the Release fast path,
 // Err, Repairing) safe; the store of handleDead publishes repair.err.
@@ -464,11 +472,9 @@ type Manager struct {
 	failed map[faults.Channel]struct{}
 	// Gray-failure state (guarded by mu; see gray.go). flap holds the
 	// decayed per-channel flap scores, quar the quarantined channels and
-	// their probation deadlines; halfLife and probation are the damping
-	// clock (flapHalfLife, quarantineProbation).
-	flap                map[faults.Channel]*flapScore
-	quar                map[faults.Channel]time.Time
-	halfLife, probation time.Duration
+	// their probation deadlines.
+	flap map[faults.Channel]*flapScore
+	quar map[faults.Channel]time.Time
 
 	// qmu guards the admission queue (pending, oldest), its counts, the
 	// backpressure wakeup (room), who runs it next (closerPending,
@@ -501,7 +507,7 @@ type Manager struct {
 	// deadline is the MaxWait timer (onDeadline), armed whether it is
 	// pending. It is armed for a batch that opens with none pending, so
 	// while armed it fires no later than oldest + MaxWait.
-	deadline *time.Timer
+	deadline clock.Timer
 	armed    bool
 
 	// relRing parks fast-path releases until a mu holder drains them
@@ -603,7 +609,6 @@ func (cfg *Config) resolve() (sched.Engine, error) {
 	}
 	dur("MaxWait", &cfg.MaxWait, DefaultMaxWait)
 	dur("AdmitTimeout", &cfg.AdmitTimeout, 0)
-	dur("RepairBackoff", &cfg.RepairBackoff, DefaultRepairBackoff)
 	if err != nil {
 		return nil, err
 	}
@@ -619,9 +624,7 @@ func (cfg *Config) resolve() (sched.Engine, error) {
 	if cfg.QueueLimit < cfg.BatchSize {
 		cfg.QueueLimit = cfg.BatchSize
 	}
-	if cfg.RepairRetries <= 0 {
-		cfg.RepairRetries = DefaultRepairRetries
-	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	if cfg.SchedulerSpec != "" {
 		return sched.Parse(cfg.SchedulerSpec)
 	}
@@ -645,14 +648,13 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		quar:    make(map[faults.Channel]time.Time),
 		relRing: newReleaseRing(ringSize),
 	}
-	m.halfLife, m.probation = flapHalfLife, quarantineProbation
 	switch e := eng.Unwrap().(type) {
 	case *parsched.Engine:
 		m.parName = e.Name()
 	case *core.LevelWise:
 		m.reuseCost = e.Opts.ReuseCost
 	}
-	m.deadline = time.AfterFunc(time.Hour, m.onDeadline)
+	m.deadline = cfg.Clock.AfterFunc(time.Hour, m.onDeadline)
 	m.deadline.Stop() // created unarmed; enqueue and poke arm it
 	return m, nil
 }
@@ -672,11 +674,12 @@ func (m *Manager) Connect(ctx context.Context, src, dst int) (*Handle, error) {
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, fmt.Errorf("fabric: endpoints (%d, %d) outside [0, %d)", src, dst, n)
 	}
-	var deadline <-chan time.Time
+	var deadline <-chan struct{}
 	if m.cfg.AdmitTimeout > 0 {
-		timer := time.NewTimer(m.cfg.AdmitTimeout)
+		expired := make(chan struct{})
+		timer := m.cfg.Clock.AfterFunc(m.cfg.AdmitTimeout, func() { close(expired) })
 		defer timer.Stop()
-		deadline = timer.C
+		deadline = expired
 	}
 	t := m.getTicket(src, dst)
 	closer, err := m.enqueue(ctx, deadline, t)
@@ -757,12 +760,12 @@ func (m *Manager) putTicket(t *ticket) {
 // ErrAdmitTimeout if ctx or deadline ends the wait first. A closing
 // manager refuses with ErrDraining, counted under DrainRefused, so
 // callers can tell shutdown from a momentarily full queue. A refused
-// ticket never entered the queue. One time.Now per batch: the first
+// ticket never entered the queue. One clock read per batch: the first
 // ticket of an epoch stamps m.oldest and later tickets inherit it, so the
 // deadline and the epoch-latency sample both measure from the batch
 // start. A first ticket below the threshold arms the MaxWait deadline
 // unless an earlier batch's is still pending — that one fires first.
-func (m *Manager) enqueue(ctx context.Context, deadline <-chan time.Time, t *ticket) (closer bool, err error) {
+func (m *Manager) enqueue(ctx context.Context, deadline <-chan struct{}, t *ticket) (closer bool, err error) {
 	m.qmu.Lock()
 	for m.clients >= m.cfg.QueueLimit && !m.closed.Load() {
 		if m.room == nil {
@@ -791,7 +794,7 @@ func (m *Manager) enqueue(ctx context.Context, deadline <-chan time.Time, t *tic
 	}
 	opened := len(m.pending) == 0
 	if opened {
-		m.oldest = time.Now()
+		m.oldest = m.cfg.Clock.Now()
 	}
 	t.enq = m.oldest
 	m.pending = append(m.pending, t)
@@ -844,7 +847,7 @@ func (m *Manager) onDeadline() {
 	n := len(m.pending)
 	var left time.Duration
 	if n > 0 && n < m.cfg.BatchSize && !m.closed.Load() {
-		left = m.cfg.MaxWait - time.Since(m.oldest)
+		left = m.cfg.MaxWait - m.cfg.Clock.Now().Sub(m.oldest)
 	}
 	m.armed = left > 0
 	if m.armed {
@@ -872,7 +875,7 @@ func (m *Manager) poke() {
 		m.deadline.Reset(0)
 	case !m.armed:
 		m.armed = true
-		m.deadline.Reset(m.cfg.MaxWait - time.Since(m.oldest))
+		m.deadline.Reset(m.cfg.MaxWait - m.cfg.Clock.Now().Sub(m.oldest))
 	}
 	m.qmu.Unlock()
 }
@@ -1053,7 +1056,7 @@ func (m *Manager) Close(ctx context.Context) error {
 func (m *Manager) flushLocked() *ticket {
 	m.drainReleasesLocked()
 	if len(m.quar) > 0 { // guard: skip the clock read on the common path
-		m.settleQuarantineLocked(time.Now())
+		m.settleQuarantineLocked(m.cfg.Clock.Now())
 	}
 	// Swap the queue out under qmu: Connect keeps enqueueing into the
 	// spare array while this epoch schedules under mu. Every client ticket
@@ -1183,7 +1186,7 @@ func (m *Manager) flushLocked() *ticket {
 	// pass established — the reconfiguration cost a reuse-cost engine
 	// minimizes.
 	m.hist.epochSize.Record(float64(len(live)))
-	m.hist.epochLatMS.Record(float64(time.Since(live[0].enq)) / float64(time.Millisecond))
+	m.hist.epochLatMS.Record(float64(m.cfg.Clock.Now().Sub(live[0].enq)) / float64(time.Millisecond))
 	m.hist.routeChurn.Record(float64(m.tornSinceEpoch + established))
 	m.tornSinceEpoch = 0
 	// Drop ticket references from the reused buffer; the verdict list

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/linkstate"
 	"repro/internal/sched"
@@ -127,14 +128,29 @@ func (g *gatedScheduler) Schedule(st *linkstate.State, reqs []core.Request) *cor
 }
 
 // TestAdmitTimeout parks a request in an unflushable epoch and checks
-// the configured admission timeout pulls it out as cancelled.
+// the configured admission timeout pulls it out as cancelled, at its due
+// time and not 1 ns before.
 func TestAdmitTimeout(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: time.Hour, AdmitTimeout: 25 * time.Millisecond})
+	clk := clock.NewFake()
+	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: time.Hour, AdmitTimeout: 25 * time.Millisecond, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Connect(context.Background(), 0, 5); !errors.Is(err, ErrAdmitTimeout) {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := m.Connect(context.Background(), 0, 5)
+		errc <- err
+	}()
+	waitFor(t, func() bool { return queueDepth(m) == 1 })
+	clk.Advance(25*time.Millisecond - 1)
+	select {
+	case err := <-errc:
+		t.Fatalf("parked connect returned %v before its admission timeout", err)
+	default:
+	}
+	clk.Advance(1)
+	if err := <-errc; !errors.Is(err, ErrAdmitTimeout) {
 		t.Fatalf("parked connect: got %v, want ErrAdmitTimeout", err)
 	}
 	if err := m.Close(context.Background()); err != nil {
@@ -415,6 +431,9 @@ func queueDepth(m *Manager) int {
 	return len(m.pending)
 }
 
+// waitFor polls cond until it holds, yielding between polls, and fails the
+// test after 5 s. It waits on other goroutines, not on time: a test that
+// needs time to pass advances a clock.Fake.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -422,6 +441,6 @@ func waitFor(t *testing.T, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached within 5s")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }

@@ -1,11 +1,20 @@
 // Package fabrictest holds the reference fabric: what a fabric.Manager
 // does, written the obvious way, for the tests of the fabric and of the
-// tiers built on it. One mutex; its own link state, rebuilt after every
-// mask change; the same registry engine, one pass of it over the live
-// requests in queue order per epoch, a no-rollback engine's retained
-// partial routes released after it; synchronous release; Fail masking
-// channels and dropping the connections that cross them; flap damping
-// without decay. No pool, ring, timer, view or repair loop.
+// tiers built on it. Its own link state, rebuilt after every mask change;
+// the same registry engine, one pass of it over the live requests in
+// queue order per epoch, a no-rollback engine's retained partial routes
+// released after it; synchronous release; Fail masking channels and
+// revoking the connections that cross them into repair; flap damping. No
+// lock, pool, ring, view or goroutine: one goroutine drives it.
+//
+// Time is a model clock, Now, that only AdvanceTo moves. On it the
+// reference keeps the manager's timers as due times: a denied repair's
+// backoff, which puts its ticket back in the queue, and the probation timer
+// a quarantine arms, which settles the quarantines that have expired by
+// then. A flap score decays by the fabric's own expression, so the two
+// agree bit for bit. The reference settles quarantines where the manager
+// does: Fail, Repair, Settle (an epoch, the manager's Stats) and that
+// timer.
 //
 // The package does not import internal/fabric, whose own tests import it.
 // A connection is held under a comparable key the caller chooses — the
@@ -15,8 +24,10 @@ package fabrictest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -25,22 +36,63 @@ import (
 	"repro/internal/topology"
 )
 
+// The fabric's repair and damping constants, restated: a repair gets
+// RepairRetries attempts, attempt k+1 RepairBackoff << (k-1) after attempt
+// k; a flap score halves every FlapHalfLife; a quarantine lasts
+// QuarantineProbation past its channel's last flap, and the timer a fresh
+// quarantine arms fires a millisecond after that.
+const (
+	RepairRetries       = 8
+	RepairBackoff       = 2 * time.Millisecond
+	FlapHalfLife        = time.Second
+	QuarantineProbation = 100 * time.Millisecond
+)
+
 // Ref is the reference fabric. Its exported fields are the model's state,
 // for the caller to compare against; change them only through the methods.
 type Ref struct {
-	mu   sync.Mutex
 	Tree *topology.Tree
 	eng  sched.Engine
 	// St holds the mask and every held route.
 	St *linkstate.State
 	// Conns are the held connections by key.
 	Conns map[any]Conn
-	// Failed are the failed channels, Quar the quarantined ones.
-	Failed, Quar map[faults.Channel]bool
-	flaps        map[faults.Channel]int
-	damp         int // down-transitions that quarantine a channel; 0: never
+	// Failed are the failed channels; Quar the quarantined ones, each with
+	// the end of its probation.
+	Failed map[faults.Channel]bool
+	Quar   map[faults.Channel]time.Duration
+	flaps  map[faults.Channel]flap
+	damp   float64 // the score that quarantines a channel; 0: never
+	// settles are the due times of the probation timers not yet fired.
+	settles []time.Duration
+	// Repairs are the revoked connections whose repair has not ended, by
+	// key. Queue is the repair tickets waiting for the next epoch in the
+	// order they joined it; a ticket whose repair ended meanwhile (its
+	// owner released it) stays in it until that epoch, as in the manager.
+	Repairs map[any]*Repair
+	Queue   []any
+	// Attempts counts every repair's scheduling attempts so far.
+	Attempts int
+	// Now is the model clock: the time since the fabric started.
+	Now time.Duration
 	// Closed refuses faults, as a closed manager does.
 	Closed bool
+}
+
+// Repair is one revoked connection's repair.
+type Repair struct {
+	Src, Dst int
+	// Attempts counts the scheduling attempts so far; Due is when a repair
+	// waiting out its backoff re-joins the queue, and Queued whether it has.
+	Attempts int
+	Due      time.Duration
+	Queued   bool
+}
+
+// flap is one channel's decayed flap score.
+type flap struct {
+	score float64
+	last  time.Duration
 }
 
 // Conn is one held connection.
@@ -50,19 +102,23 @@ type Conn struct {
 }
 
 // New is an empty reference over tree that schedules with the registry
-// engine spec; a channel's damp-th down-transition quarantines it, and
-// damp 0 turns damping off.
-func New(tree *topology.Tree, spec string, damp int) *Ref {
+// engine spec. A channel whose decayed flap score reaches damp is
+// quarantined — the fabric's FlapThreshold — and damp 0 turns damping off.
+func New(tree *topology.Tree, spec string, damp float64) *Ref {
 	return &Ref{Tree: tree, eng: sched.MustParse(spec), St: linkstate.New(tree), Conns: map[any]Conn{},
-		Failed: map[faults.Channel]bool{}, Quar: map[faults.Channel]bool{}, flaps: map[faults.Channel]int{}, damp: damp}
+		Failed: map[faults.Channel]bool{}, Quar: map[faults.Channel]time.Duration{}, flaps: map[faults.Channel]flap{},
+		damp: damp, Repairs: map[any]*Repair{}}
 }
 
 // FreshState is a link state with every masked channel failed and nothing
 // held.
 func (r *Ref) FreshState() *linkstate.State {
 	st := linkstate.New(r.Tree)
-	for _, set := range []map[faults.Channel]bool{r.Failed, r.Quar} {
-		for c := range set {
+	for c := range r.Failed {
+		st.FailLink(c.Dir, c.Level, c.Switch, c.Port)
+	}
+	for c := range r.Quar {
+		if !r.Failed[c] {
 			st.FailLink(c.Dir, c.Level, c.Switch, c.Port)
 		}
 	}
@@ -83,10 +139,9 @@ func (r *Ref) rebuild() error {
 // Epoch schedules the live requests as one pass, holds grant i under
 // keys[i] (a nil key: under a fresh one of its own), and returns the
 // outcomes; a denial's Ports are cleared, since a rejected request holds
-// nothing.
+// nothing. The caller has settled the quarantines and taken the repair
+// queue (TakeQueue), as the epoch does before it schedules.
 func (r *Ref) Epoch(reqs []core.Request, keys []any) []core.Outcome {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	outs := r.eng.Schedule(r.St, reqs).Outcomes
 	for i, o := range outs {
 		switch {
@@ -105,20 +160,16 @@ func (r *Ref) Epoch(reqs []core.Request, keys []any) []core.Outcome {
 // Try is the verdict a one-request epoch for src→dst would reach now, with
 // nothing held or changed: a grant's route, or a denial's fail level.
 func (r *Ref) Try(src, dst int) core.Outcome {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dry(r.eng, src, dst)
 }
 
 // Routable is Level-wise first-fit over the current rows: what a plane's
 // published view answers once every release is drained into it.
 func (r *Ref) Routable(src, dst int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dry(&core.LevelWise{Opts: core.Options{Rollback: true}}, src, dst).Granted
 }
 
-// dry schedules src→dst with eng and rewinds the rows. Caller holds mu.
+// dry schedules src→dst with eng and rewinds the rows.
 func (r *Ref) dry(eng core.Scheduler, src, dst int) core.Outcome {
 	snap := r.St.Snapshot()
 	o := eng.Schedule(r.St, []core.Request{{Src: src, Dst: dst}}).Outcomes[0]
@@ -140,8 +191,6 @@ func (r *Ref) Blocked(src, dst int) bool {
 // Hold adopts a route the reference did not schedule itself — a repair, a
 // grant of an epoch shared with repairs, a migrated connection — under key.
 func (r *Ref) Hold(key any, src, dst int, ports []int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := Conn{src, dst, append([]int(nil), ports...)}
 	if err := r.St.AllocatePath(c.Src, c.Dst, c.Ports); err != nil {
 		return fmt.Errorf("reference: adopting %d→%d %v: %v", c.Src, c.Dst, c.Ports, err)
@@ -150,11 +199,10 @@ func (r *Ref) Hold(key any, src, dst int, ports []int) error {
 	return nil
 }
 
-// Release returns a held connection's channels; one the reference does not
-// hold (dropped by a fault) is a no-op.
+// Release returns a held connection's channels, or ends the repair of one
+// a fault revoked; any other key is a no-op.
 func (r *Ref) Release(key any) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	delete(r.Repairs, key)
 	c, ok := r.Conns[key]
 	if !ok {
 		return nil
@@ -166,28 +214,29 @@ func (r *Ref) Release(key any) error {
 	return nil
 }
 
-// Fail masks the channels not already failed — quarantining any whose
-// down-transitions reach damp — and drops every connection whose route
-// crosses a channel it newly masked. It returns how many it newly masked
-// and the dropped connections by key. A closed fabric refuses faults.
+// Fail settles the quarantines, then masks the channels not already
+// failed — counting a flap on each and quarantining those whose score
+// reaches damp — and revokes every connection whose route crosses a
+// channel it newly masks: each joins the repair queue. It returns how many
+// channels it newly masked and the revoked connections by key. A closed
+// fabric refuses faults.
 func (r *Ref) Fail(chans []faults.Channel) (fresh int, dropped map[any]Conn, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	newly := map[faults.Channel]bool{}
 	dropped = map[any]Conn{}
 	if r.Closed {
 		return 0, dropped, nil
 	}
+	r.Settle()
 	for _, c := range chans {
 		if r.Failed[c] {
 			continue
 		}
-		if !r.Quar[c] { // a quarantined channel is masked already
+		if _, q := r.Quar[c]; !q { // a quarantined channel is masked already
 			newly[c] = true
 			fresh++
 		}
-		if r.flaps[c]++; r.damp > 0 && r.flaps[c] >= r.damp {
-			r.Quar[c] = true
+		if r.damp > 0 {
+			r.noteFlap(c)
 		}
 		r.Failed[c] = true
 	}
@@ -201,22 +250,137 @@ func (r *Ref) Fail(chans []faults.Channel) (fresh int, dropped map[any]Conn, err
 			}
 		})
 	}
-	for k := range dropped {
+	for k, c := range dropped {
 		delete(r.Conns, k)
+		r.Repairs[k] = &Repair{Src: c.Src, Dst: c.Dst, Queued: true}
+		r.Queue = append(r.Queue, k)
 	}
 	return fresh, dropped, r.rebuild()
 }
 
-// Repair heals the failed channels among chans and returns how many came
-// back into service (a quarantined one stays masked).
+// noteFlap counts a down-transition of c at Now: the score decays, grows by
+// one, and from damp on (re)starts c's quarantine.
+func (r *Ref) noteFlap(c faults.Channel) {
+	f, seen := r.flaps[c]
+	if dt := r.Now - f.last; seen && dt > 0 {
+		f.score *= math.Exp2(-float64(dt) / float64(FlapHalfLife))
+	}
+	f.score++
+	f.last = r.Now
+	r.flaps[c] = f
+	if f.score < r.damp {
+		return
+	}
+	if _, already := r.Quar[c]; !already {
+		r.settles = append(r.settles, r.Now+QuarantineProbation+time.Millisecond)
+	}
+	r.Quar[c] = r.Now + QuarantineProbation
+}
+
+// Settle lifts every quarantine whose probation has ended by Now, as the
+// manager's epochs and Stats do.
+func (r *Ref) Settle() error {
+	lifted := false
+	for c, until := range r.Quar {
+		if r.Now >= until {
+			delete(r.Quar, c)
+			lifted = true
+		}
+	}
+	if !lifted {
+		return nil
+	}
+	return r.rebuild()
+}
+
+// AdvanceTo moves Now to t, firing every timer due by then at its own due
+// time: a probation timer settles the quarantines, and a repair's backoff
+// puts its ticket back in the queue — or, on a closed fabric, ends the
+// repair, aborted; those keys are returned.
+func (r *Ref) AdvanceTo(t time.Duration) (aborted []any, err error) {
+	if t < r.Now {
+		return nil, fmt.Errorf("reference: advancing to %v, before now (%v)", t, r.Now)
+	}
+	for {
+		due, ok := t, false
+		for _, s := range r.settles {
+			if s <= due {
+				due, ok = s, true
+			}
+		}
+		if !ok {
+			break
+		}
+		r.Now = due
+		r.settles = slices.DeleteFunc(r.settles, func(s time.Duration) bool { return s == due })
+		if err := r.Settle(); err != nil {
+			return nil, err
+		}
+	}
+	r.Now = t
+	// Backoffs that end by t requeue, each at its own due time; nothing
+	// the reference checks reads their order.
+	for k, rp := range r.Repairs {
+		switch {
+		case rp.Queued || rp.Due > t:
+		case r.Closed:
+			delete(r.Repairs, k)
+			aborted = append(aborted, k)
+		default:
+			rp.Queued = true
+			r.Queue = append(r.Queue, k)
+		}
+	}
+	return aborted, nil
+}
+
+// TakeQueue empties the repair queue, as an epoch does, and returns the
+// keys of the repairs still live in it, in queue order: the ones that
+// epoch attempts.
+func (r *Ref) TakeQueue() []any {
+	var live []any
+	for _, k := range r.Queue {
+		if rp := r.Repairs[k]; rp != nil && rp.Queued {
+			live = append(live, k)
+		}
+	}
+	r.Queue = r.Queue[:0]
+	return live
+}
+
+// Attempted applies the verdict of a taken repair's attempt: a grant holds
+// the route and ends the repair; a denial counts, and either arms the
+// backoff or ends the repair — aborted on a closed fabric, failed at
+// RepairRetries attempts. ended reports whether the repair ended.
+func (r *Ref) Attempted(key any, granted bool, ports []int) (ended bool, err error) {
+	rp := r.Repairs[key]
+	if rp == nil || !rp.Queued {
+		return false, fmt.Errorf("reference: a repair attempted that is not queued")
+	}
+	r.Attempts++
+	if granted {
+		delete(r.Repairs, key)
+		return true, r.Hold(key, rp.Src, rp.Dst, ports)
+	}
+	rp.Attempts++
+	if r.Closed || rp.Attempts >= RepairRetries {
+		delete(r.Repairs, key)
+		return true, nil
+	}
+	rp.Queued, rp.Due = false, r.Now+RepairBackoff<<(rp.Attempts-1)
+	return false, nil
+}
+
+// Repair settles the quarantines, then heals the failed channels among
+// chans and returns how many came back into service (a quarantined one
+// stays masked).
 func (r *Ref) Repair(chans []faults.Channel) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.Settle()
 	n := 0
 	for _, c := range chans {
 		if r.Failed[c] {
 			delete(r.Failed, c)
-			if !r.Quar[c] {
+			if _, q := r.Quar[c]; !q {
 				n++
 			}
 		}
@@ -226,8 +390,6 @@ func (r *Ref) Repair(chans []faults.Channel) (int, error) {
 
 // FailedChannels lists the failed channels in a fixed order.
 func (r *Ref) FailedChannels() []faults.Channel {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []faults.Channel
 	for c := range r.Failed {
 		out = append(out, c)
@@ -239,8 +401,6 @@ func (r *Ref) FailedChannels() []faults.Channel {
 // ClearQuarantine lifts every quarantine, forgets every flap, and returns
 // how many channels came back into service.
 func (r *Ref) ClearQuarantine() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
 	for c := range r.Quar {
 		if !r.Failed[c] {
@@ -255,7 +415,5 @@ func (r *Ref) ClearQuarantine() (int, error) {
 // Unavailable is what a plane's Unavailable gauge reads between passes:
 // the channels held plus the channels masked.
 func (r *Ref) Unavailable() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return int64(r.St.OccupiedCount() + r.St.FailedCount())
 }

@@ -6,8 +6,8 @@ package fabric
 // replaying the Theorem 2 walk with a topology.RouteCursor, and revokes
 // them: healthy channels return to the fabric immediately, and each
 // stranded connection re-enters the normal epoch queue as a repair
-// ticket. Repairs retry with exponential backoff up to
-// Config.RepairRetries times before the handle dies with
+// ticket. Repairs retry with exponential backoff — repairBackoff doubling,
+// on Config.Clock — up to RepairRetries times before the handle dies with
 // ErrUnroutableDegraded. Repair reverses faults; already-revoked
 // connections finish their repair on the healed fabric.
 
@@ -52,7 +52,7 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 	// released connection is not revoked into a pointless repair — those
 	// releases happened logically before this fault.
 	m.drainReleasesLocked()
-	now := time.Now()
+	now := m.cfg.Clock.Now()
 	damping := m.dampingLocked()
 	if damping {
 		m.settleQuarantineLocked(now)
@@ -126,7 +126,7 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 	}
 	chans := fs.Channels(m.cfg.Tree)
 	m.mu.Lock()
-	m.settleQuarantineLocked(time.Now())
+	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	repaired := 0
 	for _, c := range chans {
 		if _, bad := m.failed[c]; !bad {
@@ -155,7 +155,7 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 // overrides); they are not counted.
 func (m *Manager) RepairAll() int {
 	m.mu.Lock()
-	m.settleQuarantineLocked(time.Now())
+	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	repaired := 0
 	for c := range m.failed {
 		delete(m.failed, c)
@@ -246,7 +246,7 @@ func (m *Manager) revokeLocked(h *Handle) {
 		m.tornSinceEpoch++
 		m.tornRoutes.Add(1)
 	}
-	now := time.Now()
+	now := m.cfg.Clock.Now()
 	h.route.Store(&noRoute)
 	h.repair = &repairRecord{revokedAt: now}
 	h.state.Store(handleRepairing)
@@ -271,9 +271,9 @@ func (m *Manager) queueRepairLocked(t *ticket) {
 // repairVerdictLocked applies one epoch's outcome to a repair ticket.
 // On a grant the scheduler has already allocated the new route in m.st;
 // the handle returns to active on it. On a denial the ticket either
-// re-queues after an exponential backoff or — once Config.RepairRetries
-// attempts are spent, or during shutdown — the handle dies. Caller
-// holds m.mu (flushLocked).
+// re-queues after an exponential backoff on Config.Clock or — once
+// RepairRetries attempts are spent, or during shutdown — the handle dies.
+// Caller holds m.mu (flushLocked).
 func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) {
 	h, rep := t.h, t.h.repair
 	m.repairAttempts.Add(1)
@@ -293,7 +293,7 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventRepair, Src: h.src, Dst: h.dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 		}
-		m.hist.repairLatMS.Record(float64(time.Since(rep.revokedAt)) / float64(time.Millisecond))
+		m.hist.repairLatMS.Record(float64(m.cfg.Clock.Now().Sub(rep.revokedAt)) / float64(time.Millisecond))
 		m.hist.repairDepth.Record(float64(rep.attempts + 1))
 		return
 	}
@@ -305,7 +305,7 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 		m.killRepairLocked(h, fmt.Errorf("fabric: repair aborted: %w", ErrClosed), &m.repairAborted)
 		return
 	}
-	if rep.attempts >= m.cfg.RepairRetries {
+	if rep.attempts >= RepairRetries {
 		m.killRepairLocked(h, fmt.Errorf("%w: %d→%d after %d attempts (first conflict at level %d)",
 			ErrUnroutableDegraded, h.src, h.dst, rep.attempts, o.FailLevel), &m.repairFailed)
 		return
@@ -313,8 +313,7 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 	// Exponential backoff before the next attempt; the timer re-enqueues
 	// the same ticket. Shutdown and owner Release both invalidate the
 	// handle's repairing state, which the timer checks before queuing.
-	delay := m.cfg.RepairBackoff << (rep.attempts - 1)
-	time.AfterFunc(delay, func() { m.requeueRepair(t) })
+	m.cfg.Clock.AfterFunc(repairBackoff<<(rep.attempts-1), func() { m.requeueRepair(t) })
 }
 
 // killRepairLocked retires a repairing handle with a terminal error,
@@ -350,7 +349,7 @@ func (m *Manager) requeueRepair(t *ticket) {
 		m.mu.Unlock()
 		return
 	}
-	t.enq = time.Now()
+	t.enq = m.cfg.Clock.Now()
 	m.queueRepairLocked(t)
 	m.mu.Unlock()
 	m.poke()

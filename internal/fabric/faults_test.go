@@ -9,27 +9,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
-// fastRepair keeps repair-loop tests quick: immediate epochs, short
-// backoff, a handful of retries.
-func fastRepair(tree *topology.Tree) Config {
-	return Config{
-		Tree:          tree,
-		BatchSize:     1,
-		MaxWait:       time.Millisecond,
-		RepairBackoff: 500 * time.Microsecond,
-		RepairRetries: 4,
-	}
+// fastRepair is a manager of one-request epochs on a fake clock: the
+// repair epoch a Fail queues runs when the test advances the clock, by
+// zero for the first attempt, and the last of RepairRetries attempts
+// fullBackoff after the first.
+func fastRepair(tree *topology.Tree) (Config, *clock.Fake) {
+	clk := clock.NewFake()
+	return Config{Tree: tree, BatchSize: 1, MaxWait: time.Millisecond, Clock: clk}, clk
 }
+
+// fullBackoff is the sum of the backoffs between a repair's first attempt
+// and its last: 2 + 4 + … + 128 ms.
+const fullBackoff = 254 * time.Millisecond
 
 // TestFailSwitchRevokesAndRoutesAround kills the level-1 switch a route
 // climbs through; the repaired route must land on a different parent.
 func TestFailSwitchRevokesAndRoutesAround(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	m, err := New(fastRepair(tree))
+	cfg, clk := fastRepair(tree)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,10 @@ func TestFailSwitchRevokesAndRoutesAround(t *testing.T) {
 	if revoked != 1 {
 		t.Fatalf("FailSwitch revoked %d, want 1", revoked)
 	}
-	waitFor(t, func() bool { return m.Stats().Repaired == 1 })
+	clk.Advance(0) // the repair epoch
+	if s := m.Stats(); s.Repaired != 1 {
+		t.Fatalf("Repaired = %d after the repair epoch, want 1", s.Repaired)
+	}
 	if got := tree.UpParent(0, 0, h.Ports()[0]); got == deadParent {
 		t.Fatalf("repaired route still climbs through failed switch %d", deadParent)
 	}
@@ -110,16 +116,17 @@ func TestConnectDrainingError(t *testing.T) {
 // package under -race): concurrent connect/release churn while faults
 // are injected and repaired at random. Afterwards every handle is
 // released, nothing is active and CheckInvariants holds — no leaked or
-// resurrected channel, ever.
+// resurrected channel, ever. Time is a fake clock the test advances: the
+// clients' partial batches and the repair loop's backoff run on it.
 func TestChaosFailRepairRevoke(t *testing.T) {
 	tree := topology.MustNew(3, 4, 2)
+	clk := clock.NewFake()
 	cfg := Config{
-		Tree:          tree,
-		BatchSize:     8,
-		MaxWait:       500 * time.Microsecond,
-		AdmitTimeout:  50 * time.Millisecond,
-		RepairBackoff: 500 * time.Microsecond,
-		RepairRetries: 3,
+		Tree:         tree,
+		BatchSize:    8,
+		MaxWait:      500 * time.Microsecond,
+		AdmitTimeout: 50 * time.Millisecond,
+		Clock:        clk,
 	}
 	m, err := New(cfg)
 	if err != nil {
@@ -177,7 +184,7 @@ func TestChaosFailRepairRevoke(t *testing.T) {
 		if _, _, err := m.Fail(fs); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		advance(clk, 2*time.Millisecond)
 		if i%3 == 2 {
 			m.RepairAll()
 		} else if _, err := m.Repair(fs); err != nil {
@@ -190,14 +197,14 @@ func TestChaosFailRepairRevoke(t *testing.T) {
 	}
 
 	close(stop)
-	wg.Wait()
+	pumpUntilDone(clk, &wg)
 	for _, h := range held {
 		_ = h.Release() // dead handles report their terminal error; fine
 	}
-	waitFor(t, func() bool {
-		s := m.Stats()
-		return s.PendingRepairs == 0 && s.QueueDepth == 0
-	})
+	clk.Advance(fullBackoff) // every repair still in backoff reaches its verdict
+	if s := m.Stats(); s.PendingRepairs != 0 || s.QueueDepth != 0 {
+		t.Fatalf("after the last backoff: %d repairs pending, queue depth %d", s.PendingRepairs, s.QueueDepth)
+	}
 
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -211,30 +218,47 @@ func TestChaosFailRepairRevoke(t *testing.T) {
 }
 
 // TestCloseAbortsRepairs shuts the manager down while repairs are
-// pending; they resolve as aborted, not leaked.
+// pending — one queued for its first attempt, one waiting out a backoff
+// — and both resolve as aborted, not leaked: the queued one in Close's
+// last epoch, the other when its backoff ends.
 func TestCloseAbortsRepairs(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	cfg := fastRepair(tree)
-	cfg.RepairRetries = 1000
-	cfg.RepairBackoff = time.Millisecond
+	cfg, clk := fastRepair(tree)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := m.Connect(context.Background(), 0, tree.Nodes()-1)
+	backingOff, err := m.Connect(context.Background(), 0, tree.Nodes()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := m.Connect(context.Background(), tree.Children(), tree.Nodes()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	isolate(t, m) // repair can never succeed; it cycles through backoff
+	clk.Advance(0)
+	// Isolate the second circuit's source switch too, and queue its repair.
+	fs := &faults.FaultSet{}
+	for p := 0; p < tree.Parents(); p++ {
+		fs.Links = append(fs.Links, faults.LinkFault{Level: 0, Switch: 1, Port: p, Direction: faults.Up})
+	}
+	if _, revoked, err := m.Fail(fs); err != nil || revoked != 1 {
+		t.Fatalf("isolating the second switch revoked %d (%v), want 1", revoked, err)
+	}
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool {
-		s := m.Stats()
-		return s.PendingRepairs == 0 && s.RepairAborted == 1
-	})
-	if !errors.Is(h.Err(), ErrClosed) {
-		t.Fatalf("aborted handle Err = %v, want ErrClosed", h.Err())
+	if s := m.Stats(); s.PendingRepairs != 1 || s.RepairAborted != 1 || !errors.Is(queued.Err(), ErrClosed) {
+		t.Fatalf("after Close: %d repairs pending, %d aborted, queued repair's Err %v; want 1, 1, ErrClosed",
+			s.PendingRepairs, s.RepairAborted, queued.Err())
+	}
+	clk.Advance(2 * time.Millisecond)
+	if s := m.Stats(); s.PendingRepairs != 0 || s.RepairAborted != 2 {
+		t.Fatalf("after the backoff: %d repairs pending, %d aborted; want 0, 2", s.PendingRepairs, s.RepairAborted)
+	}
+	if !errors.Is(backingOff.Err(), ErrClosed) {
+		t.Fatalf("aborted handle Err = %v, want ErrClosed", backingOff.Err())
 	}
 }
 
@@ -244,8 +268,7 @@ func TestCloseAbortsRepairs(t *testing.T) {
 // proves killRepairLocked writes repairErr before the state store.
 func TestErrPublishesCauseWithDeath(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	cfg := fastRepair(tree)
-	cfg.RepairRetries = 1
+	cfg, clk := fastRepair(tree)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -281,5 +304,30 @@ func TestErrPublishesCauseWithDeath(t *testing.T) {
 	if revoked := isolate(t, m); revoked != len(hs) {
 		t.Errorf("isolating revoked %d, want %d", revoked, len(hs))
 	}
+	clk.Advance(fullBackoff)
 	wg.Wait()
+}
+
+// advance moves clk forward by d in steps of 100 µs, yielding after each
+// so that the goroutines the timers woke get to run before the next.
+func advance(clk *clock.Fake, d time.Duration) {
+	for step := 100 * time.Microsecond; d > 0; d -= step {
+		clk.Advance(min(step, d))
+		runtime.Gosched()
+	}
+}
+
+// pumpUntilDone advances clk until wg's goroutines are done: clients
+// blocked on a partial batch or an admission timeout need time to pass.
+func pumpUntilDone(clk *clock.Fake, wg *sync.WaitGroup) {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			advance(clk, 100*time.Microsecond)
+		}
+	}
 }

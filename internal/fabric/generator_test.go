@@ -2,16 +2,25 @@ package fabric
 
 // The operation generator: sequences of every operation that changes a
 // plane, run against a Manager and the reference fabric (fabrictest.Ref)
-// side by side. After every operation CheckInvariants holds and the link
-// states are equal. An epoch no repair ticket shares matches the
+// side by side. After every operation CheckInvariants holds, the link
+// states are equal, and the manager's repair queue and pending repairs are
+// the reference's. An epoch no repair ticket shares matches the
 // reference's verdicts (grant, fail level, cause, ports) bit for bit; the
-// reference adopts what a shared one grants. Every Fail revokes exactly the
-// held routes crossing the channels it newly masks, every fault verb
-// returns what the reference's model says, and Stats counts what the
-// generator did. A release is split in two steps — claim, the owner's
-// released CAS, and park, what Release does after it — that other
-// operations can separate. Epochs run only when the generator flushes and
-// every timer is an hour out, so each outcome is a function of the sequence.
+// reference adopts what a shared one grants, and holds each repair it
+// attempted to the reference's count: repaired, back in backoff, or ended
+// — failed at RepairRetries attempts, aborted once closed. Every Fail
+// revokes exactly the held routes crossing the channels it newly masks,
+// every fault verb returns what the reference's model says, and Stats
+// counts what the generator did. A release is split in two steps — claim,
+// the owner's released CAS, and park, what Release does after it — that
+// other operations can separate.
+//
+// The manager runs on a fake clock that only the generator's advance
+// operation moves, by up to 300 ms at a time, and the reference's clock
+// moves with it: repair backoffs, quarantine probation and flap decay run
+// on both. Epochs run only when the generator flushes — MaxWait is an
+// hour, longer than any sequence advances — so each outcome is a function
+// of the sequence.
 
 import (
 	"context"
@@ -23,6 +32,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/faults"
@@ -32,12 +42,12 @@ import (
 // gen is one generated sequence in progress.
 type gen struct {
 	m    *Manager
+	clk  *clock.Fake
 	ref  *fabrictest.Ref
 	tree *topology.Tree
 	// held: connections the generator owns, active or repairing; claimed:
-	// released by CAS, not parked yet; revoked: since the last flush, so
-	// each has a repair ticket queued.
-	held, claimed, revoked []*Handle
+	// released by CAS, not parked yet.
+	held, claimed []*Handle
 	// marks leads a claimed handle to the interleaving that crashed the
 	// manager before Fail revoked every crossing handle (1: revoked while
 	// claimed, 2: then healed by RepairAll); healedParks counts its parks.
@@ -49,25 +59,22 @@ type gen struct {
 	last                                          string // the operation in progress
 }
 
-// newGen starts a sequence. retries 1 makes a denied repair terminal, 2
-// parks it in an hour-long backoff; a channel's damp-th down-transition
-// quarantines it (no decay to speak of), damp 0 turns damping off. A
-// backoff or a quarantine leaves a timer that keeps the manager reachable
-// for that hour, so the exhaustive mode, building thousands, has neither.
-func newGen(tree *topology.Tree, rollback bool, retries, damp int) (*gen, error) {
+// newGen starts a sequence. A channel quarantines on its damp-th
+// down-transition in a row (its score reaching damp − ½, so a flap score
+// decayed between transitions may fall short); damp 0 turns damping off.
+func newGen(tree *topology.Tree, rollback bool, damp int) (*gen, error) {
 	spec := "level-wise"
 	if rollback {
 		spec += ",rollback"
 	}
+	clk, threshold := clock.NewFake(), max(float64(damp)-0.5, 0)
 	m, err := New(Config{Tree: tree, SchedulerSpec: spec, BatchSize: 1 << 20, MaxWait: time.Hour,
-		RepairRetries: retries, RepairBackoff: time.Hour,
-		FlapThreshold: max(float64(damp)-0.5, 0)})
+		Clock: clk, FlapThreshold: threshold})
 	if err != nil {
 		return nil, err
 	}
-	m.halfLife, m.probation = time.Hour, time.Hour
 	m.Routable(0, tree.Nodes()-1) // switches the view on
-	return &gen{m: m, ref: fabrictest.New(tree, spec, damp), tree: tree, marks: map[*Handle]int{}}, nil
+	return &gen{m: m, clk: clk, ref: fabrictest.New(tree, spec, threshold), tree: tree, marks: map[*Handle]int{}}, nil
 }
 
 // owned is every connection the generator has not finished releasing.
@@ -82,6 +89,12 @@ func (g *gen) check() error {
 	defer g.m.mu.Unlock()
 	if diff := rowsDiff(g.ref.St, g.m.st); diff != "" {
 		return fmt.Errorf("manager rows differ from the reference's: %s", diff)
+	}
+	if got, want := queueDepth(g.m), len(g.ref.Queue); got != want {
+		return fmt.Errorf("%d tickets queued, the reference %d repair tickets", got, want)
+	}
+	if got, want := g.m.pendingRepairs.Load(), len(g.ref.Repairs); got != int64(want) {
+		return fmt.Errorf("%d repairs pending, the reference %d", got, want)
 	}
 	return nil
 }
@@ -125,10 +138,11 @@ func (g *gen) epoch(reqs []core.Request, cancel []bool) error {
 // flush runs a pass (an epoch, or Close's last one) over the live client
 // tickets and the repair tickets queued, and checks its verdicts.
 func (g *gen) flush(run func() error, live []core.Request, tickets []*ticket) error {
-	shared := false
-	for _, h := range g.revoked {
-		shared = shared || h.Repairing()
+	if err := g.ref.Settle(); err != nil { // the pass settles quarantines first
+		return err
 	}
+	repairs := g.ref.TakeQueue()
+	shared := len(repairs) > 0
 	if len(live) > 0 || shared {
 		g.epochs++
 	}
@@ -168,14 +182,45 @@ func (g *gen) flush(run func() error, live []core.Request, tickets []*ticket) er
 			}
 		}
 	}
-	for _, h := range append(grants, g.revoked...) {
-		if shared && h != nil && h.state.Load() == handleActive { // granted or re-admitted beside repairs
+	for _, h := range grants {
+		if shared && h != nil { // granted beside repairs
 			if err := g.ref.Hold(h, h.src, h.dst, h.Ports()); err != nil {
 				return err
 			}
 		}
 	}
-	g.revoked = g.revoked[:0]
+	for _, k := range repairs {
+		if err := g.attempted(k.(*Handle)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// attempted adopts the verdict of h's repair attempt in the pass just run
+// and holds the manager's repair record to the reference's.
+func (g *gen) attempted(h *Handle) error {
+	granted := h.state.Load() == handleActive
+	var ports []int
+	if granted {
+		ports = h.Ports()
+	}
+	attempts := h.repair.attempts
+	ended, err := g.ref.Attempted(h, granted, ports)
+	if err != nil || granted {
+		return err
+	}
+	rp := g.ref.Repairs[h]
+	switch {
+	case ended && g.closed && !errors.Is(h.Err(), ErrClosed):
+		return fmt.Errorf("repair of %d→%d denied after Close: Err %v, want ErrClosed", h.src, h.dst, h.Err())
+	case ended && !g.closed && (attempts != fabrictest.RepairRetries || !errors.Is(h.Err(), ErrUnroutableDegraded)):
+		return fmt.Errorf("repair of %d→%d ended after %d attempts with %v, want %d and ErrUnroutableDegraded",
+			h.src, h.dst, attempts, h.Err(), fabrictest.RepairRetries)
+	case !ended && (!h.Repairing() || attempts != rp.Attempts):
+		return fmt.Errorf("repair of %d→%d: repairing %v after %d attempts, the reference %d",
+			h.src, h.dst, h.Repairing(), attempts, rp.Attempts)
+	}
 	return nil
 }
 
@@ -243,14 +288,26 @@ func (g *gen) fail(fs *faults.FaultSet) error {
 		_, crosses := dropped[h]
 		if got := active[i] && h.Repairing(); got != crosses {
 			return fmt.Errorf("%d→%d revoked %v, crosses a newly masked channel %v", h.src, h.dst, got, crosses)
-		} else if got {
-			g.revoked = append(g.revoked, h)
-			if slices.Contains(g.claimed, h) {
-				g.marks[h] = 1
-			}
+		} else if got && slices.Contains(g.claimed, h) {
+			g.marks[h] = 1
 		}
 	}
 	return nil
+}
+
+// advance moves both clocks by d: the backoffs that end re-queue their
+// repairs (or, once closed, end them), and the probation timers that fire
+// lift the quarantines that have expired.
+func (g *gen) advance(d time.Duration) error {
+	g.last = fmt.Sprintf("advance %v", d)
+	g.clk.Advance(d)
+	aborted, err := g.ref.AdvanceTo(g.ref.Now + d)
+	for _, k := range aborted {
+		if h := k.(*Handle); err == nil && !errors.Is(h.Err(), ErrClosed) {
+			err = fmt.Errorf("%d→%d's backoff ended after Close: Err %v, want ErrClosed", h.src, h.dst, h.Err())
+		}
+	}
+	return err
 }
 
 // repair repairs fs, or every fault when fs is nil (RepairAll).
@@ -304,6 +361,9 @@ func (g *gen) clearQuarantine() error {
 func (g *gen) stats() error {
 	g.last = "stats"
 	s := g.m.Stats()
+	if err := g.ref.Settle(); err != nil { // as Stats did
+		return err
+	}
 	for _, c := range []struct {
 		what      string
 		got, want int
@@ -319,7 +379,9 @@ func (g *gen) stats() error {
 		{"RepairDepth.N", s.RepairDepth.N, int(s.Repaired)},
 		{"RepairLatencyMS.N", s.RepairLatencyMS.N, int(s.Repaired)},
 		{"Active", int(s.Active), len(g.ref.Conns)},
-		{"QueueDepth", s.QueueDepth, len(g.revoked)},
+		{"QueueDepth", s.QueueDepth, len(g.ref.Queue)},
+		{"PendingRepairs", int(s.PendingRepairs), len(g.ref.Repairs)},
+		{"RepairAttempts", int(s.RepairAttempts), g.ref.Attempts},
 		{"FaultyChannels", s.FaultyChannels, len(g.ref.Failed)},
 		{"Quarantined", s.Quarantined, len(g.ref.Quar)},
 		{"masked channels", int((1-s.DegradedCapacity)*float64(2*g.tree.TotalLinks()) + 0.5), g.ref.FreshState().FailedCount()},
@@ -427,7 +489,7 @@ func (g *gen) randomOp(rng *rand.Rand) error {
 		return &faults.FaultSet{Links: []faults.LinkFault{{Level: h, Switch: rng.Intn(g.tree.SwitchesAt(h)),
 			Port: rng.Intn(g.tree.Parents()), Direction: faults.Direction(rng.Intn(3))}}}
 	}
-	switch k := rng.Intn(20); {
+	switch k := rng.Intn(22); {
 	case k < 7 || k < 10 && len(g.held) == 0:
 		reqs, cancel := make([]core.Request, 1+rng.Intn(6)), make([]bool, 6)
 		for i := range reqs {
@@ -460,19 +522,20 @@ func (g *gen) randomOp(rng *rand.Rand) error {
 		return g.flap(link())
 	case k < 19:
 		return g.clearQuarantine()
-	case rng.Intn(20) == 0:
+	case k < 20 && rng.Intn(20) == 0:
 		return g.close()
-	default:
+	case k < 20:
 		return g.stats()
+	default:
+		return g.advance(time.Duration(rng.Int63n(int64(300*time.Millisecond) + 1)))
 	}
 }
 
 // runRandom runs one seeded sequence of steps operations, a channel's
-// damp-th down-transition quarantining it. Odd seeds schedule with
-// rollback, even ones without; seeds 1 and 2 mod 4 make a denied repair
-// terminal, 3 and 0 park it in backoff.
+// damp-th down-transition in a row quarantining it. Odd seeds schedule
+// with rollback, even ones without.
 func runRandom(tree *topology.Tree, damp int, seed int64, steps int) (*gen, error) {
-	g, err := newGen(tree, seed%2 == 1, 1+int(seed/2)%2, damp)
+	g, err := newGen(tree, seed%2 == 1, damp)
 	if err != nil {
 		return nil, err
 	}
@@ -503,6 +566,15 @@ func TestGenerator(t *testing.T) {
 	}
 }
 
+// TestReferenceConstants: the reference fabric restates the repair and
+// damping constants, and its statement must be the manager's.
+func TestReferenceConstants(t *testing.T) {
+	if fabrictest.RepairRetries != RepairRetries || fabrictest.RepairBackoff != repairBackoff ||
+		fabrictest.FlapHalfLife != flapHalfLife || fabrictest.QuarantineProbation != quarantineProbation {
+		t.Fatal("fabrictest's repair and damping constants are not the manager's")
+	}
+}
+
 // TestGeneratorParkedReleaseSeed is the seed on which the random mode
 // reaches, unaided, the interleaving that crashed the manager before Fail
 // revoked every crossing handle: a release claimed, a Fail crossing its
@@ -522,7 +594,7 @@ func TestGeneratorParkedReleaseSeed(t *testing.T) {
 
 // exhaustiveOps is the bounded-exhaustive mode's alphabet; exhaustiveOp
 // makes each a fixed function of the sequence so far.
-var exhaustiveOps = []string{"connect", "batch", "release", "claim", "park", "fail", "repair-all", "flap", "stats", "close"}
+var exhaustiveOps = []string{"connect", "batch", "release", "claim", "park", "fail", "repair-all", "flap", "stats", "advance", "close"}
 
 func (g *gen) exhaustiveOp(op string) error {
 	n := g.tree.Nodes()
@@ -559,6 +631,8 @@ func (g *gen) exhaustiveOp(op string) error {
 		return g.flap(&faults.FaultSet{Links: []faults.LinkFault{{Port: 1}}})
 	case "stats":
 		return g.stats()
+	case "advance": // the first backoff: a denied repair re-queues
+		return g.advance(repairBackoff)
 	}
 	if g.closed {
 		return errNoop
@@ -573,8 +647,8 @@ const exhaustiveDepth = 4
 
 // TestGeneratorExhaustive is the bounded-exhaustive mode: every sequence of
 // up to exhaustiveDepth operations on FT(2,2,2) and FT(3,2,2), with and
-// without rollback. A denied repair is terminal and nothing is damped (see
-// newGen); the random mode covers backoff and quarantine.
+// without rollback. Nothing is damped; the random mode covers quarantine,
+// and the repairs that run out of attempts.
 func TestGeneratorExhaustive(t *testing.T) {
 	for _, shape := range [][3]int{{2, 2, 2}, {3, 2, 2}} {
 		for _, rollback := range []bool{true, false} {
@@ -584,7 +658,7 @@ func TestGeneratorExhaustive(t *testing.T) {
 				extend = func(prefix []string) {
 					for _, op := range exhaustiveOps {
 						seq := append(prefix[:len(prefix):len(prefix)], op)
-						g, err := newGen(tree, rollback, 1, 0)
+						g, err := newGen(tree, rollback, 0)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -13,7 +13,7 @@ package fabric
 // link stops generating churn after a bounded number of revocations.
 // Opt-in: FlapThreshold 0 disables damping entirely and the manager
 // behaves bit-identically to the clean-fault model. Retries need no limit
-// of their own: Config.RepairRetries bounds the attempts per revocation.
+// of their own: RepairRetries bounds the attempts per revocation.
 
 import (
 	"math"
@@ -27,8 +27,7 @@ import (
 
 // The flap-damping clock: a flap score halves every flapHalfLife, and a
 // quarantined channel stays masked for quarantineProbation after its last
-// flap. The manager copies them into halfLife and probation, which
-// in-package tests stretch so that no outcome reads the wall clock.
+// flap, both on Config.Clock.
 const (
 	flapHalfLife        = time.Second
 	quarantineProbation = 100 * time.Millisecond
@@ -51,20 +50,20 @@ func (m *Manager) noteFlapLocked(c faults.Channel, now time.Time) {
 		fs = &flapScore{}
 		m.flap[c] = fs
 	} else if dt := now.Sub(fs.last); dt > 0 {
-		fs.score *= math.Exp2(-float64(dt) / float64(m.halfLife))
+		fs.score *= math.Exp2(-float64(dt) / float64(flapHalfLife))
 	}
 	fs.score++
 	fs.last = now
 	if fs.score < m.cfg.FlapThreshold {
 		return
 	}
-	until := now.Add(m.probation)
+	until := now.Add(quarantineProbation)
 	if _, already := m.quar[c]; !already {
 		m.quarantineEvents.Add(1)
 		// Wake shortly after probation expires so the channel returns to
 		// service even on an otherwise idle manager (settle points —
 		// Stats, Fail, Repair, epoch flushes — also release on time).
-		time.AfterFunc(m.probation+time.Millisecond, m.settleQuarantine)
+		m.cfg.Clock.AfterFunc(quarantineProbation+time.Millisecond, m.settleQuarantine)
 	}
 	m.quar[c] = until
 }
@@ -101,7 +100,7 @@ func (m *Manager) settleQuarantineLocked(now time.Time) int {
 // settleQuarantine is the probation timer's continuation.
 func (m *Manager) settleQuarantine() {
 	m.mu.Lock()
-	released := m.settleQuarantineLocked(time.Now())
+	released := m.settleQuarantineLocked(m.cfg.Clock.Now())
 	m.mu.Unlock()
 	if released > 0 {
 		m.poke() // freed capacity: let the next epoch use it
@@ -112,7 +111,7 @@ func (m *Manager) settleQuarantine() {
 // deterministic order (after releasing any whose probation expired).
 func (m *Manager) Quarantined() []faults.Channel {
 	m.mu.Lock()
-	m.settleQuarantineLocked(time.Now())
+	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	out := make([]faults.Channel, 0, len(m.quar))
 	for c := range m.quar {
 		out = append(out, c)

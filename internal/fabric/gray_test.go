@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
@@ -18,16 +19,18 @@ import (
 // manager. The flap-damping invariant: however the quarantine decides
 // to absorb the churn, after healing, RepairAll, and a full drain nothing
 // is active, nothing is failed and CheckInvariants holds — the link state
-// is exactly all-free minus the quarantined masks.
+// is exactly all-free minus the quarantined masks. Time is a fake clock
+// the test advances: the flapping takes 12 ms of it, well inside the
+// quarantine probation, and the drain as long as the clients take.
 func TestGrayChaosFlapDamping(t *testing.T) {
 	tree := topology.MustNew(3, 4, 2)
+	clk := clock.NewFake()
 	cfg := Config{
-		Tree:          tree,
-		BatchSize:     8,
-		MaxWait:       500 * time.Microsecond,
-		AdmitTimeout:  50 * time.Millisecond,
-		RepairBackoff: 500 * time.Microsecond,
-		RepairRetries: 3,
+		Tree:         tree,
+		BatchSize:    8,
+		MaxWait:      500 * time.Microsecond,
+		AdmitTimeout: 50 * time.Millisecond,
+		Clock:        clk,
 		// Aggressive damping so the quarantine actually engages: a few
 		// flaps quarantine a channel.
 		FlapThreshold: 3,
@@ -36,9 +39,6 @@ func TestGrayChaosFlapDamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A long probation keeps the quarantine masked through the final
-	// identity check below.
-	m.halfLife, m.probation = time.Minute, time.Hour
 
 	var (
 		mu      sync.Mutex
@@ -98,8 +98,12 @@ func TestGrayChaosFlapDamping(t *testing.T) {
 			}
 		}
 		if i%25 == 24 {
-			time.Sleep(time.Millisecond) // let the repair loop breathe
+			advance(clk, time.Millisecond) // let the clients and the repair loop breathe
 		}
+	}
+	if s := m.Stats(); s.QuarantineEvents == 0 || s.Quarantined == 0 {
+		t.Fatalf("damping never quarantined: events=%d quarantined=%d (threshold %v should have tripped)",
+			s.QuarantineEvents, s.Quarantined, cfg.FlapThreshold)
 	}
 	// Heal the processes' final down set; quarantined masks stay.
 	if ds := fl.DownSet(); !ds.Empty() {
@@ -109,15 +113,15 @@ func TestGrayChaosFlapDamping(t *testing.T) {
 	}
 
 	close(stop)
-	wg.Wait()
+	pumpUntilDone(clk, &wg)
 	for _, h := range held {
-		_ = h.Release()
+		_ = h.Release() // a repairing handle's release aborts its repair
 	}
 	m.RepairAll()
-	waitFor(t, func() bool {
-		s := m.Stats()
-		return s.PendingRepairs == 0 && s.QueueDepth == 0
-	})
+	clk.Advance(cfg.MaxWait) // the deadline epoch takes the aborted repairs' tickets
+	if s := m.Stats(); s.PendingRepairs != 0 || s.QueueDepth != 0 {
+		t.Fatalf("after releasing everything: %d repairs pending, queue depth %d", s.PendingRepairs, s.QueueDepth)
+	}
 
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -129,13 +133,9 @@ func TestGrayChaosFlapDamping(t *testing.T) {
 	if s.FlapEvents == 0 {
 		t.Fatal("no flap events recorded under flaky churn")
 	}
-	if s.QuarantineEvents == 0 || s.Quarantined == 0 {
-		t.Fatalf("damping never quarantined: events=%d quarantined=%d (threshold %v should have tripped)",
-			s.QuarantineEvents, s.Quarantined, cfg.FlapThreshold)
-	}
 
 	// Every fault is healed, so the only masks left are the quarantine's
-	// (probation is an hour out); the operator override releases them all.
+	// still in probation; the operator override releases them all.
 	if fc := m.FaultCount(); fc != 0 {
 		t.Fatalf("%d channels still failed after heal + RepairAll", fc)
 	}
@@ -156,18 +156,18 @@ func TestGrayChaosFlapDamping(t *testing.T) {
 // TestQuarantineLifecycle walks one channel through the damper: flaps
 // below the threshold leave it alone, the crossing flap quarantines it
 // (masked but not failed), repair hands the mask to the quarantine, and
-// probation expiry returns it to service on its own.
+// probation expiry returns it to service on its own, by the timer armed
+// when the quarantine began.
 func TestQuarantineLifecycle(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	cfg := fastRepair(tree)
-	// 2.5, not 3: the score decays (fractionally) between flaps, so an
-	// exact integer threshold would need the clock to stand still.
-	cfg.FlapThreshold = 2.5
+	cfg, clk := fastRepair(tree)
+	// The fake clock stands still between the first flaps, so the score
+	// is an exact count and the threshold can be one.
+	cfg.FlapThreshold = 3
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.halfLife, m.probation = time.Minute, 30*time.Millisecond // no meaningful decay within the test
 	defer m.Close(context.Background())
 
 	link := &faults.FaultSet{Links: []faults.LinkFault{{Level: 0, Switch: 0, Port: 0, Direction: faults.Up}}}
@@ -210,15 +210,24 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 
 	// Probation passes without another flap: the channel returns to
-	// service by itself (timer continuation; no API call required).
-	waitFor(t, func() bool { return m.Stats().Quarantined == 0 })
-	if s := m.Stats(); s.DegradedCapacity != 1 {
-		t.Fatalf("capacity after probation: %v, want 1.0", s.DegradedCapacity)
+	// service by itself — the timer continuation, a millisecond after the
+	// probation, with no API call (Unavailable settles nothing).
+	clk.Advance(quarantineProbation)
+	if u := m.Unavailable(); u != 1 {
+		t.Fatalf("%d channels unavailable before the probation timer, want the quarantined 1", u)
+	}
+	clk.Advance(time.Millisecond)
+	if u := m.Unavailable(); u != 0 {
+		t.Fatalf("%d channels unavailable after the probation timer, want 0", u)
+	}
+	if s := m.Stats(); s.Quarantined != 0 || s.DegradedCapacity != 1 {
+		t.Fatalf("after probation: %d quarantined, capacity %v; want 0, 1.0", s.Quarantined, s.DegradedCapacity)
 	}
 
-	// Scores persist (long half-life): one more flap re-quarantines
-	// immediately, and ClearQuarantine both releases it and forgets the
-	// score, so the next flap is counted from zero again.
+	// Scores persist: a tenth of a half-life has decayed the score of 3
+	// to about 2.8, so one more flap re-quarantines immediately, and
+	// ClearQuarantine both releases it and forgets the score, so the next
+	// flap is counted from zero again.
 	flap()
 	if s := m.Stats(); s.Quarantined != 1 || s.QuarantineEvents != 2 {
 		t.Fatalf("re-quarantine: %+v", s)
@@ -234,13 +243,14 @@ func TestQuarantineLifecycle(t *testing.T) {
 
 // TestRepairRetriesBoundAttempts isolates a source switch so repairs can
 // only fail: each revocation gets exactly RepairRetries scheduling
-// attempts, backoff between them, and then its terminal verdict — the
-// per-revocation bound that keeps retries from storming.
+// attempts, the first in the next epoch and each later one a doubling
+// backoff after the one before — 2, 4, … 128 ms, so the last comes
+// fullBackoff after the first — each at its due instant and not 1 ns
+// before, and then its terminal verdict: the per-revocation bound that
+// keeps retries from storming.
 func TestRepairRetriesBoundAttempts(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	cfg := fastRepair(tree)
-	cfg.RepairBackoff = 200 * time.Microsecond
-	cfg.RepairRetries = 4
+	cfg, clk := fastRepair(tree)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +269,26 @@ func TestRepairRetriesBoundAttempts(t *testing.T) {
 	if revoked != 3 {
 		t.Fatalf("isolating revoked %d, want 3", revoked)
 	}
-	waitFor(t, func() bool { return m.Stats().RepairFailed == uint64(revoked) })
-	if s := m.Stats(); s.RepairAttempts != uint64(revoked*cfg.RepairRetries) {
-		t.Fatalf("RepairAttempts = %d, want %d revocations × %d retries", s.RepairAttempts, revoked, cfg.RepairRetries)
+	start := clk.Now()
+	due := time.Duration(0) // of attempt k, after the first
+	for k := 1; k <= RepairRetries; k++ {
+		if k > 1 {
+			due += 2 * time.Millisecond << (k - 2)
+			clk.Advance(due - 1 - clk.Now().Sub(start))
+			if s := m.Stats(); s.RepairAttempts != uint64(revoked*(k-1)) || s.RepairFailed != 0 {
+				t.Fatalf("1 ns before attempt %d is due: %d attempts, %d failed; want %d, 0", k, s.RepairAttempts, s.RepairFailed, revoked*(k-1))
+			}
+		}
+		clk.Advance(due - clk.Now().Sub(start))
+		if s := m.Stats(); s.RepairAttempts != uint64(revoked*k) {
+			t.Fatalf("attempt %d, due %v after the first: %d attempts, want %d", k, due, s.RepairAttempts, revoked*k)
+		}
+	}
+	if due != fullBackoff {
+		t.Fatalf("the last attempt came %v after the first, want %v", due, fullBackoff)
+	}
+	if s := m.Stats(); s.RepairFailed != uint64(revoked) || s.PendingRepairs != 0 {
+		t.Fatalf("after the last attempt: %d failed, %d pending; want %d, 0", s.RepairFailed, s.PendingRepairs, revoked)
 	}
 	for _, h := range handles {
 		_ = h.Release()
@@ -285,10 +312,9 @@ func TestGrayConfigValidation(t *testing.T) {
 	}
 
 	for name, mut := range map[string]func(*Config){
-		"negative threshold":      func(c *Config) { c.FlapThreshold = -1 },
-		"negative max wait":       func(c *Config) { c.MaxWait = -time.Second },
-		"negative admit timeout":  func(c *Config) { c.AdmitTimeout = -time.Second },
-		"negative repair backoff": func(c *Config) { c.RepairBackoff = -time.Millisecond },
+		"negative threshold":     func(c *Config) { c.FlapThreshold = -1 },
+		"negative max wait":      func(c *Config) { c.MaxWait = -time.Second },
+		"negative admit timeout": func(c *Config) { c.AdmitTimeout = -time.Second },
 	} {
 		if _, err := mk(mut); err == nil {
 			t.Errorf("%s: accepted", name)

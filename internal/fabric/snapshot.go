@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"time"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Dist summarizes one of the manager's recent-sample histograms
 // (stats.Recent) for Stats. "Recent" is the last 4096 to 8191 samples: the
@@ -150,7 +146,7 @@ func (m *Manager) capacityLocked() float64 {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	m.drainReleasesLocked()
-	m.settleQuarantineLocked(time.Now())
+	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	engine := m.lastEngine
 	faulty, quarantined := len(m.failed), len(m.quar)
 	util, capacity := m.st.Utilization(), m.capacityLocked()
@@ -222,7 +218,7 @@ type Health struct {
 // is held only to count the fault sets.
 func (m *Manager) Health() Health {
 	m.mu.Lock()
-	m.settleQuarantineLocked(time.Now())
+	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	h := Health{
 		FaultyChannels:   len(m.failed),
 		Quarantined:      len(m.quar),

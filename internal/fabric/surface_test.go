@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
@@ -74,10 +75,11 @@ func TestOnConnTerminalHook(t *testing.T) {
 		cause error
 	}
 	deaths := make(chan death, 4)
+	clk := clock.NewFake()
 	m, err := New(Config{
 		Tree:           topology.MustNew(2, 2, 2),
 		BatchSize:      1,
-		RepairRetries:  1,
+		Clock:          clk,
 		OnConnTerminal: func(c Conn, cause error) { deaths <- death{c, cause} },
 	})
 	if err != nil {
@@ -103,13 +105,22 @@ func TestOnConnTerminalHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill the whole level-0 up row out of switch 0: with RepairRetries=1
-	// the revoked connection dies on its first re-admission attempt.
+	// Kill the whole level-0 up row out of switch 0: the revoked
+	// connection dies on its RepairRetries-th attempt, fullBackoff after
+	// its first, and not before.
 	if _, err := m.FailSwitch(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.FailSwitch(1, 1); err != nil {
 		t.Fatal(err)
+	}
+	clk.Advance(fullBackoff - 1)
+	if h2.Err() != nil || !h2.Repairing() {
+		t.Fatalf("the repair ended before its last attempt: Err %v", h2.Err())
+	}
+	clk.Advance(1)
+	if !errors.Is(h2.Err(), ErrUnroutableDegraded) {
+		t.Fatalf("after its last attempt the repair has not ended: Err %v", h2.Err())
 	}
 	d := <-deaths
 	if d.c.Src() != h2.Src() || d.c.Dst() != h2.Dst() {

@@ -55,8 +55,7 @@ func routableMismatch(m *Manager) error {
 // the rows and Routable is first-fit on them. Its point is -race.
 func TestRoutableRacesChurn(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 100 * time.Microsecond,
-		RepairRetries: 2, RepairBackoff: 100 * time.Microsecond})
+	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

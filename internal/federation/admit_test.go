@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 	"repro/internal/topology"
 )
@@ -62,29 +63,29 @@ func TestRouterConnectAllocs(t *testing.T) {
 	}
 }
 
-// migrationRouter builds a two-plane round-robin router for the
-// migration races: plane0 is the victim (every request its own epoch,
-// one repair attempt), plane1 the survivor, configured by the caller.
-// terminal receives one value per terminal verdict on the victim, sent
-// after the router's own hook returned.
-func migrationRouter(t *testing.T, survivor fabric.Config) (r *Router, terminal chan struct{}) {
+// migrationRouter builds a two-plane round-robin router on a fake clock
+// for the migration races: plane0 is the victim (every request its own
+// epoch), plane1 the survivor, configured by the caller. A circuit the
+// victim revokes migrates once the clock has run its repair through every
+// attempt: fullBackoff after the first.
+func migrationRouter(t *testing.T, survivor fabric.Config) (*Router, *clock.Fake) {
 	t.Helper()
-	terminal = make(chan struct{}, 16) // more verdicts than any test here provokes
+	clk := clock.NewFake()
 	tree := topology.MustNew(2, 4, 4)
 	survivor.Tree = tree
-	r, err := New(Config{Policy: PolicyRoundRobin, Planes: []PlaneConfig{
-		{Fabric: fabric.Config{
-			Tree: tree, BatchSize: 1, RepairRetries: 1, RepairBackoff: time.Millisecond,
-			OnConnTerminal: func(fabric.Conn, error) { terminal <- struct{}{} },
-		}},
+	r, err := New(Config{Policy: PolicyRoundRobin, Clock: clk, Planes: []PlaneConfig{
+		{Fabric: fabric.Config{Tree: tree, BatchSize: 1}},
 		{Fabric: survivor},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close(context.Background()) })
-	return r, terminal
+	return r, clk
 }
+
+// fullBackoff is the time from a repair's first attempt to its last.
+const fullBackoff = 254 * time.Millisecond
 
 // waitUntil polls cond until it holds (5 s bound).
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -113,7 +114,7 @@ func expectDrained(t *testing.T, r *Router) {
 func TestReleaseDuringReadmission(t *testing.T) {
 	// The survivor waits for a second request before it runs an epoch,
 	// which parks the readmission in its queue until the test says go.
-	r, _ := migrationRouter(t, fabric.Config{BatchSize: 2, MaxWait: time.Hour})
+	r, clk := migrationRouter(t, fabric.Config{BatchSize: 2, MaxWait: time.Hour})
 	fh, err := r.Connect(context.Background(), 0, 15)
 	if err != nil || fh.Plane() != "plane0" {
 		t.Fatalf("Connect = %v on %v; want plane0", err, fh)
@@ -121,6 +122,7 @@ func TestReleaseDuringReadmission(t *testing.T) {
 	if err := r.KillPlane("plane0"); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(fullBackoff) // the victim's repair runs out of attempts
 	survivor := r.planes[1].surf
 	waitUntil(t, "the readmission to queue on the survivor", func() bool {
 		return r.pendingReadmits.Load() == 1 && survivor.Stats().QueueDepth == 1

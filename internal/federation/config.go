@@ -37,9 +37,6 @@ type PlaneSpec struct {
 	MaxWait      string `json:"max_wait,omitempty"`
 	QueueLimit   int    `json:"queue_limit,omitempty"`
 	AdmitTimeout string `json:"admit_timeout,omitempty"`
-	// Repair-loop knobs; zero means the fabric default.
-	RepairRetries int    `json:"repair_retries,omitempty"`
-	RepairBackoff string `json:"repair_backoff,omitempty"`
 	// FlapThreshold > 0 enables flap damping with the given score
 	// threshold (fabric.Config.FlapThreshold); zero leaves it off.
 	FlapThreshold float64 `json:"flap_threshold,omitempty"`
@@ -51,12 +48,8 @@ type PlaneSpec struct {
 type FileConfig struct {
 	// Policy is the plane-selection policy name (one of Policies());
 	// empty means hash.
-	Policy string `json:"policy,omitempty"`
-	// EjectAfter/ProbeInterval map to Config; zero means the federation
-	// default.
-	EjectAfter    int         `json:"eject_after,omitempty"`
-	ProbeInterval string      `json:"probe_interval,omitempty"`
-	Planes        []PlaneSpec `json:"planes"`
+	Policy string      `json:"policy,omitempty"`
+	Planes []PlaneSpec `json:"planes"`
 }
 
 // Generate builds the FileConfig `fttopo gen` emits: n identical planes
@@ -160,11 +153,7 @@ func (fc *FileConfig) Build() (Config, error) {
 		}
 		return d
 	}
-	cfg := Config{
-		Policy:        policy,
-		EjectAfter:    fc.EjectAfter,
-		ProbeInterval: dur("", "probe_interval", fc.ProbeInterval),
-	}
+	cfg := Config{Policy: policy}
 	for i, ps := range fc.Planes {
 		where := planeName(ps.Name, i) + ": "
 		tree, terr := topology.New(ps.Levels, ps.Arity, ps.Width)
@@ -180,8 +169,6 @@ func (fc *FileConfig) Build() (Config, error) {
 				MaxWait:       dur(where, "max_wait", ps.MaxWait),
 				QueueLimit:    ps.QueueLimit,
 				AdmitTimeout:  dur(where, "admit_timeout", ps.AdmitTimeout),
-				RepairRetries: ps.RepairRetries,
-				RepairBackoff: dur(where, "repair_backoff", ps.RepairBackoff),
 				FlapThreshold: ps.FlapThreshold,
 			},
 		})

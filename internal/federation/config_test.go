@@ -14,8 +14,6 @@ import (
 // fttopo gen | ftserve -config smoke exercises.
 func TestConfigRoundTrip(t *testing.T) {
 	fc := Generate(3, 2, 4, 2, "backtrack,depth=2", "least-loaded")
-	fc.EjectAfter = 5
-	fc.ProbeInterval = "75ms"
 	fc.Planes[1].BatchSize = 4
 	fc.Planes[1].MaxWait = "1ms"
 	fc.Planes[2].AdmitTimeout = "250ms"
@@ -36,11 +34,8 @@ func TestConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Policy != PolicyLeastLoaded || cfg.EjectAfter != 5 {
+	if cfg.Policy != PolicyLeastLoaded {
 		t.Errorf("built router knobs: %+v", cfg)
-	}
-	if cfg.ProbeInterval != 75*time.Millisecond {
-		t.Errorf("ProbeInterval = %v, want 75ms", cfg.ProbeInterval)
 	}
 	if cfg.Planes[1].Fabric.MaxWait != time.Millisecond || cfg.Planes[1].Fabric.BatchSize != 4 {
 		t.Errorf("plane 1 fabric knobs: %+v", cfg.Planes[1].Fabric)
@@ -199,9 +194,9 @@ func TestConfigValidationErrors(t *testing.T) {
 
 // TestRetiredGrayKeysRefused: the knobs the grammar retired — the
 // failover limit and budget, the latency budget, the score rule's
-// constants, the repair budget, the damping clock and the plane weight —
-// fail Load by name wherever a file still carries one, never silently
-// dropped.
+// constants, the breaker's streak and probe interval, the repair budget,
+// retries and backoff, the damping clock and the plane weight — fail Load
+// by name wherever a file still carries one, never silently dropped.
 func TestRetiredGrayKeysRefused(t *testing.T) {
 	for _, tc := range []struct{ key, json string }{
 		{"failover_limit", `{"failover_limit":2,"planes":[{"levels":2,"arity":2,"width":1}]}`},
@@ -210,6 +205,10 @@ func TestRetiredGrayKeysRefused(t *testing.T) {
 		{"health_alpha", `{"health_alpha":0.2,"planes":[{"levels":2,"arity":2,"width":1}]}`},
 		{"open_below", `{"open_below":0.15,"planes":[{"levels":2,"arity":2,"width":1}]}`},
 		{"latency_budget", `{"latency_budget":"2ms","planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"eject_after", `{"eject_after":3,"planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"probe_interval", `{"probe_interval":"50ms","planes":[{"levels":2,"arity":2,"width":1}]}`},
+		{"repair_retries", `{"planes":[{"levels":2,"arity":2,"width":1,"repair_retries":8}]}`},
+		{"repair_backoff", `{"planes":[{"levels":2,"arity":2,"width":1,"repair_backoff":"2ms"}]}`},
 		{"flap_half_life", `{"planes":[{"levels":2,"arity":2,"width":1,"flap_half_life":"1s"}]}`},
 		{"quarantine_probation", `{"planes":[{"levels":2,"arity":2,"width":1,"quarantine_probation":"100ms"}]}`},
 		{"repair_budget_rate", `{"planes":[{"levels":2,"arity":2,"width":1,"repair_budget_rate":256}]}`},
@@ -253,7 +252,7 @@ func validateCases() []validateCase {
 		{"removed incremental flag", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "levelwise,incremental" })}, false},
 		{"backtrack spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "backtrack,depth=2" })}, true},
 		{"racy steal spec", []PlaneSpec{plane(func(p *PlaneSpec) { p.Scheduler = "parallel,mode=racy,steal" })}, false},
-		{"gray knobs", []PlaneSpec{plane(func(p *PlaneSpec) { p.FlapThreshold, p.RepairRetries, p.RepairBackoff = 3, 4, "2ms" })}, true},
+		{"gray knob", []PlaneSpec{plane(func(p *PlaneSpec) { p.FlapThreshold = 3 })}, true},
 		{"negative flap threshold", []PlaneSpec{plane(func(p *PlaneSpec) { p.FlapThreshold = -1 })}, false},
 		{"two named planes", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "b" })}, true},
 		{"duplicate names", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(p *PlaneSpec) { p.Name = "a" })}, false},
@@ -262,15 +261,18 @@ func validateCases() []validateCase {
 		{"bad max_wait", one(func(p *PlaneSpec) { p.MaxWait = "later" }), false},
 		{"negative max_wait", one(func(p *PlaneSpec) { p.MaxWait = "-1s" }), false},
 		{"negative admit_timeout", one(func(p *PlaneSpec) { p.AdmitTimeout = "-1s" }), false},
-		{"negative repair_backoff", one(func(p *PlaneSpec) { p.RepairBackoff = "-1ms" }), false},
 		{"bad admit_timeout", one(func(p *PlaneSpec) { p.AdmitTimeout = "soon" }), false},
-		{"bad repair_backoff", one(func(p *PlaneSpec) { p.RepairBackoff = "2" }), false},
 		{"negative batch_size defaults", one(func(p *PlaneSpec) { p.BatchSize = -4 }), true},
 		{"queue_limit below batch_size", one(func(p *PlaneSpec) { p.BatchSize, p.QueueLimit = 16, 4 }), true},
-		{"negative repair_retries defaults", one(func(p *PlaneSpec) { p.RepairRetries = -1 }), true},
 		{"fractional flap threshold", one(func(p *PlaneSpec) { p.FlapThreshold = 2.5 }), true},
 		{"zero levels", one(func(p *PlaneSpec) { p.Levels = 0 }), false},
 		{"queue knobs", one(func(p *PlaneSpec) { p.BatchSize, p.MaxWait, p.QueueLimit, p.AdmitTimeout = 8, "1ms", 64, "250ms" }), true},
+		{"zero max_wait defaults", one(func(p *PlaneSpec) { p.MaxWait = "0s" }), true},
+		{"zero admit_timeout waits", one(func(p *PlaneSpec) { p.AdmitTimeout = "0s" }), true},
+		{"negative queue_limit defaults", one(func(p *PlaneSpec) { p.QueueLimit = -1 }), true},
+		{"wide switch", one(func(p *PlaneSpec) { p.Width = 65 }), false},
+		{"unknown scheduler", one(func(p *PlaneSpec) { p.Scheduler = "fastest-fit" }), false},
+		{"named plane beside a default one", []PlaneSpec{plane(func(p *PlaneSpec) { p.Name = "a" }), plane(func(*PlaneSpec) {})}, true},
 	} {
 		cases = append(cases, validateCase{tc.name, &FileConfig{Planes: tc.planes}, tc.ok})
 	}
@@ -279,14 +281,11 @@ func validateCases() []validateCase {
 		ok   bool
 		edit func(*FileConfig)
 	}{
-		{"router breaker knobs", true, func(fc *FileConfig) { fc.EjectAfter, fc.ProbeInterval = 5, "75ms" }},
-		{"negative probe_interval", false, func(fc *FileConfig) { fc.ProbeInterval = "-50ms" }},
-		{"bad probe_interval", false, func(fc *FileConfig) { fc.ProbeInterval = "often" }},
-		{"negative eject_after defaults", true, func(fc *FileConfig) { fc.EjectAfter = -2 }},
 		{"policy alias", true, func(fc *FileConfig) { fc.Policy = "ll" }},
 		{"unknown policy", false, func(fc *FileConfig) { fc.Policy = "fastest" }},
 		{"round-robin policy", true, func(fc *FileConfig) { fc.Policy = "round-robin" }},
 		{"random policy", true, func(fc *FileConfig) { fc.Policy = "random" }},
+		{"no planes", false, func(fc *FileConfig) { fc.Planes = nil }},
 	} {
 		fc := &FileConfig{Planes: one(func(*PlaneSpec) {})}
 		tc.edit(fc)

@@ -44,14 +44,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 	"repro/internal/faults"
-)
-
-// Defaults applied by New.
-const (
-	DefaultEjectAfter    = 3
-	DefaultProbeInterval = 50 * time.Millisecond
 )
 
 // Sentinel errors. ErrReleased aliases the fabric sentinel so drain
@@ -78,29 +73,21 @@ type PlaneConfig struct {
 	// Fabric configures the plane's manager. Tree is required; all
 	// planes must agree on the node count (the federated address space).
 	// OnConnTerminal is reserved for the router's re-admission hook: a
-	// caller-set hook is chained after it.
+	// caller-set hook is chained after it. A nil Clock takes the router's.
 	Fabric fabric.Config
 }
 
-// Config parameterizes a Router. A zero knob takes its default; a
-// negative duration is refused.
+// Config parameterizes a Router. A zero knob takes its default. The
+// breaker's streak length and probe spacing are constants (health.go).
 type Config struct {
 	// Planes are the scheduling planes, at least one.
 	Planes []PlaneConfig
 	// Policy orders candidate planes per admission (default PolicyHash).
 	Policy Policy
-	// EjectAfter is the streak of consecutive failures — fault-blocked
-	// denials (fabric.UnroutableError.FaultBlocked) and other
-	// failover-able errors, never contention denials — that ejects a
-	// plane from candidate selection (default DefaultEjectAfter). A plane
-	// that cannot serve, every cross-subtree denial fault-blocked, opens
-	// within EjectAfter of its own denials; a full one never does. An
-	// ejected plane receives no traffic except single-flight re-admission
-	// probes; a probe's grant or contention denial re-admits it.
-	EjectAfter int
-	// ProbeInterval is the minimum spacing between re-admission probes
-	// of an ejected plane (default DefaultProbeInterval).
-	ProbeInterval time.Duration
+	// Clock drives the breaker's probe clock and the injected plane
+	// latency, and every plane whose own Clock is nil; nil means the wall
+	// clock (clock.Wall).
+	Clock clock.Clock
 }
 
 // plane is one scheduling plane plus its router-side health state.
@@ -129,7 +116,7 @@ type plane struct {
 	health     atomic.Uint64
 	breaker    atomic.Int32
 	opens      atomic.Uint64
-	lastProbe  atomic.Int64 // UnixNano of the last probe election
+	lastProbe  atomic.Int64 // UnixNano, on the router's clock, of the last probe election
 	admitSeq   atomic.Uint64
 	degraded   atomic.Pointer[faults.DegradedPlane]
 }
@@ -174,15 +161,7 @@ func (cfg *Config) resolve() error {
 	if len(cfg.Planes) == 0 {
 		return ErrNoPlanes
 	}
-	if cfg.EjectAfter <= 0 {
-		cfg.EjectAfter = DefaultEjectAfter
-	}
-	if cfg.ProbeInterval < 0 {
-		return fmt.Errorf("federation: negative ProbeInterval %s", cfg.ProbeInterval)
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	cfg.Planes = slices.Clone(cfg.Planes) // the names filled in below stay off the caller's slice
 	names := make(map[string]struct{}, len(cfg.Planes))
 	for i := range cfg.Planes {
@@ -220,6 +199,9 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{cfg: cfg, nodes: cfg.Planes[0].Fabric.Tree.Nodes()}
 	for i, pc := range cfg.Planes {
 		fc := pc.Fabric
+		if fc.Clock == nil {
+			fc.Clock = cfg.Clock
+		}
 		idx, user := i, fc.OnConnTerminal
 		fc.OnConnTerminal = func(c fabric.Conn, cause error) {
 			r.onTerminal(idx, c, cause)
@@ -244,6 +226,9 @@ func New(cfg Config) (*Router, error) {
 // Nodes returns the federated address space size (every plane's tree
 // serves the same node count).
 func (r *Router) Nodes() int { return r.nodes }
+
+// Clock returns the clock the router runs on (Config.Clock).
+func (r *Router) Clock() clock.Clock { return r.cfg.Clock }
 
 // PlaneCount returns the number of planes.
 func (r *Router) PlaneCount() int { return len(r.planes) }
@@ -293,7 +278,7 @@ func (r *Router) candidates(buf *[inlinePlanes]int, src, dst int) []int {
 		if !p.ejectedNow() {
 			order[healthy] = i
 			healthy++
-		} else if p.probeDue(r.cfg.ProbeInterval) {
+		} else if p.probeDue(r.cfg.Clock.Now()) {
 			probes++
 			order[n-probes] = i
 		}
@@ -429,7 +414,7 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		// Injected slow-plane process: a duty-cycle fraction of this
 		// plane's admissions pay the configured latency up front.
 		if dp := p.degraded.Load(); dp != nil && dp.SlowAt(p.admitSeq.Add(1)-1) {
-			sleepInjected(ctx, time.Duration(dp.AdmitLatency))
+			sleepInjected(ctx, r.cfg.Clock, time.Duration(dp.AdmitLatency))
 		}
 		c, err := p.surf.Admit(ctx, src, dst)
 		if err == nil {
@@ -446,7 +431,7 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 			}
 			p.noteContention()
 		} else {
-			p.noteFailure(int32(r.cfg.EjectAfter))
+			p.noteFailure(r.cfg.Clock)
 		}
 		lastErr = err
 	}
@@ -523,7 +508,7 @@ func (r *Router) KillPlane(name string) error {
 	if p == nil {
 		return fmt.Errorf("federation: unknown plane %q", name)
 	}
-	p.eject()
+	p.eject(r.cfg.Clock.Now())
 	tree := p.surf.Tree()
 	var fs faults.FaultSet
 	for lvl := 1; lvl < tree.Levels(); lvl++ {

@@ -5,9 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fabric"
+	"repro/internal/clock"
 	"repro/internal/faults"
-	"repro/internal/topology"
 )
 
 // planeStats fetches one plane's snapshot by name.
@@ -27,15 +26,17 @@ func planeStats(t *testing.T, r *Router, name string) PlaneStats {
 var cutLink = &faults.FaultSet{Links: []faults.LinkFault{{Level: 0, Switch: 0, Port: 0}}}
 
 // TestBreakerStateMachine drives the half of the circuit that needs the
-// probe clock, from a breaker opened on a failed link: a failed half-open
-// probe re-opens, a granted probe closes, and a probe the plane schedules
-// and finds full closes too, with no health sample. (How a closed breaker
-// opens is the router generator's.) Plane 0 is blind, so its denials are
-// what the router hears.
+// probe clock, from a breaker opened on a failed link: no probe is elected
+// 1 ns before probeInterval has passed and one is at probeInterval; a
+// failed half-open probe re-opens and restarts the probe clock, a granted
+// probe closes, and a probe the plane schedules and finds full closes too,
+// with no health sample. (How a closed breaker opens is the router
+// generator's.) Plane 0 is blind, so its denials are what the router hears.
 func TestBreakerStateMachine(t *testing.T) {
+	clk := clock.NewFake()
 	r := testRouter(t, 2, func(c *Config) {
 		c.Policy = PolicyRoundRobin
-		c.ProbeInterval = time.Hour
+		c.Clock = clk
 	})
 	blind(r, "plane0")
 	// Fail (0,2)'s only route on plane 0, so it denies for a fault, and open
@@ -44,7 +45,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if _, _, err := p0.Fail(cutLink); err != nil {
 		t.Fatal(err)
 	}
-	r.planes[0].eject()
+	r.planes[0].eject(clk.Now())
 
 	// Saturate plane 1; with probes gated the admission must fail.
 	p1, _ := r.Plane("plane1")
@@ -57,9 +58,17 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("admission succeeded with probes gated, plane 0 faulted and plane 1 saturated")
 	}
 
-	// Open the probe gate while plane 0 is still faulted: the elected
-	// half-open probe fails and the breaker re-opens.
-	r.cfg.ProbeInterval = time.Nanosecond
+	// 1 ns before the probe is due no probe is elected; at probeInterval
+	// one is, while plane 0 is still faulted: the half-open probe fails and
+	// the breaker re-opens.
+	clk.Advance(probeInterval - 1)
+	if _, err := r.Connect(context.Background(), 0, 2); err == nil {
+		t.Fatal("admission succeeded with plane 0 faulted and plane 1 saturated")
+	}
+	if ps := planeStats(t, r, "plane0"); ps.Breaker != "open" || ps.Opens != 1 {
+		t.Fatalf("1 ns before the probe was due: breaker %q opens %d, want open/1 (no probe)", ps.Breaker, ps.Opens)
+	}
+	clk.Advance(1)
 	if _, err := r.Connect(context.Background(), 0, 2); err == nil {
 		t.Fatal("admission succeeded with plane 0 faulted and plane 1 saturated")
 	}
@@ -67,10 +76,16 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("failed probe left breaker %q opens %d, want open/2", ps.Breaker, ps.Opens)
 	}
 
-	// Repair plane 0: the next probe grants and the breaker closes.
+	// Repair plane 0: the probe due one interval after the failed one
+	// grants and the breaker closes.
 	if _, err := p0.Repair(cutLink); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(probeInterval - 1)
+	if _, err := r.Connect(context.Background(), 0, 2); err == nil {
+		t.Fatal("admission succeeded before the probe clock restarted by the failed probe ran out")
+	}
+	clk.Advance(1)
 	h, err := r.Connect(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -85,15 +100,14 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Open it once more, then probe it while it is full, not faulted: a
 	// circuit holds (0,2)'s only route.
 	h.Release()
-	r.cfg.ProbeInterval = time.Hour
-	r.planes[0].eject()
+	r.planes[0].eject(clk.Now())
 	blocker0, err := p0.Admit(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer blocker0.Release()
 	before := planeStats(t, r, "plane0").Health
-	r.cfg.ProbeInterval = time.Nanosecond
+	clk.Advance(probeInterval)
 	if _, err := r.Connect(context.Background(), 0, 2); err == nil {
 		t.Fatal("admission succeeded with both planes saturated")
 	}
@@ -106,7 +120,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // already open restarts its probe clock but is no transition into open, so
 // Opens counts one.
 func TestKillPlaneTwiceOpensOnce(t *testing.T) {
-	r := testRouter(t, 2, func(c *Config) { c.ProbeInterval = time.Hour })
+	r := testRouter(t, 2, nil)
 	for i := 0; i < 2; i++ {
 		if err := r.KillPlane("plane0"); err != nil {
 			t.Fatal(err)
@@ -171,23 +185,46 @@ func TestDegradedPlaneStaysInService(t *testing.T) {
 	}
 }
 
-// TestGrayConfigValidationFederation tables the Config knobs New refuses.
+// TestGrayConfigValidationFederation: the router's one time knob, Clock,
+// defaults to the wall clock, and a plane with no clock of its own runs on
+// the router's.
 func TestGrayConfigValidationFederation(t *testing.T) {
-	for name, mod := range map[string]func(*Config){
-		"probe interval": func(c *Config) { c.ProbeInterval = -time.Millisecond },
-	} {
-		cfg := Config{Planes: []PlaneConfig{
-			{Fabric: fabric.Config{Tree: topology.MustNew(2, 2, 1), BatchSize: 1}},
-		}}
-		mod(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	if r := testRouter(t, 1, nil); r.Clock() != clock.Wall {
+		t.Errorf("default clock %v, want the wall clock", r.Clock())
 	}
-	// Defaults normalize in.
-	r := testRouter(t, 1, nil)
-	if r.cfg.EjectAfter != DefaultEjectAfter || r.cfg.ProbeInterval != DefaultProbeInterval {
-		t.Errorf("defaults = %v/%v, want %v/%v",
-			r.cfg.EjectAfter, r.cfg.ProbeInterval, DefaultEjectAfter, DefaultProbeInterval)
+	clk, own := clock.NewFake(), clock.NewFake()
+	r := testRouter(t, 2, func(c *Config) {
+		c.Clock = clk
+		c.Planes[1].Fabric.Clock = own
+		for i := range c.Planes {
+			c.Planes[i].Fabric.BatchSize, c.Planes[i].Fabric.MaxWait = 2, time.Millisecond
+		}
+	})
+	// A plane's clock shows in its MaxWait deadline: the router's clock runs
+	// plane 0's partial batch, and only plane 1's own clock runs plane 1's.
+	for i, pc := range []*clock.Fake{clk, own} {
+		done := make(chan error, 1)
+		go func() {
+			c, err := r.planes[i].surf.Admit(context.Background(), 0, 2)
+			if err == nil {
+				c.Release()
+			}
+			done <- err
+		}()
+		waitUntil(t, "the admission to queue", func() bool { return r.planes[i].surf.Stats().QueueDepth == 1 })
+		for _, other := range []*clock.Fake{clk, own} {
+			if other != pc {
+				other.Advance(time.Millisecond)
+			}
+		}
+		select {
+		case <-done:
+			t.Fatalf("plane %d ran its batch on another plane's clock", i)
+		default:
+		}
+		pc.Advance(time.Millisecond)
+		if err := <-done; err != nil {
+			t.Fatalf("plane %d: %v", i, err)
+		}
 	}
 }

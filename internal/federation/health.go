@@ -9,7 +9,7 @@ package federation
 // failover-able error, such as a closed plane. A contention denial is no
 // sample at all: a full plane is not a broken one, and at high load three
 // contention denials in a row are routine (EXPERIMENTS E27, E28). The
-// streak rule — EjectAfter consecutive failures opens the breaker — and
+// streak rule — ejectAfter consecutive failures opens the breaker — and
 // the score rule — a plane whose score sinks under openBelow opens — both
 // count failures only, and the score is exported per plane for operators
 // (/stats, /healthz). From full health the streak rule always trips first
@@ -18,16 +18,17 @@ package federation
 //
 // Breaker state machine ("failure" as above):
 //
-//	closed ──(failure streak ≥ EjectAfter, or health < openBelow)──▶ open
-//	open ──(ProbeInterval elapsed; single-flight election)──▶ half-open
+//	closed ──(failure streak ≥ ejectAfter, or health < openBelow)──▶ open
+//	open ──(probeInterval elapsed; single-flight election)──▶ half-open
 //	half-open ──grant or contention denial──▶ closed
 //	half-open ──failure──▶ open
 //
 // While open or half-open the plane receives no traffic except the
-// elected probe admission (at most one per ProbeInterval, last in the
-// candidate order). Any grant closes the breaker, and so does a probe the
-// plane scheduled and found full; a failed probe re-opens it and restarts
-// the probe clock. Every transition into open is counted (PlaneStats.Opens).
+// elected probe admission (at most one per probeInterval on the router's
+// Config.Clock, last in the candidate order). Any grant closes the
+// breaker, and so does a probe the plane scheduled and found full; a
+// failed probe re-opens it and restarts the probe clock. Every transition
+// into open is counted (PlaneStats.Opens).
 
 import (
 	"context"
@@ -35,14 +36,20 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faults"
 )
 
-// The score rule's constants: the EWMA smoothing factor and the score
-// under which a closed breaker opens whatever the streak.
+// The breaker's constants: the streak rule's length, the probe spacing,
+// the score rule's EWMA smoothing factor and the score under which a
+// closed breaker opens whatever the streak. A plane that cannot serve,
+// every cross-subtree denial fault-blocked, opens within ejectAfter of its
+// own denials; a full one never does.
 const (
-	healthAlpha = 0.2
-	openBelow   = 0.15
+	ejectAfter    = 3
+	probeInterval = 50 * time.Millisecond
+	healthAlpha   = 0.2
+	openBelow     = 0.15
 )
 
 // Breaker states (plane.breaker).
@@ -102,16 +109,16 @@ func (p *plane) noteSuccess() {
 // noteFailure records a failure — a fault-blocked denial or another
 // failover-able error: the score pulls toward 0, and the breaker opens
 // when the streak or score rule trips — or immediately when this was a
-// half-open probe, restarting the probe clock.
-func (p *plane) noteFailure(ejectAfter int32) {
+// half-open probe, restarting the probe clock; clk is read only then.
+func (p *plane) noteFailure(clk clock.Clock) {
 	streak := p.failStreak.Add(1)
 	h := p.bumpHealth(0)
 	switch p.breaker.Load() {
 	case bHalfOpen:
-		p.eject() // the probe failed; wait out another interval
+		p.eject(clk.Now()) // the probe failed; wait out another interval
 	case bClosed:
 		if streak >= ejectAfter || h < openBelow {
-			p.eject()
+			p.eject(clk.Now())
 		}
 	}
 }
@@ -126,13 +133,13 @@ func (p *plane) noteContention() {
 	}
 }
 
-// eject opens the breaker and starts the probe clock: the first
-// re-admission probe is due one ProbeInterval later, not immediately. Only a
+// eject opens the breaker and starts the probe clock at now: the first
+// re-admission probe is due one probeInterval later, not immediately. Only a
 // transition into open counts as an opening — a KillPlane of an open plane,
 // or a second of two concurrent failures that each saw the breaker closed,
 // restarts the clock without counting one.
-func (p *plane) eject() {
-	p.lastProbe.Store(time.Now().UnixNano())
+func (p *plane) eject(now time.Time) {
+	p.lastProbe.Store(now.UnixNano())
 	if p.breaker.Swap(bOpen) != bOpen {
 		p.opens.Add(1)
 	}
@@ -142,12 +149,11 @@ func (p *plane) eject() {
 // selection (breaker open or half-open).
 func (p *plane) ejectedNow() bool { return p.breaker.Load() != bClosed }
 
-// probeDue elects at most one re-admission probe per interval; the
-// winning election moves an open breaker to half-open.
-func (p *plane) probeDue(interval time.Duration) bool {
-	now := time.Now().UnixNano()
-	last := p.lastProbe.Load()
-	if now-last < int64(interval) || !p.lastProbe.CompareAndSwap(last, now) {
+// probeDue elects at most one re-admission probe per probeInterval, now
+// being the time; the winning election moves an open breaker to half-open.
+func (p *plane) probeDue(now time.Time) bool {
+	ns, last := now.UnixNano(), p.lastProbe.Load()
+	if ns-last < int64(probeInterval) || !p.lastProbe.CompareAndSwap(last, ns) {
 		return false
 	}
 	p.breaker.CompareAndSwap(bOpen, bHalfOpen)
@@ -199,17 +205,18 @@ func (r *Router) Degraded(name string) *faults.DegradedPlane {
 	return nil
 }
 
-// sleepInjected waits out an injected admit latency, returning early if
-// the caller's context ends first (the admission then fails on the
-// context as usual).
-func sleepInjected(ctx context.Context, d time.Duration) {
+// sleepInjected waits out an injected admit latency on clk, returning
+// early if the caller's context ends first (the admission then fails on
+// the context as usual).
+func sleepInjected(ctx context.Context, clk clock.Clock, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	t := time.NewTimer(d)
+	done := make(chan struct{})
+	t := clk.AfterFunc(d, func() { close(done) })
 	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-done:
 	case <-ctx.Done():
 	}
 }

@@ -3,15 +3,17 @@ package federation
 // The reference router: what a Router does, stated the plain way. One
 // reference fabric per plane (fabrictest.Ref); each policy's order by its
 // definition; the walk that asks first the planes whose rows would route the
-// pair, then the rest; the breaker as a failure streak, an EWMA score and an
-// open bit; migration of a circuit a plane retires as one more walk that
-// skips that plane. No clock, no goroutine, no view: the generator
-// (generator_test.go) runs planes whose outcomes never read the time.
+// pair, then the rest; the breaker as a failure streak, an EWMA score and a
+// state that opens, elects one probe per probe interval and closes;
+// migration of a circuit a plane retires as one more walk that skips that
+// plane. Time is the reference's own clock, now, which the generator
+// (generator_test.go) moves with the router's; no goroutine, no view.
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -28,7 +30,9 @@ type refPlane struct {
 	scoreOpens                uint64 // openings the streak alone would not have made yet
 	streak                    int
 	health                    float64
-	open, degraded            bool
+	breaker                   int32 // bClosed, bOpen or bHalfOpen
+	lastProbe                 int64 // UnixNano of the last ejection or probe election
+	degraded                  bool
 	// The calls the plane's surface receives.
 	routables, admits uint64
 }
@@ -38,61 +42,82 @@ type refRouter struct {
 	cfg    Config // resolved
 	planes []*refPlane
 	rr     uint64
+	// start is the router clock's time at the start; now the time since.
+	start time.Time
+	now   time.Duration
 	// Router counters.
 	offered, granted, rejected, cancelled, failovers, readmitted, lost uint64
 }
 
-// sample folds a health sample into the score: a grant's 1 ends the streak
-// and closes the breaker; a failure's 0 lengthens the streak, and opens a
-// closed breaker on a streak of EjectAfter or a score under 0.15, the EWMA
-// weighing each sample 0.2.
-func (p *refPlane) sample(cfg Config, s float64) {
+// nowNano is the reference's time as the router's clock reads it.
+func (o *refRouter) nowNano() int64 { return o.start.Add(o.now).UnixNano() }
+
+// sample folds a health sample into the score at time now: a grant's 1
+// ends the streak and closes the breaker; a failure's 0 lengthens the
+// streak, re-opens a half-open breaker, and opens a closed one on a streak
+// of 3 or a score under 0.15, the EWMA weighing each sample 0.2. An open
+// breaker stays as it is.
+func (p *refPlane) sample(s float64, now int64) {
 	p.health = 0.8*p.health + 0.2*s
 	if s == 1 {
-		p.streak, p.open = 0, false
-	} else if p.streak++; p.streak >= cfg.EjectAfter || p.health < 0.15 {
-		p.scoreOpens += b2u(!p.open && p.streak < cfg.EjectAfter)
-		p.eject()
+		p.streak, p.breaker = 0, bClosed
+		return
+	}
+	p.streak++
+	switch {
+	case p.breaker == bHalfOpen:
+		p.eject(now)
+	case p.breaker == bClosed && (p.streak >= 3 || p.health < 0.15):
+		p.scoreOpens += b2u(p.streak < 3)
+		p.eject(now)
 	}
 }
 
-// eject opens the breaker; only a transition counts as an opening.
-func (p *refPlane) eject() {
-	p.opens += b2u(!p.open)
-	p.open = true
+// eject opens the breaker and restarts the probe clock; only a transition
+// into open counts as an opening.
+func (p *refPlane) eject(now int64) {
+	p.opens += b2u(p.breaker != bOpen)
+	p.breaker, p.lastProbe = bOpen, now
 }
 
-// breaker names the breaker's state as Stats does.
-func (p *refPlane) breaker() string { return map[bool]string{false: "closed", true: "open"}[p.open] }
+// due reports whether an ejected plane's probe is due at now: 50 ms since
+// its ejection or its last probe election.
+func (p *refPlane) due(now int64) bool {
+	return p.breaker != bClosed && now-p.lastProbe >= int64(50*time.Millisecond)
+}
 
-// candidates is the planes an admission considers, in policy order: the
-// closed-breaker planes, or every plane when all are open. rot is where a
-// round-robin or random order starts.
-func (o *refRouter) candidates(src, dst, rot int) []int {
+// candidates is the planes an admission considers: the closed-breaker
+// planes in policy order, then the ejected planes whose probe is due, in
+// index order — or, with neither, every plane in policy order. rot is
+// where a round-robin or random order starts. probes are the due planes,
+// whose election the walk's apply makes.
+func (o *refRouter) candidates(src, dst, rot int) (order, probes []int) {
 	var cand, all []int
 	for i, p := range o.planes {
-		if !p.open {
+		switch {
+		case p.breaker == bClosed:
 			cand = append(cand, i)
+		case p.due(o.nowNano()):
+			probes = append(probes, i)
 		}
 		all = append(all, i)
 	}
-	if len(cand) == 0 {
+	if len(cand) == 0 && len(probes) == 0 {
 		cand = all
 	}
 	n := len(cand)
-	if n <= 1 {
-		return cand
-	}
 	rotated := func(k int) []int { return slices.Concat(cand[k%n:], cand[:k%n]) }
-	switch o.cfg.Policy {
-	case PolicyHash:
-		return rotated(pairHash(src, dst))
-	case PolicyLeastLoaded:
+	switch {
+	case n <= 1:
+	case o.cfg.Policy == PolicyHash:
+		cand = rotated(pairHash(src, dst))
+	case o.cfg.Policy == PolicyLeastLoaded:
 		load := func(pi int) int64 { return o.planes[pi].fab.Unavailable() }
 		sort.SliceStable(cand, func(i, j int) bool { return load(cand[i]) < load(cand[j]) })
-		return cand
+	default:
+		cand = rotated(rot)
 	}
-	return rotated(rot)
+	return slices.Concat(cand, probes), probes
 }
 
 // try is one plane a walk asks and the plane's verdict; a closed plane
@@ -107,6 +132,7 @@ type try struct {
 type walk struct {
 	src, dst int
 	order    []int
+	probes   []int // planes whose probe election the walk makes
 	asked    []int // planes asked Routable
 	tries    []try
 }
@@ -114,9 +140,10 @@ type walk struct {
 // plan walks the planes of order for src→dst, skipping skip (-1: none):
 // the closed-breaker planes whose rows route the pair, as the walk reaches
 // them, then everything it passed over, in order; the first grant ends the
-// walk. With one candidate no rows are read.
-func (o *refRouter) plan(src, dst, skip int, order []int) *walk {
-	w := &walk{src: src, dst: dst, order: order}
+// walk. With one candidate no rows are read. probes are the candidates'
+// due probes.
+func (o *refRouter) plan(src, dst, skip int, order, probes []int) *walk {
+	w := &walk{src: src, dst: dst, order: order, probes: probes}
 	hint := len(order) > 1
 	ask := func(pi int, predicted bool) (stop bool) {
 		t := try{plane: pi, predicted: predicted}
@@ -135,7 +162,7 @@ func (o *refRouter) plan(src, dst, skip int, order []int) *walk {
 			continue
 		}
 		if p := o.planes[pi]; hint {
-			if p.open {
+			if p.breaker != bClosed {
 				later = append(later, pi)
 				continue
 			}
@@ -177,10 +204,20 @@ func (w *walk) err() error {
 	return &fabric.UnroutableError{Src: w.src, Dst: w.dst, FailLevel: t.out.FailLevel, FaultBlocked: t.blocked}
 }
 
-// apply commits a planned walk: the round-robin tick, the counters and
-// health samples of every plane tried, and a grant held under key.
+// apply commits a planned walk: the probe elections, which move an open
+// breaker to half-open and restart the probe clock, the round-robin tick,
+// the counters and health samples of every plane tried, and a grant held
+// under key.
 func (o *refRouter) apply(w *walk, key any) error {
-	if o.cfg.Policy == PolicyRoundRobin && len(w.order) > 1 {
+	now := o.nowNano()
+	for _, pi := range w.probes {
+		p := o.planes[pi]
+		p.lastProbe = now
+		if p.breaker == bOpen {
+			p.breaker = bHalfOpen
+		}
+	}
+	if o.cfg.Policy == PolicyRoundRobin && len(w.order)-len(w.probes) > 1 {
 		o.rr++
 	}
 	for _, pi := range w.asked {
@@ -194,13 +231,16 @@ func (o *refRouter) apply(w *walk, key any) error {
 		p.admits++
 		switch {
 		case t.out.Granted:
-			p.sample(o.cfg, 1)
+			p.sample(1, now)
 			p.grants++
 			return p.fab.Hold(key, w.src, w.dst, t.out.Ports)
 		case t.blocked || t.closed:
-			p.sample(o.cfg, 0)
-		case t.predicted: // contention is no health sample
-			p.hintMisses++
+			p.sample(0, now)
+		default: // contention is no health sample, but it settles a probe
+			p.hintMisses += b2u(t.predicted)
+			if p.breaker == bHalfOpen {
+				p.breaker = bClosed
+			}
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 )
 
@@ -114,7 +115,7 @@ func TestOrderingMatchesOracle(t *testing.T) {
 			// The subtest names keep their weighted=false segment: test
 			// lists compare names, so a rename would read as a removal.
 			t.Run(fmt.Sprintf("%s/weighted=false/planes=%d", policy, n), func(t *testing.T) {
-				r := &Router{cfg: Config{Policy: policy, ProbeInterval: time.Second}}
+				r := &Router{cfg: Config{Policy: policy, Clock: clock.Wall}}
 				for i := 0; i < n; i++ {
 					r.planes = append(r.planes, &plane{surf: &occSurface{}})
 				}

@@ -27,10 +27,7 @@ func saturate(t *testing.T, r *Router, names ...string) {
 // every healthy plane, even the ones whose rows say no, though its own
 // rows say yes.
 func TestDueProbeStaysLast(t *testing.T) {
-	r := testRouter(t, 3, func(c *Config) {
-		c.Policy = PolicyRoundRobin
-		c.ProbeInterval = time.Nanosecond
-	})
+	r := testRouter(t, 3, func(c *Config) { c.Policy = PolicyRoundRobin })
 	saturate(t, r, "plane1", "plane2")
 	r.planes[0].breaker.Store(bOpen)
 	r.planes[0].lastProbe.Store(0)

@@ -46,6 +46,15 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# Clock gate: no test sleeps. The serving layer reads the time and arms
+# its timers through internal/clock, so a test that needs time to pass
+# advances a clock.Fake, and one that waits on another goroutine yields.
+if sleepers=$(grep -rln --include='*_test.go' 'time\.Sleep' internal cmd); then
+	echo "tests that call time.Sleep (advance a clock.Fake instead):" >&2
+	echo "$sleepers" >&2
+	exit 1
+fi
+
 gotest -race ./...
 
 # Concurrency-focused pass: re-run the parallel engine, the fabric
@@ -119,10 +128,13 @@ refuse() {
 validate() {
 	gen | sed "$1" | go run ./cmd/ftserve -config - -validate
 }
-# A retired knob is refused by name, never silently dropped: a router key
-# and a plane key.
+# A retired knob is refused by name, never silently dropped: router keys
+# and plane keys, among them a breaker dial and a repair dial that became
+# constants.
 refuse "the retired open_below key" 'unknown field "open_below"' validate 's/"policy"/"open_below": 0.15, "policy"/'
 refuse "the retired weight key" 'unknown field "weight"' validate 's/"levels"/"weight": 2, "levels"/'
+refuse "the retired probe_interval key" 'unknown field "probe_interval"' validate 's/"policy"/"probe_interval": "50ms", "policy"/'
+refuse "the retired repair_backoff key" 'unknown field "repair_backoff"' validate 's/"levels"/"repair_backoff": "2ms", "levels"/'
 # A switch wider than a machine word is refused by name: every Ulink and
 # Dlink row is one word (topology.ErrWideSwitch).
 refuse "a switch with 65 parents" "wide switch: more than 64 parents" go run ./cmd/ftsched -levels 2 -children 4 -parents 65
@@ -164,9 +176,11 @@ gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 # the reference's link rows after every operation (epochs with
 # cancellations and retained partial routes, split releases, Fail with its
 # revocations, Repair, RepairAll, quarantine, ClearQuarantine, Stats,
-# Close), verdicts bit for bit, Routable Level-wise first-fit for every
-# pair; and readers racing 32 churning clients see no torn row of the
-# published view; under -race, -count=2 as above.
+# Close, and advancing the fake clock both run on, which ends backoffs,
+# probations and flap scores), verdicts bit for bit, every repair's
+# attempts counted against the reference's, Routable Level-wise first-fit
+# for every pair; and readers racing 32 churning clients see no torn row
+# of the published view; under -race, -count=2 as above.
 gotest -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn' -count=2 ./internal/fabric
 # The router generator, both modes, and its three named seeds: seeded
 # sequences on seven federations of one to four planes (fed_degraded's
@@ -175,8 +189,10 @@ gotest -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn
 # router (one reference fabric per plane) — Router.CheckInvariants, Stats,
 # breaker state, each plane's Routable and Admit calls and every handle's
 # fate after every operation (split Connects, releases, Fail, KillPlane,
-# Repair, RepairPlane, degraded planes, Close), each walk bit for bit while
-# it ran alone; under -race, -count=2 as above.
+# Repair, RepairPlane, degraded planes, Close, and advancing the fake clock
+# through repair backoffs, migrations and half-open probes), each walk and
+# each repair attempt bit for bit while it ran alone; under -race, -count=2
+# as above.
 gotest -race -run 'TestRouterGenerator$|TestRouterGeneratorExhaustive|TestRouterGeneratorTerminalWindowSeed|TestRouterGeneratorRegisterSeed|TestRouterGeneratorScoreRuleSeed' -count=2 ./internal/federation
 
 # Spec fuzz: no input makes sched.Parse panic, and an accepted spec's engine
