@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ftbench [-perms 100] [-seed 1] [-paper-only] [-csv dir]
+//	ftbench [-perms 100] [-seed 1] [-paper-only] [-only id] [-csv dir]
 //
 // With -csv, each figure/table is additionally written as a CSV file into
 // the given directory for external plotting.
@@ -16,34 +16,19 @@
 // ftbench reports no rate and no latency of its own: how fast the
 // serving stack runs is measured by bench/ (`bash bench/run.sh
 // --workload fabric_churn|fed_degraded|http_rt|batch_perm`, schema in
-// BENCHMARK.json). The three modes below are correctness harnesses whose
-// output is a verdict, all driven by one closed-loop client pool that
-// the -fabric-* flags size (tree, clients, epoch batching);
-// -fabric-scheduler names the admission engine in internal/sched's
-// grammar (e.g. "parallel,mode=shard,workers=4,steal").
-//
-// With -chaos, closed-loop clients churn against internal/fabric while a
-// seeded fault/repair schedule fails and repairs links mid-run, swept
-// over the -chaos-rates link failure rates; each rate reports the
-// schedulability ratio and the fabric's repair-latency histogram
-// (EXPERIMENTS.md E17), and the run fails unless the occupancy gauge
-// equals utilization at every poll and revoked = repaired +
-// repair_failed + repair_aborted once the fabric has healed.
-//
-// With -gray, ftbench runs the gray-failure resilience sweep
-// (EXPERIMENTS.md E21): seeded *flaky* links flap up and down on a fixed
-// clock while closed-loop clients run, exercising flap damping, the
-// repair retry bound, and reuse-cost-aware repair placement; each
-// -gray-rates point runs with reuse-cost scoring off and on over
-// bit-identical churn, under the same accounting checks as -chaos plus
-// the retry bound, and a final two-plane point injects a slow-but-alive
-// DegradedPlane process and reports the health score and breaker state.
+// BENCHMARK.json). The serving layer under faults is part of the suite:
+// E17 (link failures and repairs) and E21 (flaky links, flap damping,
+// repair placement, a slow plane) drive fabric managers on simulated
+// time, so `-only e17` and `-only e21` print tables that depend on the
+// seed alone, and a cell that loses a connection fails the run.
 //
 // With -churn, ftbench runs the arrival/departure churn comparison
 // (EXPERIMENTS.md E20): one seeded workload of circuit arrivals with
 // exponential lifetimes served by batch-replay, incremental, and
 // incremental+reuse-cost scheduling, reporting schedulability and route
-// churn per epoch — a table that depends on the seed alone.
+// churn per epoch — a table that depends on the seed alone. The
+// -fabric-levels, -fabric-children and -fabric-parents flags size its
+// tree.
 package main
 
 import (
@@ -53,10 +38,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fabric"
 	"repro/internal/report"
 )
 
@@ -72,27 +55,11 @@ type options struct {
 	fabricLevels   int
 	fabricChildren int
 	fabricParents  int
-	fabricClients  int
-	fabricBatch    int
-	fabricOpen     int
-	fabricMaxWait  time.Duration
-	fabricDuration time.Duration
-	fabricSched    string
-	fabricTimeout  time.Duration
 	churnMode      bool
 	churnRate      int
 	churnLife      float64
 	churnEpochs    int
 	churnReuse     int
-	chaosMode      bool
-	chaosRates     string
-	chaosCycle     time.Duration
-	grayMode       bool
-	grayRates      string
-	grayDuty       float64
-	grayStep       time.Duration
-	grayReuse      int
-	grayThreshold  float64
 	cpuProfile     string
 	memProfile     string
 }
@@ -108,30 +75,14 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.only, "only", "", "run only suite components whose id contains this (e.g. e12, a1, fig9, table1)")
 	fs.StringVar(&o.csvDir, "csv", "", "directory to additionally write CSV files into")
 	fs.StringVar(&o.jsonDir, "json", "", "directory to additionally write JSON files into")
-	fs.IntVar(&o.fabricLevels, "fabric-levels", 3, "chaos/gray/churn: switch levels l")
-	fs.IntVar(&o.fabricChildren, "fabric-children", 8, "chaos/gray/churn: children per switch m")
-	fs.IntVar(&o.fabricParents, "fabric-parents", 8, "chaos/gray/churn: parents per switch w")
-	fs.IntVar(&o.fabricClients, "fabric-clients", 64, "chaos/gray: concurrent closed-loop clients")
-	fs.IntVar(&o.fabricBatch, "fabric-batch", fabric.DefaultBatchSize, "chaos/gray: epoch flush threshold (1 disables batching)")
-	fs.IntVar(&o.fabricOpen, "fabric-open", 4, "chaos/gray: circuits each client holds open")
-	fs.DurationVar(&o.fabricMaxWait, "fabric-maxwait", 500*time.Microsecond, "chaos/gray: epoch flush timer")
-	fs.DurationVar(&o.fabricDuration, "fabric-duration", 2*time.Second, "chaos/gray: run length")
-	fs.StringVar(&o.fabricSched, "fabric-scheduler", "", "chaos/gray: admission engine spec (internal/sched registry grammar; \"\" = fabric default)")
-	fs.DurationVar(&o.fabricTimeout, "fabric-timeout", 0, "chaos/gray: per-Connect admission timeout, counted in the timeouts column (0 = 100ms)")
+	fs.IntVar(&o.fabricLevels, "fabric-levels", 3, "churn: switch levels l")
+	fs.IntVar(&o.fabricChildren, "fabric-children", 8, "churn: children per switch m")
+	fs.IntVar(&o.fabricParents, "fabric-parents", 8, "churn: parents per switch w")
 	fs.BoolVar(&o.churnMode, "churn", false, "run the arrival/departure churn comparison: batch-replay vs carried (incremental) scheduling on one seeded workload")
 	fs.IntVar(&o.churnRate, "churn-rate", 16, "churn: fresh arrivals per epoch")
 	fs.Float64Var(&o.churnLife, "churn-life", 8, "churn: mean circuit lifetime in epochs (exponential)")
 	fs.IntVar(&o.churnEpochs, "churn-epochs", 200, "churn: epochs to simulate")
 	fs.IntVar(&o.churnReuse, "churn-reuse", 4, "churn: reuse-cost cap K for the incremental+reuse discipline (0 skips it)")
-	fs.BoolVar(&o.chaosMode, "chaos", false, "run the fault-injection sweep: fabric closed-loop clients plus a seeded mid-run fault/repair schedule")
-	fs.StringVar(&o.chaosRates, "chaos-rates", "0,0.01,0.05,0.1", "chaos: comma-separated link failure rates p to sweep")
-	fs.DurationVar(&o.chaosCycle, "chaos-cycle", 20*time.Millisecond, "chaos: fault/repair alternation period")
-	fs.BoolVar(&o.grayMode, "gray", false, "run the gray-failure sweep: seeded flaky links flapping mid-run, with flap damping, bounded repair retries, and a degraded-plane federation point")
-	fs.StringVar(&o.grayRates, "gray-rates", "0,0.02,0.05,0.1", "gray: comma-separated flaky link selection rates p to sweep")
-	fs.Float64Var(&o.grayDuty, "gray-duty", 0.5, "gray: per-step down probability of each flaky link")
-	fs.DurationVar(&o.grayStep, "gray-step", 2*time.Millisecond, "gray: flaky process clock period")
-	fs.IntVar(&o.grayReuse, "gray-reuse", 4, "gray: reuse-cost cap K for the second arm (0 skips it)")
-	fs.Float64Var(&o.grayThreshold, "gray-threshold", 3, "gray: flap-damping quarantine threshold")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 	return o
@@ -162,43 +113,12 @@ func main() {
 		os.Exit(code)
 	}
 
-	// done ends a harness mode: report its error, if any, and exit.
-	done := func(err error) {
-		if err != nil {
+	if o.churnMode {
+		if err := churnBench(os.Stdout, o.churn()); err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 			exit(1)
 		}
 		exit(0)
-	}
-	// The one closed-loop client pool -chaos and -gray share (-gray names
-	// its own engines and ignores Scheduler).
-	loop := fabricBenchConfig{
-		Levels: o.fabricLevels, Children: o.fabricChildren, Parents: o.fabricParents,
-		Clients: o.fabricClients, Batch: o.fabricBatch, Open: o.fabricOpen,
-		MaxWait: o.fabricMaxWait, Duration: o.fabricDuration, Seed: o.seed,
-		Timeout: o.fabricTimeout, Scheduler: o.fabricSched,
-	}
-	switch {
-	case o.churnMode:
-		done(churnBench(os.Stdout, o.churn()))
-	case o.grayMode:
-		rates, err := parseRates(o.grayRates)
-		if err == nil {
-			err = grayBench(os.Stdout, grayBenchConfig{
-				fabricBenchConfig: loop,
-				Rates:             rates, Duty: o.grayDuty, Step: o.grayStep, Reuse: o.grayReuse,
-				FlapThreshold: o.grayThreshold,
-			})
-		}
-		done(err)
-	case o.chaosMode:
-		rates, err := parseRates(o.chaosRates)
-		if err == nil {
-			err = chaosBench(os.Stdout, chaosBenchConfig{
-				fabricBenchConfig: loop, Rates: rates, Cycle: o.chaosCycle,
-			})
-		}
-		done(err)
 	}
 
 	if o.csvDir != "" {

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -11,10 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/fabric"
-	"repro/internal/topology"
 )
 
 func TestWriteFilesCSVAndJSON(t *testing.T) {
@@ -43,58 +37,6 @@ func TestWriteFilesCSVAndJSON(t *testing.T) {
 func TestWriteFilesBadDir(t *testing.T) {
 	if err := writeFiles("/dev/null/subdir", ".csv", 1, 1); err == nil {
 		t.Fatal("unwritable dir accepted")
-	}
-}
-
-func TestChaosBench(t *testing.T) {
-	var out strings.Builder
-	err := chaosBench(&out, chaosBenchConfig{
-		fabricBenchConfig: fabricBenchConfig{
-			Levels: 3, Children: 4, Parents: 2,
-			Clients: 8, Batch: 4, Open: 2,
-			MaxWait: 200 * time.Microsecond, Duration: 120 * time.Millisecond, Seed: 1,
-		},
-		Rates: []float64{0, 0.08},
-		Cycle: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"chaos FT(3,4,2)", "rate", "sched", "unacct", "0.000", "0.080"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("chaos summary missing %q:\n%s", want, got)
-		}
-	}
-	// Every rate row carries the settled repair identity in its fourth
-	// column: unaccounted 0.
-	lines := strings.Split(strings.TrimSpace(got), "\n")
-	if len(lines) != 4 || strings.Fields(lines[1])[3] != "unacct" {
-		t.Fatalf("chaos table shape:\n%s", got)
-	}
-	for _, row := range lines[2:] {
-		if f := strings.Fields(row); f[3] != "0" {
-			t.Errorf("row %q: unaccounted %s, want 0", row, f[3])
-		}
-	}
-}
-
-// brokenFabric is a settled healer whose invariants report err.
-type brokenFabric struct{ err error }
-
-func (b brokenFabric) RepairAll() int         { return 0 }
-func (b brokenFabric) Stats() fabric.Stats    { return fabric.Stats{} }
-func (b brokenFabric) CheckInvariants() error { return b.err }
-
-// TestSettleFailsOnRepairIdentity pins what makes -chaos and -gray exit
-// non-zero: a settled fabric that fails CheckInvariants — here, one whose
-// revocations do not all resolve.
-func TestSettleFailsOnRepairIdentity(t *testing.T) {
-	lost := errors.New("fabric: Revoked vs Repaired + RepairFailed + RepairAborted + PendingRepairs: 5 != 4")
-	if _, err := settle(brokenFabric{}); err != nil {
-		t.Fatalf("a consistent fabric rejected: %v", err)
-	} else if _, err := settle(brokenFabric{lost}); err != lost {
-		t.Fatalf("err = %v, want %v", err, lost)
 	}
 }
 
@@ -219,62 +161,5 @@ func TestChurnBenchValidation(t *testing.T) {
 		if err := churnBench(os.Stdout, cfg); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-	}
-}
-
-func TestParseRates(t *testing.T) {
-	rates, err := parseRates(" 0, 0.01,0.1 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rates) != 3 || rates[0] != 0 || rates[1] != 0.01 || rates[2] != 0.1 {
-		t.Fatalf("rates = %v", rates)
-	}
-	for _, bad := range []string{"", "x", "-0.1", "1.5", ","} {
-		if _, err := parseRates(bad); err == nil {
-			t.Errorf("parseRates(%q) accepted", bad)
-		}
-	}
-}
-
-func TestChaosBenchValidation(t *testing.T) {
-	base := fabricBenchConfig{Levels: 2, Children: 4, Parents: 4,
-		Clients: 1, Open: 1, Duration: time.Millisecond}
-	if err := chaosBench(os.Stdout, chaosBenchConfig{fabricBenchConfig: base, Rates: nil, Cycle: time.Millisecond}); err == nil {
-		t.Error("empty rates accepted")
-	}
-	if err := chaosBench(os.Stdout, chaosBenchConfig{fabricBenchConfig: base, Rates: []float64{0.1}}); err == nil {
-		t.Error("zero cycle accepted")
-	}
-	if err := chaosBench(os.Stdout, chaosBenchConfig{Rates: []float64{0.1}, Cycle: time.Millisecond}); err == nil {
-		t.Error("zero clients accepted")
-	}
-	bad := base
-	bad.Levels = 0
-	if err := chaosBench(os.Stdout, chaosBenchConfig{fabricBenchConfig: bad, Rates: []float64{0.1}, Cycle: time.Millisecond}); err == nil {
-		t.Error("bad topology accepted")
-	}
-}
-
-// TestClosedLoopCountsTimeouts: a wedged manager (a batch that never
-// fills, a flush timer that never fires) must not hang the loop or abort
-// it — every attempt ends as a counted timeout.
-func TestClosedLoopCountsTimeouts(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	fab, err := fabric.New(fabric.Config{Tree: tree, BatchSize: 1 << 20, MaxWait: time.Hour,
-		AdmitTimeout: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := closedLoop(fab, tree, fabricBenchConfig{Clients: 1, Open: 1,
-		Duration: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.timedOut == 0 || counts.admitted != 0 {
-		t.Errorf("counts = %+v, want only timeouts", counts)
-	}
-	if err := fab.Close(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }

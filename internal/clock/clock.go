@@ -57,6 +57,7 @@ type Fake struct {
 	k     des.Kernel
 	start time.Time
 	fire  func() // the callback the event just stepped handed over
+	live  int    // timers armed and neither fired nor stopped
 }
 
 // NewFake returns a fake clock standing at a fixed instant.
@@ -76,6 +77,15 @@ func (c *Fake) AfterFunc(d time.Duration, f func()) Timer {
 	t.armLocked(d)
 	c.mu.Unlock()
 	return t
+}
+
+// Pending returns how many timers are armed: neither fired nor stopped. A
+// driver whose client goroutine blocks on a timer of this clock reads it to
+// know, without sleeping, that the timer is armed and Advance will fire it.
+func (c *Fake) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.live
 }
 
 // Advance moves the clock forward by d, firing every timer due on the way
@@ -114,11 +124,15 @@ type fakeTimer struct {
 // armLocked schedules the timer d from now. Caller holds c.mu.
 func (t *fakeTimer) armLocked(d time.Duration) {
 	t.gen++
+	if !t.pending {
+		t.c.live++
+	}
 	t.pending = true
 	gen := t.gen
 	t.c.k.After(des.Time(max(d, 0)), func() {
 		if t.gen == gen {
 			t.pending = false
+			t.c.live--
 			t.c.fire = t.f
 		}
 	})
@@ -139,6 +153,9 @@ func (t *fakeTimer) Stop() bool {
 	defer t.c.mu.Unlock()
 	was := t.pending
 	t.gen++
+	if was {
+		t.c.live--
+	}
 	t.pending = false
 	return was
 }

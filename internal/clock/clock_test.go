@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -124,5 +125,49 @@ func TestFakeCallbackArmsInsideWindow(t *testing.T) {
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, -2 * time.Millisecond, 3 * time.Millisecond}
 	if !slices.Equal(at, want) {
 		t.Fatalf("fired at %v, want %v", at, want)
+	}
+}
+
+// TestFakePendingCountsLiveTimers: Pending counts the timers armed and
+// neither fired nor stopped — a Reset of a pending timer is still one — and
+// a goroutine blocked on a timer is handed over by it: once Pending shows the
+// timer armed, one Advance releases the goroutine at the timer's due time.
+func TestFakePendingCountsLiveTimers(t *testing.T) {
+	c := NewFake()
+	a := c.AfterFunc(time.Millisecond, func() {})
+	b := c.AfterFunc(2*time.Millisecond, func() {})
+	b.Reset(3 * time.Millisecond)
+	if got := c.Pending(); got != 2 {
+		t.Fatalf("Pending = %d with two armed timers, want 2", got)
+	}
+	a.Stop()
+	a.Stop()
+	if got := c.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after a Stop, want 1", got)
+	}
+	c.Advance(3 * time.Millisecond)
+	if got := c.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after the last timer fired, want 0", got)
+	}
+	a.Reset(time.Millisecond)
+	if got := c.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after re-arming a stopped timer, want 1", got)
+	}
+	c.Advance(time.Millisecond)
+
+	start := c.Now()
+	woke := make(chan time.Duration)
+	go func() {
+		done := make(chan struct{})
+		c.AfterFunc(5*time.Millisecond, func() { close(done) })
+		<-done
+		woke <- c.Now().Sub(start)
+	}()
+	for c.Pending() == 0 {
+		runtime.Gosched()
+	}
+	c.Advance(5 * time.Millisecond)
+	if at := <-woke; at != 5*time.Millisecond {
+		t.Fatalf("the blocked goroutine woke %v after the start, want 5ms", at)
 	}
 }

@@ -89,6 +89,8 @@ var (
 		entry("E13 multicast", ExtMulticast, MulticastTable),
 		entry("E14 backtrack", ExtBacktrack, BacktrackTable),
 		entry("E15 analytic", ExtAnalytic, AnalyticTable),
+		entry("E17 chaos", seedOnly(ExtChaos), ChaosTable),
+		entry("E21 gray", seedOnly(ExtGray), GrayTable),
 	}
 )
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +53,10 @@ func routableMismatch(m *Manager) error {
 
 // TestRoutableRacesChurn: readers call Routable while 32 clients connect
 // and release and a link fails and heals mid-run; at quiesce the view is
-// the rows and Routable is first-fit on them. Its point is -race.
+// the rows and Routable is first-fit on them. Its point is -race. The
+// readers yield after every call: two readers that never yield hold both
+// Ps of a 2-CPU host, and each epoch the MaxWait timer closes then waits
+// for async preemption, seconds per run.
 func TestRoutableRacesChurn(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
 	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 100 * time.Microsecond})
@@ -77,6 +81,7 @@ func TestRoutableRacesChurn(t *testing.T) {
 				default:
 				}
 				m.Routable(rng.Intn(nodes), rng.Intn(nodes))
+				runtime.Gosched()
 			}
 		}(int64(r))
 	}

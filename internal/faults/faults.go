@@ -4,8 +4,8 @@
 // them. A FaultSet names failed links — (link level, switch, port,
 // direction) — and failed switches; a switch failure expands to every
 // link incident on the switch, up-side and down-side. The set is what
-// travels over the wire (ftserve's POST /fault), what the chaos harness
-// replays, and what linkstate applies to its persistent fault mask.
+// travels over the wire (ftserve's POST /fault), what E17's fault cycle
+// injects, and what linkstate applies to its persistent fault mask.
 //
 // The fat tree's defining property — w-way path diversity at every
 // level — is exactly what makes masking these faults cheap: a failed
@@ -246,7 +246,7 @@ func (f *FaultSet) String() string {
 
 // Uniform fails each physical link of the tree (both channels)
 // independently with probability p, using a deterministic RNG seeded
-// with seed — the chaos harness's i.i.d. link-failure model. p <= 0
+// with seed — E17's i.i.d. link-failure model. p <= 0
 // returns the empty set.
 func Uniform(tree *topology.Tree, p float64, seed int64) *FaultSet {
 	fs := &FaultSet{}

@@ -8,9 +8,8 @@ package faults
 // (splitmix64 finalizer over the seed, the component coordinates, and
 // the step number), so the processes are stateless, seekable, and
 // bit-reproducible: step n of a given process is the same on every
-// machine and every run, which is what lets the chaos tests and the
-// ftbench -gray sweep replay identical churn against both arms of a
-// comparison.
+// machine and every run, which is what lets the chaos tests and E21
+// replay identical churn against both arms of a comparison.
 
 import (
 	"encoding/json"
@@ -202,8 +201,8 @@ func FlakyLinks(tree *topology.Tree, p, duty float64, seed int64) []FlakyLink {
 // emits, per step, the diff as a pair of clean fault sets: the links
 // that just went down (to Fail) and the links that just came back (to
 // Repair). It is the bridge between the stateless processes and the
-// fabric's stateful Fail/Repair surface — ftserve's stepper goroutine
-// and the ftbench -gray harness both drive one.
+// fabric's stateful Fail/Repair surface — ftserve's stepper and E21's
+// cells both drive one.
 type Flapper struct {
 	procs []FlakyLink
 	down  []bool

@@ -80,7 +80,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 // parseErrorTexts are the rejections whose full text is contract: the CLI
-// (-fabric-scheduler) and ftserve surface them verbatim, so the whole
+// (ftsched -scheduler) and ftserve surface them verbatim, so the whole
 // message is pinned, not just the substrings above. FuzzParse starts from
 // their specs.
 func parseErrorTexts() []struct{ spec, want string } {

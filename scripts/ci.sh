@@ -226,12 +226,20 @@ gotest -run 'TestIncrementalArrivalsOnlyGolden' ./internal/core
 # keeps running end to end without bench-grade runtime.
 go run ./cmd/ftbench -churn -churn-rate 8 -churn-life 4 -churn-epochs 20 -churn-reuse 2 -seed 1
 
-# Gray-failure smoke: one short flaky-link point plus the degraded-plane
-# federation point (EXPERIMENTS.md E21). The harness itself enforces the
-# invariants — zero unaccounted connections and repair attempts within
-# the retry bound — so a regression fails the run, not just the numbers.
-go run ./cmd/ftbench -gray -fabric-levels 2 -fabric-children 4 -fabric-parents 4 \
-	-fabric-clients 8 -fabric-open 2 -fabric-duration 300ms -gray-rates 0,0.2 -seed 1
+# Fault-study determinism: E17 (link failures and repairs) and E21 (flaky
+# links, flap damping, reuse-cost repair placement, a slow plane) run on
+# simulated time, so each prints the same bytes on a second run and at
+# -workers 1 as at -workers 4. Each cell also fails the run when a
+# connection goes unaccounted or repair attempts exceed the retry bound.
+fault_tables=$(mktemp -d)
+trap 'rm -rf "$fault_tables"' EXIT
+for e in e17 e21; do
+	go run ./cmd/ftbench -only "$e" -perms 5 -seed 1 -workers 4 >"$fault_tables/$e.a"
+	go run ./cmd/ftbench -only "$e" -perms 5 -seed 1 -workers 4 >"$fault_tables/$e.b"
+	go run ./cmd/ftbench -only "$e" -perms 5 -seed 1 -workers 1 >"$fault_tables/$e.w1"
+	cmp "$fault_tables/$e.a" "$fault_tables/$e.b"
+	cmp "$fault_tables/$e.a" "$fault_tables/$e.w1"
+done
 
 # Connect-enqueue allocation guard: the admission enqueue path (pooled
 # ticket + queue append and count under qmu) must stay at zero allocations
