@@ -58,7 +58,11 @@
 // Time: every time read and every timer — the MaxWait deadline, the admit
 // timeout, repair backoff, flap decay and quarantine probation, the epoch
 // and repair latency samples — goes through Config.Clock, the wall clock
-// unless a test injects internal/clock's Fake and advances it by hand.
+// unless a test injects internal/clock's Fake and advances it by hand. A
+// quarantine ends only when the probation timer its last flap armed fires
+// (or on ClearQuarantine): no epoch, Stats, Health or fault verb ends one,
+// so on the wall clock Quarantined may list a channel for the timer's
+// scheduling delay.
 //
 // Observability: counters (offered and overflow under qmu; granted,
 // rejected, cancelled and released atomic), epoch-size and epoch-latency
@@ -821,7 +825,7 @@ func (m *Manager) wakeLocked() {
 }
 
 // closeBatch runs the epoch of the batch its caller's enqueue filled. The
-// wait for mu is bounded by the pass in flight (an epoch, a Stats settle,
+// wait for mu is bounded by the pass in flight (an epoch, a Stats drain,
 // a fault walk). The depth is re-checked under the lock: the deadline or
 // Close may have taken the batch meanwhile, and running a fresh partial
 // one early would erode batching — it has its own deadline and closer.
@@ -1055,9 +1059,6 @@ func (m *Manager) Close(ctx context.Context) error {
 // be delivered by the caller after unlocking.
 func (m *Manager) flushLocked() *ticket {
 	m.drainReleasesLocked()
-	if len(m.quar) > 0 { // guard: skip the clock read on the common path
-		m.settleQuarantineLocked(m.cfg.Clock.Now())
-	}
 	// Swap the queue out under qmu: Connect keeps enqueueing into the
 	// spare array while this epoch schedules under mu. Every client ticket
 	// leaves with the swap, so the queue has room for QueueLimit again.

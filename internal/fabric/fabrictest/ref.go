@@ -9,12 +9,10 @@
 //
 // Time is a model clock, Now, that only AdvanceTo moves. On it the
 // reference keeps the manager's timers as due times: a denied repair's
-// backoff, which puts its ticket back in the queue, and the probation timer
-// a quarantine arms, which settles the quarantines that have expired by
-// then. A flap score decays by the fabric's own expression, so the two
-// agree bit for bit. The reference settles quarantines where the manager
-// does: Fail, Repair, Settle (an epoch, the manager's Stats) and that
-// timer.
+// backoff, which puts its ticket back in the queue, and a quarantine's
+// end, which lifts it. A flap score decays by the fabric's own expression,
+// so the two agree bit for bit. A quarantine ends only in AdvanceTo, at
+// the end of its probation, or in ClearQuarantine, as in the manager.
 //
 // The package does not import internal/fabric, whose own tests import it.
 // A connection is held under a comparable key the caller chooses — the
@@ -25,7 +23,6 @@ package fabrictest
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -39,8 +36,7 @@ import (
 // The fabric's repair and damping constants, restated: a repair gets
 // RepairRetries attempts, attempt k+1 RepairBackoff << (k-1) after attempt
 // k; a flap score halves every FlapHalfLife; a quarantine lasts
-// QuarantineProbation past its channel's last flap, and the timer a fresh
-// quarantine arms fires a millisecond after that.
+// QuarantineProbation past its channel's last flap.
 const (
 	RepairRetries       = 8
 	RepairBackoff       = 2 * time.Millisecond
@@ -63,8 +59,6 @@ type Ref struct {
 	Quar   map[faults.Channel]time.Duration
 	flaps  map[faults.Channel]flap
 	damp   float64 // the score that quarantines a channel; 0: never
-	// settles are the due times of the probation timers not yet fired.
-	settles []time.Duration
 	// Repairs are the revoked connections whose repair has not ended, by
 	// key. Queue is the repair tickets waiting for the next epoch in the
 	// order they joined it; a ticket whose repair ended meanwhile (its
@@ -139,8 +133,8 @@ func (r *Ref) rebuild() error {
 // Epoch schedules the live requests as one pass, holds grant i under
 // keys[i] (a nil key: under a fresh one of its own), and returns the
 // outcomes; a denial's Ports are cleared, since a rejected request holds
-// nothing. The caller has settled the quarantines and taken the repair
-// queue (TakeQueue), as the epoch does before it schedules.
+// nothing. The caller has taken the repair queue (TakeQueue), as the epoch
+// does before it schedules.
 func (r *Ref) Epoch(reqs []core.Request, keys []any) []core.Outcome {
 	outs := r.eng.Schedule(r.St, reqs).Outcomes
 	for i, o := range outs {
@@ -214,19 +208,17 @@ func (r *Ref) Release(key any) error {
 	return nil
 }
 
-// Fail settles the quarantines, then masks the channels not already
-// failed — counting a flap on each and quarantining those whose score
-// reaches damp — and revokes every connection whose route crosses a
-// channel it newly masks: each joins the repair queue. It returns how many
-// channels it newly masked and the revoked connections by key. A closed
-// fabric refuses faults.
+// Fail masks the channels not already failed — counting a flap on each
+// and quarantining those whose score reaches damp — and revokes every
+// connection whose route crosses a channel it newly masks: each joins the
+// repair queue. It returns how many channels it newly masked and the
+// revoked connections by key. A closed fabric refuses faults.
 func (r *Ref) Fail(chans []faults.Channel) (fresh int, dropped map[any]Conn, err error) {
 	newly := map[faults.Channel]bool{}
 	dropped = map[any]Conn{}
 	if r.Closed {
 		return 0, dropped, nil
 	}
-	r.Settle()
 	for _, c := range chans {
 		if r.Failed[c] {
 			continue
@@ -271,53 +263,30 @@ func (r *Ref) noteFlap(c faults.Channel) {
 	if f.score < r.damp {
 		return
 	}
-	if _, already := r.Quar[c]; !already {
-		r.settles = append(r.settles, r.Now+QuarantineProbation+time.Millisecond)
-	}
 	r.Quar[c] = r.Now + QuarantineProbation
 }
 
-// Settle lifts every quarantine whose probation has ended by Now, as the
-// manager's epochs and Stats do.
-func (r *Ref) Settle() error {
-	lifted := false
-	for c, until := range r.Quar {
-		if r.Now >= until {
-			delete(r.Quar, c)
-			lifted = true
-		}
-	}
-	if !lifted {
-		return nil
-	}
-	return r.rebuild()
-}
-
-// AdvanceTo moves Now to t, firing every timer due by then at its own due
-// time: a probation timer settles the quarantines, and a repair's backoff
-// puts its ticket back in the queue — or, on a closed fabric, ends the
-// repair, aborted; those keys are returned.
+// AdvanceTo moves Now to t, firing every timer due by then: each
+// quarantine whose probation ends by t lifts, and a repair's backoff puts
+// its ticket back in the queue — or, on a closed fabric, ends the repair,
+// aborted; those keys are returned.
 func (r *Ref) AdvanceTo(t time.Duration) (aborted []any, err error) {
 	if t < r.Now {
 		return nil, fmt.Errorf("reference: advancing to %v, before now (%v)", t, r.Now)
 	}
-	for {
-		due, ok := t, false
-		for _, s := range r.settles {
-			if s <= due {
-				due, ok = s, true
-			}
+	r.Now = t
+	lifted := false
+	for c, until := range r.Quar {
+		if until <= t {
+			delete(r.Quar, c)
+			lifted = true
 		}
-		if !ok {
-			break
-		}
-		r.Now = due
-		r.settles = slices.DeleteFunc(r.settles, func(s time.Duration) bool { return s == due })
-		if err := r.Settle(); err != nil {
+	}
+	if lifted {
+		if err := r.rebuild(); err != nil {
 			return nil, err
 		}
 	}
-	r.Now = t
 	// Backoffs that end by t requeue, each at its own due time; nothing
 	// the reference checks reads their order.
 	for k, rp := range r.Repairs {
@@ -371,11 +340,9 @@ func (r *Ref) Attempted(key any, granted bool, ports []int) (ended bool, err err
 	return false, nil
 }
 
-// Repair settles the quarantines, then heals the failed channels among
-// chans and returns how many came back into service (a quarantined one
-// stays masked).
+// Repair heals the failed channels among chans and returns how many came
+// back into service (a quarantined one stays masked).
 func (r *Ref) Repair(chans []faults.Channel) (int, error) {
-	r.Settle()
 	n := 0
 	for _, c := range chans {
 		if r.Failed[c] {

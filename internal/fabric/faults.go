@@ -54,9 +54,6 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 	m.drainReleasesLocked()
 	now := m.cfg.Clock.Now()
 	damping := m.dampingLocked()
-	if damping {
-		m.settleQuarantineLocked(now)
-	}
 	fresh := make(map[faults.Channel]struct{}, len(chans))
 	for _, c := range chans {
 		if _, already := m.failed[c]; already {
@@ -126,22 +123,14 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 	}
 	chans := fs.Channels(m.cfg.Tree)
 	m.mu.Lock()
-	m.settleQuarantineLocked(m.cfg.Clock.Now())
-	repaired := 0
+	healed := chans[:0]
 	for _, c := range chans {
-		if _, bad := m.failed[c]; !bad {
-			continue
+		if _, bad := m.failed[c]; bad {
+			delete(m.failed, c)
+			healed = append(healed, c)
 		}
-		delete(m.failed, c)
-		if _, q := m.quar[c]; q {
-			continue // quarantine owns the mask; probation releases it
-		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
-		repaired++
 	}
-	if repaired > 0 {
-		m.publishAllLocked()
-	}
+	repaired := m.liftLocked(healed...) // a quarantined channel keeps its mask
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.poke()
@@ -155,19 +144,9 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 // overrides); they are not counted.
 func (m *Manager) RepairAll() int {
 	m.mu.Lock()
-	m.settleQuarantineLocked(m.cfg.Clock.Now())
-	repaired := 0
-	for c := range m.failed {
-		delete(m.failed, c)
-		if _, q := m.quar[c]; q {
-			continue // stays masked until its probation passes
-		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
-		repaired++
-	}
-	if repaired > 0 {
-		m.publishAllLocked()
-	}
+	healed := channelsOf(m.failed)
+	clear(m.failed)
+	repaired := m.liftLocked(healed...)
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.poke()

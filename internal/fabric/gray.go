@@ -10,14 +10,17 @@ package fabric
 // Config.FlapThreshold quarantines the channel — it stays masked
 // (scheduled around, exactly like a failed channel) until a probation
 // window of quarantineProbation passes with no further flap, so one noisy
-// link stops generating churn after a bounded number of revocations.
+// link stops generating churn after a bounded number of revocations. The
+// probation timer is the only thing that ends a quarantine (besides the
+// operator's ClearQuarantine); whichever set releases a channel last,
+// failed or quarantined, returns it to service through liftLocked.
 // Opt-in: FlapThreshold 0 disables damping entirely and the manager
 // behaves bit-identically to the clean-fault model. Retries need no limit
 // of their own: RepairRetries bounds the attempts per revocation.
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/faults"
@@ -60,76 +63,72 @@ func (m *Manager) noteFlapLocked(c faults.Channel, now time.Time) {
 	until := now.Add(quarantineProbation)
 	if _, already := m.quar[c]; !already {
 		m.quarantineEvents.Add(1)
-		// Wake shortly after probation expires so the channel returns to
-		// service even on an otherwise idle manager (settle points —
-		// Stats, Fail, Repair, epoch flushes — also release on time).
-		m.cfg.Clock.AfterFunc(quarantineProbation+time.Millisecond, m.settleQuarantine)
 	}
 	m.quar[c] = until
+	// The probation timer is the only way a quarantine ends: each flap that
+	// starts or extends one arms its own, due at the new end, and a later
+	// flap or ClearQuarantine leaves an older timer nothing to lift.
+	m.cfg.Clock.AfterFunc(quarantineProbation, func() { m.endProbation(c, until) })
 }
 
 // dampingLocked reports whether flap damping is enabled.
 func (m *Manager) dampingLocked() bool { return m.cfg.FlapThreshold > 0 }
 
-// settleQuarantineLocked releases every quarantined channel whose
-// probation has expired: if the channel is not also currently failed,
-// its mask lifts and the capacity returns to service. Caller holds
-// m.mu. Returns the number of channels returned to service.
-func (m *Manager) settleQuarantineLocked(now time.Time) int {
-	if len(m.quar) == 0 {
-		return 0
-	}
-	released := 0
-	for c, until := range m.quar {
-		if now.Before(until) {
-			continue
-		}
-		delete(m.quar, c)
-		if _, bad := m.failed[c]; bad {
-			continue // the mask stays: the channel is still failed outright
-		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
-		released++
-	}
-	if released > 0 {
-		m.publishAllLocked()
-	}
-	return released
-}
-
-// settleQuarantine is the probation timer's continuation.
-func (m *Manager) settleQuarantine() {
+// endProbation is the probation timer's continuation: it lifts c's
+// quarantine if it still ends at until, the end the timer was armed for.
+func (m *Manager) endProbation(c faults.Channel, until time.Time) {
 	m.mu.Lock()
-	released := m.settleQuarantineLocked(m.cfg.Clock.Now())
+	lifted := 0
+	if end, ok := m.quar[c]; ok && end.Equal(until) {
+		delete(m.quar, c)
+		lifted = m.liftLocked(c)
+	}
 	m.mu.Unlock()
-	if released > 0 {
+	if lifted > 0 {
 		m.poke() // freed capacity: let the next epoch use it
 	}
 }
 
-// Quarantined returns the currently quarantined channels in
-// deterministic order (after releasing any whose probation expired).
-func (m *Manager) Quarantined() []faults.Channel {
-	m.mu.Lock()
-	m.settleQuarantineLocked(m.cfg.Clock.Now())
-	out := make([]faults.Channel, 0, len(m.quar))
-	for c := range m.quar {
+// liftLocked is the one rule by which a masked channel returns to
+// service: the caller has dropped each of chans from m.failed or m.quar,
+// and a channel whose mask the other set still holds stays masked. It
+// republishes the view when any channel came back and returns how many
+// did; the caller pokes once it lets go of m.mu, so the next epoch can use
+// the capacity. Caller holds m.mu.
+func (m *Manager) liftLocked(chans ...faults.Channel) int {
+	lifted := 0
+	for _, c := range chans {
+		if _, bad := m.failed[c]; bad {
+			continue
+		}
+		if _, q := m.quar[c]; q {
+			continue
+		}
+		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
+		lifted++
+	}
+	if lifted > 0 {
+		m.publishAllLocked()
+	}
+	return lifted
+}
+
+// channelsOf lists a channel set's members, in no particular order.
+func channelsOf[V any](set map[faults.Channel]V) []faults.Channel {
+	out := make([]faults.Channel, 0, len(set))
+	for c := range set {
 		out = append(out, c)
 	}
+	return out
+}
+
+// Quarantined returns the currently quarantined channels in
+// faults.Channel order.
+func (m *Manager) Quarantined() []faults.Channel {
+	m.mu.Lock()
+	out := channelsOf(m.quar)
 	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Dir < b.Dir
-	})
+	slices.SortFunc(out, faults.Channel.Compare)
 	return out
 }
 
@@ -140,26 +139,15 @@ func (m *Manager) Quarantined() []faults.Channel {
 // number of channels returned to service.
 func (m *Manager) ClearQuarantine() int {
 	m.mu.Lock()
-	released := 0
-	for c := range m.quar {
-		delete(m.quar, c)
-		if _, bad := m.failed[c]; bad {
-			continue
-		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
-		released++
-	}
-	for c := range m.flap {
-		delete(m.flap, c)
-	}
-	if released > 0 {
-		m.publishAllLocked()
-	}
+	quar := channelsOf(m.quar)
+	clear(m.quar)
+	clear(m.flap)
+	lifted := m.liftLocked(quar...)
 	m.mu.Unlock()
-	if released > 0 {
+	if lifted > 0 {
 		m.poke()
 	}
-	return released
+	return lifted
 }
 
 // repairOnHeldTrunkLocked reports whether a freshly repaired route

@@ -156,8 +156,11 @@ func TestGrayChaosFlapDamping(t *testing.T) {
 // TestQuarantineLifecycle walks one channel through the damper: flaps
 // below the threshold leave it alone, the crossing flap quarantines it
 // (masked but not failed), repair hands the mask to the quarantine, and
-// probation expiry returns it to service on its own, by the timer armed
-// when the quarantine began.
+// the probation timer alone returns it to service, at the end of the
+// probation and not 1 ns before: a fresh quarantine, one a later flap
+// extended, and one that follows a ClearQuarantine, whose predecessor's
+// timer must lift nothing. Every read of the mask is Unavailable, which
+// settles nothing, so no API call can end a quarantine for the timer.
 func TestQuarantineLifecycle(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	cfg, clk := fastRepair(tree)
@@ -178,6 +181,19 @@ func TestQuarantineLifecycle(t *testing.T) {
 		}
 		if _, err := m.Repair(link); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// endsAt advances the idle manager to d from now: the channel is
+	// masked 1 ns before and back in service at d.
+	endsAt := func(what string, d time.Duration) {
+		t.Helper()
+		clk.Advance(d - time.Nanosecond)
+		if u := m.Unavailable(); u != 1 {
+			t.Fatalf("%s: %d channels unavailable 1 ns before the probation ends, want the quarantined 1", what, u)
+		}
+		clk.Advance(time.Nanosecond)
+		if u := m.Unavailable(); u != 0 {
+			t.Fatalf("%s: %d channels unavailable when the probation ends, want 0", what, u)
 		}
 	}
 
@@ -208,30 +224,27 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if len(q) != 1 || q[0] != (faults.Channel{Dir: linkstate.Up, Level: 0, Switch: 0, Port: 0}) {
 		t.Fatalf("Quarantined() = %v", q)
 	}
-
-	// Probation passes without another flap: the channel returns to
-	// service by itself — the timer continuation, a millisecond after the
-	// probation, with no API call (Unavailable settles nothing).
-	clk.Advance(quarantineProbation)
-	if u := m.Unavailable(); u != 1 {
-		t.Fatalf("%d channels unavailable before the probation timer, want the quarantined 1", u)
-	}
-	clk.Advance(time.Millisecond)
-	if u := m.Unavailable(); u != 0 {
-		t.Fatalf("%d channels unavailable after the probation timer, want 0", u)
-	}
+	endsAt("fresh quarantine", quarantineProbation)
 	if s := m.Stats(); s.Quarantined != 0 || s.DegradedCapacity != 1 {
 		t.Fatalf("after probation: %d quarantined, capacity %v; want 0, 1.0", s.Quarantined, s.DegradedCapacity)
 	}
 
 	// Scores persist: a tenth of a half-life has decayed the score of 3
-	// to about 2.8, so one more flap re-quarantines immediately, and
-	// ClearQuarantine both releases it and forgets the score, so the next
-	// flap is counted from zero again.
+	// to about 2.8, so one more flap re-quarantines immediately. A flap
+	// 50 ms later extends that quarantine, so the timer its start armed
+	// lifts nothing and the extending flap's own timer ends it.
+	flap()
+	clk.Advance(quarantineProbation / 2)
 	flap()
 	if s := m.Stats(); s.Quarantined != 1 || s.QuarantineEvents != 2 {
-		t.Fatalf("re-quarantine: %+v", s)
+		t.Fatalf("extended quarantine: %+v", s)
 	}
+	endsAt("extended quarantine", quarantineProbation)
+
+	// ClearQuarantine both releases a quarantine and forgets the score,
+	// so the next flap is counted from zero again. A re-quarantine 50 ms
+	// after the clear outlives the cleared one's timer.
+	flap()
 	if got := m.ClearQuarantine(); got != 1 {
 		t.Fatalf("ClearQuarantine = %d, want 1", got)
 	}
@@ -239,6 +252,15 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if s := m.Stats(); s.Quarantined != 0 {
 		t.Fatal("flap after score reset must not quarantine")
 	}
+	clk.Advance(quarantineProbation / 2)
+	flap()
+	flap()
+	flap()
+	if s := m.Stats(); s.Quarantined != 1 || s.QuarantineEvents != 4 {
+		t.Fatalf("re-quarantine after the clear: %+v", s)
+	}
+	clk.Advance(quarantineProbation / 2) // the cleared quarantine's timer fires here
+	endsAt("quarantine after a clear", quarantineProbation/2)
 }
 
 // TestRepairRetriesBoundAttempts isolates a source switch so repairs can

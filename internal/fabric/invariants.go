@@ -5,7 +5,7 @@ package fabric
 // its up-path port for port — Theorem 2) and everything the serving layer's
 // counters promise is checked here, by one replay and a handful of sums, so
 // that tests, the generator that drives the manager against a reference
-// fabric, ftbench's settle and E4's cells all ask the same question.
+// fabric, and the cells of E4, E17 and E21 all ask the same question.
 
 import (
 	"errors"

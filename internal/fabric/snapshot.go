@@ -138,15 +138,14 @@ func (m *Manager) capacityLocked() float64 {
 // many epochs have run: the five fixed-size histograms are copied under the
 // lock and summarized outside it, and nothing is sorted.
 //
-// The call takes the scheduling lock and settles pending work first —
-// parked fast-path releases are drained — so the snapshot reflects every
+// The call takes the scheduling lock and drains parked fast-path releases
+// first, so the snapshot reflects every
 // Release that returned before the call (read-your-writes). Everything
 // read from the link state is read inside that one locked section, so
 // Occupancy is exactly Utilization × channels in every snapshot.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	m.drainReleasesLocked()
-	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	engine := m.lastEngine
 	faulty, quarantined := len(m.failed), len(m.quar)
 	util, capacity := m.st.Utilization(), m.capacityLocked()
@@ -218,7 +217,6 @@ type Health struct {
 // is held only to count the fault sets.
 func (m *Manager) Health() Health {
 	m.mu.Lock()
-	m.settleQuarantineLocked(m.cfg.Clock.Now())
 	h := Health{
 		FaultyChannels:   len(m.failed),
 		Quarantined:      len(m.quar),

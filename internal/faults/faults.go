@@ -15,10 +15,11 @@
 package faults
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/linkstate"
@@ -154,6 +155,13 @@ func (c Channel) String() string {
 	return fmt.Sprintf("%s@level %d switch %d port %d", c.Dir, c.Level, c.Switch, c.Port)
 }
 
+// Compare orders channels by level, switch, port and direction — the
+// order in which every channel list of the fabric is reported.
+func (c Channel) Compare(d Channel) int {
+	return cmp.Or(cmp.Compare(c.Level, d.Level), cmp.Compare(c.Switch, d.Switch),
+		cmp.Compare(c.Port, d.Port), cmp.Compare(c.Dir, d.Dir))
+}
+
 // Channels expands the fault set into the deduplicated list of link
 // channels it covers, in deterministic order: switch failures become
 // their incident links (parent-side links at the switch's own link
@@ -206,19 +214,7 @@ func (f *FaultSet) Channels(tree *topology.Tree) []Channel {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Dir < b.Dir
-	})
+	slices.SortFunc(out, Channel.Compare)
 	return out
 }
 

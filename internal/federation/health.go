@@ -172,7 +172,7 @@ func (p *plane) resetHealth() {
 // named plane: a DutyCycle fraction of its admissions incur
 // AdmitLatency before reaching the plane: slow but alive, so its
 // breaker stays closed — the gray-failure drill ftserve's degrade verb
-// and ftbench -gray run.
+// and E21's slow-plane point run.
 func (r *Router) SetDegraded(name string, dp faults.DegradedPlane) error {
 	p := r.planeByName(name)
 	if p == nil {

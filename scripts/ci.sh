@@ -176,8 +176,9 @@ gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 # the reference's link rows after every operation (epochs with
 # cancellations and retained partial routes, split releases, Fail with its
 # revocations, Repair, RepairAll, quarantine, ClearQuarantine, Stats,
-# Close, and advancing the fake clock both run on, which ends backoffs,
-# probations and flap scores), verdicts bit for bit, every repair's
+# Close, and advancing the fake clock both run on, which ends backoffs and
+# decays flap scores, and is the only operation that ends a quarantine:
+# no epoch, Stats or fault verb settles one), verdicts bit for bit, every repair's
 # attempts counted against the reference's, Routable Level-wise first-fit
 # for every pair; and readers racing 32 churning clients see no torn row
 # of the published view; under -race, -count=2 as above.
@@ -274,11 +275,14 @@ gotest -run 'TestHotVerbAllocs' -count=2 ./cmd/ftserve
 # interleavings a single run can miss.
 gotest -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter|TestBackpressure|TestReleaseRing|TestPortsDoesNotTakeSchedulingLock|TestPortsRacesRepair|TestSizeClosingNeverStrands|TestDeadlineCoversLaterBatch|TestIdleManagerRunsNoGoroutine|TestSpareSurvivesDenial|TestStatsOccupancyMatchesUtilization|TestStatsJSONKeys' ./internal/fabric
 
-# Parked-Release-vs-Fail-vs-Repair: the generator seed that reaches, on
-# its own, a release claimed, a Fail crossing its route, RepairAll and the
-# release parked — the interleaving that once panicked the teardown (it
-# took the chaos harness 50-150 runs under CPU oversubscription to hit).
-gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$' ./internal/fabric
+# The generator's two named seeds. Parked-Release-vs-Fail-vs-Repair: the
+# seed that reaches, on its own, a release claimed, a Fail crossing its
+# route, RepairAll and the release parked — the interleaving that once
+# panicked the teardown (it took the chaos harness 50-150 runs under CPU
+# oversubscription to hit). Quarantine extension: the seed whose Fail
+# extends a quarantine and whose next operation advances past the new end,
+# which only the timer the extending flap armed can lift.
+gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$|TestGeneratorQuarantineExtensionSeed$' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API. This
