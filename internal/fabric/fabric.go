@@ -59,8 +59,8 @@
 // timeout, repair backoff, flap decay and quarantine probation, the epoch
 // and repair latency samples — goes through Config.Clock, the wall clock
 // unless a test injects internal/clock's Fake and advances it by hand. A
-// quarantine ends only when the probation timer its last flap armed fires
-// (or on ClearQuarantine): no epoch, Stats, Health or fault verb ends one,
+// quarantine ends only when its probation timer, which its last flap
+// re-armed, fires (or on ClearQuarantine): no epoch, Stats, Health or fault verb ends one,
 // so on the wall clock Quarantined may list a channel for the timer's
 // scheduling delay.
 //
@@ -476,9 +476,9 @@ type Manager struct {
 	failed map[faults.Channel]struct{}
 	// Gray-failure state (guarded by mu; see gray.go). flap holds the
 	// decayed per-channel flap scores, quar the quarantined channels and
-	// their probation deadlines.
+	// their probations.
 	flap map[faults.Channel]*flapScore
-	quar map[faults.Channel]time.Time
+	quar map[faults.Channel]*quarantine
 
 	// qmu guards the admission queue (pending, oldest), its counts, the
 	// backpressure wakeup (room), who runs it next (closerPending,
@@ -649,7 +649,7 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		st:      newTrackedState(cfg.Tree),
 		failed:  make(map[faults.Channel]struct{}),
 		flap:    make(map[faults.Channel]*flapScore),
-		quar:    make(map[faults.Channel]time.Time),
+		quar:    make(map[faults.Channel]*quarantine),
 		relRing: newReleaseRing(ringSize),
 	}
 	switch e := eng.Unwrap().(type) {

@@ -23,6 +23,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
@@ -35,6 +36,13 @@ const (
 	flapHalfLife        = time.Second
 	quarantineProbation = 100 * time.Millisecond
 )
+
+// quarantine is one quarantined channel's probation: it ends at until,
+// when timer fires.
+type quarantine struct {
+	until time.Time
+	timer clock.Timer
+}
 
 // flapScore is one channel's decayed flap counter.
 type flapScore struct {
@@ -61,25 +69,31 @@ func (m *Manager) noteFlapLocked(c faults.Channel, now time.Time) {
 		return
 	}
 	until := now.Add(quarantineProbation)
-	if _, already := m.quar[c]; !already {
-		m.quarantineEvents.Add(1)
+	// The probation timer is the only way a quarantine ends: the flap that
+	// starts one arms it, and each flap that extends it re-arms it, due at
+	// the new end, so a channel keeps one timer however often it flaps.
+	if q := m.quar[c]; q != nil {
+		q.until = until
+		q.timer.Reset(quarantineProbation)
+		return
 	}
-	m.quar[c] = until
-	// The probation timer is the only way a quarantine ends: each flap that
-	// starts or extends one arms its own, due at the new end, and a later
-	// flap or ClearQuarantine leaves an older timer nothing to lift.
-	m.cfg.Clock.AfterFunc(quarantineProbation, func() { m.endProbation(c, until) })
+	m.quarantineEvents.Add(1)
+	q := &quarantine{until: until}
+	m.quar[c] = q
+	q.timer = m.cfg.Clock.AfterFunc(quarantineProbation, func() { m.endProbation(c, q) })
 }
 
 // dampingLocked reports whether flap damping is enabled.
 func (m *Manager) dampingLocked() bool { return m.cfg.FlapThreshold > 0 }
 
 // endProbation is the probation timer's continuation: it lifts c's
-// quarantine if it still ends at until, the end the timer was armed for.
-func (m *Manager) endProbation(c faults.Channel, until time.Time) {
+// quarantine if q is still it and the clock has reached its end — a flap
+// may have extended it, or ClearQuarantine ended it, after the timer fired
+// and before the continuation took mu.
+func (m *Manager) endProbation(c faults.Channel, q *quarantine) {
 	m.mu.Lock()
 	lifted := 0
-	if end, ok := m.quar[c]; ok && end.Equal(until) {
+	if m.quar[c] == q && !m.cfg.Clock.Now().Before(q.until) {
 		delete(m.quar, c)
 		lifted = m.liftLocked(c)
 	}
@@ -140,6 +154,9 @@ func (m *Manager) Quarantined() []faults.Channel {
 func (m *Manager) ClearQuarantine() int {
 	m.mu.Lock()
 	quar := channelsOf(m.quar)
+	for _, q := range m.quar {
+		q.timer.Stop()
+	}
 	clear(m.quar)
 	clear(m.flap)
 	lifted := m.liftLocked(quar...)

@@ -231,8 +231,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 
 	// Scores persist: a tenth of a half-life has decayed the score of 3
 	// to about 2.8, so one more flap re-quarantines immediately. A flap
-	// 50 ms later extends that quarantine, so the timer its start armed
-	// lifts nothing and the extending flap's own timer ends it.
+	// 50 ms later extends that quarantine and re-arms its timer, so
+	// nothing lifts it at its first end and the timer ends it at the new.
 	flap()
 	clk.Advance(quarantineProbation / 2)
 	flap()
@@ -261,6 +261,55 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 	clk.Advance(quarantineProbation / 2) // the cleared quarantine's timer fires here
 	endsAt("quarantine after a clear", quarantineProbation/2)
+}
+
+// TestQuarantineKeepsOneTimer: each flap of a quarantined channel extends
+// its probation by re-arming the one timer the quarantine keeps, so k flaps
+// leave at most one more timer armed on the clock, not k stale ones; the
+// quarantine still ends at the last flap's end, and ClearQuarantine stops
+// the timer.
+func TestQuarantineKeepsOneTimer(t *testing.T) {
+	cfg, clk := fastRepair(topology.MustNew(2, 4, 4))
+	cfg.FlapThreshold = 1
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	link := &faults.FaultSet{Links: []faults.LinkFault{{Level: 0, Switch: 0, Port: 0, Direction: faults.Up}}}
+	flap := func() {
+		t.Helper()
+		if _, _, err := m.Fail(link); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Repair(link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timers := clk.Pending()
+	const k = 20
+	for i := 0; i < k; i++ {
+		flap()
+		clk.Advance(time.Millisecond)
+	}
+	if got := clk.Pending() - timers; got > 1 {
+		t.Fatalf("%d flaps of one channel left %d more timers armed, want at most 1", k, got)
+	}
+	if s := m.Stats(); s.Quarantined != 1 || s.QuarantineEvents != 1 {
+		t.Fatalf("after %d flaps: %d quarantined, %d quarantine events; want 1 and 1", k, s.Quarantined, s.QuarantineEvents)
+	}
+	clk.Advance(quarantineProbation - time.Millisecond - time.Nanosecond) // the last flap was 1 ms ago
+	if u := m.Unavailable(); u != 1 {
+		t.Fatalf("%d channels unavailable 1 ns before the last flap's probation ends, want 1", u)
+	}
+	clk.Advance(time.Nanosecond)
+	if u := m.Unavailable(); u != 0 || clk.Pending() != timers {
+		t.Fatalf("at the end: %d unavailable, %d timers armed; want 0 and %d", u, clk.Pending(), timers)
+	}
+	flap()
+	if m.ClearQuarantine() != 1 || clk.Pending() != timers {
+		t.Fatalf("ClearQuarantine left %d timers armed, want %d", clk.Pending(), timers)
+	}
 }
 
 // TestRepairRetriesBoundAttempts isolates a source switch so repairs can

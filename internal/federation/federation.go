@@ -16,7 +16,11 @@
 // decide which of them go first. The planes predicted to route the pair
 // are tried in policy order, and everything else follows in policy order,
 // so no plane the policy offers is skipped — the rows only spare a
-// request the round trip to a plane that would deny it.
+// request the round trip to a plane that would deny it. The rows are read
+// as the walk reaches each plane, and epochs free capacity while a request
+// walks, so a walk no plane granted takes a second look: each plane that
+// denied only for contention, breaker still closed, whose rows now route
+// the pair is asked once more, in policy order (EXPERIMENTS E42).
 //
 // The admit path takes no router-wide lock and allocates only the
 // federated Handle: candidate planes are ordered in an on-stack buffer
@@ -378,60 +382,60 @@ func (r *Router) register(c fabric.Conn, pi int, fh *Handle) {
 // breaker-closed planes whose Routable says yes, each asked as the walk
 // reaches it, then everything the first pass passed over — planes
 // predicted to deny, due probes, the all-open fallback — in the order they
-// had. Every candidate is still tried, so the plane count bounds the
-// combined walk. A one-candidate admission reads no view.
+// had. Every candidate is tried once. When none granted, the second look
+// walks them again in policy order and asks once more each plane that was
+// only full — a contention denial — whose breaker is still closed and
+// whose rows route the pair now: epochs that ran while the request walked
+// may have freed what it needs. No plane is asked more than twice, so
+// twice the plane count bounds the walk. A one-candidate admission reads
+// no view and takes no second look.
 func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn, int, error) {
 	var buf, spare [inlinePlanes]int
 	order := r.candidates(&buf, src, dst)
 	hint := len(order) > 1
-	later := inlineSlots(&spare, len(order))[:0]
+	later := inlineSlots(&spare, len(order))[:0] // positions in order
 	var lastErr error
-	tried := 0
 	for i := 0; i < len(order)+len(later); i++ {
-		var pi int
-		predicted := false
+		at, predicted := i, false
 		if i < len(order) {
-			pi = order[i]
-			if pi == skip {
+			if order[at] == skip {
 				continue
 			}
 			if hint {
-				if p := r.planes[pi]; p.ejectedNow() || !p.surf.Routable(src, dst) {
-					later = append(later, pi)
+				if p := r.planes[order[at]]; p.ejectedNow() || !p.surf.Routable(src, dst) {
+					later = append(later, at)
 					continue
 				}
 				predicted = true
 			}
 		} else {
-			pi = later[i-len(order)]
+			at = later[i-len(order)]
 		}
-		// A failover is counted here, where another plane is really tried.
-		if tried > 0 {
-			r.failovers.Add(1)
-		}
-		tried++
-		p := r.planes[pi]
-		// Injected slow-plane process: a duty-cycle fraction of this
-		// plane's admissions pay the configured latency up front.
-		if dp := p.degraded.Load(); dp != nil && dp.SlowAt(p.admitSeq.Add(1)-1) {
-			sleepInjected(ctx, r.cfg.Clock, time.Duration(dp.AdmitLatency))
-		}
-		c, err := p.surf.Admit(ctx, src, dst)
+		c, err := r.try(ctx, order[at], src, dst, predicted, lastErr != nil)
 		if err == nil {
-			p.noteSuccess()
-			p.grants.Add(1)
-			return c, pi, nil
+			return c, order[at], nil
 		}
 		if !failoverable(err) {
 			return nil, -1, err
 		}
-		if contention(err) {
-			if predicted {
-				p.hintMisses.Add(1) // its published rows said it would route
-			}
-			p.noteContention()
-		} else {
-			p.noteFailure(r.cfg.Clock)
+		if !contention(err) {
+			order[at] = -1 // broken or closed, not full: no second look
+		}
+		lastErr = err
+	}
+	for _, pi := range order { // the second look; a one-candidate walk has none
+		if !hint || pi < 0 || pi == skip {
+			continue
+		}
+		if p := r.planes[pi]; p.ejectedNow() || !p.surf.Routable(src, dst) {
+			continue
+		}
+		c, err := r.try(ctx, pi, src, dst, true, true)
+		if err == nil {
+			return c, pi, nil
+		}
+		if !failoverable(err) {
+			return nil, -1, err
 		}
 		lastErr = err
 	}
@@ -440,6 +444,38 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		lastErr = fmt.Errorf("federation: no candidate plane: %w", fabric.ErrUnroutable)
 	}
 	return nil, -1, lastErr
+}
+
+// try asks plane pi to admit src→dst and books its verdict: a grant's
+// health sample and count; a contention denial's hint miss when the rows
+// predicted a grant, and the half-open probe it settles; any other
+// failover-able denial's failure sample. A failover, another plane tried
+// after a denial, is counted here.
+func (r *Router) try(ctx context.Context, pi, src, dst int, predicted, failover bool) (fabric.Conn, error) {
+	if failover {
+		r.failovers.Add(1)
+	}
+	p := r.planes[pi]
+	// Injected slow-plane process: a duty-cycle fraction of this
+	// plane's admissions pay the configured latency up front.
+	if dp := p.degraded.Load(); dp != nil && dp.SlowAt(p.admitSeq.Add(1)-1) {
+		sleepInjected(ctx, r.cfg.Clock, time.Duration(dp.AdmitLatency))
+	}
+	c, err := p.surf.Admit(ctx, src, dst)
+	switch {
+	case err == nil:
+		p.noteSuccess()
+		p.grants.Add(1)
+	case !failoverable(err):
+	case contention(err):
+		if predicted {
+			p.hintMisses.Add(1) // its published rows said it would route
+		}
+		p.noteContention()
+	default:
+		p.noteFailure(r.cfg.Clock)
+	}
+	return c, err
 }
 
 // onTerminal is each plane's OnConnTerminal hook: the plane's repair

@@ -727,13 +727,7 @@ func (g *gen) op(name string, rng *rand.Rand) error {
 		return g.fail(p, &faults.FaultSet{Links: []faults.LinkFault{{Level: h, Switch: rng.Intn(tree.SwitchesAt(h)),
 			Port: rng.Intn(tree.Parents()), Direction: faults.Direction(rng.Intn(3))}}}, false)
 	case "kill":
-		var fs faults.FaultSet
-		for lvl := 1; lvl < q.fab.Tree.Levels(); lvl++ {
-			for sw := 0; sw < q.fab.Tree.SwitchesAt(lvl); sw++ {
-				fs.Switches = append(fs.Switches, faults.SwitchFault{Level: lvl, Switch: sw})
-			}
-		}
-		return g.fail(p, &fs, true)
+		return g.kill(p)
 	case "repair": // one failed link, both its channels
 		if failed := q.fab.FailedChannels(); len(failed) > 0 {
 			c := failed[rng.Intn(len(failed))]
@@ -770,6 +764,18 @@ func (g *gen) op(name string, rng *rand.Rand) error {
 		}
 	}
 	return errNoop
+}
+
+// kill kills plane p: KillPlane, every switch above level 0 failed.
+func (g *gen) kill(p int) error {
+	var fs faults.FaultSet
+	tree := g.ref.planes[p].fab.Tree
+	for lvl := 1; lvl < tree.Levels(); lvl++ {
+		for sw := 0; sw < tree.SwitchesAt(lvl); sw++ {
+			fs.Switches = append(fs.Switches, faults.SwitchFault{Level: lvl, Switch: sw})
+		}
+	}
+	return g.fail(p, &fs, true)
 }
 
 // owned is every handle not released, registered first.
@@ -903,15 +909,22 @@ func runRandom(name string, seed int64, steps int) (*gen, error) {
 }
 
 // TestRouterGenerator is the random mode: 400 seeded operations on each
-// federation, four seeds each.
+// federation, four seeds each. A blind plane's contention denial earns it a
+// second look, so on each federation with one the second look must fire.
 func TestRouterGenerator(t *testing.T) {
 	for _, fs := range federations {
+		var ran, looks uint64
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", fs.name, seed), func(t *testing.T) {
-				if _, err := runRandom(fs.name, seed, 400); err != nil {
+				g, err := runRandom(fs.name, seed, 400)
+				if err != nil {
 					t.Fatal(err)
 				}
+				ran, looks = ran+1, looks+g.ref.looks
 			})
+		}
+		if ran == 4 && looks == 0 && slices.ContainsFunc(fs.planes, func(ps planeSpec) bool { return ps.blind }) {
+			t.Errorf("%s: no walk took a second look", fs.name)
 		}
 	}
 }
@@ -947,6 +960,33 @@ func TestRouterGeneratorRegisterSeed(t *testing.T) {
 	}
 	if g.windowRegisters == 0 {
 		t.Fatal("the seed no longer registers a circuit its plane retired before the owner was set")
+	}
+}
+
+// TestRouterRegisterWindow reaches register's re-check by a fixed sequence,
+// whatever the build mode or the goroutines' timing: a split Connect admits
+// 0→3, its plane is killed before register runs, and the clock runs the
+// revoked circuit's repair through its last denied attempt, so the plane
+// retires it while nobody owns it and its hook leaves it. The register that
+// follows must find it retired and migrate it to the other plane, once.
+func TestRouterRegisterWindow(t *testing.T) {
+	g, err := newGen(fedSpec{name: "register-window", policy: PolicyRoundRobin, planes: []planeSpec{
+		{shape: [3]int{2, 2, 2}, spec: "level-wise,rollback"}, {shape: [3]int{2, 2, 2}, spec: "level-wise,rollback"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []func() error{
+		func() error { return g.connect(0, 3, true) },
+		func() error { return g.kill(g.pend[0].pi) },
+		func() error { return g.advance(300 * time.Millisecond) },
+		func() error { return g.register(0) },
+	}
+	step := -1
+	if _, err := g.drive(len(steps), func() error { step++; return steps[step]() }); err != nil {
+		t.Fatal(err)
+	}
+	if g.windowRegisters != 1 || g.ref.readmitted != 1 {
+		t.Fatalf("%d registers found their circuit retired, %d circuits migrated; want 1 and 1", g.windowRegisters, g.ref.readmitted)
 	}
 }
 

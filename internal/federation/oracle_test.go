@@ -3,7 +3,8 @@ package federation
 // The reference router: what a Router does, stated the plain way. One
 // reference fabric per plane (fabrictest.Ref); each policy's order by its
 // definition; the walk that asks first the planes whose rows would route the
-// pair, then the rest; the breaker as a failure streak, an EWMA score and a
+// pair, then the rest, then, when none granted, each full plane again whose
+// rows route the pair; the breaker as a failure streak, an EWMA score and a
 // state that opens, elects one probe per probe interval and closes;
 // migration of a circuit a plane retires as one more walk that skips that
 // plane. Time is the reference's own clock, now, which the generator
@@ -47,6 +48,8 @@ type refRouter struct {
 	now   time.Duration
 	// Router counters.
 	offered, granted, rejected, cancelled, failovers, readmitted, lost uint64
+	// looks counts the second looks applied.
+	looks uint64
 }
 
 // nowNano is the reference's time as the router's clock reads it.
@@ -123,9 +126,9 @@ func (o *refRouter) candidates(src, dst, rot int) (order, probes []int) {
 // try is one plane a walk asks and the plane's verdict; a closed plane
 // refuses as it drains.
 type try struct {
-	plane                      int
-	predicted, blocked, closed bool
-	out                        core.Outcome
+	plane                             int
+	predicted, blocked, closed, again bool // again: a second look
+	out                               core.Outcome
 }
 
 // walk is one admission pass, planned on the reference before it is applied.
@@ -139,14 +142,22 @@ type walk struct {
 
 // plan walks the planes of order for src→dst, skipping skip (-1: none):
 // the closed-breaker planes whose rows route the pair, as the walk reaches
-// them, then everything it passed over, in order; the first grant ends the
-// walk. With one candidate no rows are read. probes are the candidates'
-// due probes.
+// them, then everything it passed over, in order; then the second look, in
+// order, at each plane that denied for contention, whose breaker that
+// denial left closed and whose rows route the pair. The first grant ends
+// the walk. With one candidate no rows are read and there is no second
+// look. probes are the candidates' due probes.
 func (o *refRouter) plan(src, dst, skip int, order, probes []int) *walk {
 	w := &walk{src: src, dst: dst, order: order, probes: probes}
 	hint := len(order) > 1
-	ask := func(pi int, predicted bool) (stop bool) {
-		t := try{plane: pi, predicted: predicted}
+	routable := func(pi int) bool {
+		w.asked = append(w.asked, pi)
+		p := o.planes[pi]
+		return p.blind || p.fab.Routable(src, dst)
+	}
+	full := map[int]bool{} // planes a second look may ask
+	ask := func(pi int, predicted, again bool) (stop bool) {
+		t := try{plane: pi, predicted: predicted, again: again}
 		if fab := o.planes[pi].fab; fab.Closed {
 			t.closed = true
 		} else {
@@ -154,6 +165,10 @@ func (o *refRouter) plan(src, dst, skip int, order, probes []int) *walk {
 			t.blocked = !t.out.Granted && fab.Blocked(src, dst)
 		}
 		w.tries = append(w.tries, t)
+		// A contention denial closes a half-open breaker (an elected
+		// probe's included); an open one stays open.
+		b := o.planes[pi].breaker
+		full[pi] = !t.closed && !t.blocked && (b != bOpen || slices.Contains(probes, pi))
 		return t.out.Granted
 	}
 	var later []int
@@ -161,23 +176,21 @@ func (o *refRouter) plan(src, dst, skip int, order, probes []int) *walk {
 		if pi == skip {
 			continue
 		}
-		if p := o.planes[pi]; hint {
-			if p.breaker != bClosed {
-				later = append(later, pi)
-				continue
-			}
-			w.asked = append(w.asked, pi)
-			if !p.blind && !p.fab.Routable(src, dst) {
-				later = append(later, pi)
-				continue
-			}
+		if hint && (o.planes[pi].breaker != bClosed || !routable(pi)) {
+			later = append(later, pi)
+			continue
 		}
-		if ask(pi, hint) {
+		if ask(pi, hint, false) {
 			return w
 		}
 	}
 	for _, pi := range later {
-		if ask(pi, false) {
+		if ask(pi, false, false) {
+			return w
+		}
+	}
+	for _, pi := range order {
+		if hint && full[pi] && routable(pi) && ask(pi, true, true) {
 			return w
 		}
 	}
@@ -229,6 +242,7 @@ func (o *refRouter) apply(w *walk, key any) error {
 	for _, t := range w.tries {
 		p := o.planes[t.plane]
 		p.admits++
+		o.looks += b2u(t.again)
 		switch {
 		case t.out.Granted:
 			p.sample(1, now)

@@ -4,7 +4,9 @@ package federation
 // planes for one admission, and the view decides which of them go first:
 // the router walks the planes whose published link rows would route the
 // pair (fabric.Surface.Routable) in policy order, then the rest in policy
-// order, failing over to the next when a plane denies the circuit. The
+// order, failing over to the next when a plane denies the circuit, and
+// when none granted asks again, in policy order, the full ones whose rows
+// now route it (admitConn's second look). The
 // policy axis mirrors the randomized/least-loaded spreading results for
 // parallel fat-tree resources (Wang et al., PAPERS.md): static spreading
 // (hash, round-robin), randomized spreading, and load-aware spreading

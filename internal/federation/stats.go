@@ -31,7 +31,7 @@ type PlaneStats struct {
 	Grants uint64 `json:"grants"`
 	// HintMisses counts admissions this plane denied by contention although
 	// its published rows (fabric.Surface.Routable) said the pair would
-	// route — how stale the view ran. Rejections with few misses are pairs
+	// route, a second look's included — how stale the view ran. Rejections with few misses are pairs
 	// the planes' rows already said no plane could route.
 	HintMisses uint64 `json:"hint_misses"`
 	// Occupancy is the plane's live occupied-channel gauge.

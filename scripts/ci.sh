@@ -192,9 +192,15 @@ gotest -race -run 'TestGenerator$|TestGeneratorExhaustive|TestRoutableRacesChurn
 # fate after every operation (split Connects, releases, Fail, KillPlane,
 # Repair, RepairPlane, degraded planes, Close, and advancing the fake clock
 # through repair backoffs, migrations and half-open probes), each walk and
-# each repair attempt bit for bit while it ran alone; under -race, -count=2
-# as above.
-gotest -race -run 'TestRouterGenerator$|TestRouterGeneratorExhaustive|TestRouterGeneratorTerminalWindowSeed|TestRouterGeneratorRegisterSeed|TestRouterGeneratorScoreRuleSeed' -count=2 ./internal/federation
+# each repair attempt bit for bit while it ran alone (the second look
+# included: a walk no plane granted asks again each plane that was only
+# full, breaker closed, rows routing the pair); under -race, -count=2 as
+# above. Beside them, the register re-check reached by a fixed sequence in
+# any build mode, and the second look's own witnesses: a release landing on
+# one plane while the walk waits on another, granted by the second look,
+# and no second look for a fault-blocked or draining plane or a
+# one-candidate walk.
+gotest -race -run 'TestRouterGenerator$|TestRouterGeneratorExhaustive|TestRouterGeneratorTerminalWindowSeed|TestRouterGeneratorRegisterSeed|TestRouterGeneratorScoreRuleSeed|TestRouterRegisterWindow$|TestSecondLookGrantsFreedPlane$|TestSecondLookOnlyForFullPlanes$' -count=2 ./internal/federation
 
 # Spec fuzz: no input makes sched.Parse panic, and an accepted spec's engine
 # schedules a seeded batch that core.Verify passes and whose routes release
@@ -281,8 +287,10 @@ gotest -race -count=2 -run 'TestCancelRacesPooledTickets|TestDrainRefusedCounter
 # panicked the teardown (it took the chaos harness 50-150 runs under CPU
 # oversubscription to hit). Quarantine extension: the seed whose Fail
 # extends a quarantine and whose next operation advances past the new end,
-# which only the timer the extending flap armed can lift.
-gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$|TestGeneratorQuarantineExtensionSeed$' ./internal/fabric
+# which only the timer the extending flap re-armed can lift. Beside them,
+# the one probation timer a quarantined channel keeps however often it
+# flaps.
+gotest -race -count=2 -run 'TestGeneratorParkedReleaseSeed$|TestGeneratorQuarantineExtensionSeed$|TestQuarantineKeepsOneTimer$' ./internal/fabric
 
 # Benchmark-harness smoke: bench/ is its own module, so nothing above
 # builds it; compile it and run its tests against the current API. This
