@@ -20,10 +20,10 @@ import (
 	"repro/internal/faults"
 )
 
-// defaultGrayStep is the flaky-process clock period when -gray-step is
-// not given: fast enough to exercise flap damping interactively, slow
-// enough to stay negligible next to admission work.
-const defaultGrayStep = 5 * time.Millisecond
+// grayStep is the flaky-process clock period: fast enough to exercise
+// flap damping interactively, slow enough to stay negligible next to
+// admission work.
+const grayStep = 5 * time.Millisecond
 
 // grayState is the server's registry of running intermittent fault
 // processes, one Flapper per plane, driven by a single stepper: timer,
@@ -32,16 +32,12 @@ const defaultGrayStep = 5 * time.Millisecond
 type grayState struct {
 	mu       sync.Mutex
 	flappers map[string]*faults.Flapper
-	step     time.Duration
 	timer    clock.Timer
 	stopped  bool
 }
 
-func newGrayState(step time.Duration) *grayState {
-	if step <= 0 {
-		step = defaultGrayStep
-	}
-	return &grayState{flappers: make(map[string]*faults.Flapper), step: step}
+func newGrayState() *grayState {
+	return &grayState{flappers: make(map[string]*faults.Flapper)}
 }
 
 // addFlaky validates and registers flaky-link processes on a plane and
@@ -64,7 +60,7 @@ func (s *server) addFlaky(name string, surf fabric.Surface, procs []faults.Flaky
 		fl.Add(procs)
 	}
 	if s.gray.timer == nil && !s.gray.stopped {
-		s.gray.timer = s.router.Clock().AfterFunc(s.gray.step, s.stepGray)
+		s.gray.timer = s.router.Clock().AfterFunc(grayStep, s.stepGray)
 	}
 	return len(fl.Procs()), nil
 }
@@ -113,7 +109,7 @@ func (s *server) flakyStatuses(name string) []flakyStatus {
 
 // stepGray is the stepper timer's callback: it advances each plane's
 // Flapper one step, applies the transition diff through the plane's
-// Fail/Repair surface and re-arms itself one gray-step out. Injection
+// Fail/Repair surface and re-arms itself one grayStep out. Injection
 // errors cannot happen (every process validated against its tree on the
 // way in); a closed plane simply rejects the injection, which is fine —
 // the processes die with the fabric.
@@ -136,7 +132,7 @@ func (s *server) stepGray() {
 			surf.Repair(repair) // nolint:errcheck
 		}
 	}
-	s.gray.timer.Reset(s.gray.step)
+	s.gray.timer.Reset(grayStep)
 }
 
 // stopGray halts the stepper (tests and shutdown; idempotent): once it

@@ -14,15 +14,15 @@ import (
 	"repro/internal/topology"
 )
 
-// waitUntil advances clk a millisecond at a time until cond holds, and
-// fails the test after a simulated second.
+// waitUntil advances clk one flaky-process step at a time until cond
+// holds, and fails the test after a simulated second.
 func waitUntil(t *testing.T, clk *clock.Fake, what string, cond func() bool) {
 	t.Helper()
-	for ms := 0; !cond(); ms++ {
-		if ms == 1000 {
+	for waited := time.Duration(0); !cond(); waited += grayStep {
+		if waited >= time.Second {
 			t.Fatalf("no %s within a second of the clock", what)
 		}
-		clk.Advance(time.Millisecond)
+		clk.Advance(grayStep)
 	}
 }
 
@@ -49,7 +49,6 @@ func TestGrayFaultVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := newServer(router)
-	sv.gray.step = time.Millisecond
 	ts := httptest.NewServer(sv.routes())
 	t.Cleanup(func() {
 		ts.Close()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ftserve [-addr :8080] [-validate] [-pprof] [-gray-step 5ms]
+//	ftserve [-addr :8080] [-validate] [-pprof]
 //	        [-planes 1] [-policy hash] [-levels 3] [-children 8] [-parents 8]
 //	        [-scheduler level-wise,rollback]
 //	        [-batch 32] [-maxwait 2ms] [-queue 1024] [-timeout 0]
@@ -19,8 +19,9 @@
 // one next to -config is refused. The gray-failure knobs are file keys
 // only: fttopo gen -flap-threshold 3 | ftserve -config -
 // -validate checks the configuration and exits without serving; -pprof
-// mounts net/http/pprof under /debug/pprof/; -gray-step is the clock
-// period of the flaky fault processes POST /fault starts.
+// mounts net/http/pprof under /debug/pprof/. Those two and -addr are the
+// daemon's own flags, legal beside -config. The flaky fault processes
+// POST /fault starts step every 5 ms.
 //
 // Endpoints (JSON over stdlib net/http):
 //
@@ -110,7 +111,6 @@ func run(args []string) error {
 
 	sv := newServer(router)
 	sv.enablePprof = opts.pprof
-	sv.gray.step = opts.grayStep
 	defer sv.stopGray()
 	srv := &http.Server{Addr: opts.addr, Handler: sv.routes()}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -141,7 +141,6 @@ type serveOpts struct {
 	addr     string
 	validate bool
 	pprof    bool
-	grayStep time.Duration
 }
 
 // buildConfig parses the command line. The shape and queue flags fill a
@@ -153,7 +152,6 @@ func buildConfig(args []string) (serveOpts, federation.Config, error) {
 	fs.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	fs.BoolVar(&opts.validate, "validate", false, "validate the configuration and exit without serving")
 	fs.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
-	fs.DurationVar(&opts.grayStep, "gray-step", defaultGrayStep, "flaky fault process clock period")
 	configPath := fs.String("config", "", "multi-plane JSON config `file` from fttopo gen (\"-\" reads stdin); it carries the shape and queue knobs, so their flags may not accompany it")
 	planes := fs.Int("planes", 1, "number of identical planes built from the shape flags")
 	policy := fs.String("policy", "hash", "plane selection policy ("+strings.Join(federation.Policies(), "|")+")")
@@ -174,7 +172,7 @@ func buildConfig(args []string) (serveOpts, federation.Config, error) {
 	var clash []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "addr", "validate", "pprof", "gray-step", "config":
+		case "addr", "validate", "pprof", "config":
 		default:
 			clash = append(clash, "-"+f.Name)
 		}
@@ -222,7 +220,7 @@ type server struct {
 func newServer(router *federation.Router) *server {
 	s := &server{
 		router: router,
-		gray:   newGrayState(defaultGrayStep),
+		gray:   newGrayState(),
 		planes: make(map[string][]byte),
 		open:   make(map[uint64]*federation.Handle),
 	}

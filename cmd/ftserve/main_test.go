@@ -655,7 +655,7 @@ func TestBuildConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.addr != "127.0.0.1:0" || opts.validate || opts.grayStep != defaultGrayStep {
+	if opts.addr != "127.0.0.1:0" || opts.validate || opts.pprof {
 		t.Errorf("daemon options %+v", opts)
 	}
 	if len(cfg.Planes) != 3 || cfg.Policy != federation.PolicyLeastLoaded {
@@ -682,12 +682,16 @@ func TestBuildConfig(t *testing.T) {
 	// next to it is refused by name, never dropped; the daemon's own flags
 	// stay legal.
 	path := writeConfig(t, federation.Generate(2, 2, 4, 2, "", "random"))
-	opts, cfg, err = buildConfig([]string{"-config", path, "-addr", ":9", "-validate", "-pprof", "-gray-step", "1ms"})
+	opts, cfg, err = buildConfig([]string{"-config", path, "-addr", ":9", "-validate", "-pprof"})
 	if err != nil {
 		t.Fatalf("-config with daemon flags: %v", err)
 	}
-	if len(cfg.Planes) != 2 || cfg.Policy != federation.PolicyRandom || !opts.validate || !opts.pprof || opts.grayStep != time.Millisecond {
+	if len(cfg.Planes) != 2 || cfg.Policy != federation.PolicyRandom || !opts.validate || !opts.pprof || opts.addr != ":9" {
 		t.Errorf("file-built config %+v, options %+v", cfg, opts)
+	}
+	// The flaky-process period is a constant, not a flag.
+	if _, _, err := buildConfig([]string{"-gray-step", "1ms"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -gray-step") {
+		t.Errorf("-gray-step: err = %v, want it refused as undefined", err)
 	}
 	for _, shape := range [][]string{{"-planes", "2"}, {"-policy", "hash"}, {"-levels", "2"}, {"-children", "4"},
 		{"-parents", "2"}, {"-batch", "1"}, {"-maxwait", "1ms"}, {"-queue", "8"}, {"-timeout", "1s"},

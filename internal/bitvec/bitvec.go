@@ -1,11 +1,13 @@
-// Package bitvec provides fixed-width bit vectors used to represent link
-// availability in fat-tree switches, together with the Boolean operations
-// the Level-wise scheduler performs on them: bitwise AND, first-set-bit
-// (priority encoder), population count, and snapshot/restore.
+// Package bitvec provides fixed-width bit vectors of any width, together
+// with the Boolean operations the paper's P-block hardware performs on its
+// Ulink/Dlink RAMs: bitwise AND and first-set-bit (the priority encoder).
 //
 // A Vector models the paper's w-bit Ulink/Dlink availability vectors: bit i
 // set means the link attached at upper port i is available. Widths are
-// arbitrary; vectors up to 64 bits occupy a single word.
+// arbitrary; vectors up to 64 bits occupy a single word. The schedulers do
+// not use it: their link state (internal/linkstate) keeps each row as one
+// machine word. It backs the FPGA RAM model of internal/hardware, and the
+// benchmark's record of an AND past one word.
 package bitvec
 
 import (
@@ -107,17 +109,6 @@ func (v Vector) And(a, b Vector) {
 // AndWith ANDs other into v in place.
 func (v Vector) AndWith(other Vector) { v.And(v, other) }
 
-// AndNot stores a AND NOT b into v (clears in a every bit set in b). All
-// three must have the same width; v may alias a or b.
-func (v Vector) AndNot(a, b Vector) {
-	if a.width != v.width || b.width != v.width {
-		panic(fmt.Sprintf("bitvec: AndNot width mismatch %d/%d/%d", v.width, a.width, b.width))
-	}
-	for i := range v.words {
-		v.words[i] = a.words[i] &^ b.words[i]
-	}
-}
-
 // FirstSet returns the index of the lowest set bit (the paper's priority
 // selector) and true, or 0 and false if no bit is set.
 func (v Vector) FirstSet() (int, bool) {
@@ -127,38 +118,6 @@ func (v Vector) FirstSet() (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// NthSet returns the index of the n-th set bit (0-based) and true, or
-// 0 and false if fewer than n+1 bits are set. It is used by the random
-// port-selection policy.
-func (v Vector) NthSet(n int) (int, bool) {
-	if n < 0 {
-		return 0, false
-	}
-	for wi, w := range v.words {
-		c := bits.OnesCount64(w)
-		if n < c {
-			for ; ; n-- {
-				b := bits.TrailingZeros64(w)
-				if n == 0 {
-					return wi*wordBits + b, true
-				}
-				w &^= 1 << uint(b)
-			}
-		}
-		n -= c
-	}
-	return 0, false
-}
-
-// Count returns the number of set bits.
-func (v Vector) Count() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // None reports whether no bit is set (the "all 0 values cannot be
@@ -241,23 +200,6 @@ func NewMatrix(rows, width int) *Matrix {
 	return &Matrix{rows: rows, width: width, words: make([]uint64, rows*wpr), wpr: wpr}
 }
 
-// Rows reports the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Width reports the per-row bit width.
-func (m *Matrix) Width() int { return m.width }
-
-// WordsPerRow reports how many 64-bit words back each row; 1 means a
-// whole row is a single machine word (width <= 64).
-func (m *Matrix) WordsPerRow() int { return m.wpr }
-
-// Words exposes the matrix's backing storage: row r occupies words
-// [r*WordsPerRow(), (r+1)*WordsPerRow()). The slice aliases the matrix —
-// mutations through it are mutations of the matrix. It exists so
-// single-word callers (linkstate's scheduling fast path) can operate on
-// whole rows without materializing Row vectors.
-func (m *Matrix) Words() []uint64 { return m.words }
-
 // Row returns row r as a Vector sharing the matrix's storage; mutations
 // through the vector update the matrix.
 func (m *Matrix) Row(r int) Vector {
@@ -290,42 +232,4 @@ func (m *Matrix) ClearAll() {
 	for i := range m.words {
 		m.words[i] = 0
 	}
-}
-
-// Count returns the total number of set bits in the matrix.
-func (m *Matrix) Count() int {
-	c := 0
-	for _, w := range m.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Snapshot returns a copy of the matrix contents for later Restore.
-func (m *Matrix) Snapshot() []uint64 {
-	s := make([]uint64, len(m.words))
-	copy(s, m.words)
-	return s
-}
-
-// Restore overwrites the matrix contents with a snapshot previously taken
-// from a matrix of identical shape.
-func (m *Matrix) Restore(s []uint64) {
-	if len(s) != len(m.words) {
-		panic(fmt.Sprintf("bitvec: Restore length %d != %d", len(s), len(m.words)))
-	}
-	copy(m.words, s)
-}
-
-// Equal reports whether two matrices have identical shape and contents.
-func (m *Matrix) Equal(other *Matrix) bool {
-	if m.rows != other.rows || m.width != other.width {
-		return false
-	}
-	for i := range m.words {
-		if m.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,10 +1,23 @@
 package bitvec
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// ones counts the bits set in v's words, bits beyond its width included.
+func ones(v Vector) int {
+	n := 0
+	for _, w := range v.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// matrixOnes counts the bits set in m's backing words.
+func matrixOnes(m *Matrix) int { return ones(Vector{words: m.words}) }
 
 func TestNewZeroWidth(t *testing.T) {
 	v := New(0)
@@ -71,13 +84,13 @@ func TestGetOutOfRangePanics(t *testing.T) {
 func TestSetAllAndCount(t *testing.T) {
 	for _, width := range []int{1, 5, 64, 65, 130} {
 		v := NewFull(width)
-		if got := v.Count(); got != width {
-			t.Fatalf("width %d: Count after SetAll = %d", width, got)
+		if got := ones(v); got != width {
+			t.Fatalf("width %d: %d bits set after SetAll", width, got)
 		}
-		// High bits beyond width must not leak into Count.
+		// High bits beyond width must not leak into the words.
 		v.ClearAll()
-		if got := v.Count(); got != 0 {
-			t.Fatalf("width %d: Count after ClearAll = %d", width, got)
+		if got := ones(v); got != 0 {
+			t.Fatalf("width %d: %d bits set after ClearAll", width, got)
 		}
 	}
 }
@@ -94,8 +107,8 @@ func TestAnd(t *testing.T) {
 	out := New(70)
 	out.And(a, b)
 	want := []int{3, 65}
-	if out.Count() != len(want) {
-		t.Fatalf("And count = %d, want %d", out.Count(), len(want))
+	if ones(out) != len(want) {
+		t.Fatalf("And count = %d, want %d", ones(out), len(want))
 	}
 	for _, i := range want {
 		if !out.Get(i) {
@@ -113,31 +126,6 @@ func TestAndWidthMismatchPanics(t *testing.T) {
 	New(4).And(New(4), New(5))
 }
 
-func TestAndNot(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(1)
-	a.Set(65)
-	a.Set(69)
-	b.Set(65)
-	out := New(70)
-	out.AndNot(a, b)
-	if out.Count() != 2 || !out.Get(1) || !out.Get(69) || out.Get(65) {
-		t.Fatalf("AndNot = %s", out)
-	}
-	// Aliasing form.
-	a.AndNot(a, b)
-	if !a.Equal(out) {
-		t.Fatal("aliased AndNot differs")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AndNot width mismatch did not panic")
-		}
-	}()
-	New(4).AndNot(New(4), New(5))
-}
-
 func TestAndAliasing(t *testing.T) {
 	a := New(10)
 	a.Set(1)
@@ -146,7 +134,7 @@ func TestAndAliasing(t *testing.T) {
 	b.Set(2)
 	b.Set(3)
 	a.AndWith(b)
-	if a.Count() != 1 || !a.Get(2) {
+	if ones(a) != 1 || !a.Get(2) {
 		t.Fatalf("AndWith aliasing wrong: %s", a)
 	}
 }
@@ -167,26 +155,6 @@ func TestFirstSet(t *testing.T) {
 	v.Set(0)
 	if i, _ := v.FirstSet(); i != 0 {
 		t.Fatalf("FirstSet = %d want 0", i)
-	}
-}
-
-func TestNthSet(t *testing.T) {
-	v := New(200)
-	set := []int{2, 5, 63, 64, 100, 199}
-	for _, i := range set {
-		v.Set(i)
-	}
-	for n, want := range set {
-		got, ok := v.NthSet(n)
-		if !ok || got != want {
-			t.Fatalf("NthSet(%d) = %d,%v want %d,true", n, got, ok, want)
-		}
-	}
-	if _, ok := v.NthSet(len(set)); ok {
-		t.Fatal("NthSet past end returned ok")
-	}
-	if _, ok := v.NthSet(-1); ok {
-		t.Fatal("NthSet(-1) returned ok")
 	}
 }
 
@@ -275,7 +243,7 @@ func TestQuickFirstSetIsMin(t *testing.T) {
 	}
 }
 
-// Property: Count equals the number of distinct indices set.
+// Property: setting indices sets exactly the distinct ones.
 func TestQuickCountDistinct(t *testing.T) {
 	f := func(raw []uint16) bool {
 		v := New(257)
@@ -285,7 +253,7 @@ func TestQuickCountDistinct(t *testing.T) {
 			v.Set(i)
 			distinct[i] = true
 		}
-		return v.Count() == len(distinct)
+		return ones(v) == len(distinct)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -323,8 +291,8 @@ func TestQuickAndSemantics(t *testing.T) {
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(5, 70)
-	if m.Rows() != 5 || m.Width() != 70 {
-		t.Fatalf("shape = %dx%d", m.Rows(), m.Width())
+	if m.rows != 5 || m.width != 70 || len(m.Row(4).words) != 2 {
+		t.Fatalf("shape = %dx%d", m.rows, m.width)
 	}
 	m.Row(2).Set(69)
 	if !m.Row(2).Get(69) {
@@ -333,16 +301,16 @@ func TestMatrixBasics(t *testing.T) {
 	if m.Row(1).Get(69) || m.Row(3).Get(69) {
 		t.Fatal("row mutation leaked into neighbors")
 	}
-	if m.Count() != 1 {
-		t.Fatalf("Count = %d want 1", m.Count())
+	if matrixOnes(m) != 1 {
+		t.Fatalf("%d bits set, want 1", matrixOnes(m))
 	}
 	m.SetAll()
-	if m.Count() != 5*70 {
-		t.Fatalf("Count after SetAll = %d want %d", m.Count(), 5*70)
+	if matrixOnes(m) != 5*70 {
+		t.Fatalf("%d bits set after SetAll, want %d", matrixOnes(m), 5*70)
 	}
 	m.ClearAll()
-	if m.Count() != 0 {
-		t.Fatalf("Count after ClearAll = %d", m.Count())
+	if matrixOnes(m) != 0 {
+		t.Fatalf("%d bits set after ClearAll", matrixOnes(m))
 	}
 }
 
@@ -352,18 +320,18 @@ func TestMatrixBasics(t *testing.T) {
 func TestMatrixSetAllStaysInWidth(t *testing.T) {
 	for _, width := range []int{0, 1, 63, 64, 65, 128, 130} {
 		m := NewMatrix(3, width)
-		for i := range m.Words() {
-			m.Words()[i] = 0xA5A5A5A5A5A5A5A5 // stale bits, some beyond width
+		for i := range m.words {
+			m.words[i] = 0xA5A5A5A5A5A5A5A5 // stale bits, some beyond width
 		}
 		m.SetAll()
 		full := NewFull(width) // Equal compares whole words, bits beyond width included
-		for r := 0; r < m.Rows(); r++ {
+		for r := 0; r < m.rows; r++ {
 			if !m.Row(r).Equal(full) {
 				t.Fatalf("width %d row %d: SetAll left %s", width, r, m.Row(r))
 			}
 		}
-		if m.Count() != 3*width {
-			t.Fatalf("width %d: Count after SetAll = %d want %d", width, m.Count(), 3*width)
+		if matrixOnes(m) != 3*width {
+			t.Fatalf("width %d: %d bits set after SetAll, want %d", width, matrixOnes(m), 3*width)
 		}
 	}
 }
@@ -382,55 +350,8 @@ func TestMatrixRowOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestMatrixSnapshotRestore(t *testing.T) {
-	m := NewMatrix(4, 33)
-	m.SetAll()
-	snap := m.Snapshot()
-	m.Row(0).Clear(0)
-	m.Row(3).Clear(32)
-	if m.Count() == 4*33 {
-		t.Fatal("mutations had no effect")
-	}
-	m.Restore(snap)
-	if m.Count() != 4*33 {
-		t.Fatalf("Restore did not recover state: count %d", m.Count())
-	}
-	// Snapshot must be a copy, not an alias.
-	m.Row(1).Clear(5)
-	m.Restore(snap)
-	if !m.Row(1).Get(5) {
-		t.Fatal("snapshot aliases live storage")
-	}
-}
-
-func TestMatrixRestoreWrongShapePanics(t *testing.T) {
-	m := NewMatrix(2, 64)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Restore with wrong length did not panic")
-		}
-	}()
-	m.Restore(make([]uint64, 1))
-}
-
-func TestMatrixEqual(t *testing.T) {
-	a := NewMatrix(2, 8)
-	b := NewMatrix(2, 8)
-	if !a.Equal(b) {
-		t.Fatal("fresh equal matrices compare unequal")
-	}
-	a.Row(1).Set(3)
-	if a.Equal(b) {
-		t.Fatal("differing matrices compare equal")
-	}
-	c := NewMatrix(3, 8)
-	if a.Equal(c) {
-		t.Fatal("different shapes compare equal")
-	}
-}
-
 // Property: a randomized sequence of row Set/Clear operations keeps matrix
-// Count equal to a reference map implementation.
+// its set bits equal to a reference map implementation.
 func TestQuickMatrixReference(t *testing.T) {
 	f := func(ops []uint32) bool {
 		const rows, width = 7, 37
@@ -447,7 +368,7 @@ func TestQuickMatrixReference(t *testing.T) {
 				delete(ref, [2]int{r, i})
 			}
 		}
-		return m.Count() == len(ref)
+		return matrixOnes(m) == len(ref)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

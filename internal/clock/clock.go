@@ -45,19 +45,19 @@ func Or(c Clock) Clock {
 }
 
 // Fake is a clock that moves only when Advance moves it. Its timers are
-// events on a des.Kernel counted in nanoseconds, so timers due at the same
-// instant fire in the order they were armed (a Reset re-arms). Advance runs
-// each callback on its caller's goroutine with the fake's lock released, so
-// a callback may read the time and arm, reset or stop timers; one it arms
-// inside the window being advanced fires in the same Advance. The zero
-// value is not usable; make one with NewFake. It is safe for concurrent
-// use.
+// events on a des.Kernel counted in nanoseconds, one queued event per armed
+// timer, so timers due at the same instant fire in the order they were
+// armed (a Reset re-arms: it moves the timer's event; Stop removes it).
+// Advance runs each callback on its caller's goroutine with the fake's
+// lock released, so a callback may read the time and arm, reset or stop
+// timers; one it arms inside the window being advanced fires in the same
+// Advance. The zero value is not usable; make one with NewFake. It is safe
+// for concurrent use.
 type Fake struct {
 	mu    sync.Mutex
 	k     des.Kernel
 	start time.Time
 	fire  func() // the callback the event just stepped handed over
-	live  int    // timers armed and neither fired nor stopped
 }
 
 // NewFake returns a fake clock standing at a fixed instant.
@@ -73,6 +73,7 @@ func (c *Fake) Now() time.Time {
 // AfterFunc arms f to run d from now (now itself when d ≤ 0).
 func (c *Fake) AfterFunc(d time.Duration, f func()) Timer {
 	t := &fakeTimer{c: c, f: f}
+	t.due = func() { c.fire = t.f }
 	c.mu.Lock()
 	t.armLocked(d)
 	c.mu.Unlock()
@@ -85,7 +86,7 @@ func (c *Fake) AfterFunc(d time.Duration, f func()) Timer {
 func (c *Fake) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.live
+	return c.k.Pending()
 }
 
 // Advance moves the clock forward by d, firing every timer due on the way
@@ -100,7 +101,7 @@ func (c *Fake) Advance(d time.Duration) {
 			c.mu.Unlock()
 			return
 		}
-		c.k.Step() // a live timer's event hands its callback over in fire
+		c.k.Step() // the timer's event hands its callback over in fire
 		f := c.fire
 		c.fire = nil
 		if f != nil {
@@ -111,38 +112,25 @@ func (c *Fake) Advance(d time.Duration) {
 	}
 }
 
-// fakeTimer is one of a Fake's timers. Every arm, Reset and Stop bumps gen,
-// so an event armed before the latest one finds itself stale and does
-// nothing.
+// fakeTimer is one of a Fake's timers: at most one event on the fake's
+// kernel, queued while the timer is pending.
 type fakeTimer struct {
-	c       *Fake
-	f       func()
-	gen     uint64
-	pending bool
+	c   *Fake
+	f   func()
+	due func() // the event: hands f to Advance
+	ev  des.Handle
 }
 
 // armLocked schedules the timer d from now. Caller holds c.mu.
 func (t *fakeTimer) armLocked(d time.Duration) {
-	t.gen++
-	if !t.pending {
-		t.c.live++
-	}
-	t.pending = true
-	gen := t.gen
-	t.c.k.After(des.Time(max(d, 0)), func() {
-		if t.gen == gen {
-			t.pending = false
-			t.c.live--
-			t.c.fire = t.f
-		}
-	})
+	t.c.k.Reschedule(&t.ev, t.c.k.Now()+des.Time(max(d, 0)), t.due)
 }
 
 // Reset re-arms the timer d from now, reporting whether it was pending.
 func (t *fakeTimer) Reset(d time.Duration) bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	was := t.pending
+	was := t.ev.Queued()
 	t.armLocked(d)
 	return was
 }
@@ -151,11 +139,5 @@ func (t *fakeTimer) Reset(d time.Duration) bool {
 func (t *fakeTimer) Stop() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	was := t.pending
-	t.gen++
-	if was {
-		t.c.live--
-	}
-	t.pending = false
-	return was
+	return t.c.k.Cancel(&t.ev)
 }

@@ -171,3 +171,24 @@ func TestFakePendingCountsLiveTimers(t *testing.T) {
 		t.Fatalf("the blocked goroutine woke %v after the start, want 5ms", at)
 	}
 }
+
+// TestFakeKeepsOneEventPerTimer: a Reset moves its timer's queued event
+// and a Stop removes it, so however often timers are re-armed the kernel
+// holds one event per pending timer and no stale ones.
+func TestFakeKeepsOneEventPerTimer(t *testing.T) {
+	c := NewFake()
+	fired := 0
+	a := c.AfterFunc(time.Millisecond, func() { fired++ })
+	b := c.AfterFunc(time.Millisecond, func() { fired++ })
+	for i := 0; i < 1000; i++ {
+		a.Reset(time.Duration(i%7+1) * time.Millisecond)
+	}
+	b.Stop()
+	if got, want := c.k.Pending(), c.Pending(); got != want || want != 1 {
+		t.Fatalf("kernel holds %d events for %d pending timers, want 1 and 1", got, want)
+	}
+	c.Advance(time.Second)
+	if fired != 1 || c.k.Pending() != 0 {
+		t.Fatalf("fired %d, %d events left; want 1 and 0", fired, c.k.Pending())
+	}
+}

@@ -337,6 +337,16 @@ type Scorer struct {
 // firstFit reports whether k picks the lowest free port at every level.
 func (k Scorer) firstFit() bool { return k.Policy == FirstFit && k.ReuseCost == 0 }
 
+// NthSet returns the index of the rank-th lowest set bit of row (rank 0
+// is the lowest): the port a RandomFit draw of rank picks from an
+// availability row. rank must be below the row's popcount.
+func NthSet(row uint64, rank int) int {
+	for ; rank > 0; rank-- {
+		row &= row - 1
+	}
+	return bits.TrailingZeros64(row)
+}
+
 // Pick returns the port k selects from avail — the AND-ed availability of
 // the level-h switch pair (σ, δ), port p at bit p — or -1 when no port is
 // free. RandomFit makes one Rand.Intn(popcount) draw, and none when avail
@@ -346,10 +356,7 @@ func (k Scorer) Pick(st *linkstate.State, h, sigma, delta int, avail uint64) int
 		return -1
 	}
 	if k.ReuseCost == 0 && k.Policy == RandomFit {
-		for rank := k.Rand.Intn(bits.OnesCount64(avail)); rank > 0; rank-- {
-			avail &= avail - 1
-		}
-		return bits.TrailingZeros64(avail)
+		return NthSet(avail, k.Rand.Intn(bits.OnesCount64(avail)))
 	}
 	tree := st.Tree()
 	if k.ReuseCost == 0 && k.Policy != LeastLoaded || h+1 == tree.LinkLevels() {
@@ -358,9 +365,9 @@ func (k Scorer) Pick(st *linkstate.State, h, sigma, delta int, avail uint64) int
 	best, bestScore := -1, -1
 	for ; avail != 0; avail &= avail - 1 {
 		p := bits.TrailingZeros64(avail)
-		score := st.ULink(h+1, tree.UpParent(h, sigma, p)).Count()
+		score := bits.OnesCount64(st.ULink(h+1, tree.UpParent(h, sigma, p)))
 		if k.ReuseCost > 0 {
-			score = min(k.ReuseCost, 2*tree.Parents()-score-st.DLink(h+1, tree.UpParent(h, delta, p)).Count())
+			score = min(k.ReuseCost, 2*tree.Parents()-score-bits.OnesCount64(st.DLink(h+1, tree.UpParent(h, delta, p))))
 		}
 		if score > bestScore {
 			best, bestScore = p, score

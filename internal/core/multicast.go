@@ -193,8 +193,9 @@ func (s *MulticastLocal) Schedule(st *linkstate.State, reqs []MulticastRequest) 
 		ok := true
 		// Climb using local information only.
 		for h := 0; h < maxH && ok; h++ {
-			p, found := st.ULink(h, spine.Sigma()).FirstSet()
-			if !found {
+			row := st.ULink(h, spine.Sigma())
+			p := bits.TrailingZeros64(row)
+			if row == 0 {
 				ok = false
 				o.FailLevel = h
 				break

@@ -6,21 +6,20 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/linkstate"
 	"repro/internal/topology"
 )
 
 // refPick is each policy's plain definition, the reference Scorer.Pick is
-// held to: the free ports by an avail.Get(p) loop, the scores by Count()
-// on the parent rows, the best score taken with ties low, and first-fit
-// at the top link level for the scored policies. It returns -1 when no
-// port is free; a random pick draws from rng exactly when one is.
-func refPick(st *linkstate.State, k Scorer, h, sigma, delta int, avail bitvec.Vector) int {
+// held to: the free ports by a per-channel Available loop, the scores by
+// freeCount on the parent rows, the best score taken with ties low, and
+// first-fit at the top link level for the scored policies. It returns -1
+// when no port is free; a random pick draws from rng exactly when one is.
+func refPick(st *linkstate.State, k Scorer, h, sigma, delta int) int {
 	tree := st.Tree()
 	var free []int
-	for p := 0; p < avail.Width(); p++ {
-		if avail.Get(p) {
+	for p := 0; p < tree.Parents(); p++ {
+		if st.Available(linkstate.Up, h, sigma, p) && st.Available(linkstate.Down, h, delta, p) {
 			free = append(free, p)
 		}
 	}
@@ -36,11 +35,11 @@ func refPick(st *linkstate.State, k Scorer, h, sigma, delta int, avail bitvec.Ve
 	best, bestScore := -1, -1
 	for _, p := range free {
 		up := tree.UpParent(h, sigma, p)
-		score := st.ULink(h+1, up).Count() // least-loaded: free capacity above
+		score := freeCount(st, linkstate.Up, h+1, up) // least-loaded: free capacity above
 		if k.ReuseCost > 0 {
 			w := tree.Parents()
 			down := tree.UpParent(h, delta, p)
-			score = (w - st.ULink(h+1, up).Count()) + (w - st.DLink(h+1, down).Count())
+			score = (w - freeCount(st, linkstate.Up, h+1, up)) + (w - freeCount(st, linkstate.Down, h+1, down))
 			if score > k.ReuseCost {
 				score = k.ReuseCost
 			}
@@ -50,6 +49,17 @@ func refPick(st *linkstate.State, k Scorer, h, sigma, delta int, avail bitvec.Ve
 		}
 	}
 	return best
+}
+
+// freeCount counts the available channels of one switch, port by port.
+func freeCount(st *linkstate.State, d linkstate.Direction, h, idx int) int {
+	n := 0
+	for p := 0; p < st.Tree().Parents(); p++ {
+		if st.Available(d, h, idx, p) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestScorerMatchesReference holds Scorer.Pick to refPick for every
@@ -110,17 +120,16 @@ func TestScorerMatchesReference(t *testing.T) {
 			if s.prep != nil {
 				s.prep(st)
 			}
-			avail := bitvec.New(tree.Parents())
 			for _, sc := range scorers {
 				k, ref := sc.k, sc.k
 				k.Rand, ref.Rand = rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 				for h := 0; h < tree.LinkLevels(); h++ {
 					for sigma := 0; sigma < tree.SwitchesAt(h); sigma++ {
 						for delta := 0; delta < tree.SwitchesAt(h); delta++ {
-							st.AvailBothInto(avail, h, sigma, delta)
-							want := refPick(st, ref, h, sigma, delta, avail)
-							if got := k.Pick(st, h, sigma, delta, st.AvailBothWord(h, sigma, delta)); got != want {
-								t.Fatalf("%s %s %s: h=%d σ=%d δ=%d avail=%s: Pick = %d, reference %d",
+							avail := st.AvailBothWord(h, sigma, delta)
+							want := refPick(st, ref, h, sigma, delta)
+							if got := k.Pick(st, h, sigma, delta, avail); got != want {
+								t.Fatalf("%s %s %s: h=%d σ=%d δ=%d avail=%b: Pick = %d, reference %d",
 									tree, s.name, sc.name, h, sigma, delta, avail, got, want)
 							}
 						}

@@ -23,7 +23,17 @@ type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	h   *Handle // nil unless the event was queued by Reschedule
 }
+
+// Handle names one re-schedulable event: Reschedule queues it or moves
+// it, Cancel takes it out. The zero value is not queued.
+type Handle struct {
+	idx int // heap index + 1; 0 when not queued
+}
+
+// Queued reports whether h's event is queued.
+func (h *Handle) Queued() bool { return h.idx != 0 }
 
 type eventQueue []event
 
@@ -34,12 +44,29 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	if q[i].h != nil {
+		q[i].h.idx = i + 1
+	}
+	if q[j].h != nil {
+		q[j].h.idx = j + 1
+	}
+}
+func (q *eventQueue) Push(x interface{}) {
+	e := x.(event)
+	if e.h != nil {
+		e.h.idx = len(*q) + 1
+	}
+	*q = append(*q, e)
+}
 func (q *eventQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
 	e := old[n-1]
+	if e.h != nil {
+		e.h.idx = 0
+	}
 	*q = old[:n-1]
 	return e
 }
@@ -71,6 +98,34 @@ func (k *Kernel) At(t Time, fn func()) {
 	}
 	heap.Push(&k.pq, event{at: t, seq: k.seq, fn: fn})
 	k.seq++
+}
+
+// Reschedule queues fn at absolute time t under h. If h's event is still
+// queued it is moved there, not queued twice: it takes t, fn and a fresh
+// sequence number, so it runs after every event already scheduled for t,
+// exactly as a newly scheduled one would.
+func (k *Kernel) Reschedule(h *Handle, t Time, fn func()) {
+	if t < k.now {
+		panic("des: event scheduled in the past")
+	}
+	if h.idx == 0 {
+		heap.Push(&k.pq, event{at: t, seq: k.seq, fn: fn, h: h})
+	} else {
+		e := &k.pq[h.idx-1]
+		e.at, e.seq, e.fn = t, k.seq, fn
+		heap.Fix(&k.pq, h.idx-1)
+	}
+	k.seq++
+}
+
+// Cancel removes h's event from the queue, reporting whether it was
+// queued.
+func (k *Kernel) Cancel(h *Handle) bool {
+	if h.idx == 0 {
+		return false
+	}
+	heap.Remove(&k.pq, h.idx-1)
+	return true
 }
 
 // After schedules fn d cycles from now.

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -179,5 +180,28 @@ func TestNext(t *testing.T) {
 	k.Step()
 	if at, ok := k.Next(); !ok || at != 20 || k.Now() != 10 {
 		t.Fatalf("after one step: Next = %d, %v at %d; want 20, true at 10", at, ok, k.Now())
+	}
+}
+
+// TestRescheduleMovesAndCancelRemoves: a handle's event is queued once
+// however often it is rescheduled, takes a fresh place among same-time
+// events each time, and Cancel takes it out.
+func TestRescheduleMovesAndCancelRemoves(t *testing.T) {
+	var k Kernel
+	var order []string
+	var a, b Handle
+	k.Reschedule(&a, 5, func() { order = append(order, "a") })
+	k.At(5, func() { order = append(order, "x") })
+	k.Reschedule(&b, 9, func() { order = append(order, "b") })
+	k.Reschedule(&a, 5, func() { order = append(order, "a") }) // now after x
+	if k.Pending() != 3 || !a.Queued() || !b.Queued() {
+		t.Fatalf("Pending = %d, queued %v %v; want 3, true true", k.Pending(), a.Queued(), b.Queued())
+	}
+	if !k.Cancel(&b) || k.Cancel(&b) || b.Queued() {
+		t.Fatal("Cancel did not remove b exactly once")
+	}
+	k.Run()
+	if got := fmt.Sprint(order); got != "[x a]" || a.Queued() {
+		t.Fatalf("ran %s, a queued %v; want [x a], false", got, a.Queued())
 	}
 }

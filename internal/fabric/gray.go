@@ -182,7 +182,6 @@ func (m *Manager) repairOnHeldTrunkLocked(src, dst int, ports []int) bool {
 	if len(ports) == 0 {
 		return false
 	}
-	w := tree.Parents()
 	held := false
 	var cur topology.RouteCursor
 	cur.Start(tree, src, dst)
@@ -190,26 +189,13 @@ func (m *Manager) repairOnHeldTrunkLocked(src, dst int, ports []int) bool {
 		if held || h+1 >= tree.LinkLevels() {
 			return
 		}
-		up := tree.UpParent(h, sigma, port)
-		down := tree.UpParent(h, delta, port)
-		self := -1
+		var self uint64
 		if h+1 < len(ports) {
-			self = ports[h+1] // the route's own channels at the parent level
+			self = 1 << uint(ports[h+1]) // the route's own channels at the parent level
 		}
-		urow, drow := m.st.ULink(h+1, up), m.st.DLink(h+1, down)
-		for p := 0; p < w; p++ {
-			if p == self {
-				continue
-			}
-			if !urow.Get(p) && !m.st.Failed(linkstate.Up, h+1, up, p) {
-				held = true
-				return
-			}
-			if !drow.Get(p) && !m.st.Failed(linkstate.Down, h+1, down, p) {
-				held = true
-				return
-			}
-		}
+		up := m.st.Held(linkstate.Up, h+1, tree.UpParent(h, sigma, port))
+		down := m.st.Held(linkstate.Down, h+1, tree.UpParent(h, delta, port))
+		held = (up|down)&^self != 0
 	})
 	return held
 }

@@ -4,35 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/topology"
 )
-
-// TestAvailBothInto proves the caller-owned scratch survives later
-// queries — the footgun AvailBoth's shared scratch has.
-func TestAvailBothInto(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	s := New(tree)
-	if err := s.Allocate(Up, 0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	mine := bitvec.New(tree.Parents())
-	s.AvailBothInto(mine, 0, 1, 1)
-	want := mine.Clone()
-	// A later AvailBoth call overwrites the shared scratch but must not
-	// disturb the caller-owned vector.
-	s.AvailBoth(0, 0, 0)
-	if !mine.Equal(want) {
-		t.Fatalf("AvailBothInto result changed by later AvailBoth: got %s want %s", mine, want)
-	}
-	if mine.Get(2) {
-		t.Fatal("allocated port 2 still marked available")
-	}
-	shared := s.AvailBoth(0, 1, 1)
-	if !shared.Equal(mine) {
-		t.Fatalf("AvailBoth (%s) and AvailBothInto (%s) disagree", shared, mine)
-	}
-}
 
 // TestTryAllocateExclusive has 8 workers race to claim every up channel of
 // one level; each channel must be claimed exactly once and the final

@@ -3,22 +3,26 @@
 // does with its Ulink and Dlink memories.
 //
 // For each link level h (joining switch levels h and h+1) the state holds
-// two bit matrices indexed by (level-h switch, upper port): Ulink marks
-// the upward channel available, Dlink the downward channel of the same
-// physical link. Bit set means available (the paper's convention: "If
-// Ulink(h,τ)[i] equals one, [the] upward link connected via port i of
-// switch (h,τ) is available; otherwise, it is occupied").
+// two rows per level-h switch, each one machine word with upper port p at
+// bit p (topology.New refuses w > 64): Ulink marks the upward channel
+// available, Dlink the downward channel of the same physical link. Bit set
+// means available (the paper's convention: "If Ulink(h,τ)[i] equals one,
+// [the] upward link connected via port i of switch (h,τ) is available;
+// otherwise, it is occupied"). The words are the only form: ULink, DLink,
+// AvailBothWord and LevelWords hand them out as they are stored.
 //
 // # Invariants
 //
-// Callers rely on these properties, covered by misuse_test.go:
+// Callers rely on these properties, covered by misuse_test.go and, against
+// a plain per-channel model, by model_test.go:
 //
 //   - Allocate of an occupied channel and Release of a free channel fail
-//     without mutating anything — double allocation is always caught.
+//     without mutating anything — double allocation is always caught. A
+//     port outside [0, w) panics.
 //   - AllocatePath is atomic: on any conflict it releases the channels
 //     it claimed and returns with the state exactly as before the call.
-//   - Distinct States are fully independent (the scratch AND buffer is
-//     per-State), so parallel workers may each own one.
+//   - Distinct States are fully independent (nothing is shared between
+//     them), so parallel workers may each own one.
 //
 // # Fault mask
 //
@@ -26,10 +30,10 @@
 // the allocation bits: FailLink takes a channel out of service and
 // RepairLink returns it. The mask is ANDed into availability eagerly —
 // failing a channel clears its Ulink/Dlink bit immediately — so every
-// availability query (AvailBothInto, the atomic variants, raw
-// ULink/DLink rows, Available) sees failed channels as unavailable at
-// zero extra per-query cost, and every scheduler routes around faults
-// unchanged. The mask obeys its own invariants:
+// availability query (AvailBothWord, the atomic variant, raw ULink/DLink
+// rows, Available) sees failed channels as unavailable at zero extra
+// per-query cost, and every scheduler routes around faults unchanged. The
+// mask obeys its own invariants:
 //
 //   - Release of a failed channel is refused: its availability bit is
 //     never resurrected by teardown, so a fault survives the departure
@@ -50,8 +54,9 @@
 // A State is NOT safe for concurrent use of its plain methods.
 // Concurrent callers must either serialize externally — internal/fabric
 // runs every scheduling epoch and every release under one manager lock —
-// or restrict themselves to the atomic subset (TryAllocate,
-// AtomicRelease, AvailBothAtomicWord), which lock-free workers in
+// or restrict themselves to the atomic subset (TryAllocate and
+// AtomicRelease, each a compare-and-swap loop on the channel's row word,
+// and AvailBothAtomicWord, two atomic loads), which lock-free workers in
 // internal/parsched may race freely against each other. Mixing the two
 // families concurrently is a data race.
 package linkstate
@@ -59,9 +64,9 @@ package linkstate
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
-	"repro/internal/bitvec"
 	"repro/internal/topology"
 )
 
@@ -91,30 +96,24 @@ func (d Direction) String() string {
 // schedulers own a State outright, and the serving layer (internal/fabric)
 // guards its live State with the epoch lock.
 type State struct {
-	tree    *topology.Tree
-	ulink   []*bitvec.Matrix // per link level: rows = switches at level h
-	dlink   []*bitvec.Matrix
-	scratch bitvec.Vector // reused AND buffer, width w
-	// failedU/failedD are the fault mask: bit set means the channel is
-	// out of service. Reset keeps masked channels unavailable, Release
+	tree *topology.Tree
+	full uint64 // a row with every port set: the low w bits
+	// avail holds the Ulink (avail[Up]) and Dlink (avail[Down]) rows of
+	// every link level: avail[Up][h][idx] IS Ulink(h, idx), port p at bit
+	// p. Every row is one machine word (topology.New refuses w > 64).
+	avail [2][][]uint64
+	// failed is the fault mask in the same form: bit set means the channel
+	// is out of service. Reset keeps masked channels unavailable, Release
 	// refuses to resurrect them, RepairLink clears them. Nil until the
 	// first FailLink call, so fault-free states pay nothing.
-	failedU []*bitvec.Matrix
-	failedD []*bitvec.Matrix
-	// uw/dw alias the matrices' backing words: every row is one machine
-	// word (topology.New refuses w > 64), so uw[h][idx] IS Ulink(h, idx),
-	// and the word API (AvailBothWord, AllocateBoth, LevelWords) and the
-	// Vector API mutate the same storage and can never diverge. fuw/fdw
-	// alias failedU/failedD the same way, once those exist.
-	uw, dw   [][]uint64
-	fuw, fdw [][]uint64
+	failed [2][][]uint64
 
-	// nfailed counts the bits set in failedU/failedD. It is written under
-	// the State's serialization like the mask itself, and atomic only so
-	// that Unavailable may read it with none.
+	// nfailed counts the bits set in failed. It is written under the
+	// State's serialization like the mask itself, and atomic only so that
+	// Unavailable may read it with none.
 	nfailed atomic.Int64
 
-	// Load counters, enabled by TrackLoad: loadU/loadD count cumulative
+	// Load counters, enabled by TrackLoad: load[d] counts cumulative
 	// allocation events per channel (indexed [level][switch*w+port]) and
 	// occ is a live aggregate occupancy gauge — the O(1) signal
 	// least-loaded plane selection reads instead of a popcount scan. The
@@ -124,40 +123,53 @@ type State struct {
 	// and moves once per pass, not once per channel (see TrackLoad). When
 	// tracking is off (the default) every hot path pays one predictable
 	// branch.
-	trackLoad    bool
-	loadU, loadD [][]uint64
-	occ          atomic.Int64
+	trackLoad bool
+	load      [2][][]uint64
+	occ       atomic.Int64
 }
 
 // New returns a State for the tree with every link available.
 func New(tree *topology.Tree) *State {
-	s := &State{
-		tree:    tree,
-		ulink:   make([]*bitvec.Matrix, tree.LinkLevels()),
-		dlink:   make([]*bitvec.Matrix, tree.LinkLevels()),
-		scratch: bitvec.New(tree.Parents()),
-	}
-	for h := 0; h < tree.LinkLevels(); h++ {
-		rows := tree.SwitchesAt(h)
-		s.ulink[h] = bitvec.NewMatrix(rows, tree.Parents())
-		s.dlink[h] = bitvec.NewMatrix(rows, tree.Parents())
-	}
-	s.uw = make([][]uint64, tree.LinkLevels())
-	s.dw = make([][]uint64, tree.LinkLevels())
-	for h := range s.ulink {
-		s.uw[h] = s.ulink[h].Words()
-		s.dw[h] = s.dlink[h].Words()
-	}
+	s := &State{tree: tree, full: 1<<uint(tree.Parents()) - 1} // w = 64 wraps to all ones
+	s.avail = newRows(tree)
 	s.Reset()
 	return s
 }
 
-// AvailBothWord is the word form of AvailBothInto: it returns
-// Ulink(h,src) AND Dlink(h,mir) as one uint64, port p at bit p, the bit
-// order of the Vector form. The fault mask is pre-folded into the
-// availability bits exactly as for AvailBothInto.
+// newRows returns one zero word per switch of every link level, for both
+// directions.
+func newRows(tree *topology.Tree) [2][][]uint64 {
+	var rows [2][][]uint64
+	for d := range rows {
+		rows[d] = make([][]uint64, tree.LinkLevels())
+		for h := range rows[d] {
+			rows[d][h] = make([]uint64, tree.SwitchesAt(h))
+		}
+	}
+	return rows
+}
+
+// bit returns port's bit in a row. A port outside [0, w) panics: a shift
+// would silently name no channel, or one past the switch.
+func (s *State) bit(port int) uint64 {
+	if w := s.tree.Parents(); uint(port) >= uint(w) {
+		panic(fmt.Sprintf("linkstate: port %d out of range [0,%d)", port, w))
+	}
+	return 1 << uint(port)
+}
+
+// AvailBothWord returns Ulink(h,src) AND Dlink(h,mir) — the paper's
+// level-h available-port vector for a request whose source-side switch is
+// src and destination-side mirror switch is mir — as one uint64, port p at
+// bit p.
+//
+// The fault mask is already ANDed in: FailLink clears a failed channel's
+// availability bit eagerly, so the two-operand AND here excludes dead
+// channels without a third operand on the hot path (the atomic variant
+// inherits the same property). BenchmarkAvailBothWordFaulted pins that a
+// masked state costs the same as a healthy one.
 func (s *State) AvailBothWord(h, src, mir int) uint64 {
-	return s.uw[h][src] & s.dw[h][mir]
+	return s.avail[Up][h][src] & s.avail[Down][h][mir]
 }
 
 // AllocateBoth claims the level-h upward channel at the source-side
@@ -167,20 +179,20 @@ func (s *State) AvailBothWord(h, src, mir int) uint64 {
 // AvailBothWord); a non-free channel here is an invariant violation and
 // panics rather than corrupting occupancy.
 func (s *State) AllocateBoth(h, sigma, delta, port int) {
-	AllocateWords(&s.uw[h][sigma], &s.dw[h][delta], uint64(1)<<uint(port))
+	AllocateWords(&s.avail[Up][h][sigma], &s.avail[Down][h][delta], uint64(1)<<uint(port))
 	if s.trackLoad {
 		s.NoteAllocBoth(h, sigma, delta, port)
 		s.occ.Add(2)
 	}
 }
 
-// LevelWords returns link level h's Ulink and Dlink rows as words: u[idx]
-// IS Ulink(h, idx) and d[idx] IS Dlink(h, idx), the storage AvailBothWord
+// LevelWords returns link level h's Ulink and Dlink rows: u[idx] IS
+// Ulink(h, idx) and d[idx] IS Dlink(h, idx), the storage AvailBothWord
 // reads. A sweep that visits many switches of one level fetches the two
 // slices once, ANDs rows itself and claims ports with AllocateWords; on a
 // LoadTracking state it owes one NoteAllocBoth per claim and one
 // MoveOccupancy for the pass.
-func (s *State) LevelWords(h int) (u, d []uint64) { return s.uw[h], s.dw[h] }
+func (s *State) LevelWords(h int) (u, d []uint64) { return s.avail[Up][h], s.avail[Down][h] }
 
 // AllocateWords is the allocation half of AllocateBoth on rows taken
 // from LevelWords: it clears bit (one port) in the Ulink row *u and the
@@ -212,8 +224,8 @@ func (e nonFreePort) Error() string {
 // settles them with one MoveOccupancy when it is done.
 func (s *State) NoteAllocBoth(h, sigma, delta, port int) {
 	w := s.tree.Parents()
-	s.loadU[h][sigma*w+port]++
-	s.loadD[h][delta*w+port]++
+	s.load[Up][h][sigma*w+port]++
+	s.load[Down][h][delta*w+port]++
 }
 
 // MoveOccupancy adds delta channels to the live occupancy gauge of a
@@ -248,11 +260,11 @@ func (s *State) TrackLoad() {
 	if s.trackLoad {
 		return
 	}
-	s.loadU = make([][]uint64, len(s.ulink))
-	s.loadD = make([][]uint64, len(s.dlink))
-	for h := range s.ulink {
-		s.loadU[h] = make([]uint64, s.ulink[h].Rows()*s.ulink[h].Width())
-		s.loadD[h] = make([]uint64, s.dlink[h].Rows()*s.dlink[h].Width())
+	for d := range s.load {
+		s.load[d] = make([][]uint64, len(s.avail[d]))
+		for h, rows := range s.avail[d] {
+			s.load[d][h] = make([]uint64, len(rows)*s.tree.Parents())
+		}
 	}
 	s.occ.Store(int64(s.OccupiedCount()))
 	s.trackLoad = true
@@ -261,13 +273,9 @@ func (s *State) TrackLoad() {
 // LoadTracking reports whether TrackLoad has been enabled.
 func (s *State) LoadTracking() bool { return s.trackLoad }
 
-// load returns the cumulative counter of one channel of a tracked state.
-func (s *State) load(d Direction, h, idx, port int) *uint64 {
-	load := s.loadU
-	if d == Down {
-		load = s.loadD
-	}
-	return &load[h][idx*s.tree.Parents()+port]
+// counter returns the cumulative counter of one channel of a tracked state.
+func (s *State) counter(d Direction, h, idx, port int) *uint64 {
+	return &s.load[d][h][idx*s.tree.Parents()+port]
 }
 
 // LiveOccupancy returns the current number of allocated channels on a
@@ -294,7 +302,7 @@ func (s *State) ChannelLoad(d Direction, h, idx, port int) uint64 {
 	if !s.trackLoad {
 		return 0
 	}
-	return *s.load(d, h, idx, port)
+	return *s.counter(d, h, idx, port)
 }
 
 // TotalAllocs returns the cumulative allocation events across every
@@ -305,12 +313,11 @@ func (s *State) TotalAllocs() uint64 {
 		return 0
 	}
 	var total uint64
-	for h := range s.loadU {
-		for _, n := range s.loadU[h] {
-			total += n
-		}
-		for _, n := range s.loadD[h] {
-			total += n
+	for d := range s.load {
+		for _, level := range s.load[d] {
+			for _, n := range level {
+				total += n
+			}
 		}
 	}
 	return total
@@ -324,25 +331,21 @@ func (s *State) LoadSnapshot() (up, down [][]uint64) {
 	if !s.trackLoad {
 		return nil, nil
 	}
-	up = make([][]uint64, len(s.loadU))
-	down = make([][]uint64, len(s.loadD))
-	for h := range s.loadU {
-		up[h] = append([]uint64(nil), s.loadU[h]...)
-		down[h] = append([]uint64(nil), s.loadD[h]...)
-	}
-	return up, down
+	return copyRows(s.load[Up]), copyRows(s.load[Down])
 }
 
 // Reset marks every link channel available, except channels failed via
 // FailLink, which stay unavailable.
 func (s *State) Reset() {
-	for h := range s.ulink {
-		s.ulink[h].SetAll()
-		s.dlink[h].SetAll()
-		if s.failedU != nil {
-			for r := 0; r < s.ulink[h].Rows(); r++ {
-				s.ulink[h].Row(r).AndNot(s.ulink[h].Row(r), s.failedU[h].Row(r))
-				s.dlink[h].Row(r).AndNot(s.dlink[h].Row(r), s.failedD[h].Row(r))
+	for d := range s.avail {
+		for h, rows := range s.avail[d] {
+			for i := range rows {
+				rows[i] = s.full
+			}
+			if s.failed[d] != nil {
+				for i, mask := range s.failed[d][h] {
+					rows[i] &^= mask
+				}
 			}
 		}
 	}
@@ -359,27 +362,18 @@ func (s *State) Reset() {
 // skips the dead channel. Failing an already-failed channel is a no-op
 // (reported as true).
 func (s *State) FailLink(d Direction, h, idx, port int) bool {
-	if s.failedU == nil {
-		s.failedU = make([]*bitvec.Matrix, len(s.ulink))
-		s.failedD = make([]*bitvec.Matrix, len(s.dlink))
-		for lvl := range s.ulink {
-			s.failedU[lvl] = bitvec.NewMatrix(s.ulink[lvl].Rows(), s.ulink[lvl].Width())
-			s.failedD[lvl] = bitvec.NewMatrix(s.dlink[lvl].Rows(), s.dlink[lvl].Width())
-			s.fuw = append(s.fuw, s.failedU[lvl].Words())
-			s.fdw = append(s.fdw, s.failedD[lvl].Words())
-		}
+	bit := s.bit(port)
+	if s.failed[Up] == nil {
+		s.failed = newRows(s.tree)
 	}
-	mask, avail := s.failedU[h].Row(idx), s.ulink[h].Row(idx)
-	if d == Down {
-		mask, avail = s.failedD[h].Row(idx), s.dlink[h].Row(idx)
-	}
-	if mask.Get(port) {
+	mask, row := &s.failed[d][h][idx], &s.avail[d][h][idx]
+	if *mask&bit != 0 {
 		return true
 	}
-	mask.Set(port)
+	*mask |= bit
 	s.nfailed.Add(1)
-	wasFree := avail.Get(port)
-	avail.Clear(port)
+	wasFree := *row&bit != 0
+	*row &^= bit
 	if s.trackLoad && !wasFree {
 		// The live allocation is forfeited: the channel is dead, not
 		// occupied, so it leaves the occupancy gauge with the fault.
@@ -396,26 +390,17 @@ func (s *State) RepairLink(d Direction, h, idx, port int) bool {
 	if !s.Failed(d, h, idx, port) {
 		return false
 	}
-	if d == Up {
-		s.failedU[h].Row(idx).Clear(port)
-		s.ulink[h].Row(idx).Set(port)
-	} else {
-		s.failedD[h].Row(idx).Clear(port)
-		s.dlink[h].Row(idx).Set(port)
-	}
+	bit := uint64(1) << uint(port)
+	s.failed[d][h][idx] &^= bit
+	s.avail[d][h][idx] |= bit
 	s.nfailed.Add(-1)
 	return true
 }
 
 // Failed reports whether the channel is out of service.
 func (s *State) Failed(d Direction, h, idx, port int) bool {
-	if s.failedU == nil {
-		return false
-	}
-	if d == Up {
-		return s.failedU[h].Row(idx).Get(port)
-	}
-	return s.failedD[h].Row(idx).Get(port)
+	bit := s.bit(port)
+	return s.failed[d] != nil && s.failed[d][h][idx]&bit != 0
 }
 
 // FailedCount returns the number of channels removed from service.
@@ -429,14 +414,13 @@ func (s *State) FailedCount() int { return int(s.nfailed.Load()) }
 // It reads the mask only (never the availability rows), costs one walk of
 // at most l−1 levels, and is false on a state that never had a fault.
 func (s *State) BlockedByMask(src, dst int) bool {
-	if s.failedU == nil {
+	if s.failed[Up] == nil {
 		return false
 	}
 	var cur topology.RouteCursor
 	cur.Start(s.tree, src, dst)
-	ports := uint64(1)<<uint(s.tree.Parents()) - 1 // w = 64 wraps to all ones
 	for h, top := 0, s.tree.AncestorLevel(src, dst); h < top; h++ {
-		free := ^(s.fuw[h][cur.Sigma()] | s.fdw[h][cur.Delta()]) & ports
+		free := ^(s.failed[Up][h][cur.Sigma()] | s.failed[Down][h][cur.Delta()]) & s.full
 		if free == 0 {
 			return true
 		}
@@ -445,39 +429,23 @@ func (s *State) BlockedByMask(src, dst int) bool {
 	return false
 }
 
-// ULink returns the upward availability vector of the level-h switch idx.
-// The returned vector aliases internal storage: treat it as read-only and
-// use Allocate/Release to mutate.
-func (s *State) ULink(h, idx int) bitvec.Vector { return s.ulink[h].Row(idx) }
+// ULink returns the Ulink row of the level-h switch idx: bit p set means
+// its upward channel at port p is available.
+func (s *State) ULink(h, idx int) uint64 { return s.avail[Up][h][idx] }
 
-// DLink returns the downward availability vector of the level-h switch idx
-// (same aliasing caveat as ULink).
-func (s *State) DLink(h, idx int) bitvec.Vector { return s.dlink[h].Row(idx) }
+// DLink returns the Dlink row of the level-h switch idx: bit p set means
+// its downward channel at port p is available.
+func (s *State) DLink(h, idx int) uint64 { return s.avail[Down][h][idx] }
 
-// AvailBothInto writes Ulink(h,src) AND Dlink(h,mir) — the paper's
-// level-h available-port vector for a request whose source-side switch is
-// src and destination-side mirror switch is mir — into dst, which the
-// caller owns and which must have width Tree().Parents(). Use this (not
-// AvailBoth) whenever the result must survive a later availability query,
-// and for per-worker scratch in parallel schedulers.
-//
-// The fault mask is already ANDed in: FailLink clears a failed channel's
-// availability bit eagerly, so the two-operand AND here excludes dead
-// channels without a third operand on the hot path (the atomic variant
-// inherits the same property). BenchmarkAvailBothIntoFaulted pins that a
-// masked state costs the same as a healthy one.
-func (s *State) AvailBothInto(dst bitvec.Vector, h, src, mir int) {
-	dst.And(s.ulink[h].Row(src), s.dlink[h].Row(mir))
-}
-
-// AvailBoth is a convenience wrapper around AvailBothInto that uses the
-// State's single internal scratch vector. The returned vector is
-// invalidated by the next AvailBoth call on this State — callers that
-// retain the result across queries must use AvailBothInto with their own
-// vector instead.
-func (s *State) AvailBoth(h, src, dst int) bitvec.Vector {
-	s.AvailBothInto(s.scratch, h, src, dst)
-	return s.scratch
+// Held returns the channels of the level-h switch idx in direction d that
+// carry a live allocation: bit p set means port p is neither available
+// nor failed.
+func (s *State) Held(d Direction, h, idx int) uint64 {
+	held := ^s.avail[d][h][idx] & s.full
+	if s.failed[d] != nil {
+		held &^= s.failed[d][h][idx]
+	}
+	return held
 }
 
 // AvailBothAtomicWord is AvailBothWord with atomic loads of the two rows,
@@ -485,63 +453,71 @@ func (s *State) AvailBoth(h, src, dst int) bitvec.Vector {
 // may be stale by the time the worker acts on it, which is safe because
 // TryAllocate re-checks under CAS.
 func (s *State) AvailBothAtomicWord(h, src, mir int) uint64 {
-	return atomic.LoadUint64(&s.uw[h][src]) & atomic.LoadUint64(&s.dw[h][mir])
+	return atomic.LoadUint64(&s.avail[Up][h][src]) & atomic.LoadUint64(&s.avail[Down][h][mir])
 }
 
 // Available reports whether the given channel is free.
 func (s *State) Available(d Direction, h, idx, port int) bool {
-	return s.matrix(d)[h].Row(idx).Get(port)
-}
-
-func (s *State) matrix(d Direction) []*bitvec.Matrix {
-	if d == Up {
-		return s.ulink
-	}
-	return s.dlink
+	return s.avail[d][h][idx]&s.bit(port) != 0
 }
 
 // Allocate marks the channel occupied. It returns an error if the channel
 // is already occupied — schedulers rely on this to catch double
 // allocation — or failed, with a diagnosis naming which.
 func (s *State) Allocate(d Direction, h, idx, port int) error {
-	row := s.matrix(d)[h].Row(idx)
-	if !row.Get(port) {
+	row, bit := &s.avail[d][h][idx], s.bit(port)
+	if *row&bit == 0 {
 		if s.Failed(d, h, idx, port) {
 			return fmt.Errorf("linkstate: %s channel at level %d switch %d port %d is failed", d, h, idx, port)
 		}
 		return fmt.Errorf("linkstate: %s channel at level %d switch %d port %d already occupied", d, h, idx, port)
 	}
-	row.Clear(port)
+	*row &^= bit
 	if s.trackLoad {
-		*s.load(d, h, idx, port)++
+		*s.counter(d, h, idx, port)++
 		s.occ.Add(1)
 	}
 	return nil
 }
 
-// TryAllocate atomically claims the channel with a CAS loop, returning
-// whether this call claimed it. Unlike Allocate it is safe to race
-// against other TryAllocate/AtomicRelease/AvailBothAtomicWord calls on
-// the same State: of N concurrent claimants of one channel exactly one
-// wins. It must not race plain Allocate/Release/AvailBoth calls.
+// TryAllocate atomically claims the channel with a CAS loop on its row,
+// returning whether this call claimed it. Unlike Allocate it is safe to
+// race against other TryAllocate/AtomicRelease/AvailBothAtomicWord calls
+// on the same State: of N concurrent claimants of one channel exactly one
+// wins. It must not race plain Allocate/Release/AvailBothWord calls.
 func (s *State) TryAllocate(d Direction, h, idx, port int) bool {
-	if !s.matrix(d)[h].Row(idx).TryClearAtomic(port) {
-		return false
+	row, bit := &s.avail[d][h][idx], s.bit(port)
+	for {
+		old := atomic.LoadUint64(row)
+		if old&bit == 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(row, old, old&^bit) {
+			break
+		}
 	}
 	if s.trackLoad {
-		atomic.AddUint64(s.load(d, h, idx, port), 1)
+		atomic.AddUint64(s.counter(d, h, idx, port), 1)
 		s.occ.Add(1)
 	}
 	return true
 }
 
-// AtomicRelease atomically returns a channel claimed via TryAllocate. It
-// panics if the channel is not occupied: lock-free schedulers only ever
-// release channels they themselves claimed, so a free channel here is an
-// invariant violation, not a runtime condition.
+// AtomicRelease atomically returns a channel claimed via TryAllocate, with
+// a CAS loop on its row. It panics if the channel is not occupied:
+// lock-free schedulers only ever release channels they themselves claimed,
+// so a free channel here is an invariant violation, not a runtime
+// condition.
 func (s *State) AtomicRelease(d Direction, h, idx, port int) {
-	if !s.matrix(d)[h].Row(idx).TrySetAtomic(port) {
-		panic(fmt.Sprintf("linkstate: atomic release of free %s channel at level %d switch %d port %d", d, h, idx, port))
+	row, bit := &s.avail[d][h][idx], s.bit(port)
+	for {
+		old := atomic.LoadUint64(row)
+		if old&bit != 0 {
+			panic(fmt.Sprintf("linkstate: atomic release of free %s channel at level %d switch %d port %d", d, h, idx, port))
+		}
+		if atomic.CompareAndSwapUint64(row, old, old|bit) {
+			break
+		}
 	}
 	if s.trackLoad {
 		s.occ.Add(-1)
@@ -552,20 +528,14 @@ func (s *State) AtomicRelease(d Direction, h, idx, port int) {
 // was not occupied or has been failed via FailLink — a fault is never
 // resurrected by teardown; only RepairLink returns a channel to service.
 func (s *State) Release(d Direction, h, idx, port int) error {
-	if s.failedU != nil {
-		failed := s.failedU
-		if d == Down {
-			failed = s.failedD
-		}
-		if failed[h].Row(idx).Get(port) {
-			return fmt.Errorf("linkstate: %s channel at level %d switch %d port %d is failed", d, h, idx, port)
-		}
+	if s.Failed(d, h, idx, port) {
+		return fmt.Errorf("linkstate: %s channel at level %d switch %d port %d is failed", d, h, idx, port)
 	}
-	row := s.matrix(d)[h].Row(idx)
-	if row.Get(port) {
+	row, bit := &s.avail[d][h][idx], s.bit(port)
+	if *row&bit != 0 {
 		return fmt.Errorf("linkstate: %s channel at level %d switch %d port %d not occupied", d, h, idx, port)
 	}
-	row.Set(port)
+	*row |= bit
 	if s.trackLoad {
 		s.occ.Add(-1)
 	}
@@ -579,10 +549,9 @@ func (s *State) Release(d Direction, h, idx, port int) error {
 // failed counts as dead from that moment — its allocation is forfeited.)
 func (s *State) OccupiedCount() int {
 	total := 0
-	for h := range s.ulink {
-		cap := s.ulink[h].Rows() * s.ulink[h].Width()
-		total += cap - s.ulink[h].Count()
-		total += cap - s.dlink[h].Count()
+	for h := range s.avail[Up] {
+		up, down := s.LevelOccupancy(h)
+		total += up + down
 	}
 	return total - s.FailedCount()
 }
@@ -598,40 +567,54 @@ func (s *State) Utilization() float64 {
 	return float64(s.OccupiedCount()) / float64(s.ChannelCount())
 }
 
-// LevelOccupancy returns the occupied channel count at link level h, split
-// by direction.
+// LevelOccupancy returns the count of unavailable channels at link level
+// h, split by direction: occupied ones, and failed ones with them.
 func (s *State) LevelOccupancy(h int) (up, down int) {
-	cap := s.ulink[h].Rows() * s.ulink[h].Width()
-	return cap - s.ulink[h].Count(), cap - s.dlink[h].Count()
+	return s.clearBits(s.avail[Up][h]), s.clearBits(s.avail[Down][h])
+}
+
+// clearBits counts the ports not set in a level's rows.
+func (s *State) clearBits(rows []uint64) int {
+	n := len(rows) * s.tree.Parents()
+	for _, row := range rows {
+		n -= bits.OnesCount64(row)
+	}
+	return n
 }
 
 // Snapshot captures the full state for later Restore. Snapshots are cheap
-// (one []uint64 copy per matrix) and are how schedulers implement rollback.
+// (one []uint64 copy per level and direction) and are how schedulers
+// implement rollback.
 type Snapshot struct {
-	u, d [][]uint64
+	rows [2][][]uint64
 }
 
 // Snapshot returns a copy of the current availability state.
 func (s *State) Snapshot() Snapshot {
-	snap := Snapshot{
-		u: make([][]uint64, len(s.ulink)),
-		d: make([][]uint64, len(s.dlink)),
+	return Snapshot{[2][][]uint64{copyRows(s.avail[Up]), copyRows(s.avail[Down])}}
+}
+
+// copyRows returns a deep copy of per-level words.
+func copyRows(levels [][]uint64) [][]uint64 {
+	c := make([][]uint64, len(levels))
+	for h := range levels {
+		c[h] = append([]uint64(nil), levels[h]...)
 	}
-	for h := range s.ulink {
-		snap.u[h] = s.ulink[h].Snapshot()
-		snap.d[h] = s.dlink[h].Snapshot()
-	}
-	return snap
+	return c
 }
 
 // Restore rewinds the state to a snapshot taken from the same State.
 func (s *State) Restore(snap Snapshot) {
-	if len(snap.u) != len(s.ulink) || len(snap.d) != len(s.dlink) {
-		panic("linkstate: snapshot shape mismatch")
-	}
-	for h := range s.ulink {
-		s.ulink[h].Restore(snap.u[h])
-		s.dlink[h].Restore(snap.d[h])
+	for d := range s.avail {
+		if len(snap.rows[d]) != len(s.avail[d]) {
+			panic("linkstate: snapshot shape mismatch")
+		}
+		for h, rows := range s.avail[d] {
+			if len(snap.rows[d][h]) != len(rows) {
+				panic("linkstate: snapshot shape mismatch")
+			}
+			copy(rows, snap.rows[d][h])
+		}
 	}
 	if s.trackLoad {
 		// The gauge must match the restored bits; the cumulative
@@ -643,12 +626,14 @@ func (s *State) Restore(snap Snapshot) {
 // Equal reports whether two states over the same tree have identical
 // availability.
 func (s *State) Equal(other *State) bool {
-	if len(s.ulink) != len(other.ulink) {
-		return false
-	}
-	for h := range s.ulink {
-		if !s.ulink[h].Equal(other.ulink[h]) || !s.dlink[h].Equal(other.dlink[h]) {
+	for d := range s.avail {
+		if len(s.avail[d]) != len(other.avail[d]) {
 			return false
+		}
+		for h, rows := range s.avail[d] {
+			if !slices.Equal(rows, other.avail[d][h]) {
+				return false
+			}
 		}
 	}
 	return true
@@ -741,7 +726,7 @@ func (s *State) ReleaseHeld(src, dst int, ports []int) error {
 			panic(fmt.Sprintf("linkstate: port %d out of range [0,%d)", p, w))
 		}
 		sigma, delta := cur.Sigma(), cur.Delta()
-		u, d, bit := &s.uw[lvl][sigma], &s.dw[lvl][delta], uint64(1)<<uint(p)
+		u, d, bit := &s.avail[Up][lvl][sigma], &s.avail[Down][lvl][delta], uint64(1)<<uint(p)
 		if *u&bit == 0 {
 			*u |= bit
 			freed++
@@ -780,14 +765,14 @@ func (s *State) releaseHeldFaulted(cur *topology.RouteCursor, ports []int) error
 			panic(fmt.Sprintf("linkstate: port %d out of range [0,%d)", p, w))
 		}
 		sigma, delta := cur.Sigma(), cur.Delta()
-		u, d, bit := &s.uw[lvl][sigma], &s.dw[lvl][delta], uint64(1)<<uint(p)
-		if (*u|s.fuw[lvl][sigma])&bit == 0 {
+		u, d, bit := &s.avail[Up][lvl][sigma], &s.avail[Down][lvl][delta], uint64(1)<<uint(p)
+		if (*u|s.failed[Up][lvl][sigma])&bit == 0 {
 			*u |= bit
 			freed++
 		} else if bad < 0 {
 			bad, badDir, badIdx = lvl, Up, sigma
 		}
-		if (*d|s.fdw[lvl][delta])&bit == 0 {
+		if (*d|s.failed[Down][lvl][delta])&bit == 0 {
 			*d |= bit
 			freed++
 		} else if bad < 0 {

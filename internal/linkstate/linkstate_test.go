@@ -26,7 +26,7 @@ func TestFreshStateAllAvailable(t *testing.T) {
 	}
 	for h := 0; h < s.Tree().LinkLevels(); h++ {
 		for idx := 0; idx < s.Tree().SwitchesAt(h); idx++ {
-			if s.ULink(h, idx).Count() != 4 || s.DLink(h, idx).Count() != 4 {
+			if s.ULink(h, idx) != 0b1111 || s.DLink(h, idx) != 0b1111 {
 				t.Fatalf("level %d switch %d not fully available", h, idx)
 			}
 		}
@@ -81,12 +81,8 @@ func TestAvailBoth(t *testing.T) {
 	if err := s.Allocate(Down, 0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	avail := s.AvailBoth(0, 1, 3)
-	if avail.Get(0) || avail.Get(2) {
-		t.Fatalf("AvailBoth should mask both occupied ports: %s", avail)
-	}
-	if !avail.Get(1) || !avail.Get(3) {
-		t.Fatalf("AvailBoth cleared free ports: %s", avail)
+	if avail := s.AvailBothWord(0, 1, 3); avail != 0b1010 {
+		t.Fatalf("AvailBothWord = %04b, want 1010: both occupied ports masked, the free ones kept", avail)
 	}
 }
 
@@ -275,13 +271,6 @@ func TestQuickOccupancyAccounting(t *testing.T) {
 	}
 }
 
-func BenchmarkAvailBoth(b *testing.B) {
-	s := newState(b, 2, 64, 64)
-	for i := 0; i < b.N; i++ {
-		s.AvailBoth(0, i%64, (i+7)%64)
-	}
-}
-
 func BenchmarkSnapshotRestore(b *testing.B) {
 	s := newState(b, 3, 16, 16)
 	snap := s.Snapshot()
@@ -345,8 +334,7 @@ func TestSchedulingAvoidsFailedLinks(t *testing.T) {
 			s.FailLink(Up, 0, 0, p)
 		}
 	}
-	avail := s.ULink(0, 0)
-	if avail.Count() != 1 || !avail.Get(2) {
-		t.Fatalf("ULink after failures = %s", avail)
+	if avail := s.ULink(0, 0); avail != 1<<2 {
+		t.Fatalf("ULink after failures = %04b, want 0100", avail)
 	}
 }

@@ -169,8 +169,8 @@ func TestAllocatePathPortCountMismatch(t *testing.T) {
 // TestIndependentStatesConcurrently drives AllocatePath/ReleasePath on
 // per-goroutine States in parallel. A State is documented as not safe
 // for concurrent use, but distinct States must be fully independent —
-// the race detector flags any hidden shared storage (e.g. the per-State
-// scratch AND buffer leaking into a package global).
+// the race detector flags any hidden shared storage (e.g. a row buffer
+// leaking into a package global).
 func TestIndependentStatesConcurrently(t *testing.T) {
 	tree := newState(t, 3, 4, 4).Tree()
 	var wg sync.WaitGroup
@@ -182,7 +182,6 @@ func TestIndependentStatesConcurrently(t *testing.T) {
 			src, dst := g, tree.Nodes()-1-g
 			ports := make([]int, tree.AncestorLevel(src, dst))
 			for i := 0; i < 200; i++ {
-				s.AvailBoth(0, 0, 1) // exercise the scratch buffer
 				if err := s.AllocatePath(src, dst, ports); err != nil {
 					t.Errorf("goroutine %d iter %d: %v", g, i, err)
 					return

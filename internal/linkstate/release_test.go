@@ -11,8 +11,8 @@ import (
 )
 
 // releaseByChannel is the reference ReleasePath is held to: the walk it
-// was before it had a word form, one Release per channel through the
-// Vector API, first error kept, everything else still released.
+// was before it had a word form, one Release per channel, first error
+// kept, everything else still released.
 func releaseByChannel(s *State, src, dst int, ports []int) error {
 	if h := s.tree.AncestorLevel(src, dst); len(ports) != h {
 		return fmt.Errorf("linkstate: request (%d→%d) needs %d ports, got %d", src, dst, h, len(ports))

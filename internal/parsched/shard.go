@@ -7,8 +7,8 @@ package parsched
 // most ℓ routes entirely inside the level-ℓ subtree containing both
 // endpoints, touching Ulink(h, σ)/Dlink(h, δ) rows only for switches of
 // that subtree (h < ℓ). Requests in distinct level-ℓ subtrees therefore
-// touch disjoint bitvec rows — and rows are word-aligned in the Matrix
-// backing store — so whole subtrees schedule concurrently with plain
+// touch disjoint row words of the link state — each row is one word of
+// its own — so whole subtrees schedule concurrently with plain
 // loads and stores: no per-level barrier, no CAS retries, no shared
 // scratch. Root-crossing requests (H > ℓ) do share lower-level rows
 // with shard-confined traffic, so they run strictly after the shard

@@ -16,6 +16,7 @@
 package switchsim
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
@@ -106,8 +107,7 @@ func (m *Model) Run(tree *topology.Tree, reqs []core.Request) (*core.Result, Met
 				kernel.After(1, func() { step(tk) })
 				return
 			}
-			avail := st.ULink(tk.h, tk.sigma)
-			p, ok := pick(m.Policy, rng, avail.Count(), func(n int) (int, bool) { return avail.NthSet(n) })
+			p, ok := pick(m.Policy, rng, st.ULink(tk.h, tk.sigma))
 			if !ok {
 				finishFail(tk, tk.h, false)
 				return
@@ -186,14 +186,15 @@ func (m *Model) name() string {
 	return "switchsim/" + m.Policy.String()
 }
 
-// pick chooses among n available candidates: index 0 for the greedy
-// policies, uniform for RandomFit. nth maps a choice index to the port.
-func pick(policy core.PortPolicy, rng *rand.Rand, n int, nth func(int) (int, bool)) (int, bool) {
-	if n == 0 {
+// pick chooses a port of the availability row avail: the lowest for the
+// greedy policies, a uniform draw for RandomFit; false when none is free.
+func pick(policy core.PortPolicy, rng *rand.Rand, avail uint64) (int, bool) {
+	if avail == 0 {
 		return 0, false
 	}
+	rank := 0
 	if policy == core.RandomFit {
-		return nth(rng.Intn(n))
+		rank = rng.Intn(bits.OnesCount64(avail))
 	}
-	return nth(0)
+	return core.NthSet(avail, rank), true
 }

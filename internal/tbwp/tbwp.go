@@ -17,6 +17,7 @@ package tbwp
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
@@ -227,16 +228,14 @@ func (s *Scheduler) climb(st *linkstate.State, rng *rand.Rand, w *Walk, cur, lev
 		return false
 	}
 	avail := st.ULink(*level, *cur)
-	n := avail.Count()
-	if n == 0 {
+	if avail == 0 {
 		return false
 	}
-	var port int
+	rank := 0
 	if s.Policy == core.RandomFit {
-		port, _ = avail.NthSet(rng.Intn(n))
-	} else {
-		port, _ = avail.FirstSet()
+		rank = rng.Intn(bits.OnesCount64(avail))
 	}
+	port := core.NthSet(avail, rank)
 	if err := st.Allocate(linkstate.Up, *level, *cur, port); err != nil {
 		panic(fmt.Sprintf("tbwp: %v", err))
 	}

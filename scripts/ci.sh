@@ -57,14 +57,15 @@ fi
 
 gotest -race ./...
 
-# Concurrency-focused pass: re-run the parallel engine, the fabric
-# manager (including the fault revoke/re-admit chaos tests and the
-# gray-failure flap-damping chaos test), the fault-injection package,
-# and the federation router (its generator kills planes and migrates
-# circuits on hook goroutines, plus the probe and degraded-plane tests)
-# under -race with a doubled count, shaking out interleavings a single
-# full-suite run can miss.
-gotest -race -count=2 ./internal/parsched ./internal/fabric ./internal/faults ./internal/federation
+# Concurrency-focused pass: re-run the parallel engine, the link state
+# (whose TryAllocate/AtomicRelease compare-and-swap loops on the row words
+# are what the racy mode races on), the fabric manager (including the
+# fault revoke/re-admit chaos tests and the gray-failure flap-damping
+# chaos test), the fault-injection package, and the federation router
+# (its generator kills planes and migrates circuits on hook goroutines,
+# plus the probe and degraded-plane tests) under -race with a doubled
+# count, shaking out interleavings a single full-suite run can miss.
+gotest -race -count=2 ./internal/parsched ./internal/linkstate ./internal/fabric ./internal/faults ./internal/federation
 
 # Shard-engine stress: the high-worker-count shard tests (16 workers on
 # deliberately small trees, steal on and off) force maximal queue
@@ -161,12 +162,15 @@ gotest -run 'TestScheduleIntoZeroAllocs|TestWordKernelMatchesReference|TestLevel
 # failed channel, rollback prefixes), the property test that holds the
 # occupancy gauge to the popcount truth, Unavailable to it plus the failed
 # channels, and the cumulative counters to two per port picked after every
-# kind of mutation, and the denial-cause oracle (BlockedByMask against
+# kind of mutation, the denial-cause oracle (BlockedByMask against
 # Level-wise first-fit on a fresh state carrying only the mask, every pair
-# of four tree forms over seeded fault sets); -count=2 for the same reason
-# as above. The shard engine's half of the single-writer contract
+# of four tree forms over seeded fault sets), and the whole State against a
+# plain per-channel model (seeded sequences of every mutation, tracked and
+# untracked, rows of 4, 8 and 64 bits, every read and every refusal checked
+# after each step); -count=2 for the same reason as above. The shard
+# engine's half of the single-writer contract
 # (TestShardHighWorkerTrackedState) rides the -race HighWorker line.
-gotest -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise' -count=2 ./internal/linkstate
+gotest -run 'TestReleasePathWordFormMatchesChannelWalk|TestLoadCounters|TestLoadGauge|TestBlockedByMaskMatchesLevelWise|TestStateMatchesBoolModel' -count=2 ./internal/linkstate
 gotest -run 'TestLoadTrackingHoldsUnderEveryMutation' -count=2 ./internal/core
 
 # The operation generator, both modes: seeded sequences on five trees and
